@@ -119,7 +119,10 @@ def cmd_invariant(args) -> int:
         "lambda_values": lam_json,
     }
 
-    fm = frobenius_matrix(alg)
+    # only the emitted matrix and the dual pair need the whole inverse;
+    # otherwise invariant_z tests the trace condition before any pairing work
+    # and solves column zero alone
+    fm = frobenius_matrix(alg) if args.emit_matrix or args.emit_dual_pair else None
     if args.emit_matrix:
         payload["odd_subset_order"] = [
             [alg.odd_names[t] for t in range(alg.n_odd) if mask >> t & 1]

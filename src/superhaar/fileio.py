@@ -23,12 +23,14 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"not an exact rational: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(f"rational of {len(text)} characters rejected: {exc}") from None
+    if den == 0:
+        raise InputError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -40,13 +42,17 @@ def format_rational(value: Fraction) -> str:
 def algebra_from_json(obj) -> LieSuperalgebra:
     try:
         name = obj["name"]
-        even = list(obj["even_basis"])
-        odd = list(obj["odd_basis"])
+        even = obj["even_basis"]
+        odd = obj["odd_basis"]
         records = obj.get("brackets", [])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed algebra file: {exc}") from exc
+    if not isinstance(even, list) or not isinstance(odd, list):
+        raise InputError("even_basis and odd_basis must be lists of names")
     if not isinstance(name, str) or not all(isinstance(s, str) for s in even + odd):
         raise InputError("basis names must be strings")
+    if not isinstance(records, list):
+        raise InputError("brackets must be a list of records")
     lookup = {n: i for i, n in enumerate(even + odd)}
     if len(lookup) != len(even) + len(odd):
         raise InputError("duplicate basis names")
@@ -58,15 +64,19 @@ def algebra_from_json(obj) -> LieSuperalgebra:
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed bracket record: {exc}") from exc
         for n in (left, right):
-            if n not in lookup:
+            if not isinstance(n, str) or n not in lookup:
                 raise InputError(f"unknown basis name {n!r}")
         key = (lookup[left], lookup[right])
         if key in brackets:
             raise InputError(f"duplicate bracket record for ({left}, {right})")
+        if not isinstance(result, list):
+            raise InputError(f"bracket result for ({left}, {right}) must be a list")
         vec = {}
         for item in result:
+            if not isinstance(item, dict):
+                raise InputError(f"bracket result item {item!r} must be an object")
             basis = item.get("basis")
-            if basis not in lookup:
+            if not isinstance(basis, str) or basis not in lookup:
                 raise InputError(f"unknown basis name {basis!r}")
             vec[lookup[basis]] = vec.get(lookup[basis], Fraction(0)) + \
                 parse_rational(item.get("coeff"))
@@ -99,25 +109,33 @@ def module_from_json(obj, alg: LieSuperalgebra) -> GradedModule:
         dim = obj["dim"]
         parities = obj["parities"]
         action = obj.get("action", {})
+        name = obj.get("name", "")
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed module file: {exc}") from exc
     if algebra_name != alg.name:
         raise InputError(f"module is for algebra {algebra_name!r}, "
                          f"loaded algebra is {alg.name!r}")
-    if not isinstance(dim, int) or dim < 0:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError("dim must be a non-negative integer")
+    if not isinstance(parities, list):
+        raise InputError("parities must be a list")
     if len(parities) != dim:
         raise InputError("parities length does not match dim")
-    pmap = {"even": 0, "odd": 1}
-    try:
-        pvec = [pmap[p] for p in parities]
-    except KeyError as exc:
-        raise InputError(f"parity must be 'even' or 'odd', got {exc}") from exc
+    bad = [p for p in parities if p not in ("even", "odd")]
+    if bad:
+        raise InputError(f"parity must be 'even' or 'odd', got {bad[0]!r}")
+    pvec = [int(p == "odd") for p in parities]
+    if not isinstance(action, dict):
+        raise InputError("action must map basis names to matrices")
+    if not isinstance(name, str):
+        raise InputError("module name must be a string")
     rho = {}
-    for name, rows in action.items():
-        idx = alg.index_of(name)
+    for basis, rows in action.items():
+        idx = alg.index_of(basis)
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise InputError(f"action of {basis!r} must be a list of rows")
         rho[idx] = [[parse_rational(c) for c in row] for row in rows]
-    return GradedModule(alg, pvec, rho, name=obj.get("name", ""))
+    return GradedModule(alg, pvec, rho, name=name)
 
 
 def module_to_json(module: GradedModule) -> dict:

@@ -10,6 +10,14 @@ substitution.  Its inverse yields a dual basis and, column zero, a
 canonical representative of the invariant line in the quotient by the left
 ideal generated by the even part -- the element that drives Berezin-style
 integration downstream.
+
+One substitution engine serves both uses.  ``frobenius_matrix`` solves
+every column and builds the whole 2^m x 2^m pairing matrix and inverse;
+``invariant_z`` without a matrix solves column zero only, and builds just
+the pairing entries that column reads plus the upper triangle it checks.
+Both check triangularity and the +-1 diagonal; the full inverse is checked
+by A * A^-1 = I and column zero by A * b0 = e0, each summed exactly over
+the band j <= k <= i that triangularity leaves.
 """
 
 from __future__ import annotations
@@ -92,51 +100,73 @@ def _scalar_of(u: UEElement) -> Fraction | None:
     return None
 
 
-def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
-    order = odd_subset_order(alg.n_odd)
-    n = len(order)
+def _pairing(alg: LieSuperalgebra, order: tuple[int, ...]):
+    """Getter for the pairing entries A[i][k] = <x^{I_i}, x^{complement(I_k)}>,
+    each built on first use and kept as long as the getter, and the diagonal,
+    after checking that A is lower triangular with diagonal entries +-1."""
     top = (1 << alg.n_odd) - 1
     xs = [subset_monomial(alg, mask) for mask in order]
     comp = [subset_monomial(alg, top ^ mask) for mask in order]
+    built: dict[tuple[int, int], UEElement] = {}
 
-    a = [[form(xs[i], comp[j]) for j in range(n)] for i in range(n)]
+    def entry(i: int, k: int) -> UEElement:
+        e = built.get((i, k))
+        if e is None:
+            e = built[i, k] = form(xs[i], comp[k])
+        return e
 
+    n = len(order)
     diagonal = []
     for i in range(n):
         for j in range(i + 1, n):
-            if not a[i][j].is_zero:
+            if not entry(i, j).is_zero:
                 raise InternalInvariantError(
                     f"pairing matrix not lower triangular at ({i}, {j})")
-        d = _scalar_of(a[i][i])
+        d = _scalar_of(entry(i, i))
         if d not in (1, -1):
             raise InternalInvariantError(
-                f"diagonal entry at {i} is {a[i][i]!r}, expected +-1")
+                f"diagonal entry at {i} is {entry(i, i)!r}, expected +-1")
         diagonal.append(int(d))
+    return entry, tuple(diagonal)
 
-    # right inverse by forward substitution; the +-1 diagonal makes the
-    # division exact and sidesteps noncommutativity.
+
+def _inverse_column(alg: LieSuperalgebra, entry, diagonal: tuple[int, ...],
+                    j: int) -> list[UEElement]:
+    """Column j of the right inverse of the pairing matrix by forward
+    substitution; the +-1 diagonal makes the division exact and sidesteps
+    noncommutativity.  Entries above row j are zero.  Verifies A * b = e_j
+    exactly: triangularity leaves only the band j <= k <= i of each sum."""
+    n = len(diagonal)
     zero, one = UEElement.zero(alg), UEElement.one(alg)
-    b = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(n):
-            acc = one if i == j else zero
-            for k in range(i):
-                if a[i][k].is_zero or b[k][j].is_zero:
-                    continue
-                acc = acc - multiply(a[i][k], b[k][j])
-            b[i][j] = acc * diagonal[i]
+    col = [zero] * n
 
-    for i in range(n):
-        for j in range(n):
-            acc = UEElement.zero(alg)
-            for k in range(n):
-                acc = acc + multiply(a[i][k], b[k][j])
-            if acc != (one if i == j else zero):
-                raise InternalInvariantError(
-                    f"A * A^-1 is not the identity at ({i}, {j})")
+    def row_sum(i: int, stop: int) -> UEElement:
+        acc = zero
+        for k in range(j, stop):
+            if col[k].is_zero or entry(i, k).is_zero:
+                continue
+            acc = acc + multiply(entry(i, k), col[k])
+        return acc
 
-    return FrobeniusMatrix(alg, order, tuple(map(tuple, a)),
-                           tuple(map(tuple, b)), tuple(diagonal))
+    for i in range(j, n):
+        col[i] = ((one if i == j else zero) - row_sum(i, i)) * diagonal[i]
+    for i in range(j, n):
+        if row_sum(i, i + 1) != (one if i == j else zero):
+            raise InternalInvariantError(
+                f"A * A^-1 is not the identity at ({i}, {j})")
+    return col
+
+
+def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
+    order = odd_subset_order(alg.n_odd)
+    n = len(order)
+    entry, diagonal = _pairing(alg, order)
+    columns = [_inverse_column(alg, entry, diagonal, j) for j in range(n)]
+    return FrobeniusMatrix(
+        alg, order,
+        tuple(tuple(entry(i, k) for k in range(n)) for i in range(n)),
+        tuple(tuple(col[i] for col in columns) for i in range(n)),
+        diagonal)
 
 
 def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[UEElement]:
@@ -189,6 +219,9 @@ class InvariantZ:
 def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> InvariantZ:
     """The canonical invariant: z = sum_J x^{complement(J)} * counit(inverse[J][empty]).
 
+    Column zero of the inverse is read from ``fm`` when given, and is
+    otherwise solved on its own, without the rest of the inverse.
+
     Requires the trace condition; otherwise the invariant space of the
     quotient module is zero and ``NoInvariantError`` names the violating
     even basis element and its trace.
@@ -198,11 +231,15 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
         if v:
             raise NoInvariantError(alg, i, v)
     if fm is None:
-        fm = frobenius_matrix(alg)
+        order = odd_subset_order(alg.n_odd)
+        column = _inverse_column(alg, *_pairing(alg, order), 0)
+    else:
+        order = fm.order
+        column = [row[0] for row in fm.inverse]
     top = (1 << alg.n_odd) - 1
     z = UEElement.zero(alg)
-    for k, mask in enumerate(fm.order):
-        entry = fm.inverse[k][0]
+    for k, mask in enumerate(order):
+        entry = column[k]
         if counit(alpha(entry)) != counit(entry):
             raise InternalInvariantError(
                 "counit is not twist-invariant despite the trace condition")

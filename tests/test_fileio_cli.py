@@ -308,3 +308,46 @@ def test_cli_module_algebra_mismatch_exit_1(capsys):
                                  builtin_fixture("defining_module.json"))
     assert code == 1
     assert "cannot load module" in err
+
+
+# -- input boundary: malformed values exit 1 with a diagnostic -------------------
+
+def _bad2_with(**changes):
+    obj = json.loads(Path(builtin_fixture("bad2.json")).read_text())
+    obj.update(changes)
+    return obj
+
+
+def _bad2_bracket_result(result):
+    obj = _bad2_with()
+    obj["brackets"][0]["result"] = result
+    return obj
+
+
+def _bad2_module(**changes):
+    obj = {"algebra": "bad2", "dim": 1, "parities": ["even"], "action": {}}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("algebra,module", [
+    (_bad2_bracket_result([{"basis": "th", "coeff": "1" * 5000}]), None),
+    (_bad2_bracket_result(["th"]), None),
+    (_bad2_with(even_basis="X", brackets=[]), None),
+    (None, _bad2_module(action={"X": 5})),
+    (None, _bad2_module(action=5)),
+    (None, _bad2_module(action={"X": ["0"]})),
+    (None, _bad2_module(dim=True)),
+], ids=["long-coefficient", "string-result-item", "string-basis",
+        "integer-action", "integer-action-map", "string-row", "boolean-dim"])
+def test_cli_malformed_input_exit_1(tmp_path, capsys, algebra, module):
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps(algebra or _bad2_with()))
+    argv = ["validate", str(alg_path)]
+    if module is not None:
+        mod_path = tmp_path / "mod.json"
+        mod_path.write_text(json.dumps(module))
+        argv = ["integrate", str(alg_path), str(mod_path)]
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 1 and payload is None
+    assert err.startswith("superhaar: cannot load")

@@ -1,15 +1,21 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from superhaar import (NoInvariantError, UEElement, alpha_inv,
+import superhaar.frobenius as frobenius
+from superhaar import (InternalInvariantError, LieSuperalgebra,
+                       NoInvariantError, UEElement, alpha_inv,
                        brute_force_quotient_invariants, classes_proportional,
                        counit, dual_pair, form, frobenius_matrix,
                        frobenius_pi, invariant_z, map_element, multiply,
                        odd_subset_order, pi_parity, quotient_project,
                        subset_monomial, validate_superalgebra)
+from superhaar.cli import main
+from superhaar.fileio import builtin_fixture
 from superhaar.randgen import (random_element, random_even_element,
-                               random_odd_basis_change)
+                               random_odd_basis_change,
+                               random_small_superalgebra)
 
 from conftest import ALGEBRA_FILES, UNIMODULAR, fixture_algebra
 
@@ -220,3 +226,117 @@ def test_full_pipeline_on_random_small_algebras(rng):
             assert classes_proportional(oracle[0], inv.quotient_class), alg.name
         else:
             assert oracle == [], alg.name
+
+
+# -- column zero of the inverse, solved on its own ----------------------------
+
+def column_zero(alg):
+    """Column zero as ``invariant_z`` solves it when given no matrix."""
+    order = odd_subset_order(alg.n_odd)
+    return frobenius._inverse_column(alg, *frobenius._pairing(alg, order), 0)
+
+
+def assert_column_zero_matches_full(alg):
+    fm = frobenius_matrix(alg)
+    assert column_zero(alg) == [row[0] for row in fm.inverse], alg.name
+    try:
+        inv = invariant_z(alg)
+    except NoInvariantError:
+        with pytest.raises(NoInvariantError):
+            invariant_z(alg, fm)
+        return
+    assert inv.z == invariant_z(alg, fm).z, alg.name
+
+
+def test_column_zero_matches_full_inverse_on_fixtures():
+    for key in ALGEBRA_FILES:
+        assert_column_zero_matches_full(fixture_algebra(key))
+
+
+def test_column_zero_matches_full_inverse_on_random_algebras(rng):
+    for _ in range(15):
+        assert_column_zero_matches_full(random_small_superalgebra(rng, max_dim=5))
+
+
+def test_column_zero_matches_full_inverse_under_odd_basis_change(rng):
+    for key in ("g2", "g3", "gl11", "osp12"):
+        alg = fixture_algebra(key)
+        for _ in range(2):
+            twisted, _ = random_odd_basis_change(alg, rng)
+            assert_column_zero_matches_full(twisted)
+
+
+@pytest.mark.parametrize("key,cell", [
+    ("g2", (0, 1)), ("g2", (1, 1)), ("g2", (3, 0)),
+    ("osp12", (1, 3)), ("osp12", (2, 2)), ("osp12", (3, 0)),
+], ids=["g2-above", "g2-on", "g2-below",
+        "osp12-above", "osp12-on", "osp12-below"])
+def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell):
+    alg = fixture_algebra(key)
+    order = odd_subset_order(alg.n_odd)
+    top = (1 << alg.n_odd) - 1
+    target = (subset_monomial(alg, order[cell[0]]),
+              subset_monomial(alg, top ^ order[cell[1]]))
+    honest = frobenius.form
+
+    def corrupt(x, y):
+        value = honest(x, y)
+        return value + UEElement.one(alg) if (x, y) == target else value
+
+    monkeypatch.setattr(frobenius, "form", corrupt)
+    with pytest.raises(InternalInvariantError):
+        invariant_z(alg)
+    with pytest.raises(InternalInvariantError):
+        invariant_z(alg, frobenius_matrix(alg))
+
+
+def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys):
+    def refuse(alg):
+        raise AssertionError("the full pairing inverse was built")
+
+    monkeypatch.setattr("superhaar.cli.frobenius_matrix", refuse)
+    assert main(["invariant", builtin_fixture("bad2.json")]) == 3
+    assert capsys.readouterr().out == (
+        '{\n  "algebra": "bad2",\n  "trace_condition": false,\n'
+        '  "lambda_values": {\n    "X": "1"\n  },\n'
+        '  "violator": "X",\n  "lambda": "1"\n}\n')
+    assert main(["invariant", builtin_fixture("g2_grassmann.json")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["z"] == [{"monomial": ["x1", "x2"], "coeff": "1"}]
+
+
+# -- gl(p|q) in the supermatrix-unit basis ------------------------------------
+
+def gl_supermatrix_units(p, q):
+    """gl(p|q) on the units E_ij, with [E_ij, E_kl] = delta_jk E_il
+    - (-1)^(|E_ij| |E_kl|) delta_li E_kj and |E_ij| = |i| + |j| mod 2."""
+    size = p + q
+    deg = [0] * p + [1] * q
+    units = [(i, j) for i in range(size) for j in range(size)]
+    even = [u for u in units if deg[u[0]] == deg[u[1]]]
+    odd = [u for u in units if deg[u[0]] != deg[u[1]]]
+    index = {u: t for t, u in enumerate(even + odd)}
+    brackets = {}
+    for (i, j), a in index.items():
+        for (k, l), b in index.items():
+            vec = {}
+            if j == k:
+                vec[index[i, l]] = vec.get(index[i, l], 0) + 1
+            if l == i:
+                sign = (-1) ** ((deg[i] + deg[j]) * (deg[k] + deg[l]))
+                vec[index[k, j]] = vec.get(index[k, j], 0) - sign
+            if any(vec.values()):
+                brackets[a, b] = vec
+    names = [f"E{i + 1}{j + 1}" for i, j in even + odd]
+    return LieSuperalgebra(f"gl({p}|{q})", names[:len(even)], names[len(even):],
+                           brackets)
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (3, 1)])
+def test_gl_invariant_is_top_odd_monomial(p, q):
+    alg = gl_supermatrix_units(p, q)
+    assert alg.n_odd == 2 * p * q
+    assert validate_superalgebra(alg).ok
+    top = subset_monomial(alg, (1 << alg.n_odd) - 1)
+    z = invariant_z(alg).z
+    assert z in (top, -top)
