@@ -66,7 +66,11 @@ class LieSuperalgebra:
     """A Lie superalgebra presented by structure constants over Q.
 
     ``brackets`` maps ordered index pairs to the expansion of the bracket
-    over the basis; pairs not present have zero bracket.
+    over the basis; pairs not present have zero bracket.  ``_parity_graded``
+    records whether every bracket term has parity p(i) + p(j), which the
+    enveloping algebra's top-coefficient product relies on; a table that
+    breaks it is still accepted here and reported by
+    :func:`validate_superalgebra`.
     """
 
     def __init__(self, name: str, even_names: Iterable[str],
@@ -95,6 +99,9 @@ class LieSuperalgebra:
             if entry:
                 table[(i, j)] = entry
         self._brackets = table
+        self._parity_graded = all(
+            self.parity(k) == (self.parity(i) + self.parity(j)) % 2
+            for (i, j), entry in table.items() for k, _ in entry)
         self._cached_key = (self.name, self.even_names, self.odd_names,
                             tuple(sorted(table.items())))
 

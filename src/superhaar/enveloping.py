@@ -223,7 +223,8 @@ def _word_to_monomial(alg: LieSuperalgebra, word: tuple[int, ...]) -> PBWMonomia
     return PBWMonomial(tuple(even), mask)
 
 
-def _normal_form(alg: LieSuperalgebra, heads, key) -> dict[tuple[int, ...], Fraction]:
+def _normal_form(alg: LieSuperalgebra, heads, key,
+                 min_odd: int = 0) -> dict[tuple[int, ...], Fraction]:
     """Expand scaled generator words into canonical words for the order `key`.
 
     A word is canonical when its letters are non-decreasing under `key` and
@@ -231,12 +232,28 @@ def _normal_form(alg: LieSuperalgebra, heads, key) -> dict[tuple[int, ...], Frac
     out-of-order pair (Koszul sign plus a bracket term) or collapses an
     adjacent odd square via x*x = [x,x]/2.  Every step lowers
     (total degree, inversion count), so the worklist terminates.
+
+    Each worklist word carries its number of odd letters.  When every
+    bracket term has parity p(a) + p(b), no step raises that number: a
+    transposition keeps the letters, [even, even] and [even, odd] put back
+    one letter of the parity they remove, and an odd-odd bracket or an odd
+    square replaces two odd letters by an even one.  A word with fewer than
+    `min_odd` odd letters then never reaches a canonical word with
+    `min_odd` of them, and is dropped when it appears.  The caller must
+    check that the table is graded (``alg._parity_graded``) before passing
+    a positive `min_odd`; with the default 0 nothing is dropped.
     """
     parity = alg.parity
+    n0 = alg.n_even
     out: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
-    stack = [(tuple(w), c) for w, c in heads]
+    stack = []
+    for w, c in heads:
+        w = tuple(w)
+        n_odd = sum(g >= n0 for g in w)
+        if n_odd >= min_odd:
+            stack.append((w, c, n_odd))
     while stack:
-        w, c = stack.pop()
+        w, c, n_odd = stack.pop()
         red = -1
         for p in range(len(w) - 1):
             a, b = w[p], w[p + 1]
@@ -249,31 +266,64 @@ def _normal_form(alg: LieSuperalgebra, heads, key) -> dict[tuple[int, ...], Frac
         a, b = w[red], w[red + 1]
         head, tail = w[:red], w[red + 2:]
         if a == b:
-            for k, ck in alg.bracket(a, a):
-                stack.append((head + (k,) + tail, c * ck / 2))
+            if not min_odd or n_odd - 2 >= min_odd:
+                for k, ck in alg.bracket(a, a):
+                    stack.append((head + (k,) + tail, c * ck / 2, n_odd - 2))
         else:
-            sign = -1 if parity(a) and parity(b) else 1
-            stack.append((head + (b, a) + tail, sign * c))
-            for k, ck in alg.bracket(a, b):
-                stack.append((head + (k,) + tail, c * ck))
+            odd_pair = parity(a) and parity(b)
+            stack.append((head + (b, a) + tail, -c if odd_pair else c, n_odd))
+            left = n_odd - 2 if odd_pair else n_odd
+            if not min_odd or left >= min_odd:
+                for k, ck in alg.bracket(a, b):
+                    stack.append((head + (k,) + tail, c * ck, left))
     return {w: c for w, c in out.items() if c}
+
+
+def _heads(a: UEElement, b: UEElement, min_odd: int = 0):
+    """Generator words of the term pairs of ``a*b`` with at least
+    `min_odd` odd letters, each scaled by its coefficient product."""
+    n0 = a.alg.n_even
+    right = [(m.word(n0), m.odd.bit_count(), c) for m, c in b.terms.items()]
+    heads = []
+    for m1, c1 in a.terms.items():
+        w1, k1 = m1.word(n0), m1.odd.bit_count()
+        heads.extend((w1 + w2, c1 * c2) for w2, k2, c2 in right
+                     if k1 + k2 >= min_odd)
+    return heads
+
+
+def _to_element(alg: LieSuperalgebra, nf, odd_mask: int | None = None) -> UEElement:
+    """The element with canonical words ``nf``, keeping only the words with
+    odd part ``odd_mask`` when one is given."""
+    acc: dict[PBWMonomial, Fraction] = defaultdict(Fraction)
+    for w, c in nf.items():
+        mono = _word_to_monomial(alg, w)
+        if odd_mask is None or mono.odd == odd_mask:
+            acc[mono] += c
+    return UEElement(alg, acc)
 
 
 def multiply(a: UEElement, b: UEElement) -> UEElement:
     """Product in the enveloping algebra, in even-first normal form."""
     a._check(b)
     alg = a.alg
-    n0 = alg.n_even
-    heads = []
-    for m1, c1 in a.terms.items():
-        w1 = m1.word(n0)
-        for m2, c2 in b.terms.items():
-            heads.append((w1 + m2.word(n0), c1 * c2))
-    nf = _normal_form(alg, heads, _even_first_key)
-    acc: dict[PBWMonomial, Fraction] = defaultdict(Fraction)
-    for w, c in nf.items():
-        acc[_word_to_monomial(alg, w)] += c
-    return UEElement(alg, acc)
+    return _to_element(alg, _normal_form(alg, _heads(a, b), _even_first_key))
+
+
+def _top_product(a: UEElement, b: UEElement) -> UEElement:
+    """The terms of ``a*b`` whose odd part is the full odd monomial.
+
+    On a graded bracket table only words with all m odd letters can rewrite
+    to the full odd monomial (see ``_normal_form``), so term pairs and
+    rewriting terms with fewer are dropped as they appear, and every
+    canonical word left is the full odd monomial times even letters.  On
+    any other table the whole product is rewritten and filtered.
+    """
+    a._check(b)
+    alg = a.alg
+    floor = alg.n_odd if alg._parity_graded else 0
+    nf = _normal_form(alg, _heads(a, b, floor), _even_first_key, floor)
+    return _to_element(alg, nf, None if floor else (1 << alg.n_odd) - 1)
 
 
 def counit(a: UEElement) -> Fraction:

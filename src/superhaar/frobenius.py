@@ -18,6 +18,22 @@ the pairing entries that column reads plus the upper triangle it checks.
 Both check triangularity and the +-1 diagonal; the full inverse is checked
 by A * A^-1 = I and column zero by A * b0 = e0, each summed exactly over
 the band j <= k <= i that triangularity leaves.
+
+The pairing never rewrites more of x y than pi reads.  No rewriting step
+raises the number of odd letters in a word when every bracket has parity
+p(a) + p(b): a transposition keeps the letters, [even, even] is even,
+[even, odd] is odd, and an odd-odd bracket or an odd square x x = [x, x]/2
+trades two odd letters for one even one.  A word with fewer than m odd
+letters therefore never rewrites to the full odd monomial, so ``form``
+drops it as soon as it appears (``enveloping._top_product``).  An upper
+triangle entry <x^I, x^complement(J)> with |J| > |I| has fewer than m odd
+letters to start with and costs only that filter, and one with |J| = |I|
+is dropped at its first odd square.  This makes the exact triangularity
+check cheap, and most of the exhaustive duality check of ``dual_pair``
+too.  The floor is used only when the algebra's bracket table is
+graded (``LieSuperalgebra._parity_graded``); on a table that is not, such
+as one with an odd [t, t] that ``validate_superalgebra`` would reject,
+``form`` rewrites the whole product and reads off its top part.
 """
 
 from __future__ import annotations
@@ -26,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieSuperalgebra, lambda_values
-from .enveloping import (PBWMonomial, UEElement, alpha, counit, multiply,
-                         quotient_project)
+from .enveloping import (PBWMonomial, UEElement, _top_product, alpha, counit,
+                         multiply, quotient_project)
 
 
 class InternalInvariantError(RuntimeError):
@@ -68,8 +84,10 @@ def frobenius_pi(u: UEElement) -> UEElement:
 
 
 def form(x: UEElement, y: UEElement) -> UEElement:
-    """The pairing <x, y> = pi(x y), valued in the even subalgebra."""
-    return frobenius_pi(multiply(x, y))
+    """The pairing <x, y> = pi(x y), valued in the even subalgebra.
+
+    Only the top odd part of x y is rewritten; see the module docstring."""
+    return frobenius_pi(_top_product(x, y))
 
 
 def pi_parity(alg: LieSuperalgebra) -> int:

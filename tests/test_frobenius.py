@@ -12,6 +12,7 @@ from superhaar import (InternalInvariantError, LieSuperalgebra,
                        odd_subset_order, pi_parity, quotient_project,
                        subset_monomial, validate_superalgebra)
 from superhaar.cli import main
+from superhaar.enveloping import _top_product
 from superhaar.fileio import builtin_fixture
 from superhaar.randgen import (random_element, random_even_element,
                                random_odd_basis_change,
@@ -332,7 +333,7 @@ def gl_supermatrix_units(p, q):
                            brackets)
 
 
-@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (3, 1)])
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (3, 1), (2, 2)])
 def test_gl_invariant_is_top_odd_monomial(p, q):
     alg = gl_supermatrix_units(p, q)
     assert alg.n_odd == 2 * p * q
@@ -340,3 +341,79 @@ def test_gl_invariant_is_top_odd_monomial(p, q):
     top = subset_monomial(alg, (1 << alg.n_odd) - 1)
     z = invariant_z(alg).z
     assert z in (top, -top)
+
+
+# -- the pairing rewrites only the top odd part ------------------------------
+
+def top_terms(u):
+    top = (1 << u.alg.n_odd) - 1
+    return UEElement(u.alg, {m: c for m, c in u.terms.items() if m.odd == top})
+
+
+def assert_form_matches_full_product(alg, x, y):
+    full = multiply(x, y)
+    assert form(x, y) == frobenius_pi(full), alg.name
+    assert _top_product(x, y) == top_terms(full), alg.name
+
+
+def pairing_cases(alg, rng, count):
+    """Dense mixed-parity elements up to degree 4, alone and wrapped around
+    odd subset monomials so that their products reach the top odd part."""
+    m = alg.n_odd
+    for _ in range(count):
+        x = random_element(alg, rng, max_degree=4, terms=5)
+        y = random_element(alg, rng, max_degree=4, terms=5)
+        yield x, y
+        xi = subset_monomial(alg, rng.randrange(1 << m))
+        yj = subset_monomial(alg, rng.randrange(1 << m))
+        u = random_element(alg, rng, max_degree=2, terms=4)
+        v = random_element(alg, rng, max_degree=2, terms=4)
+        yield multiply(u, xi), multiply(yj, v)
+        xc = subset_monomial(alg, ((1 << m) - 1) ^ rng.randrange(1 << m))
+        yield xi, multiply(xc, v)
+
+
+def test_form_matches_full_product_on_fixtures(rng):
+    for key in ALGEBRA_FILES:
+        alg = fixture_algebra(key)
+        for x, y in pairing_cases(alg, rng, 6):
+            assert_form_matches_full_product(alg, x, y)
+
+
+def test_form_matches_full_product_on_random_algebras(rng):
+    for _ in range(6):
+        alg = random_small_superalgebra(rng, max_dim=5)
+        twisted, _ = random_odd_basis_change(alg, rng)
+        for a in (alg, twisted):
+            for x, y in pairing_cases(a, rng, 3):
+                assert_form_matches_full_product(a, x, y)
+
+
+def test_form_matches_full_product_on_gl21(rng):
+    alg = gl_supermatrix_units(2, 1)
+    for x, y in pairing_cases(alg, rng, 8):
+        assert_form_matches_full_product(alg, x, y)
+    # the dense dual elements the exhaustive duality check pairs against
+    ys = dual_pair(alg)
+    for mask in odd_subset_order(alg.n_odd):
+        xi = subset_monomial(alg, mask)
+        for y in ys[::3]:
+            assert_form_matches_full_product(alg, xi, y)
+
+
+@pytest.mark.parametrize("even,odd,brackets,x,y,want", [
+    # an odd square that collapses to an odd letter: t1 t1 = [t1, t1]/2 = t1/2
+    ([], ["t1", "t2"], {(0, 0): {0: 1}}, ["t1"], ["t1", "t2"], F(1, 2)),
+    # an even bracket with an odd value: Y X = X Y - t
+    (["X", "Y"], ["t"], {(0, 1): {2: 1}, (1, 0): {2: -1}}, ["Y"], ["X"], F(-1)),
+], ids=["odd-square-to-odd", "even-bracket-to-odd"])
+def test_form_on_a_table_that_breaks_parity(even, odd, brackets, x, y, want):
+    alg = LieSuperalgebra("ungraded", even, odd, brackets)
+    assert any(v.kind == "parity" for v in validate_superalgebra(alg).violations)
+    x = UEElement.from_word(alg, [alg.index_of(g) for g in x])
+    y = UEElement.from_word(alg, [alg.index_of(g) for g in y])
+    top = subset_monomial(alg, (1 << alg.n_odd) - 1)
+    full = multiply(x, y)
+    assert top_terms(full) == top * want
+    assert form(x, y) == frobenius_pi(full) == UEElement.scalar(alg, want)
+    assert _top_product(x, y) == top_terms(full)
