@@ -18,9 +18,12 @@ from .enveloping import UEElement
 from .modules import GradedModule
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
+    if text == "0":     # most cells of a module action; Fractions are immutable
+        return _ZERO
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"not an exact rational: {text!r}")
     num, _, den = text.partition("/")

@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are lists of rows, rows are lists of ``Fraction``; everything is
-computed exactly (first-nonzero pivoting, no tolerances).  Sizes here are
-tiny (dimensions of the algebras and modules under study), so clarity wins
-over asymptotics.
+computed exactly (no tolerances).  The matrices met here (module actions,
+stacked even actions, quotient actions) are mostly zeros, so elimination
+works on rows of nonzeros, ``{column: value}`` dicts, and touches only the
+entries it changes; ``rref`` still takes and returns dense matrices.  The
+reduced row echelon form is unique, so which pivot rows are chosen does not
+change any result.
 """
 
 from __future__ import annotations
@@ -50,29 +53,50 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _subtract_multiple(v: dict[int, Fraction], f: Fraction,
+                       w: dict[int, Fraction]) -> None:
+    """v -= f w on rows of nonzeros, dropping the entries that cancel."""
+    for c, y in w.items():
+        x = v.get(c, ZERO) - f * y
+        if x:
+            v[c] = x
+        else:
+            del v[c]
+
+
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
+    """Reduced row echelon form and the list of pivot columns.
+
+    Gauss-Jordan on rows of nonzeros: each input row is reduced against the
+    pivot rows found so far (which are zero at every other pivot column),
+    and a row that stays nonzero becomes a pivot row at its leading column
+    and is eliminated from the earlier pivot rows.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    pivot_rows: dict[int, dict[int, Fraction]] = {}   # pivot column -> row
+    for row in mat:
+        v = {c: x for c, x in enumerate(row) if x}
+        for p in [c for c in v if c in pivot_rows]:
+            _subtract_multiple(v, v[p], pivot_rows[p])
+        if not v:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        lead = min(v)
+        inv = ONE / v[lead]
+        v = {c: x * inv for c, x in v.items()}
+        for w in pivot_rows.values():
+            if lead in w:
+                _subtract_multiple(w, w[lead], v)
+        pivot_rows[lead] = v
+    pivots = sorted(pivot_rows)
+    red = []
+    for p in pivots:
+        dense = [ZERO] * cols
+        for c, x in pivot_rows[p].items():
+            dense[c] = x
+        red.append(dense)
+    red.extend([ZERO] * cols for _ in range(rows - len(pivots)))
+    return red, pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -114,7 +138,7 @@ def row_space_basis(rows: list[Vector]) -> list[Vector]:
 
 def invert(mat: Matrix) -> Matrix:
     n = len(mat)
-    aug = [mat[i][:] + identity(n)[i] for i in range(n)]
+    aug = [list(row) + e for row, e in zip(mat, identity(n))]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -179,19 +203,31 @@ def minimal_polynomial(mat: Matrix) -> Vector:
     """Monic minimal polynomial of a square rational matrix.
 
     Found as the first linear dependence among the flattened powers
-    I, M, M^2, ...; degree is at most the matrix dimension.
+    I, M, M^2, ...: each power is reduced once against the earlier ones
+    (kept as rows of nonzeros with a unit pivot, zero at every earlier
+    pivot), while its coefficients over the powers are tracked.  The first
+    power that reduces to zero gives the polynomial; its degree is at most
+    the matrix dimension.
     """
     n = len(mat)
     if n == 0:
         return [ONE]
-    powers = [identity(n)]
-    for k in range(1, n + 2):
-        powers.append(mat_mul(powers[-1], mat))
-        stacked = [[powers[j][r][c] for j in range(k + 1)]
-                   for r in range(n) for c in range(n)]
-        kern = nullspace(stacked)
-        for v in kern:
-            if v[k]:
-                lead = v[k]
-                return [c / lead for c in v]
+    reduced: list[tuple[int, dict[int, Fraction], Vector]] = []
+    power = identity(n)
+    for k in range(n + 1):
+        v = {r * n + c: x for r, row in enumerate(power) for c, x in enumerate(row) if x}
+        combo = [ZERO] * k + [ONE]       # v = sum of combo[j] M^j
+        for p, w, wc in reduced:
+            f = v.get(p)
+            if f is not None:
+                _subtract_multiple(v, f, w)
+                for j, y in enumerate(wc):
+                    combo[j] -= f * y
+        if not v:
+            return combo
+        lead = min(v)
+        inv = ONE / v[lead]
+        reduced.append((lead, {c: x * inv for c, x in v.items()},
+                        [x * inv for x in combo]))
+        power = mat_mul(power, mat)
     raise AssertionError("no minimal polynomial found")  # pragma: no cover

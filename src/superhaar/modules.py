@@ -25,29 +25,65 @@ from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
                       ValidationReport, as_scalar, even_part_structure)
 from .enveloping import UEElement, act_on_quotient
 from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order, pi_parity
+from .linalg import ONE, ZERO
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+_Rows = dict[int, dict[int, Fraction]]   # row -> {column: nonzero entry}
 
 
 class NotSemisimpleError(Exception):
     """The module is not semisimple over the even part."""
 
 
-def _freeze_matrix(rows, dim: int) -> Matrix:
+def _nonzero_rows(rows, dim: int) -> _Rows:
+    """Validate a d x d matrix and keep its nonzero entries, rows and
+    columns in increasing order."""
     if len(rows) != dim:
         raise InputError(f"matrix has {len(rows)} rows, expected {dim}")
-    out = []
-    for row in rows:
+    out = {}
+    for r, row in enumerate(rows):
         if len(row) != dim:
             raise InputError(f"matrix row has {len(row)} entries, expected {dim}")
-        out.append(tuple(as_scalar(c) for c in row))
-    return tuple(out)
+        nz = {}
+        for c, x in enumerate(row):
+            x = as_scalar(x)
+            if x:
+                nz[c] = x
+        if nz:
+            out[r] = nz
+    return out
+
+
+def _sparse(mat) -> _Rows:
+    """Rows of nonzeros of a dense matrix."""
+    return {r: nz for r, row in enumerate(mat)
+            if (nz := {c: x for c, x in enumerate(row) if x})}
+
+
+def _mul(a: _Rows, b: _Rows) -> _Rows:
+    """Product of two matrices given as rows of nonzeros."""
+    out = {}
+    for r, arow in a.items():
+        acc = {}
+        for t, x in arow.items():
+            for c, y in b.get(t, {}).items():
+                acc[c] = acc.get(c, ZERO) + x * y
+        acc = {c: x for c, x in acc.items() if x}
+        if acc:
+            out[r] = acc
+    return out
 
 
 class GradedModule:
     """A finite-dimensional graded representation: a parity per basis
     vector and one action matrix per algebra basis element (absent means
-    zero)."""
+    zero).
+
+    Each action is stored once, as rows of nonzeros ``{row: {column:
+    Fraction}}`` with rows and columns in increasing order; zero entries are
+    validated on input but not stored, and an action without nonzeros is
+    not stored at all.  ``rho(i)`` builds the dense view on demand.
+    """
 
     def __init__(self, alg: LieSuperalgebra, parities, action: Mapping[int, object],
                  name: str = ""):
@@ -61,21 +97,42 @@ class GradedModule:
         for i, mat in action.items():
             if not 0 <= i < alg.dim:
                 raise InputError(f"action index {i} out of range")
-            frozen = _freeze_matrix(mat, self.dim)
-            if any(any(row) for row in frozen):
-                rho[i] = frozen
+            rows = _nonzero_rows(mat, self.dim)
+            if rows:
+                rho[i] = rows
         self._rho = rho
 
     def rho(self, i: int) -> Matrix:
-        zero = tuple((Fraction(0),) * self.dim for _ in range(self.dim))
-        return self._rho.get(i, zero)
+        """Dense action matrix of basis element i."""
+        d = self.dim
+        rows = self._rho.get(i, {})
+        zero_row = (ZERO,) * d
+        out = []
+        for r in range(d):
+            if r in rows:
+                row = [ZERO] * d
+                for c, x in rows[r].items():
+                    row[c] = x
+                out.append(tuple(row))
+            else:
+                out.append(zero_row)
+        return tuple(out)
 
     def __repr__(self):
         return f"GradedModule({self.name or '?'}, dim={self.dim}, over {self.alg.name})"
 
 
-def _mat(m: Matrix) -> linalg.Matrix:
-    return [list(row) for row in m]
+def _add_product(acc: dict[tuple[int, int], Fraction], a: _Rows, b: _Rows,
+                 negate: bool) -> None:
+    """acc += a b, or acc -= a b when negate, keyed by (row, column)."""
+    for r, arow in a.items():
+        for t, x in arow.items():
+            for c, y in b.get(t, {}).items():
+                key = (r, c)
+                if negate:
+                    acc[key] = acc.get(key, ZERO) - x * y
+                else:
+                    acc[key] = acc.get(key, ZERO) + x * y
 
 
 def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationReport:
@@ -85,33 +142,29 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
     report = ValidationReport()
     if module.alg != alg:
         raise InputError("module was built over a different algebra")
-    d = module.dim
+    rho, parities = module._rho, module.parities
     for i in range(alg.dim):
-        m = module.rho(i)
         pi = alg.parity(i)
-        for r in range(d):
-            for c in range(d):
-                if m[r][c] and (module.parities[r] - module.parities[c] - pi) % 2:
+        for r, row in rho.get(i, {}).items():
+            for c, x in row.items():
+                if (parities[r] - parities[c] - pi) % 2:
                     report.add("module-parity", (i, r, c),
-                               f"rho({alg.basis_name(i)})[{r}][{c}] = {m[r][c]} "
+                               f"rho({alg.basis_name(i)})[{r}][{c}] = {x} "
                                f"violates the parity pattern")
     for i in range(alg.dim):
-        mi = _mat(module.rho(i))
+        mi = rho.get(i, {})
         for j in range(alg.dim):
-            mj = _mat(module.rho(j))
-            sign = -1 if alg.parity(i) and alg.parity(j) else 1
-            rhs = linalg.mat_mul(mi, mj)
-            back = linalg.mat_mul(mj, mi)
-            lhs = linalg.zeros(d, d)
+            mj = rho.get(j, {})
+            # rho(i)rho(j) - sign rho(j)rho(i) - rho([i, j]), zero iff the
+            # relation holds
+            residue: dict[tuple[int, int], Fraction] = {}
+            _add_product(residue, mi, mj, False)
+            _add_product(residue, mj, mi, not (alg.parity(i) and alg.parity(j)))
             for k, c in alg.bracket(i, j):
-                mk = module.rho(k)
-                for r in range(d):
-                    for s in range(d):
-                        if mk[r][s]:
-                            lhs[r][s] += c * mk[r][s]
-            bad = any(lhs[r][s] != rhs[r][s] - sign * back[r][s]
-                      for r in range(d) for s in range(d))
-            if bad:
+                for r, row in rho.get(k, {}).items():
+                    for s, x in row.items():
+                        residue[(r, s)] = residue.get((r, s), ZERO) - c * x
+            if any(residue.values()):
                 report.add("module-bracket", (i, j),
                            f"rho([{alg.basis_name(i)}, {alg.basis_name(j)}]) does "
                            f"not match the supercommutator of the actions")
@@ -126,13 +179,12 @@ def module_action(module: GradedModule, u: UEElement) -> linalg.Matrix:
     d = module.dim
     out = linalg.zeros(d, d)
     for mono, c in u.terms.items():
-        acc = linalg.identity(d)
+        acc = {r: {r: ONE} for r in range(d)}
         for g in mono.word(module.alg.n_even):
-            acc = linalg.mat_mul(acc, _mat(module.rho(g)))
-        for r in range(d):
-            for s in range(d):
-                if acc[r][s]:
-                    out[r][s] += c * acc[r][s]
+            acc = _mul(acc, module._rho.get(g, {}))
+        for r, row in acc.items():
+            for s, x in row.items():
+                out[r][s] += c * x
     return out
 
 
@@ -170,27 +222,34 @@ def check_semisimple_over_even(alg: LieSuperalgebra, module: GradedModule,
     d = module.dim
     n0 = alg.n_even
 
+    rho = module._rho
     central_ok = []
     for center_vec in even_report.center:
         mat = linalg.zeros(d, d)
         for i, ci in enumerate(center_vec):
             if ci:
-                m = module.rho(i)
-                for r in range(d):
-                    for c in range(d):
-                        if m[r][c]:
-                            mat[r][c] += ci * m[r][c]
+                for r, row in rho.get(i, {}).items():
+                    for c, x in row.items():
+                        mat[r][c] += ci * x
         central_ok.append(linalg.is_squarefree(linalg.minimal_polynomial(mat)))
 
+    # the zero rows of the stacked even actions change neither its kernel
+    # nor the span of its nonzero columns, so only nonzero rows are built
     stacked_rows = []
     columns = []
     for i in range(n0):
-        m = module.rho(i)
-        stacked_rows.extend(_mat(m))
-        for c in range(d):
-            col = [m[r][c] for r in range(d)]
-            if any(col):
-                columns.append(col)
+        by_col: _Rows = {}
+        for r, row in rho.get(i, {}).items():
+            dense = [ZERO] * d
+            for c, x in row.items():
+                dense[c] = x
+                by_col.setdefault(c, {})[r] = x
+            stacked_rows.append(dense)
+        for c in sorted(by_col):
+            col = [ZERO] * d
+            for r, x in by_col[c].items():
+                col[r] = x
+            columns.append(col)
     invariants = linalg.nullspace(stacked_rows) if stacked_rows else [
         [Fraction(int(r == t)) for t in range(d)] for r in range(d)]
     image = linalg.row_space_basis(columns)
@@ -222,11 +281,12 @@ def invariant_projector(alg: LieSuperalgebra, module: GradedModule,
 
     if linalg.mat_mul(proj, proj) != proj:
         raise InternalInvariantError("projector is not idempotent")
+    sparse_proj = _sparse(proj)
     for i in range(alg.n_even):
-        m = _mat(module.rho(i))
-        if any(any(row) for row in linalg.mat_mul(m, proj)):
+        m = module._rho.get(i, {})
+        if _mul(m, sparse_proj):
             raise InternalInvariantError("even action does not kill the projector image")
-        if any(any(row) for row in linalg.mat_mul(proj, m)):
+        if _mul(sparse_proj, m):
             raise InternalInvariantError("projector does not kill the even image")
     return proj
 
@@ -252,8 +312,9 @@ def integral_matrix(alg: LieSuperalgebra, module: GradedModule,
     if projector is None:
         projector = invariant_projector(alg, module)
     m = linalg.mat_mul(module_action(module, invariant.z), projector)
+    sparse_m = _sparse(m)
     for i in range(alg.dim):
-        if any(any(row) for row in linalg.mat_mul(_mat(module.rho(i)), m)):
+        if _mul(module._rho.get(i, {}), sparse_m):
             raise InternalInvariantError(
                 f"integral matrix is not left invariant under {alg.basis_name(i)}")
     return IntegralMatrix(tuple(tuple(row) for row in m), pi_parity(alg))
@@ -262,11 +323,8 @@ def integral_matrix(alg: LieSuperalgebra, module: GradedModule,
 def check_right_integral(alg: LieSuperalgebra, module: GradedModule,
                          integral: IntegralMatrix) -> bool:
     """Row-side invariance: M rho(w) = counit(w) M for every basis element."""
-    m = _mat(integral.entries)
-    for i in range(alg.dim):
-        if any(any(row) for row in linalg.mat_mul(m, _mat(module.rho(i)))):
-            return False
-    return True
+    m = _sparse(integral.entries)
+    return not any(_mul(m, module._rho.get(i, {})) for i in range(alg.dim))
 
 
 def brute_force_quotient_invariants(alg: LieSuperalgebra) -> list[dict[int, Fraction]]:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from superhaar import InputError, UEElement, invariant_z
@@ -351,3 +354,110 @@ def test_cli_malformed_input_exit_1(tmp_path, capsys, algebra, module):
     code, payload, err = run_cli(capsys, *argv)
     assert code == 1 and payload is None
     assert err.startswith("superhaar: cannot load")
+
+
+# -- exit 2 payloads of integrate, pinned ------------------------------------------
+
+def _bracket_violation(a, b):
+    return {"kind": "module-bracket", "witness": [a, b],
+            "detail": f"rho([{a}, {b}]) does not match the supercommutator "
+                      f"of the actions"}
+
+
+@pytest.mark.parametrize("algebra,module,cells,violations", [
+    # the even h1 given entries between the even and the odd basis vector:
+    # two parity violations, in row order, then every bracket pair it breaks
+    ("gl11.json", "defining_module.json", {"h1": [(1, 0, "-1/2"), (0, 1, "1")]}, [
+        {"kind": "module-parity", "witness": ["h1", "0", "1"],
+         "detail": "rho(h1)[0][1] = 1 violates the parity pattern"},
+        {"kind": "module-parity", "witness": ["h1", "1", "0"],
+         "detail": "rho(h1)[1][0] = -1/2 violates the parity pattern"},
+        _bracket_violation("h1", "h2"), _bracket_violation("h1", "e"),
+        _bracket_violation("h1", "f"), _bracket_violation("h2", "h1"),
+        _bracket_violation("e", "h1"), _bracket_violation("e", "f"),
+        _bracket_violation("f", "h1"), _bracket_violation("f", "e"),
+    ]),
+    # H scaled on one line: parity intact, every pair with H or [E, F] = H
+    ("sl2.json", "sl2_defining_module.json", {"H": [(0, 0, "2")]}, [
+        _bracket_violation("H", "E"), _bracket_violation("H", "F"),
+        _bracket_violation("E", "H"), _bracket_violation("E", "F"),
+        _bracket_violation("F", "H"), _bracket_violation("F", "E"),
+    ]),
+], ids=["parity", "bracket"])
+def test_cli_integrate_exit_2_payload(tmp_path, capsys, algebra, module, cells,
+                                      violations):
+    obj = json.loads(Path(builtin_fixture(module)).read_text())
+    for name, changes in cells.items():
+        for r, c, value in changes:
+            obj["action"][name][r][c] = value
+    path = tmp_path / "broken_module.json"
+    path.write_text(json.dumps(obj))
+    code = main(["integrate", builtin_fixture(algebra), str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == "superhaar: module violates the representation axioms\n"
+    assert out.out == json.dumps({
+        "algebra": algebra[:-len(".json")],
+        "module": "broken_module",
+        "valid": False,
+        "violations": violations,
+    }, indent=2) + "\n"
+
+
+# -- input boundary: fuzzed module files ---------------------------------------------
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4))
+ANY_JSON = st.recursive(JSON_SCALARS,
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                        max_leaves=8)
+GOOD_CELLS = st.sampled_from(["0", "0", "0", "-0", "0/1", "+0/3", "1", "-1", "1/2"])
+BAD_CELLS = st.sampled_from([0, 0.0, -0.0, False, None, "0/0", "00.0", ""]) | JSON_SCALARS
+GL11_NAMES = st.sampled_from(["h1", "h2", "e", "f", "g"])
+
+
+def mostly(good, bad):
+    """Mostly ``good``, sometimes ``bad``."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 5 else good)
+
+
+@st.composite
+def module_files(draw):
+    """Module objects for gl11 with wrong types in dim, parities and action,
+    and zero-like or non-string cells."""
+    dim = draw(st.integers(0, 3))
+    row = mostly(st.lists(mostly(GOOD_CELLS, BAD_CELLS), min_size=dim, max_size=dim),
+                 ANY_JSON)
+    matrix = mostly(st.lists(row, min_size=dim, max_size=dim), ANY_JSON)
+    obj = {
+        "algebra": draw(mostly(st.just("gl11"), ANY_JSON)),
+        "dim": draw(mostly(st.just(dim), ANY_JSON)),
+        "parities": draw(mostly(st.lists(st.sampled_from(["even", "odd"]),
+                                         min_size=dim, max_size=dim), ANY_JSON)),
+        "action": draw(mostly(st.dictionaries(GL11_NAMES, matrix, max_size=4), ANY_JSON)),
+    }
+    if draw(st.integers(0, 9)) == 5:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    return draw(mostly(st.just(obj), ANY_JSON))
+
+
+@settings(max_examples=300, deadline=None)
+@given(module_files())
+def test_fuzzed_module_file_gives_a_documented_exit_code(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["integrate", builtin_fixture("gl11.json"), str(path)])
+    event(f"exit {code}")
+    assert code in DOCUMENTED_EXIT_CODES, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("superhaar: cannot load module")
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue())

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superhaar import (GradedModule, InputError, NotSemisimpleError,
                        UEElement, brute_force_quotient_invariants,
@@ -8,6 +10,7 @@ from superhaar import (GradedModule, InputError, NotSemisimpleError,
                        counit, integral_matrix, invariant_projector,
                        invariant_z, linalg, module_action, multiply,
                        quotient_module, validate_module)
+from superhaar.algebra import ValidationReport
 from superhaar.randgen import random_element
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR,
@@ -59,11 +62,84 @@ def test_module_bracket_violation_is_witnessed(gl11):
                for v in report.violations)
 
 
+def dense_validate_module(alg, module):
+    """Dense d x d products on every basis pair: the reference for
+    ``validate_module``."""
+    report = ValidationReport()
+    d = module.dim
+    for i in range(alg.dim):
+        m = module.rho(i)
+        pi = alg.parity(i)
+        for r in range(d):
+            for c in range(d):
+                if m[r][c] and (module.parities[r] - module.parities[c] - pi) % 2:
+                    report.add("module-parity", (i, r, c),
+                               f"rho({alg.basis_name(i)})[{r}][{c}] = {m[r][c]} "
+                               f"violates the parity pattern")
+    for i in range(alg.dim):
+        mi = [list(row) for row in module.rho(i)]
+        for j in range(alg.dim):
+            mj = [list(row) for row in module.rho(j)]
+            sign = -1 if alg.parity(i) and alg.parity(j) else 1
+            rhs = linalg.mat_mul(mi, mj)
+            back = linalg.mat_mul(mj, mi)
+            lhs = linalg.zeros(d, d)
+            for k, c in alg.bracket(i, j):
+                mk = module.rho(k)
+                for r in range(d):
+                    for s in range(d):
+                        lhs[r][s] += c * mk[r][s]
+            if any(lhs[r][s] != rhs[r][s] - sign * back[r][s]
+                   for r in range(d) for s in range(d)):
+                report.add("module-bracket", (i, j),
+                           f"rho([{alg.basis_name(i)}, {alg.basis_name(j)}]) does "
+                           f"not match the supercommutator of the actions")
+    return report
+
+
+FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
+
+
+def test_validate_module_matches_dense_reference_on_fixtures():
+    for key, filename in FIXTURE_MODULES:
+        alg = fixture_algebra(key)
+        for module in (fixture_module(key, filename), quotient_module(alg)):
+            assert validate_module(alg, module).violations == \
+                dense_validate_module(alg, module).violations == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIXTURE_MODULES), st.data())
+def test_validate_module_matches_dense_reference_on_one_changed_entry(case, data):
+    key, filename = case
+    alg = fixture_algebra(key)
+    module = fixture_module(key, filename)
+    d = module.dim
+    action = {i: [list(row) for row in module.rho(i)] for i in range(alg.dim)}
+    i = data.draw(st.integers(0, alg.dim - 1))
+    r, c = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    action[i][r][c] = data.draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3)]))
+    changed = GradedModule(alg, module.parities, action)
+    assert validate_module(alg, changed).violations == \
+        dense_validate_module(alg, changed).violations
+
+
+def test_dense_view_of_stored_actions(osp12):
+    module = fixture_module("osp12", "osp12_defining_module.json")
+    assert module.rho(3) == ((0, 0, 1), (-1, 0, 0), (0, 0, 0))
+    assert all(isinstance(x, F) for row in module.rho(3) for x in row)
+    assert trivial_module(osp12).rho(0) == ((0,),)
+
+
 def test_module_shape_errors(gl11):
     with pytest.raises(InputError):
         GradedModule(gl11, [0, 1], {0: [[1, 0]]})
     with pytest.raises(InputError):
         GradedModule(gl11, [0, 2], {})
+    with pytest.raises(InputError):   # zeros are checked although not stored
+        GradedModule(gl11, [0, 1], {0: [[1, 0], [0.0, 0]]})
+    with pytest.raises(InputError):
+        GradedModule(gl11, [0, 1], {0: [[1, 0], [0, 0, 0]]})
 
 
 # -- action of enveloping elements -------------------------------------------

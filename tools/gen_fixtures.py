@@ -19,6 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from superhaar import (GradedModule, LieSuperalgebra, quotient_module,
                        validate_module, validate_superalgebra)
 from superhaar.fileio import algebra_to_json, dumps_canonical, module_to_json
+from superhaar.linalg import mat_mul
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "superhaar", "fixtures")
 
@@ -43,12 +44,6 @@ def check_module(alg, module) -> GradedModule:
 
 
 # -- supermatrix helpers for the osp example ---------------------------------
-
-def mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
 
 def super_bracket(a, pa, b, pb):
     ab, ba = mat_mul(a, b), mat_mul(b, a)
