@@ -4,7 +4,8 @@ Machine-readable JSON goes to stdout, human diagnostics to stderr.  Exit
 codes are a total function of the outcome class:
 
     0  success
-    1  I/O or parse error (also: odd dimension above SUPERHAAR_MAX_ODD)
+    1  I/O or parse error (also: odd dimension above SUPERHAAR_MAX_ODD, or a
+       result rational with more digits than Python converts to a string)
     2  invalid algebra or module (mathematical violations, with witnesses)
     3  no invariant (trace condition fails)
     4  module not semisimple over the even part
@@ -275,6 +276,15 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"superhaar: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:
+        # sums and products of admissible inputs can outgrow the digit limit
+        # of int -> str; nothing has been written to stdout at that point
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"superhaar: cannot write the result: a rational in it has more "
+              f"than {sys.get_int_max_str_digits()} digits, Python's limit for "
+              f"integer string conversion", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

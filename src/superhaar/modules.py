@@ -122,23 +122,25 @@ class GradedModule:
         return f"GradedModule({self.name or '?'}, dim={self.dim}, over {self.alg.name})"
 
 
-def _add_product(acc: dict[tuple[int, int], Fraction], a: _Rows, b: _Rows,
-                 negate: bool) -> None:
-    """acc += a b, or acc -= a b when negate, keyed by (row, column)."""
+def _product(a: _Rows, b: _Rows) -> dict[tuple[int, int], Fraction]:
+    """a b keyed by (row, column); a key may hold a zero sum."""
+    out: dict[tuple[int, int], Fraction] = {}
     for r, arow in a.items():
         for t, x in arow.items():
             for c, y in b.get(t, {}).items():
                 key = (r, c)
-                if negate:
-                    acc[key] = acc.get(key, ZERO) - x * y
-                else:
-                    acc[key] = acc.get(key, ZERO) + x * y
+                out[key] = out.get(key, ZERO) + x * y
+    return out
 
 
 def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationReport:
     """Check parity compatibility of each action matrix and the bracket
     relation rho([x,y]) = rho(x)rho(y) - (-1)^([x][y]) rho(y)rho(x) on all
-    basis pairs."""
+    basis pairs.
+
+    The pairs (i, j) and (j, i) share the products rho(i)rho(j) and
+    rho(j)rho(i), so both are checked from one pair of products; failing
+    pairs are reported in lexicographic order."""
     report = ValidationReport()
     if module.alg != alg:
         raise InputError("module was built over a different algebra")
@@ -151,23 +153,33 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
                     report.add("module-parity", (i, r, c),
                                f"rho({alg.basis_name(i)})[{r}][{c}] = {x} "
                                f"violates the parity pattern")
+    failing = []
     for i in range(alg.dim):
         mi = rho.get(i, {})
-        for j in range(alg.dim):
+        for j in range(i, alg.dim):
             mj = rho.get(j, {})
-            # rho(i)rho(j) - sign rho(j)rho(i) - rho([i, j]), zero iff the
-            # relation holds
-            residue: dict[tuple[int, int], Fraction] = {}
-            _add_product(residue, mi, mj, False)
-            _add_product(residue, mj, mi, not (alg.parity(i) and alg.parity(j)))
-            for k, c in alg.bracket(i, j):
-                for r, row in rho.get(k, {}).items():
-                    for s, x in row.items():
-                        residue[(r, s)] = residue.get((r, s), ZERO) - c * x
-            if any(residue.values()):
-                report.add("module-bracket", (i, j),
-                           f"rho([{alg.basis_name(i)}, {alg.basis_name(j)}]) does "
-                           f"not match the supercommutator of the actions")
+            both_odd = alg.parity(i) and alg.parity(j)
+            pij = _product(mi, mj)
+            pairs = [(i, j, pij, pij)]
+            if i != j:
+                pji = _product(mj, mi)
+                pairs = [(i, j, pij, pji), (j, i, pji, pij)]
+            for a, b, ab, ba in pairs:
+                # rho(a)rho(b) - sign rho(b)rho(a) - rho([a, b]), zero iff
+                # the relation holds
+                residue = dict(ab)
+                for key, x in ba.items():
+                    residue[key] = residue.get(key, ZERO) + (x if both_odd else -x)
+                for k, c in alg.bracket(a, b):
+                    for r, row in rho.get(k, {}).items():
+                        for s, x in row.items():
+                            residue[(r, s)] = residue.get((r, s), ZERO) - c * x
+                if any(residue.values()):
+                    failing.append((a, b))
+    for a, b in sorted(failing):
+        report.add("module-bracket", (a, b),
+                   f"rho([{alg.basis_name(a)}, {alg.basis_name(b)}]) does "
+                   f"not match the supercommutator of the actions")
     return report
 
 

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from superhaar import LieSuperalgebra
 from superhaar.fileio import builtin_fixture, load_algebra, load_module
 
 ALGEBRA_FILES = {
@@ -26,6 +27,31 @@ MODULE_FILES = {
 
 # fixtures satisfying the trace condition (bad2 is the non-unimodular one)
 UNIMODULAR = ["g2", "g3", "gl11", "osp12", "sl2"]
+
+
+def gl_supermatrix_units(p, q):
+    """gl(p|q) on the units E_ij, with [E_ij, E_kl] = delta_jk E_il
+    - (-1)^(|E_ij| |E_kl|) delta_li E_kj and |E_ij| = |i| + |j| mod 2."""
+    size = p + q
+    deg = [0] * p + [1] * q
+    units = [(i, j) for i in range(size) for j in range(size)]
+    even = [u for u in units if deg[u[0]] == deg[u[1]]]
+    odd = [u for u in units if deg[u[0]] != deg[u[1]]]
+    index = {u: t for t, u in enumerate(even + odd)}
+    brackets = {}
+    for (i, j), a in index.items():
+        for (k, l), b in index.items():
+            vec = {}
+            if j == k:
+                vec[index[i, l]] = vec.get(index[i, l], 0) + 1
+            if l == i:
+                sign = (-1) ** ((deg[i] + deg[j]) * (deg[k] + deg[l]))
+                vec[index[k, j]] = vec.get(index[k, j], 0) - sign
+            if any(vec.values()):
+                brackets[a, b] = vec
+    names = [f"E{i + 1}{j + 1}" for i, j in even + odd]
+    return LieSuperalgebra(f"gl({p}|{q})", names[:len(even)], names[len(even):],
+                           brackets)
 
 
 @lru_cache(maxsize=None)

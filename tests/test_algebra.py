@@ -1,13 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superhaar import (InputError, LieSuperalgebra, ad_prime_trace,
                        change_basis, even_part_structure, lambda_values,
                        linalg, trace_condition_holds, validate_superalgebra)
+from superhaar.algebra import ValidationReport
 from superhaar.randgen import random_odd_basis_change, random_scalar
 
-from conftest import ALGEBRA_FILES, fixture_algebra
+from conftest import ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units
 
 F = Fraction
 
@@ -141,3 +144,124 @@ def test_change_basis_rescaling_scales_brackets(bad2):
     scaled, _ = change_basis(bad2, linalg.identity(1), [[F(2)]])
     assert scaled.bracket(0, 1) == ((1, F(1)),)   # [X, 2th] = 2th = 1 * (2th)
     assert validate_superalgebra(scaled).ok
+
+
+# -- the Jacobi screen against the dense triple loop ------------------------
+
+def dense_validate_superalgebra(alg):
+    """Fraction brackets on every ordered triple: the reference for the
+    integer Jacobi screen of ``validate_superalgebra``."""
+    report = ValidationReport()
+    n = alg.dim
+    p = alg.parity
+
+    for (i, j), vec in alg.nonzero_brackets():
+        want = (p(i) + p(j)) % 2
+        for k, c in vec:
+            if p(k) != want:
+                report.add("parity", (i, j, k),
+                           f"[{alg.basis_name(i)}, {alg.basis_name(j)}] has a "
+                           f"component of wrong parity on {alg.basis_name(k)} "
+                           f"(coefficient {c})")
+
+    for i in range(n):
+        for j in range(i, n):
+            sign = -1 if p(i) and p(j) else 1
+            lhs = dict(alg.bracket(i, j))
+            for k, c in alg.bracket(j, i):
+                lhs[k] = lhs.get(k, Fraction(0)) + sign * c
+            bad = {k: c for k, c in lhs.items() if c}
+            if bad:
+                report.add("antisymmetry", (i, j),
+                           f"[{alg.basis_name(i)}, {alg.basis_name(j)}] + "
+                           f"(-1)^([i][j]) [{alg.basis_name(j)}, {alg.basis_name(i)}] "
+                           f"is nonzero: {bad}")
+
+    for i in range(n):
+        for j in range(n):
+            sign = -1 if p(i) and p(j) else 1
+            for k in range(n):
+                lhs = alg.bracket_vectors({i: Fraction(1)}, dict(alg.bracket(j, k)))
+                rhs = alg.bracket_vectors(dict(alg.bracket(i, j)), {k: Fraction(1)})
+                for t, c in alg.bracket_vectors({j: Fraction(1)},
+                                                dict(alg.bracket(i, k))).items():
+                    rhs[t] = rhs.get(t, Fraction(0)) + sign * c
+                diff = {t: lhs.get(t, Fraction(0)) - rhs.get(t, Fraction(0))
+                        for t in set(lhs) | set(rhs)}
+                diff = {t: c for t, c in diff.items() if c}
+                if diff:
+                    report.add("jacobi", (i, j, k),
+                               f"Jacobi fails on ({alg.basis_name(i)}, "
+                               f"{alg.basis_name(j)}, {alg.basis_name(k)}): "
+                               f"residual {diff}")
+    return report
+
+
+def assert_same_report(alg):
+    got = validate_superalgebra(alg).violations
+    assert got == dense_validate_superalgebra(alg).violations
+    return got
+
+
+# denominators 1, 2, 3 and 7, so the screen's common denominator varies
+COEFFS = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3, 2), F(1, 3),
+                          F(-2, 3), F(1, 7), F(-4, 7), F(5, 21)])
+
+
+@st.composite
+def random_tables(draw):
+    n_even, n_odd = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    dim = n_even + n_odd
+    brackets = {}
+    if dim:
+        index = st.integers(0, dim - 1)
+        brackets = draw(st.dictionaries(st.tuples(index, index),
+                                        st.dictionaries(index, COEFFS, max_size=2),
+                                        max_size=8))
+    return LieSuperalgebra("random", [f"X{i}" for i in range(n_even)],
+                           [f"t{i}" for i in range(n_odd)], brackets)
+
+
+BASE_ALGEBRAS = ([fixture_algebra(key) for key in ALGEBRA_FILES]
+                 + [gl_supermatrix_units(1, 1), gl_supermatrix_units(2, 1)])
+
+
+@st.composite
+def changed_tables(draw):
+    """A fixture or gl(p|q) table with 1-3 entries set to a new value (0
+    removes one), sometimes with the mirrored entry kept antisymmetric so
+    that only Jacobi can fail."""
+    alg = draw(st.sampled_from(BASE_ALGEBRAS))
+    table = {key: dict(entry) for key, entry in alg._brackets.items()}
+    index = st.integers(0, alg.dim - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, t = draw(index), draw(index), draw(index)
+        c = draw(COEFFS | st.just(F(0)))
+        table.setdefault((a, b), {})[t] = c
+        if draw(st.booleans()):
+            sign = -1 if alg.parity(a) and alg.parity(b) else 1
+            table.setdefault((b, a), {})[t] = -sign * c
+    return LieSuperalgebra(alg.name + "*", alg.even_names, alg.odd_names, table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_tables())
+def test_jacobi_screen_matches_dense_loop_on_random_tables(alg):
+    assert_same_report(alg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(changed_tables())
+def test_jacobi_screen_matches_dense_loop_on_changed_tables(alg):
+    assert_same_report(alg)
+
+
+def test_jacobi_screen_matches_dense_loop_on_edge_cases():
+    empty = LieSuperalgebra("empty", [], [], {})
+    no_brackets = LieSuperalgebra("abelian", ["X", "Y"], ["t"], {})
+    # purely odd with [t0, t0] = t0/3: wrong parity, and [t0, [t0, t0]] != 0
+    odd_only = LieSuperalgebra("odd-only", [], ["t0", "t1"], {(0, 0): {0: F(1, 3)}})
+    for alg in (empty, no_brackets, fixture_algebra("sl2"), fixture_algebra("g3")):
+        assert assert_same_report(alg) == []
+    kinds = {v.kind for v in assert_same_report(odd_only)}
+    assert kinds == {"parity", "jacobi"}

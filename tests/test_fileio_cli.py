@@ -356,6 +356,94 @@ def test_cli_malformed_input_exit_1(tmp_path, capsys, algebra, module):
     assert err.startswith("superhaar: cannot load")
 
 
+# -- results past the digit limit of int -> str exit 1 -----------------------------
+
+def _big_algebra(name, odd, brackets):
+    return {"name": name, "even_basis": ["X"], "odd_basis": odd, "brackets": [
+        {"left": left, "right": right, "result": [{"basis": b, "coeff": c}]}
+        for left, right, b, c in brackets]}
+
+
+# each coefficient is admissible, but the Jacobi residual holds N^2 and the
+# weight of X on the odd part is 2N, both over 4300 digits
+N3000, N4300 = "9" * 3000, "9" * 4300
+JACOBI_PAST_LIMIT = _big_algebra("big-jacobi", ["t"], [
+    ("t", "t", "X", N3000), ("X", "t", "t", N3000), ("t", "X", "t", "-" + N3000)])
+LAMBDA_PAST_LIMIT = _big_algebra("big-lambda", ["s", "t"], [
+    ("X", "s", "s", N4300), ("s", "X", "s", "-" + N4300),
+    ("X", "t", "t", N4300), ("t", "X", "t", "-" + N4300)])
+
+
+@pytest.mark.parametrize("command,algebra", [
+    ("validate", JACOBI_PAST_LIMIT),
+    ("invariant", JACOBI_PAST_LIMIT),
+    ("invariant", LAMBDA_PAST_LIMIT),
+], ids=["validate-jacobi", "invariant-jacobi", "invariant-lambda"])
+def test_cli_rational_past_digit_limit_exit_1(tmp_path, capsys, command, algebra):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(algebra))
+    code = main([command, str(path)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == ("superhaar: cannot write the result: a rational in it has "
+                       "more than 4300 digits, Python's limit for integer string "
+                       "conversion\n")
+
+
+# -- exit 2 payload of validate with fractional constants, pinned ------------------
+
+def _jacobi_violation(witness, residual):
+    a, b, c = witness
+    return {"kind": "jacobi", "witness": [a, b, c],
+            "detail": f"Jacobi fails on ({a}, {b}, {c}): residual {residual}"}
+
+
+@pytest.mark.parametrize("term,violations", [
+    # [u, u] = -2/3 E instead of -2 E: super antisymmetry still holds
+    (("E", "-2/3"), [_jacobi_violation(w, r) for w, r in [
+        ("Euv", "{1: Fraction(-4, 3)}"), ("Evu", "{1: Fraction(-4, 3)}"),
+        ("Fuu", "{0: Fraction(-4, 3)}"), ("uEv", "{1: Fraction(4, 3)}"),
+        ("uFu", "{0: Fraction(4, 3)}"), ("uuF", "{0: Fraction(-4, 3)}"),
+        ("uuv", "{3: Fraction(-4, 3)}"), ("uvE", "{1: Fraction(-4, 3)}"),
+        ("uvu", "{3: Fraction(-4, 3)}"), ("vEu", "{1: Fraction(4, 3)}"),
+        ("vuE", "{1: Fraction(-4, 3)}"), ("vuu", "{3: Fraction(-4, 3)}")]]),
+    # [u, u] gains an odd term u/3: a parity violation, and a residual with
+    # two terms and denominator 9
+    (("u", "1/3"), [
+        {"kind": "parity", "witness": ["u", "u", "u"],
+         "detail": "[u, u] has a component of wrong parity on u (coefficient 1/3)"},
+    ] + [_jacobi_violation(w, r) for w, r in [
+        ("Huu", "{3: Fraction(-1, 3)}"), ("Euv", "{3: Fraction(-1, 3)}"),
+        ("Evu", "{3: Fraction(-1, 3)}"), ("Fuu", "{4: Fraction(1, 3)}"),
+        ("uHu", "{3: Fraction(1, 3)}"), ("uEv", "{3: Fraction(1, 3)}"),
+        ("uFu", "{4: Fraction(-1, 3)}"), ("uuH", "{3: Fraction(-1, 3)}"),
+        ("uuF", "{4: Fraction(1, 3)}"),
+        ("uuu", "{1: Fraction(-2, 3), 3: Fraction(1, 9)}"),
+        ("uuv", "{0: Fraction(-1, 3)}"), ("uvE", "{3: Fraction(-1, 3)}"),
+        ("uvu", "{0: Fraction(1, 3)}"), ("vEu", "{3: Fraction(1, 3)}"),
+        ("vuE", "{3: Fraction(-1, 3)}"), ("vuu", "{0: Fraction(1, 3)}")]]),
+], ids=["jacobi-only", "parity-and-jacobi"])
+def test_cli_validate_exit_2_payload(tmp_path, capsys, term, violations):
+    obj = json.loads(Path(builtin_fixture("osp12.json")).read_text())
+    basis, coeff = term
+    (record,) = [r for r in obj["brackets"] if r["left"] == r["right"] == "u"]
+    result = {item["basis"]: item for item in record["result"]}
+    result.setdefault(basis, {"basis": basis})["coeff"] = coeff
+    record["result"] = list(result.values())
+    path = tmp_path / "osp12.json"
+    path.write_text(json.dumps(obj))
+    code = main(["validate", str(path)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err == ""
+    assert out.out == json.dumps({
+        "algebra": "osp12",
+        "valid": False,
+        "violations": violations,
+    }, indent=2) + "\n"
+
+
 # -- exit 2 payloads of integrate, pinned ------------------------------------------
 
 def _bracket_violation(a, b):
@@ -458,6 +546,74 @@ def test_fuzzed_module_file_gives_a_documented_exit_code(obj):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("superhaar: cannot load module")
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue())
+
+
+# -- input boundary: fuzzed algebra files ---------------------------------------------
+
+GOOD_COEFFS = st.sampled_from(["1", "-1", "2", "1/2", "-2/3", "3/7", "0"])
+BAD_COEFFS = (st.sampled_from(["1/0", "1.5", "", "x", "9" * 4301, "1/" + "9" * 4301,
+                               "9" * 4300, "-" + "9" * 4300, "1/" + "9" * 4300])
+              | JSON_SCALARS)
+# valid tables of dimension at most 4: non-unimodular, unimodular, abelian
+BASE_ALGEBRA_FILES = ["bad2.json", "gl11.json", "g2_grassmann.json"]
+
+
+@st.composite
+def algebra_files(draw):
+    """A small fixture with up to three records added, dropped or given a
+    new coefficient (fractional, malformed or very long), and with wrong
+    types or unknown names anywhere."""
+    obj = json.loads(Path(builtin_fixture(draw(st.sampled_from(BASE_ALGEBRA_FILES))))
+                     .read_text())
+    names = st.sampled_from(obj["even_basis"] + obj["odd_basis"])
+    name = mostly(names, st.just("w") | ANY_JSON)   # w is never a basis name
+    item = st.fixed_dictionaries({"basis": name,
+                                  "coeff": mostly(GOOD_COEFFS, BAD_COEFFS)})
+    record = st.fixed_dictionaries({
+        "left": name, "right": name,
+        "result": mostly(st.lists(mostly(item, ANY_JSON), max_size=2), ANY_JSON)})
+    records = obj["brackets"]
+    items = [item for rec in records for item in rec["result"]]
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(["add", "drop", "coeff"]))
+        if change == "drop" and records:
+            records.pop(draw(st.integers(0, len(records) - 1)))
+        elif change == "coeff" and items:
+            draw(st.sampled_from(items))["coeff"] = draw(mostly(GOOD_COEFFS, BAD_COEFFS))
+        else:
+            records.append(draw(mostly(record, ANY_JSON)))
+    for key in ("name", "even_basis", "odd_basis", "brackets"):
+        obj[key] = draw(mostly(st.just(obj[key]), ANY_JSON))
+    if draw(st.integers(0, 9)) == 5:
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    return draw(mostly(st.just(obj), ANY_JSON))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_files(), st.sampled_from(["validate", "invariant", "integrate"]))
+def test_fuzzed_algebra_file_gives_a_documented_exit_code(obj, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.json"
+        path.write_text(json.dumps(obj))
+        argv = [command, str(path)]
+        if command == "integrate":
+            # the trivial module over the algebra the file names
+            name = obj.get("name") if isinstance(obj, dict) else None
+            module = Path(tmp) / "trivial.json"
+            module.write_text(json.dumps({"algebra": name, "dim": 1,
+                                          "parities": ["even"], "action": {}}))
+            argv.append(str(module))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in DOCUMENTED_EXIT_CODES, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("superhaar: ")
         assert out.getvalue() == ""
     else:
         json.loads(out.getvalue())

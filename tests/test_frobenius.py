@@ -18,7 +18,8 @@ from superhaar.randgen import (random_element, random_even_element,
                                random_odd_basis_change,
                                random_small_superalgebra)
 
-from conftest import ALGEBRA_FILES, UNIMODULAR, fixture_algebra
+from conftest import (ALGEBRA_FILES, UNIMODULAR, fixture_algebra,
+                      gl_supermatrix_units)
 
 F = Fraction
 
@@ -307,31 +308,6 @@ def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys)
 
 
 # -- gl(p|q) in the supermatrix-unit basis ------------------------------------
-
-def gl_supermatrix_units(p, q):
-    """gl(p|q) on the units E_ij, with [E_ij, E_kl] = delta_jk E_il
-    - (-1)^(|E_ij| |E_kl|) delta_li E_kj and |E_ij| = |i| + |j| mod 2."""
-    size = p + q
-    deg = [0] * p + [1] * q
-    units = [(i, j) for i in range(size) for j in range(size)]
-    even = [u for u in units if deg[u[0]] == deg[u[1]]]
-    odd = [u for u in units if deg[u[0]] != deg[u[1]]]
-    index = {u: t for t, u in enumerate(even + odd)}
-    brackets = {}
-    for (i, j), a in index.items():
-        for (k, l), b in index.items():
-            vec = {}
-            if j == k:
-                vec[index[i, l]] = vec.get(index[i, l], 0) + 1
-            if l == i:
-                sign = (-1) ** ((deg[i] + deg[j]) * (deg[k] + deg[l]))
-                vec[index[k, j]] = vec.get(index[k, j], 0) - sign
-            if any(vec.values()):
-                brackets[a, b] = vec
-    names = [f"E{i + 1}{j + 1}" for i, j in even + odd]
-    return LieSuperalgebra(f"gl({p}|{q})", names[:len(even)], names[len(even):],
-                           brackets)
-
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (3, 1), (2, 2)])
 def test_gl_invariant_is_top_odd_monomial(p, q):
