@@ -160,8 +160,9 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
             mj = rho.get(j, {})
             both_odd = alg.parity(i) and alg.parity(j)
             pij = _product(mi, mj)
-            pairs = [(i, j, pij, pij)]
-            if i != j:
+            if i == j:
+                pairs = [(i, i, pij, pij)]
+            else:
                 pji = _product(mj, mi)
                 pairs = [(i, j, pij, pji), (j, i, pji, pij)]
             for a, b, ab, ba in pairs:
