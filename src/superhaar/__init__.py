@@ -13,9 +13,7 @@ from .algebra import (EVEN, ODD, EvenPartReport, InputError, LieSuperalgebra,
                       change_basis, even_part_structure, lambda_values,
                       trace_condition_holds, validate_superalgebra)
 from .enveloping import (PBWMonomial, UEElement, act_on_quotient, alpha,
-                         alpha_inv, class_lift, counit, in_J, map_element,
-                         multiply, odd_first_form, quotient_project,
-                         reassemble_odd_first)
+                         counit, map_element, multiply, quotient_project)
 from .frobenius import (FrobeniusMatrix, InternalInvariantError, InvariantZ,
                         NoInvariantError, classes_proportional, dual_pair,
                         form, frobenius_matrix, frobenius_pi, invariant_z,
@@ -33,9 +31,8 @@ __all__ = [
     "ValidationReport", "Violation", "ad_prime_trace", "change_basis",
     "even_part_structure", "lambda_values", "trace_condition_holds",
     "validate_superalgebra",
-    "PBWMonomial", "UEElement", "act_on_quotient", "alpha", "alpha_inv",
-    "class_lift", "counit", "in_J", "map_element", "multiply",
-    "odd_first_form", "quotient_project", "reassemble_odd_first",
+    "PBWMonomial", "UEElement", "act_on_quotient", "alpha", "counit",
+    "map_element", "multiply", "quotient_project",
     "FrobeniusMatrix", "InternalInvariantError", "InvariantZ",
     "NoInvariantError", "classes_proportional", "dual_pair", "form",
     "frobenius_matrix", "frobenius_pi", "invariant_z", "odd_subset_order",

@@ -278,17 +278,12 @@ def trace_condition_holds(alg: LieSuperalgebra) -> bool:
 
 @dataclass
 class EvenPartReport:
-    """Best-effort reductivity certificate for the even part."""
+    """Reductivity decision for the even part, with its evidence."""
     center: list[list[Fraction]]          # coordinate vectors over the even basis
     derived: list[list[Fraction]]
     decomposition_direct: bool            # g0 = center (+) derived, exactly
     killing_nondegenerate: bool           # Killing form restricted to derived
     certified_reductive: bool
-    assumed_reductive: bool = False
-
-    @property
-    def reductive(self) -> bool:
-        return self.certified_reductive or self.assumed_reductive
 
     @property
     def center_dim(self) -> int:
@@ -313,17 +308,18 @@ def _even_ad_matrix(alg: LieSuperalgebra, vec: list[Fraction]) -> linalg.Matrix:
     return out
 
 
-def even_part_structure(alg: LieSuperalgebra, assume_reductive: bool = False) -> EvenPartReport:
-    """Center, derived subalgebra, and reductivity certificate of the even part.
+def even_part_structure(alg: LieSuperalgebra) -> EvenPartReport:
+    """Center, derived subalgebra, and reductivity of the even part.
 
-    The certificate is: even part = center (+) derived as an exact direct
-    sum, with nondegenerate Killing form on the derived part.  When it is
-    inconclusive the caller may assert reductivity via ``assume_reductive``;
-    the assumption is recorded so downstream outputs can carry a warning.
+    The even part is reductive exactly when it is the direct sum of its
+    center and its derived algebra and the Killing form is nondegenerate on
+    the derived part: the derived part is an ideal, so by Cartan's
+    criterion it is then semisimple, and a reductive algebra has both
+    properties.  ``certified_reductive`` is that decision, exact either way.
     """
     n0 = alg.n_even
     if n0 == 0:
-        return EvenPartReport([], [], True, True, True, assume_reductive)
+        return EvenPartReport([], [], True, True, True)
 
     # center: v with [v, b_j] = 0 for all even j
     rows = []
@@ -356,9 +352,8 @@ def even_part_structure(alg: LieSuperalgebra, assume_reductive: bool = False) ->
     else:
         killing_nondeg = True
 
-    certified = direct and killing_nondeg
     return EvenPartReport(center, derived, direct, killing_nondeg,
-                          certified, assume_reductive and not certified)
+                          direct and killing_nondeg)
 
 
 def change_basis(alg: LieSuperalgebra, even_map: linalg.Matrix,

@@ -190,7 +190,7 @@ def cmd_integrate(args) -> int:
             "lambda": fileio.format_rational(exc.value),
         }, message=str(exc))
 
-    even_report = even_part_structure(alg, assume_reductive=args.assume_reductive)
+    even_report = even_part_structure(alg)
     ssreport = check_semisimple_over_even(alg, module, even_report)
     ss_json = {
         "central_squarefree": ssreport.central_squarefree,
@@ -207,11 +207,9 @@ def cmd_integrate(args) -> int:
 
     warnings = []
     if not even_report.certified_reductive:
-        if even_report.assumed_reductive:
-            warnings.append("even part reductivity asserted by user, "
-                            "not certified")
-        else:
-            warnings.append("even part reductivity certificate inconclusive")
+        warnings.append("even part is not reductive: it is not the direct sum "
+                        "of its center and a derived algebra with "
+                        "nondegenerate Killing form")
 
     projector = invariant_projector(alg, module, ssreport)
     integral = integral_matrix(alg, module, inv, projector)
@@ -256,9 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="evaluate the integral on matrix elements of a module")
     p_int.add_argument("algebra", help="algebra JSON file")
     p_int.add_argument("module", help="module JSON file")
-    p_int.add_argument("--assume-reductive", action="store_true",
-                       help="assert reductivity of the even part when the "
-                            "certificate is inconclusive (recorded as a warning)")
     p_int.set_defaults(func=cmd_integrate)
     return parser
 

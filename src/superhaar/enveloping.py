@@ -9,9 +9,11 @@ element is literally the left-coefficient decomposition
 which is what the top-coefficient projection of the Frobenius machinery
 reads off directly.
 
-A second term order (odd generators first) yields the right-coefficient
-decomposition ``u = sum_I x^I u_I``; it is a derived view, used for
-membership in the left ideal generated by the even part.
+Classes in the quotient U(g)/U(g)*g0 by the left ideal generated by the
+even part come from the same rewriting loop, run in the other term order
+(odd generators first): a word ending in an even letter lies in the ideal
+and is dropped as soon as it is seen, and the words left are the odd
+monomials x^I that form a basis of the quotient.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class UEElement:
 
     @classmethod
     def from_word(cls, alg, word: Iterable[int], coeff=1):
-        nf = _normal_form(alg, [(tuple(word), as_scalar(coeff))], _even_first_key)
+        nf = _normal_form(alg, [(tuple(word), as_scalar(coeff))])
         return cls(alg, {_word_to_monomial(alg, w): c for w, c in nf.items()})
 
     # -- queries -------------------------------------------------------------
@@ -202,16 +204,6 @@ class UEElement:
 
 # -- normal-form rewriting ---------------------------------------------------
 
-def _even_first_key(g: int) -> int:
-    return g
-
-
-def _odd_first_key_for(n_even: int):
-    def key(g: int):
-        return (0, g) if g >= n_even else (1, g)
-    return key
-
-
 def _word_to_monomial(alg: LieSuperalgebra, word: tuple[int, ...]) -> PBWMonomial:
     even = [0] * alg.n_even
     mask = 0
@@ -223,15 +215,17 @@ def _word_to_monomial(alg: LieSuperalgebra, word: tuple[int, ...]) -> PBWMonomia
     return PBWMonomial(tuple(even), mask)
 
 
-def _normal_form(alg: LieSuperalgebra, heads, key,
+def _normal_form(alg: LieSuperalgebra, heads, odd_first: bool = False,
                  min_odd: int = 0) -> dict[tuple[int, ...], Fraction]:
-    """Expand scaled generator words into canonical words for the order `key`.
+    """Expand scaled generator words into canonical words.
 
-    A word is canonical when its letters are non-decreasing under `key` and
-    no odd letter repeats.  One step either transposes an adjacent
-    out-of-order pair (Koszul sign plus a bracket term) or collapses an
-    adjacent odd square via x*x = [x,x]/2.  Every step lowers
-    (total degree, inversion count), so the worklist terminates.
+    A word is canonical when its letters are non-decreasing in the term
+    order and no odd letter repeats.  The order is the index order (even
+    generators first), or with `odd_first` the odd generators first, each
+    part by index.  One step either transposes an adjacent out-of-order
+    pair (Koszul sign plus a bracket term) or collapses an adjacent odd
+    square via x*x = [x,x]/2.  Every step lowers (total degree, inversion
+    count), so the worklist terminates.
 
     Each worklist word carries its number of odd letters.  When every
     bracket term has parity p(a) + p(b), no step raises that number: a
@@ -242,9 +236,25 @@ def _normal_form(alg: LieSuperalgebra, heads, key,
     `min_odd` of them, and is dropped when it appears.  The caller must
     check that the table is graded (``alg._parity_graded``) before passing
     a positive `min_odd`; with the default 0 nothing is dropped.
+
+    With `odd_first` the result is the class of the input in the quotient
+    U(g)/U(g)*g0 rather than the input itself.  A word whose last letter is
+    even is w'*e with e in g0, so it lies in the left ideal U(g)*g0 and is
+    dropped when it is popped; every other step keeps the element, so the
+    class is unchanged.  A canonical odd-first word that does not end in an
+    even letter has no even letters at all: each word left is a pure odd
+    monomial x^I.  U(g) is free as a right U(g0)-module on the x^I (PBW),
+    so the ideal is the sum of the x^I * U(g0)*g0 and the x^I are a basis
+    of the quotient; the canonical words are the class in that basis.
     """
     parity = alg.parity
     n0 = alg.n_even
+    # letter -> position in the term order, as a tuple: indexing one is
+    # cheaper than indexing a range or calling a key function
+    if odd_first:
+        rank = tuple(g + alg.n_odd if g < n0 else g - n0 for g in range(alg.dim))
+    else:
+        rank = tuple(range(alg.dim))
     out: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
     stack = []
     for w, c in heads:
@@ -254,10 +264,12 @@ def _normal_form(alg: LieSuperalgebra, heads, key,
             stack.append((w, c, n_odd))
     while stack:
         w, c, n_odd = stack.pop()
+        if odd_first and w and w[-1] < n0:
+            continue
         red = -1
         for p in range(len(w) - 1):
             a, b = w[p], w[p + 1]
-            if key(a) > key(b) or (a == b and parity(a)):
+            if rank[a] > rank[b] or (a == b and parity(a)):
                 red = p
                 break
         if red < 0:
@@ -307,7 +319,7 @@ def multiply(a: UEElement, b: UEElement) -> UEElement:
     """Product in the enveloping algebra, in even-first normal form."""
     a._check(b)
     alg = a.alg
-    return _to_element(alg, _normal_form(alg, _heads(a, b), _even_first_key))
+    return _to_element(alg, _normal_form(alg, _heads(a, b)))
 
 
 def _top_product(a: UEElement, b: UEElement) -> UEElement:
@@ -322,7 +334,7 @@ def _top_product(a: UEElement, b: UEElement) -> UEElement:
     a._check(b)
     alg = a.alg
     floor = alg.n_odd if alg._parity_graded else 0
-    nf = _normal_form(alg, _heads(a, b, floor), _even_first_key, floor)
+    nf = _normal_form(alg, _heads(a, b, floor), min_odd=floor)
     return _to_element(alg, nf, None if floor else (1 << alg.n_odd) - 1)
 
 
@@ -355,67 +367,27 @@ def alpha(u: UEElement) -> UEElement:
     return _twist(u, +1)
 
 
-def alpha_inv(u: UEElement) -> UEElement:
-    return _twist(u, -1)
-
-
-def odd_first_form(a: UEElement) -> dict[int, UEElement]:
-    """Right-coefficient decomposition u = sum_I x^I u_I.
-
-    Keys are odd-subset bitmasks; values lie in the even enveloping
-    subalgebra.  Reassembling (x^I times u_I, summed) returns ``a`` exactly.
-    """
-    alg = a.alg
-    n0 = alg.n_even
-    nf = _normal_form(alg, [(m.word(n0), c) for m, c in a.terms.items()],
-                      _odd_first_key_for(n0))
-    out: dict[int, dict[PBWMonomial, Fraction]] = defaultdict(dict)
-    for w, c in nf.items():
-        mono = _word_to_monomial(alg, w)
-        even_mono = PBWMonomial(mono.even, 0)
-        bucket = out[mono.odd]
-        bucket[even_mono] = bucket.get(even_mono, Fraction(0)) + c
-    form = {}
-    for mask, terms in out.items():
-        u = UEElement(alg, terms)
-        if not u.is_zero:
-            form[mask] = u
-    return form
-
-
-def reassemble_odd_first(alg: LieSuperalgebra, form: dict[int, UEElement]) -> UEElement:
-    out = UEElement.zero(alg)
-    for mask, u in form.items():
-        xi = UEElement(alg, {PBWMonomial((0,) * alg.n_even, mask): Fraction(1)})
-        out = out + multiply(xi, u)
-    return out
+def _class(alg: LieSuperalgebra, heads) -> dict[int, Fraction]:
+    """Class of the sum of scaled words ``heads`` in U(g)/U(g)*g0, over the
+    basis x^I: I -> coefficient (see ``_normal_form``)."""
+    return {_word_to_monomial(alg, w).odd: c
+            for w, c in _normal_form(alg, heads, odd_first=True).items()}
 
 
 def quotient_project(a: UEElement) -> dict[int, Fraction]:
     """Class of ``a`` in the quotient by the left ideal generated by the
-    even part, expressed over the exterior basis x^I: I -> counit(u_I)."""
-    out = {}
-    for mask, u in odd_first_form(a).items():
-        c = counit(u)
-        if c:
-            out[mask] = c
-    return out
-
-
-def in_J(a: UEElement) -> bool:
-    """Membership in the left ideal generated by the even part."""
-    return not quotient_project(a)
-
-
-def class_lift(alg: LieSuperalgebra, cls: dict[int, Fraction]) -> UEElement:
-    empty = (0,) * alg.n_even
-    return UEElement(alg, {PBWMonomial(empty, mask): c for mask, c in cls.items()})
+    even part, expressed over the exterior basis x^I: I -> coefficient."""
+    n0 = a.alg.n_even
+    return _class(a.alg, [(m.word(n0), c) for m, c in a.terms.items()])
 
 
 def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> dict[int, Fraction]:
     """Left action of basis element ``i`` on a quotient class."""
-    lifted = class_lift(alg, cls)
-    return quotient_project(multiply(UEElement.generator(alg, i), lifted))
+    if not 0 <= i < alg.dim:
+        raise ValueError(f"generator index {i} out of range")
+    n0, empty = alg.n_even, (0,) * alg.n_even
+    return _class(alg, [((i,) + PBWMonomial(empty, mask).word(n0), c)
+                        for mask, c in cls.items()])
 
 
 def map_element(u: UEElement, dst: LieSuperalgebra, full_map) -> UEElement:

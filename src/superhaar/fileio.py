@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -187,22 +188,31 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_algebra(path: str) -> LieSuperalgebra:
+def _read_json(path: str):
+    """The JSON value in the UTF-8 file at ``path``; any content that does
+    not parse raises ``InputError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return algebra_from_json(obj)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+        except RecursionError as exc:
+            raise InputError(f"JSON in {path} is nested too deeply to parse") from exc
+        except ValueError as exc:
+            if "integer string conversion" not in str(exc):
+                raise
+            raise InputError(f"an integer in {path} has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+def load_algebra(path: str) -> LieSuperalgebra:
+    return algebra_from_json(_read_json(path))
 
 
 def load_module(path: str, alg: LieSuperalgebra) -> GradedModule:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return module_from_json(obj, alg)
+    return module_from_json(_read_json(path), alg)
 
 
 def builtin_fixture(name: str) -> str:

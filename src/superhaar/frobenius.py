@@ -42,8 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LieSuperalgebra, lambda_values
-from .enveloping import (PBWMonomial, UEElement, _top_product, alpha, counit,
-                         multiply, quotient_project)
+from .enveloping import (PBWMonomial, UEElement, _top_product,
+                         act_on_quotient, alpha, counit, multiply,
+                         quotient_project)
 
 
 class InternalInvariantError(RuntimeError):
@@ -265,15 +266,16 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
         if c:
             z = z + subset_monomial(alg, top ^ mask) * c
 
+    z_class = quotient_project(z)
     certificate = {}
     for i in range(alg.dim):
         # residue of w z - counit(w) z; counit vanishes on generators
-        residue = quotient_project(multiply(UEElement.generator(alg, i), z))
+        residue = act_on_quotient(alg, i, z_class)
         certificate[i] = residue
         if residue:
             raise InternalInvariantError(
                 f"z is not invariant under {alg.basis_name(i)}: residue {residue}")
-    if not quotient_project(z):
+    if not z_class:
         raise InternalInvariantError("z lies in the ideal it should represent "
                                      "a nonzero class against")
     return InvariantZ(z, certificate)

@@ -120,14 +120,6 @@ def nullspace(mat: Matrix) -> list[Vector]:
     return basis
 
 
-def column_space_basis(mat: Matrix) -> list[Vector]:
-    """Basis of the column span, as a subset of the original columns."""
-    if not mat or not mat[0]:
-        return []
-    _, pivots = rref(mat)
-    return [[row[c] for row in mat] for c in pivots]
-
-
 def row_space_basis(rows: list[Vector]) -> list[Vector]:
     nonzero = [r for r in rows if any(r)]
     if not nonzero:

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from superhaar import LieSuperalgebra
+from superhaar.enveloping import _twist
 from superhaar.fileio import builtin_fixture, load_algebra, load_module
 
 ALGEBRA_FILES = {
@@ -52,6 +53,12 @@ def gl_supermatrix_units(p, q):
     names = [f"E{i + 1}{j + 1}" for i, j in even + odd]
     return LieSuperalgebra(f"gl({p}|{q})", names[:len(even)], names[len(even):],
                            brackets)
+
+
+def alpha_inv(u):
+    """Inverse of ``superhaar.alpha``: each even generator X goes to
+    X - tr(ad'(X))."""
+    return _twist(u, -1)
 
 
 @lru_cache(maxsize=None)

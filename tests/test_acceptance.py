@@ -8,7 +8,7 @@ per-criterion lines as they pass.
 import time
 from fractions import Fraction
 
-from superhaar import (LieSuperalgebra, UEElement, alpha_inv,
+from superhaar import (LieSuperalgebra, UEElement,
                        brute_force_quotient_invariants, check_right_integral,
                        check_semisimple_over_even, classes_proportional,
                        dual_pair, frobenius_matrix, frobenius_pi,
@@ -21,7 +21,7 @@ from superhaar.randgen import (random_element, random_even_element,
                                random_odd_basis_change,
                                random_small_superalgebra)
 
-from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR,
+from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, alpha_inv,
                       fixture_algebra, fixture_module)
 
 F = Fraction

@@ -113,19 +113,13 @@ def test_even_part_structure_examples(g2, gl11, osp12):
     assert rep.certified_reductive
 
 
-def test_even_part_not_reductive_and_override():
+def test_even_part_not_reductive():
     # 2-dimensional nonabelian Lie algebra: [A, B] = B, not reductive
     alg = LieSuperalgebra("aff1", ["A", "B"], [],
                           {(0, 1): {1: 1}, (1, 0): {1: -1}})
     assert validate_superalgebra(alg).ok
     rep = even_part_structure(alg)
     assert not rep.certified_reductive
-    assert not rep.reductive
-    forced = even_part_structure(alg, assume_reductive=True)
-    assert forced.assumed_reductive and forced.reductive
-    # the assumption flag is only recorded when the certificate failed
-    certified = even_part_structure(fixture_algebra("osp12"), assume_reductive=True)
-    assert certified.certified_reductive and not certified.assumed_reductive
 
 
 def test_change_basis_preserves_validity(rng, osp12):

@@ -1,13 +1,17 @@
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from superhaar import (InputError, PBWMonomial, UEElement, act_on_quotient,
-                       alpha, alpha_inv, counit, in_J, multiply,
-                       odd_first_form, quotient_project, reassemble_odd_first)
-from superhaar.randgen import random_element, random_even_element
+                       alpha, counit, multiply, quotient_project,
+                       validate_superalgebra)
+from superhaar.randgen import (random_element, random_even_element,
+                               random_odd_basis_change,
+                               random_small_superalgebra)
 
-from conftest import ALGEBRA_FILES, fixture_algebra
+from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra,
+                      gl_supermatrix_units)
 
 F = Fraction
 
@@ -120,7 +124,81 @@ def test_alpha_is_an_algebra_automorphism(rng):
             assert alpha(alpha_inv(t)) == t
 
 
-# -- odd-first form and the quotient ----------------------------------------------
+# -- the quotient by U(g)*g0 against an odd-first reference --------------------
+#
+# Reference: the full right-coefficient decomposition u = sum_I x^I u_I from
+# its own rewriting loop (odd generators first, nothing dropped); the class
+# of u in U(g)/U(g)*g0 is I -> counit(u_I).  It shares no code with the
+# library's quotient rewriting.
+
+def _odd_first_normal_form(alg, heads):
+    n0 = alg.n_even
+
+    def key(g):
+        return (0, g) if g >= n0 else (1, g)
+
+    out = defaultdict(Fraction)
+    stack = [(tuple(w), c) for w, c in heads]
+    while stack:
+        w, c = stack.pop()
+        red = -1
+        for p in range(len(w) - 1):
+            a, b = w[p], w[p + 1]
+            if key(a) > key(b) or (a == b and alg.parity(a)):
+                red = p
+                break
+        if red < 0:
+            out[w] += c
+            continue
+        a, b = w[red], w[red + 1]
+        head, tail = w[:red], w[red + 2:]
+        if a == b:
+            for k, ck in alg.bracket(a, a):
+                stack.append((head + (k,) + tail, c * ck / 2))
+        else:
+            sign = -1 if alg.parity(a) and alg.parity(b) else 1
+            stack.append((head + (b, a) + tail, sign * c))
+            for k, ck in alg.bracket(a, b):
+                stack.append((head + (k,) + tail, c * ck))
+    return {w: c for w, c in out.items() if c}
+
+
+def odd_first_form(u):
+    """Right-coefficient decomposition {I: u_I}, zero u_I left out."""
+    alg = u.alg
+    n0 = alg.n_even
+    nf = _odd_first_normal_form(alg, [(m.word(n0), c) for m, c in u.terms.items()])
+    buckets = defaultdict(dict)
+    for w, c in nf.items():
+        even = [0] * n0
+        mask = 0
+        for g in w:
+            if g < n0:
+                even[g] += 1
+            else:
+                mask |= 1 << (g - n0)
+        mono = PBWMonomial(tuple(even), 0)
+        buckets[mask][mono] = buckets[mask].get(mono, F(0)) + c
+    form = {mask: UEElement(alg, terms) for mask, terms in buckets.items()}
+    return {mask: v for mask, v in form.items() if not v.is_zero}
+
+
+def reassemble_odd_first(alg, form):
+    out = UEElement.zero(alg)
+    for mask, v in form.items():
+        xi = UEElement(alg, {PBWMonomial((0,) * alg.n_even, mask): F(1)})
+        out = out + multiply(xi, v)
+    return out
+
+
+def reference_class(u):
+    return {mask: counit(v) for mask, v in odd_first_form(u).items() if counit(v)}
+
+
+def lift(alg, cls):
+    return UEElement(alg, {PBWMonomial((0,) * alg.n_even, mask): c
+                           for mask, c in cls.items()})
+
 
 def test_odd_first_form_examples(g2, bad2):
     X, th = gen(bad2, "X"), gen(bad2, "th")
@@ -145,13 +223,11 @@ def test_odd_first_round_trip(rng):
 
 def test_quotient_projection_examples(g2, bad2):
     X, th = gen(bad2, "X"), gen(bad2, "th")
-    assert in_J(X)
+    assert not quotient_project(X)
     assert quotient_project(multiply(X, th)) == {0b1: F(1)}
-    assert not in_J(multiply(X, th))
 
     x1x2 = multiply(gen(g2, "x1"), gen(g2, "x2"))
-    assert quotient_project(x1x2) == {0b11: F(1)}
-    assert not in_J(x1x2)  # the ideal is zero when there is no even part
+    assert quotient_project(x1x2) == {0b11: F(1)}  # no even part: ideal is zero
 
 
 def test_ideal_is_left_ideal(rng):
@@ -162,8 +238,8 @@ def test_ideal_is_left_ideal(rng):
             w = random_element(alg, rng, max_degree=2, terms=3)
             x = UEElement.generator(alg, rng.randrange(alg.n_even))
             v = multiply(w, x)
-            assert in_J(v)
-            assert in_J(multiply(u, v))
+            assert not quotient_project(v)
+            assert not quotient_project(multiply(u, v))
 
 
 def test_act_on_quotient_examples(g2, bad2):
@@ -171,6 +247,50 @@ def test_act_on_quotient_examples(g2, bad2):
     assert act_on_quotient(bad2, 1, {0: F(1)}) == {0b1: F(1)}
     # x1 kills the class of x1
     assert act_on_quotient(g2, 0, {0b1: F(1)}) == {}
+    with pytest.raises(ValueError):
+        act_on_quotient(g2, 2, {0: F(1)})
+
+
+def _quotient_cases(rng):
+    """Fixtures, random small algebras with random odd basis changes, and
+    gl(2|1) from supermatrix units."""
+    algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    for _ in range(8):
+        alg = random_small_superalgebra(rng, max_dim=4)
+        algs.append(alg)
+        if alg.n_odd:
+            algs.append(random_odd_basis_change(alg, rng)[0])
+    algs.append(gl_supermatrix_units(2, 1))
+    for alg in algs:
+        assert validate_superalgebra(alg).ok, alg.name
+    return algs
+
+
+def test_quotient_matches_odd_first_reference(rng):
+    for alg in _quotient_cases(rng):
+        for _ in range(4):
+            u = random_element(alg, rng, max_degree=3, terms=4)
+            assert quotient_project(u) == reference_class(u), alg.name
+        classes = [{mask: F(1)} for mask in range(1 << alg.n_odd)]
+        classes.append({mask: F(mask - 2, 3) for mask in range(1 << alg.n_odd)})
+        for cls in classes:
+            cls = {mask: c for mask, c in cls.items() if c}
+            for i in range(alg.dim):
+                want = reference_class(multiply(UEElement.generator(alg, i),
+                                                lift(alg, cls)))
+                assert act_on_quotient(alg, i, cls) == want, (alg.name, i, cls)
+
+
+def test_elements_ending_in_an_even_letter_have_zero_class(rng):
+    for alg in _quotient_cases(rng):
+        if not alg.n_even:
+            continue
+        for _ in range(4):
+            w = random_element(alg, rng, max_degree=3, terms=3)
+            x = random_even_element(alg, rng, max_degree=1, terms=2)
+            x = x - UEElement.scalar(alg, counit(x))   # x in g0
+            v = multiply(w, x)
+            assert quotient_project(v) == {} == reference_class(v), alg.name
 
 
 # -- element basics ----------------------------------------------------------------

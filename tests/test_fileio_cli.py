@@ -280,8 +280,8 @@ def test_cli_max_odd_bound(monkeypatch, capsys):
 
 
 def test_cli_reductivity_warnings(tmp_path, capsys):
-    # solvable nonabelian even part: certificate inconclusive, integration
-    # still proceeds and the output carries a warning either way
+    # solvable nonabelian even part: not reductive, integration still
+    # proceeds and the output carries a warning
     alg_path = tmp_path / "aff1.json"
     alg_path.write_text(json.dumps({
         "name": "aff1", "even_basis": ["A", "B"], "odd_basis": [],
@@ -295,13 +295,9 @@ def test_cli_reductivity_warnings(tmp_path, capsys):
 
     code, payload, _ = run_cli(capsys, "integrate", str(alg_path), str(mod_path))
     assert code == 0
-    assert payload["warnings"] == ["even part reductivity certificate inconclusive"]
-
-    code, payload, _ = run_cli(capsys, "integrate", str(alg_path), str(mod_path),
-                               "--assume-reductive")
-    assert code == 0
-    assert payload["warnings"] == ["even part reductivity asserted by user, "
-                                   "not certified"]
+    assert payload["warnings"] == [
+        "even part is not reductive: it is not the direct sum of its center "
+        "and a derived algebra with nondegenerate Killing form"]
     assert payload["integral_matrix"] == [["1"]]
 
 
@@ -354,6 +350,32 @@ def test_cli_malformed_input_exit_1(tmp_path, capsys, algebra, module):
     code, payload, err = run_cli(capsys, *argv)
     assert code == 1 and payload is None
     assert err.startswith("superhaar: cannot load")
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"\xff\xfe{}", "{path} is not UTF-8 text: 'utf-8' codec can't decode "
+                     "byte 0xff in position 0: invalid start byte"),
+    (b"[" * 200_000, "JSON in {path} is nested too deeply to parse"),
+    (b'{"name": "bad2", "dim": 1' + b"0" * 4300 + b"}",
+     "an integer in {path} has more than 4300 digits"),
+], ids=["not-utf8", "deep-nesting", "long-integer-literal"])
+@pytest.mark.parametrize("which", ["algebra", "module"])
+def test_cli_unparsable_file_exit_1(tmp_path, capsys, content, reason, which):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps(_bad2_with()))
+    mod_path = tmp_path / "mod.json"
+    mod_path.write_text(json.dumps(_bad2_module()))
+    if which == "algebra":
+        alg_path = path
+    else:
+        mod_path = path
+    code = main(["integrate", str(alg_path), str(mod_path)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == f"superhaar: cannot load {which}: {reason.format(path=path)}\n"
 
 
 # -- results past the digit limit of int -> str exit 1 -----------------------------

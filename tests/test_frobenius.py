@@ -5,7 +5,7 @@ import pytest
 
 import superhaar.frobenius as frobenius
 from superhaar import (InternalInvariantError, LieSuperalgebra,
-                       NoInvariantError, UEElement, alpha_inv,
+                       NoInvariantError, UEElement,
                        brute_force_quotient_invariants, classes_proportional,
                        counit, dual_pair, form, frobenius_matrix,
                        frobenius_pi, invariant_z, map_element, multiply,
@@ -18,7 +18,7 @@ from superhaar.randgen import (random_element, random_even_element,
                                random_odd_basis_change,
                                random_small_superalgebra)
 
-from conftest import (ALGEBRA_FILES, UNIMODULAR, fixture_algebra,
+from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra,
                       gl_supermatrix_units)
 
 F = Fraction

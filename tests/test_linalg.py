@@ -37,10 +37,7 @@ def test_invert_round_trip():
         linalg.invert(m([[1, 2], [2, 4]]))
 
 
-def test_column_and_row_space():
-    mat = m([[1, 2, 0], [0, 0, 1]])
-    cols = linalg.column_space_basis(mat)
-    assert len(cols) == 2
+def test_row_space():
     rows = linalg.row_space_basis(m([[1, 1], [2, 2], [0, 0]]))
     assert rows == [[F(1), F(1)]]
 

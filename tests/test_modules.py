@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from superhaar import (GradedModule, InputError, NotSemisimpleError,
                        invariant_z, linalg, module_action, multiply,
                        quotient_module, validate_module)
 from superhaar.algebra import ValidationReport
+from superhaar.fileio import builtin_fixture
 from superhaar.randgen import random_element
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR,
@@ -316,3 +320,22 @@ def test_quotient_module_validates_everywhere():
         module = quotient_module(alg)
         assert validate_module(alg, module).ok
         assert module.dim == 1 << alg.n_odd
+
+
+def test_fixture_generator_reproduces_the_shipped_fixtures(tmp_path, monkeypatch):
+    # the exterior modules are built by quotient_module, so this also pins
+    # the quotient rewriting byte for byte
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_fixtures.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))   # the tool prepends src/
+    spec = importlib.util.spec_from_file_location("gen_fixtures", path)
+    gen_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_fixtures)
+    monkeypatch.setattr(gen_fixtures, "OUT", str(tmp_path))
+    gen_fixtures.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    shipped = sorted(p.name for p in Path(builtin_fixture("")).iterdir()
+                     if p.suffix == ".json")
+    assert written == shipped
+    for name in written:
+        assert (tmp_path / name).read_bytes() == \
+            Path(builtin_fixture(name)).read_bytes(), name
