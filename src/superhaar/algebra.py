@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import linalg
+from .linalg import ONE
 
 EVEN = 0
 ODD = 1
@@ -39,6 +40,47 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise InputError(f"scalar must be an exact rational, got {value!r}")
+
+
+def _index(i, dim: int) -> int:
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+        raise InputError(f"matrix index {i!r} out of range for dimension {dim}")
+    return i
+
+
+def _dense_rows(mat, dim: int):
+    if len(mat) != dim:
+        raise InputError(f"matrix has {len(mat)} rows, expected {dim}")
+    for r, row in enumerate(mat):
+        if len(row) != dim:
+            raise InputError(f"matrix row has {len(row)} entries, expected {dim}")
+        yield r, enumerate(row)
+
+
+def nonzero_rows(mat, dim: int) -> linalg.Matrix:
+    """Check a dim x dim matrix of exact scalars and keep its nonzero
+    entries, rows and columns in increasing order.
+
+    The matrix comes either dense, as a list of dim rows of dim entries, or
+    as rows ``{row: {column: entry}}``.  A wrong shape, an index out of
+    range or an inexact scalar raises ``InputError``; zero entries are
+    checked but not kept.
+    """
+    if isinstance(mat, Mapping):
+        rows = sorted((_index(r, dim), sorted((_index(c, dim), x) for c, x in row.items()))
+                      for r, row in mat.items())
+    else:
+        rows = _dense_rows(mat, dim)
+    out = {}
+    for r, row in rows:
+        nz = {}
+        for c, x in row:
+            x = as_scalar(x)
+            if x:
+                nz[c] = x
+        if nz:
+            out[r] = nz
+    return out
 
 
 @dataclass(frozen=True)
@@ -279,8 +321,8 @@ def trace_condition_holds(alg: LieSuperalgebra) -> bool:
 @dataclass
 class EvenPartReport:
     """Reductivity decision for the even part, with its evidence."""
-    center: list[list[Fraction]]          # coordinate vectors over the even basis
-    derived: list[list[Fraction]]
+    center: list[linalg.Vector]           # coordinate vectors over the even basis
+    derived: list[linalg.Vector]
     decomposition_direct: bool            # g0 = center (+) derived, exactly
     killing_nondegenerate: bool           # Killing form restricted to derived
     certified_reductive: bool
@@ -294,18 +336,12 @@ class EvenPartReport:
         return len(self.derived)
 
 
-def _even_ad_matrix(alg: LieSuperalgebra, vec: list[Fraction]) -> linalg.Matrix:
+def _even_ad_matrix(alg: LieSuperalgebra, vec: linalg.Vector) -> linalg.Matrix:
     """Matrix of ad(v) restricted to the even part, v given in even coords."""
     n0 = alg.n_even
-    out = linalg.zeros(n0, n0)
-    for i, ci in enumerate(vec):
-        if not ci:
-            continue
-        for j in range(n0):
-            for k, c in alg.bracket(i, j):
-                if k < n0:
-                    out[k][j] += ci * c
-    return out
+    return linalg.mat_comb((ci * c, {k: {j: ONE}})
+                           for i, ci in vec.items() for j in range(n0)
+                           for k, c in alg.bracket(i, j) if k < n0)
 
 
 def even_part_structure(alg: LieSuperalgebra) -> EvenPartReport:
@@ -321,74 +357,52 @@ def even_part_structure(alg: LieSuperalgebra) -> EvenPartReport:
     if n0 == 0:
         return EvenPartReport([], [], True, True, True)
 
-    # center: v with [v, b_j] = 0 for all even j
-    rows = []
-    for j in range(n0):
-        for k in range(n0):
-            rows.append([next((c for t, c in alg.bracket(i, j) if t == k), Fraction(0))
-                         for i in range(n0)])
-    center = linalg.nullspace(rows)
-
+    # center: v with [v, b_j] = 0 for all even j, one equation per (j, k)
+    # holding the coefficients of b_k in [b_i, b_j]
+    rows: dict[tuple[int, int], linalg.Vector] = {}
     derived_span = []
     for i in range(n0):
         for j in range(n0):
-            vec = [Fraction(0)] * n0
-            hit = False
-            for k, c in alg.bracket(i, j):
-                if k < n0:
-                    vec[k] = c
-                    hit = True
-            if hit:
+            vec = {k: c for k, c in alg.bracket(i, j) if k < n0}
+            for k, c in vec.items():
+                rows.setdefault((j, k), {})[i] = c
+            if vec:
                 derived_span.append(vec)
+    center = linalg.nullspace(rows.values(), n0)
     derived = linalg.row_space_basis(derived_span)
 
     direct = (len(center) + len(derived) == n0
               and linalg.rank(center + derived) == n0)
 
-    if derived:
-        ads = [_even_ad_matrix(alg, v) for v in derived]
-        gram = [[linalg.trace(linalg.mat_mul(a, b)) for b in ads] for a in ads]
-        killing_nondeg = linalg.rank(gram) == len(derived)
-    else:
-        killing_nondeg = True
+    ads = [_even_ad_matrix(alg, v) for v in derived]
+    gram = [{s: t for s, b in enumerate(ads)
+             if (t := linalg.trace(linalg.mat_mul(a, b)))} for a in ads]
+    killing_nondeg = linalg.rank(gram) == len(derived)
 
     return EvenPartReport(center, derived, direct, killing_nondeg,
                           direct and killing_nondeg)
 
 
-def change_basis(alg: LieSuperalgebra, even_map: linalg.Matrix,
-                 odd_map: linalg.Matrix, name: str | None = None) -> tuple[LieSuperalgebra, linalg.Matrix]:
+def change_basis(alg: LieSuperalgebra, even_map, odd_map,
+                 name: str | None = None) -> tuple[LieSuperalgebra, linalg.Matrix]:
     """Transport the structure constants along a parity-preserving change
     of basis.  ``even_map``/``odd_map`` give the new basis vectors in the
-    old coordinates, column by column.  Returns the new algebra together
-    with the full block matrix used (new basis -> old coordinates)."""
-    n0, m = alg.n_even, alg.n_odd
-    if len(even_map) != n0 or (n0 and len(even_map[0]) != n0):
-        raise InputError("even_map has wrong shape")
-    if len(odd_map) != m or (m and len(odd_map[0]) != m):
-        raise InputError("odd_map has wrong shape")
-    full = linalg.zeros(alg.dim, alg.dim)
-    for a in range(n0):
-        for b in range(n0):
-            full[a][b] = as_scalar(even_map[a][b])
-    for a in range(m):
-        for b in range(m):
-            full[n0 + a][n0 + b] = as_scalar(odd_map[a][b])
-    inv = linalg.invert(full)  # raises ValueError when singular
+    old coordinates, column by column, in either form that
+    :func:`nonzero_rows` checks.  Returns the new algebra together with the
+    full block matrix used (new basis -> old coordinates) as rows."""
+    n0 = alg.n_even
+    full = nonzero_rows(even_map, n0)
+    for a, row in nonzero_rows(odd_map, alg.n_odd).items():
+        full[n0 + a] = {n0 + b: x for b, x in row.items()}
+    inv = linalg.invert(full, alg.dim)  # raises ValueError when singular
 
+    cols = linalg.transpose(full)
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(alg.dim):
-        ui = {a: full[a][i] for a in range(alg.dim) if full[a][i]}
         for j in range(alg.dim):
-            uj = {b: full[b][j] for b in range(alg.dim) if full[b][j]}
-            w = alg.bracket_vectors(ui, uj)
-            if not w:
-                continue
-            wvec = [w.get(k, Fraction(0)) for k in range(alg.dim)]
-            new = linalg.mat_vec(inv, wvec)
-            entry = {k: c for k, c in enumerate(new) if c}
-            if entry:
-                brackets[(i, j)] = entry
+            new = linalg.mat_vec(inv, alg.bracket_vectors(cols[i], cols[j]))
+            if new:
+                brackets[(i, j)] = new
     out = LieSuperalgebra(name or alg.name + "'", alg.even_names,
                           alg.odd_names, brackets)
     return out, full

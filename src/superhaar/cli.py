@@ -155,11 +155,7 @@ def cmd_invariant(args) -> int:
         payload["oracle_dimension"] = len(oracle)
         payload["oracle_basis"] = [fileio.quotient_class_to_json(alg, cls)
                                    for cls in oracle]
-        z_class = inv.quotient_class
-        vecs = [[cls.get(mask, 0) for mask in range(1 << alg.n_odd)]
-                for cls in oracle]
-        zvec = [z_class.get(mask, 0) for mask in range(1 << alg.n_odd)]
-        payload["oracle_agrees"] = linalg.same_span(vecs, [zvec])
+        payload["oracle_agrees"] = linalg.same_span(oracle, [inv.quotient_class])
     _emit(payload)
     return EXIT_OK
 
@@ -217,8 +213,8 @@ def cmd_integrate(args) -> int:
         "algebra": alg.name,
         "module": module.name,
         "semisimple": ss_json,
-        "projector": fileio.matrix_to_json(projector),
-        "integral_matrix": fileio.matrix_to_json(integral.entries),
+        "projector": fileio.matrix_to_json(projector, module.dim),
+        "integral_matrix": fileio.matrix_to_json(integral.entries, module.dim),
         "left_invariant": True,  # verified inside integral_matrix
         "right_invariant": check_right_integral(alg, module, integral),
         "parity": "odd" if integral.parity else "even",

@@ -393,20 +393,17 @@ def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> d
 def map_element(u: UEElement, dst: LieSuperalgebra, full_map) -> UEElement:
     """Push ``u`` through the algebra isomorphism sending source basis
     element i to sum_a full_map[a][i] * (destination basis element a).
-    The matrix must be parity-preserving and invertible."""
+    The matrix, rows of nonzeros as ``change_basis`` returns it, must be
+    parity-preserving and invertible."""
     src = u.alg
     if src.dim != dst.dim or src.n_even != dst.n_even:
         raise ValueError("basis map must preserve the parity split")
-    images = []
-    for i in range(src.dim):
-        img = UEElement.zero(dst)
-        for a in range(dst.dim):
-            c = full_map[a][i]
-            if c:
-                if dst.parity(a) != src.parity(i):
-                    raise ValueError("basis map is not parity-preserving")
-                img = img + UEElement.generator(dst, a) * c
-        images.append(img)
+    images = [UEElement.zero(dst) for _ in range(src.dim)]
+    for a, row in full_map.items():
+        for i, c in row.items():
+            if dst.parity(a) != src.parity(i):
+                raise ValueError("basis map is not parity-preserving")
+            images[i] = images[i] + UEElement.generator(dst, a) * c
     out = UEElement.zero(dst)
     for mono, c in u.terms.items():
         acc = UEElement.scalar(dst, c)

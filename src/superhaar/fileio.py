@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
+from . import linalg
 from .algebra import InputError, LieSuperalgebra
 from .enveloping import UEElement
 from .modules import GradedModule
@@ -146,10 +147,8 @@ def module_to_json(module: GradedModule) -> dict:
     alg = module.alg
     action = {}
     for i in range(alg.dim):
-        mat = module.rho(i)
-        if any(any(row) for row in mat):
-            action[alg.basis_name(i)] = [[format_rational(c) for c in row]
-                                         for row in mat]
+        if module.rho(i):
+            action[alg.basis_name(i)] = matrix_to_json(module.rho(i), module.dim)
     return {
         "algebra": alg.name,
         "dim": module.dim,
@@ -178,8 +177,13 @@ def quotient_class_to_json(alg: LieSuperalgebra, cls: dict[int, Fraction]) -> li
     return out
 
 
-def matrix_to_json(mat) -> list[list[str]]:
-    return [[format_rational(c) for c in row] for row in mat]
+def matrix_to_json(mat: linalg.Matrix, dim: int) -> list[list[str]]:
+    """The dim x dim matrix ``mat`` as dense rows of rational strings."""
+    out = []
+    for r in range(dim):
+        row = mat.get(r, {})
+        out.append([format_rational(row[c]) if c in row else "0" for c in range(dim)])
+    return out
 
 
 # -- files -------------------------------------------------------------------

@@ -1,61 +1,84 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, rows are lists of ``Fraction``; everything is
-computed exactly (no tolerances).  The matrices met here (module actions,
-stacked even actions, quotient actions) are mostly zeros, so elimination
-works on rows of nonzeros, ``{column: value}`` dicts, and touches only the
-entries it changes; ``rref`` still takes and returns dense matrices.  The
-reduced row echelon form is unique, so which pivot rows are chosen does not
-change any result.
+There is one matrix type.  A vector is ``{index: Fraction}`` holding its
+nonzero entries only, and a matrix is ``{row: vector}`` with its zero rows
+left out, so an absent key always means zero.  Nothing here stores a zero,
+which makes ``==`` on two vectors or two matrices exact equality and a
+matrix's truth value the test for the zero matrix.  Shapes are not stored:
+callers pass a dimension wherever one is needed (``nullspace``, ``invert``,
+``minimal_polynomial``).  No function mutates its arguments.
+
+The functions that depend only on the row space (``rref``, ``rank``,
+``nullspace``, ``row_space_basis``, ``same_span``) take any iterable of
+row vectors, such as ``mat.values()`` or a list of basis vectors.
+Elimination touches only the entries it changes.  The reduced row echelon
+form is unique, so the order of the rows does not change any result.
+Everything is computed exactly (no tolerances).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
-Vector = list[Fraction]
-Matrix = list[list[Fraction]]
+Vector = dict[int, Fraction]
+Matrix = dict[int, Vector]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return {i: {i: ONE} for i in range(n)}
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            c = row[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        acc[j] += c * bt[j]
+    out = {}
+    for r, arow in a.items():
+        acc = {}
+        for t, x in arow.items():
+            for c, y in b.get(t, {}).items():
+                acc[c] = acc.get(c, ZERO) + x * y
+        acc = {c: x for c, x in acc.items() if x}
+        if acc:
+            out[r] = acc
     return out
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((c * x for c, x in zip(row, v) if c), ZERO) for row in a]
+    out = {}
+    for r, row in a.items():
+        s = sum((x * v[c] for c, x in row.items() if c in v), ZERO)
+        if s:
+            out[r] = s
+    return out
+
+
+def mat_comb(terms: Iterable[tuple[Fraction, Matrix]]) -> Matrix:
+    """The linear combination sum of f * mat over the (f, mat) pairs."""
+    acc: dict[int, dict[int, Fraction]] = {}
+    for f, mat in terms:
+        one, minus_one = f == 1, f == -1     # the common scales, without a product
+        for r, row in mat.items():
+            out = acc.setdefault(r, {})
+            for c, x in row.items():
+                if not one:
+                    x = -x if minus_one else f * x
+                out[c] = out[c] + x if c in out else x
+    return {r: nz for r, row in acc.items()
+            if (nz := {c: x for c, x in row.items() if x})}
 
 
 def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
+    out: Matrix = {}
+    for r, row in a.items():
+        for c, x in row.items():
+            out.setdefault(c, {})[r] = x
+    return out
 
 
-def _subtract_multiple(v: dict[int, Fraction], f: Fraction,
-                       w: dict[int, Fraction]) -> None:
-    """v -= f w on rows of nonzeros, dropping the entries that cancel."""
+def _subtract_multiple(v: Vector, f: Fraction, w: Vector) -> None:
+    """v -= f w, dropping the entries that cancel."""
     for c, y in w.items():
         x = v.get(c, ZERO) - f * y
         if x:
@@ -64,19 +87,18 @@ def _subtract_multiple(v: dict[int, Fraction], f: Fraction,
             del v[c]
 
 
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def rref(rows: Iterable[Vector]) -> tuple[list[Vector], list[int]]:
+    """The nonzero rows of the reduced row echelon form, in pivot order,
+    and the list of pivot columns.
 
-    Gauss-Jordan on rows of nonzeros: each input row is reduced against the
-    pivot rows found so far (which are zero at every other pivot column),
-    and a row that stays nonzero becomes a pivot row at its leading column
-    and is eliminated from the earlier pivot rows.
+    Gauss-Jordan: each input row is copied and reduced against the pivot
+    rows found so far (which are zero at every other pivot column), and a
+    row that stays nonzero becomes a pivot row at its leading column and is
+    eliminated from the earlier pivot rows.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    pivot_rows: dict[int, dict[int, Fraction]] = {}   # pivot column -> row
-    for row in mat:
-        v = {c: x for c, x in enumerate(row) if x}
+    pivot_rows: dict[int, Vector] = {}   # pivot column -> row
+    for row in rows:
+        v = dict(row)
         for p in [c for c in v if c in pivot_rows]:
             _subtract_multiple(v, v[p], pivot_rows[p])
         if not v:
@@ -89,81 +111,67 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
                 _subtract_multiple(w, w[lead], v)
         pivot_rows[lead] = v
     pivots = sorted(pivot_rows)
-    red = []
-    for p in pivots:
-        dense = [ZERO] * cols
-        for c, x in pivot_rows[p].items():
-            dense[c] = x
-        red.append(dense)
-    red.extend([ZERO] * cols for _ in range(rows - len(pivots)))
-    return red, pivots
+    return [pivot_rows[p] for p in pivots], pivots
 
 
-def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1]) if mat else 0
+def rank(rows: Iterable[Vector]) -> int:
+    return len(rref(rows)[1])
 
 
-def nullspace(mat: Matrix) -> list[Vector]:
-    """Canonical basis of the right kernel (free variables set to 1)."""
-    if not mat:
-        return []
-    cols = len(mat[0])
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
+def nullspace(rows: Iterable[Vector], cols: int) -> list[Vector]:
+    """Canonical basis of the right kernel of a matrix with ``cols``
+    columns (free variables set to 1), in order of the free column."""
+    red, pivots = rref(rows)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [ZERO] * cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = {f: ONE}
+        for p, row in zip(pivots, red):
+            if f in row:
+                v[p] = -row[f]
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
-def row_space_basis(rows: list[Vector]) -> list[Vector]:
-    nonzero = [r for r in rows if any(r)]
-    if not nonzero:
-        return []
-    red, pivots = rref(nonzero)
-    return [red[i] for i in range(len(pivots))]
+def row_space_basis(rows: Iterable[Vector]) -> list[Vector]:
+    return rref(rows)[0]
 
 
-def invert(mat: Matrix) -> Matrix:
-    n = len(mat)
-    aug = [list(row) + e for row, e in zip(mat, identity(n))]
+def invert(mat: Matrix, n: int) -> Matrix:
+    """Inverse of the n x n matrix ``mat``; ``ValueError`` when singular."""
+    aug = [{**mat.get(r, {}), n + r: ONE} for r in range(n)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return {r: {c - n: x for c, x in row.items() if c >= n}
+            for r, row in enumerate(red[:n])}
 
 
 def same_span(a: list[Vector], b: list[Vector]) -> bool:
     """Do the two vector lists span the same subspace?"""
-    if not a and not b:
-        return True
-    if bool(a) != bool(b):
-        return not any(any(v) for v in a + b)
     ra, rb = rank(a), rank(b)
     return ra == rb == rank(a + b)
 
 
 def trace(mat: Matrix) -> Fraction:
-    return sum((mat[i][i] for i in range(len(mat))), ZERO)
+    return sum((row[r] for r, row in mat.items() if r in row), ZERO)
 
 
 # -- polynomials (coefficient lists, ascending powers) ----------------------
 
-def poly_normalize(p: Vector) -> Vector:
+def poly_normalize(p: list[Fraction]) -> list[Fraction]:
     while p and not p[-1]:
         p = p[:-1]
     return p
 
 
-def poly_derivative(p: Vector) -> Vector:
+def poly_derivative(p: list[Fraction]) -> list[Fraction]:
     return [c * i for i, c in enumerate(p)][1:]
 
 
-def poly_mod(a: Vector, b: Vector) -> Vector:
+def poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = poly_normalize(a[:]), poly_normalize(b)
     while len(a) >= len(b) > 0:
         f = a[-1] / b[-1]
@@ -174,7 +182,7 @@ def poly_mod(a: Vector, b: Vector) -> Vector:
     return a
 
 
-def poly_gcd(a: Vector, b: Vector) -> Vector:
+def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = poly_normalize(a), poly_normalize(b)
     while b:
         a, b = b, poly_mod(a, b)
@@ -184,30 +192,29 @@ def poly_gcd(a: Vector, b: Vector) -> Vector:
     return a
 
 
-def is_squarefree(p: Vector) -> bool:
+def is_squarefree(p: list[Fraction]) -> bool:
     p = poly_normalize(p)
     if len(p) <= 1:
         return True
     return len(poly_gcd(p, poly_derivative(p))) == 1
 
 
-def minimal_polynomial(mat: Matrix) -> Vector:
-    """Monic minimal polynomial of a square rational matrix.
+def minimal_polynomial(mat: Matrix, n: int) -> list[Fraction]:
+    """Monic minimal polynomial of the n x n rational matrix ``mat``, as
+    coefficients in ascending powers.
 
     Found as the first linear dependence among the flattened powers
     I, M, M^2, ...: each power is reduced once against the earlier ones
-    (kept as rows of nonzeros with a unit pivot, zero at every earlier
-    pivot), while its coefficients over the powers are tracked.  The first
-    power that reduces to zero gives the polynomial; its degree is at most
-    the matrix dimension.
+    (kept with a unit pivot, zero at every earlier pivot), while its
+    coefficients over the powers are tracked.  The first power that
+    reduces to zero gives the polynomial; its degree is at most n.
     """
-    n = len(mat)
     if n == 0:
         return [ONE]
-    reduced: list[tuple[int, dict[int, Fraction], Vector]] = []
+    reduced: list[tuple[int, Vector, list[Fraction]]] = []
     power = identity(n)
     for k in range(n + 1):
-        v = {r * n + c: x for r, row in enumerate(power) for c, x in enumerate(row) if x}
+        v = {r * n + c: x for r, row in power.items() for c, x in row.items()}
         combo = [ZERO] * k + [ONE]       # v = sum of combo[j] M^j
         for p, w, wc in reduced:
             f = v.get(p)

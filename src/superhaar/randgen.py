@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .algebra import LieSuperalgebra, change_basis
+from .algebra import LieSuperalgebra, change_basis, nonzero_rows
 from .enveloping import UEElement
 
 
@@ -58,14 +58,12 @@ def random_homogeneous_element(alg: LieSuperalgebra, rng: random.Random,
 
 
 def random_invertible_matrix(rng: random.Random, n: int,
-                             attempts: int = 50) -> linalg.Matrix:
+                             attempts: int = 50) -> list[list[Fraction]]:
+    """A dense n x n invertible matrix of small random rationals."""
     for _ in range(attempts):
         mat = [[random_scalar(rng, span=2) for _ in range(n)] for _ in range(n)]
-        try:
-            linalg.invert(mat)
-        except ValueError:
-            continue
-        return mat
+        if linalg.rank(nonzero_rows(mat, n).values()) == n:
+            return mat
     raise RuntimeError("could not draw an invertible matrix")
 
 

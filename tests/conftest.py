@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -53,6 +54,19 @@ def gl_supermatrix_units(p, q):
     names = [f"E{i + 1}{j + 1}" for i, j in even + odd]
     return LieSuperalgebra(f"gl({p}|{q})", names[:len(even)], names[len(even):],
                            brackets)
+
+
+def rows_of(dense):
+    """A dense list-of-lists matrix as ``linalg.Matrix`` rows of nonzeros."""
+    return {r: nz for r, row in enumerate(dense)
+            if (nz := {c: Fraction(x) for c, x in enumerate(row) if x})}
+
+
+def dense_of(mat, rows, cols=None):
+    """A ``linalg.Matrix`` as a dense list of ``rows`` rows of ``cols``."""
+    cols = rows if cols is None else cols
+    return [[mat.get(r, {}).get(c, Fraction(0)) for c in range(cols)]
+            for r in range(rows)]
 
 
 def alpha_inv(u):

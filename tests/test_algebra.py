@@ -10,7 +10,7 @@ from superhaar import (InputError, LieSuperalgebra, ad_prime_trace,
 from superhaar.algebra import ValidationReport
 from superhaar.randgen import random_odd_basis_change, random_scalar
 
-from conftest import ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units
+from conftest import ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units, rows_of
 
 F = Fraction
 
@@ -87,14 +87,14 @@ def test_lambda_is_linear_on_random_even_combinations(rng):
         for _ in range(10):
             coeffs = [random_scalar(rng) for _ in range(n0)]
             # trace of the combined action on the odd part, from scratch
-            mat = linalg.zeros(m, m)
+            mat = [[F(0)] * m for _ in range(m)]
             for i, ci in enumerate(coeffs):
                 if not ci:
                     continue
                 for j in range(n0, alg.dim):
                     for k, c in alg.bracket(i, j):
                         mat[k - n0][j - n0] += ci * c
-            assert linalg.trace(mat) == sum(
+            assert linalg.trace(rows_of(mat)) == sum(
                 (ci * lam[i] for i, ci in enumerate(coeffs)), F(0))
 
 

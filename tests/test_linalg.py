@@ -1,65 +1,72 @@
+import copy
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhaar import linalg
+from superhaar import (NotSemisimpleError, integral_matrix, invariant_projector,
+                       invariant_z, linalg, module_action)
+from superhaar.randgen import random_element
+
+from conftest import (MODULE_FILES, UNIMODULAR, dense_of, fixture_algebra,
+                      fixture_module, rows_of)
 
 F = Fraction
-
-
-def m(rows):
-    return [[F(x) for x in row] for row in rows]
+m = rows_of
 
 
 def test_rref_and_rank():
-    red, pivots = linalg.rref(m([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
+    red, pivots = linalg.rref(m([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).values())
     assert pivots == [0, 1]
-    assert red[0] == [F(1), F(0), F(1)]
-    assert red[1] == [F(0), F(1), F(1)]
-    assert linalg.rank(m([[1, 2], [2, 4]])) == 1
-    assert linalg.rank(m([[1, 0], [0, 1]])) == 2
+    assert red == [{0: F(1), 2: F(1)}, {1: F(1), 2: F(1)}]
+    assert linalg.rank(m([[1, 2], [2, 4]]).values()) == 1
+    assert linalg.rank(m([[1, 0], [0, 1]]).values()) == 2
 
 
 def test_nullspace_vectors_annihilate():
     mat = m([[1, 2, 3], [0, 1, 1]])
-    for v in linalg.nullspace(mat):
-        assert all(x == 0 for x in linalg.mat_vec(mat, v))
-    assert len(linalg.nullspace(mat)) == 1
+    for v in linalg.nullspace(mat.values(), 3):
+        assert linalg.mat_vec(mat, v) == {}
+    assert len(linalg.nullspace(mat.values(), 3)) == 1
+    assert linalg.nullspace([], 2) == [{0: F(1)}, {1: F(1)}]
 
 
 def test_invert_round_trip():
     mat = m([[2, 1], [1, 1]])
-    inv = linalg.invert(mat)
+    inv = linalg.invert(mat, 2)
     assert linalg.mat_mul(mat, inv) == linalg.identity(2)
     with pytest.raises(ValueError):
-        linalg.invert(m([[1, 2], [2, 4]]))
+        linalg.invert(m([[1, 2], [2, 4]]), 2)
+    with pytest.raises(ValueError):     # a zero row is left out, not lost
+        linalg.invert(m([[1, 0], [0, 0]]), 2)
 
 
 def test_row_space():
-    rows = linalg.row_space_basis(m([[1, 1], [2, 2], [0, 0]]))
-    assert rows == [[F(1), F(1)]]
+    rows = linalg.row_space_basis(m([[1, 1], [2, 2], [0, 0]]).values())
+    assert rows == [{0: F(1), 1: F(1)}]
 
 
 def test_same_span():
-    a = [m([[1, 0]])[0], m([[0, 1]])[0]]
-    b = [m([[1, 1]])[0], m([[1, -1]])[0]]
+    a = [{0: F(1)}, {1: F(1)}]
+    b = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}]
     assert linalg.same_span(a, b)
-    assert not linalg.same_span(a, [m([[1, 1]])[0]])
+    assert not linalg.same_span(a, [{0: F(1), 1: F(1)}])
     assert linalg.same_span([], [])
+    assert not linalg.same_span([], [{0: F(1)}])
 
 
 def test_minimal_polynomial():
     # diagonalizable: minpoly of diag(1, 1, 2) is (t-1)(t-2)
-    p = linalg.minimal_polynomial(m([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    p = linalg.minimal_polynomial(m([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), 3)
     assert p == [F(2), F(-3), F(1)]
     assert linalg.is_squarefree(p)
     # Jordan block: minpoly t^2, not squarefree
-    q = linalg.minimal_polynomial(m([[0, 1], [0, 0]]))
+    q = linalg.minimal_polynomial(m([[0, 1], [0, 0]]), 2)
     assert q == [F(0), F(0), F(1)]
     assert not linalg.is_squarefree(q)
-    assert linalg.minimal_polynomial([]) == [F(1)]
+    assert linalg.minimal_polynomial({}, 0) == [F(1)]
 
 
 def test_poly_gcd():
@@ -119,9 +126,10 @@ def stacked_minimal_polynomial(mat):
     n = len(mat)
     if n == 0:
         return [F(1)]
-    powers = [linalg.identity(n)]
+    powers = [[[F(int(r == c)) for c in range(n)] for r in range(n)]]
     for k in range(1, n + 2):
-        powers.append(linalg.mat_mul(powers[-1], mat))
+        powers.append([[sum((x * mat[t][c] for t, x in enumerate(row)), F(0))
+                        for c in range(n)] for row in powers[-1]])
         stacked = [[powers[j][r][c] for j in range(k + 1)]
                    for r in range(n) for c in range(n)]
         for v in dense_nullspace(stacked):
@@ -154,38 +162,122 @@ def sparse_matrices(draw, square=False):
     return mat
 
 
+def cols_of(mat):
+    return len(mat[0]) if mat else 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_rref_matches_dense_reference(mat):
-    red, pivots = linalg.rref(mat)
-    assert (red, pivots) == dense_rref(mat)
-    assert all(isinstance(x, F) for row in red for x in row)
-    assert linalg.rank(mat) == len(pivots)
-    for v in linalg.nullspace(mat):
-        assert not any(linalg.mat_vec(mat, v))
-    if mat:
-        assert len(linalg.nullspace(mat)) + len(pivots) == len(mat[0])
+    rows, cols = m(mat), cols_of(mat)
+    red, pivots = linalg.rref(rows.values())
+    ref, ref_pivots = dense_rref(mat)
+    assert pivots == ref_pivots
+    assert dense_of(dict(enumerate(red)), len(mat), cols) == ref
+    assert all(isinstance(x, F) for row in red for x in row.values())
+    assert linalg.rank(rows.values()) == len(pivots)
+    kernel = linalg.nullspace(rows.values(), cols)
+    assert [dense_of({0: v}, 1, cols)[0] for v in kernel] == \
+        (dense_nullspace(mat) if mat else [])
+    for v in kernel:
+        assert linalg.mat_vec(rows, v) == {}
+    assert len(kernel) + len(pivots) == cols
 
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(square=True))
 def test_minimal_polynomial_matches_stacked_reference(mat):
-    p = linalg.minimal_polynomial(mat)
+    n = len(mat)
+    p = linalg.minimal_polynomial(m(mat), n)
     assert p == stacked_minimal_polynomial(mat)
     assert p[-1] == 1
-    n = len(mat)
-    value = linalg.zeros(n, n)
-    power = linalg.identity(n)
-    for c in p:
-        for r in range(n):
-            for s in range(n):
-                value[r][s] += c * power[r][s]
-        power = linalg.mat_mul(power, mat)
-    assert value == linalg.zeros(n, n)
+    powers = [linalg.identity(n)]
+    for _ in p[1:]:
+        powers.append(linalg.mat_mul(powers[-1], m(mat)))
+    assert linalg.mat_comb(zip(p, powers)) == {}
 
 
 def test_minimal_polynomial_of_repeated_eigenvalues():
     # diag(2, 2, 3, 3) + E_01: minimal polynomial (t-2)^2 (t-3)
     mat = m([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])
-    assert linalg.minimal_polynomial(mat) == [F(-12), F(16), F(-7), F(1)]
-    assert linalg.minimal_polynomial(linalg.zeros(3, 3)) == [F(0), F(1)]
+    assert linalg.minimal_polynomial(mat, 4) == [F(-12), F(16), F(-7), F(1)]
+    assert linalg.minimal_polynomial({}, 3) == [F(0), F(1)]
+
+
+# -- the contract of the matrix type ---------------------------------------------
+
+def assert_nonzero_only(value):
+    """``value``, a vector, a matrix or a list of (nonzero) vectors, holds
+    no zero entry and no empty row."""
+    if isinstance(value, list):
+        for v in value:
+            assert v, "empty vector in a list"
+            assert_nonzero_only(v)
+        return
+    for x in value.values():
+        if isinstance(x, dict):
+            assert x, "empty matrix row"
+            assert_nonzero_only(x)
+        else:
+            assert isinstance(x, F) and x, f"stored entry {x!r}"
+
+
+def unchanged(fn, *args):
+    """fn(*args), asserting that the call leaves its vector and matrix
+    arguments as they were."""
+    mats = [x for x in args if isinstance(x, (dict, list))]
+    before = copy.deepcopy(mats)
+    out = fn(*args)
+    assert mats == before, f"{fn.__name__} changed its arguments"
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), sparse_matrices(square=True))
+def test_linalg_returns_nonzeros_only_and_keeps_its_arguments(mat, square):
+    a, cols = m(mat), cols_of(mat)
+    b = m(mat[:cols])
+    assert_nonzero_only(unchanged(linalg.mat_mul, a, b))
+    assert_nonzero_only(unchanged(linalg.mat_mul, a, linalg.transpose(a)))
+    assert_nonzero_only(unchanged(linalg.transpose, a))
+    rows = list(a.values())
+    red, _ = unchanged(linalg.rref, rows)
+    assert_nonzero_only(red)
+    assert_nonzero_only(unchanged(linalg.nullspace, rows, cols))
+    assert_nonzero_only(unchanged(linalg.row_space_basis, rows))
+    n = len(square)
+    try:
+        inv = unchanged(linalg.invert, m(square), n)
+    except ValueError:
+        assert linalg.rank(m(square).values()) < n
+    else:
+        assert_nonzero_only(inv)
+        assert linalg.mat_mul(m(square), inv) == linalg.identity(n)
+    unchanged(linalg.minimal_polynomial, m(square), n)
+
+
+FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIXTURE_MODULES), st.integers(0, 2 ** 32))
+def test_module_layer_returns_nonzeros_only_and_keeps_its_arguments(case, seed):
+    # the projector identities compare dicts, as mat_mul(P, P) != P does
+    # inside invariant_projector: exact only while both hold
+    key, filename = case
+    alg, module = fixture_algebra(key), fixture_module(key, filename)
+    stored = copy.deepcopy(module._rho)
+    u = random_element(alg, random.Random(seed), max_degree=2, terms=3)
+    assert_nonzero_only(module_action(module, u))
+    for i in range(alg.dim):    # rref copies the stored rows it is passed
+        unchanged(linalg.rref, list(module.rho(i).values()))
+    try:
+        proj = invariant_projector(alg, module)
+    except NotSemisimpleError:
+        proj = None
+    if proj is not None:
+        assert_nonzero_only(proj)
+        if key in UNIMODULAR:
+            integral = unchanged(integral_matrix, alg, module, invariant_z(alg), proj)
+            assert_nonzero_only(integral.entries)
+    assert module._rho == stored

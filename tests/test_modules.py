@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhaar import (GradedModule, InputError, NotSemisimpleError,
-                       UEElement, brute_force_quotient_invariants,
+from superhaar import (GradedModule, InputError, InternalInvariantError,
+                       NotSemisimpleError, UEElement,
+                       brute_force_quotient_invariants,
                        check_right_integral, check_semisimple_over_even,
                        counit, integral_matrix, invariant_projector,
-                       invariant_z, linalg, module_action, multiply,
-                       quotient_module, validate_module)
+                       invariant_z, linalg, module_action, modules,
+                       multiply, quotient_module, validate_module)
 from superhaar.algebra import ValidationReport
 from superhaar.fileio import builtin_fixture
 from superhaar.randgen import random_element
 
-from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR,
-                      fixture_algebra, fixture_module)
+from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, dense_of,
+                      fixture_algebra, fixture_module, rows_of)
 
 F = Fraction
 
@@ -66,13 +67,18 @@ def test_module_bracket_violation_is_witnessed(gl11):
                for v in report.violations)
 
 
+def dense_mul(a, b):
+    return [[sum((x * b[t][c] for t, x in enumerate(row)), F(0))
+             for c in range(len(b[0]))] for row in a]
+
+
 def dense_validate_module(alg, module):
     """Dense d x d products on every basis pair: the reference for
     ``validate_module``."""
     report = ValidationReport()
     d = module.dim
     for i in range(alg.dim):
-        m = module.rho(i)
+        m = dense_of(module.rho(i), d)
         pi = alg.parity(i)
         for r in range(d):
             for c in range(d):
@@ -81,15 +87,15 @@ def dense_validate_module(alg, module):
                                f"rho({alg.basis_name(i)})[{r}][{c}] = {m[r][c]} "
                                f"violates the parity pattern")
     for i in range(alg.dim):
-        mi = [list(row) for row in module.rho(i)]
+        mi = dense_of(module.rho(i), d)
         for j in range(alg.dim):
-            mj = [list(row) for row in module.rho(j)]
+            mj = dense_of(module.rho(j), d)
             sign = -1 if alg.parity(i) and alg.parity(j) else 1
-            rhs = linalg.mat_mul(mi, mj)
-            back = linalg.mat_mul(mj, mi)
-            lhs = linalg.zeros(d, d)
+            rhs = dense_mul(mi, mj) if d else []
+            back = dense_mul(mj, mi) if d else []
+            lhs = [[F(0)] * d for _ in range(d)]
             for k, c in alg.bracket(i, j):
-                mk = module.rho(k)
+                mk = dense_of(module.rho(k), d)
                 for r in range(d):
                     for s in range(d):
                         lhs[r][s] += c * mk[r][s]
@@ -119,7 +125,7 @@ def test_validate_module_matches_dense_reference_on_one_changed_entry(case, data
     alg = fixture_algebra(key)
     module = fixture_module(key, filename)
     d = module.dim
-    action = {i: [list(row) for row in module.rho(i)] for i in range(alg.dim)}
+    action = {i: dense_of(module.rho(i), d) for i in range(alg.dim)}
     i = data.draw(st.integers(0, alg.dim - 1))
     r, c = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
     action[i][r][c] = data.draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(3)]))
@@ -128,11 +134,16 @@ def test_validate_module_matches_dense_reference_on_one_changed_entry(case, data
         dense_validate_module(alg, changed).violations
 
 
-def test_dense_view_of_stored_actions(osp12):
+def test_stored_rows_of_actions(osp12):
     module = fixture_module("osp12", "osp12_defining_module.json")
-    assert module.rho(3) == ((0, 0, 1), (-1, 0, 0), (0, 0, 0))
-    assert all(isinstance(x, F) for row in module.rho(3) for x in row)
-    assert trivial_module(osp12).rho(0) == ((0,),)
+    assert module.rho(3) == {0: {2: 1}, 1: {0: -1}}
+    assert all(isinstance(x, F) for row in module.rho(3).values() for x in row.values())
+    assert trivial_module(osp12).rho(0) == {}
+    # rows of nonzeros are accepted too, checked the same way, and stored
+    # in increasing order without their zeros
+    rows = GradedModule(osp12, [0, 1, 1], {3: {1: {0: -1}, 0: {2: 1, 1: 0}}})
+    assert rows.rho(3) == module.rho(3)
+    assert list(rows.rho(3)) == [0, 1]
 
 
 def test_module_shape_errors(gl11):
@@ -144,6 +155,12 @@ def test_module_shape_errors(gl11):
         GradedModule(gl11, [0, 1], {0: [[1, 0], [0.0, 0]]})
     with pytest.raises(InputError):
         GradedModule(gl11, [0, 1], {0: [[1, 0], [0, 0, 0]]})
+    with pytest.raises(InputError):
+        GradedModule(gl11, [0, 1], {0: {2: {0: 1}}})
+    with pytest.raises(InputError):
+        GradedModule(gl11, [0, 1], {0: {0: {-1: 1}}})
+    with pytest.raises(InputError):
+        GradedModule(gl11, [0, 1], {0: {0: {0: 0.5}}})
 
 
 # -- action of enveloping elements -------------------------------------------
@@ -179,19 +196,17 @@ def test_semisimplicity_examples(g2, gl11):
 
 
 def test_invariant_projector_examples(g2, gl11, osp12):
-    assert invariant_projector(gl11, trivial_module(gl11)) == [[F(1)]]
+    assert invariant_projector(gl11, trivial_module(gl11)) == {0: {0: F(1)}}
 
     ext = fixture_module("g2", "exterior_module.json")
     assert invariant_projector(g2, ext) == linalg.identity(4)
 
     defining = fixture_module("gl11", "defining_module.json")
-    assert invariant_projector(gl11, defining) == linalg.zeros(2, 2)
+    assert invariant_projector(gl11, defining) == {}
 
     osp_def = fixture_module("osp12", "osp12_defining_module.json")
     p0 = invariant_projector(osp12, osp_def)
-    want = linalg.zeros(3, 3)
-    want[0][0] = F(1)
-    assert p0 == want
+    assert p0 == {0: {0: F(1)}}
 
     with pytest.raises(NotSemisimpleError):
         invariant_projector(gl11, fixture_module("gl11", "jordan_module.json"))
@@ -204,29 +219,29 @@ def test_integral_on_exterior_module_is_berezin(g2):
     inv = invariant_z(g2)
     m = integral_matrix(g2, ext, inv)
     top = module_action(ext, inv.z)
-    assert [list(r) for r in m.entries] == top
+    assert m.entries == top
     # the column over the basis vector 1 is exactly top-coefficient extraction
-    col = [m.entries[i][0] for i in range(4)]
+    col = [row[0] for row in dense_of(m.entries, 4)]
     assert col == [F(0), F(0), F(0), F(1)]
     assert m.parity == 0
 
 
 def test_integral_on_trivial_module_is_counit_of_z(gl11, osp12):
     m = integral_matrix(gl11, trivial_module(gl11), invariant_z(gl11))
-    assert m.entries == ((counit(invariant_z(gl11).z),),) == ((F(0),),)
+    assert dense_of(m.entries, 1) == [[counit(invariant_z(gl11).z)]] == [[F(0)]]
     m = integral_matrix(osp12, trivial_module(osp12), invariant_z(osp12))
-    assert m.entries == ((F(1),),)
+    assert m.entries == {0: {0: F(1)}}
 
 
 def test_integral_vanishes_without_module_invariants(gl11, osp12):
     defining = fixture_module("gl11", "defining_module.json")
     m = integral_matrix(gl11, defining, invariant_z(gl11))
-    assert all(not c for row in m.entries for c in row)
+    assert m.entries == {}
     assert check_right_integral(gl11, defining, m)
 
     osp_def = fixture_module("osp12", "osp12_defining_module.json")
     m = integral_matrix(osp12, osp_def, invariant_z(osp12))
-    assert all(not c for row in m.entries for c in row)
+    assert m.entries == {}
 
 
 def test_integral_on_osp12_tensor_square(osp12):
@@ -235,14 +250,14 @@ def test_integral_on_osp12_tensor_square(osp12):
     # the symplectic pair and the invariant pairs with weight -1, 1, -1.
     tensor = fixture_module("osp12", "osp12_tensor_module.json")
     m = integral_matrix(osp12, tensor, invariant_z(osp12))
-    expected = linalg.zeros(9, 9)
+    expected = [[F(0)] * 9 for _ in range(9)]
     for col, scale in ((0, F(1)), (5, F(1)), (7, F(-1))):
         expected[0][col] = -scale
         expected[5][col] = scale
         expected[7][col] = -scale
-    assert [list(r) for r in m.entries] == expected
+    assert m.entries == rows_of(expected)
     assert check_right_integral(osp12, tensor, m)
-    assert linalg.rank([list(r) for r in m.entries]) == 1
+    assert linalg.rank(m.entries.values()) == 1
 
 
 def test_right_integral_checks(g2):
@@ -261,11 +276,10 @@ def test_integral_parity_support():
             if not report.ok:
                 continue
             m = integral_matrix(alg, module, inv)
-            for i in range(module.dim):
-                for j in range(module.dim):
-                    if m.entries[i][j]:
-                        assert (module.parities[i] + module.parities[j]) % 2 \
-                            == m.parity
+            for i, row in m.entries.items():
+                for j in row:
+                    assert (module.parities[i] + module.parities[j]) % 2 \
+                        == m.parity
 
 
 def test_projector_identities():
@@ -277,14 +291,69 @@ def test_projector_identities():
             if not report.ok:
                 continue
             p0 = invariant_projector(alg, module, report)
-            assert linalg.mat_mul(p0, p0) == p0
+            dense_p0 = dense_of(p0, module.dim)
+            assert dense_mul(dense_p0, dense_p0) == dense_p0
             for i in range(alg.n_even):
-                rho = [list(r) for r in module.rho(i)]
-                assert not any(any(row) for row in linalg.mat_mul(rho, p0))
-                assert not any(any(row) for row in linalg.mat_mul(p0, rho))
+                rho = dense_of(module.rho(i), module.dim)
+                assert not any(any(row) for row in dense_mul(rho, dense_p0))
+                assert not any(any(row) for row in dense_mul(dense_p0, rho))
             # identity on the invariants
             for v in report.invariants_basis:
                 assert linalg.mat_vec(p0, v) == v
+
+
+# -- the checks catch faults in the code they guard ----------------------------
+
+SEMISIMPLE_UNIMODULAR = [(k, f) for k in UNIMODULAR for f in MODULE_FILES[k]
+                         if check_semisimple_over_even(
+                             fixture_algebra(k), fixture_module(k, f)).ok]
+
+
+def plus_one_at(fn, r, c):
+    """fn with its matrix result changed by one at entry (r, c)."""
+    def changed(*args):
+        return linalg.mat_comb([(F(1), fn(*args)), (F(1), {r: {c: F(1)}})])
+    return changed
+
+
+@pytest.mark.parametrize("case", SEMISIMPLE_UNIMODULAR)
+def test_projector_checks_catch_a_changed_inverse(case, monkeypatch):
+    # P is C cut to its invariant columns times C^-1, so it reads only the
+    # first k rows of the inverse; a change there moves P off a projector
+    # that the even actions kill
+    key, filename = case
+    alg, module = fixture_algebra(key), fixture_module(key, filename)
+    report = check_semisimple_over_even(alg, module)
+    proj = invariant_projector(alg, module, report)
+    invert = linalg.invert
+    for r in range(module.dim):
+        for c in range(module.dim):
+            monkeypatch.setattr(linalg, "invert", plus_one_at(invert, r, c))
+            if r < report.invariants_dim:
+                with pytest.raises(InternalInvariantError):
+                    invariant_projector(alg, module, report)
+            else:
+                assert invariant_projector(alg, module, report) == proj
+
+
+@pytest.mark.parametrize("case", SEMISIMPLE_UNIMODULAR)
+def test_left_invariance_check_catches_a_changed_action(case, monkeypatch):
+    # the change adds row c of P to row r of the integral matrix: that breaks
+    # left invariance unless the row is zero or e_r is killed by every action
+    key, filename = case
+    alg, module = fixture_algebra(key), fixture_module(key, filename)
+    inv = invariant_z(alg)
+    proj = invariant_projector(alg, module)
+    moved = {r for i in range(alg.dim) for row in module.rho(i).values() for r in row}
+    action = module_action
+    for r in range(module.dim):
+        for c in range(module.dim):
+            monkeypatch.setattr(modules, "module_action", plus_one_at(action, r, c))
+            if c in proj and r in moved:
+                with pytest.raises(InternalInvariantError):
+                    integral_matrix(alg, module, inv, proj)
+            else:
+                integral_matrix(alg, module, inv, proj)
 
 
 # -- brute-force oracle ---------------------------------------------------------

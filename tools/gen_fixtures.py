@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from superhaar import (GradedModule, LieSuperalgebra, quotient_module,
                        validate_module, validate_superalgebra)
 from superhaar.fileio import algebra_to_json, dumps_canonical, module_to_json
-from superhaar.linalg import mat_mul
+from superhaar.linalg import mat_comb, mat_mul
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "superhaar", "fixtures")
 
@@ -46,18 +46,16 @@ def check_module(alg, module) -> GradedModule:
 # -- supermatrix helpers for the osp example ---------------------------------
 
 def super_bracket(a, pa, b, pb):
-    ab, ba = mat_mul(a, b), mat_mul(b, a)
     sign = -1 if pa and pb else 1
-    return [[ab[i][j] - sign * ba[i][j] for j in range(len(a))]
-            for i in range(len(a))]
+    return mat_comb([(1, mat_mul(a, b)), (-sign, mat_mul(b, a))])
 
 
 def osp12() -> tuple[LieSuperalgebra, list, list[int]]:
     """Basis (H, E, F | u, v) acting on a (1|2)-dimensional space."""
-    F0 = Fraction(0)
 
     def m(rows):
-        return [[Fraction(x) for x in row] for row in rows]
+        return {r: nz for r, row in enumerate(rows)
+                if (nz := {c: Fraction(x) for c, x in enumerate(row) if x})}
 
     H = m([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
     E = m([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
@@ -70,20 +68,14 @@ def osp12() -> tuple[LieSuperalgebra, list, list[int]]:
     # expand each bracket over the basis: the five matrices have
     # disjoint-enough supports to read coefficients off single entries
     def coords(x):
-        c = {}
-        c[0] = x[1][1]
-        c[1] = x[1][2]
-        c[2] = x[2][1]
-        c[3] = -x[1][0]
-        c[4] = -x[0][1]
+        def at(i, j):
+            return x.get(i, {}).get(j, 0)
+        c = {k: ck for k, ck in ((0, at(1, 1)), (1, at(1, 2)), (2, at(2, 1)),
+                                 (3, -at(1, 0)), (4, -at(0, 1))) if ck}
         # consistency: reconstruct and compare
-        recon = [[F0] * 3 for _ in range(3)]
-        for k, ck in c.items():
-            for i in range(3):
-                for j in range(3):
-                    recon[i][j] += ck * mats[k][i][j]
+        recon = mat_comb((ck, mats[k]) for k, ck in c.items())
         assert recon == x, (x, c)
-        return {k: ck for k, ck in c.items() if ck}
+        return c
 
     brackets = {}
     for i in range(5):
@@ -102,21 +94,22 @@ def tensor_square(alg, module: GradedModule, name: str) -> GradedModule:
                 for a in range(d) for b in range(d)]
     action = {}
     for i in range(alg.dim):
-        rho = module.rho(i)
         pi = alg.parity(i)
-        big = [[Fraction(0)] * (d * d) for _ in range(d * d)]
-        for c1 in range(d):
-            for c2 in range(d):
-                col = c1 * d + c2
-                for r1 in range(d):
-                    if rho[r1][c1]:
-                        big[r1 * d + c2][col] += rho[r1][c1]
-                sign = -1 if pi and module.parities[c1] else 1
-                for r2 in range(d):
-                    if rho[r2][c2]:
-                        big[c1 * d + r2][col] += sign * rho[r2][c2]
-        if any(any(row) for row in big):
-            action[i] = big
+        big = {}
+
+        def add(row, col, x):
+            big.setdefault(row, {})
+            big[row][col] = big[row].get(col, 0) + x
+
+        for r, row in module.rho(i).items():
+            for c, x in row.items():
+                for t in range(d):
+                    # on the first factor, and on the second past the
+                    # parity of the first
+                    add(r * d + t, c * d + t, x)
+                    add(t * d + r, t * d + c,
+                        -x if pi and module.parities[t] else x)
+        action[i] = big
     return check_module(alg, GradedModule(alg, parities, action, name=name))
 
 
