@@ -48,13 +48,13 @@ def _index(i, dim: int) -> int:
     return i
 
 
-def _dense_rows(mat, dim: int):
+def check_square(mat, dim: int) -> None:
+    """Raise ``InputError`` unless ``mat`` has dim rows of dim entries each."""
     if len(mat) != dim:
         raise InputError(f"matrix has {len(mat)} rows, expected {dim}")
-    for r, row in enumerate(mat):
+    for row in mat:
         if len(row) != dim:
             raise InputError(f"matrix row has {len(row)} entries, expected {dim}")
-        yield r, enumerate(row)
 
 
 def nonzero_rows(mat, dim: int) -> linalg.Matrix:
@@ -70,7 +70,8 @@ def nonzero_rows(mat, dim: int) -> linalg.Matrix:
         rows = sorted((_index(r, dim), sorted((_index(c, dim), x) for c, x in row.items()))
                       for r, row in mat.items())
     else:
-        rows = _dense_rows(mat, dim)
+        check_square(mat, dim)
+        rows = enumerate(map(enumerate, mat))
     out = {}
     for r, row in rows:
         nz = {}

@@ -122,7 +122,7 @@ def cmd_invariant(args) -> int:
 
     # only the emitted matrix and the dual pair need the whole inverse;
     # otherwise invariant_z tests the trace condition before any pairing work
-    # and solves column zero alone
+    # and computes z from the scalar counits of the pairing entries
     fm = frobenius_matrix(alg) if args.emit_matrix or args.emit_dual_pair else None
     if args.emit_matrix:
         payload["odd_subset_order"] = [

@@ -15,17 +15,14 @@ from fractions import Fraction
 from importlib import resources
 
 from . import linalg
-from .algebra import InputError, LieSuperalgebra
+from .algebra import InputError, LieSuperalgebra, check_square
 from .enveloping import UEElement
 from .modules import GradedModule
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
-_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
-    if text == "0":     # most cells of a module action; Fractions are immutable
-        return _ZERO
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise InputError(f"not an exact rational: {text!r}")
     num, _, den = text.partition("/")
@@ -134,12 +131,27 @@ def module_from_json(obj, alg: LieSuperalgebra) -> GradedModule:
         raise InputError("action must map basis names to matrices")
     if not isinstance(name, str):
         raise InputError("module name must be a string")
-    rho = {}
+    # every cell of every action is parsed before any shape is checked, so a
+    # bad cell is reported ahead of a shape error; only nonzeros are kept
+    parsed = []
     for basis, rows in action.items():
         idx = alg.index_of(basis)
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InputError(f"action of {basis!r} must be a list of rows")
-        rho[idx] = [[parse_rational(c) for c in row] for row in rows]
+        nonzeros = {}
+        for r, row in enumerate(rows):
+            entries = {}
+            for c, text in enumerate(row):
+                # "0" is most cells of a tensor module: valid, and not kept
+                if text != "0" and (x := parse_rational(text)):
+                    entries[c] = x
+            if entries:
+                nonzeros[r] = entries
+        parsed.append((idx, rows, nonzeros))
+    rho = {}
+    for idx, rows, nonzeros in parsed:
+        check_square(rows, dim)
+        rho[idx] = nonzeros
     return GradedModule(alg, pvec, rho, name=name)
 
 

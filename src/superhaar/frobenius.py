@@ -11,13 +11,20 @@ canonical representative of the invariant line in the quotient by the left
 ideal generated by the even part -- the element that drives Berezin-style
 integration downstream.
 
-One substitution engine serves both uses.  ``frobenius_matrix`` solves
-every column and builds the whole 2^m x 2^m pairing matrix and inverse;
-``invariant_z`` without a matrix solves column zero only, and builds just
-the pairing entries that column reads plus the upper triangle it checks.
-Both check triangularity and the +-1 diagonal; the full inverse is checked
-by A * A^-1 = I and column zero by A * b0 = e0, each summed exactly over
-the band j <= k <= i that triangularity leaves.
+``frobenius_matrix`` builds the whole 2^m x 2^m pairing matrix A over the
+even subalgebra, solves every column of its inverse by forward
+substitution, and checks triangularity, the +-1 diagonal and A * A^-1 = I
+(summed exactly over the band j <= k <= i that triangularity leaves).
+``invariant_z`` without a matrix needs only the counit of column zero.  The
+counit is an algebra map on the even subalgebra, so that column solves the
+scalar matrix counit(A), and no even-subalgebra arithmetic is done.
+counit(A)[I][K] is the coefficient of the full odd monomial in the class of
+x^I * x^complement(K) in the right U(g)-module U(g)/g0*U(g), which has basis
+x^I; ``_counit_pairing`` reads it from the right actions of the odd
+generators on that quotient.  This is the Frobenius-extension structure of
+U(g) over U(g0) (Bell and Farnsteiner, Trans. AMS 335, 1993).  counit(A) is
+checked to be lower triangular with diagonal +-1, and the solved column to
+satisfy counit(A) * b = e0 over the rationals.
 
 The pairing never rewrites more of x y than pi reads.  No rewriting step
 raises the number of odd letters in a word when every bracket has parity
@@ -41,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .algebra import LieSuperalgebra, lambda_values
 from .enveloping import (PBWMonomial, UEElement, _top_product,
                          act_on_quotient, alpha, counit, multiply,
@@ -120,36 +128,29 @@ def _scalar_of(u: UEElement) -> Fraction | None:
 
 
 def _pairing(alg: LieSuperalgebra, order: tuple[int, ...]):
-    """Getter for the pairing entries A[i][k] = <x^{I_i}, x^{complement(I_k)}>,
-    each built on first use and kept as long as the getter, and the diagonal,
-    after checking that A is lower triangular with diagonal entries +-1."""
+    """The pairing entries A[i][k] = <x^{I_i}, x^{complement(I_k)}> and the
+    diagonal, after checking that A is lower triangular with diagonal
+    entries +-1."""
     top = (1 << alg.n_odd) - 1
     xs = [subset_monomial(alg, mask) for mask in order]
     comp = [subset_monomial(alg, top ^ mask) for mask in order]
-    built: dict[tuple[int, int], UEElement] = {}
-
-    def entry(i: int, k: int) -> UEElement:
-        e = built.get((i, k))
-        if e is None:
-            e = built[i, k] = form(xs[i], comp[k])
-        return e
-
+    entries = tuple(tuple(form(x, y) for y in comp) for x in xs)
     n = len(order)
     diagonal = []
     for i in range(n):
         for j in range(i + 1, n):
-            if not entry(i, j).is_zero:
+            if not entries[i][j].is_zero:
                 raise InternalInvariantError(
                     f"pairing matrix not lower triangular at ({i}, {j})")
-        d = _scalar_of(entry(i, i))
+        d = _scalar_of(entries[i][i])
         if d not in (1, -1):
             raise InternalInvariantError(
-                f"diagonal entry at {i} is {entry(i, i)!r}, expected +-1")
+                f"diagonal entry at {i} is {entries[i][i]!r}, expected +-1")
         diagonal.append(int(d))
-    return entry, tuple(diagonal)
+    return entries, tuple(diagonal)
 
 
-def _inverse_column(alg: LieSuperalgebra, entry, diagonal: tuple[int, ...],
+def _inverse_column(alg: LieSuperalgebra, entries, diagonal: tuple[int, ...],
                     j: int) -> list[UEElement]:
     """Column j of the right inverse of the pairing matrix by forward
     substitution; the +-1 diagonal makes the division exact and sidesteps
@@ -162,9 +163,9 @@ def _inverse_column(alg: LieSuperalgebra, entry, diagonal: tuple[int, ...],
     def row_sum(i: int, stop: int) -> UEElement:
         acc = zero
         for k in range(j, stop):
-            if col[k].is_zero or entry(i, k).is_zero:
+            if col[k].is_zero or entries[i][k].is_zero:
                 continue
-            acc = acc + multiply(entry(i, k), col[k])
+            acc = acc + multiply(entries[i][k], col[k])
         return acc
 
     for i in range(j, n):
@@ -176,14 +177,76 @@ def _inverse_column(alg: LieSuperalgebra, entry, diagonal: tuple[int, ...],
     return col
 
 
+def _counit_pairing(alg: LieSuperalgebra, order: tuple[int, ...]) -> linalg.Matrix:
+    """The scalar matrix counit(A)[i][k] = counit(<x^{I_i}, x^{complement(I_k)}>)
+    as rows of nonzeros, rows and columns indexed by position in ``order``.
+
+    U(g) is free as a left module over the even subalgebra on the x^I (PBW),
+    and u - counit(u) lies in g0*U(g) for u in the even subalgebra, so the
+    class of an even-first normal form in U(g)/g0*U(g) is its part with no
+    even letters.  Row I of the right action R_t of an odd generator is the
+    class of x^I * x_t.  For a subset M = {t_1 < ... < t_r} the column
+    c_M = R_{t_1} ... R_{t_r} e_top is R_{min M} c_{M - min M}, and
+    counit(A)[i][k] is entry I_i of c_{complement(I_k)}.
+    """
+    m, n0 = alg.n_odd, alg.n_even
+    top = (1 << m) - 1
+    # the transpose of each R_t: J -> {I: coefficient of x^J in x^I * x_t}
+    right = []
+    for t in range(m):
+        x_t = UEElement.generator(alg, n0 + t)
+        rt: linalg.Matrix = {}
+        for mask in range(top + 1):
+            for mono, c in multiply(subset_monomial(alg, mask), x_t).terms.items():
+                if not any(mono.even):
+                    rt.setdefault(mono.odd, {})[mask] = c
+        right.append(rt)
+    cols = [{top: linalg.ONE}]
+    for mask in range(1, top + 1):
+        low = mask & -mask
+        cols.append(linalg.vec_mat(cols[mask ^ low], right[low.bit_length() - 1]))
+    position = {mask: i for i, mask in enumerate(order)}
+    scalar: linalg.Matrix = {}
+    for k, mask in enumerate(order):
+        for i_mask, x in cols[top ^ mask].items():
+            scalar.setdefault(position[i_mask], {})[k] = x
+    return scalar
+
+
+def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fraction]:
+    """The counit of column zero b of the inverse of the pairing matrix A,
+    from counit(A) alone: counit(A) * counit(b) = e_0.  Checks that
+    counit(A) is lower triangular with diagonal entries +-1, solves by
+    forward substitution and verifies counit(A) * counit(b) = e_0 exactly."""
+    scalar = _counit_pairing(alg, order)
+    n = len(order)
+    rows = [scalar.get(i, {}) for i in range(n)]
+    for i, row in enumerate(rows):
+        above = [k for k in row if k > i]
+        if above:
+            raise InternalInvariantError(
+                f"counit of the pairing matrix not lower triangular at ({i}, {min(above)})")
+        if row.get(i) not in (1, -1):
+            raise InternalInvariantError(
+                f"counit of the diagonal entry at {i} is {row.get(i, 0)}, expected +-1")
+    col = [linalg.ZERO] * n
+    for i, row in enumerate(rows):
+        s = sum((x * col[k] for k, x in row.items() if k < i), linalg.ZERO)
+        col[i] = (int(i == 0) - s) * row[i]
+    for i, row in enumerate(rows):
+        if sum((x * col[k] for k, x in row.items()), linalg.ZERO) != int(i == 0):
+            raise InternalInvariantError(
+                f"counit of A * A^-1 is not the identity at ({i}, 0)")
+    return col
+
+
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     order = odd_subset_order(alg.n_odd)
     n = len(order)
-    entry, diagonal = _pairing(alg, order)
-    columns = [_inverse_column(alg, entry, diagonal, j) for j in range(n)]
+    entries, diagonal = _pairing(alg, order)
+    columns = [_inverse_column(alg, entries, diagonal, j) for j in range(n)]
     return FrobeniusMatrix(
-        alg, order,
-        tuple(tuple(entry(i, k) for k in range(n)) for i in range(n)),
+        alg, order, entries,
         tuple(tuple(col[i] for col in columns) for i in range(n)),
         diagonal)
 
@@ -234,8 +297,9 @@ class InvariantZ:
 def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> InvariantZ:
     """The canonical invariant: z = sum_J x^{complement(J)} * counit(inverse[J][empty]).
 
-    Column zero of the inverse is read from ``fm`` when given, and is
-    otherwise solved on its own, without the rest of the inverse.
+    Column zero of the inverse is read from ``fm`` when given.  Otherwise
+    only its counit is computed, from the scalar matrix counit(A), with no
+    arithmetic in the even subalgebra.
 
     Requires the trace condition; otherwise the invariant space of the
     quotient module is zero and ``NoInvariantError`` names the violating
@@ -247,14 +311,14 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
             raise NoInvariantError(alg, i, v)
     if fm is None:
         order = odd_subset_order(alg.n_odd)
-        column = _inverse_column(alg, *_pairing(alg, order), 0)
+        column = _counit_column_zero(alg, order)
     else:
         order = fm.order
-        column = [row[0] for row in fm.inverse]
+        column = [counit(row[0]) for row in fm.inverse]
     top = (1 << alg.n_odd) - 1
     z = UEElement.zero(alg)
     for k, mask in enumerate(order):
-        c = counit(column[k])
+        c = column[k]
         if c:
             z = z + subset_monomial(alg, top ^ mask) * c
 

@@ -70,7 +70,7 @@ def dense_of(mat, rows, cols=None):
 
 
 def alpha_inv(u):
-    """Inverse of ``superhaar.alpha``: each even generator X goes to
+    """Inverse of ``superhaar.enveloping.alpha``: each even generator X goes to
     X - tr(ad'(X))."""
     return _twist(u, -1)
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from superhaar import (InputError, PBWMonomial, UEElement, act_on_quotient,
-                       alpha, counit, multiply, quotient_project,
+                       counit, multiply, quotient_project,
                        validate_superalgebra)
+from superhaar.enveloping import alpha
 from superhaar.randgen import (random_element, random_even_element,
                                random_odd_basis_change,
                                random_small_superalgebra)

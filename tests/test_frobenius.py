@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import superhaar.frobenius as frobenius
+from superhaar import linalg
 from superhaar import (InternalInvariantError, LieSuperalgebra,
                        NoInvariantError, UEElement,
                        brute_force_quotient_invariants, classes_proportional,
@@ -13,7 +14,7 @@ from superhaar import (InternalInvariantError, LieSuperalgebra,
                        subset_monomial, validate_superalgebra)
 from superhaar.cli import main
 from superhaar.enveloping import _top_product
-from superhaar.fileio import builtin_fixture
+from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 from superhaar.randgen import (random_element, random_even_element,
                                random_odd_basis_change,
                                random_small_superalgebra)
@@ -230,17 +231,12 @@ def test_full_pipeline_on_random_small_algebras(rng):
             assert oracle == [], alg.name
 
 
-# -- column zero of the inverse, solved on its own ----------------------------
-
-def column_zero(alg):
-    """Column zero as ``invariant_z`` solves it when given no matrix."""
-    order = odd_subset_order(alg.n_odd)
-    return frobenius._inverse_column(alg, *frobenius._pairing(alg, order), 0)
-
+# -- column zero of the inverse, its counit solved from the scalar pairing ----
 
 def assert_column_zero_matches_full(alg):
     fm = frobenius_matrix(alg)
-    assert column_zero(alg) == [row[0] for row in fm.inverse], alg.name
+    scalar = frobenius._counit_column_zero(alg, fm.order)
+    assert scalar == [counit(row[0]) for row in fm.inverse], alg.name
     try:
         inv = invariant_z(alg)
     except NoInvariantError:
@@ -268,17 +264,39 @@ def test_column_zero_matches_full_inverse_under_odd_basis_change(rng):
             assert_column_zero_matches_full(twisted)
 
 
-@pytest.mark.parametrize("key,cell", [
-    ("g2", (0, 1)), ("g2", (1, 1)), ("g2", (3, 0)),
-    ("osp12", (1, 3)), ("osp12", (2, 2)), ("osp12", (3, 0)),
+def test_column_zero_of_osp12_has_a_scalar_term(osp12):
+    # z = 1 + u*v: the empty subset's row of the column is nonzero too
+    assert_column_zero_matches_full(osp12)
+    order = odd_subset_order(osp12.n_odd)
+    assert frobenius._counit_column_zero(osp12, order) == [1, 0, 0, 1]
+    z = UEElement.one(osp12) + multiply(gen(osp12, "u"), gen(osp12, "v"))
+    assert invariant_z(osp12).z == invariant_z(osp12, frobenius_matrix(osp12)).z == z
+
+
+@pytest.mark.parametrize("key,cell,caught_by", [
+    ("g2", (0, 1), "not lower triangular"), ("g2", (1, 1), r"expected \+-1"),
+    ("g2", (3, 0), "not invariant"),
+    ("osp12", (1, 3), "not lower triangular"), ("osp12", (2, 2), r"expected \+-1"),
+    ("osp12", (3, 0), "not invariant"),
 ], ids=["g2-above", "g2-on", "g2-below",
         "osp12-above", "osp12-on", "osp12-below"])
-def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell):
+def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell,
+                                                         caught_by):
     alg = fixture_algebra(key)
+    i, k = cell
+    honest_counit = frobenius._counit_pairing
+
+    def corrupt_counit(alg, order):
+        return linalg.mat_comb([(1, honest_counit(alg, order)), (1, {i: {k: F(1)}})])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(frobenius, "_counit_pairing", corrupt_counit)
+        with pytest.raises(InternalInvariantError, match=caught_by):
+            invariant_z(alg)
+
     order = odd_subset_order(alg.n_odd)
     top = (1 << alg.n_odd) - 1
-    target = (subset_monomial(alg, order[cell[0]]),
-              subset_monomial(alg, top ^ order[cell[1]]))
+    target = (subset_monomial(alg, order[i]), subset_monomial(alg, top ^ order[k]))
     honest = frobenius.form
 
     def corrupt(x, y):
@@ -287,24 +305,34 @@ def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell)
 
     monkeypatch.setattr(frobenius, "form", corrupt)
     with pytest.raises(InternalInvariantError):
-        invariant_z(alg)
-    with pytest.raises(InternalInvariantError):
         invariant_z(alg, frobenius_matrix(alg))
 
 
-def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys):
-    def refuse(alg):
-        raise AssertionError("the full pairing inverse was built")
+def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys,
+                                                            tmp_path):
+    def refuse(what):
+        def call(*args):
+            raise AssertionError(f"{what} was called")
+        return call
 
-    monkeypatch.setattr("superhaar.cli.frobenius_matrix", refuse)
+    monkeypatch.setattr("superhaar.cli.frobenius_matrix", refuse("frobenius_matrix"))
     assert main(["invariant", builtin_fixture("bad2.json")]) == 3
     assert capsys.readouterr().out == (
         '{\n  "algebra": "bad2",\n  "trace_condition": false,\n'
         '  "lambda_values": {\n    "X": "1"\n  },\n'
         '  "violator": "X",\n  "lambda": "1"\n}\n')
+
+    # z comes from the scalar pairing: no pairing entry in the even subalgebra
+    monkeypatch.setattr(frobenius, "form", refuse("form"))
+    monkeypatch.setattr(frobenius, "_pairing", refuse("_pairing"))
     assert main(["invariant", builtin_fixture("g2_grassmann.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["z"] == [{"monomial": ["x1", "x2"], "coeff": "1"}]
+    gl21 = tmp_path / "gl21.json"
+    gl21.write_text(dumps_canonical(algebra_to_json(gl_supermatrix_units(2, 1))))
+    assert main(["invariant", str(gl21)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["z"] == [{"monomial": ["E13", "E23", "E31", "E32"], "coeff": "1"}]
 
 
 # -- gl(p|q) in the supermatrix-unit basis ------------------------------------
