@@ -118,9 +118,6 @@ class UEElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
     def homogeneous_parity(self) -> int | None:
         """Parity if all monomials agree (0 or 1), else None; None for 0."""
         parities = {m.parity for m in self.terms}
@@ -155,14 +152,6 @@ class UEElement:
 
     def __rmul__(self, other):
         return self * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = UEElement.one(self.alg)
-        for _ in range(n):
-            out = multiply(out, self)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, UEElement) and self.alg == other.alg
@@ -343,22 +332,28 @@ def counit(a: UEElement) -> Fraction:
     return a.coefficient(PBWMonomial((0,) * a.alg.n_even, 0))
 
 
+def _substitute(u: UEElement, dst: LieSuperalgebra, images) -> UEElement:
+    """The image of ``u`` in U(dst) under the algebra map sending source
+    generator g to ``images[g]`` (indexed by every letter of ``u``): each
+    PBW word becomes the ordered product of the images of its letters."""
+    n0 = u.alg.n_even
+    out = UEElement.zero(dst)
+    for mono, c in u.terms.items():
+        acc = UEElement.scalar(dst, c)
+        for g in mono.word(n0):
+            acc = multiply(acc, images[g])
+        out = out + acc
+    return out
+
+
 def _twist(u: UEElement, sign: int) -> UEElement:
     alg = u.alg
     if any(m.odd for m in u.terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
-    lam = {i: sign * ad_prime_trace(alg, i) for i in range(alg.n_even)}
-    out = UEElement.zero(alg)
-    for mono, c in u.terms.items():
-        acc = UEElement.scalar(alg, c)
-        for i, e in enumerate(mono.even):
-            if not e:
-                continue
-            shifted = UEElement.generator(alg, i) + UEElement.scalar(alg, lam[i])
-            for _ in range(e):
-                acc = multiply(acc, shifted)
-        out = out + acc
-    return out
+    letters = {i for m in u.terms for i, e in enumerate(m.even) if e}
+    return _substitute(u, alg, {
+        i: UEElement.generator(alg, i) + UEElement.scalar(alg, sign * ad_prime_trace(alg, i))
+        for i in letters})
 
 
 def alpha(u: UEElement) -> UEElement:
@@ -404,10 +399,4 @@ def map_element(u: UEElement, dst: LieSuperalgebra, full_map) -> UEElement:
             if dst.parity(a) != src.parity(i):
                 raise ValueError("basis map is not parity-preserving")
             images[i] = images[i] + UEElement.generator(dst, a) * c
-    out = UEElement.zero(dst)
-    for mono, c in u.terms.items():
-        acc = UEElement.scalar(dst, c)
-        for g in mono.word(src.n_even):
-            acc = multiply(acc, images[g])
-        out = out + acc
-    return out
+    return _substitute(u, dst, images)

@@ -12,19 +12,20 @@ ideal generated by the even part -- the element that drives Berezin-style
 integration downstream.
 
 ``frobenius_matrix`` builds the whole 2^m x 2^m pairing matrix A over the
-even subalgebra, solves every column of its inverse by forward
-substitution, and checks triangularity, the +-1 diagonal and A * A^-1 = I
-(summed exactly over the band j <= k <= i that triangularity leaves).
-``invariant_z`` without a matrix needs only the counit of column zero.  The
-counit is an algebra map on the even subalgebra, so that column solves the
-scalar matrix counit(A), and no even-subalgebra arithmetic is done.
-counit(A)[I][K] is the coefficient of the full odd monomial in the class of
+even subalgebra and solves every column of its inverse.  ``invariant_z``
+without a matrix needs only the counit of column zero.  The counit is an
+algebra map on the even subalgebra, so that column solves the scalar matrix
+counit(A), and no even-subalgebra arithmetic is done.  counit(A)[I][K] is
+the coefficient of the full odd monomial in the class of
 x^I * x^complement(K) in the right U(g)-module U(g)/g0*U(g), which has basis
 x^I; ``_counit_pairing`` reads it from the right actions of the odd
 generators on that quotient.  This is the Frobenius-extension structure of
-U(g) over U(g0) (Bell and Farnsteiner, Trans. AMS 335, 1993).  counit(A) is
-checked to be lower triangular with diagonal +-1, and the solved column to
-satisfy counit(A) * b = e0 over the rationals.
+U(g) over U(g0) (Bell and Farnsteiner, Trans. AMS 335, 1993).  A and
+counit(A) share one check and one solve, written once on rows of nonzeros
+with nothing but the ring operations: ``_check_unitriangular`` checks that
+the matrix is lower triangular with diagonal +-1, and ``_solve_column``
+forward-substitutes a column of the inverse and verifies A * b = e_j
+exactly, summed over the band j <= k <= i that triangularity leaves.
 
 The pairing never rewrites more of x y than pi reads.  No rewriting step
 raises the number of odd letters in a word when every bracket has parity
@@ -116,65 +117,54 @@ class FrobeniusMatrix:
     diagonal: tuple[int, ...]                    # each +1 or -1
 
 
-def _scalar_of(u: UEElement) -> Fraction | None:
-    """The scalar value of ``u`` if it is a multiple of 1, else None."""
-    if u.is_zero:
-        return Fraction(0)
-    if len(u.terms) == 1:
-        mono, c = next(iter(u.terms.items()))
-        if mono.degree == 0:
-            return c
-    return None
-
-
-def _pairing(alg: LieSuperalgebra, order: tuple[int, ...]):
-    """The pairing entries A[i][k] = <x^{I_i}, x^{complement(I_k)}> and the
-    diagonal, after checking that A is lower triangular with diagonal
-    entries +-1."""
-    top = (1 << alg.n_odd) - 1
-    xs = [subset_monomial(alg, mask) for mask in order]
-    comp = [subset_monomial(alg, top ^ mask) for mask in order]
-    entries = tuple(tuple(form(x, y) for y in comp) for x in xs)
-    n = len(order)
+def _check_unitriangular(rows, n: int, zero, one, what: str) -> tuple[int, ...]:
+    """The diagonal of the n x n matrix ``rows`` (rows of nonzeros over a
+    ring with ``zero`` and ``one``), after checking that the matrix is lower
+    triangular with diagonal entries +-1."""
     diagonal = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if not entries[i][j].is_zero:
-                raise InternalInvariantError(
-                    f"pairing matrix not lower triangular at ({i}, {j})")
-        d = _scalar_of(entries[i][i])
-        if d not in (1, -1):
+        row = rows.get(i, {})
+        above = [k for k in row if k > i]
+        if above:
             raise InternalInvariantError(
-                f"diagonal entry at {i} is {entries[i][i]!r}, expected +-1")
-        diagonal.append(int(d))
-    return entries, tuple(diagonal)
+                f"{what} not lower triangular at ({i}, {min(above)})")
+        d = row.get(i, zero)
+        if d == one:
+            diagonal.append(1)
+        elif d == -one:
+            diagonal.append(-1)
+        else:
+            raise InternalInvariantError(
+                f"{what}: diagonal entry at {i} is {d}, expected +-1")
+    return tuple(diagonal)
 
 
-def _inverse_column(alg: LieSuperalgebra, entries, diagonal: tuple[int, ...],
-                    j: int) -> list[UEElement]:
-    """Column j of the right inverse of the pairing matrix by forward
-    substitution; the +-1 diagonal makes the division exact and sidesteps
-    noncommutativity.  Entries above row j are zero.  Verifies A * b = e_j
-    exactly: triangularity leaves only the band j <= k <= i of each sum."""
-    n = len(diagonal)
-    zero, one = UEElement.zero(alg), UEElement.one(alg)
-    col = [zero] * n
+def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
+                  what: str) -> list:
+    """Column j of the inverse of the unitriangular matrix ``rows`` by
+    forward substitution; the +-1 diagonal makes the division exact and
+    sidesteps noncommutativity (each product is A[i][k] * b[k]).  Entries
+    above row j are zero.  Verifies A * b = e_j exactly: triangularity
+    leaves only the band j <= k <= i of each sum."""
+    col = {}
 
-    def row_sum(i: int, stop: int) -> UEElement:
+    def row_sum(i: int):
         acc = zero
-        for k in range(j, stop):
-            if col[k].is_zero or entries[i][k].is_zero:
-                continue
-            acc = acc + multiply(entries[i][k], col[k])
+        for k, a in rows.get(i, {}).items():
+            if k in col:
+                acc = acc + a * col[k]
         return acc
 
+    n = len(diagonal)
     for i in range(j, n):
-        col[i] = ((one if i == j else zero) - row_sum(i, i)) * diagonal[i]
+        b = ((one if i == j else zero) - row_sum(i)) * diagonal[i]
+        if b != zero:
+            col[i] = b
     for i in range(j, n):
-        if row_sum(i, i + 1) != (one if i == j else zero):
+        if row_sum(i) != (one if i == j else zero):
             raise InternalInvariantError(
-                f"A * A^-1 is not the identity at ({i}, {j})")
-    return col
+                f"{what} times its inverse is not the identity at ({i}, {j})")
+    return [col.get(i, zero) for i in range(n)]
 
 
 def _counit_pairing(alg: LieSuperalgebra, order: tuple[int, ...]) -> linalg.Matrix:
@@ -215,36 +205,28 @@ def _counit_pairing(alg: LieSuperalgebra, order: tuple[int, ...]) -> linalg.Matr
 
 def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fraction]:
     """The counit of column zero b of the inverse of the pairing matrix A,
-    from counit(A) alone: counit(A) * counit(b) = e_0.  Checks that
-    counit(A) is lower triangular with diagonal entries +-1, solves by
-    forward substitution and verifies counit(A) * counit(b) = e_0 exactly."""
+    from counit(A) alone: counit(A) * counit(b) = e_0, solved and checked
+    like A itself."""
     scalar = _counit_pairing(alg, order)
-    n = len(order)
-    rows = [scalar.get(i, {}) for i in range(n)]
-    for i, row in enumerate(rows):
-        above = [k for k in row if k > i]
-        if above:
-            raise InternalInvariantError(
-                f"counit of the pairing matrix not lower triangular at ({i}, {min(above)})")
-        if row.get(i) not in (1, -1):
-            raise InternalInvariantError(
-                f"counit of the diagonal entry at {i} is {row.get(i, 0)}, expected +-1")
-    col = [linalg.ZERO] * n
-    for i, row in enumerate(rows):
-        s = sum((x * col[k] for k, x in row.items() if k < i), linalg.ZERO)
-        col[i] = (int(i == 0) - s) * row[i]
-    for i, row in enumerate(rows):
-        if sum((x * col[k] for k, x in row.items()), linalg.ZERO) != int(i == 0):
-            raise InternalInvariantError(
-                f"counit of A * A^-1 is not the identity at ({i}, 0)")
-    return col
+    what = "counit of the pairing matrix"
+    diagonal = _check_unitriangular(scalar, len(order), linalg.ZERO, linalg.ONE, what)
+    return _solve_column(scalar, diagonal, 0, linalg.ZERO, linalg.ONE, what)
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
+    """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}> over the
+    even subalgebra and every column of its inverse, checked."""
     order = odd_subset_order(alg.n_odd)
     n = len(order)
-    entries, diagonal = _pairing(alg, order)
-    columns = [_inverse_column(alg, entries, diagonal, j) for j in range(n)]
+    top = (1 << alg.n_odd) - 1
+    xs = [subset_monomial(alg, mask) for mask in order]
+    comp = [subset_monomial(alg, top ^ mask) for mask in order]
+    entries = tuple(tuple(form(x, y) for y in comp) for x in xs)
+    rows = {i: {k: e for k, e in enumerate(row) if not e.is_zero}
+            for i, row in enumerate(entries)}
+    zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
+    diagonal = _check_unitriangular(rows, n, zero, one, what)
+    columns = [_solve_column(rows, diagonal, j, zero, one, what) for j in range(n)]
     return FrobeniusMatrix(
         alg, order, entries,
         tuple(tuple(col[i] for col in columns) for i in range(n)),

@@ -304,8 +304,32 @@ def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell,
         return value + UEElement.one(alg) if (x, y) == target else value
 
     monkeypatch.setattr(frobenius, "form", corrupt)
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match=caught_by):
         invariant_z(alg, frobenius_matrix(alg))
+
+
+@pytest.mark.parametrize("key", ["g2", "gl11", "osp12"])
+def test_flipped_diagonal_sign_exits_70(monkeypatch, capsys, key):
+    # a fault in the shared unitriangular check reaches A * b = e_j on both
+    # paths, and the CLI reports it as an internal invariant violation
+    honest = frobenius._check_unitriangular
+
+    def flip_first(*args):
+        diagonal = honest(*args)
+        return (-diagonal[0],) + diagonal[1:]
+
+    monkeypatch.setattr(frobenius, "_check_unitriangular", flip_first)
+    alg = fixture_algebra(key)
+    identity = r"is not the identity at \(0, 0\)"
+    with pytest.raises(InternalInvariantError, match=identity):
+        frobenius_matrix(alg)
+    with pytest.raises(InternalInvariantError, match=identity):
+        invariant_z(alg)
+    for flags in ([], ["--emit-matrix"]):
+        assert main(["invariant", builtin_fixture(ALGEBRA_FILES[key])] + flags) == 70
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("superhaar: internal invariant violation:")
 
 
 def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys,
@@ -324,7 +348,6 @@ def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys,
 
     # z comes from the scalar pairing: no pairing entry in the even subalgebra
     monkeypatch.setattr(frobenius, "form", refuse("form"))
-    monkeypatch.setattr(frobenius, "_pairing", refuse("_pairing"))
     assert main(["invariant", builtin_fixture("g2_grassmann.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["z"] == [{"monomial": ["x1", "x2"], "coeff": "1"}]
