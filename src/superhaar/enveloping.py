@@ -118,6 +118,9 @@ class UEElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def homogeneous_parity(self) -> int | None:
         """Parity if all monomials agree (0 or 1), else None; None for 0."""
         parities = {m.parity for m in self.terms}
@@ -293,14 +296,11 @@ def _heads(a: UEElement, b: UEElement, min_odd: int = 0):
     return heads
 
 
-def _to_element(alg: LieSuperalgebra, nf, odd_mask: int | None = None) -> UEElement:
-    """The element with canonical words ``nf``, keeping only the words with
-    odd part ``odd_mask`` when one is given."""
+def _to_element(alg: LieSuperalgebra, nf) -> UEElement:
+    """The element with canonical words ``nf``."""
     acc: dict[PBWMonomial, Fraction] = defaultdict(Fraction)
     for w, c in nf.items():
-        mono = _word_to_monomial(alg, w)
-        if odd_mask is None or mono.odd == odd_mask:
-            acc[mono] += c
+        acc[_word_to_monomial(alg, w)] += c
     return UEElement(alg, acc)
 
 
@@ -314,17 +314,18 @@ def multiply(a: UEElement, b: UEElement) -> UEElement:
 def _top_product(a: UEElement, b: UEElement) -> UEElement:
     """The terms of ``a*b`` whose odd part is the full odd monomial.
 
-    On a graded bracket table only words with all m odd letters can rewrite
-    to the full odd monomial (see ``_normal_form``), so term pairs and
-    rewriting terms with fewer are dropped as they appear, and every
-    canonical word left is the full odd monomial times even letters.  On
-    any other table the whole product is rewritten and filtered.
+    Only words with all m odd letters can rewrite to the full odd monomial
+    (see ``_normal_form``), so term pairs and rewriting terms with fewer
+    are dropped as they appear, and every canonical word left is the full
+    odd monomial times even letters.  That needs a graded bracket table;
+    on any other table this raises ``ValueError``.
     """
     a._check(b)
     alg = a.alg
-    floor = alg.n_odd if alg._parity_graded else 0
-    nf = _normal_form(alg, _heads(a, b, floor), min_odd=floor)
-    return _to_element(alg, nf, None if floor else (1 << alg.n_odd) - 1)
+    if not alg._parity_graded:
+        raise ValueError(f"the bracket table of {alg.name} does not respect parity")
+    nf = _normal_form(alg, _heads(a, b, alg.n_odd), min_odd=alg.n_odd)
+    return _to_element(alg, nf)
 
 
 def counit(a: UEElement) -> Fraction:

@@ -11,41 +11,43 @@ canonical representative of the invariant line in the quotient by the left
 ideal generated by the even part -- the element that drives Berezin-style
 integration downstream.
 
-``frobenius_matrix`` builds the whole 2^m x 2^m pairing matrix A over the
-even subalgebra and solves every column of its inverse.  ``invariant_z``
-without a matrix needs only the counit of column zero.  The counit is an
-algebra map on the even subalgebra, so that column solves the scalar matrix
-counit(A), and no even-subalgebra arithmetic is done.  counit(A)[I][K] is
-the coefficient of the full odd monomial in the class of
-x^I * x^complement(K) in the right U(g)-module U(g)/g0*U(g), which has basis
-x^I; ``_counit_pairing`` reads it from the right actions of the odd
-generators on that quotient.  This is the Frobenius-extension structure of
-U(g) over U(g0) (Bell and Farnsteiner, Trans. AMS 335, 1993).  A and
-counit(A) share one check and one solve, written once on rows of nonzeros
-with nothing but the ring operations: ``_check_unitriangular`` checks that
-the matrix is lower triangular with diagonal +-1, and ``_solve_column``
-forward-substitutes a column of the inverse and verifies A * b = e_j
-exactly, summed over the band j <= k <= i that triangularity leaves.
+U(g) is free as a left module over the even subalgebra on the x^I (PBW),
+and right multiplication by an odd generator x_t is a map of left
+modules.  ``_pairing`` reads the matrix R_t of each such map off
+``multiply(x^I, x_t)`` and builds the columns of A in one pass over the
+subsets, c_M = R_{min M} c_{M - min M} from c_empty = e_top.  This is the
+Frobenius-extension structure of U(g) over U(g0) (Bell and Farnsteiner,
+Trans. AMS 335, 1993).  The ring of the entries is the pass's one
+parameter.  ``frobenius_matrix`` keeps the left coefficients, which lie in
+the even subalgebra, builds A and solves every column of its inverse.
+``invariant_z`` without a matrix needs only the counit of column zero.  The
+counit is an algebra map on the even subalgebra, so it keeps only the
+counits of the left coefficients, and the same pass builds the scalar
+matrix counit(A), whose column zero it solves with no even-subalgebra
+arithmetic.  A and counit(A) share one construction, one check and one
+solve: ``_check_unitriangular`` checks that the matrix is lower triangular
+with diagonal +-1, and ``_solve_column`` forward-substitutes a column of
+the inverse and verifies A * b = e_j exactly, summed over the band
+j <= k <= i that triangularity leaves.
 
-The pairing never rewrites more of x y than pi reads.  No rewriting step
-raises the number of odd letters in a word when every bracket has parity
-p(a) + p(b): a transposition keeps the letters, [even, even] is even,
-[even, odd] is odd, and an odd-odd bracket or an odd square x x = [x, x]/2
-trades two odd letters for one even one.  A word with fewer than m odd
-letters therefore never rewrites to the full odd monomial, so ``form``
-drops it as soon as it appears (``enveloping._top_product``).  An upper
-triangle entry <x^I, x^complement(J)> with |J| > |I| has fewer than m odd
-letters to start with and costs only that filter, and one with |J| = |I|
-is dropped at its first odd square.  This makes the exact triangularity
-check cheap, and most of the exhaustive duality check of ``dual_pair``
-too.  The floor is used only when the algebra's bracket table is
-graded (``LieSuperalgebra._parity_graded``); on a table that is not, such
-as one with an odd [t, t] that ``validate_superalgebra`` would reject,
-``form`` rewrites the whole product and reads off its top part.
+``form`` computes a single pairing value pi(x y) straight from the product,
+independently of the pass; the exhaustive duality check of ``dual_pair``
+rests on it.  It never rewrites more of x y than pi reads.  No rewriting
+step raises the number of odd letters in a word when every bracket has
+parity p(a) + p(b): a transposition keeps the letters, [even, even] is
+even, [even, odd] is odd, and an odd-odd bracket or an odd square
+x x = [x, x]/2 trades two odd letters for one even one.  A word with fewer
+than m odd letters therefore never rewrites to the full odd monomial, so
+``form`` drops it as soon as it appears (``enveloping._top_product``).
+This floor needs a graded bracket table
+(``LieSuperalgebra._parity_graded``).  ``form`` raises ``ValueError`` on a
+table that is not, such as one with an odd [t, t], which
+``validate_superalgebra`` rejects as well.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,19 +86,32 @@ def subset_monomial(alg: LieSuperalgebra, mask: int) -> UEElement:
     return UEElement(alg, {PBWMonomial((0,) * alg.n_even, mask): Fraction(1)})
 
 
+def _left_coefficients(u: UEElement) -> dict[int, UEElement]:
+    """The nonzero left coefficients u_J of u = sum_J u_J x^J, by mask J:
+    elements of the even subalgebra."""
+    terms: dict = defaultdict(dict)
+    for mono, c in u.terms.items():
+        terms[mono.odd][PBWMonomial(mono.even, 0)] = c
+    return {j: UEElement(u.alg, t) for j, t in terms.items()}
+
+
 def frobenius_pi(u: UEElement) -> UEElement:
     """Left coefficient of the top odd monomial (an element of the even
     enveloping subalgebra).  For m = 0 this is the identity map."""
-    alg = u.alg
-    top = (1 << alg.n_odd) - 1
-    return UEElement(alg, {PBWMonomial(m.even, 0): c
-                           for m, c in u.terms.items() if m.odd == top})
+    return _left_coefficients(u).get((1 << u.alg.n_odd) - 1, UEElement.zero(u.alg))
+
+
+def _left_counits(u: UEElement) -> dict[int, Fraction]:
+    """The nonzero counits of the left coefficients u_J of
+    u = sum_J u_J x^J, by mask J: the terms of u with no even letter."""
+    return {mono.odd: c for mono, c in u.terms.items() if not any(mono.even)}
 
 
 def form(x: UEElement, y: UEElement) -> UEElement:
     """The pairing <x, y> = pi(x y), valued in the even subalgebra.
 
-    Only the top odd part of x y is rewritten; see the module docstring."""
+    Only the top odd part of x y is rewritten, which needs a graded bracket
+    table: raises ``ValueError`` on any other (see the module docstring)."""
     return frobenius_pi(_top_product(x, y))
 
 
@@ -167,50 +182,55 @@ def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
     return [col.get(i, zero) for i in range(n)]
 
 
-def _counit_pairing(alg: LieSuperalgebra, order: tuple[int, ...]) -> linalg.Matrix:
-    """The scalar matrix counit(A)[i][k] = counit(<x^{I_i}, x^{complement(I_k)}>)
-    as rows of nonzeros, rows and columns indexed by position in ``order``.
+def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
+    """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}>, or its
+    image under a ring map phi on the even subalgebra, as rows of nonzeros
+    indexed by position in ``order``.  ``read(u)`` maps u = sum_J u_J x^J
+    to the nonzero phi(u_J) by mask J, and ``one`` is the unit of phi's
+    ring, whose elements are true exactly when nonzero.
 
-    U(g) is free as a left module over the even subalgebra on the x^I (PBW),
-    and u - counit(u) lies in g0*U(g) for u in the even subalgebra, so the
-    class of an even-first normal form in U(g)/g0*U(g) is its part with no
-    even letters.  Row I of the right action R_t of an odd generator is the
-    class of x^I * x_t.  For a subset M = {t_1 < ... < t_r} the column
-    c_M = R_{t_1} ... R_{t_r} e_top is R_{min M} c_{M - min M}, and
-    counit(A)[i][k] is entry I_i of c_{complement(I_k)}.
+    R_t[I][J] is the left coefficient of x^J in x^I * x_t.  Right
+    multiplication by x_t and pi are maps of left modules over the even
+    subalgebra, so for M = {t_1 < ... < t_r} the column
+    c_M[I] = pi(x^I * x^M) is R_{t_1} c_{M - t_1}, with c_empty = e_top,
+    and A[i][k] is entry I_i of c_{complement(I_k)}.  Each product is
+    formed as R_t[I][J] * c[J], in that order, because the even subalgebra
+    is not commutative.
     """
-    m, n0 = alg.n_odd, alg.n_even
-    top = (1 << m) - 1
-    # the transpose of each R_t: J -> {I: coefficient of x^J in x^I * x_t}
+    top = (1 << alg.n_odd) - 1
+    # the transpose of each R_t: J -> {I: phi(R_t[I][J])}
     right = []
-    for t in range(m):
-        x_t = UEElement.generator(alg, n0 + t)
-        rt: linalg.Matrix = {}
+    for t in range(alg.n_odd):
+        x_t = UEElement.generator(alg, alg.n_even + t)
+        rt: dict = {}
         for mask in range(top + 1):
-            for mono, c in multiply(subset_monomial(alg, mask), x_t).terms.items():
-                if not any(mono.even):
-                    rt.setdefault(mono.odd, {})[mask] = c
+            for j, r in read(multiply(subset_monomial(alg, mask), x_t)).items():
+                rt.setdefault(j, {})[mask] = r
         right.append(rt)
-    cols = [{top: linalg.ONE}]
+    cols = [{top: one}]
     for mask in range(1, top + 1):
         low = mask & -mask
-        cols.append(linalg.vec_mat(cols[mask ^ low], right[low.bit_length() - 1]))
+        rt, acc = right[low.bit_length() - 1], {}
+        for j, c in cols[mask ^ low].items():
+            for i, r in rt.get(j, {}).items():
+                acc[i] = acc[i] + r * c if i in acc else r * c
+        cols.append({i: x for i, x in acc.items() if x})
     position = {mask: i for i, mask in enumerate(order)}
-    scalar: linalg.Matrix = {}
+    rows: dict = {}
     for k, mask in enumerate(order):
         for i_mask, x in cols[top ^ mask].items():
-            scalar.setdefault(position[i_mask], {})[k] = x
-    return scalar
+            rows.setdefault(position[i_mask], {})[k] = x
+    return rows
 
 
 def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fraction]:
     """The counit of column zero b of the inverse of the pairing matrix A,
     from counit(A) alone: counit(A) * counit(b) = e_0, solved and checked
     like A itself."""
-    scalar = _counit_pairing(alg, order)
-    what = "counit of the pairing matrix"
-    diagonal = _check_unitriangular(scalar, len(order), linalg.ZERO, linalg.ONE, what)
-    return _solve_column(scalar, diagonal, 0, linalg.ZERO, linalg.ONE, what)
+    zero, one, what = linalg.ZERO, linalg.ONE, "counit of the pairing matrix"
+    scalar = _pairing(alg, order, _left_counits, one)
+    diagonal = _check_unitriangular(scalar, len(order), zero, one, what)
+    return _solve_column(scalar, diagonal, 0, zero, one, what)
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -218,17 +238,13 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     even subalgebra and every column of its inverse, checked."""
     order = odd_subset_order(alg.n_odd)
     n = len(order)
-    top = (1 << alg.n_odd) - 1
-    xs = [subset_monomial(alg, mask) for mask in order]
-    comp = [subset_monomial(alg, top ^ mask) for mask in order]
-    entries = tuple(tuple(form(x, y) for y in comp) for x in xs)
-    rows = {i: {k: e for k, e in enumerate(row) if not e.is_zero}
-            for i, row in enumerate(entries)}
     zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
+    rows = _pairing(alg, order, _left_coefficients, one)
     diagonal = _check_unitriangular(rows, n, zero, one, what)
     columns = [_solve_column(rows, diagonal, j, zero, one, what) for j in range(n)]
     return FrobeniusMatrix(
-        alg, order, entries,
+        alg, order,
+        tuple(tuple(rows.get(i, {}).get(k, zero) for k in range(n)) for i in range(n)),
         tuple(tuple(col[i] for col in columns) for i in range(n)),
         diagonal)
 

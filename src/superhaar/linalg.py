@@ -54,15 +54,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return out
 
 
-def vec_mat(v: Vector, a: Matrix) -> Vector:
-    """The row vector ``v`` times ``a``."""
-    acc: Vector = {}
-    for r, x in v.items():
-        for c, y in a.get(r, {}).items():
-            acc[c] = acc.get(c, ZERO) + x * y
-    return {c: x for c, x in acc.items() if x}
-
-
 def mat_comb(terms: Iterable[tuple[Fraction, Matrix]]) -> Matrix:
     """The linear combination sum of f * mat over the (f, mat) pairs."""
     acc: dict[int, dict[int, Fraction]] = {}

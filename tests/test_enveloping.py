@@ -33,6 +33,12 @@ def test_multiply_examples(g2, bad2):
     assert multiply(th, th).is_zero
 
 
+def test_an_element_is_true_exactly_when_nonzero(bad2):
+    X, th = gen(bad2, "X"), gen(bad2, "th")
+    assert not multiply(th, th) and not UEElement.zero(bad2)
+    assert multiply(X, th) and UEElement.one(bad2)
+
+
 def test_multiply_rejects_mixed_algebras(g2, g3):
     with pytest.raises(ValueError):
         multiply(gen(g2, "x1"), gen(g3, "x1"))

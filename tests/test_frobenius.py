@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 import superhaar.frobenius as frobenius
-from superhaar import linalg
 from superhaar import (InternalInvariantError, LieSuperalgebra,
                        NoInvariantError, UEElement,
                        brute_force_quotient_invariants, classes_proportional,
                        counit, dual_pair, form, frobenius_matrix,
-                       frobenius_pi, invariant_z, map_element, multiply,
-                       odd_subset_order, pi_parity, quotient_project,
+                       frobenius_pi, invariant_z, lambda_values, map_element,
+                       multiply, odd_subset_order, pi_parity, quotient_project,
                        subset_monomial, validate_superalgebra)
 from superhaar.cli import main
 from superhaar.enveloping import _top_product
@@ -282,28 +281,22 @@ def test_column_zero_of_osp12_has_a_scalar_term(osp12):
         "osp12-above", "osp12-on", "osp12-below"])
 def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell,
                                                          caught_by):
+    # one +1 injected into the shared construction reaches A over the even
+    # subalgebra and its counit alike
     alg = fixture_algebra(key)
     i, k = cell
-    honest_counit = frobenius._counit_pairing
+    honest = frobenius._pairing
 
-    def corrupt_counit(alg, order):
-        return linalg.mat_comb([(1, honest_counit(alg, order)), (1, {i: {k: F(1)}})])
+    def corrupt(alg, order, read, one):
+        rows = honest(alg, order, read, one)
+        row = dict(rows.get(i, {}))
+        row[k] = row[k] + one if k in row else one
+        rows[i] = {c: x for c, x in row.items() if x}
+        return rows
 
-    with monkeypatch.context() as patch:
-        patch.setattr(frobenius, "_counit_pairing", corrupt_counit)
-        with pytest.raises(InternalInvariantError, match=caught_by):
-            invariant_z(alg)
-
-    order = odd_subset_order(alg.n_odd)
-    top = (1 << alg.n_odd) - 1
-    target = (subset_monomial(alg, order[i]), subset_monomial(alg, top ^ order[k]))
-    honest = frobenius.form
-
-    def corrupt(x, y):
-        value = honest(x, y)
-        return value + UEElement.one(alg) if (x, y) == target else value
-
-    monkeypatch.setattr(frobenius, "form", corrupt)
+    monkeypatch.setattr(frobenius, "_pairing", corrupt)
+    with pytest.raises(InternalInvariantError, match=caught_by):
+        invariant_z(alg)
     with pytest.raises(InternalInvariantError, match=caught_by):
         invariant_z(alg, frobenius_matrix(alg))
 
@@ -347,7 +340,7 @@ def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys,
         '  "violator": "X",\n  "lambda": "1"\n}\n')
 
     # z comes from the scalar pairing: no pairing entry in the even subalgebra
-    monkeypatch.setattr(frobenius, "form", refuse("form"))
+    monkeypatch.setattr(frobenius, "_left_coefficients", refuse("_left_coefficients"))
     assert main(["invariant", builtin_fixture("g2_grassmann.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["z"] == [{"monomial": ["x1", "x2"], "coeff": "1"}]
@@ -435,12 +428,97 @@ def test_form_matches_full_product_on_gl21(rng):
     (["X", "Y"], ["t"], {(0, 1): {2: 1}, (1, 0): {2: -1}}, ["Y"], ["X"], F(-1)),
 ], ids=["odd-square-to-odd", "even-bracket-to-odd"])
 def test_form_on_a_table_that_breaks_parity(even, odd, brackets, x, y, want):
+    # multiply rewrites any table; the odd-count floor of form does not hold
+    # on this one, so form refuses it
     alg = LieSuperalgebra("ungraded", even, odd, brackets)
     assert any(v.kind == "parity" for v in validate_superalgebra(alg).violations)
     x = UEElement.from_word(alg, [alg.index_of(g) for g in x])
     y = UEElement.from_word(alg, [alg.index_of(g) for g in y])
     top = subset_monomial(alg, (1 << alg.n_odd) - 1)
-    full = multiply(x, y)
-    assert top_terms(full) == top * want
-    assert form(x, y) == frobenius_pi(full) == UEElement.scalar(alg, want)
-    assert _top_product(x, y) == top_terms(full)
+    assert top_terms(multiply(x, y)) == top * want
+    for pairing in (form, _top_product):
+        with pytest.raises(ValueError, match="does not respect parity"):
+            pairing(x, y)
+
+
+# -- A from the right-action pass equals the pairing computed by form ---------
+
+def assert_pairing_matches_form(alg):
+    fm = frobenius_matrix(alg)
+    top = (1 << alg.n_odd) - 1
+    xs = [subset_monomial(alg, mask) for mask in fm.order]
+    comp = [subset_monomial(alg, top ^ mask) for mask in fm.order]
+    assert fm.entries == tuple(tuple(form(x, y) for y in comp) for x in xs), alg.name
+
+
+def test_pairing_matches_form_on_fixtures():
+    for key in ALGEBRA_FILES:
+        assert_pairing_matches_form(fixture_algebra(key))
+    assert_pairing_matches_form(gl_supermatrix_units(2, 1))
+
+
+def test_pairing_matches_form_on_random_algebras(rng):
+    for _ in range(15):
+        alg = random_small_superalgebra(rng, max_dim=5)
+        twisted, _ = random_odd_basis_change(alg, rng)
+        assert_pairing_matches_form(alg)
+        assert_pairing_matches_form(twisted)
+
+
+def algebra_file(tmp_path, alg):
+    path = tmp_path / f"{alg.name}.json"
+    path.write_text(dumps_canonical(algebra_to_json(alg)))
+    return str(path)
+
+
+def test_cli_emit_matrix_does_not_call_form(monkeypatch, capsys, tmp_path):
+    def refuse(*args):
+        raise AssertionError("form was called")
+
+    paths = [builtin_fixture(ALGEBRA_FILES["g2"]), builtin_fixture(ALGEBRA_FILES["osp12"]),
+             algebra_file(tmp_path, gl_supermatrix_units(2, 1))]
+    for path in paths:
+        assert main(["invariant", path, "--emit-matrix"]) == 0
+        honest = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(frobenius, "form", refuse)
+            assert main(["invariant", path, "--emit-matrix"]) == 0
+        assert capsys.readouterr().out == honest, path
+
+
+# -- a dual pair that depends on the twist alpha ------------------------------
+
+def twisted_dual_algebra():
+    """Even X, Y; odd u, v, w; [X,Y] = Y, [X,w] = w, [Y,u] = w, [u,v] = X,
+    [v,w] = -Y.  X acts on the odd part with trace 1, and the inverse of the
+    pairing matrix has entries X and Y, so the twist of the dual pair is
+    seen by its duality check."""
+    X, Y, u, v, w = range(5)
+    brackets = {(X, Y): {Y: 1}, (Y, X): {Y: -1}, (X, w): {w: 1}, (w, X): {w: -1},
+                (Y, u): {w: 1}, (u, Y): {w: -1}, (u, v): {X: 1}, (v, u): {X: 1},
+                (v, w): {Y: -1}, (w, v): {Y: -1}}
+    return LieSuperalgebra("twisted_dual", ["X", "Y"], ["u", "v", "w"], brackets)
+
+
+def test_dual_pair_depends_on_the_twist(monkeypatch, capsys, tmp_path):
+    alg = twisted_dual_algebra()
+    assert validate_superalgebra(alg).ok
+    assert lambda_values(alg) == {0: 1, 1: 0}
+    fm = frobenius_matrix(alg)
+    X, Y = gen(alg, "X"), gen(alg, "Y")
+    inverse = {e for row in fm.inverse for e in row}
+    assert {X, -X} & inverse and {Y, -Y} & inverse
+    assert len(dual_pair(alg, fm)) == 8
+    path = algebra_file(tmp_path, alg)
+    assert main(["invariant", path, "--emit-dual-pair"]) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violator"] == "X" and len(payload["dual_pair"]) == 8
+
+    # the opposite twist breaks duality, and the CLI reports a library fault
+    monkeypatch.setattr(frobenius, "alpha", alpha_inv)
+    with pytest.raises(InternalInvariantError, match=r"dual pair fails at \(4, 0\)"):
+        dual_pair(alg, fm)
+    assert main(["invariant", path, "--emit-dual-pair"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("superhaar: internal invariant violation:")
