@@ -15,9 +15,9 @@ from .algebra import (EVEN, ODD, EvenPartReport, InputError, LieSuperalgebra,
 from .enveloping import (PBWMonomial, UEElement, act_on_quotient, counit,
                          map_element, multiply, quotient_project)
 from .frobenius import (FrobeniusMatrix, InternalInvariantError, InvariantZ,
-                        NoInvariantError, classes_proportional, dual_pair,
-                        form, frobenius_matrix, frobenius_pi, invariant_z,
-                        odd_subset_order, pi_parity, subset_monomial)
+                        NoInvariantError, dual_pair, form, frobenius_matrix,
+                        frobenius_pi, invariant_z, odd_subset_order,
+                        subset_monomial)
 from .modules import (GradedModule, IntegralMatrix, NotSemisimpleError,
                       SemisimplicityReport, brute_force_quotient_invariants,
                       check_right_integral, check_semisimple_over_even,
@@ -34,9 +34,8 @@ __all__ = [
     "PBWMonomial", "UEElement", "act_on_quotient", "counit", "map_element",
     "multiply", "quotient_project",
     "FrobeniusMatrix", "InternalInvariantError", "InvariantZ",
-    "NoInvariantError", "classes_proportional", "dual_pair", "form",
-    "frobenius_matrix", "frobenius_pi", "invariant_z", "odd_subset_order",
-    "pi_parity", "subset_monomial",
+    "NoInvariantError", "dual_pair", "form", "frobenius_matrix",
+    "frobenius_pi", "invariant_z", "odd_subset_order", "subset_monomial",
     "GradedModule", "IntegralMatrix", "NotSemisimpleError",
     "SemisimplicityReport", "brute_force_quotient_invariants",
     "check_right_integral", "check_semisimple_over_even", "integral_matrix",

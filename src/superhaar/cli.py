@@ -22,7 +22,7 @@ import sys
 from . import fileio, linalg
 from .algebra import InputError, even_part_structure, lambda_values, validate_superalgebra
 from .frobenius import (InternalInvariantError, NoInvariantError, dual_pair,
-                        frobenius_matrix, invariant_z, pi_parity)
+                        frobenius_matrix, invariant_z)
 from .modules import (brute_force_quotient_invariants, check_right_integral,
                       check_semisimple_over_even, integral_matrix,
                       invariant_projector, validate_module)
@@ -80,20 +80,12 @@ def _validated_algebra(path: str):
 
 
 def _violations_json(alg, report):
-    return [{
-        "kind": v.kind,
-        "witness": [alg.basis_name(i) for i in v.witness],
-        "detail": v.detail,
-    } for v in report.violations]
-
-
-def _module_violations_json(alg, report):
     out = []
     for v in report.violations:
-        if v.kind == "module-bracket":
-            names = [alg.basis_name(i) for i in v.witness]
-        else:  # module-parity witness is (basis, row, col)
+        if v.kind == "module-parity":  # witness is (basis, row, col)
             names = [alg.basis_name(v.witness[0])] + [str(w) for w in v.witness[1:]]
+        else:
+            names = [alg.basis_name(i) for i in v.witness]
         out.append({"kind": v.kind, "witness": names, "detail": v.detail})
     return out
 
@@ -145,7 +137,7 @@ def cmd_invariant(args) -> int:
             payload["oracle_dimension"] = len(brute_force_quotient_invariants(alg))
         raise _CliExit(EXIT_NO_INVARIANT, payload=payload, message=str(exc))
 
-    payload["parity"] = "odd" if pi_parity(alg) else "even"
+    payload["parity"] = "odd" if alg.n_odd % 2 else "even"
     payload["z"] = fileio.element_to_json(inv.z)
     payload["certificate"] = {
         alg.basis_name(i): fileio.quotient_class_to_json(alg, residue)
@@ -174,7 +166,7 @@ def cmd_integrate(args) -> int:
             "algebra": alg.name,
             "module": module.name,
             "valid": False,
-            "violations": _module_violations_json(alg, mreport),
+            "violations": _violations_json(alg, mreport),
         }, message="module violates the representation axioms")
 
     try:

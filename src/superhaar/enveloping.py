@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .algebra import LieSuperalgebra, ad_prime_trace, as_scalar
 
@@ -37,10 +37,6 @@ class PBWMonomial(NamedTuple):
     @property
     def degree(self) -> int:
         return sum(self.even) + self.odd.bit_count()
-
-    @property
-    def parity(self) -> int:
-        return self.odd.bit_count() & 1
 
     def word(self, n_even: int) -> tuple[int, ...]:
         w = []
@@ -107,24 +103,10 @@ class UEElement:
             return cls(alg, {PBWMonomial(even, 0): Fraction(1)})
         return cls(alg, {PBWMonomial((0,) * alg.n_even, 1 << (i - alg.n_even)): Fraction(1)})
 
-    @classmethod
-    def from_word(cls, alg, word: Iterable[int], coeff=1):
-        nf = _normal_form(alg, [(tuple(word), as_scalar(coeff))])
-        return cls(alg, {_word_to_monomial(alg, w): c for w, c in nf.items()})
-
     # -- queries -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def homogeneous_parity(self) -> int | None:
-        """Parity if all monomials agree (0 or 1), else None; None for 0."""
-        parities = {m.parity for m in self.terms}
-        return parities.pop() if len(parities) == 1 else None
 
     def coefficient(self, mono: PBWMonomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))

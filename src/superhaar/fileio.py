@@ -19,11 +19,11 @@ from .algebra import InputError, LieSuperalgebra, check_square
 from .enveloping import UEElement
 from .modules import GradedModule
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not an exact rational: {text!r}")
     num, _, den = text.partition("/")
     try:

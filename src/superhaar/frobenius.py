@@ -115,12 +115,6 @@ def form(x: UEElement, y: UEElement) -> UEElement:
     return frobenius_pi(_top_product(x, y))
 
 
-def pi_parity(alg: LieSuperalgebra) -> int:
-    """Parity of the top-coefficient projection: the number of odd
-    generators mod 2."""
-    return alg.n_odd % 2
-
-
 @dataclass(frozen=True)
 class FrobeniusMatrix:
     """Pairing matrix A[i][j] = <x^{I_i}, x^{complement(I_j)}> together with
@@ -264,7 +258,7 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     for j in range(n):
         y = UEElement.zero(alg)
         for k in range(n):
-            if fm.inverse[k][j].is_zero:
+            if not fm.inverse[k][j]:
                 continue
             y = y + multiply(comp[k], alpha(fm.inverse[k][j]))
         ys.append(y)
@@ -283,13 +277,11 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
 class InvariantZ:
     """Representative of the invariant line in the quotient by the left
     ideal generated by the even part, plus the per-generator residues of
-    w*z - counit(w)*z modulo that ideal (all zero when valid)."""
+    w*z - counit(w)*z modulo that ideal (all zero when valid), and the
+    class of z in that quotient over the basis x^I."""
     z: UEElement
     certificate: dict[int, dict[int, Fraction]]
-
-    @property
-    def quotient_class(self) -> dict[int, Fraction]:
-        return quotient_project(self.z)
+    quotient_class: dict[int, Fraction]
 
 
 def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> InvariantZ:
@@ -332,15 +324,4 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
     if not z_class:
         raise InternalInvariantError("z lies in the ideal it should represent "
                                      "a nonzero class against")
-    return InvariantZ(z, certificate)
-
-
-def classes_proportional(a: dict[int, Fraction], b: dict[int, Fraction]) -> bool:
-    """Are two nonzero quotient classes nonzero scalar multiples of each other?"""
-    if not a or not b or set(a) != set(b):
-        return False
-    mask = next(iter(a))
-    ratio = b[mask] / a[mask]
-    if not ratio:
-        return False
-    return all(b[m] == ratio * a[m] for m in a)
+    return InvariantZ(z, certificate, z_class)

@@ -23,7 +23,7 @@ from . import linalg
 from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
                       ValidationReport, even_part_structure, nonzero_rows)
 from .enveloping import UEElement, act_on_quotient
-from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order, pi_parity
+from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order
 from .linalg import ONE
 
 
@@ -232,7 +232,7 @@ def integral_matrix(alg: LieSuperalgebra, module: GradedModule,
         if linalg.mat_mul(module.rho(i), m):
             raise InternalInvariantError(
                 f"integral matrix is not left invariant under {alg.basis_name(i)}")
-    return IntegralMatrix(m, pi_parity(alg))
+    return IntegralMatrix(m, alg.n_odd % 2)
 
 
 def check_right_integral(alg: LieSuperalgebra, module: GradedModule,

@@ -1,10 +1,11 @@
-"""Seeded random generators: elements, basis changes, small valid algebras.
+"""Seeded random generators for the tests: elements, basis changes, small
+valid algebras, and the element helpers they rest on.
 
-Test support.  The algebra families below are valid by construction for
-every choice of the random data (central extensions by a symmetric form,
-diagonal weight actions, and invertible base changes of those), which is
-what makes them usable for randomized uniqueness sweeps without a search
-for consistent structure constants.
+The algebra families below are valid by construction for every choice of
+the random data (central extensions by a symmetric form, diagonal weight
+actions, and invertible base changes of those), which is what makes them
+usable for randomized uniqueness sweeps without a search for consistent
+structure constants.
 """
 
 from __future__ import annotations
@@ -12,9 +13,29 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import linalg
-from .algebra import LieSuperalgebra, change_basis, nonzero_rows
-from .enveloping import UEElement
+from superhaar import linalg
+from superhaar.algebra import LieSuperalgebra, change_basis, nonzero_rows
+from superhaar.enveloping import PBWMonomial, UEElement, multiply
+
+
+def from_word(alg: LieSuperalgebra, word, coeff=1) -> UEElement:
+    """``coeff`` times the product of the generators in ``word``, in order."""
+    out = UEElement.scalar(alg, coeff)
+    for g in word:
+        out = multiply(out, UEElement.generator(alg, g))
+    return out
+
+
+def monomial_parity(mono: PBWMonomial) -> int:
+    """Parity of a PBW monomial: its number of odd letters mod 2."""
+    return mono.odd.bit_count() & 1
+
+
+def homogeneous_parity(u: UEElement) -> int | None:
+    """Parity of ``u`` if all its monomials agree (0 or 1), else None;
+    None for 0."""
+    parities = {monomial_parity(m) for m in u.terms}
+    return parities.pop() if len(parities) == 1 else None
 
 
 def random_scalar(rng: random.Random, span: int = 4) -> Fraction:
@@ -29,7 +50,7 @@ def random_element(alg: LieSuperalgebra, rng: random.Random,
     for _ in range(terms):
         length = rng.randint(0, max_degree)
         word = tuple(rng.randrange(alg.dim) for _ in range(length))
-        out = out + UEElement.from_word(alg, word, random_scalar(rng))
+        out = out + from_word(alg, word, random_scalar(rng))
     return out
 
 
@@ -41,7 +62,7 @@ def random_even_element(alg: LieSuperalgebra, rng: random.Random,
     for _ in range(terms):
         length = rng.randint(0, max_degree)
         word = tuple(rng.randrange(alg.n_even) for _ in range(length))
-        out = out + UEElement.from_word(alg, word, random_scalar(rng))
+        out = out + from_word(alg, word, random_scalar(rng))
     return out
 
 
@@ -51,8 +72,8 @@ def random_homogeneous_element(alg: LieSuperalgebra, rng: random.Random,
     for _ in range(attempts):
         u = random_element(alg, rng, max_degree=max_degree, terms=5)
         filtered = UEElement(alg, {m: c for m, c in u.terms.items()
-                                   if m.parity == parity})
-        if not filtered.is_zero:
+                                   if monomial_parity(m) == parity})
+        if filtered:
             return filtered
     raise RuntimeError(f"could not draw a homogeneous element of parity {parity}")
 

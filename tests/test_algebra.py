@@ -8,9 +8,9 @@ from superhaar import (InputError, LieSuperalgebra, ad_prime_trace,
                        change_basis, even_part_structure, lambda_values,
                        linalg, trace_condition_holds, validate_superalgebra)
 from superhaar.algebra import ValidationReport
-from superhaar.randgen import random_odd_basis_change, random_scalar
 
 from conftest import ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units, rows_of
+from randgen import random_odd_basis_change, random_scalar
 
 F = Fraction
 

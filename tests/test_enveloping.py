@@ -7,12 +7,11 @@ from superhaar import (InputError, PBWMonomial, UEElement, act_on_quotient,
                        counit, multiply, quotient_project,
                        validate_superalgebra)
 from superhaar.enveloping import alpha
-from superhaar.randgen import (random_element, random_even_element,
-                               random_odd_basis_change,
-                               random_small_superalgebra)
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra,
                       gl_supermatrix_units)
+from randgen import (homogeneous_parity, random_element, random_even_element,
+                     random_odd_basis_change, random_small_superalgebra)
 
 F = Fraction
 
@@ -30,7 +29,7 @@ def test_multiply_examples(g2, bad2):
 
     X, th = gen(bad2, "X"), gen(bad2, "th")
     assert multiply(th, X) == multiply(X, th) - th
-    assert multiply(th, th).is_zero
+    assert not multiply(th, th)
 
 
 def test_an_element_is_true_exactly_when_nonzero(bad2):
@@ -187,7 +186,7 @@ def odd_first_form(u):
         mono = PBWMonomial(tuple(even), 0)
         buckets[mask][mono] = buckets[mask].get(mono, F(0)) + c
     form = {mask: UEElement(alg, terms) for mask, terms in buckets.items()}
-    return {mask: v for mask, v in form.items() if not v.is_zero}
+    return {mask: v for mask, v in form.items() if v}
 
 
 def reassemble_odd_first(alg, form):
@@ -304,10 +303,10 @@ def test_elements_ending_in_an_even_letter_have_zero_class(rng):
 
 def test_homogeneous_parity(g2):
     x1, x2 = gen(g2, "x1"), gen(g2, "x2")
-    assert x1.homogeneous_parity() == 1
-    assert multiply(x1, x2).homogeneous_parity() == 0
-    assert (x1 + multiply(x1, x2)).homogeneous_parity() is None
-    assert UEElement.zero(g2).homogeneous_parity() is None
+    assert homogeneous_parity(x1) == 1
+    assert homogeneous_parity(multiply(x1, x2)) == 0
+    assert homogeneous_parity(x1 + multiply(x1, x2)) is None
+    assert homogeneous_parity(UEElement.zero(g2)) is None
 
 
 def test_scalars_must_be_exact(g2):

@@ -34,7 +34,8 @@ def test_parse_rational_values():
     assert parse_rational("+2/4") == F(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/0", "x", "", "1e3", "1 / 2", None])
+@pytest.mark.parametrize("bad", ["1.5", "1/0", "x", "", "1e3", "1 / 2", None,
+                                 "1\n", "\u0663", "1/\u0662"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(InputError):
         parse_rational(bad)
@@ -147,6 +148,15 @@ def test_cli_validate_mathematical_violation(tmp_path, capsys):
     assert code == 2
     assert payload["valid"] is False
     assert any(v["kind"] == "antisymmetry" for v in payload["violations"])
+
+
+def test_cli_validate_rejects_a_coefficient_with_a_trailing_newline(tmp_path, capsys):
+    obj = json.loads(Path(builtin_fixture("bad2.json")).read_text())
+    obj["brackets"][0]["result"][0]["coeff"] += "\n"
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps(obj))
+    code, payload, err = run_cli(capsys, "validate", str(path))
+    assert code == 1 and payload is None and "not an exact rational" in err
 
 
 def test_cli_parse_error_exit_1(tmp_path, capsys):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from superhaar import (NotSemisimpleError, integral_matrix, invariant_projector,
                        invariant_z, linalg, module_action)
-from superhaar.randgen import random_element
 
 from conftest import (MODULE_FILES, UNIMODULAR, dense_of, fixture_algebra,
                       fixture_module, rows_of)
+from randgen import random_element
 
 F = Fraction
 m = rows_of

@@ -16,10 +16,10 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        multiply, quotient_module, validate_module)
 from superhaar.algebra import ValidationReport
 from superhaar.fileio import builtin_fixture
-from superhaar.randgen import random_element
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, dense_of,
                       fixture_algebra, fixture_module, rows_of)
+from randgen import random_element
 
 F = Fraction
 
