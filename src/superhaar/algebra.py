@@ -199,16 +199,17 @@ class LieSuperalgebra:
         return {k: c for k, c in out.items() if c}
 
 
-def _integer_rows(alg: LieSuperalgebra) -> list[dict[int, tuple[tuple[int, int], ...]]]:
-    """``rows[a][b]`` is [a, b] as ``((t, c * L), ...)`` with exact ints,
-    where L is the lcm of the denominators of all structure constants."""
+def _integer_rows(alg: LieSuperalgebra) -> tuple[int, list[dict[int, tuple[tuple[int, int], ...]]]]:
+    """L and the rows: ``rows[a][b]`` is [a, b] as ``((t, c * L), ...)``
+    with exact ints, where L is the lcm of the denominators of all
+    structure constants (1 when there are none)."""
     scale = math.lcm(*(c.denominator for entry in alg._brackets.values()
                        for _, c in entry))
     rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(alg.dim)]
     for (a, b), entry in alg._brackets.items():
         rows[a][b] = tuple((t, c.numerator * (scale // c.denominator))
                            for t, c in entry)
-    return rows
+    return scale, rows
 
 
 def _jacobi_residual(alg: LieSuperalgebra, i: int, j: int, k: int,
@@ -267,7 +268,7 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
 
     # graded Leibniz form of Jacobi:
     # [i,[j,k]] = [[i,j],k] + (-1)^{p(i)p(j)} [j,[i,k]]
-    rows = _integer_rows(alg)
+    _, rows = _integer_rows(alg)
     for i in range(n):
         ri = rows[i]
         for j in range(n):

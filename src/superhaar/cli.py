@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import fileio, linalg
@@ -47,11 +48,12 @@ def _emit(payload):
 
 
 def _max_odd() -> int:
+    """The bound, written as ASCII digits only: no sign, space, underscore
+    or other script's digits, all of which ``int`` would take."""
     raw = os.environ.get("SUPERHAAR_MAX_ODD", "6")
-    try:
-        return int(raw)
-    except ValueError:
+    if not re.fullmatch("[0-9]+", raw):
         raise _CliExit(EXIT_INPUT, message=f"SUPERHAAR_MAX_ODD is not an integer: {raw!r}")
+    return int(raw)
 
 
 def _load_algebra(path: str):

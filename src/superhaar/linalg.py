@@ -8,6 +8,14 @@ matrix's truth value the test for the zero matrix.  Shapes are not stored:
 callers pass a dimension wherever one is needed (``nullspace``, ``invert``,
 ``minimal_polynomial``).  No function mutates its arguments.
 
+Entries may be any numbers closed under ``+`` and ``*`` whose zero is
+falsy, such as ints or Fractions.  ``mat_mul``, ``mat_comb`` and
+``transpose`` keep the entry type, so int rows give int rows; this is how
+``modules.validate_module`` checks its relations in exact integers.  Only
+the elimination functions (``rref`` and everything built on it, and
+``minimal_polynomial``) and the polynomial helpers divide, and they need
+Fractions.
+
 The functions that depend only on the row space (``rref``, ``rank``,
 ``nullspace``, ``row_space_basis``, ``same_span``) take any iterable of
 row vectors, such as ``mat.values()`` or a list of basis vectors.
@@ -38,7 +46,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         acc = {}
         for t, x in arow.items():
             for c, y in b.get(t, {}).items():
-                acc[c] = acc.get(c, ZERO) + x * y
+                acc[c] = acc[c] + x * y if c in acc else x * y
         acc = {c: x for c, x in acc.items() if x}
         if acc:
             out[r] = acc

@@ -16,12 +16,14 @@ cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import linalg
 from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
-                      ValidationReport, even_part_structure, nonzero_rows)
+                      ValidationReport, _integer_rows, even_part_structure,
+                      nonzero_rows)
 from .enveloping import UEElement, act_on_quotient
 from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order
 from .linalg import ONE
@@ -73,9 +75,14 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
     relation rho([x,y]) = rho(x)rho(y) - (-1)^([x][y]) rho(y)rho(x) on all
     basis pairs.
 
-    The pairs (i, j) and (j, i) share the products rho(i)rho(j) and
-    rho(j)rho(i), so both are checked from one pair of products; failing
-    pairs are reported in lexicographic order."""
+    The relations are checked in exact integers.  With D the lcm of the
+    denominators of all action entries and L that of all structure
+    constants, P(i) = D rho(i) and L c_ab^k are integers, and
+    L (P(a)P(b) - s P(b)P(a)) - D sum_k (L c_ab^k) P(k) is L D^2 times the
+    rational residue, so it is zero exactly when the relation holds.  The
+    pairs (i, j) and (j, i) share the products P(i)P(j) and P(j)P(i), so
+    both are checked from one pair of products; failing pairs are
+    reported in lexicographic order."""
     report = ValidationReport()
     if module.alg != alg:
         raise InputError("module was built over a different algebra")
@@ -88,11 +95,16 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
                     report.add("module-parity", (i, r, c),
                                f"rho({alg.basis_name(i)})[{r}][{c}] = {x} "
                                f"violates the parity pattern")
+    scale, brackets = _integer_rows(alg)
+    d = math.lcm(*(x.denominator for i in range(alg.dim)
+                   for row in rho(i).values() for x in row.values()))
+    act = [{r: {c: x.numerator * (d // x.denominator) for c, x in row.items()}
+            for r, row in rho(i).items()} for i in range(alg.dim)]
     failing = []
     for i in range(alg.dim):
-        mi = rho(i)
+        mi = act[i]
         for j in range(i, alg.dim):
-            mj = rho(j)
+            mj = act[j]
             sign = -1 if alg.parity(i) and alg.parity(j) else 1
             pij = linalg.mat_mul(mi, mj)
             if i == j:
@@ -101,10 +113,10 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
                 pji = linalg.mat_mul(mj, mi)
                 pairs = [(i, j, pij, pji), (j, i, pji, pij)]
             for a, b, ab, ba in pairs:
-                # rho(a)rho(b) - sign rho(b)rho(a) - rho([a, b]), zero iff
+                # L (P(a)P(b) - sign P(b)P(a)) - D P(L [a, b]), zero iff
                 # the relation holds
-                terms = [(ONE, ab), (-sign, ba)]
-                terms += [(-c, rho(k)) for k, c in alg.bracket(a, b)]
+                terms = [(scale, ab), (-sign * scale, ba)]
+                terms += [(-d * c, act[k]) for k, c in brackets[a].get(b, ())]
                 if linalg.mat_comb(terms):
                     failing.append((a, b))
     for a, b in sorted(failing):

@@ -284,9 +284,16 @@ def test_cli_max_odd_bound(monkeypatch, capsys):
                                  builtin_fixture("g2_grassmann.json"))
     assert code == 1
     assert "SUPERHAAR_MAX_ODD" in err
-    monkeypatch.setenv("SUPERHAAR_MAX_ODD", "not-a-number")
-    code, _, err = run_cli(capsys, "validate", builtin_fixture("g2_grassmann.json"))
-    assert code == 1
+    # only ASCII digits: int() would take every one of these
+    for raw in ["not-a-number", "٣", "1_0", " 7 ", "+6", "-1"]:
+        monkeypatch.setenv("SUPERHAAR_MAX_ODD", raw)
+        code, payload, err = run_cli(capsys, "validate",
+                                     builtin_fixture("gl11.json"))
+        assert (code, payload) == (1, None), raw
+        assert f"SUPERHAAR_MAX_ODD is not an integer: {raw!r}" in err
+    monkeypatch.setenv("SUPERHAAR_MAX_ODD", "02")
+    code, _, _ = run_cli(capsys, "validate", builtin_fixture("gl11.json"))
+    assert code == 0
 
 
 def test_cli_reductivity_warnings(tmp_path, capsys):

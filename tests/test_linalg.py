@@ -256,6 +256,39 @@ def test_linalg_returns_nonzeros_only_and_keeps_its_arguments(mat, square):
     unchanged(linalg.minimal_polynomial, m(square), n)
 
 
+def int_rows(dense):
+    """Like ``rows_of``, but keeping the int entries as ints."""
+    return {r: nz for r, row in enumerate(dense)
+            if (nz := {c: x for c, x in enumerate(row) if x})}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_int_rows_stay_ints_and_match_fractions(data):
+    # entries in -2..2 make cancellations, which must leave no stored zero
+    n, k, p = (data.draw(st.integers(0, 5)) for _ in range(3))
+    entries = st.integers(-2, 2)
+    a = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[data.draw(entries) for _ in range(p)] for _ in range(k)]
+    c = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    f, g = data.draw(entries), data.draw(entries)
+    ia, ib, ic = int_rows(a), int_rows(b), int_rows(c)
+    pairs = [(unchanged(linalg.mat_mul, ia, ib), linalg.mat_mul(m(a), m(b))),
+             (unchanged(linalg.mat_comb, [(1, ia), (-1, ic), (f, ia), (g, ic)]),
+              linalg.mat_comb([(F(1), m(a)), (F(-1), m(c)), (F(f), m(a)),
+                               (F(g), m(c))]))]
+    for ints, fracs in pairs:
+        assert ints == fracs
+        for row in ints.values():
+            assert row, "empty matrix row"
+            assert all(type(x) is int and x for x in row.values()), row
+
+
+def test_int_products_that_cancel_store_nothing():
+    assert linalg.mat_mul({0: {0: 1, 1: 1}}, {0: {0: 1}, 1: {0: -1}}) == {}
+    assert linalg.mat_comb([(2, {0: {0: 3}}), (-3, {0: {0: 2}})]) == {}
+
+
 FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
 
 

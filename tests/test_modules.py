@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhaar import (GradedModule, InputError, InternalInvariantError,
-                       NotSemisimpleError, UEElement,
-                       brute_force_quotient_invariants,
+                       LieSuperalgebra, NotSemisimpleError, UEElement,
+                       brute_force_quotient_invariants, change_basis,
                        check_right_integral, check_semisimple_over_even,
                        counit, integral_matrix, invariant_projector,
                        invariant_z, linalg, module_action, modules,
@@ -132,6 +133,78 @@ def test_validate_module_matches_dense_reference_on_one_changed_entry(case, data
     changed = GradedModule(alg, module.parities, action)
     assert validate_module(alg, changed).violations == \
         dense_validate_module(alg, changed).violations
+
+
+def rescaled(key, filename):
+    """A fixture algebra on the basis b_i/(i+2) and its module on the basis
+    (k+1) v_k, so that the structure constants and the action entries both
+    have denominators other than 1."""
+    alg, module = fixture_algebra(key), fixture_module(key, filename)
+    n0 = alg.n_even
+    scaled, _ = change_basis(
+        alg, {i: {i: F(1, i + 2)} for i in range(n0)},
+        {a: {a: F(1, n0 + a + 2)} for a in range(alg.n_odd)})
+    action = {i: {r: {c: x * F(c + 1, (i + 2) * (r + 1)) for c, x in row.items()}
+                  for r, row in module.rho(i).items()}
+              for i in range(alg.dim)}
+    return scaled, GradedModule(scaled, module.parities, action)
+
+
+def denominators(alg, module):
+    """L and D of ``validate_module``: the lcm of the denominators of the
+    structure constants and of the action entries."""
+    return (math.lcm(*(c.denominator for _, vec in alg.nonzero_brackets()
+                       for _, c in vec)),
+            math.lcm(*(x.denominator for i in range(alg.dim)
+                       for row in module.rho(i).values() for x in row.values())))
+
+
+def test_validate_module_matches_dense_reference_on_rescaled_fixtures():
+    both = 0
+    for key, filename in FIXTURE_MODULES:
+        alg, module = rescaled(key, filename)
+        lcms = denominators(alg, module)
+        both += min(lcms) > 1
+        for mod in (module, quotient_module(alg)):
+            assert validate_module(alg, mod).violations == \
+                dense_validate_module(alg, mod).violations == [], (filename, lcms)
+    assert both == 5     # g2 and g3 are abelian, bad2's module acts by zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIXTURE_MODULES), st.data())
+def test_validate_module_matches_dense_reference_on_a_rational_change(case, data):
+    alg, module = rescaled(*case)
+    d = module.dim
+    action = {i: dense_of(module.rho(i), d) for i in range(alg.dim)}
+    i = data.draw(st.integers(0, alg.dim - 1))
+    r, c = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    action[i][r][c] += F(1, data.draw(st.sampled_from([2, 3, 7, 11])))
+    changed = GradedModule(alg, module.parities, action)
+    assert validate_module(alg, changed).violations == \
+        dense_validate_module(alg, changed).violations
+
+
+def test_validate_module_on_the_zero_module_and_an_abelian_algebra():
+    # the zero module: D is the lcm over no entries
+    for alg in (fixture_algebra("gl11"), rescaled("gl11", "defining_module.json")[0]):
+        zero = GradedModule(alg, [0, 1, 1], {})
+        assert validate_module(alg, zero).violations == \
+            dense_validate_module(alg, zero).violations == []
+    # an abelian algebra: L is the lcm over no structure constants, and the
+    # relations say that the actions supercommute
+    ab = LieSuperalgebra("ab", ["X"], ["u", "v"], {})
+    diag = {0: {0: F(1, 2)}, 1: {1: F(1, 3)}}
+    for action, failing in [
+            ({0: diag, 1: {0: {1: F(2, 7)}}}, [(0, 1), (1, 0)]),
+            ({0: {0: {0: F(5, 4)}, 1: {1: F(5, 4)}}, 1: {0: {1: F(2, 7)}},
+              2: {1: {0: F(3, 2)}}},
+             [(1, 2), (2, 1)]),
+            ({1: {0: {1: F(2, 7)}}, 2: {0: {1: F(1, 3)}}}, [])]:
+        module = GradedModule(ab, [0, 1], action)
+        report = validate_module(ab, module)
+        assert report.violations == dense_validate_module(ab, module).violations
+        assert [v.witness for v in report.violations] == failing
 
 
 def test_stored_rows_of_actions(osp12):
