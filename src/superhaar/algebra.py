@@ -146,6 +146,25 @@ class LieSuperalgebra:
         self._parity_graded = all(
             self.parity(k) == (self.parity(i) + self.parity(j)) % 2
             for (i, j), entry in table.items() for k, _ in entry)
+        # the table in exact ints, for the integer checks and the rewriting
+        # kernel: _int_rows[a][b] is [a, b] * S as ((t, int), ...), and
+        # _int_halves[a] is [a, a] / 2 * S for odd a, the odd square's
+        # rewriting; S is the lcm of the denominators of both (1 when
+        # there are none)
+        halves = {a: tuple((t, c / 2) for t, c in table.get((a, a), ()))
+                  for a in range(self.n_even, self.dim)}
+        scale = math.lcm(*(c.denominator for entry in (*table.values(), *halves.values())
+                           for _, c in entry))
+
+        def ints(entry):
+            return tuple((t, c.numerator * (scale // c.denominator)) for t, c in entry)
+
+        rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(self.dim)]
+        for (a, b), entry in table.items():
+            rows[a][b] = ints(entry)
+        self._int_scale = scale
+        self._int_rows = rows
+        self._int_halves = tuple(ints(halves.get(a, ())) for a in range(self.dim))
         self._cached_key = (self.name, self.even_names, self.odd_names,
                             tuple(sorted(table.items())))
 
@@ -199,19 +218,6 @@ class LieSuperalgebra:
         return {k: c for k, c in out.items() if c}
 
 
-def _integer_rows(alg: LieSuperalgebra) -> tuple[int, list[dict[int, tuple[tuple[int, int], ...]]]]:
-    """L and the rows: ``rows[a][b]`` is [a, b] as ``((t, c * L), ...)``
-    with exact ints, where L is the lcm of the denominators of all
-    structure constants (1 when there are none)."""
-    scale = math.lcm(*(c.denominator for entry in alg._brackets.values()
-                       for _, c in entry))
-    rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(alg.dim)]
-    for (a, b), entry in alg._brackets.items():
-        rows[a][b] = tuple((t, c.numerator * (scale // c.denominator))
-                           for t, c in entry)
-    return scale, rows
-
-
 def _jacobi_residual(alg: LieSuperalgebra, i: int, j: int, k: int,
                      sign: int) -> dict[int, Fraction]:
     """[i,[j,k]] - [[i,j],k] - sign [j,[i,k]] over Q, nonzero terms only."""
@@ -231,10 +237,10 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
     Every violated identity is reported with the witnessing basis tuple;
     an empty report certifies all three families of identities.
 
-    Super Jacobi is screened in exact integers: with L the lcm of the
-    denominators of all structure constants, each residual
+    Super Jacobi is screened in exact integers: with S the algebra's
+    integer scale (``LieSuperalgebra._int_rows``), each residual
     [i,[j,k]] - [[i,j],k] - (-1)^{p(i)p(j)} [j,[i,k]] is summed from the
-    constants times L, which gives L^2 times the rational residual.  A
+    constants times S, which gives S^2 times the rational residual.  A
     triple with [i,j], [j,k] and [i,k] all zero has zero residual, so for
     each (i, j) with [i,j] = 0 only the k with [j,k] or [i,k] nonzero are
     visited.  Triples are visited in lexicographic order, and only a
@@ -268,7 +274,7 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
 
     # graded Leibniz form of Jacobi:
     # [i,[j,k]] = [[i,j],k] + (-1)^{p(i)p(j)} [j,[i,k]]
-    _, rows = _integer_rows(alg)
+    rows = alg._int_rows
     for i in range(n):
         ri = rows[i]
         for j in range(n):

@@ -18,6 +18,7 @@ monomials x^I that form a basis of the quotient.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
@@ -59,9 +60,14 @@ def _term_key(mono: PBWMonomial):
 class UEElement:
     """An enveloping-algebra element: a finite Fraction-weighted sum of
     PBW monomials over a fixed algebra.  Values are immutable; all
-    arithmetic allocates fresh results."""
+    arithmetic allocates fresh results.
 
-    __slots__ = ("alg", "terms")
+    The public constructor checks every monomial and scalar.  Results of
+    the library's own arithmetic are built by ``_trusted``, which stores
+    its terms as given.  ``_word_terms`` is filled on first use by
+    ``_words``."""
+
+    __slots__ = ("alg", "terms", "_word_terms")
 
     def __init__(self, alg: LieSuperalgebra, terms=()):
         acc: dict[PBWMonomial, Fraction] = {}
@@ -76,6 +82,17 @@ class UEElement:
             acc[mono] = acc.get(mono, Fraction(0)) + c
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "terms", {m: c for m, c in acc.items() if c})
+        object.__setattr__(self, "_word_terms", None)
+
+    @classmethod
+    def _trusted(cls, alg: LieSuperalgebra, terms: dict) -> UEElement:
+        """The element with ``terms`` stored as given, unchecked: the caller
+        guarantees monomials that fit ``alg`` and nonzero Fraction values."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_word_terms", None)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("UEElement is immutable")
@@ -114,26 +131,43 @@ class UEElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]))
 
+    def _words(self) -> list[tuple[tuple[int, ...], int, Fraction]]:
+        """(generator word, number of odd letters, coefficient) per term,
+        built on the first call and kept."""
+        words = self._word_terms
+        if words is None:
+            n0 = self.alg.n_even
+            words = [(m.word(n0), m.odd.bit_count(), c) for m, c in self.terms.items()]
+            object.__setattr__(self, "_word_terms", words)
+        return words
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return UEElement(self.alg, out)
+            if m in out:
+                c += out[m]
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
+        return UEElement._trusted(self.alg, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return UEElement(self.alg, {m: -c for m, c in self.terms.items()})
+        return UEElement._trusted(self.alg, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, UEElement):
             return multiply(self, other)
         c = as_scalar(other)
-        return UEElement(self.alg, {m: c * v for m, v in self.terms.items()})
+        if not c:
+            return UEElement.zero(self.alg)
+        return UEElement._trusted(self.alg, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -193,13 +227,30 @@ def _normal_form(alg: LieSuperalgebra, heads, odd_first: bool = False,
                  min_odd: int = 0) -> dict[tuple[int, ...], Fraction]:
     """Expand scaled generator words into canonical words.
 
+    `heads` is a list of (word, Fraction coefficient), each word a tuple
+    of generator indices.
+
     A word is canonical when its letters are non-decreasing in the term
     order and no odd letter repeats.  The order is the index order (even
     generators first), or with `odd_first` the odd generators first, each
     part by index.  One step either transposes an adjacent out-of-order
     pair (Koszul sign plus a bracket term) or collapses an adjacent odd
     square via x*x = [x,x]/2.  Every step lowers (total degree, inversion
-    count), so the worklist terminates.
+    count), so the worklist terminates.  The letters before the first
+    out-of-order pair stay in order in every word a step makes, so the
+    scan for the next one starts one letter before it.
+
+    The loop runs in exact ints.  The algebra's integer table holds
+    [a, b] * S and, for odd a, [a, a] / 2 * S, with S the lcm of their
+    denominators (``LieSuperalgebra._int_rows``).  The heads are scaled to
+    one common denominator D and to the largest head degree `top`: a head
+    of degree d carries c * D * S^(top - d).  A transposition keeps the
+    degree and the scale; a bracket or square step lowers the degree by
+    exactly 1 and multiplies by an entry of the table, which is the
+    rational constant times S.  So every word of degree d on the worklist,
+    canonical words included, carries exactly D * S^(top - d) times its
+    rational coefficient, and each output coefficient is one
+    Fraction(v, D * S^(top - d)) at the end.
 
     Each worklist word carries its number of odd letters.  When every
     bracket term has parity p(a) + p(b), no step raises that number: a
@@ -221,69 +272,72 @@ def _normal_form(alg: LieSuperalgebra, heads, odd_first: bool = False,
     so the ideal is the sum of the x^I * U(g0)*g0 and the x^I are a basis
     of the quotient; the canonical words are the class in that basis.
     """
-    parity = alg.parity
+    if not heads:
+        return {}
     n0 = alg.n_even
+    scale, rows, halves = alg._int_scale, alg._int_rows, alg._int_halves
+    parity = tuple(alg.parity(g) for g in range(alg.dim))
     # letter -> position in the term order, as a tuple: indexing one is
     # cheaper than indexing a range or calling a key function
     if odd_first:
         rank = tuple(g + alg.n_odd if g < n0 else g - n0 for g in range(alg.dim))
     else:
         rank = tuple(range(alg.dim))
-    out: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+    den = math.lcm(*(c.denominator for _, c in heads))
+    top = max(len(w) for w, _ in heads)
     stack = []
     for w, c in heads:
-        w = tuple(w)
         n_odd = sum(g >= n0 for g in w)
         if n_odd >= min_odd:
-            stack.append((w, c, n_odd))
+            v = c.numerator * (den // c.denominator) * scale ** (top - len(w))
+            stack.append((w, v, n_odd, 0))
+    out: dict[tuple[int, ...], int] = defaultdict(int)
     while stack:
-        w, c, n_odd = stack.pop()
+        w, v, n_odd, start = stack.pop()
         if odd_first and w and w[-1] < n0:
             continue
         red = -1
-        for p in range(len(w) - 1):
+        for p in range(start, len(w) - 1):
             a, b = w[p], w[p + 1]
-            if rank[a] > rank[b] or (a == b and parity(a)):
+            if rank[a] > rank[b] or (a == b and parity[a]):
                 red = p
                 break
         if red < 0:
-            out[w] += c
+            out[w] += v
             continue
         a, b = w[red], w[red + 1]
         head, tail = w[:red], w[red + 2:]
+        start = red - 1 if red else 0
         if a == b:
             if not min_odd or n_odd - 2 >= min_odd:
-                for k, ck in alg.bracket(a, a):
-                    stack.append((head + (k,) + tail, c * ck / 2, n_odd - 2))
+                for k, ck in halves[a]:
+                    stack.append((head + (k,) + tail, v * ck, n_odd - 2, start))
         else:
-            odd_pair = parity(a) and parity(b)
-            stack.append((head + (b, a) + tail, -c if odd_pair else c, n_odd))
+            odd_pair = parity[a] and parity[b]
+            stack.append((head + (b, a) + tail, -v if odd_pair else v, n_odd, start))
             left = n_odd - 2 if odd_pair else n_odd
             if not min_odd or left >= min_odd:
-                for k, ck in alg.bracket(a, b):
-                    stack.append((head + (k,) + tail, c * ck, left))
-    return {w: c for w, c in out.items() if c}
+                for k, ck in rows[a].get(b, ()):
+                    stack.append((head + (k,) + tail, v * ck, left, start))
+    dens = [den * scale ** e for e in range(top + 1)]
+    return {w: Fraction(v, dens[top - len(w)]) for w, v in out.items() if v}
 
 
 def _heads(a: UEElement, b: UEElement, min_odd: int = 0):
     """Generator words of the term pairs of ``a*b`` with at least
     `min_odd` odd letters, each scaled by its coefficient product."""
-    n0 = a.alg.n_even
-    right = [(m.word(n0), m.odd.bit_count(), c) for m, c in b.terms.items()]
+    right = b._words()
     heads = []
-    for m1, c1 in a.terms.items():
-        w1, k1 = m1.word(n0), m1.odd.bit_count()
+    for w1, k1, c1 in a._words():
         heads.extend((w1 + w2, c1 * c2) for w2, k2, c2 in right
                      if k1 + k2 >= min_odd)
     return heads
 
 
 def _to_element(alg: LieSuperalgebra, nf) -> UEElement:
-    """The element with canonical words ``nf``."""
-    acc: dict[PBWMonomial, Fraction] = defaultdict(Fraction)
-    for w, c in nf.items():
-        acc[_word_to_monomial(alg, w)] += c
-    return UEElement(alg, acc)
+    """The element with canonical even-first words ``nf``: distinct
+    canonical words are distinct monomials."""
+    return UEElement._trusted(alg, {_word_to_monomial(alg, w): c for w, c in nf.items()})
 
 
 def multiply(a: UEElement, b: UEElement) -> UEElement:
@@ -355,8 +409,7 @@ def _class(alg: LieSuperalgebra, heads) -> dict[int, Fraction]:
 def quotient_project(a: UEElement) -> dict[int, Fraction]:
     """Class of ``a`` in the quotient by the left ideal generated by the
     even part, expressed over the exterior basis x^I: I -> coefficient."""
-    n0 = a.alg.n_even
-    return _class(a.alg, [(m.word(n0), c) for m, c in a.terms.items()])
+    return _class(a.alg, [(w, c) for w, _, c in a._words()])
 
 
 def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> dict[int, Fraction]:

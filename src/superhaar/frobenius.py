@@ -92,7 +92,7 @@ def _left_coefficients(u: UEElement) -> dict[int, UEElement]:
     terms: dict = defaultdict(dict)
     for mono, c in u.terms.items():
         terms[mono.odd][PBWMonomial(mono.even, 0)] = c
-    return {j: UEElement(u.alg, t) for j, t in terms.items()}
+    return {j: UEElement._trusted(u.alg, t) for j, t in terms.items()}
 
 
 def frobenius_pi(u: UEElement) -> UEElement:

@@ -22,8 +22,7 @@ from typing import Mapping
 
 from . import linalg
 from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
-                      ValidationReport, _integer_rows, even_part_structure,
-                      nonzero_rows)
+                      ValidationReport, even_part_structure, nonzero_rows)
 from .enveloping import UEElement, act_on_quotient
 from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order
 from .linalg import ONE
@@ -76,13 +75,13 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
     basis pairs.
 
     The relations are checked in exact integers.  With D the lcm of the
-    denominators of all action entries and L that of all structure
-    constants, P(i) = D rho(i) and L c_ab^k are integers, and
-    L (P(a)P(b) - s P(b)P(a)) - D sum_k (L c_ab^k) P(k) is L D^2 times the
-    rational residue, so it is zero exactly when the relation holds.  The
-    pairs (i, j) and (j, i) share the products P(i)P(j) and P(j)P(i), so
-    both are checked from one pair of products; failing pairs are
-    reported in lexicographic order."""
+    denominators of all action entries and S the algebra's integer scale
+    (``LieSuperalgebra._int_rows``), P(i) = D rho(i) and S c_ab^k are
+    integers, and S (P(a)P(b) - s P(b)P(a)) - D sum_k (S c_ab^k) P(k) is
+    S D^2 times the rational residue, so it is zero exactly when the
+    relation holds.  The pairs (i, j) and (j, i) share the products
+    P(i)P(j) and P(j)P(i), so both are checked from one pair of products;
+    failing pairs are reported in lexicographic order."""
     report = ValidationReport()
     if module.alg != alg:
         raise InputError("module was built over a different algebra")
@@ -95,7 +94,7 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
                     report.add("module-parity", (i, r, c),
                                f"rho({alg.basis_name(i)})[{r}][{c}] = {x} "
                                f"violates the parity pattern")
-    scale, brackets = _integer_rows(alg)
+    scale, brackets = alg._int_scale, alg._int_rows
     d = math.lcm(*(x.denominator for i in range(alg.dim)
                    for row in rho(i).values() for x in row.values()))
     act = [{r: {c: x.numerator * (d // x.denominator) for c, x in row.items()}
@@ -113,7 +112,7 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
                 pji = linalg.mat_mul(mj, mi)
                 pairs = [(i, j, pij, pji), (j, i, pji, pij)]
             for a, b, ab, ba in pairs:
-                # L (P(a)P(b) - sign P(b)P(a)) - D P(L [a, b]), zero iff
+                # S (P(a)P(b) - sign P(b)P(a)) - D P(S [a, b]), zero iff
                 # the relation holds
                 terms = [(scale, ab), (-sign * scale, ba)]
                 terms += [(-d * c, act[k]) for k, c in brackets[a].get(b, ())]

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from superhaar import LieSuperalgebra
+from superhaar import LieSuperalgebra, change_basis
 from superhaar.enveloping import _twist
 from superhaar.fileio import builtin_fixture, load_algebra, load_module
 
@@ -54,6 +54,16 @@ def gl_supermatrix_units(p, q):
     names = [f"E{i + 1}{j + 1}" for i, j in even + odd]
     return LieSuperalgebra(f"gl({p}|{q})", names[:len(even)], names[len(even):],
                            brackets)
+
+
+def rescaled_algebra(alg):
+    """``alg`` on the basis b_i/(i+2), so that its structure constants have
+    denominators other than 1."""
+    n0 = alg.n_even
+    scaled, _ = change_basis(
+        alg, {i: {i: Fraction(1, i + 2)} for i in range(n0)},
+        {a: {a: Fraction(1, n0 + a + 2)} for a in range(alg.n_odd)})
+    return scaled
 
 
 def rows_of(dense):

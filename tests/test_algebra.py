@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from superhaar import (InputError, LieSuperalgebra, ad_prime_trace,
                        linalg, trace_condition_holds, validate_superalgebra)
 from superhaar.algebra import ValidationReport
 
-from conftest import ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units, rows_of
+from conftest import (ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units,
+                      rescaled_algebra, rows_of)
 from randgen import random_odd_basis_change, random_scalar
 
 F = Fraction
@@ -138,6 +140,32 @@ def test_change_basis_rescaling_scales_brackets(bad2):
     scaled, _ = change_basis(bad2, linalg.identity(1), [[F(2)]])
     assert scaled.bracket(0, 1) == ((1, F(1)),)   # [X, 2th] = 2th = 1 * (2th)
     assert validate_superalgebra(scaled).ok
+
+
+# -- the integer table built with the algebra ------------------------------
+
+def test_integer_table_is_the_rational_table_times_its_scale(rng):
+    algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    algs += [rescaled_algebra(alg) for alg in algs]
+    algs += [random_odd_basis_change(alg, rng)[0] for alg in algs if alg.n_odd]
+    algs.append(LieSuperalgebra("odd-square", ["Z"], ["t"], {(1, 1): {0: F(3, 5)}}))
+    for alg in algs:
+        halves = {a: [(t, c / 2) for t, c in alg.bracket(a, a)]
+                  for a in range(alg.n_even, alg.dim)}
+        scale = math.lcm(*(c.denominator for _, vec in alg.nonzero_brackets()
+                           for _, c in vec),
+                         *(c.denominator for vec in halves.values() for _, c in vec))
+        assert alg._int_scale == scale, alg.name
+        table = {(a, b): vec for a, row in enumerate(alg._int_rows)
+                 for b, vec in row.items()}
+        assert table == {key: tuple((t, c * scale) for t, c in vec)
+                         for key, vec in alg.nonzero_brackets()}, alg.name
+        assert alg._int_halves == tuple(
+            tuple((t, c * scale) for t, c in halves.get(a, ()))
+            for a in range(alg.dim)), alg.name
+        ints = [c for vec in (*table.values(), *alg._int_halves) for _, c in vec]
+        assert all(type(c) is int for c in ints), alg.name
+    assert algs[-1]._int_scale == 10 and algs[-1]._int_halves == ((), ((0, 3),))
 
 
 # -- the Jacobi screen against the dense triple loop ------------------------

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from superhaar import (InputError, PBWMonomial, UEElement, act_on_quotient,
-                       counit, multiply, quotient_project,
+from superhaar import (InputError, LieSuperalgebra, PBWMonomial, UEElement,
+                       act_on_quotient, counit, multiply, quotient_project,
                        validate_superalgebra)
-from superhaar.enveloping import alpha
+from superhaar.enveloping import _top_product, alpha
+from superhaar.frobenius import _left_coefficients
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra,
-                      gl_supermatrix_units)
+                      gl_supermatrix_units, rescaled_algebra)
 from randgen import (homogeneous_parity, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
 
@@ -297,6 +298,224 @@ def test_elements_ending_in_an_even_letter_have_zero_class(rng):
             x = x - UEElement.scalar(alg, counit(x))   # x in g0
             v = multiply(w, x)
             assert quotient_project(v) == {} == reference_class(v), alg.name
+
+
+# -- the integer kernel against the Fraction rewriting loop -------------------
+#
+# Reference: the rewriting loop in Fraction arithmetic on the rational
+# bracket table (``alg.bracket``), with every odd square halved as it is
+# rewritten; it never reads the algebra's integer table.
+
+def fraction_normal_form(alg, heads, odd_first=False, min_odd=0):
+    n0 = alg.n_even
+    if odd_first:
+        rank = tuple(g + alg.n_odd if g < n0 else g - n0 for g in range(alg.dim))
+    else:
+        rank = tuple(range(alg.dim))
+    out = defaultdict(Fraction)
+    stack = []
+    for w, c in heads:
+        n_odd = sum(g >= n0 for g in w)
+        if n_odd >= min_odd:
+            stack.append((tuple(w), c, n_odd))
+    while stack:
+        w, c, n_odd = stack.pop()
+        if odd_first and w and w[-1] < n0:
+            continue
+        red = -1
+        for p in range(len(w) - 1):
+            a, b = w[p], w[p + 1]
+            if rank[a] > rank[b] or (a == b and alg.parity(a)):
+                red = p
+                break
+        if red < 0:
+            out[w] += c
+            continue
+        a, b = w[red], w[red + 1]
+        head, tail = w[:red], w[red + 2:]
+        if a == b:
+            if n_odd - 2 >= min_odd:
+                for k, ck in alg.bracket(a, a):
+                    stack.append((head + (k,) + tail, c * ck / 2, n_odd - 2))
+        else:
+            odd_pair = alg.parity(a) and alg.parity(b)
+            stack.append((head + (b, a) + tail, -c if odd_pair else c, n_odd))
+            left = n_odd - 2 if odd_pair else n_odd
+            if left >= min_odd:
+                for k, ck in alg.bracket(a, b):
+                    stack.append((head + (k,) + tail, c * ck, left))
+    return {w: c for w, c in out.items() if c}
+
+
+def fraction_heads(a, b, min_odd=0):
+    n0 = a.alg.n_even
+    return [(m1.word(n0) + m2.word(n0), c1 * c2)
+            for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
+            if m1.odd.bit_count() + m2.odd.bit_count() >= min_odd]
+
+
+def fraction_element(alg, nf):
+    terms = defaultdict(Fraction)
+    for w, c in nf.items():
+        even = [0] * alg.n_even
+        mask = 0
+        for g in w:
+            if g < alg.n_even:
+                even[g] += 1
+            else:
+                mask |= 1 << (g - alg.n_even)
+        terms[PBWMonomial(tuple(even), mask)] += c
+    return UEElement(alg, terms)
+
+
+def fraction_multiply(a, b):
+    return fraction_element(a.alg, fraction_normal_form(a.alg, fraction_heads(a, b)))
+
+
+def fraction_top_product(a, b):
+    m = a.alg.n_odd
+    return fraction_element(a.alg, fraction_normal_form(
+        a.alg, fraction_heads(a, b, m), min_odd=m))
+
+
+def fraction_class(alg, heads):
+    n0 = alg.n_even
+    return {sum(1 << (g - n0) for g in w): c
+            for w, c in fraction_normal_form(alg, heads, odd_first=True).items()}
+
+
+def fraction_quotient_project(u):
+    n0 = u.alg.n_even
+    return fraction_class(u.alg, [(m.word(n0), c) for m, c in u.terms.items()])
+
+
+def fraction_act_on_quotient(alg, i, cls):
+    n0 = alg.n_even
+    words = {mask: tuple(n0 + t for t in range(alg.n_odd) if mask >> t & 1)
+             for mask in cls}
+    return fraction_class(alg, [((i,) + words[mask], c) for mask, c in cls.items()])
+
+
+# odd Heisenberg: the odd squares [t0, t0] = Z and [t1, t1] = 3/5 Z have odd
+# numerators
+HEIS = LieSuperalgebra("heis", ["Z"], ["t0", "t1"], {
+    (1, 1): {0: F(1)}, (2, 2): {0: F(3, 5)},
+    (1, 2): {0: F(1, 2)}, (2, 1): {0: F(1, 2)}})
+
+
+def mixed_element(alg, rng, terms=4):
+    """Random terms of degree 0 to 3 with denominators 1 to 6, built with
+    the public constructor, not by multiplying."""
+    out = {}
+    for _ in range(terms):
+        even = [0] * alg.n_even
+        for _ in range(rng.randint(0, 2) if alg.n_even else 0):
+            even[rng.randrange(alg.n_even)] += 1
+        mask = rng.randrange(1 << alg.n_odd)
+        if sum(even) + mask.bit_count() <= 3:
+            out[PBWMonomial(tuple(even), mask)] = F(rng.randint(-5, 5), rng.randint(1, 6))
+    return UEElement(alg, out)
+
+
+def _kernel_cases(rng):
+    """Fixtures, the fixtures on the basis b_i/(i+2), an odd Heisenberg
+    algebra whose odd squares have odd numerators, and random small
+    algebras and gl(2|1) with a rational odd basis change."""
+    algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    algs += [rescaled_algebra(alg) for alg in algs]
+    algs += [HEIS, rescaled_algebra(HEIS)]
+    while len(algs) < 20:
+        alg = random_small_superalgebra(rng, max_dim=4)
+        if alg.n_odd:
+            algs.append(random_odd_basis_change(alg, rng)[0])
+    algs.append(random_odd_basis_change(gl_supermatrix_units(2, 1), rng)[0])
+    return algs
+
+
+def _odd_square_folds(alg):
+    """Whether some [a, a] / 2 has a larger denominator than [a, a]: an odd
+    numerator, so the 1/2 of the odd square raises the integer scale."""
+    return any((c / 2).denominator > c.denominator
+               for a in range(alg.n_even, alg.dim) for _, c in alg.bracket(a, a))
+
+
+def test_integer_kernel_matches_the_fraction_loop(rng):
+    algs = _kernel_cases(rng)
+    for alg in algs:
+        assert validate_superalgebra(alg).ok, alg.name
+        for _ in range(4):
+            a, b = mixed_element(alg, rng), mixed_element(alg, rng)
+            assert multiply(a, b) == fraction_multiply(a, b), alg.name
+            assert _top_product(a, b) == fraction_top_product(a, b), alg.name
+            u = a + b
+            assert quotient_project(u) == fraction_quotient_project(u), alg.name
+        cls = {mask: F(rng.randint(-3, 3), rng.randint(1, 4))
+               for mask in range(1 << alg.n_odd)}
+        cls = {mask: c for mask, c in cls.items() if c}
+        for i in range(alg.dim):
+            assert act_on_quotient(alg, i, cls) == \
+                fraction_act_on_quotient(alg, i, cls), (alg.name, i)
+    # the cases reach an integer scale above 1 and an odd square whose 1/2
+    # is folded into it
+    assert sum(alg._int_scale > 1 for alg in algs) >= 10
+    assert sum(_odd_square_folds(alg) for alg in algs) >= 4
+
+
+def test_integer_kernel_on_heads_of_mixed_degree_and_denominator():
+    alg = rescaled_algebra(HEIS)
+    assert alg._int_scale > 1 and _odd_square_folds(alg)
+    z, u, v = (UEElement.generator(alg, i) for i in range(3))
+    a = u * F(1, 3) + multiply(z, multiply(u, v)) * F(-2, 5) + z * F(7, 2)
+    b = multiply(v, u) * F(5, 6) + v * F(3, 4) + UEElement.scalar(alg, F(1, 7))
+    degrees = {len(w) for w, _ in fraction_heads(a, b)}
+    dens = {c.denominator for _, c in fraction_heads(a, b)}
+    assert len(degrees) >= 3 and len(dens) >= 3
+    assert multiply(a, b) == fraction_multiply(a, b)
+    assert _top_product(a, b) == fraction_top_product(a, b)
+    assert quotient_project(multiply(a, b)) == \
+        fraction_quotient_project(fraction_multiply(a, b))
+
+
+# -- the trusted constructor of library results ------------------------------
+
+def assert_checked(u):
+    """Every term of ``u`` passes the public constructor unchanged: nonzero
+    Fraction values on monomials that fit the algebra."""
+    assert all(type(c) is Fraction and c for c in u.terms.values())
+    assert UEElement(u.alg, u.terms) == u
+
+
+def test_public_constructor_still_checks(g2, bad2):
+    with pytest.raises(ValueError):
+        UEElement(g2, {PBWMonomial((), 0b100): F(1)})
+    with pytest.raises(ValueError):
+        UEElement(bad2, {PBWMonomial((1, 0), 0): F(1)})
+    with pytest.raises(ValueError):
+        UEElement(bad2, {PBWMonomial((-1,), 0): F(1)})
+    with pytest.raises(InputError):
+        UEElement(g2, {PBWMonomial((), 0b1): 0.5})
+
+
+def test_library_results_store_only_checked_terms(rng):
+    for alg in _kernel_cases(rng):
+        for _ in range(3):
+            x, y = mixed_element(alg, rng), mixed_element(alg, rng)
+            assert not (x + (-x)).terms and not (x - x).terms
+            assert not (x * 0).terms and not (0 * x).terms
+            results = [multiply(x, y), _top_product(x, y), x + y, x - y, -x,
+                       x * F(-3, 2)]
+            results += _left_coefficients(multiply(x, y)).values()
+            for u in results:
+                assert_checked(u)
+
+
+def test_the_word_cache_matches_the_terms(rng):
+    alg = rescaled_algebra(fixture_algebra("osp12"))
+    u = multiply(mixed_element(alg, rng), mixed_element(alg, rng))
+    words = u._words()
+    assert u._words() is words
+    assert words == [(m.word(alg.n_even), m.odd.bit_count(), c)
+                     for m, c in u.terms.items()]
 
 
 # -- element basics ----------------------------------------------------------------

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from superhaar import (GradedModule, InputError, InternalInvariantError,
                        LieSuperalgebra, NotSemisimpleError, UEElement,
-                       brute_force_quotient_invariants, change_basis,
-                       check_right_integral, check_semisimple_over_even,
-                       counit, integral_matrix, invariant_projector,
-                       invariant_z, linalg, module_action, modules,
-                       multiply, quotient_module, validate_module)
+                       brute_force_quotient_invariants, check_right_integral,
+                       check_semisimple_over_even, counit, integral_matrix,
+                       invariant_projector, invariant_z, linalg,
+                       module_action, modules, multiply, quotient_module,
+                       validate_module)
 from superhaar.algebra import ValidationReport
 from superhaar.fileio import builtin_fixture
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, dense_of,
-                      fixture_algebra, fixture_module, rows_of)
+                      fixture_algebra, fixture_module, rescaled_algebra,
+                      rows_of)
 from randgen import random_element
 
 F = Fraction
@@ -140,10 +141,7 @@ def rescaled(key, filename):
     (k+1) v_k, so that the structure constants and the action entries both
     have denominators other than 1."""
     alg, module = fixture_algebra(key), fixture_module(key, filename)
-    n0 = alg.n_even
-    scaled, _ = change_basis(
-        alg, {i: {i: F(1, i + 2)} for i in range(n0)},
-        {a: {a: F(1, n0 + a + 2)} for a in range(alg.n_odd)})
+    scaled = rescaled_algebra(alg)
     action = {i: {r: {c: x * F(c + 1, (i + 2) * (r + 1)) for c, x in row.items()}
                   for r, row in module.rho(i).items()}
               for i in range(alg.dim)}
