@@ -112,8 +112,8 @@ class LieSuperalgebra:
     ``brackets`` maps ordered index pairs to the expansion of the bracket
     over the basis; pairs not present have zero bracket.  ``_parity_graded``
     records whether every bracket term has parity p(i) + p(j), which the
-    enveloping algebra's top-coefficient product relies on; a table that
-    breaks it is still accepted here and reported by
+    odd-count floor of the duality check of ``frobenius.dual_pair`` relies
+    on; a table that breaks it is still accepted here and reported by
     :func:`validate_superalgebra`.
     """
 
@@ -165,6 +165,12 @@ class LieSuperalgebra:
         self._int_scale = scale
         self._int_rows = rows
         self._int_halves = tuple(ints(halves.get(a, ())) for a in range(self.dim))
+        # the rewriting kernel's letter tables: parity by letter, and letter
+        # -> position in the even-first and the odd-first term order
+        self._letter_parity = tuple(self.parity(g) for g in range(self.dim))
+        self._ranks = (tuple(range(self.dim)),
+                       tuple(g + self.n_odd if g < self.n_even else g - self.n_even
+                             for g in range(self.dim)))
         self._cached_key = (self.name, self.even_names, self.odd_names,
                             tuple(sorted(table.items())))
 

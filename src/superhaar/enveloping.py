@@ -131,13 +131,13 @@ class UEElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]))
 
-    def _words(self) -> list[tuple[tuple[int, ...], int, Fraction]]:
-        """(generator word, number of odd letters, coefficient) per term,
-        built on the first call and kept."""
+    def _words(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(generator word, coefficient) per term, built on the first call
+        and kept."""
         words = self._word_terms
         if words is None:
             n0 = self.alg.n_even
-            words = [(m.word(n0), m.odd.bit_count(), c) for m, c in self.terms.items()]
+            words = [(m.word(n0), c) for m, c in self.terms.items()]
             object.__setattr__(self, "_word_terms", words)
         return words
 
@@ -223,8 +223,8 @@ def _word_to_monomial(alg: LieSuperalgebra, word: tuple[int, ...]) -> PBWMonomia
     return PBWMonomial(tuple(even), mask)
 
 
-def _normal_form(alg: LieSuperalgebra, heads, odd_first: bool = False,
-                 min_odd: int = 0) -> dict[tuple[int, ...], Fraction]:
+def _normal_form(alg: LieSuperalgebra, heads,
+                 odd_first: bool = False) -> dict[tuple[int, ...], Fraction]:
     """Expand scaled generator words into canonical words.
 
     `heads` is a list of (word, Fraction coefficient), each word a tuple
@@ -252,16 +252,6 @@ def _normal_form(alg: LieSuperalgebra, heads, odd_first: bool = False,
     rational coefficient, and each output coefficient is one
     Fraction(v, D * S^(top - d)) at the end.
 
-    Each worklist word carries its number of odd letters.  When every
-    bracket term has parity p(a) + p(b), no step raises that number: a
-    transposition keeps the letters, [even, even] and [even, odd] put back
-    one letter of the parity they remove, and an odd-odd bracket or an odd
-    square replaces two odd letters by an even one.  A word with fewer than
-    `min_odd` odd letters then never reaches a canonical word with
-    `min_odd` of them, and is dropped when it appears.  The caller must
-    check that the table is graded (``alg._parity_graded``) before passing
-    a positive `min_odd`; with the default 0 nothing is dropped.
-
     With `odd_first` the result is the class of the input in the quotient
     U(g)/U(g)*g0 rather than the input itself.  A word whose last letter is
     even is w'*e with e in g0, so it lies in the left ideal U(g)*g0 and is
@@ -276,24 +266,14 @@ def _normal_form(alg: LieSuperalgebra, heads, odd_first: bool = False,
         return {}
     n0 = alg.n_even
     scale, rows, halves = alg._int_scale, alg._int_rows, alg._int_halves
-    parity = tuple(alg.parity(g) for g in range(alg.dim))
-    # letter -> position in the term order, as a tuple: indexing one is
-    # cheaper than indexing a range or calling a key function
-    if odd_first:
-        rank = tuple(g + alg.n_odd if g < n0 else g - n0 for g in range(alg.dim))
-    else:
-        rank = tuple(range(alg.dim))
+    parity, rank = alg._letter_parity, alg._ranks[odd_first]
     den = math.lcm(*(c.denominator for _, c in heads))
     top = max(len(w) for w, _ in heads)
-    stack = []
-    for w, c in heads:
-        n_odd = sum(g >= n0 for g in w)
-        if n_odd >= min_odd:
-            v = c.numerator * (den // c.denominator) * scale ** (top - len(w))
-            stack.append((w, v, n_odd, 0))
+    stack = [(w, c.numerator * (den // c.denominator) * scale ** (top - len(w)), 0)
+             for w, c in heads]
     out: dict[tuple[int, ...], int] = defaultdict(int)
     while stack:
-        w, v, n_odd, start = stack.pop()
+        w, v, start = stack.pop()
         if odd_first and w and w[-1] < n0:
             continue
         red = -1
@@ -309,29 +289,21 @@ def _normal_form(alg: LieSuperalgebra, heads, odd_first: bool = False,
         head, tail = w[:red], w[red + 2:]
         start = red - 1 if red else 0
         if a == b:
-            if not min_odd or n_odd - 2 >= min_odd:
-                for k, ck in halves[a]:
-                    stack.append((head + (k,) + tail, v * ck, n_odd - 2, start))
+            for k, ck in halves[a]:
+                stack.append((head + (k,) + tail, v * ck, start))
         else:
-            odd_pair = parity[a] and parity[b]
-            stack.append((head + (b, a) + tail, -v if odd_pair else v, n_odd, start))
-            left = n_odd - 2 if odd_pair else n_odd
-            if not min_odd or left >= min_odd:
-                for k, ck in rows[a].get(b, ()):
-                    stack.append((head + (k,) + tail, v * ck, left, start))
+            stack.append((head + (b, a) + tail, -v if parity[a] and parity[b] else v, start))
+            for k, ck in rows[a].get(b, ()):
+                stack.append((head + (k,) + tail, v * ck, start))
     dens = [den * scale ** e for e in range(top + 1)]
     return {w: Fraction(v, dens[top - len(w)]) for w, v in out.items() if v}
 
 
-def _heads(a: UEElement, b: UEElement, min_odd: int = 0):
-    """Generator words of the term pairs of ``a*b`` with at least
-    `min_odd` odd letters, each scaled by its coefficient product."""
+def _heads(a: UEElement, b: UEElement):
+    """Generator words of the term pairs of ``a*b``, each scaled by its
+    coefficient product."""
     right = b._words()
-    heads = []
-    for w1, k1, c1 in a._words():
-        heads.extend((w1 + w2, c1 * c2) for w2, k2, c2 in right
-                     if k1 + k2 >= min_odd)
-    return heads
+    return [(w1 + w2, c1 * c2) for w1, c1 in a._words() for w2, c2 in right]
 
 
 def _to_element(alg: LieSuperalgebra, nf) -> UEElement:
@@ -345,23 +317,6 @@ def multiply(a: UEElement, b: UEElement) -> UEElement:
     a._check(b)
     alg = a.alg
     return _to_element(alg, _normal_form(alg, _heads(a, b)))
-
-
-def _top_product(a: UEElement, b: UEElement) -> UEElement:
-    """The terms of ``a*b`` whose odd part is the full odd monomial.
-
-    Only words with all m odd letters can rewrite to the full odd monomial
-    (see ``_normal_form``), so term pairs and rewriting terms with fewer
-    are dropped as they appear, and every canonical word left is the full
-    odd monomial times even letters.  That needs a graded bracket table;
-    on any other table this raises ``ValueError``.
-    """
-    a._check(b)
-    alg = a.alg
-    if not alg._parity_graded:
-        raise ValueError(f"the bracket table of {alg.name} does not respect parity")
-    nf = _normal_form(alg, _heads(a, b, alg.n_odd), min_odd=alg.n_odd)
-    return _to_element(alg, nf)
 
 
 def counit(a: UEElement) -> Fraction:
@@ -409,7 +364,7 @@ def _class(alg: LieSuperalgebra, heads) -> dict[int, Fraction]:
 def quotient_project(a: UEElement) -> dict[int, Fraction]:
     """Class of ``a`` in the quotient by the left ideal generated by the
     even part, expressed over the exterior basis x^I: I -> coefficient."""
-    return _class(a.alg, [(w, c) for w, _, c in a._words()])
+    return _class(a.alg, a._words())
 
 
 def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -30,19 +30,11 @@ with diagonal +-1, and ``_solve_column`` forward-substitutes a column of
 the inverse and verifies A * b = e_j exactly, summed over the band
 j <= k <= i that triangularity leaves.
 
-``form`` computes a single pairing value pi(x y) straight from the product,
-independently of the pass; the exhaustive duality check of ``dual_pair``
-rests on it.  It never rewrites more of x y than pi reads.  No rewriting
-step raises the number of odd letters in a word when every bracket has
-parity p(a) + p(b): a transposition keeps the letters, [even, even] is
-even, [even, odd] is odd, and an odd-odd bracket or an odd square
-x x = [x, x]/2 trades two odd letters for one even one.  A word with fewer
-than m odd letters therefore never rewrites to the full odd monomial, so
-``form`` drops it as soon as it appears (``enveloping._top_product``).
-This floor needs a graded bracket table
-(``LieSuperalgebra._parity_graded``).  ``form`` raises ``ValueError`` on a
-table that is not, such as one with an odd [t, t], which
-``validate_superalgebra`` rejects as well.
+``form`` computes a single pairing value pi(x y) straight from the
+product, independently of the pass, on any bracket table.  The exhaustive
+duality check of ``dual_pair`` builds the products x^I y along prefixes
+and keeps only the terms that can still reach the full odd monomial
+(``_prefix_pairings``).
 """
 
 from __future__ import annotations
@@ -53,9 +45,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import LieSuperalgebra, lambda_values
-from .enveloping import (PBWMonomial, UEElement, _top_product,
-                         act_on_quotient, alpha, counit, multiply,
-                         quotient_project)
+from .enveloping import (PBWMonomial, UEElement, act_on_quotient, alpha,
+                         counit, multiply, quotient_project)
 
 
 class InternalInvariantError(RuntimeError):
@@ -108,11 +99,8 @@ def _left_counits(u: UEElement) -> dict[int, Fraction]:
 
 
 def form(x: UEElement, y: UEElement) -> UEElement:
-    """The pairing <x, y> = pi(x y), valued in the even subalgebra.
-
-    Only the top odd part of x y is rewritten, which needs a graded bracket
-    table: raises ``ValueError`` on any other (see the module docstring)."""
-    return frobenius_pi(_top_product(x, y))
+    """The pairing <x, y> = pi(x y), valued in the even subalgebra."""
+    return frobenius_pi(multiply(x, y))
 
 
 @dataclass(frozen=True)
@@ -192,13 +180,14 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
     is not commutative.
     """
     top = (1 << alg.n_odd) - 1
+    monomials = [subset_monomial(alg, mask) for mask in range(top + 1)]
     # the transpose of each R_t: J -> {I: phi(R_t[I][J])}
     right = []
     for t in range(alg.n_odd):
         x_t = UEElement.generator(alg, alg.n_even + t)
         rt: dict = {}
-        for mask in range(top + 1):
-            for j, r in read(multiply(subset_monomial(alg, mask), x_t)).items():
+        for mask, x in enumerate(monomials):
+            for j, r in read(multiply(x, x_t)).items():
                 rt.setdefault(j, {})[mask] = r
         right.append(rt)
     cols = [{top: one}]
@@ -243,12 +232,43 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
         diagonal)
 
 
+def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> list[UEElement]:
+    """The pairings pi(x^I y) for every odd subset I, by mask.
+
+    The products are built along prefixes: x^I y = x_s (x^{I - s} y) with
+    s = min I, one multiplication by a generator each.  No rewriting step
+    raises the number of odd letters in a word when every bracket has
+    parity p(a) + p(b): a transposition keeps the letters, [even, even] is
+    even, [even, odd] is odd, and an odd-odd bracket or an odd square
+    x x = [x, x]/2 trades two odd letters for one even one.  Only the
+    generators x_0, ..., x_{s-1} can still be prepended to x^I y, each
+    adding at most one odd letter, so a term with fewer than m - s odd
+    letters never reaches the full odd monomial in x^I y or in any product
+    built from it, and is dropped.  That needs a graded bracket table
+    (``LieSuperalgebra._parity_graded``), which the caller checks.
+    """
+    m, n0 = alg.n_odd, alg.n_even
+    gens = [UEElement.generator(alg, n0 + s) for s in range(m)]
+    products = [y]
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        s = low.bit_length() - 1
+        u = multiply(gens[s], products[mask ^ low])
+        products.append(UEElement._trusted(alg, {
+            mono: c for mono, c in u.terms.items() if mono.odd.bit_count() >= m - s}))
+    return [frobenius_pi(u) for u in products]
+
+
 def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[UEElement]:
     """Elements y^I with <x^I, y^J> = delta_IJ, in the subset order.
 
     y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]); duality is
-    verified exhaustively before returning.
+    verified exhaustively before returning, every cell compared exactly.
+    The check prunes the products it forms (``_prefix_pairings``), which
+    needs a graded bracket table: raises ``ValueError`` on any other.
     """
+    if not alg._parity_graded:
+        raise ValueError(f"the bracket table of {alg.name} does not respect parity")
     if fm is None:
         fm = frobenius_matrix(alg)
     n = len(fm.order)
@@ -263,13 +283,15 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
             y = y + multiply(comp[k], alpha(fm.inverse[k][j]))
         ys.append(y)
     one, zero = UEElement.one(alg), UEElement.zero(alg)
-    for i in range(n):
-        xi = subset_monomial(alg, fm.order[i])
-        for j in range(n):
-            want = one if i == j else zero
-            if form(xi, ys[j]) != want:
-                raise InternalInvariantError(
-                    f"dual pair fails at ({i}, {j})")
+    # every cell is checked; the first failure in row order is reported
+    failures = []
+    for j, y in enumerate(ys):
+        pairings = _prefix_pairings(alg, y)
+        for i, mask in enumerate(fm.order):
+            if pairings[mask] != (one if i == j else zero):
+                failures.append((i, j))
+    if failures:
+        raise InternalInvariantError("dual pair fails at ({}, {})".format(*min(failures)))
     return ys
 
 

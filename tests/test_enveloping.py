@@ -6,7 +6,7 @@ import pytest
 from superhaar import (InputError, LieSuperalgebra, PBWMonomial, UEElement,
                        act_on_quotient, counit, multiply, quotient_project,
                        validate_superalgebra)
-from superhaar.enveloping import _top_product, alpha
+from superhaar.enveloping import alpha
 from superhaar.frobenius import _left_coefficients
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra,
@@ -306,20 +306,16 @@ def test_elements_ending_in_an_even_letter_have_zero_class(rng):
 # bracket table (``alg.bracket``), with every odd square halved as it is
 # rewritten; it never reads the algebra's integer table.
 
-def fraction_normal_form(alg, heads, odd_first=False, min_odd=0):
+def fraction_normal_form(alg, heads, odd_first=False):
     n0 = alg.n_even
     if odd_first:
         rank = tuple(g + alg.n_odd if g < n0 else g - n0 for g in range(alg.dim))
     else:
         rank = tuple(range(alg.dim))
     out = defaultdict(Fraction)
-    stack = []
-    for w, c in heads:
-        n_odd = sum(g >= n0 for g in w)
-        if n_odd >= min_odd:
-            stack.append((tuple(w), c, n_odd))
+    stack = [(tuple(w), c) for w, c in heads]
     while stack:
-        w, c, n_odd = stack.pop()
+        w, c = stack.pop()
         if odd_first and w and w[-1] < n0:
             continue
         red = -1
@@ -334,24 +330,20 @@ def fraction_normal_form(alg, heads, odd_first=False, min_odd=0):
         a, b = w[red], w[red + 1]
         head, tail = w[:red], w[red + 2:]
         if a == b:
-            if n_odd - 2 >= min_odd:
-                for k, ck in alg.bracket(a, a):
-                    stack.append((head + (k,) + tail, c * ck / 2, n_odd - 2))
+            for k, ck in alg.bracket(a, a):
+                stack.append((head + (k,) + tail, c * ck / 2))
         else:
             odd_pair = alg.parity(a) and alg.parity(b)
-            stack.append((head + (b, a) + tail, -c if odd_pair else c, n_odd))
-            left = n_odd - 2 if odd_pair else n_odd
-            if left >= min_odd:
-                for k, ck in alg.bracket(a, b):
-                    stack.append((head + (k,) + tail, c * ck, left))
+            stack.append((head + (b, a) + tail, -c if odd_pair else c))
+            for k, ck in alg.bracket(a, b):
+                stack.append((head + (k,) + tail, c * ck))
     return {w: c for w, c in out.items() if c}
 
 
-def fraction_heads(a, b, min_odd=0):
+def fraction_heads(a, b):
     n0 = a.alg.n_even
     return [(m1.word(n0) + m2.word(n0), c1 * c2)
-            for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
-            if m1.odd.bit_count() + m2.odd.bit_count() >= min_odd]
+            for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()]
 
 
 def fraction_element(alg, nf):
@@ -370,12 +362,6 @@ def fraction_element(alg, nf):
 
 def fraction_multiply(a, b):
     return fraction_element(a.alg, fraction_normal_form(a.alg, fraction_heads(a, b)))
-
-
-def fraction_top_product(a, b):
-    m = a.alg.n_odd
-    return fraction_element(a.alg, fraction_normal_form(
-        a.alg, fraction_heads(a, b, m), min_odd=m))
 
 
 def fraction_class(alg, heads):
@@ -446,7 +432,6 @@ def test_integer_kernel_matches_the_fraction_loop(rng):
         for _ in range(4):
             a, b = mixed_element(alg, rng), mixed_element(alg, rng)
             assert multiply(a, b) == fraction_multiply(a, b), alg.name
-            assert _top_product(a, b) == fraction_top_product(a, b), alg.name
             u = a + b
             assert quotient_project(u) == fraction_quotient_project(u), alg.name
         cls = {mask: F(rng.randint(-3, 3), rng.randint(1, 4))
@@ -471,7 +456,6 @@ def test_integer_kernel_on_heads_of_mixed_degree_and_denominator():
     dens = {c.denominator for _, c in fraction_heads(a, b)}
     assert len(degrees) >= 3 and len(dens) >= 3
     assert multiply(a, b) == fraction_multiply(a, b)
-    assert _top_product(a, b) == fraction_top_product(a, b)
     assert quotient_project(multiply(a, b)) == \
         fraction_quotient_project(fraction_multiply(a, b))
 
@@ -502,7 +486,7 @@ def test_library_results_store_only_checked_terms(rng):
             x, y = mixed_element(alg, rng), mixed_element(alg, rng)
             assert not (x + (-x)).terms and not (x - x).terms
             assert not (x * 0).terms and not (0 * x).terms
-            results = [multiply(x, y), _top_product(x, y), x + y, x - y, -x,
+            results = [multiply(x, y), x + y, x - y, -x,
                        x * F(-3, 2)]
             results += _left_coefficients(multiply(x, y)).values()
             for u in results:
@@ -514,8 +498,7 @@ def test_the_word_cache_matches_the_terms(rng):
     u = multiply(mixed_element(alg, rng), mixed_element(alg, rng))
     words = u._words()
     assert u._words() is words
-    assert words == [(m.word(alg.n_even), m.odd.bit_count(), c)
-                     for m, c in u.terms.items()]
+    assert words == [(m.word(alg.n_even), c) for m, c in u.terms.items()]
 
 
 # -- element basics ----------------------------------------------------------------

@@ -12,7 +12,6 @@ from superhaar import (InternalInvariantError, LieSuperalgebra,
                        odd_subset_order, quotient_project, subset_monomial,
                        validate_superalgebra)
 from superhaar.cli import main
-from superhaar.enveloping import _top_product
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
 from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra,
@@ -348,7 +347,7 @@ def test_gl_invariant_is_top_odd_monomial(p, q):
     assert z in (top, -top)
 
 
-# -- the pairing rewrites only the top odd part ------------------------------
+# -- form is the top coefficient of the full product; dual_pair's prefix pass --
 
 def top_terms(u):
     top = (1 << u.alg.n_odd) - 1
@@ -358,7 +357,6 @@ def top_terms(u):
 def assert_form_matches_full_product(alg, x, y):
     full = multiply(x, y)
     assert form(x, y) == frobenius_pi(full), alg.name
-    assert _top_product(x, y) == top_terms(full), alg.name
 
 
 def pairing_cases(alg, rng, count):
@@ -413,17 +411,50 @@ def test_form_matches_full_product_on_gl21(rng):
     (["X", "Y"], ["t"], {(0, 1): {2: 1}, (1, 0): {2: -1}}, ["Y"], ["X"], F(-1)),
 ], ids=["odd-square-to-odd", "even-bracket-to-odd"])
 def test_form_on_a_table_that_breaks_parity(even, odd, brackets, x, y, want):
-    # multiply rewrites any table; the odd-count floor of form does not hold
-    # on this one, so form refuses it
+    # form reads the full product, so it holds on any table; the odd-count
+    # floor of dual_pair's check does not hold on this one, so dual_pair
+    # refuses it
     alg = LieSuperalgebra("ungraded", even, odd, brackets)
     assert any(v.kind == "parity" for v in validate_superalgebra(alg).violations)
     x = from_word(alg, [alg.index_of(g) for g in x])
     y = from_word(alg, [alg.index_of(g) for g in y])
     top = subset_monomial(alg, (1 << alg.n_odd) - 1)
     assert top_terms(multiply(x, y)) == top * want
-    for pairing in (form, _top_product):
-        with pytest.raises(ValueError, match="does not respect parity"):
-            pairing(x, y)
+    assert form(x, y) == UEElement.scalar(alg, want)
+    with pytest.raises(ValueError, match="does not respect parity"):
+        dual_pair(alg)
+
+
+def assert_prefix_pass_matches_form(alg, ys):
+    for y in ys:
+        pairings = frobenius._prefix_pairings(alg, y)
+        assert len(pairings) == 1 << alg.n_odd
+        for mask, p in enumerate(pairings):
+            assert p == form(subset_monomial(alg, mask), y), (alg.name, mask)
+
+
+def test_prefix_pass_matches_form_on_fixtures(rng):
+    for key in ALGEBRA_FILES:
+        alg = fixture_algebra(key)
+        ys = [random_element(alg, rng, max_degree=4, terms=5) for _ in range(3)]
+        assert_prefix_pass_matches_form(alg, ys + dual_pair(alg))
+    alg = gl_supermatrix_units(2, 1)
+    assert_prefix_pass_matches_form(alg, dual_pair(alg))
+
+
+def test_prefix_pass_matches_form_on_random_algebras(rng):
+    # dense mixed-parity elements, and the dual elements, whose products
+    # reach the top odd part, on random algebras and on their rational odd
+    # basis changes
+    for _ in range(6):
+        alg = random_small_superalgebra(rng, max_dim=5)
+        twisted, _ = random_odd_basis_change(alg, rng)
+        for a in (alg, twisted):
+            assert a._parity_graded
+            ys = [random_element(a, rng, max_degree=4, terms=5) for _ in range(2)]
+            assert_prefix_pass_matches_form(a, ys + dual_pair(a))
+    dense, _ = random_odd_basis_change(gl_supermatrix_units(2, 1), rng)
+    assert_prefix_pass_matches_form(dense, dual_pair(dense)[::3])
 
 
 # -- A from the right-action pass equals the pairing computed by form ---------
