@@ -12,8 +12,8 @@ from .algebra import (EVEN, ODD, EvenPartReport, InputError, LieSuperalgebra,
                       ValidationReport, Violation, ad_prime_trace,
                       change_basis, even_part_structure, lambda_values,
                       trace_condition_holds, validate_superalgebra)
-from .enveloping import (PBWMonomial, UEElement, act_on_quotient, counit,
-                         map_element, multiply, quotient_project)
+from .enveloping import (UEElement, act_on_quotient, counit, map_element,
+                         multiply, quotient_project)
 from .frobenius import (FrobeniusMatrix, InternalInvariantError, InvariantZ,
                         NoInvariantError, dual_pair, form, frobenius_matrix,
                         frobenius_pi, invariant_z, odd_subset_order,
@@ -31,7 +31,7 @@ __all__ = [
     "ValidationReport", "Violation", "ad_prime_trace", "change_basis",
     "even_part_structure", "lambda_values", "trace_condition_holds",
     "validate_superalgebra",
-    "PBWMonomial", "UEElement", "act_on_quotient", "counit", "map_element",
+    "UEElement", "act_on_quotient", "counit", "map_element",
     "multiply", "quotient_project",
     "FrobeniusMatrix", "InternalInvariantError", "InvariantZ",
     "NoInvariantError", "dual_pair", "form", "frobenius_matrix",

@@ -1,19 +1,23 @@
 """Arithmetic in the universal enveloping algebra.
 
-Elements are kept in the even-first PBW normal form: each monomial is a
-vector of exponents for the even generators (ascending) followed by a
-subset of the odd generators (ascending, exponents at most one since an
-odd square rewrites to half its self-bracket).  Stored this way, an
-element is literally the left-coefficient decomposition
-``u = sum_I u_I x^I`` with ``u_I`` in the even enveloping subalgebra,
-which is what the top-coefficient projection of the Frobenius machinery
-reads off directly.
+An element is a finite Fraction-weighted sum of PBW words.  A PBW word is
+a tuple of generator indices (even generators first, then odd, each part
+by index) that is non-decreasing and repeats no odd letter, since an odd
+square rewrites to half its self-bracket.  These are the canonical words
+of the rewriting kernel ``_normal_form`` in its even-first order, and
+``multiply`` stores the kernel's result as it is.  Each word is an even
+prefix followed by an odd suffix x^I, so an element is literally the
+left-coefficient decomposition ``u = sum_I u_I x^I`` with ``u_I`` in the
+even enveloping subalgebra, which is what the top-coefficient projection
+of the Frobenius machinery reads off directly.
 
 Classes in the quotient U(g)/U(g)*g0 by the left ideal generated by the
 even part come from the same rewriting loop, run in the other term order
 (odd generators first): a word ending in an even letter lies in the ideal
 and is dropped as soon as it is seen, and the words left are the odd
-monomials x^I that form a basis of the quotient.
+monomials x^I that form a basis of the quotient.  A class is kept as
+{bitmask of I: coefficient}, bit t standing for the odd generator with
+global index n_even + t.
 """
 
 from __future__ import annotations
@@ -21,77 +25,72 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import groupby
 
 from .algebra import LieSuperalgebra, ad_prime_trace, as_scalar
 
 
-class PBWMonomial(NamedTuple):
-    """Normal-form monomial: even exponent vector plus odd-subset bitmask.
-
-    Bit ``t`` of ``odd`` stands for the odd generator with global index
-    ``n_even + t``.
-    """
-    even: tuple[int, ...]
-    odd: int
-
-    @property
-    def degree(self) -> int:
-        return sum(self.even) + self.odd.bit_count()
-
-    def word(self, n_even: int) -> tuple[int, ...]:
-        w = []
-        for i, e in enumerate(self.even):
-            w.extend([i] * e)
-        mask, t = self.odd, 0
-        while mask:
-            if mask & 1:
-                w.append(n_even + t)
-            mask >>= 1
-            t += 1
-        return tuple(w)
+def _odd_mask(n0: int, word) -> int:
+    """Bitmask of the odd letters of ``word``: bit t for generator n0 + t."""
+    mask = 0
+    for g in word:
+        if g >= n0:
+            mask |= 1 << (g - n0)
+    return mask
 
 
-def _term_key(mono: PBWMonomial):
-    # graded order for deterministic display and serialization
-    return (mono.degree, mono.even, mono.odd)
+def _odd_word(alg: LieSuperalgebra, mask) -> tuple[int, ...]:
+    """The PBW word of the odd subset with bitmask ``mask``; ``ValueError``
+    unless ``mask`` is an int (not a bool) in range(2^m)."""
+    if type(mask) is not int or not 0 <= mask < 1 << alg.n_odd:
+        raise ValueError(f"odd subset mask {mask!r} is not an int in range(2^{alg.n_odd})")
+    return tuple(alg.n_even + t for t in range(alg.n_odd) if mask >> t & 1)
+
+
+def _term_key(n0: int, word: tuple[int, ...]):
+    # graded order for deterministic display and serialization: degree,
+    # even exponent vector, odd mask
+    even = [0] * n0
+    for g in word:
+        if g < n0:
+            even[g] += 1
+    return (len(word), even, _odd_mask(n0, word))
 
 
 class UEElement:
     """An enveloping-algebra element: a finite Fraction-weighted sum of
-    PBW monomials over a fixed algebra.  Values are immutable; all
-    arithmetic allocates fresh results.
+    PBW words over a fixed algebra, ``terms`` = {PBW word: Fraction}.
+    Values are immutable; all arithmetic allocates fresh results.
 
-    The public constructor checks every monomial and scalar.  Results of
-    the library's own arithmetic are built by ``_trusted``, which stores
-    its terms as given.  ``_word_terms`` is filled on first use by
-    ``_words``."""
+    The public constructor checks every word and scalar.  Results of the
+    library's own arithmetic are built by ``_trusted``, which stores its
+    terms as given."""
 
-    __slots__ = ("alg", "terms", "_word_terms")
+    __slots__ = ("alg", "terms")
 
     def __init__(self, alg: LieSuperalgebra, terms=()):
-        acc: dict[PBWMonomial, Fraction] = {}
+        n0, dim = alg.n_even, alg.dim
+        acc: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for mono, c in items:
+        for word, c in items:
             c = as_scalar(c)
             if not c:
                 continue
-            if (len(mono.even) != alg.n_even or mono.odd >> alg.n_odd
-                    or mono.odd < 0 or any(e < 0 for e in mono.even)):
-                raise ValueError(f"monomial {mono} does not fit algebra {alg.name}")
-            acc[mono] = acc.get(mono, Fraction(0)) + c
+            if not (isinstance(word, tuple)
+                    and all(type(g) is int and 0 <= g < dim for g in word)
+                    and all(a < b or a == b < n0 for a, b in zip(word, word[1:]))):
+                raise ValueError(f"{word!r} is not a PBW word of algebra {alg.name}")
+            acc[word] = acc.get(word, Fraction(0)) + c
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", {m: c for m, c in acc.items() if c})
-        object.__setattr__(self, "_word_terms", None)
+        object.__setattr__(self, "terms", {w: c for w, c in acc.items() if c})
 
     @classmethod
     def _trusted(cls, alg: LieSuperalgebra, terms: dict) -> UEElement:
         """The element with ``terms`` stored as given, unchecked: the caller
-        guarantees monomials that fit ``alg`` and nonzero Fraction values."""
+        guarantees PBW words of ``alg`` and nonzero Fraction values."""
         self = object.__new__(cls)
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_word_terms", None)
         return self
 
     def __setattr__(self, *_):
@@ -105,7 +104,7 @@ class UEElement:
 
     @classmethod
     def scalar(cls, alg, c):
-        return cls(alg, {PBWMonomial((0,) * alg.n_even, 0): as_scalar(c)})
+        return cls(alg, {(): as_scalar(c)})
 
     @classmethod
     def one(cls, alg):
@@ -115,32 +114,16 @@ class UEElement:
     def generator(cls, alg, i: int):
         if not 0 <= i < alg.dim:
             raise ValueError(f"generator index {i} out of range")
-        if i < alg.n_even:
-            even = tuple(1 if t == i else 0 for t in range(alg.n_even))
-            return cls(alg, {PBWMonomial(even, 0): Fraction(1)})
-        return cls(alg, {PBWMonomial((0,) * alg.n_even, 1 << (i - alg.n_even)): Fraction(1)})
+        return cls(alg, {(i,): Fraction(1)})
 
     # -- queries -------------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, mono: PBWMonomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _term_key(t[0]))
-
-    def _words(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """(generator word, coefficient) per term, built on the first call
-        and kept."""
-        words = self._word_terms
-        if words is None:
-            n0 = self.alg.n_even
-            words = [(m.word(n0), c) for m, c in self.terms.items()]
-            object.__setattr__(self, "_word_terms", words)
-        return words
-
+        n0 = self.alg.n_even
+        return sorted(self.terms.items(), key=lambda t: _term_key(n0, t[0]))
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -187,16 +170,12 @@ class UEElement:
         if not self.terms:
             return "0"
         bits = []
-        for mono, c in self.sorted_terms():
+        for word, c in self.sorted_terms():
             factors = []
-            for i, e in enumerate(mono.even):
-                if e == 1:
-                    factors.append(self.alg.even_names[i])
-                elif e > 1:
-                    factors.append(f"{self.alg.even_names[i]}^{e}")
-            for t in range(self.alg.n_odd):
-                if mono.odd >> t & 1:
-                    factors.append(self.alg.odd_names[t])
+            for g, run in groupby(word):
+                e = len(list(run))
+                name = self.alg.basis_name(g)
+                factors.append(name if e == 1 else f"{name}^{e}")
             body = "*".join(factors)
             if not body:
                 bits.append(str(c))
@@ -212,23 +191,12 @@ class UEElement:
 
 # -- normal-form rewriting ---------------------------------------------------
 
-def _word_to_monomial(alg: LieSuperalgebra, word: tuple[int, ...]) -> PBWMonomial:
-    even = [0] * alg.n_even
-    mask = 0
-    for g in word:
-        if g < alg.n_even:
-            even[g] += 1
-        else:
-            mask |= 1 << (g - alg.n_even)
-    return PBWMonomial(tuple(even), mask)
-
-
 def _normal_form(alg: LieSuperalgebra, heads,
                  odd_first: bool = False) -> dict[tuple[int, ...], Fraction]:
     """Expand scaled generator words into canonical words.
 
-    `heads` is a list of (word, Fraction coefficient), each word a tuple
-    of generator indices.
+    `heads` is a collection of (word, Fraction coefficient), each word a
+    tuple of generator indices.
 
     A word is canonical when its letters are non-decreasing in the term
     order and no odd letter repeats.  The order is the index order (even
@@ -302,37 +270,31 @@ def _normal_form(alg: LieSuperalgebra, heads,
 def _heads(a: UEElement, b: UEElement):
     """Generator words of the term pairs of ``a*b``, each scaled by its
     coefficient product."""
-    right = b._words()
-    return [(w1 + w2, c1 * c2) for w1, c1 in a._words() for w2, c2 in right]
-
-
-def _to_element(alg: LieSuperalgebra, nf) -> UEElement:
-    """The element with canonical even-first words ``nf``: distinct
-    canonical words are distinct monomials."""
-    return UEElement._trusted(alg, {_word_to_monomial(alg, w): c for w, c in nf.items()})
+    right = b.terms.items()
+    return [(w1 + w2, c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in right]
 
 
 def multiply(a: UEElement, b: UEElement) -> UEElement:
-    """Product in the enveloping algebra, in even-first normal form."""
+    """Product in the enveloping algebra, in even-first normal form: the
+    kernel's canonical words are the PBW words of the result."""
     a._check(b)
     alg = a.alg
-    return _to_element(alg, _normal_form(alg, _heads(a, b)))
+    return UEElement._trusted(alg, _normal_form(alg, _heads(a, b)))
 
 
 def counit(a: UEElement) -> Fraction:
-    """Coefficient of the empty monomial."""
-    return a.coefficient(PBWMonomial((0,) * a.alg.n_even, 0))
+    """Coefficient of the empty word."""
+    return a.terms.get((), Fraction(0))
 
 
 def _substitute(u: UEElement, dst: LieSuperalgebra, images) -> UEElement:
     """The image of ``u`` in U(dst) under the algebra map sending source
     generator g to ``images[g]`` (indexed by every letter of ``u``): each
     PBW word becomes the ordered product of the images of its letters."""
-    n0 = u.alg.n_even
     out = UEElement.zero(dst)
-    for mono, c in u.terms.items():
+    for word, c in u.terms.items():
         acc = UEElement.scalar(dst, c)
-        for g in mono.word(n0):
+        for g in word:
             acc = multiply(acc, images[g])
         out = out + acc
     return out
@@ -340,9 +302,9 @@ def _substitute(u: UEElement, dst: LieSuperalgebra, images) -> UEElement:
 
 def _twist(u: UEElement, sign: int) -> UEElement:
     alg = u.alg
-    if any(m.odd for m in u.terms):
+    if any(w and w[-1] >= alg.n_even for w in u.terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
-    letters = {i for m in u.terms for i, e in enumerate(m.even) if e}
+    letters = {g for w in u.terms for g in w}
     return _substitute(u, alg, {
         i: UEElement.generator(alg, i) + UEElement.scalar(alg, sign * ad_prime_trace(alg, i))
         for i in letters})
@@ -357,22 +319,23 @@ def alpha(u: UEElement) -> UEElement:
 def _class(alg: LieSuperalgebra, heads) -> dict[int, Fraction]:
     """Class of the sum of scaled words ``heads`` in U(g)/U(g)*g0, over the
     basis x^I: I -> coefficient (see ``_normal_form``)."""
-    return {_word_to_monomial(alg, w).odd: c
-            for w, c in _normal_form(alg, heads, odd_first=True).items()}
+    n0 = alg.n_even
+    return {_odd_mask(n0, w): c for w, c in _normal_form(alg, heads, odd_first=True).items()}
 
 
 def quotient_project(a: UEElement) -> dict[int, Fraction]:
     """Class of ``a`` in the quotient by the left ideal generated by the
     even part, expressed over the exterior basis x^I: I -> coefficient."""
-    return _class(a.alg, a._words())
+    return _class(a.alg, a.terms.items())
 
 
 def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Left action of basis element ``i`` on a quotient class."""
-    if not 0 <= i < alg.dim:
+    """Left action of basis element ``i`` on a quotient class.  Masks must
+    be ints in range(2^m) (``ValueError``) and coefficients exact rationals
+    (``InputError``)."""
+    if type(i) is not int or not 0 <= i < alg.dim:
         raise ValueError(f"generator index {i} out of range")
-    n0, empty = alg.n_even, (0,) * alg.n_even
-    return _class(alg, [((i,) + PBWMonomial(empty, mask).word(n0), c)
+    return _class(alg, [((i,) + _odd_word(alg, mask), as_scalar(c))
                         for mask, c in cls.items()])
 
 

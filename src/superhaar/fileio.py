@@ -175,8 +175,8 @@ def element_to_json(u: UEElement) -> list[dict]:
     """Expression form: list of {monomial: [generator names], coeff}."""
     alg = u.alg
     out = []
-    for mono, c in u.sorted_terms():
-        names = [alg.basis_name(g) for g in mono.word(alg.n_even)]
+    for word, c in u.sorted_terms():
+        names = [alg.basis_name(g) for g in word]
         out.append({"monomial": names, "coeff": format_rational(c)})
     return out
 

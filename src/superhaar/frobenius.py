@@ -39,14 +39,15 @@ and keeps only the terms that can still reach the full odd monomial
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .algebra import LieSuperalgebra, lambda_values
-from .enveloping import (PBWMonomial, UEElement, act_on_quotient, alpha,
-                         counit, multiply, quotient_project)
+from .enveloping import (UEElement, _odd_mask, _odd_word, act_on_quotient,
+                         alpha, counit, multiply, quotient_project)
 
 
 class InternalInvariantError(RuntimeError):
@@ -73,29 +74,41 @@ def odd_subset_order(m: int) -> tuple[int, ...]:
 
 
 def subset_monomial(alg: LieSuperalgebra, mask: int) -> UEElement:
-    """The ordered product of the odd generators in ``mask``."""
-    return UEElement(alg, {PBWMonomial((0,) * alg.n_even, mask): Fraction(1)})
+    """The ordered product of the odd generators in ``mask``, an int in
+    range(2^m)."""
+    return UEElement(alg, {_odd_word(alg, mask): Fraction(1)})
 
 
 def _left_coefficients(u: UEElement) -> dict[int, UEElement]:
     """The nonzero left coefficients u_J of u = sum_J u_J x^J, by mask J:
-    elements of the even subalgebra."""
+    elements of the even subalgebra.  Each PBW word splits at its first
+    odd letter into a word of u_J and x^J."""
+    n0 = u.alg.n_even
     terms: dict = defaultdict(dict)
-    for mono, c in u.terms.items():
-        terms[mono.odd][PBWMonomial(mono.even, 0)] = c
+    for w, c in u.terms.items():
+        k = bisect_left(w, n0)
+        terms[_odd_mask(n0, w[k:])][w[:k]] = c
     return {j: UEElement._trusted(u.alg, t) for j, t in terms.items()}
 
 
 def frobenius_pi(u: UEElement) -> UEElement:
     """Left coefficient of the top odd monomial (an element of the even
-    enveloping subalgebra).  For m = 0 this is the identity map."""
-    return _left_coefficients(u).get((1 << u.alg.n_odd) - 1, UEElement.zero(u.alg))
+    enveloping subalgebra): the words with all m odd letters, cut off
+    before them.  For m = 0 this is the identity map."""
+    m, n0 = u.alg.n_odd, u.alg.n_even
+    top = {}
+    for w, c in u.terms.items():
+        k = bisect_left(w, n0)
+        if len(w) - k == m:
+            top[w[:k]] = c
+    return UEElement._trusted(u.alg, top)
 
 
 def _left_counits(u: UEElement) -> dict[int, Fraction]:
     """The nonzero counits of the left coefficients u_J of
     u = sum_J u_J x^J, by mask J: the terms of u with no even letter."""
-    return {mono.odd: c for mono, c in u.terms.items() if not any(mono.even)}
+    n0 = u.alg.n_even
+    return {_odd_mask(n0, w): c for w, c in u.terms.items() if not w or w[0] >= n0}
 
 
 def form(x: UEElement, y: UEElement) -> UEElement:
@@ -255,7 +268,7 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> list[UEElement]:
         s = low.bit_length() - 1
         u = multiply(gens[s], products[mask ^ low])
         products.append(UEElement._trusted(alg, {
-            mono: c for mono, c in u.terms.items() if mono.odd.bit_count() >= m - s}))
+            w: c for w, c in u.terms.items() if len(w) - bisect_left(w, n0) >= m - s}))
     return [frobenius_pi(u) for u in products]
 
 

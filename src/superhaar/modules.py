@@ -131,9 +131,9 @@ def module_action(module: GradedModule, u: UEElement) -> linalg.Matrix:
     if u.alg != module.alg:
         raise ValueError("element and module live over different algebras")
     terms = []
-    for mono, c in u.terms.items():
+    for word, c in u.terms.items():
         acc = linalg.identity(module.dim)
-        for g in mono.word(module.alg.n_even):
+        for g in word:
             acc = linalg.mat_mul(acc, module.rho(g))
         terms.append((c, acc))
     return linalg.mat_comb(terms)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from superhaar import linalg
 from superhaar.algebra import LieSuperalgebra, change_basis, nonzero_rows
-from superhaar.enveloping import PBWMonomial, UEElement, multiply
+from superhaar.enveloping import UEElement, multiply
 
 
 def from_word(alg: LieSuperalgebra, word, coeff=1) -> UEElement:
@@ -26,15 +26,22 @@ def from_word(alg: LieSuperalgebra, word, coeff=1) -> UEElement:
     return out
 
 
-def monomial_parity(mono: PBWMonomial) -> int:
-    """Parity of a PBW monomial: its number of odd letters mod 2."""
-    return mono.odd.bit_count() & 1
+def pbw(alg: LieSuperalgebra, even, mask: int) -> tuple[int, ...]:
+    """The PBW word with even exponent vector ``even`` (length n_even) and
+    odd subset ``mask`` (bit t for odd generator t)."""
+    word = [i for i, e in enumerate(even) for _ in range(e)]
+    return tuple(word + [alg.n_even + t for t in range(alg.n_odd) if mask >> t & 1])
+
+
+def word_parity(alg: LieSuperalgebra, word: tuple[int, ...]) -> int:
+    """Parity of a PBW word: its number of odd letters mod 2."""
+    return sum(g >= alg.n_even for g in word) & 1
 
 
 def homogeneous_parity(u: UEElement) -> int | None:
-    """Parity of ``u`` if all its monomials agree (0 or 1), else None;
+    """Parity of ``u`` if all its words agree (0 or 1), else None;
     None for 0."""
-    parities = {monomial_parity(m) for m in u.terms}
+    parities = {word_parity(u.alg, w) for w in u.terms}
     return parities.pop() if len(parities) == 1 else None
 
 
@@ -71,8 +78,8 @@ def random_homogeneous_element(alg: LieSuperalgebra, rng: random.Random,
                                attempts: int = 40) -> UEElement:
     for _ in range(attempts):
         u = random_element(alg, rng, max_degree=max_degree, terms=5)
-        filtered = UEElement(alg, {m: c for m, c in u.terms.items()
-                                   if monomial_parity(m) == parity})
+        filtered = UEElement(alg, {w: c for w, c in u.terms.items()
+                                   if word_parity(alg, w) == parity})
         if filtered:
             return filtered
     raise RuntimeError(f"could not draw a homogeneous element of parity {parity}")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhaar import (InputError, LieSuperalgebra, PBWMonomial, UEElement,
+from superhaar import (InputError, LieSuperalgebra, UEElement,
                        act_on_quotient, counit, multiply, quotient_project,
                        validate_superalgebra)
 from superhaar.enveloping import alpha
@@ -11,8 +11,9 @@ from superhaar.frobenius import _left_coefficients
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra,
                       gl_supermatrix_units, rescaled_algebra)
-from randgen import (homogeneous_parity, random_element, random_even_element,
-                     random_odd_basis_change, random_small_superalgebra)
+from randgen import (homogeneous_parity, pbw, random_element,
+                     random_even_element, random_odd_basis_change,
+                     random_small_superalgebra)
 
 F = Fraction
 
@@ -26,7 +27,7 @@ def gen(alg, name):
 def test_multiply_examples(g2, bad2):
     x1, x2 = gen(g2, "x1"), gen(g2, "x2")
     assert multiply(x2, x1) == -multiply(x1, x2)
-    assert multiply(x2, x1) == UEElement(g2, {PBWMonomial((), 0b11): F(-1)})
+    assert multiply(x2, x1) == UEElement(g2, {pbw(g2, (), 0b11): F(-1)})
 
     X, th = gen(bad2, "X"), gen(bad2, "th")
     assert multiply(th, X) == multiply(X, th) - th
@@ -174,7 +175,7 @@ def odd_first_form(u):
     """Right-coefficient decomposition {I: u_I}, zero u_I left out."""
     alg = u.alg
     n0 = alg.n_even
-    nf = _odd_first_normal_form(alg, [(m.word(n0), c) for m, c in u.terms.items()])
+    nf = _odd_first_normal_form(alg, u.terms.items())
     buckets = defaultdict(dict)
     for w, c in nf.items():
         even = [0] * n0
@@ -184,8 +185,8 @@ def odd_first_form(u):
                 even[g] += 1
             else:
                 mask |= 1 << (g - n0)
-        mono = PBWMonomial(tuple(even), 0)
-        buckets[mask][mono] = buckets[mask].get(mono, F(0)) + c
+        word = pbw(alg, even, 0)
+        buckets[mask][word] = buckets[mask].get(word, F(0)) + c
     form = {mask: UEElement(alg, terms) for mask, terms in buckets.items()}
     return {mask: v for mask, v in form.items() if v}
 
@@ -193,7 +194,7 @@ def odd_first_form(u):
 def reassemble_odd_first(alg, form):
     out = UEElement.zero(alg)
     for mask, v in form.items():
-        xi = UEElement(alg, {PBWMonomial((0,) * alg.n_even, mask): F(1)})
+        xi = UEElement(alg, {pbw(alg, (0,) * alg.n_even, mask): F(1)})
         out = out + multiply(xi, v)
     return out
 
@@ -203,7 +204,7 @@ def reference_class(u):
 
 
 def lift(alg, cls):
-    return UEElement(alg, {PBWMonomial((0,) * alg.n_even, mask): c
+    return UEElement(alg, {pbw(alg, (0,) * alg.n_even, mask): c
                            for mask, c in cls.items()})
 
 
@@ -256,6 +257,13 @@ def test_act_on_quotient_examples(g2, bad2):
     assert act_on_quotient(g2, 0, {0b1: F(1)}) == {}
     with pytest.raises(ValueError):
         act_on_quotient(g2, 2, {0: F(1)})
+    # masks are ints in range(2^m), bools excluded; values exact rationals
+    for mask in (-1, 0b100, "1", 1.0, True):
+        with pytest.raises(ValueError):
+            act_on_quotient(g2, 0, {mask: F(1)})
+    with pytest.raises(InputError):
+        act_on_quotient(g2, 0, {0b1: 0.5})
+    assert act_on_quotient(g2, 1, {0b1: 2}) == {0b11: F(-2)}
 
 
 def _quotient_cases(rng):
@@ -341,27 +349,13 @@ def fraction_normal_form(alg, heads, odd_first=False):
 
 
 def fraction_heads(a, b):
-    n0 = a.alg.n_even
-    return [(m1.word(n0) + m2.word(n0), c1 * c2)
-            for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()]
-
-
-def fraction_element(alg, nf):
-    terms = defaultdict(Fraction)
-    for w, c in nf.items():
-        even = [0] * alg.n_even
-        mask = 0
-        for g in w:
-            if g < alg.n_even:
-                even[g] += 1
-            else:
-                mask |= 1 << (g - alg.n_even)
-        terms[PBWMonomial(tuple(even), mask)] += c
-    return UEElement(alg, terms)
+    return [(w1 + w2, c1 * c2)
+            for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()]
 
 
 def fraction_multiply(a, b):
-    return fraction_element(a.alg, fraction_normal_form(a.alg, fraction_heads(a, b)))
+    # the canonical words are PBW words; the public constructor checks them
+    return UEElement(a.alg, fraction_normal_form(a.alg, fraction_heads(a, b)))
 
 
 def fraction_class(alg, heads):
@@ -371,8 +365,7 @@ def fraction_class(alg, heads):
 
 
 def fraction_quotient_project(u):
-    n0 = u.alg.n_even
-    return fraction_class(u.alg, [(m.word(n0), c) for m, c in u.terms.items()])
+    return fraction_class(u.alg, list(u.terms.items()))
 
 
 def fraction_act_on_quotient(alg, i, cls):
@@ -399,7 +392,7 @@ def mixed_element(alg, rng, terms=4):
             even[rng.randrange(alg.n_even)] += 1
         mask = rng.randrange(1 << alg.n_odd)
         if sum(even) + mask.bit_count() <= 3:
-            out[PBWMonomial(tuple(even), mask)] = F(rng.randint(-5, 5), rng.randint(1, 6))
+            out[pbw(alg, even, mask)] = F(rng.randint(-5, 5), rng.randint(1, 6))
     return UEElement(alg, out)
 
 
@@ -470,14 +463,14 @@ def assert_checked(u):
 
 
 def test_public_constructor_still_checks(g2, bad2):
-    with pytest.raises(ValueError):
-        UEElement(g2, {PBWMonomial((), 0b100): F(1)})
-    with pytest.raises(ValueError):
-        UEElement(bad2, {PBWMonomial((1, 0), 0): F(1)})
-    with pytest.raises(ValueError):
-        UEElement(bad2, {PBWMonomial((-1,), 0): F(1)})
+    for alg, word in [(g2, (2,)),       # out-of-range letter
+                      (bad2, (-1,)),    # negative letter
+                      (bad2, (1, 0)),   # decreasing word: th before X
+                      (g2, (0, 0))]:    # repeated odd letter
+        with pytest.raises(ValueError):
+            UEElement(alg, {word: F(1)})
     with pytest.raises(InputError):
-        UEElement(g2, {PBWMonomial((), 0b1): 0.5})
+        UEElement(g2, {(0,): 0.5})
 
 
 def test_library_results_store_only_checked_terms(rng):
@@ -491,14 +484,6 @@ def test_library_results_store_only_checked_terms(rng):
             results += _left_coefficients(multiply(x, y)).values()
             for u in results:
                 assert_checked(u)
-
-
-def test_the_word_cache_matches_the_terms(rng):
-    alg = rescaled_algebra(fixture_algebra("osp12"))
-    u = multiply(mixed_element(alg, rng), mixed_element(alg, rng))
-    words = u._words()
-    assert u._words() is words
-    assert words == [(m.word(alg.n_even), c) for m, c in u.terms.items()]
 
 
 # -- element basics ----------------------------------------------------------------

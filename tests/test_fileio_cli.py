@@ -105,13 +105,20 @@ def test_module_parse_errors(g2):
         module_from_json(odd, g2)
 
 
-def test_element_serialization(g2):
+def test_element_serialization(g2, gl11):
     z = invariant_z(g2).z
     assert element_to_json(z) == [{"monomial": ["x1", "x2"], "coeff": "1"}]
     combo = UEElement.scalar(g2, F(-1, 2)) + z * 3
     assert element_to_json(combo) == [
         {"monomial": [], "coeff": "-1/2"},
         {"monomial": ["x1", "x2"], "coeff": "3"},
+    ]
+    # terms are listed by degree, then even exponent vector: h2 has (0, 1),
+    # which sorts before h1's (1, 0); an order by raw word would list h1 first
+    h1, h2 = (UEElement.generator(gl11, gl11.index_of(n)) for n in ("h1", "h2"))
+    assert element_to_json(h1 + h2) == [
+        {"monomial": ["h2"], "coeff": "1"},
+        {"monomial": ["h1"], "coeff": "1"},
     ]
 
 

@@ -49,6 +49,23 @@ def test_pi_is_identity_when_no_odd_part(sl2):
     assert frobenius_pi(u) == u
 
 
+def test_pi_is_the_top_left_coefficient(rng):
+    for key in ALGEBRA_FILES:   # sl2 has m = 0
+        alg = fixture_algebra(key)
+        top = (1 << alg.n_odd) - 1
+        for _ in range(6):
+            u = random_element(alg, rng, max_degree=4, terms=6)
+            want = frobenius._left_coefficients(u).get(top, UEElement.zero(alg))
+            assert frobenius_pi(u) == want, alg.name
+
+
+def test_subset_monomial_checks_the_mask(g2):
+    assert subset_monomial(g2, 0b11) == multiply(gen(g2, "x1"), gen(g2, "x2"))
+    for mask in (-1, 0b100):
+        with pytest.raises(ValueError):
+            subset_monomial(g2, mask)
+
+
 def test_form_examples(g2):
     x1, x2 = gen(g2, "x1"), gen(g2, "x2")
     one = UEElement.one(g2)
@@ -85,8 +102,8 @@ def test_frobenius_matrix_structure_all_fixtures():
             assert fm.diagonal[i] in (1, -1)
             for j in range(n):
                 # entries (and inverse entries) lie in the even subalgebra
-                assert all(m.odd == 0 for m in fm.entries[i][j].terms)
-                assert all(m.odd == 0 for m in fm.inverse[i][j].terms)
+                for e in (fm.entries[i][j], fm.inverse[i][j]):
+                    assert all(g < alg.n_even for w in e.terms for g in w)
                 if j > i:
                     assert not fm.entries[i][j]
         # external re-check of the right inverse
@@ -350,8 +367,9 @@ def test_gl_invariant_is_top_odd_monomial(p, q):
 # -- form is the top coefficient of the full product; dual_pair's prefix pass --
 
 def top_terms(u):
-    top = (1 << u.alg.n_odd) - 1
-    return UEElement(u.alg, {m: c for m, c in u.terms.items() if m.odd == top})
+    n0, m = u.alg.n_even, u.alg.n_odd
+    return UEElement(u.alg, {w: c for w, c in u.terms.items()
+                             if sum(g >= n0 for g in w) == m})
 
 
 def assert_form_matches_full_product(alg, x, y):
