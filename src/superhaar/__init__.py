@@ -15,7 +15,7 @@ from .algebra import (EVEN, ODD, EvenPartReport, InputError, LieSuperalgebra,
 from .enveloping import (UEElement, act_on_quotient, counit, map_element,
                          multiply, quotient_project)
 from .frobenius import (FrobeniusMatrix, InternalInvariantError, InvariantZ,
-                        NoInvariantError, dual_pair, form, frobenius_matrix,
+                        NoInvariantError, dual_pair, frobenius_matrix,
                         frobenius_pi, invariant_z, odd_subset_order,
                         subset_monomial)
 from .modules import (GradedModule, IntegralMatrix, NotSemisimpleError,
@@ -34,7 +34,7 @@ __all__ = [
     "UEElement", "act_on_quotient", "counit", "map_element",
     "multiply", "quotient_project",
     "FrobeniusMatrix", "InternalInvariantError", "InvariantZ",
-    "NoInvariantError", "dual_pair", "form", "frobenius_matrix",
+    "NoInvariantError", "dual_pair", "frobenius_matrix",
     "frobenius_pi", "invariant_z", "odd_subset_order", "subset_monomial",
     "GradedModule", "IntegralMatrix", "NotSemisimpleError",
     "SemisimplicityReport", "brute_force_quotient_invariants",

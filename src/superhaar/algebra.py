@@ -165,12 +165,11 @@ class LieSuperalgebra:
         self._int_scale = scale
         self._int_rows = rows
         self._int_halves = tuple(ints(halves.get(a, ())) for a in range(self.dim))
-        # the rewriting kernel's letter tables: parity by letter, and letter
-        # -> position in the even-first and the odd-first term order
+        # the rewriting kernel's parity by letter, and the memo of the
+        # quotient classes x_g * x^I (``enveloping._act``), which lives and
+        # dies with the algebra
         self._letter_parity = tuple(self.parity(g) for g in range(self.dim))
-        self._ranks = (tuple(range(self.dim)),
-                       tuple(g + self.n_odd if g < self.n_even else g - self.n_even
-                             for g in range(self.dim)))
+        self._quotient_memo: dict[tuple[int, int], dict[int, int]] = {}
         self._cached_key = (self.name, self.even_names, self.odd_names,
                             tuple(sorted(table.items())))
 

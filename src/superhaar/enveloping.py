@@ -4,20 +4,20 @@ An element is a finite Fraction-weighted sum of PBW words.  A PBW word is
 a tuple of generator indices (even generators first, then odd, each part
 by index) that is non-decreasing and repeats no odd letter, since an odd
 square rewrites to half its self-bracket.  These are the canonical words
-of the rewriting kernel ``_normal_form`` in its even-first order, and
-``multiply`` stores the kernel's result as it is.  Each word is an even
+of the rewriting kernel ``_normal_form``, which has this one term order,
+and ``multiply`` stores the kernel's result as it is.  Each word is an even
 prefix followed by an odd suffix x^I, so an element is literally the
 left-coefficient decomposition ``u = sum_I u_I x^I`` with ``u_I`` in the
 even enveloping subalgebra, which is what the top-coefficient projection
 of the Frobenius machinery reads off directly.
 
 Classes in the quotient U(g)/U(g)*g0 by the left ideal generated by the
-even part come from the same rewriting loop, run in the other term order
-(odd generators first): a word ending in an even letter lies in the ideal
-and is dropped as soon as it is seen, and the words left are the odd
-monomials x^I that form a basis of the quotient.  A class is kept as
-{bitmask of I: coefficient}, bit t standing for the odd generator with
-global index n_even + t.
+even part do not go through the kernel.  The quotient is the module
+induced from the trivial g0-module, with basis the odd monomials x^I, and
+the action of each generator on x^I follows from the bracket table by a
+short recursion on the first letter of x^I (``_act``; Kac, Adv. Math. 26,
+1977; Bell and Farnsteiner, Trans. AMS 335, 1993), memoised per algebra.  A class is kept as {bitmask of I: coefficient}, bit t standing for
+the odd generator with global index n_even + t.
 """
 
 from __future__ import annotations
@@ -39,11 +39,18 @@ def _odd_mask(n0: int, word) -> int:
     return mask
 
 
+def _check_mask(alg: LieSuperalgebra, mask) -> int:
+    """``mask``, after checking that it is an int (not a bool) in
+    range(2^m); ``ValueError`` otherwise."""
+    if type(mask) is not int or not 0 <= mask < 1 << alg.n_odd:
+        raise ValueError(f"odd subset mask {mask!r} is not an int in range(2^{alg.n_odd})")
+    return mask
+
+
 def _odd_word(alg: LieSuperalgebra, mask) -> tuple[int, ...]:
     """The PBW word of the odd subset with bitmask ``mask``; ``ValueError``
     unless ``mask`` is an int (not a bool) in range(2^m)."""
-    if type(mask) is not int or not 0 <= mask < 1 << alg.n_odd:
-        raise ValueError(f"odd subset mask {mask!r} is not an int in range(2^{alg.n_odd})")
+    _check_mask(alg, mask)
     return tuple(alg.n_even + t for t in range(alg.n_odd) if mask >> t & 1)
 
 
@@ -191,22 +198,20 @@ class UEElement:
 
 # -- normal-form rewriting ---------------------------------------------------
 
-def _normal_form(alg: LieSuperalgebra, heads,
-                 odd_first: bool = False) -> dict[tuple[int, ...], Fraction]:
-    """Expand scaled generator words into canonical words.
+def _normal_form(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], Fraction]:
+    """Expand scaled generator words into PBW words.
 
     `heads` is a collection of (word, Fraction coefficient), each word a
     tuple of generator indices.
 
-    A word is canonical when its letters are non-decreasing in the term
-    order and no odd letter repeats.  The order is the index order (even
-    generators first), or with `odd_first` the odd generators first, each
-    part by index.  One step either transposes an adjacent out-of-order
-    pair (Koszul sign plus a bracket term) or collapses an adjacent odd
-    square via x*x = [x,x]/2.  Every step lowers (total degree, inversion
-    count), so the worklist terminates.  The letters before the first
-    out-of-order pair stay in order in every word a step makes, so the
-    scan for the next one starts one letter before it.
+    A word is canonical when its letters are non-decreasing by index (even
+    generators first, then odd) and no odd letter repeats.  One step either
+    transposes an adjacent out-of-order pair (Koszul sign plus a bracket
+    term) or collapses an adjacent odd square via x*x = [x,x]/2.  Every
+    step lowers (total degree, inversion count), so the worklist
+    terminates.  The letters before the first out-of-order pair stay in
+    order in every word a step makes, so the scan for the next one starts
+    one letter before it.
 
     The loop runs in exact ints.  The algebra's integer table holds
     [a, b] * S and, for odd a, [a, a] / 2 * S, with S the lcm of their
@@ -219,22 +224,11 @@ def _normal_form(alg: LieSuperalgebra, heads,
     canonical words included, carries exactly D * S^(top - d) times its
     rational coefficient, and each output coefficient is one
     Fraction(v, D * S^(top - d)) at the end.
-
-    With `odd_first` the result is the class of the input in the quotient
-    U(g)/U(g)*g0 rather than the input itself.  A word whose last letter is
-    even is w'*e with e in g0, so it lies in the left ideal U(g)*g0 and is
-    dropped when it is popped; every other step keeps the element, so the
-    class is unchanged.  A canonical odd-first word that does not end in an
-    even letter has no even letters at all: each word left is a pure odd
-    monomial x^I.  U(g) is free as a right U(g0)-module on the x^I (PBW),
-    so the ideal is the sum of the x^I * U(g0)*g0 and the x^I are a basis
-    of the quotient; the canonical words are the class in that basis.
     """
     if not heads:
         return {}
-    n0 = alg.n_even
     scale, rows, halves = alg._int_scale, alg._int_rows, alg._int_halves
-    parity, rank = alg._letter_parity, alg._ranks[odd_first]
+    parity = alg._letter_parity
     den = math.lcm(*(c.denominator for _, c in heads))
     top = max(len(w) for w, _ in heads)
     stack = [(w, c.numerator * (den // c.denominator) * scale ** (top - len(w)), 0)
@@ -242,12 +236,10 @@ def _normal_form(alg: LieSuperalgebra, heads,
     out: dict[tuple[int, ...], int] = defaultdict(int)
     while stack:
         w, v, start = stack.pop()
-        if odd_first and w and w[-1] < n0:
-            continue
         red = -1
         for p in range(start, len(w) - 1):
             a, b = w[p], w[p + 1]
-            if rank[a] > rank[b] or (a == b and parity[a]):
+            if a > b or (a == b and parity[a]):
                 red = p
                 break
         if red < 0:
@@ -316,17 +308,95 @@ def alpha(u: UEElement) -> UEElement:
     return _twist(u, +1)
 
 
-def _class(alg: LieSuperalgebra, heads) -> dict[int, Fraction]:
-    """Class of the sum of scaled words ``heads`` in U(g)/U(g)*g0, over the
-    basis x^I: I -> coefficient (see ``_normal_form``)."""
+# -- the quotient U(g)/U(g)*g0 --------------------------------------------------
+
+def _act(alg: LieSuperalgebra, g: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """The class of x_g * x^mask in U(g)/U(g)*g0, as pairs (J, v): v stands
+    for v / S^(|mask| + 1 - |J|) times x^J, S the algebra's integer scale.
+
+    With s = min mask, x^mask = x_s * x^rest, and:
+    - an odd x_t with t < s, or any odd x_t on mask 0, gives x^(mask + t);
+    - x_s gives x_s * x_s * x^rest = [x_s, x_s]/2 * x^rest;
+    - any other x_g moves past x_s:
+      x_g * x_s * x^rest = (-1)^|g| x_s * (x_g * x^rest) + [x_g, x_s] * x^rest;
+    - an even x_g on mask 0 gives 0, since x_g lies in U(g)*g0.
+    A bracket or square step lowers the degree by 1 and multiplies by a
+    table entry, the rational constant times S, so the scale stays exact.
+
+    Termination: no step adds a letter, so no mask in the class of
+    x_g * x^rest is longer than ``mask``.  Each call here recurses to a
+    shorter mask, or to a mask of the same length under x_s, which is odd
+    and precedes g when the odd letters come by index and every even
+    letter after them.  So a chain of nested calls has at most m + 1 calls
+    per mask length, (m + 1)^2 in all.
+
+    Results are memoised in ``alg._quotient_memo`` for the lifetime of the
+    algebra."""
+    memo = alg._quotient_memo
+    key = (g, mask)
+    if key in memo:
+        return memo[key]
     n0 = alg.n_even
-    return {_odd_mask(n0, w): c for w, c in _normal_form(alg, heads, odd_first=True).items()}
+    low = mask & -mask
+    s = n0 + low.bit_length() - 1
+    if g >= n0 and (not mask or g < s):
+        out = ((mask | 1 << (g - n0), 1),)
+    elif not mask:
+        out = ()
+    else:
+        rest = mask ^ low
+        if g == s:
+            terms = [(ck, _act(alg, k, rest)) for k, ck in alg._int_halves[s]]
+        else:
+            terms = [(-1 if g >= n0 else 1, _apply(alg, s, _act(alg, g, rest)))]
+            terms += [(ck, _act(alg, k, rest)) for k, ck in alg._int_rows[g].get(s, ())]
+        acc: dict[int, int] = defaultdict(int)
+        for c, cls in terms:
+            for j, v in cls:
+                acc[j] += c * v
+        out = tuple((j, v) for j, v in acc.items() if v)
+    memo[key] = out
+    return out
+
+
+def _apply(alg: LieSuperalgebra, g: int, cls) -> tuple[tuple[int, int], ...]:
+    """x_g times an integer class: one degree more in the scale of ``_act``."""
+    acc: dict[int, int] = defaultdict(int)
+    for mask, v in cls:
+        for j, w in _act(alg, g, mask):
+            acc[j] += v * w
+    return tuple((j, v) for j, v in acc.items() if v)
+
+
+def _rational_class(alg: LieSuperalgebra, parts) -> dict[int, Fraction]:
+    """The sum of c * cls over ``parts`` (c, d, cls), each cls an integer
+    class of degree d: v at J stands for v / S^(d - |J|)."""
+    if not parts:
+        return {}
+    scale = alg._int_scale
+    den = math.lcm(*(c.denominator for c, _, _ in parts))
+    top = max(d for _, d, _ in parts)
+    acc: dict[int, int] = defaultdict(int)
+    for c, d, cls in parts:
+        f = c.numerator * (den // c.denominator) * scale ** (top - d)
+        for j, v in cls:
+            acc[j] += f * v
+    return {j: Fraction(v, den * scale ** (top - j.bit_count()))
+            for j, v in acc.items() if v}
 
 
 def quotient_project(a: UEElement) -> dict[int, Fraction]:
     """Class of ``a`` in the quotient by the left ideal generated by the
-    even part, expressed over the exterior basis x^I: I -> coefficient."""
-    return _class(a.alg, a.terms.items())
+    even part, expressed over the exterior basis x^I: I -> coefficient.
+    Each word acts letter by letter, last letter first, on the class of 1."""
+    alg = a.alg
+    parts = []
+    for word, c in a.terms.items():
+        cls = ((0, 1),)
+        for g in reversed(word):
+            cls = _apply(alg, g, cls)
+        parts.append((c, len(word), cls))
+    return _rational_class(alg, parts)
 
 
 def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -335,8 +405,9 @@ def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> d
     (``InputError``)."""
     if type(i) is not int or not 0 <= i < alg.dim:
         raise ValueError(f"generator index {i} out of range")
-    return _class(alg, [((i,) + _odd_word(alg, mask), as_scalar(c))
-                        for mask, c in cls.items()])
+    checked = [(_check_mask(alg, mask), as_scalar(c)) for mask, c in cls.items()]
+    return _rational_class(alg, [(c, mask.bit_count() + 1, _act(alg, i, mask))
+                                 for mask, c in checked])
 
 
 def map_element(u: UEElement, dst: LieSuperalgebra, full_map) -> UEElement:

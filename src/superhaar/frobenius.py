@@ -1,7 +1,7 @@
 """Frobenius structure of the enveloping algebra over its even subalgebra.
 
 The top-coefficient projection pi sends ``u = sum_I u_I x^I`` (left
-coefficients, read off the even-first normal form) to the coefficient of
+coefficients, read off the PBW normal form) to the coefficient of
 the full odd monomial.  The pairing <x, y> = pi(x y) is associative with a
 twist on the right slot; the matrix of the pairing on odd-subset monomials,
 taken in a cardinality-refining order, is lower triangular with diagonal
@@ -30,11 +30,12 @@ with diagonal +-1, and ``_solve_column`` forward-substitutes a column of
 the inverse and verifies A * b = e_j exactly, summed over the band
 j <= k <= i that triangularity leaves.
 
-``form`` computes a single pairing value pi(x y) straight from the
-product, independently of the pass, on any bracket table.  The exhaustive
-duality check of ``dual_pair`` builds the products x^I y along prefixes
-and keeps only the terms that can still reach the full odd monomial
-(``_prefix_pairings``).
+The exhaustive duality check of ``dual_pair`` builds the products x^I y
+along prefixes and keeps only the terms that can still reach the full odd
+monomial (``_prefix_pairings``).  The invariance certificate of
+``invariant_z`` reads the classes of z and of x_i z in U(g)/U(g)*g0 from
+the enveloping layer's quotient recursion, which shares only the bracket
+table with the pass.
 """
 
 from __future__ import annotations
@@ -109,11 +110,6 @@ def _left_counits(u: UEElement) -> dict[int, Fraction]:
     u = sum_J u_J x^J, by mask J: the terms of u with no even letter."""
     n0 = u.alg.n_even
     return {_odd_mask(n0, w): c for w, c in u.terms.items() if not w or w[0] >= n0}
-
-
-def form(x: UEElement, y: UEElement) -> UEElement:
-    """The pairing <x, y> = pi(x y), valued in the even subalgebra."""
-    return frobenius_pi(multiply(x, y))
 
 
 @dataclass(frozen=True)

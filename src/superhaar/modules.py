@@ -48,14 +48,15 @@ class GradedModule:
                  name: str = ""):
         self.alg = alg
         self.name = name
-        self.parities = tuple(int(p) for p in parities)
-        if any(p not in (0, 1) for p in self.parities):
-            raise InputError("parities must be 0 (even) or 1 (odd)")
+        self.parities = tuple(parities)
+        for p in self.parities:
+            if isinstance(p, bool) or not isinstance(p, int) or p not in (0, 1):
+                raise InputError(f"parity must be the int 0 (even) or 1 (odd), got {p!r}")
         self.dim = len(self.parities)
         rho = {}
         for i, mat in action.items():
-            if not 0 <= i < alg.dim:
-                raise InputError(f"action index {i} out of range")
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < alg.dim:
+                raise InputError(f"action index {i!r} out of range")
             rows = nonzero_rows(mat, self.dim)
             if rows:
                 rho[i] = rows

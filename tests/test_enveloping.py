@@ -1,10 +1,16 @@
+import gc
+import random
+import sys
+import threading
+import weakref
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from superhaar import (InputError, LieSuperalgebra, UEElement,
-                       act_on_quotient, counit, multiply, quotient_project,
+                       act_on_quotient, brute_force_quotient_invariants,
+                       counit, multiply, quotient_project,
                        validate_superalgebra)
 from superhaar.enveloping import alpha
 from superhaar.frobenius import _left_coefficients
@@ -266,9 +272,19 @@ def test_act_on_quotient_examples(g2, bad2):
     assert act_on_quotient(g2, 1, {0b1: 2}) == {0b11: F(-2)}
 
 
+# two tables that break parity: an odd square that is odd, and an even
+# bracket that is odd
+UNGRADED = [
+    LieSuperalgebra("odd-square-to-odd", [], ["t1", "t2"], {(0, 0): {0: 1}}),
+    LieSuperalgebra("even-bracket-to-odd", ["X", "Y"], ["t"],
+                    {(0, 1): {2: 1}, (1, 0): {2: -1}}),
+]
+
+
 def _quotient_cases(rng):
-    """Fixtures, random small algebras with random odd basis changes, and
-    gl(2|1) from supermatrix units."""
+    """Fixtures, random small algebras with random odd basis changes,
+    gl(2|1) from supermatrix units and after a rational odd basis change,
+    and the two tables that break parity."""
     algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
     for _ in range(8):
         alg = random_small_superalgebra(rng, max_dim=4)
@@ -276,9 +292,12 @@ def _quotient_cases(rng):
         if alg.n_odd:
             algs.append(random_odd_basis_change(alg, rng)[0])
     algs.append(gl_supermatrix_units(2, 1))
+    algs.append(random_odd_basis_change(gl_supermatrix_units(2, 1), rng)[0])
     for alg in algs:
         assert validate_superalgebra(alg).ok, alg.name
-    return algs
+    for alg in UNGRADED:
+        assert any(v.kind == "parity" for v in validate_superalgebra(alg).violations)
+    return algs + UNGRADED
 
 
 def test_quotient_matches_odd_first_reference(rng):
@@ -306,6 +325,100 @@ def test_elements_ending_in_an_even_letter_have_zero_class(rng):
             x = x - UEElement.scalar(alg, counit(x))   # x in g0
             v = multiply(w, x)
             assert quotient_project(v) == {} == reference_class(v), alg.name
+
+
+def test_every_generator_kills_the_top_class_of_gl42():
+    # m = 16, on the default recursion limit: a chain of nested calls of
+    # the recursion is at most (m + 1)^2 = 289 calls long
+    assert sys.getrecursionlimit() <= 1000
+    alg = gl_supermatrix_units(4, 2)
+    top = (1 << alg.n_odd) - 1
+    for i in range(alg.dim):
+        assert act_on_quotient(alg, i, {top: F(1)}) == {}, alg.basis_name(i)
+
+
+def test_dense_gl31_has_one_invariant_class():
+    alg = random_odd_basis_change(gl_supermatrix_units(3, 1), random.Random(1))[0]
+    [inv] = brute_force_quotient_invariants(alg)
+    for i in range(alg.dim):
+        assert act_on_quotient(alg, i, inv) == {}, alg.basis_name(i)
+
+
+# -- the memo of the quotient recursion ----------------------------------------
+
+def test_a_rejected_call_leaves_the_memo_unchanged():
+    alg = gl_supermatrix_units(2, 1)
+    act_on_quotient(alg, 0, {0b11: F(1)})
+    before = dict(alg._quotient_memo)
+    assert before
+    # the bad entry comes after a good one, so every entry is checked first
+    for cls, error in (({0b1: F(1), -1: F(1)}, ValueError),
+                       ({0b1: F(1), 0b10: 0.5}, InputError)):
+        with pytest.raises(error):
+            act_on_quotient(alg, 2, cls)
+        assert alg._quotient_memo == before
+
+
+def test_mutating_a_returned_class_changes_no_later_result():
+    alg = gl_supermatrix_units(2, 1)
+    u = multiply(UEElement.generator(alg, 0),
+                 UEElement(alg, {pbw(alg, (0,) * alg.n_even, 0b11): F(1)}))
+    want = quotient_project(u)
+    got = quotient_project(u)
+    got.clear()
+    assert quotient_project(u) == want
+    for i in range(alg.dim):
+        want = act_on_quotient(alg, i, {0b1: F(1)})
+        got = act_on_quotient(alg, i, {0b1: F(1)})
+        got[0b1111] = F(7)
+        for mask in list(got):
+            got[mask] = F(3)
+        assert act_on_quotient(alg, i, {0b1: F(1)}) == want
+
+
+def test_the_memo_lives_and_dies_with_its_algebra():
+    alg = gl_supermatrix_units(2, 1)
+    act_on_quotient(alg, 0, {0b1111: F(1)})
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
+    # two equal algebras built separately share no entries
+    a, b = gl_supermatrix_units(2, 1), gl_supermatrix_units(2, 1)
+    assert a == b and a._quotient_memo is not b._quotient_memo
+    brute_force_quotient_invariants(a)
+    assert len(a._quotient_memo) == a.dim << a.n_odd and not b._quotient_memo
+
+
+def test_threads_sharing_one_memo_get_the_single_thread_classes():
+    alg, ref = gl_supermatrix_units(2, 1), gl_supermatrix_units(2, 1)
+    cases = [(i, mask) for i in range(alg.dim) for mask in range(1 << alg.n_odd)]
+    want = [act_on_quotient(ref, i, {mask: F(1)}) for i, mask in cases]
+    got = [[] for _ in range(4)]
+
+    def work(out, order):
+        for t in order:
+            i, mask = cases[t]
+            out.append((t, act_on_quotient(alg, i, {mask: F(1)})))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = []
+        for k, out in enumerate(got):
+            order = list(range(len(cases)))
+            random.Random(k).shuffle(order)
+            threads.append(threading.Thread(target=work, args=(out, order)))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for out in got:
+        assert len(out) == len(cases)
+        assert all(cls == want[t] for t, cls in out)
 
 
 # -- the integer kernel against the Fraction rewriting loop -------------------

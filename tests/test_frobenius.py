@@ -7,7 +7,7 @@ import superhaar.frobenius as frobenius
 from superhaar import (InternalInvariantError, LieSuperalgebra,
                        NoInvariantError, UEElement,
                        brute_force_quotient_invariants, counit, dual_pair,
-                       form, frobenius_matrix, frobenius_pi, invariant_z,
+                       frobenius_matrix, frobenius_pi, invariant_z,
                        lambda_values, linalg, map_element, multiply,
                        odd_subset_order, quotient_project, subset_monomial,
                        validate_superalgebra)
@@ -24,6 +24,13 @@ F = Fraction
 
 def gen(alg, name):
     return UEElement.generator(alg, alg.index_of(name))
+
+
+def form(x, y):
+    """The pairing <x, y> = pi(x y) from the whole product, on any bracket
+    table: the reference for the pass and for the prefix pairings of
+    ``dual_pair``."""
+    return frobenius_pi(multiply(x, y))
 
 
 def test_odd_subset_order_refines_cardinality():
@@ -503,21 +510,6 @@ def algebra_file(tmp_path, alg):
     path = tmp_path / f"{alg.name}.json"
     path.write_text(dumps_canonical(algebra_to_json(alg)))
     return str(path)
-
-
-def test_cli_emit_matrix_does_not_call_form(monkeypatch, capsys, tmp_path):
-    def refuse(*args):
-        raise AssertionError("form was called")
-
-    paths = [builtin_fixture(ALGEBRA_FILES["g2"]), builtin_fixture(ALGEBRA_FILES["osp12"]),
-             algebra_file(tmp_path, gl_supermatrix_units(2, 1))]
-    for path in paths:
-        assert main(["invariant", path, "--emit-matrix"]) == 0
-        honest = capsys.readouterr().out
-        with monkeypatch.context() as patch:
-            patch.setattr(frobenius, "form", refuse)
-            assert main(["invariant", path, "--emit-matrix"]) == 0
-        assert capsys.readouterr().out == honest, path
 
 
 # -- a dual pair that depends on the twist alpha ------------------------------

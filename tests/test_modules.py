@@ -234,6 +234,19 @@ def test_module_shape_errors(gl11):
         GradedModule(gl11, [0, 1], {0: {0: {0: 0.5}}})
 
 
+def test_module_parities_and_action_indices_are_ints(gl11):
+    # parities are the ints 0 and 1 only: nothing is coerced, bools included
+    for parities in ([0.5, 1.7], [0, 1.0], ["0", "1"], [False, True], [0, None]):
+        with pytest.raises(InputError):
+            GradedModule(gl11, parities, {})
+    # an action index is an int basis index: a float or a bool one would be
+    # stored where rho never reads it
+    for index in (0.5, 1.0, True):
+        with pytest.raises(InputError):
+            GradedModule(gl11, [0, 1], {index: [[1, 0], [0, 0]]})
+    assert GradedModule(gl11, (0, 1), {}).parities == (0, 1)
+
+
 # -- action of enveloping elements -------------------------------------------
 
 def test_module_action_is_multiplicative(rng):
