@@ -11,9 +11,9 @@ brute-force oracle for cross-checking.
 from .algebra import (EVEN, ODD, EvenPartReport, InputError, LieSuperalgebra,
                       ValidationReport, Violation, ad_prime_trace,
                       change_basis, even_part_structure, lambda_values,
-                      trace_condition_holds, validate_superalgebra)
-from .enveloping import (UEElement, act_on_quotient, counit, map_element,
-                         multiply, quotient_project)
+                      validate_superalgebra)
+from .enveloping import (UEElement, act_on_quotient, counit, multiply,
+                         quotient_project)
 from .frobenius import (FrobeniusMatrix, InternalInvariantError, InvariantZ,
                         NoInvariantError, dual_pair, frobenius_matrix,
                         frobenius_pi, invariant_z, odd_subset_order,
@@ -29,10 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EVEN", "ODD", "EvenPartReport", "InputError", "LieSuperalgebra",
     "ValidationReport", "Violation", "ad_prime_trace", "change_basis",
-    "even_part_structure", "lambda_values", "trace_condition_holds",
-    "validate_superalgebra",
-    "UEElement", "act_on_quotient", "counit", "map_element",
-    "multiply", "quotient_project",
+    "even_part_structure", "lambda_values", "validate_superalgebra",
+    "UEElement", "act_on_quotient", "counit", "multiply", "quotient_project",
     "FrobeniusMatrix", "InternalInvariantError", "InvariantZ",
     "NoInvariantError", "dual_pair", "frobenius_matrix",
     "frobenius_pi", "invariant_z", "odd_subset_order", "subset_monomial",

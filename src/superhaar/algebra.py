@@ -42,8 +42,13 @@ def as_scalar(value) -> Fraction:
     raise InputError(f"scalar must be an exact rational, got {value!r}")
 
 
+def _is_int(i) -> bool:
+    """Whether ``i`` is an int and not a bool."""
+    return isinstance(i, int) and not isinstance(i, bool)
+
+
 def _index(i, dim: int) -> int:
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < dim:
+    if not _is_int(i) or not 0 <= i < dim:
         raise InputError(f"matrix index {i!r} out of range for dimension {dim}")
     return i
 
@@ -130,12 +135,17 @@ class LieSuperalgebra:
         self.n_odd = len(self.odd_names)
         self.dim = self.n_even + self.n_odd
         table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        for (i, j), vec in brackets.items():
+        for key, vec in brackets.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+                raise InputError(f"bracket key {key!r} is not a pair of int indices")
+            i, j = key
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise InputError(f"bracket index ({i}, {j}) out of range")
             items = vec.items() if isinstance(vec, Mapping) else vec
             acc: dict[int, Fraction] = {}
             for k, c in items:
+                if not _is_int(k):
+                    raise InputError(f"bracket target index {k!r} is not an int")
                 if not 0 <= k < self.dim:
                     raise InputError(f"bracket target index {k} out of range")
                 acc[k] = acc.get(k, Fraction(0)) + as_scalar(c)
@@ -321,14 +331,6 @@ def ad_prime_trace(alg: LieSuperalgebra, i: int) -> Fraction:
 
 def lambda_values(alg: LieSuperalgebra) -> dict[int, Fraction]:
     return {i: ad_prime_trace(alg, i) for i in range(alg.n_even)}
-
-
-def trace_condition_holds(alg: LieSuperalgebra) -> bool:
-    """Whether every even basis element acts tracelessly on the odd part.
-
-    By linearity of the trace, checking the basis suffices.
-    """
-    return all(not v for v in lambda_values(alg).values())
 
 
 @dataclass

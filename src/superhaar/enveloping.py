@@ -279,33 +279,32 @@ def counit(a: UEElement) -> Fraction:
     return a.terms.get((), Fraction(0))
 
 
-def _substitute(u: UEElement, dst: LieSuperalgebra, images) -> UEElement:
-    """The image of ``u`` in U(dst) under the algebra map sending source
-    generator g to ``images[g]`` (indexed by every letter of ``u``): each
-    PBW word becomes the ordered product of the images of its letters."""
-    out = UEElement.zero(dst)
-    for word, c in u.terms.items():
-        acc = UEElement.scalar(dst, c)
-        for g in word:
-            acc = multiply(acc, images[g])
-        out = out + acc
-    return out
+def alpha(u: UEElement) -> UEElement:
+    """The automorphism of the even enveloping subalgebra sending each even
+    generator X to X + tr(ad'(X)); extended multiplicatively.
 
-
-def _twist(u: UEElement, sign: int) -> UEElement:
+    No rewriting is needed.  A PBW word of ``u`` is a non-decreasing run of
+    even letters, so the ordered product of its X_g + tr(ad'(X_g)) is the
+    sum over the word's subsequences, each itself a PBW word, weighted by
+    the product of the traces of the letters left out."""
     alg = u.alg
     if any(w and w[-1] >= alg.n_even for w in u.terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
-    letters = {g for w in u.terms for g in w}
-    return _substitute(u, alg, {
-        i: UEElement.generator(alg, i) + UEElement.scalar(alg, sign * ad_prime_trace(alg, i))
-        for i in letters})
-
-
-def alpha(u: UEElement) -> UEElement:
-    """The automorphism of the even enveloping subalgebra sending each even
-    generator X to X + tr(ad'(X)); extended multiplicatively."""
-    return _twist(u, +1)
+    lam = {g: ad_prime_trace(alg, g) for w in u.terms for g in set(w)}
+    out: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+    for word, c in u.terms.items():
+        parts = {(): c}
+        for g in word:
+            t = lam[g]
+            grown: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+            for w, v in parts.items():
+                grown[w + (g,)] += v
+                if t:
+                    grown[w] += v * t
+            parts = grown
+        for w, v in parts.items():
+            out[w] += v
+    return UEElement._trusted(alg, {w: v for w, v in out.items() if v})
 
 
 # -- the quotient U(g)/U(g)*g0 --------------------------------------------------
@@ -408,20 +407,3 @@ def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> d
     checked = [(_check_mask(alg, mask), as_scalar(c)) for mask, c in cls.items()]
     return _rational_class(alg, [(c, mask.bit_count() + 1, _act(alg, i, mask))
                                  for mask, c in checked])
-
-
-def map_element(u: UEElement, dst: LieSuperalgebra, full_map) -> UEElement:
-    """Push ``u`` through the algebra isomorphism sending source basis
-    element i to sum_a full_map[a][i] * (destination basis element a).
-    The matrix, rows of nonzeros as ``change_basis`` returns it, must be
-    parity-preserving and invertible."""
-    src = u.alg
-    if src.dim != dst.dim or src.n_even != dst.n_even:
-        raise ValueError("basis map must preserve the parity split")
-    images = [UEElement.zero(dst) for _ in range(src.dim)]
-    for a, row in full_map.items():
-        for i, c in row.items():
-            if dst.parity(a) != src.parity(i):
-                raise ValueError("basis map is not parity-preserving")
-            images[i] = images[i] + UEElement.generator(dst, a) * c
-    return _substitute(u, dst, images)

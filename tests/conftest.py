@@ -4,9 +4,10 @@ from functools import lru_cache
 
 import pytest
 
-from superhaar import LieSuperalgebra, change_basis
-from superhaar.enveloping import _twist
+from superhaar import LieSuperalgebra, UEElement, ad_prime_trace, change_basis
 from superhaar.fileio import builtin_fixture, load_algebra, load_module
+
+from randgen import substitute
 
 ALGEBRA_FILES = {
     "g2": "g2_grassmann.json",
@@ -56,6 +57,18 @@ def gl_supermatrix_units(p, q):
                            brackets)
 
 
+def twisted_dual_algebra():
+    """Even X, Y; odd u, v, w; [X,Y] = Y, [X,w] = w, [Y,u] = w, [u,v] = X,
+    [v,w] = -Y.  X acts on the odd part with trace 1, and the inverse of the
+    pairing matrix has entries X and Y, so the twist of the dual pair is
+    seen by its duality check."""
+    X, Y, u, v, w = range(5)
+    brackets = {(X, Y): {Y: 1}, (Y, X): {Y: -1}, (X, w): {w: 1}, (w, X): {w: -1},
+                (Y, u): {w: 1}, (u, Y): {w: -1}, (u, v): {X: 1}, (v, u): {X: 1},
+                (v, w): {Y: -1}, (w, v): {Y: -1}}
+    return LieSuperalgebra("twisted_dual", ["X", "Y"], ["u", "v", "w"], brackets)
+
+
 def rescaled_algebra(alg):
     """``alg`` on the basis b_i/(i+2), so that its structure constants have
     denominators other than 1."""
@@ -79,10 +92,21 @@ def dense_of(mat, rows, cols=None):
             for r in range(rows)]
 
 
+def twist(u, sign):
+    """The image of an even ``u`` under X -> X + sign * tr(ad'(X)) on each
+    even generator X, as ordered products by ``multiply``: with sign +1 a
+    reference for ``superhaar.enveloping.alpha``, which does not multiply."""
+    alg = u.alg
+    letters = {g for w in u.terms for g in w}
+    return substitute(u, alg, {
+        g: UEElement.generator(alg, g) + UEElement.scalar(alg, sign * ad_prime_trace(alg, g))
+        for g in letters})
+
+
 def alpha_inv(u):
     """Inverse of ``superhaar.enveloping.alpha``: each even generator X goes to
     X - tr(ad'(X))."""
-    return _twist(u, -1)
+    return twist(u, -1)
 
 
 @lru_cache(maxsize=None)

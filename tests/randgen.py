@@ -26,6 +26,19 @@ def from_word(alg: LieSuperalgebra, word, coeff=1) -> UEElement:
     return out
 
 
+def substitute(u: UEElement, dst: LieSuperalgebra, images) -> UEElement:
+    """The image of ``u`` in U(dst) under the algebra map sending generator
+    g to ``images[g]``: each PBW word becomes the ordered product of the
+    images of its letters, by ``multiply``."""
+    out = UEElement.zero(dst)
+    for word, c in u.terms.items():
+        acc = UEElement.scalar(dst, c)
+        for g in word:
+            acc = multiply(acc, images[g])
+        out = out + acc
+    return out
+
+
 def pbw(alg: LieSuperalgebra, even, mask: int) -> tuple[int, ...]:
     """The PBW word with even exponent vector ``even`` (length n_even) and
     odd subset ``mask`` (bit t for odd generator t)."""
@@ -101,6 +114,17 @@ def random_odd_basis_change(alg: LieSuperalgebra, rng: random.Random,
     rational combination; even basis untouched.  Returns (algebra, map)."""
     p = random_invertible_matrix(rng, alg.n_odd)
     return change_basis(alg, linalg.identity(alg.n_even), p, name=name)
+
+
+def map_element(u: UEElement, dst: LieSuperalgebra, full_map) -> UEElement:
+    """Push ``u`` through the algebra isomorphism sending source basis
+    element i to sum_a full_map[a][i] * (destination basis element a), the
+    matrix given as rows of nonzeros, as ``change_basis`` returns it."""
+    images = [UEElement.zero(dst) for _ in range(u.alg.dim)]
+    for a, row in full_map.items():
+        for i, c in row.items():
+            images[i] = images[i] + UEElement.generator(dst, a) * c
+    return substitute(u, dst, images)
 
 
 def _heisenberg(rng: random.Random, m: int, name: str) -> LieSuperalgebra:

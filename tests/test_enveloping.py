@@ -8,16 +8,19 @@ from fractions import Fraction
 
 import pytest
 
+import superhaar.enveloping as enveloping
 from superhaar import (InputError, LieSuperalgebra, UEElement,
-                       act_on_quotient, brute_force_quotient_invariants,
-                       counit, multiply, quotient_project,
+                       act_on_quotient, ad_prime_trace,
+                       brute_force_quotient_invariants, counit,
+                       frobenius_matrix, multiply, quotient_project,
                        validate_superalgebra)
 from superhaar.enveloping import alpha
 from superhaar.frobenius import _left_coefficients
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra,
-                      gl_supermatrix_units, rescaled_algebra)
-from randgen import (homogeneous_parity, pbw, random_element,
+                      gl_supermatrix_units, rescaled_algebra, twist,
+                      twisted_dual_algebra)
+from randgen import (_weights, homogeneous_parity, pbw, random_element,
                      random_even_element, random_odd_basis_change,
                      random_small_superalgebra)
 
@@ -136,6 +139,38 @@ def test_alpha_is_an_algebra_automorphism(rng):
             assert alpha(multiply(s, t)) == multiply(alpha(s), alpha(t))
             assert alpha_inv(alpha(s)) == s
             assert alpha(alpha_inv(t)) == t
+
+
+def twist_inputs(rng):
+    """Every nonzero entry of A and A^-1 of twisted_dual_algebra and bad2;
+    random even elements up to degree 4 of twisted_dual_algebra and of
+    ``weights`` draws whose even generator has a nonzero trace."""
+    out = []
+    for alg in (twisted_dual_algebra(), fixture_algebra("bad2")):
+        fm = frobenius_matrix(alg)
+        out += [e for rows in (fm.entries, fm.inverse) for row in rows for e in row if e]
+        out += [random_even_element(alg, rng, max_degree=4, terms=4) for _ in range(6)]
+    traces = []
+    while len(traces) < 8:
+        alg = _weights(rng, rng.randint(1, 4), "weights", traceless=False)
+        if t := ad_prime_trace(alg, 0):
+            traces.append(t)
+            out += [random_even_element(alg, rng, max_degree=4, terms=4) for _ in range(3)]
+    assert any(t.denominator > 1 for t in traces)
+    return out
+
+
+def test_alpha_matches_the_product_of_twisted_letters(rng, monkeypatch):
+    inputs = twist_inputs(rng)
+    want = [twist(e, +1) for e in inputs]
+    assert any(w != e for w, e in zip(want, inputs))
+
+    def forbidden(*_):
+        raise AssertionError("alpha rewrote a product")
+
+    monkeypatch.setattr(enveloping, "multiply", forbidden)
+    monkeypatch.setattr(enveloping, "_normal_form", forbidden)
+    assert [alpha(e) for e in inputs] == want
 
 
 # -- the quotient by U(g)*g0 against an odd-first reference --------------------

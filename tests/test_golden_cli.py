@@ -7,6 +7,9 @@ each algebra fixture, ``invariant`` with each of the 8 flag sets, and
 Then come gl(2|1), gl(3|1) and gl(3|1) after a +-1 unitriangular odd
 basis change, written to a temporary directory, under ``invariant
 --oracle`` and ``invariant --emit-matrix --emit-dual-pair --oracle``.
+Last comes ``twisted_dual_algebra``, whose dual pair the twist alpha
+changes, under ``invariant --emit-matrix --emit-dual-pair`` with and
+without ``--oracle``.
 A change that alters any output fails here; if the change is meant, rerun
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -29,11 +32,13 @@ from superhaar import change_basis, linalg
 from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
-from conftest import ALGEBRA_FILES, MODULE_FILES, gl_supermatrix_units
+from conftest import ALGEBRA_FILES, MODULE_FILES, gl_supermatrix_units, twisted_dual_algebra
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 FLAGS = ("--emit-matrix", "--emit-dual-pair", "--oracle")
 EXTRA_FLAGS = (["--oracle"], ["--emit-matrix", "--emit-dual-pair", "--oracle"])
+TWISTED_FLAGS = (["--emit-matrix", "--emit-dual-pair"],
+                 ["--emit-matrix", "--emit-dual-pair", "--oracle"])
 
 
 def extra_algebras() -> dict:
@@ -47,7 +52,7 @@ def extra_algebras() -> dict:
               else Fraction(0) for j in range(m)] for i in range(m)]
     dense, _ = change_basis(gl31, linalg.identity(gl31.n_even), signs, name="gl(3|1)-pm1")
     return {"gl21.json": gl_supermatrix_units(2, 1), "gl31.json": gl31,
-            "gl31_pm1.json": dense}
+            "gl31_pm1.json": dense, "twisted_dual.json": twisted_dual_algebra()}
 
 
 def write_extra_algebras(directory: str) -> dict:
@@ -67,7 +72,9 @@ def calls() -> list[list[str]]:
         for picks in itertools.product((False, True), repeat=len(FLAGS)):
             out.append(["invariant", a] + [f for f, on in zip(FLAGS, picks) if on])
     out += [["integrate", a, m] for a in algebras for m in modules]
-    out += [["invariant", a] + flags for a in extra_algebras() for flags in EXTRA_FLAGS]
+    out += [["invariant", a] + flags for a in ("gl21.json", "gl31.json", "gl31_pm1.json")
+            for flags in EXTRA_FLAGS]
+    out += [["invariant", "twisted_dual.json"] + flags for flags in TWISTED_FLAGS]
     return out
 
 

@@ -1,12 +1,14 @@
-"""The runtime imports nothing outside the standard library, and ships
-only what its entry points reach."""
+"""The runtime imports nothing outside the standard library, ships only
+what its entry points reach, and exports only names that something uses."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import superhaar
 
+ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(superhaar.__file__).parent.glob("*.py"))
 
 
@@ -66,3 +68,34 @@ def test_every_name_in_all_is_defined():
     names = superhaar.__all__
     assert [n for n in names if not hasattr(superhaar, n)] == []
     assert len(set(names)) == len(names)
+
+
+def test_every_public_name_is_used_or_documented():
+    # a public name stays while the package or the tools use it, or the
+    # README documents it; its own definition does not count
+    texts, spans = [], {}
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        for node in ast.parse(source, str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                start = node.lineno
+            else:
+                continue
+            spans.update((name, (len(texts), start, node.end_lineno)) for name in defined)
+        texts.append(source.splitlines())
+    texts += [path.read_text().splitlines() for path in sorted((ROOT / "tools").glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text().splitlines())
+    unused = []
+    for name in superhaar.__all__:
+        k, start, end = spans[name]
+        rest = [lines for t, lines in enumerate(texts) if t != k]
+        rest.append(texts[k][:start - 1] + texts[k][end:])
+        if not any(re.search(rf"\b{name}\b", line) for lines in rest for line in lines):
+            unused.append(name)
+    assert unused == []
