@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import ONE
@@ -45,6 +45,15 @@ def as_scalar(value) -> Fraction:
 def _is_int(i) -> bool:
     """Whether ``i`` is an int and not a bool."""
     return isinstance(i, int) and not isinstance(i, bool)
+
+
+def _pairs(vec):
+    """``vec`` if it is a list or tuple of 2-item lists or tuples, else
+    None."""
+    if isinstance(vec, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in vec):
+        return vec
+    return None
 
 
 def _index(i, dim: int) -> int:
@@ -115,22 +124,30 @@ class LieSuperalgebra:
     """A Lie superalgebra presented by structure constants over Q.
 
     ``brackets`` maps ordered index pairs to the expansion of the bracket
-    over the basis; pairs not present have zero bracket.  ``_parity_graded``
-    records whether every bracket term has parity p(i) + p(j), which the
-    odd-count floor of the duality check of ``frobenius.dual_pair`` relies
-    on; a table that breaks it is still accepted here and reported by
-    :func:`validate_superalgebra`.
+    over the basis, as {target: scalar} or as a list or tuple of
+    (target, scalar) pairs; pairs not present have zero bracket.  Basis
+    names are strings.  Anything else raises ``InputError``.
+
+    ``_parity_graded`` records whether every bracket term has parity
+    p(i) + p(j), which the odd-count floor of the duality check of
+    ``frobenius.dual_pair`` relies on; a table that breaks it is still
+    accepted here and reported by :func:`validate_superalgebra`.
     """
 
     def __init__(self, name: str, even_names: Iterable[str],
                  odd_names: Iterable[str],
-                 brackets: Mapping[tuple[int, int], Mapping[int, object] | Iterable[tuple[int, object]]]):
+                 brackets: Mapping[tuple[int, int], Mapping[int, object] | Sequence[tuple[int, object]]]):
         self.name = name
         self.even_names = tuple(even_names)
         self.odd_names = tuple(odd_names)
         names = self.even_names + self.odd_names
+        for label in names:
+            if not isinstance(label, str):
+                raise InputError(f"basis name {label!r} is not a string")
         if len(set(names)) != len(names):
             raise InputError("duplicate basis names")
+        if not isinstance(brackets, Mapping):
+            raise InputError(f"brackets {brackets!r} is not a mapping from index pairs")
         self.n_even = len(self.even_names)
         self.n_odd = len(self.odd_names)
         self.dim = self.n_even + self.n_odd
@@ -141,7 +158,10 @@ class LieSuperalgebra:
             i, j = key
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise InputError(f"bracket index ({i}, {j}) out of range")
-            items = vec.items() if isinstance(vec, Mapping) else vec
+            items = vec.items() if isinstance(vec, Mapping) else _pairs(vec)
+            if items is None:
+                raise InputError(f"bracket value {vec!r} at ({i}, {j}) is not a mapping "
+                                 "or a sequence of (index, scalar) pairs")
             acc: dict[int, Fraction] = {}
             for k, c in items:
                 if not _is_int(k):
@@ -209,7 +229,8 @@ class LieSuperalgebra:
         return self._cached_key
 
     def __eq__(self, other):
-        return isinstance(other, LieSuperalgebra) and self._key() == other._key()
+        return self is other or (isinstance(other, LieSuperalgebra)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())

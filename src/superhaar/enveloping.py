@@ -4,8 +4,9 @@ An element is a finite Fraction-weighted sum of PBW words.  A PBW word is
 a tuple of generator indices (even generators first, then odd, each part
 by index) that is non-decreasing and repeats no odd letter, since an odd
 square rewrites to half its self-bracket.  These are the canonical words
-of the rewriting kernel ``_normal_form``, which has this one term order,
-and ``multiply`` stores the kernel's result as it is.  Each word is an even
+of the rewriting kernel ``_rewrite``, which has this one term order and
+runs in exact ints; ``_normal_form`` scales Fractions into it and out of
+it, and ``multiply`` stores that result as it is.  Each word is an even
 prefix followed by an odd suffix x^I, so an element is literally the
 left-coefficient decomposition ``u = sum_I u_I x^I`` with ``u_I`` in the
 even enveloping subalgebra, which is what the top-coefficient projection
@@ -163,14 +164,16 @@ class UEElement:
         return self * other
 
     def __eq__(self, other):
-        return (isinstance(other, UEElement) and self.alg == other.alg
+        return (isinstance(other, UEElement)
+                and (self.alg is other.alg or self.alg == other.alg)
                 and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.alg, frozenset(self.terms.items())))
 
     def _check(self, other):
-        if not isinstance(other, UEElement) or other.alg != self.alg:
+        if not isinstance(other, UEElement) or (other.alg is not self.alg
+                                                 and other.alg != self.alg):
             raise ValueError("elements live over different algebras")
 
     def __repr__(self):
@@ -202,7 +205,27 @@ def _normal_form(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], Fraction]
     """Expand scaled generator words into PBW words.
 
     `heads` is a collection of (word, Fraction coefficient), each word a
-    tuple of generator indices.
+    tuple of generator indices.  They are rewritten in exact ints by
+    ``_rewrite``: the heads are scaled to one common denominator D and to
+    the largest head degree `top`, so that a head of degree d carries
+    c * D * S^(top - d).  Every output word of degree d then carries
+    D * S^(top - d) times its rational coefficient, and each output
+    coefficient is one Fraction(v, D * S^(top - d)) at the end.
+    """
+    if not heads:
+        return {}
+    scale = alg._int_scale
+    den = math.lcm(*(c.denominator for _, c in heads))
+    top = max(len(w) for w, _ in heads)
+    out = _rewrite(alg, [(w, c.numerator * (den // c.denominator) * scale ** (top - len(w)))
+                         for w, c in heads])
+    dens = [den * scale ** e for e in range(top + 1)]
+    return {w: Fraction(v, dens[top - len(w)]) for w, v in out.items() if v}
+
+
+def _rewrite(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], int]:
+    """The PBW words of integer-weighted generator words, as
+    {word: int}; words whose weights cancel are kept with value 0.
 
     A word is canonical when its letters are non-decreasing by index (even
     generators first, then odd) and no odd letter repeats.  One step either
@@ -213,26 +236,18 @@ def _normal_form(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], Fraction]
     order in every word a step makes, so the scan for the next one starts
     one letter before it.
 
-    The loop runs in exact ints.  The algebra's integer table holds
-    [a, b] * S and, for odd a, [a, a] / 2 * S, with S the lcm of their
-    denominators (``LieSuperalgebra._int_rows``).  The heads are scaled to
-    one common denominator D and to the largest head degree `top`: a head
-    of degree d carries c * D * S^(top - d).  A transposition keeps the
-    degree and the scale; a bracket or square step lowers the degree by
+    The algebra's integer table holds [a, b] * S and, for odd a,
+    [a, a] / 2 * S, with S the lcm of their denominators
+    (``LieSuperalgebra._int_rows``).  A transposition keeps the degree and
+    the weight's scale; a bracket or square step lowers the degree by
     exactly 1 and multiplies by an entry of the table, which is the
-    rational constant times S.  So every word of degree d on the worklist,
-    canonical words included, carries exactly D * S^(top - d) times its
-    rational coefficient, and each output coefficient is one
-    Fraction(v, D * S^(top - d)) at the end.
+    rational constant times S.  So if every head of degree d carries
+    K * S^(e - d) times a rational coefficient, for some K and e, every
+    output word of degree d carries the same K * S^(e - d) times its
+    rational coefficient.
     """
-    if not heads:
-        return {}
-    scale, rows, halves = alg._int_scale, alg._int_rows, alg._int_halves
-    parity = alg._letter_parity
-    den = math.lcm(*(c.denominator for _, c in heads))
-    top = max(len(w) for w, _ in heads)
-    stack = [(w, c.numerator * (den // c.denominator) * scale ** (top - len(w)), 0)
-             for w, c in heads]
+    rows, halves, parity = alg._int_rows, alg._int_halves, alg._letter_parity
+    stack = [(w, v, 0) for w, v in heads]
     out: dict[tuple[int, ...], int] = defaultdict(int)
     while stack:
         w, v, start = stack.pop()
@@ -255,8 +270,7 @@ def _normal_form(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], Fraction]
             stack.append((head + (b, a) + tail, -v if parity[a] and parity[b] else v, start))
             for k, ck in rows[a].get(b, ()):
                 stack.append((head + (k,) + tail, v * ck, start))
-    dens = [den * scale ** e for e in range(top + 1)]
-    return {w: Fraction(v, dens[top - len(w)]) for w, v in out.items() if v}
+    return out
 
 
 def _heads(a: UEElement, b: UEElement):

@@ -40,6 +40,7 @@ table with the pass.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -47,8 +48,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import LieSuperalgebra, lambda_values
-from .enveloping import (UEElement, _odd_mask, _odd_word, act_on_quotient,
-                         alpha, counit, multiply, quotient_project)
+from .enveloping import (UEElement, _normal_form, _odd_mask, _odd_word, _rewrite,
+                         act_on_quotient, alpha, counit, multiply, quotient_project)
 
 
 class InternalInvariantError(RuntimeError):
@@ -150,8 +151,10 @@ def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
     """Column j of the inverse of the unitriangular matrix ``rows`` by
     forward substitution; the +-1 diagonal makes the division exact and
     sidesteps noncommutativity (each product is A[i][k] * b[k]).  Entries
-    above row j are zero.  Verifies A * b = e_j exactly: triangularity
-    leaves only the band j <= k <= i of each sum."""
+    above row j are zero, b[j] = d_j, and below it b[i] is -d_i times the
+    sum of A[i][k] * b[k] over k < i, stored only when that sum is nonzero.
+    Verifies A * b = e_j exactly: triangularity leaves only the band
+    j <= k <= i of each sum."""
     col = {}
 
     def row_sum(i: int):
@@ -162,10 +165,11 @@ def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
         return acc
 
     n = len(diagonal)
-    for i in range(j, n):
-        b = ((one if i == j else zero) - row_sum(i)) * diagonal[i]
-        if b != zero:
-            col[i] = b
+    col[j] = one if diagonal[j] > 0 else -one
+    for i in range(j + 1, n):
+        acc = row_sum(i)
+        if acc:
+            col[i] = -acc if diagonal[i] > 0 else acc
     for i in range(j, n):
         if row_sum(i) != (one if i == j else zero):
             raise InternalInvariantError(
@@ -255,17 +259,38 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> list[UEElement]:
     letters never reaches the full odd monomial in x^I y or in any product
     built from it, and is dropped.  That needs a graded bracket table
     (``LieSuperalgebra._parity_graded``), which the caller checks.
+
+    The chain runs in the rewriting kernel's integers (``_rewrite``).  y is
+    scaled once: with D the lcm of its denominators and S the algebra's
+    integer scale, a term c w of y carries c * D * S^(deg y - |w|).  A word
+    of degree L in x^I y then carries c * D * S^(deg y + |I| - L), since
+    prepending x_s raises both the degree and |I| by one and the kernel
+    keeps the scale.  Only the words with all m odd letters become
+    Fractions.
     """
-    m, n0 = alg.n_odd, alg.n_even
-    gens = [UEElement.generator(alg, n0 + s) for s in range(m)]
-    products = [y]
+    m, n0, scale = alg.n_odd, alg.n_even, alg._int_scale
+    den = math.lcm(*(c.denominator for c in y.terms.values()))
+    deg = max(map(len, y.terms), default=0)
+    products = [{w: c.numerator * (den // c.denominator) * scale ** (deg - len(w))
+                 for w, c in y.terms.items()}]
     for mask in range(1, 1 << m):
         low = mask & -mask
         s = low.bit_length() - 1
-        u = multiply(gens[s], products[mask ^ low])
-        products.append(UEElement._trusted(alg, {
-            w: c for w, c in u.terms.items() if len(w) - bisect_left(w, n0) >= m - s}))
-    return [frobenius_pi(u) for u in products]
+        prev, letter, floor = products[mask ^ low], (n0 + s,), m - s
+        if not prev:
+            products.append(prev)
+            continue
+        out = _rewrite(alg, [(letter + w, v) for w, v in prev.items()])
+        # the odd letters of a PBW word are its suffix, and floor >= 1
+        products.append({w: v for w, v in out.items()
+                         if v and len(w) >= floor and w[-floor] >= n0})
+    pairings = []
+    for mask, u in enumerate(products):
+        e = deg + mask.bit_count()
+        top = {w: Fraction(v, den * scale ** (e - len(w)))
+               for w, v in u.items() if len(w) - bisect_left(w, n0) == m}
+        pairings.append(frobenius_pi(UEElement._trusted(alg, top)))
+    return pairings
 
 
 def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[UEElement]:
@@ -282,15 +307,13 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
         fm = frobenius_matrix(alg)
     n = len(fm.order)
     top = (1 << alg.n_odd) - 1
-    comp = [subset_monomial(alg, top ^ mask) for mask in fm.order]
+    comp = [_odd_word(alg, top ^ mask) for mask in fm.order]
     ys = []
     for j in range(n):
-        y = UEElement.zero(alg)
-        for k in range(n):
-            if not fm.inverse[k][j]:
-                continue
-            y = y + multiply(comp[k], alpha(fm.inverse[k][j]))
-        ys.append(y)
+        # one kernel call on the heads of every x^{complement(K)} * alpha(b_Kj)
+        heads = [(comp[k] + w, c) for k in range(n) if fm.inverse[k][j]
+                 for w, c in alpha(fm.inverse[k][j]).terms.items()]
+        ys.append(UEElement._trusted(alg, _normal_form(alg, heads)))
     one, zero = UEElement.one(alg), UEElement.zero(alg)
     # every cell is checked; the first failure in row order is reported
     failures = []

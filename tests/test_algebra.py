@@ -75,6 +75,24 @@ def test_bracket_indices_must_be_ints():
         LieSuperalgebra("x", ["A"], ["B"], {(0, 1): {2: 1}})
 
 
+def test_bracket_values_and_basis_names_are_checked():
+    for brackets in ({(0, 1): [1]}, {(0, 1): 5}, {(0, 1): [(1, 1, 2)]},
+                     {(0, 1): "11"}, {(0, 1): None}):
+        with pytest.raises(InputError, match=r"bracket value .* at \(0, 1\)"):
+            LieSuperalgebra("x", ["A"], ["B"], brackets)
+    with pytest.raises(InputError, match="is not a mapping from index pairs"):
+        LieSuperalgebra("x", ["A"], ["B"], [((0, 1), {1: 1})])
+    for even in ([(1,)], [1], [None]):
+        with pytest.raises(InputError, match="is not a string"):
+            LieSuperalgebra("x", even, ["B"], {})
+    with pytest.raises(InputError, match="is not a string"):
+        LieSuperalgebra("x", ["A"], [None], {})
+    # both forms of a bracket value give the same table
+    as_pairs = LieSuperalgebra("x", ["A"], ["B"], {(0, 1): [(1, 1)], (1, 0): ((1, -1),)})
+    as_dict = LieSuperalgebra("x", ["A"], ["B"], {(0, 1): {1: 1}, (1, 0): {1: -1}})
+    assert as_pairs == as_dict
+
+
 def test_ad_prime_trace_values(bad2, gl11, osp12):
     assert ad_prime_trace(bad2, 0) == 1
     assert ad_prime_trace(gl11, 0) == 0   # h1: +1 on e, -1 on f

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import superhaar.enveloping as enveloping
 import superhaar.frobenius as frobenius
 from superhaar import (InternalInvariantError, LieSuperalgebra,
                        NoInvariantError, UEElement,
@@ -15,7 +16,7 @@ from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
 from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra,
-                      gl_supermatrix_units, twisted_dual_algebra)
+                      gl_supermatrix_units, rescaled_algebra, twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
 
@@ -479,6 +480,68 @@ def test_prefix_pass_matches_form_on_random_algebras(rng):
             assert_prefix_pass_matches_form(a, ys + dual_pair(a))
     dense, _ = random_odd_basis_change(gl_supermatrix_units(2, 1), rng)
     assert_prefix_pass_matches_form(dense, dual_pair(dense)[::3])
+
+
+def test_prefix_pass_in_a_scaled_algebra_matches_form(monkeypatch, rng):
+    # on the basis b_i/(i+2) the structure constants have denominators, so
+    # the chain's integer weights carry powers of S > 1; the elements have
+    # denominators of their own and terms of several degrees
+    cases = []
+    for alg in (rescaled_algebra(fixture_algebra("osp12")),
+                rescaled_algebra(gl_supermatrix_units(2, 1))):
+        assert alg._int_scale > 1
+        odd = alg.n_even + alg.n_odd - 1
+        ys = [random_element(alg, rng, max_degree=4, terms=5)
+              + from_word(alg, (), F(1, 3)) + from_word(alg, (odd, 0, odd - 1), F(-5, 2))
+              for _ in range(3)]
+        assert all(len({len(w) for w in y.terms}) > 1 for y in ys)
+        ys += [y * F(3, 7) for y in dual_pair(alg)]
+        assert all(any(c.denominator > 1 for c in y.terms.values()) for y in ys)
+        want = [[form(subset_monomial(alg, mask), y) for mask in range(1 << alg.n_odd)]
+                for y in ys]
+        assert any(c.denominator > 1 for row in want for p in row for c in p.terms.values())
+        cases.append((alg, ys, want))
+
+    def refuse(*args):
+        raise AssertionError("multiply was called")
+
+    monkeypatch.setattr(enveloping, "multiply", refuse)
+    monkeypatch.setattr(frobenius, "multiply", refuse)
+    for alg, ys, want in cases:
+        assert [frobenius._prefix_pairings(alg, y) for y in ys] == want, alg.name
+
+
+def test_solve_column_verifies_the_column_it_solves():
+    # a flipped diagonal sign solves a wrong column; A * b = e_j, recomputed
+    # from A, catches it in the row of the flip
+    rows = {0: {0: F(1)}, 1: {0: F(2, 3), 1: F(-1)}, 2: {0: F(1, 2), 1: F(5), 2: F(1)}}
+    zero, one = linalg.ZERO, linalg.ONE
+    diagonal = frobenius._check_unitriangular(rows, 3, zero, one, "A")
+    assert diagonal == (1, -1, 1)
+    for j in range(3):
+        col = frobenius._solve_column(rows, diagonal, j, zero, one, "A")
+        assert [sum(a * col[k] for k, a in rows[i].items()) for i in range(3)] == \
+            [int(i == j) for i in range(3)]
+    for flip in range(3):
+        bad = tuple(-d if i == flip else d for i, d in enumerate(diagonal))
+        for j in range(flip + 1):
+            with pytest.raises(InternalInvariantError,
+                               match=rf"A times its inverse is not the identity at \({flip}, {j}\)"):
+                frobenius._solve_column(rows, bad, j, zero, one, "A")
+
+
+def test_flipped_diagonal_sign_anywhere_is_caught(monkeypatch):
+    alg = gl_supermatrix_units(2, 1)
+    honest = frobenius._check_unitriangular
+    for flip in range(1 << alg.n_odd):
+        def flip_one(*args, flip=flip):
+            diagonal = honest(*args)
+            return tuple(-d if i == flip else d for i, d in enumerate(diagonal))
+
+        monkeypatch.setattr(frobenius, "_check_unitriangular", flip_one)
+        with pytest.raises(InternalInvariantError,
+                           match=rf"is not the identity at \({flip}, \d+\)"):
+            frobenius_matrix(alg)
 
 
 # -- A from the right-action pass equals the pairing computed by form ---------
