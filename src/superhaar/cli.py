@@ -49,11 +49,17 @@ def _emit(payload):
 
 def _max_odd() -> int:
     """The bound, written as ASCII digits only: no sign, space, underscore
-    or other script's digits, all of which ``int`` would take."""
+    or other script's digits, all of which ``int`` would take.  Leading
+    zeros are dropped, and a value with more digits than ``sys.maxsize``
+    is above any count of odd generators, so it is read as ``sys.maxsize``
+    rather than converted (``int`` refuses more than 4300 digits)."""
     raw = os.environ.get("SUPERHAAR_MAX_ODD", "6")
     if not re.fullmatch("[0-9]+", raw):
         raise _CliExit(EXIT_INPUT, message=f"SUPERHAAR_MAX_ODD is not an integer: {raw!r}")
-    return int(raw)
+    digits = raw.lstrip("0")
+    if len(digits) > len(str(sys.maxsize)):
+        return sys.maxsize
+    return int(digits or "0")
 
 
 def _load_algebra(path: str):

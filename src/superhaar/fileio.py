@@ -58,7 +58,7 @@ def algebra_from_json(obj) -> LieSuperalgebra:
     lookup = {n: i for i, n in enumerate(even + odd)}
     if len(lookup) != len(even) + len(odd):
         raise InputError("duplicate basis names")
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for rec in records:
         try:
             left, right = rec["left"], rec["right"]
@@ -73,16 +73,15 @@ def algebra_from_json(obj) -> LieSuperalgebra:
             raise InputError(f"duplicate bracket record for ({left}, {right})")
         if not isinstance(result, list):
             raise InputError(f"bracket result for ({left}, {right}) must be a list")
-        vec = {}
+        vec = []
         for item in result:
             if not isinstance(item, dict):
                 raise InputError(f"bracket result item {item!r} must be an object")
             basis = item.get("basis")
             if not isinstance(basis, str) or basis not in lookup:
                 raise InputError(f"unknown basis name {basis!r}")
-            vec[lookup[basis]] = vec.get(lookup[basis], Fraction(0)) + \
-                parse_rational(item.get("coeff"))
-        brackets[key] = vec
+            vec.append((lookup[basis], parse_rational(item.get("coeff"))))
+        brackets[key] = vec   # repeated targets are summed by LieSuperalgebra
     return LieSuperalgebra(name, even, odd, brackets)
 
 

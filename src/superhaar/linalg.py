@@ -10,8 +10,9 @@ callers pass a dimension wherever one is needed (``nullspace``, ``invert``,
 
 Entries may be any numbers closed under ``+`` and ``*`` whose zero is
 falsy, such as ints or Fractions.  ``mat_mul``, ``mat_comb`` and
-``transpose`` keep the entry type, so int rows give int rows; this is how
-``modules.validate_module`` checks its relations in exact integers.  Only
+``transpose`` keep the entry type, so int rows give int rows, though no
+caller in the package passes ints: the bracket relations are checked in
+integers by ``algebra._relation_failures`` on columns of its own.  Only
 the elimination functions (``rref`` and everything built on it, and
 ``minimal_polynomial``) and the polynomial helpers divide, and they need
 Fractions.

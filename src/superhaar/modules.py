@@ -22,7 +22,8 @@ from typing import Mapping
 
 from . import linalg
 from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
-                      ValidationReport, even_part_structure, nonzero_rows)
+                      ValidationReport, _relation_failures, even_part_structure,
+                      nonzero_rows)
 from .enveloping import UEElement, act_on_quotient
 from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order
 from .linalg import ONE
@@ -48,6 +49,10 @@ class GradedModule:
                  name: str = ""):
         self.alg = alg
         self.name = name
+        if not isinstance(parities, (list, tuple)):
+            raise InputError(f"parities must be a list, got {type(parities).__name__}")
+        if not isinstance(action, Mapping):
+            raise InputError(f"action must be a mapping, got {type(action).__name__}")
         self.parities = tuple(parities)
         for p in self.parities:
             if isinstance(p, bool) or not isinstance(p, int) or p not in (0, 1):
@@ -75,14 +80,12 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
     relation rho([x,y]) = rho(x)rho(y) - (-1)^([x][y]) rho(y)rho(x) on all
     basis pairs.
 
-    The relations are checked in exact integers.  With D the lcm of the
-    denominators of all action entries and S the algebra's integer scale
-    (``LieSuperalgebra._int_rows``), P(i) = D rho(i) and S c_ab^k are
-    integers, and S (P(a)P(b) - s P(b)P(a)) - D sum_k (S c_ab^k) P(k) is
-    S D^2 times the rational residue, so it is zero exactly when the
-    relation holds.  The pairs (i, j) and (j, i) share the products
-    P(i)P(j) and P(j)P(i), so both are checked from one pair of products;
-    failing pairs are reported in lexicographic order."""
+    The relations are checked in exact integers by
+    :func:`~superhaar.algebra._relation_failures`, the check that also
+    screens super Jacobi: with D the lcm of the denominators of all action
+    entries and S the algebra's integer scale, it runs on the columns of
+    P(i) = D rho(i) with lhs = S and rhs = D.  Failing pairs are reported
+    in lexicographic order."""
     report = ValidationReport()
     if module.alg != alg:
         raise InputError("module was built over a different algebra")
@@ -95,31 +98,12 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
                     report.add("module-parity", (i, r, c),
                                f"rho({alg.basis_name(i)})[{r}][{c}] = {x} "
                                f"violates the parity pattern")
-    scale, brackets = alg._int_scale, alg._int_rows
     d = math.lcm(*(x.denominator for i in range(alg.dim)
                    for row in rho(i).values() for x in row.values()))
-    act = [{r: {c: x.numerator * (d // x.denominator) for c, x in row.items()}
-            for r, row in rho(i).items()} for i in range(alg.dim)]
-    failing = []
-    for i in range(alg.dim):
-        mi = act[i]
-        for j in range(i, alg.dim):
-            mj = act[j]
-            sign = -1 if alg.parity(i) and alg.parity(j) else 1
-            pij = linalg.mat_mul(mi, mj)
-            if i == j:
-                pairs = [(i, i, pij, pij)]
-            else:
-                pji = linalg.mat_mul(mj, mi)
-                pairs = [(i, j, pij, pji), (j, i, pji, pij)]
-            for a, b, ab, ba in pairs:
-                # S (P(a)P(b) - sign P(b)P(a)) - D P(S [a, b]), zero iff
-                # the relation holds
-                terms = [(scale, ab), (-sign * scale, ba)]
-                terms += [(-d * c, act[k]) for k, c in brackets[a].get(b, ())]
-                if linalg.mat_comb(terms):
-                    failing.append((a, b))
-    for a, b in sorted(failing):
+    cols = [{c: [(r, x.numerator * (d // x.denominator)) for r, x in col.items()]
+             for c, col in linalg.transpose(rho(i)).items()} for i in range(alg.dim)]
+    failing = _relation_failures(alg, cols, alg._int_scale, d)
+    for a, b in dict.fromkeys((a, b) for a, b, _ in failing):
         report.add("module-bracket", (a, b),
                    f"rho([{alg.basis_name(a)}, {alg.basis_name(b)}]) does "
                    f"not match the supercommutator of the actions")

@@ -301,6 +301,16 @@ def test_cli_max_odd_bound(monkeypatch, capsys):
     monkeypatch.setenv("SUPERHAAR_MAX_ODD", "02")
     code, _, _ = run_cli(capsys, "validate", builtin_fixture("gl11.json"))
     assert code == 0
+    # past int()'s 4300-digit limit: leading zeros are zeros, and a longer
+    # value is above every m
+    for raw in ["0" * 5000 + "6", "9" * 5000]:
+        monkeypatch.setenv("SUPERHAAR_MAX_ODD", raw)
+        code, _, _ = run_cli(capsys, "validate", builtin_fixture("gl11.json"))
+        assert code == 0
+    monkeypatch.setenv("SUPERHAAR_MAX_ODD", "0" * 5000 + "1")
+    code, payload, err = run_cli(capsys, "validate", builtin_fixture("gl11.json"))
+    assert (code, payload) == (1, None)
+    assert "above the bound SUPERHAAR_MAX_ODD=1" in err
 
 
 def test_cli_reductivity_warnings(tmp_path, capsys):

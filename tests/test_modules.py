@@ -15,7 +15,7 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        invariant_projector, invariant_z, linalg,
                        module_action, modules, multiply, quotient_module,
                        validate_module)
-from superhaar.algebra import ValidationReport
+from superhaar.algebra import ValidationReport, change_basis
 from superhaar.fileio import builtin_fixture
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, dense_of,
@@ -232,6 +232,14 @@ def test_module_shape_errors(gl11):
         GradedModule(gl11, [0, 1], {0: {0: {-1: 1}}})
     with pytest.raises(InputError):
         GradedModule(gl11, [0, 1], {0: {0: {0: 0.5}}})
+    # malformed containers: the action, the parities, a matrix, a dense row
+    # and a row of a mapping matrix
+    for parities, action in [([0, 1], [[[1, 0], [0, 0]]]), (5, {}), ([0, 1], {0: 5}),
+                             ([0, 1], {0: [5, [0, 0]]}), ([0, 1], {0: {0: 5}})]:
+        with pytest.raises(InputError):
+            GradedModule(gl11, parities, action)
+    with pytest.raises(InputError):
+        change_basis(gl11, 5, 5)
 
 
 def test_module_parities_and_action_indices_are_ints(gl11):
