@@ -10,12 +10,13 @@ callers pass a dimension wherever one is needed (``nullspace``, ``invert``,
 
 Entries may be any numbers closed under ``+`` and ``*`` whose zero is
 falsy, such as ints or Fractions.  ``mat_mul``, ``mat_comb`` and
-``transpose`` keep the entry type, so int rows give int rows, though no
-caller in the package passes ints: the bracket relations are checked in
-integers by ``algebra._relation_failures`` on columns of its own.  Only
-the elimination functions (``rref`` and everything built on it, and
-``minimal_polynomial``) and the polynomial helpers divide, and they need
-Fractions.
+``transpose`` keep the entry type, so int rows give int rows: the module
+layer multiplies its matrices in exact integers, scaled to a common
+denominator by ``scaled``.  The elimination functions (``rref`` and
+everything built on it) and the polynomial helpers divide, and they need
+Fractions.  ``minimal_polynomial`` takes either and eliminates
+fraction-free, by ``_reduce``, the step the module layer's semisimplicity
+split uses too.
 
 The functions that depend only on the row space (``rref``, ``rank``,
 ``nullspace``, ``row_space_basis``, ``same_span``) take any iterable of
@@ -27,6 +28,7 @@ Everything is computed exactly (no tolerances).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -76,6 +78,16 @@ def mat_comb(terms: Iterable[tuple[Fraction, Matrix]]) -> Matrix:
                 out[c] = out[c] + x if c in out else x
     return {r: nz for r, row in acc.items()
             if (nz := {c: x for c, x in row.items() if x})}
+
+
+def scaled(mats: Iterable[Matrix]) -> tuple[int, list[Matrix]]:
+    """The lcm d of the denominators of all entries of ``mats`` (1 when
+    there are none), and each matrix times d, with int entries."""
+    mats = list(mats)
+    d = math.lcm(*(x.denominator for mat in mats for row in mat.values()
+                   for x in row.values()))
+    return d, [{r: {c: x.numerator * (d // x.denominator) for c, x in row.items()}
+                for r, row in mat.items()} for mat in mats]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -208,34 +220,65 @@ def is_squarefree(p: list[Fraction]) -> bool:
     return len(poly_gcd(p, poly_derivative(p))) == 1
 
 
+def _reduce(v: dict[int, int], combo: dict[int, int],
+            reduced: list[tuple[int, dict[int, int], dict[int, int]]]) -> bool:
+    """Fraction-free elimination of one int vector, in place.
+
+    ``combo`` writes v as an int combination of the vectors offered before
+    it.  At each pivot p of ``reduced`` (rows w with their combinations wc)
+    where v is nonzero, v := s v - f w and combo := s combo - f wc, with
+    s = w_p / g and f = v_p / g for g their gcd.  A v that stays nonzero is
+    divided, with combo, by the gcd of all their entries and appended to
+    ``reduced`` with its least column as pivot, so that every row there is
+    zero at the pivots before its own.  Returns whether v was appended;
+    when it was not, combo is a linear dependence.
+    """
+    for p, w, wc in reduced:
+        f = v.get(p)
+        if f is None:
+            continue
+        g = math.gcd(w[p], f)
+        s, f = w[p] // g, f // g
+        for u, x in ((v, w), (combo, wc)):
+            if s != 1:
+                for c in u:
+                    u[c] *= s
+            for c, y in x.items():
+                z = u[c] - f * y if c in u else -f * y
+                if z:
+                    u[c] = z
+                else:
+                    del u[c]
+    if not v:
+        return False
+    g = math.gcd(*v.values(), *combo.values())
+    if g != 1:
+        for u in (v, combo):
+            for c in u:
+                u[c] //= g
+    reduced.append((min(v), v, combo))
+    return True
+
+
 def minimal_polynomial(mat: Matrix, n: int) -> list[Fraction]:
     """Monic minimal polynomial of the n x n rational matrix ``mat``, as
-    coefficients in ascending powers.
+    Fraction coefficients in ascending powers.
 
     Found as the first linear dependence among the flattened powers
-    I, M, M^2, ...: each power is reduced once against the earlier ones
-    (kept with a unit pivot, zero at every earlier pivot), while its
-    coefficients over the powers are tracked.  The first power that
-    reduces to zero gives the polynomial; its degree is at most n.
+    I, A, A^2, ... of the int matrix A = d mat (d from ``scaled``), each
+    reduced once by ``_reduce`` against the earlier ones.  The first power
+    A^k that reduces to zero gives sum_j c_j A^j = 0, and the minimal
+    polynomial of mat has coefficients c_j / (c_k d^(k-j)); k is at most n.
     """
     if n == 0:
         return [ONE]
-    reduced: list[tuple[int, Vector, list[Fraction]]] = []
-    power = identity(n)
+    d, (a,) = scaled([mat])
+    reduced: list[tuple[int, dict[int, int], dict[int, int]]] = []
+    power: dict[int, dict[int, int]] = {i: {i: 1} for i in range(n)}
     for k in range(n + 1):
-        v = {r * n + c: x for r, row in power.items() for c, x in row.items()}
-        combo = [ZERO] * k + [ONE]       # v = sum of combo[j] M^j
-        for p, w, wc in reduced:
-            f = v.get(p)
-            if f is not None:
-                _subtract_multiple(v, f, w)
-                for j, y in enumerate(wc):
-                    combo[j] -= f * y
-        if not v:
-            return combo
-        lead = min(v)
-        inv = ONE / v[lead]
-        reduced.append((lead, {c: x * inv for c, x in v.items()},
-                        [x * inv for x in combo]))
-        power = mat_mul(power, mat)
+        combo = {k: 1}       # power = sum of combo[j] A^j
+        if not _reduce({r * n + c: x for r, row in power.items() for c, x in row.items()},
+                       combo, reduced):
+            return [Fraction(combo.get(j, 0), combo[k] * d ** (k - j)) for j in range(k + 1)]
+        power = mat_mul(power, a)
     raise AssertionError("no minimal polynomial found")  # pragma: no cover

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
@@ -42,7 +43,10 @@ class GradedModule:
     :func:`~superhaar.algebra.nonzero_rows`, which checks it) and is stored
     once as a ``linalg.Matrix``, rows and columns in increasing order; an
     action without nonzeros is not stored at all.  ``rho(i)`` returns the
-    stored rows, which callers must not mutate.
+    stored rows, which callers must not mutate.  The module layer computes
+    with one integer copy of the actions, built with them: ``_int_rho[i]``
+    is D rho(i) in ints for every basis element i, D the lcm of the
+    denominators of all action entries (``linalg.scaled``).
     """
 
     def __init__(self, alg: LieSuperalgebra, parities, action: Mapping[int, object],
@@ -66,6 +70,7 @@ class GradedModule:
             if rows:
                 rho[i] = rows
         self._rho = rho
+        self._int_scale, self._int_rho = linalg.scaled(self.rho(i) for i in range(alg.dim))
 
     def rho(self, i: int) -> linalg.Matrix:
         """Action matrix of basis element i."""
@@ -75,6 +80,11 @@ class GradedModule:
         return f"GradedModule({self.name or '?'}, dim={self.dim}, over {self.alg.name})"
 
 
+def _check_algebra(alg: LieSuperalgebra, module: GradedModule) -> None:
+    if module.alg != alg:
+        raise InputError("module was built over a different algebra")
+
+
 def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationReport:
     """Check parity compatibility of each action matrix and the bracket
     relation rho([x,y]) = rho(x)rho(y) - (-1)^([x][y]) rho(y)rho(x) on all
@@ -82,13 +92,11 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
 
     The relations are checked in exact integers by
     :func:`~superhaar.algebra._relation_failures`, the check that also
-    screens super Jacobi: with D the lcm of the denominators of all action
-    entries and S the algebra's integer scale, it runs on the columns of
-    P(i) = D rho(i) with lhs = S and rhs = D.  Failing pairs are reported
-    in lexicographic order."""
+    screens super Jacobi: with S the algebra's integer scale, it runs on the
+    columns of the module's integer copy P(i) = D rho(i) with lhs = S and
+    rhs = D.  Failing pairs are reported in lexicographic order."""
     report = ValidationReport()
-    if module.alg != alg:
-        raise InputError("module was built over a different algebra")
+    _check_algebra(alg, module)
     rho, parities = module.rho, module.parities
     for i in range(alg.dim):
         pi = alg.parity(i)
@@ -98,11 +106,9 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
                     report.add("module-parity", (i, r, c),
                                f"rho({alg.basis_name(i)})[{r}][{c}] = {x} "
                                f"violates the parity pattern")
-    d = math.lcm(*(x.denominator for i in range(alg.dim)
-                   for row in rho(i).values() for x in row.values()))
-    cols = [{c: [(r, x.numerator * (d // x.denominator)) for r, x in col.items()]
-             for c, col in linalg.transpose(rho(i)).items()} for i in range(alg.dim)]
-    failing = _relation_failures(alg, cols, alg._int_scale, d)
+    cols = [{c: list(col.items()) for c, col in linalg.transpose(mat).items()}
+            for mat in module._int_rho]
+    failing = _relation_failures(alg, cols, alg._int_scale, module._int_scale)
     for a, b in dict.fromkeys((a, b) for a, b, _ in failing):
         report.add("module-bracket", (a, b),
                    f"rho([{alg.basis_name(a)}, {alg.basis_name(b)}]) does "
@@ -110,25 +116,38 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
     return report
 
 
+def _fractions(mat: linalg.Matrix, d: int) -> linalg.Matrix:
+    """The int matrix ``mat`` divided by d, in Fractions."""
+    return {r: {c: Fraction(x, d) for c, x in row.items()} for r, row in mat.items()}
+
+
 def module_action(module: GradedModule, u: UEElement) -> linalg.Matrix:
     """The action matrix of an enveloping-algebra element (rho extended
-    multiplicatively along each PBW word)."""
+    multiplicatively along each PBW word).
+
+    A word of degree k acts as D^-k times the product of the integer copy
+    D rho(g) along it; the terms are summed in ints over their common
+    denominator Q and divided once."""
     if u.alg != module.alg:
         raise ValueError("element and module live over different algebras")
+    ints, d = module._int_rho, module._int_scale
+    q = math.lcm(*(c.denominator * d ** len(word) for word, c in u.terms.items()))
     terms = []
     for word, c in u.terms.items():
-        acc = linalg.identity(module.dim)
+        acc = {i: {i: 1} for i in range(module.dim)}
         for g in word:
-            acc = linalg.mat_mul(acc, module.rho(g))
-        terms.append((c, acc))
-    return linalg.mat_comb(terms)
+            acc = linalg.mat_mul(acc, ints[g])
+        terms.append((c.numerator * (q // (c.denominator * d ** len(word))), acc))
+    return _fractions(linalg.mat_comb(terms), q)
 
 
 @dataclass
 class SemisimplicityReport:
     """Certificate that a module is semisimple over the even part:
     squarefree minimal polynomials for the central generators, and an exact
-    direct-sum decomposition into even-invariants plus the even image."""
+    direct-sum decomposition into even-invariants plus the even image.  The
+    invariants have the canonical kernel basis of ``linalg.nullspace``;
+    the image has a basis of primitive integer vectors in echelon form."""
     central_squarefree: list[bool]
     invariants_basis: list[linalg.Vector]
     image_basis: list[linalg.Vector]
@@ -153,23 +172,45 @@ def check_semisimple_over_even(alg: LieSuperalgebra, module: GradedModule,
     action.  Semisimplicity of the derived part's action is a theorem in
     characteristic zero and is not re-derived here.
     """
+    _check_algebra(alg, module)
     if even_report is None:
         even_report = even_part_structure(alg)
     d = module.dim
-    evens = [module.rho(i) for i in range(alg.n_even)]
 
+    # a central element c acts as a nonzero multiple of the int matrix
+    # sum_i (e c_i) D rho(i), e the lcm of the denominators of the c_i, and
+    # a nonzero multiple has a squarefree minimal polynomial exactly when
+    # the element's action has
     central_ok = []
     for center_vec in even_report.center:
-        mat = linalg.mat_comb((ci, evens[i]) for i, ci in center_vec.items())
+        e = math.lcm(*(ci.denominator for ci in center_vec.values()))
+        mat = linalg.mat_comb((ci.numerator * (e // ci.denominator), module._int_rho[i])
+                              for i, ci in center_vec.items())
         central_ok.append(linalg.is_squarefree(linalg.minimal_polynomial(mat, d)))
 
-    # the joint kernel of the even actions is the kernel of their stacked
-    # rows; the even image is spanned by their columns
-    invariants = linalg.nullspace((row for mat in evens for row in mat.values()), d)
-    image = linalg.row_space_basis(col for mat in evens
-                                   for col in linalg.transpose(mat).values())
-    direct = (len(invariants) + len(image) == d
-              and linalg.rank(invariants + image) == d)
+    # the joint kernel and the image of the even actions, by fraction-free
+    # elimination on the integer copy.  Column c of their stacked rows is
+    # either independent of the columns before it or has a dependence on
+    # them, which scaled to 1 at c is the kernel vector that
+    # ``linalg.nullspace`` gives for the free column c.
+    columns = [linalg.transpose(mat) for mat in module._int_rho[:alg.n_even]]
+    reduced: list = []
+    kernel = []
+    for c in range(d):
+        combo = {c: 1}
+        if not linalg._reduce({i * d + r: x for i, cols in enumerate(columns)
+                               for r, x in cols.get(c, {}).items()}, combo, reduced):
+            kernel.append((c, combo))
+    invariants = [{j: Fraction(x, v[c]) for j, x in sorted(v.items())} for c, v in kernel]
+    # the image has the echelon rows of the actions' columns as its basis,
+    # and the split is direct when the kernel stays independent of them
+    reduced = []
+    for cols in columns:
+        for col in cols.values():
+            linalg._reduce(dict(col), {}, reduced)
+    image = [{r: Fraction(x) for r, x in sorted(w.items())} for _, w, _ in reduced]
+    direct = (len(kernel) + len(image) == d
+              and all(linalg._reduce(dict(v), {}, reduced) for _, v in kernel))
     return SemisimplicityReport(central_ok, invariants, image, direct)
 
 
@@ -183,24 +224,31 @@ def invariant_projector(alg: LieSuperalgebra, module: GradedModule,
     and then the image basis, it is C cut to the invariant columns, times
     the inverse of C.
     """
+    _check_algebra(alg, module)
     if report is None:
         report = check_semisimple_over_even(alg, module)
     if not report.ok:
         raise NotSemisimpleError("module is not semisimple over the even part")
+    k = report.invariants_dim
     basis = report.invariants_basis + report.image_basis
     cols = linalg.transpose(dict(enumerate(basis)))
-    invariant_cols = linalg.transpose(dict(enumerate(report.invariants_basis)))
-    proj = linalg.mat_mul(invariant_cols, linalg.invert(cols, module.dim))
+    inverse = linalg.invert(cols, module.dim)
+    # P = s^-2 (s I)(s R), I the invariant columns, R the first k rows of
+    # the inverse and s their common denominator; checked in ints
+    s, (invariant_cols, inverse_rows) = linalg.scaled([
+        linalg.transpose(dict(enumerate(basis[:k]))),
+        {r: inverse[r] for r in range(k) if r in inverse}])
+    e, proj = s * s, linalg.mat_mul(invariant_cols, inverse_rows)
 
-    if linalg.mat_mul(proj, proj) != proj:
+    if linalg.mat_mul(proj, proj) != linalg.mat_comb([(e, proj)]):
         raise InternalInvariantError("projector is not idempotent")
     for i in range(alg.n_even):
-        m = module.rho(i)
+        m = module._int_rho[i]
         if linalg.mat_mul(m, proj):
             raise InternalInvariantError("even action does not kill the projector image")
         if linalg.mat_mul(proj, m):
             raise InternalInvariantError("projector does not kill the even image")
-    return proj
+    return _fractions(proj, e)
 
 
 @dataclass(frozen=True)
@@ -221,21 +269,25 @@ def integral_matrix(alg: LieSuperalgebra, module: GradedModule,
     verified before returning; a failure indicates a sign-convention fault
     in the library, not bad input.
     """
+    _check_algebra(alg, module)
     if projector is None:
         projector = invariant_projector(alg, module)
-    m = linalg.mat_mul(module_action(module, invariant.z), projector)
+    # M = s^-2 (s Z)(s P), s the common denominator of Z and P, checked in ints
+    scale, (z, p) = linalg.scaled([module_action(module, invariant.z), projector])
+    m = linalg.mat_mul(z, p)
     for i in range(alg.dim):
-        if linalg.mat_mul(module.rho(i), m):
+        if linalg.mat_mul(module._int_rho[i], m):
             raise InternalInvariantError(
                 f"integral matrix is not left invariant under {alg.basis_name(i)}")
-    return IntegralMatrix(m, alg.n_odd % 2)
+    return IntegralMatrix(_fractions(m, scale * scale), alg.n_odd % 2)
 
 
 def check_right_integral(alg: LieSuperalgebra, module: GradedModule,
                          integral: IntegralMatrix) -> bool:
     """Row-side invariance: M rho(w) = counit(w) M for every basis element."""
-    return not any(linalg.mat_mul(integral.entries, module.rho(i))
-                   for i in range(alg.dim))
+    _check_algebra(alg, module)
+    _, (m,) = linalg.scaled([integral.entries])
+    return not any(linalg.mat_mul(m, module._int_rho[i]) for i in range(alg.dim))
 
 
 def _quotient_action(alg: LieSuperalgebra, i: int, masks) -> linalg.Matrix:

@@ -204,6 +204,92 @@ def test_minimal_polynomial_of_repeated_eigenvalues():
     assert linalg.minimal_polynomial({}, 3) == [F(0), F(1)]
 
 
+def fraction_minimal_polynomial(mat, n):
+    """The first dependence among the flattened powers I, M, M^2, ...,
+    each reduced in Fractions against the earlier ones kept with a unit
+    pivot: the reference for the fraction-free ``linalg.minimal_polynomial``."""
+    if n == 0:
+        return [F(1)]
+    reduced = []
+    power = linalg.identity(n)
+    for k in range(n + 1):
+        v = {r * n + c: x for r, row in power.items() for c, x in row.items()}
+        combo = [F(0)] * k + [F(1)]
+        for p, w, wc in reduced:
+            f = v.get(p)
+            if f is not None:
+                for c, y in w.items():
+                    x = v.get(c, F(0)) - f * y
+                    if x:
+                        v[c] = x
+                    else:
+                        del v[c]
+                for j, y in enumerate(wc):
+                    combo[j] -= f * y
+        if not v:
+            return combo
+        lead = min(v)
+        inv = 1 / v[lead]
+        reduced.append((lead, {c: x * inv for c, x in v.items()}, [x * inv for x in combo]))
+        power = linalg.mat_mul(power, mat)
+    raise AssertionError("no minimal polynomial found")
+
+
+def check_minimal_polynomial(mat, n):
+    """``linalg.minimal_polynomial`` equals the Fraction reference, and its
+    squarefree verdict is that of the reference and of an int multiple of
+    the matrix (the form ``check_semisimple_over_even`` passes)."""
+    p = linalg.minimal_polynomial(mat, n)
+    ref = fraction_minimal_polynomial(mat, n)
+    assert p == ref
+    assert all(isinstance(x, F) for x in p)
+    d, (ints,) = linalg.scaled([mat])
+    multiple = linalg.minimal_polynomial(linalg.mat_comb([(3, ints)]), n)
+    assert linalg.is_squarefree(p) == linalg.is_squarefree(ref) == \
+        linalg.is_squarefree(multiple)
+    assert len(multiple) == len(p)
+    return p
+
+
+FIFTHS = st.one_of(st.just(F(0)), st.just(F(0)),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_minimal_polynomial_matches_fraction_reference(data):
+    n = data.draw(st.integers(0, 7))
+    mat = [[data.draw(FIFTHS) for _ in range(n)] for _ in range(n)]
+    check_minimal_polynomial(m(mat), n)
+
+
+def test_minimal_polynomial_matches_fraction_reference_on_named_cases():
+    jordan = [[F(int(c == r + 1)) for c in range(4)] for r in range(4)]
+    cases = [
+        ({}, 0, [F(1)]),
+        ({}, 4, [F(0), F(1)]),                                   # zero matrix
+        (m([[F(2, 3) if r == c else 0 for c in range(3)] for r in range(3)]), 3,
+         [F(-2, 3), F(1)]),                                      # scalar matrix
+        (m(jordan), 4, [F(0)] * 4 + [F(1)]),                     # nilpotent J_4
+        (m([[0, F(1, 2), 0], [0, 0, 0], [0, 0, 0]]), 3,
+         [F(0), F(0), F(1)]),                                    # J_2 + J_1
+        (m([[F(1, 2), F(5, 3), 0], [0, F(1, 2), 0], [0, 0, F(-1, 5)]]), 3,
+         [F(1, 20), F(1, 20), F(-4, 5), F(1)]),     # (t-1/2)^2 (t+1/5)
+    ]
+    for mat, n, expected in cases:
+        assert check_minimal_polynomial(mat, n) == expected, (mat, n)
+    assert not linalg.is_squarefree(cases[-1][2])
+    assert linalg.is_squarefree(cases[2][2])
+
+
+def test_scaled_is_the_common_denominator():
+    assert linalg.scaled([]) == (1, [])
+    assert linalg.scaled([{}, {0: {1: F(3)}}]) == (1, [{}, {0: {1: 3}}])
+    d, mats = linalg.scaled([{0: {0: F(1, 4)}}, {1: {0: F(-5, 6), 2: F(2)}}])
+    assert (d, mats) == (12, [{0: {0: 3}}, {1: {0: -10, 2: 24}}])
+    assert all(type(x) is int for mat in mats for row in mat.values() for x in row.values())
+
+
 # -- the contract of the matrix type ---------------------------------------------
 
 def assert_nonzero_only(value):
@@ -295,11 +381,12 @@ FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FIXTURE_MODULES), st.integers(0, 2 ** 32))
 def test_module_layer_returns_nonzeros_only_and_keeps_its_arguments(case, seed):
-    # the projector identities compare dicts, as mat_mul(P, P) != P does
-    # inside invariant_projector: exact only while both hold
+    # the projector identities compare dicts, as mat_mul(Q, Q) != e Q does
+    # on the int projector inside invariant_projector: exact only while
+    # no result stores a zero
     key, filename = case
     alg, module = fixture_algebra(key), fixture_module(key, filename)
-    stored = copy.deepcopy(module._rho)
+    stored = copy.deepcopy((module._rho, module._int_rho))
     u = random_element(alg, random.Random(seed), max_degree=2, terms=3)
     assert_nonzero_only(module_action(module, u))
     for i in range(alg.dim):    # rref copies the stored rows it is passed
@@ -313,4 +400,4 @@ def test_module_layer_returns_nonzeros_only_and_keeps_its_arguments(case, seed):
         if key in UNIMODULAR:
             integral = unchanged(integral_matrix, alg, module, invariant_z(alg), proj)
             assert_nonzero_only(integral.entries)
-    assert module._rho == stored
+    assert (module._rho, module._int_rho) == stored

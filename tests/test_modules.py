@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        invariant_projector, invariant_z, linalg,
                        module_action, modules, multiply, quotient_module,
                        validate_module)
-from superhaar.algebra import ValidationReport, change_basis
+from superhaar.algebra import ValidationReport, change_basis, even_part_structure
 from superhaar.fileio import builtin_fixture
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, dense_of,
@@ -446,6 +447,181 @@ def test_left_invariance_check_catches_a_changed_action(case, monkeypatch):
                     integral_matrix(alg, module, inv, proj)
             else:
                 integral_matrix(alg, module, inv, proj)
+
+
+@pytest.mark.parametrize("case", SEMISIMPLE_UNIMODULAR)
+def test_right_invariance_check_catches_a_changed_entry(case):
+    # M rho(i) = 0, so changing M by x E_rc changes M rho(i) by x times row
+    # c of rho(i) put in row r: the check fails exactly when some action
+    # has a nonzero row c
+    key, filename = case
+    alg = fixture_algebra(key)
+    inv = invariant_z(alg)
+    for module in (fixture_module(key, filename),
+                   rational_change(fixture_module(key, filename), random.Random(0))):
+        integral = integral_matrix(alg, module, inv)
+        assert check_right_integral(alg, module, integral)
+        for r in range(module.dim):
+            for c in range(module.dim):
+                shown = any(c in module.rho(i) for i in range(alg.dim))
+                for x in (F(1), F(-2, 3)):
+                    changed = modules.IntegralMatrix(
+                        linalg.mat_comb([(F(1), integral.entries), (x, {r: {c: F(1)}})]),
+                        integral.parity)
+                    assert check_right_integral(alg, module, changed) == (not shown)
+
+
+# -- integer scales against Fraction references -----------------------------------
+
+def fraction_module_action(module, u):
+    """rho extended along each PBW word by Fraction products: the reference
+    for ``module_action``."""
+    terms = []
+    for word, c in u.terms.items():
+        acc = linalg.identity(module.dim)
+        for g in word:
+            acc = linalg.mat_mul(acc, module.rho(g))
+        terms.append((c, acc))
+    return linalg.mat_comb(terms)
+
+
+def fraction_split(alg, module):
+    """Kernel, image and directness of the even actions by Fraction
+    elimination: the reference for the split of
+    ``check_semisimple_over_even``."""
+    d = module.dim
+    evens = [module.rho(i) for i in range(alg.n_even)]
+    invariants = linalg.nullspace((row for mat in evens for row in mat.values()), d)
+    image = linalg.row_space_basis(col for mat in evens
+                                   for col in linalg.transpose(mat).values())
+    direct = len(invariants) + len(image) == d and linalg.rank(invariants + image) == d
+    return invariants, image, direct
+
+
+def fraction_projector(alg, module, report):
+    """The projector and its identities in Fractions: the reference for
+    ``invariant_projector``."""
+    basis = report.invariants_basis + report.image_basis
+    cols = linalg.transpose(dict(enumerate(basis)))
+    invariant_cols = linalg.transpose(dict(enumerate(report.invariants_basis)))
+    proj = linalg.mat_mul(invariant_cols, linalg.invert(cols, module.dim))
+    assert linalg.mat_mul(proj, proj) == proj
+    for i in range(alg.n_even):
+        assert not linalg.mat_mul(module.rho(i), proj)
+        assert not linalg.mat_mul(proj, module.rho(i))
+    return proj
+
+
+def fraction_integral(alg, module, inv, proj):
+    """Z P and its left invariance in Fractions: the reference for
+    ``integral_matrix``."""
+    m = linalg.mat_mul(fraction_module_action(module, inv.z), proj)
+    assert not any(linalg.mat_mul(module.rho(i), m) for i in range(alg.dim))
+    return m
+
+
+def fraction_right_integral(alg, module, m):
+    return not any(linalg.mat_mul(m, module.rho(i)) for i in range(alg.dim))
+
+
+def rational_change(module, rng):
+    """``module`` on a random rational basis that mixes only basis vectors
+    of equal parity: rho'(i) = T^-1 rho(i) T, with T upper triangular."""
+    d, parities = module.dim, module.parities
+    t = {}
+    for r in range(d):
+        t[r] = {r: F(rng.choice([1, -1]) * rng.randint(1, 5), rng.randint(1, 5))}
+        for c in range(r + 1, d):
+            if parities[r] == parities[c] and (x := F(rng.randint(-3, 3), rng.randint(1, 5))):
+                t[r][c] = x
+    t_inv = linalg.invert(t, d)
+    action = {i: linalg.mat_mul(linalg.mat_mul(t_inv, module.rho(i)), t)
+              for i in range(module.alg.dim)}
+    return GradedModule(module.alg, parities, action)
+
+
+def check_against_fraction_references(key, module, rng):
+    """The module layer on ``module``, a module over fixture algebra
+    ``key``, equals the Fraction references; the projector, or None when
+    the module is not semisimple."""
+    alg = fixture_algebra(key)
+    assert validate_module(alg, module).ok
+    u = random_element(alg, rng, max_degree=3, terms=3)
+    assert module_action(module, u) == fraction_module_action(module, u)
+    report = check_semisimple_over_even(alg, module)
+    invariants, image, direct = fraction_split(alg, module)
+    assert report.invariants_basis == invariants
+    assert len(report.image_basis) == len(image)
+    assert linalg.same_span(report.image_basis, image)
+    assert report.decomposition_direct is direct
+    assert all(isinstance(x, F) for v in report.invariants_basis + report.image_basis
+               for x in v.values())
+    central = [linalg.mat_comb((ci, module.rho(i)) for i, ci in vec.items())
+               for vec in even_part_structure(alg).center]
+    assert report.central_squarefree == [
+        linalg.is_squarefree(linalg.minimal_polynomial(mat, module.dim)) for mat in central]
+    if not report.ok:
+        with pytest.raises(NotSemisimpleError):
+            invariant_projector(alg, module, report)
+        return None
+    proj = invariant_projector(alg, module, report)
+    assert proj == fraction_projector(alg, module, report)
+    if key in UNIMODULAR:
+        inv = invariant_z(alg)
+        integral = integral_matrix(alg, module, inv, proj)
+        assert integral.entries == fraction_integral(alg, module, inv, proj)
+        assert check_right_integral(alg, module, integral) is \
+            fraction_right_integral(alg, module, integral.entries) is True
+    return proj
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIXTURE_MODULES), st.integers(0, 2 ** 32))
+def test_module_layer_matches_fraction_references_on_a_rational_change(case, seed):
+    key, filename = case
+    rng = random.Random(seed)
+    check_against_fraction_references(key, rational_change(fixture_module(key, filename), rng),
+                                      rng)
+
+
+def test_rational_changes_reach_scales_above_one():
+    # the shipped modules have integer entries (D = 1) and integer
+    # projectors; their rational changes reach D > 1 and a projector with
+    # denominators
+    big_d = big_e = 0
+    for key, filename in FIXTURE_MODULES:
+        for seed in range(3):
+            rng = random.Random(seed)
+            module = rational_change(fixture_module(key, filename), rng)
+            big_d += module._int_scale > 1
+            proj = check_against_fraction_references(key, module, rng)
+            big_e += proj is not None and any(x.denominator > 1 for row in proj.values()
+                                              for x in row.values())
+    assert big_d >= 10 and big_e >= 3, (big_d, big_e)
+
+
+def test_quotient_modules_match_fraction_references():
+    for key in ALGEBRA_FILES:
+        rng = random.Random(key)
+        module = quotient_module(fixture_algebra(key))
+        check_against_fraction_references(key, module, rng)
+        check_against_fraction_references(key, rational_change(module, rng), rng)
+
+
+def test_module_layer_refuses_a_module_over_another_algebra(gl11, osp12):
+    module = fixture_module("osp12", "osp12_defining_module.json")
+    proj = invariant_projector(osp12, module)
+    integral = integral_matrix(osp12, module, invariant_z(osp12), proj)
+    assert check_right_integral(osp12, module, integral)
+    inv = invariant_z(gl11)
+    for call in (lambda: validate_module(gl11, module),
+                 lambda: check_semisimple_over_even(gl11, module),
+                 lambda: invariant_projector(gl11, module),
+                 lambda: integral_matrix(gl11, module, inv),
+                 lambda: integral_matrix(gl11, module, inv, proj),
+                 lambda: check_right_integral(gl11, module, integral)):
+        with pytest.raises(InputError, match="different algebra"):
+            call()
 
 
 # -- brute-force oracle ---------------------------------------------------------
