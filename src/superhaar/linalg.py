@@ -12,11 +12,14 @@ Entries may be any numbers closed under ``+`` and ``*`` whose zero is
 falsy, such as ints or Fractions.  ``mat_mul``, ``mat_comb`` and
 ``transpose`` keep the entry type, so int rows give int rows: the module
 layer multiplies its matrices in exact integers, scaled to a common
-denominator by ``scaled``.  The elimination functions (``rref`` and
-everything built on it) and the polynomial helpers divide, and they need
-Fractions.  ``minimal_polynomial`` takes either and eliminates
-fraction-free, by ``_reduce``, the step the module layer's semisimplicity
-split uses too.
+denominator by ``scaled``.  All elimination is one fraction-free
+Gauss-Jordan step on int rows, ``_eliminate``: ``rref`` (and so ``rank``,
+``nullspace``, ``row_space_basis``, ``invert`` and ``same_span``) scales
+each int or Fraction row to ints, ``minimal_polynomial`` and
+``is_squarefree`` build int rows, and the module layer's semisimplicity
+split calls the step on its integer copy directly.  Results that need
+division (the reduced rows, kernels, inverses, polynomial coefficients)
+come back in Fractions.
 
 The functions that depend only on the row space (``rref``, ``rank``,
 ``nullspace``, ``row_space_basis``, ``same_span``) take any iterable of
@@ -37,10 +40,6 @@ Matrix = dict[int, Vector]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def identity(n: int) -> Matrix:
-    return {i: {i: ONE} for i in range(n)}
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -98,41 +97,82 @@ def transpose(a: Matrix) -> Matrix:
     return out
 
 
-def _subtract_multiple(v: Vector, f: Fraction, w: Vector) -> None:
-    """v -= f w, dropping the entries that cancel."""
-    for c, y in w.items():
-        x = v.get(c, ZERO) - f * y
-        if x:
-            v[c] = x
-        else:
-            del v[c]
+def _cancel(v: dict[int, int], vc: dict[int, int],
+            w: dict[int, int], wc: dict[int, int], p: int) -> None:
+    """v := s v - f w and vc := s vc - f wc in place, with s = w_p / g and
+    f = v_p / g for g their gcd, so that v becomes zero at p."""
+    g = math.gcd(w[p], v[p])
+    s, f = w[p] // g, v[p] // g
+    for u, x in ((v, w), (vc, wc)):
+        if s != 1:
+            for c in u:
+                u[c] *= s
+        for c, y in x.items():
+            z = u[c] - f * y if c in u else -f * y
+            if z:
+                u[c] = z
+            else:
+                del u[c]
+
+
+def _primitive(v: dict[int, int], vc: dict[int, int]) -> None:
+    """Divide v and vc in place by the gcd of all their entries."""
+    g = math.gcd(*v.values(), *vc.values())
+    if g != 1:
+        for u in (v, vc):
+            for c in u:
+                u[c] //= g
+
+
+def _eliminate(v: dict[int, int], combo: dict[int, int],
+               pivots: dict[int, tuple[dict[int, int], dict[int, int]]]) -> bool:
+    """One fraction-free Gauss-Jordan step on the int vector v, in place.
+
+    ``combo`` writes v as an int combination of the vectors offered before
+    it, and ``pivots`` maps each pivot column to its row and that row's
+    combination; every row there is zero at every other pivot column.  So v
+    is reduced in one pass over the pivot columns where it is nonzero, each
+    by ``_cancel``.  A v that stays nonzero is made primitive (divided with
+    combo by the gcd of their entries) and stored at its least column,
+    which is then cancelled, the same way, from each earlier row that has
+    it; that row is made primitive again.  Returns whether v was stored;
+    when it was not, combo is a linear dependence.  Dividing by the gcd
+    keeps the entries small where Bareiss (Math. Comp. 22, 1968) divides by
+    the previous pivot.
+    """
+    for p in [c for c in v if c in pivots]:
+        _cancel(v, combo, *pivots[p], p)
+    if not v:
+        return False
+    _primitive(v, combo)
+    lead = min(v)
+    for w, wc in pivots.values():
+        if lead in w:
+            _cancel(w, wc, v, combo, lead)
+            _primitive(w, wc)
+    pivots[lead] = (v, combo)
+    return True
 
 
 def rref(rows: Iterable[Vector]) -> tuple[list[Vector], list[int]]:
     """The nonzero rows of the reduced row echelon form, in pivot order,
     and the list of pivot columns.
 
-    Gauss-Jordan: each input row is copied and reduced against the pivot
-    rows found so far (which are zero at every other pivot column), and a
-    row that stays nonzero becomes a pivot row at its leading column and is
-    eliminated from the earlier pivot rows.
+    Each row is scaled to ints by the lcm of its denominators and offered
+    to ``_eliminate``; each stored row divided by its pivot entry is a row
+    of the (unique) reduced row echelon form, in Fractions.
     """
-    pivot_rows: dict[int, Vector] = {}   # pivot column -> row
+    pivots: dict = {}
     for row in rows:
-        v = dict(row)
-        for p in [c for c in v if c in pivot_rows]:
-            _subtract_multiple(v, v[p], pivot_rows[p])
-        if not v:
-            continue
-        lead = min(v)
-        inv = ONE / v[lead]
-        v = {c: x * inv for c, x in v.items()}
-        for w in pivot_rows.values():
-            if lead in w:
-                _subtract_multiple(w, w[lead], v)
-        pivot_rows[lead] = v
-    pivots = sorted(pivot_rows)
-    return [pivot_rows[p] for p in pivots], pivots
+        d = math.lcm(*(x.denominator for x in row.values()))
+        _eliminate({c: x.numerator * (d // x.denominator) for c, x in row.items()},
+                   {}, pivots)
+    cols = sorted(pivots)
+    red = []
+    for p in cols:
+        w = pivots[p][0]
+        red.append({c: Fraction(x, w[p]) for c, x in w.items()})
+    return red, cols
 
 
 def rank(rows: Iterable[Vector]) -> int:
@@ -180,84 +220,25 @@ def trace(mat: Matrix) -> Fraction:
     return sum((row[r] for r, row in mat.items() if r in row), ZERO)
 
 
-# -- polynomials (coefficient lists, ascending powers) ----------------------
-
-def poly_normalize(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [c * i for i, c in enumerate(p)][1:]
-
-
-def poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = poly_normalize(a[:]), poly_normalize(b)
-    while len(a) >= len(b) > 0:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = poly_normalize(a)
-    return a
-
-
-def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        a, b = b, poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def is_squarefree(p: list[Fraction]) -> bool:
-    p = poly_normalize(p)
-    if len(p) <= 1:
-        return True
-    return len(poly_gcd(p, poly_derivative(p))) == 1
+    """Has the polynomial p (coefficients in ascending powers) no repeated
+    root?  True for degree at most 0, the zero polynomial included.
 
-
-def _reduce(v: dict[int, int], combo: dict[int, int],
-            reduced: list[tuple[int, dict[int, int], dict[int, int]]]) -> bool:
-    """Fraction-free elimination of one int vector, in place.
-
-    ``combo`` writes v as an int combination of the vectors offered before
-    it.  At each pivot p of ``reduced`` (rows w with their combinations wc)
-    where v is nonzero, v := s v - f w and combo := s combo - f wc, with
-    s = w_p / g and f = v_p / g for g their gcd.  A v that stays nonzero is
-    divided, with combo, by the gcd of all their entries and appended to
-    ``reduced`` with its least column as pivot, so that every row there is
-    zero at the pivots before its own.  Returns whether v was appended;
-    when it was not, combo is a linear dependence.
+    p of degree n >= 1 is squarefree exactly when p and p' are coprime,
+    that is when their Sylvester matrix, the 2n - 1 int rows x^i d p for
+    i < n - 1 and x^i d p' for i < n (d the lcm of the denominators of p),
+    has full rank.
     """
-    for p, w, wc in reduced:
-        f = v.get(p)
-        if f is None:
-            continue
-        g = math.gcd(w[p], f)
-        s, f = w[p] // g, f // g
-        for u, x in ((v, w), (combo, wc)):
-            if s != 1:
-                for c in u:
-                    u[c] *= s
-            for c, y in x.items():
-                z = u[c] - f * y if c in u else -f * y
-                if z:
-                    u[c] = z
-                else:
-                    del u[c]
-    if not v:
-        return False
-    g = math.gcd(*v.values(), *combo.values())
-    if g != 1:
-        for u in (v, combo):
-            for c in u:
-                u[c] //= g
-    reduced.append((min(v), v, combo))
-    return True
+    n = max((i for i, c in enumerate(p) if c), default=0)
+    if n == 0:
+        return True
+    d = math.lcm(*(c.denominator for c in p))
+    a = [c.numerator * (d // c.denominator) for c in p[:n + 1]]
+    rows = ({s + i: c for i, c in enumerate(q) if c}
+            for q, shifts in ((a, n - 1), ([i * c for i, c in enumerate(a)][1:], n))
+            for s in range(shifts))
+    pivots: dict = {}
+    return all(_eliminate(row, {}, pivots) for row in rows)
 
 
 def minimal_polynomial(mat: Matrix, n: int) -> list[Fraction]:
@@ -266,19 +247,19 @@ def minimal_polynomial(mat: Matrix, n: int) -> list[Fraction]:
 
     Found as the first linear dependence among the flattened powers
     I, A, A^2, ... of the int matrix A = d mat (d from ``scaled``), each
-    reduced once by ``_reduce`` against the earlier ones.  The first power
+    offered to ``_eliminate`` after the earlier ones.  The first power
     A^k that reduces to zero gives sum_j c_j A^j = 0, and the minimal
     polynomial of mat has coefficients c_j / (c_k d^(k-j)); k is at most n.
     """
     if n == 0:
         return [ONE]
     d, (a,) = scaled([mat])
-    reduced: list[tuple[int, dict[int, int], dict[int, int]]] = []
+    pivots: dict = {}
     power: dict[int, dict[int, int]] = {i: {i: 1} for i in range(n)}
     for k in range(n + 1):
         combo = {k: 1}       # power = sum of combo[j] A^j
-        if not _reduce({r * n + c: x for r, row in power.items() for c, x in row.items()},
-                       combo, reduced):
+        if not _eliminate({r * n + c: x for r, row in power.items() for c, x in row.items()},
+                          combo, pivots):
             return [Fraction(combo.get(j, 0), combo[k] * d ** (k - j)) for j in range(k + 1)]
         power = mat_mul(power, a)
     raise AssertionError("no minimal polynomial found")  # pragma: no cover

@@ -147,7 +147,8 @@ class SemisimplicityReport:
     squarefree minimal polynomials for the central generators, and an exact
     direct-sum decomposition into even-invariants plus the even image.  The
     invariants have the canonical kernel basis of ``linalg.nullspace``;
-    the image has a basis of primitive integer vectors in echelon form."""
+    the image has a basis of primitive integer vectors in reduced echelon
+    form."""
     central_squarefree: list[bool]
     invariants_basis: list[linalg.Vector]
     image_basis: list[linalg.Vector]
@@ -194,23 +195,23 @@ def check_semisimple_over_even(alg: LieSuperalgebra, module: GradedModule,
     # them, which scaled to 1 at c is the kernel vector that
     # ``linalg.nullspace`` gives for the free column c.
     columns = [linalg.transpose(mat) for mat in module._int_rho[:alg.n_even]]
-    reduced: list = []
+    pivots: dict = {}
     kernel = []
     for c in range(d):
         combo = {c: 1}
-        if not linalg._reduce({i * d + r: x for i, cols in enumerate(columns)
-                               for r, x in cols.get(c, {}).items()}, combo, reduced):
+        if not linalg._eliminate({i * d + r: x for i, cols in enumerate(columns)
+                                  for r, x in cols.get(c, {}).items()}, combo, pivots):
             kernel.append((c, combo))
     invariants = [{j: Fraction(x, v[c]) for j, x in sorted(v.items())} for c, v in kernel]
-    # the image has the echelon rows of the actions' columns as its basis,
-    # and the split is direct when the kernel stays independent of them
-    reduced = []
+    # the image has the reduced echelon rows of the actions' columns as its
+    # basis, and the split is direct when the kernel stays independent of them
+    pivots = {}
     for cols in columns:
         for col in cols.values():
-            linalg._reduce(dict(col), {}, reduced)
-    image = [{r: Fraction(x) for r, x in sorted(w.items())} for _, w, _ in reduced]
+            linalg._eliminate(dict(col), {}, pivots)
+    image = [{r: Fraction(x) for r, x in sorted(pivots[p][0].items())} for p in sorted(pivots)]
     direct = (len(kernel) + len(image) == d
-              and all(linalg._reduce(dict(v), {}, reduced) for _, v in kernel))
+              and all(linalg._eliminate(dict(v), {}, pivots) for _, v in kernel))
     return SemisimplicityReport(central_ok, invariants, image, direct)
 
 
@@ -222,7 +223,8 @@ def invariant_projector(alg: LieSuperalgebra, module: GradedModule,
     matrix element t_kj: the trivial isotypic component survives, the rest
     is annihilated.  With C the matrix whose columns are the invariants
     and then the image basis, it is C cut to the invariant columns, times
-    the inverse of C.
+    the first k rows of the inverse of C, k the number of invariants; only
+    those rows are solved for.
     """
     _check_algebra(alg, module)
     if report is None:
@@ -230,14 +232,20 @@ def invariant_projector(alg: LieSuperalgebra, module: GradedModule,
     if not report.ok:
         raise NotSemisimpleError("module is not semisimple over the even part")
     k = report.invariants_dim
+    # row j of C^T is basis vector j, augmented for j < k with the unit
+    # column d + j; its reduced echelon form is [I | R^T], R the first k
+    # rows of C^-1, when C is invertible
+    d = module.dim
     basis = report.invariants_basis + report.image_basis
-    cols = linalg.transpose(dict(enumerate(basis)))
-    inverse = linalg.invert(cols, module.dim)
-    # P = s^-2 (s I)(s R), I the invariant columns, R the first k rows of
-    # the inverse and s their common denominator; checked in ints
+    red, pivots = linalg.rref({**v, d + j: ONE} if j < k else v for j, v in enumerate(basis))
+    if pivots[:d] != list(range(d)):
+        raise ValueError("invariants and image do not span the module")
+    # P = s^-2 (s I)(s R), I the invariant columns and s the common
+    # denominator of I and R; checked in ints
     s, (invariant_cols, inverse_rows) = linalg.scaled([
         linalg.transpose(dict(enumerate(basis[:k]))),
-        {r: inverse[r] for r in range(k) if r in inverse}])
+        linalg.transpose({i: {c - d: x for c, x in row.items() if c >= d}
+                          for i, row in enumerate(red)})])
     e, proj = s * s, linalg.mat_mul(invariant_cols, inverse_rows)
 
     if linalg.mat_mul(proj, proj) != linalg.mat_comb([(e, proj)]):

@@ -79,6 +79,11 @@ def rescaled_algebra(alg):
     return scaled
 
 
+def identity(n):
+    """The n x n identity as a ``linalg.Matrix``."""
+    return {i: {i: Fraction(1)} for i in range(n)}
+
+
 def rows_of(dense):
     """A dense list-of-lists matrix as ``linalg.Matrix`` rows of nonzeros."""
     return {r: nz for r, row in enumerate(dense)

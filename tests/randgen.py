@@ -112,8 +112,9 @@ def random_odd_basis_change(alg: LieSuperalgebra, rng: random.Random,
                             name: str | None = None):
     """New algebra with the odd basis replaced by a random invertible
     rational combination; even basis untouched.  Returns (algebra, map)."""
+    from conftest import identity   # conftest imports this module
     p = random_invertible_matrix(rng, alg.n_odd)
-    return change_basis(alg, linalg.identity(alg.n_even), p, name=name)
+    return change_basis(alg, identity(alg.n_even), p, name=name)
 
 
 def map_element(u: UEElement, dst: LieSuperalgebra, full_map) -> UEElement:

@@ -11,7 +11,7 @@ from superhaar import (InputError, LieSuperalgebra, ad_prime_trace,
 from superhaar.algebra import ValidationReport
 
 from conftest import (ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units,
-                      rescaled_algebra, rows_of)
+                      identity, rescaled_algebra, rows_of)
 from randgen import random_odd_basis_change, random_scalar
 
 F = Fraction
@@ -158,14 +158,14 @@ def test_change_basis_preserves_validity(rng, osp12):
         assert validate_superalgebra(twisted).ok
         assert twisted.n_even == 3 and twisted.n_odd == 2
     with pytest.raises(ValueError):
-        change_basis(osp12, linalg.identity(3),
+        change_basis(osp12, identity(3),
                      [[F(1), F(1)], [F(1), F(1)]])  # singular odd map
 
 
 def test_change_basis_rescaling_scales_brackets(bad2):
     # doubling the odd generator scales [th, th'] quadratically and keeps
     # the even action diagonal
-    scaled, _ = change_basis(bad2, linalg.identity(1), [[F(2)]])
+    scaled, _ = change_basis(bad2, identity(1), [[F(2)]])
     assert scaled.bracket(0, 1) == ((1, F(1)),)   # [X, 2th] = 2th = 1 * (2th)
     assert validate_superalgebra(scaled).ok
 

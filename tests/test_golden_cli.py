@@ -28,11 +28,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from superhaar import change_basis, linalg
+from superhaar import change_basis
 from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
-from conftest import ALGEBRA_FILES, MODULE_FILES, gl_supermatrix_units, twisted_dual_algebra
+from conftest import (ALGEBRA_FILES, MODULE_FILES, gl_supermatrix_units, identity,
+                      twisted_dual_algebra)
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 FLAGS = ("--emit-matrix", "--emit-dual-pair", "--oracle")
@@ -50,7 +51,7 @@ def extra_algebras() -> dict:
     m = gl31.n_odd
     signs = [[Fraction(1) if i == j else Fraction(rng.choice((1, -1))) if j > i
               else Fraction(0) for j in range(m)] for i in range(m)]
-    dense, _ = change_basis(gl31, linalg.identity(gl31.n_even), signs, name="gl(3|1)-pm1")
+    dense, _ = change_basis(gl31, identity(gl31.n_even), signs, name="gl(3|1)-pm1")
     return {"gl21.json": gl_supermatrix_units(2, 1), "gl31.json": gl31,
             "gl31_pm1.json": dense, "twisted_dual.json": twisted_dual_algebra()}
 

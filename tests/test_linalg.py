@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from superhaar import (NotSemisimpleError, integral_matrix, invariant_projector,
                        invariant_z, linalg, module_action)
 
 from conftest import (MODULE_FILES, UNIMODULAR, dense_of, fixture_algebra,
-                      fixture_module, rows_of)
+                      fixture_module, identity, rows_of)
 from randgen import random_element
 
 F = Fraction
@@ -36,7 +37,7 @@ def test_nullspace_vectors_annihilate():
 def test_invert_round_trip():
     mat = m([[2, 1], [1, 1]])
     inv = linalg.invert(mat, 2)
-    assert linalg.mat_mul(mat, inv) == linalg.identity(2)
+    assert linalg.mat_mul(mat, inv) == identity(2)
     with pytest.raises(ValueError):
         linalg.invert(m([[1, 2], [2, 4]]), 2)
     with pytest.raises(ValueError):     # a zero row is left out, not lost
@@ -69,13 +70,97 @@ def test_minimal_polynomial():
     assert linalg.minimal_polynomial({}, 0) == [F(1)]
 
 
+# -- squarefree against the Fraction Euclid ------------------------------------
+
+def poly_normalize(p):
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def poly_derivative(p):
+    return [c * i for i, c in enumerate(p)][1:]
+
+
+def poly_mod(a, b):
+    a, b = poly_normalize(a[:]), poly_normalize(b)
+    while len(a) >= len(b) > 0:
+        f = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = poly_normalize(a)
+    return a
+
+
+def poly_gcd(a, b):
+    """Monic gcd of two Fraction polynomials (ascending powers), by Euclid."""
+    a, b = poly_normalize(a), poly_normalize(b)
+    while b:
+        a, b = b, poly_mod(a, b)
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+def euclid_is_squarefree(p):
+    """gcd(p, p') is a constant: the reference for the Sylvester rank test
+    of ``linalg.is_squarefree``."""
+    p = poly_normalize([F(c) for c in p])
+    return len(p) <= 1 or len(poly_gcd(p, poly_derivative(p))) == 1
+
+
 def test_poly_gcd():
     # (t-1)^2 (t+2) against its derivative shares (t-1)
     p = [F(2), F(-3), F(0), F(1)]  # t^3 - 3t + 2 = (t-1)^2 (t+2)
-    g = linalg.poly_gcd(p, linalg.poly_derivative(p))
+    g = poly_gcd(p, poly_derivative(p))
     assert g == [F(-1), F(1)]
-    assert not linalg.is_squarefree(p)
-    assert linalg.is_squarefree([F(-1), F(0), F(1)])
+    cases = [(p, False), ([F(-1), F(0), F(1)], True),
+             ([], True), ([0], True), ([0, 0], True), ([F(-2, 3)], True),
+             ([5, 0, 0], True),                          # a constant, padded
+             ([0, 1], True), ([0, 0, 1], False),         # t and t^2
+             ([F(1, 4), -1, 1, 0], False),               # (t - 1/2)^2, padded
+             ([F(-1, 4), 0, -1], True),                  # -(t^2 + 1/4)
+             ([F(-3), F(-3), F(3)], True)]
+    for q, expected in cases:
+        assert linalg.is_squarefree(q) is expected is euclid_is_squarefree(q), q
+
+
+ROOTS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+NONZERO = st.sampled_from([F(-3), F(-1), F(-1, 2), F(1, 3), F(1), F(2), F(5, 2)])
+
+
+@st.composite
+def polynomials(draw):
+    """c prod (t - r) over rational roots r, some repeated, then perhaps
+    perturbed at a few coefficients and padded with trailing zeros; or
+    the zero polynomial or a constant.  Coefficients integral throughout
+    come as ints."""
+    kind = draw(st.sampled_from(["zero", "constant", "roots"]))
+    if kind == "zero":
+        p = [F(0)] * draw(st.integers(0, 3))
+    elif kind == "constant":
+        p = [draw(NONZERO)]
+    else:
+        roots = draw(st.lists(ROOTS, min_size=1, max_size=4))
+        roots += draw(st.lists(st.sampled_from(roots), max_size=3))
+        p = [draw(NONZERO)]             # the leading coefficient c
+        for r in roots:                 # p := p (t - r)
+            p = [a - r * b for a, b in zip([F(0)] + p, p + [F(0)])]
+        for _ in range(draw(st.integers(0, 2))):
+            p[draw(st.integers(0, len(p) - 1))] += draw(
+                st.fractions(min_value=-1, max_value=1, max_denominator=4))
+        p += [F(0)] * draw(st.integers(0, 2))
+    if all(c.denominator == 1 for c in p) and draw(st.booleans()):
+        p = [int(c) for c in p]
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials())
+def test_is_squarefree_matches_euclid(p):
+    assert linalg.is_squarefree(p) is euclid_is_squarefree(p)
 
 
 # -- sparse elimination against dense references ------------------------------
@@ -167,9 +252,13 @@ def cols_of(mat):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_matrices())
-def test_rref_matches_dense_reference(mat):
+@given(sparse_matrices(), st.booleans())
+def test_rref_matches_dense_reference(mat, ints):
     rows, cols = m(mat), cols_of(mat)
+    if ints:    # each row scaled to ints: the same row space
+        rows = {r: {c: int(x * lcm) for c, x in row.items()}
+                for r, row in rows.items()
+                for lcm in [math.lcm(*(x.denominator for x in row.values()))]}
     red, pivots = linalg.rref(rows.values())
     ref, ref_pivots = dense_rref(mat)
     assert pivots == ref_pivots
@@ -191,7 +280,7 @@ def test_minimal_polynomial_matches_stacked_reference(mat):
     p = linalg.minimal_polynomial(m(mat), n)
     assert p == stacked_minimal_polynomial(mat)
     assert p[-1] == 1
-    powers = [linalg.identity(n)]
+    powers = [identity(n)]
     for _ in p[1:]:
         powers.append(linalg.mat_mul(powers[-1], m(mat)))
     assert linalg.mat_comb(zip(p, powers)) == {}
@@ -211,7 +300,7 @@ def fraction_minimal_polynomial(mat, n):
     if n == 0:
         return [F(1)]
     reduced = []
-    power = linalg.identity(n)
+    power = identity(n)
     for k in range(n + 1):
         v = {r * n + c: x for r, row in power.items() for c, x in row.items()}
         combo = [F(0)] * k + [F(1)]
@@ -338,7 +427,7 @@ def test_linalg_returns_nonzeros_only_and_keeps_its_arguments(mat, square):
         assert linalg.rank(m(square).values()) < n
     else:
         assert_nonzero_only(inv)
-        assert linalg.mat_mul(m(square), inv) == linalg.identity(n)
+        assert linalg.mat_mul(m(square), inv) == identity(n)
     unchanged(linalg.minimal_polynomial, m(square), n)
 
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superhaar import (GradedModule, InputError, InternalInvariantError,
-                       LieSuperalgebra, NotSemisimpleError, UEElement,
-                       brute_force_quotient_invariants, check_right_integral,
+                       LieSuperalgebra, NotSemisimpleError, SemisimplicityReport,
+                       UEElement, brute_force_quotient_invariants, check_right_integral,
                        check_semisimple_over_even, counit, integral_matrix,
                        invariant_projector, invariant_z, linalg,
                        module_action, modules, multiply, quotient_module,
@@ -20,7 +20,7 @@ from superhaar.algebra import ValidationReport, change_basis, even_part_structur
 from superhaar.fileio import builtin_fixture
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, dense_of,
-                      fixture_algebra, fixture_module, rescaled_algebra,
+                      fixture_algebra, fixture_module, identity, rescaled_algebra,
                       rows_of)
 from randgen import random_element
 
@@ -292,10 +292,12 @@ def test_invariant_projector_examples(g2, gl11, osp12):
     assert invariant_projector(gl11, trivial_module(gl11)) == {0: {0: F(1)}}
 
     ext = fixture_module("g2", "exterior_module.json")
-    assert invariant_projector(g2, ext) == linalg.identity(4)
+    assert invariant_projector(g2, ext) == identity(4)
 
     defining = fixture_module("gl11", "defining_module.json")
     assert invariant_projector(gl11, defining) == {}
+    with pytest.raises(ValueError):     # a report whose bases do not span
+        invariant_projector(gl11, defining, SemisimplicityReport([], [], [], True))
 
     osp_def = fixture_module("osp12", "osp12_defining_module.json")
     p0 = invariant_projector(osp12, osp_def)
@@ -409,20 +411,31 @@ def plus_one_at(fn, r, c):
     return changed
 
 
+def plus_one_in_row(rref, i, c):
+    """``rref`` with entry c of its reduced row i changed by one."""
+    def changed(rows):
+        red, pivots = rref(rows)
+        x = red[i].get(c, 0) + 1
+        red[i] = {**red[i], c: x} if x else {t: y for t, y in red[i].items() if t != c}
+        return red, pivots
+    return changed
+
+
 @pytest.mark.parametrize("case", SEMISIMPLE_UNIMODULAR)
 def test_projector_checks_catch_a_changed_inverse(case, monkeypatch):
-    # P is C cut to its invariant columns times C^-1, so it reads only the
-    # first k rows of the inverse; a change there moves P off a projector
-    # that the even actions kill
+    # P is C cut to its invariant columns times R, the first k rows of C^-1,
+    # read as R^T off the unit columns d + r of the reduced rows [I | R^T];
+    # a change there moves P off a projector that the even actions kill,
+    # and the identity part is not read
     key, filename = case
     alg, module = fixture_algebra(key), fixture_module(key, filename)
     report = check_semisimple_over_even(alg, module)
     proj = invariant_projector(alg, module, report)
-    invert = linalg.invert
-    for r in range(module.dim):
-        for c in range(module.dim):
-            monkeypatch.setattr(linalg, "invert", plus_one_at(invert, r, c))
-            if r < report.invariants_dim:
+    d, rref = module.dim, linalg.rref
+    for i in range(d):
+        for c in range(d + report.invariants_dim):
+            monkeypatch.setattr(linalg, "rref", plus_one_in_row(rref, i, c))
+            if c >= d:
                 with pytest.raises(InternalInvariantError):
                     invariant_projector(alg, module, report)
             else:
@@ -478,7 +491,7 @@ def fraction_module_action(module, u):
     for ``module_action``."""
     terms = []
     for word, c in u.terms.items():
-        acc = linalg.identity(module.dim)
+        acc = identity(module.dim)
         for g in word:
             acc = linalg.mat_mul(acc, module.rho(g))
         terms.append((c, acc))
