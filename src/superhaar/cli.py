@@ -15,7 +15,6 @@ codes are a total function of the outcome class:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -44,7 +43,7 @@ class _CliExit(Exception):
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2))
+    sys.stdout.write(fileio.dumps_canonical(payload))
 
 
 def _max_odd() -> int:

@@ -227,14 +227,16 @@ def is_squarefree(p: list[Fraction]) -> bool:
     p of degree n >= 1 is squarefree exactly when p and p' are coprime,
     that is when their Sylvester matrix, the 2n - 1 int rows x^i d p for
     i < n - 1 and x^i d p' for i < n (d the lcm of the denominators of p),
-    has full rank.
+    has full rank.  Its columns run in descending powers, so elimination
+    pivots on leading coefficients, as polynomial division does; the rank
+    does not depend on the column order.
     """
     n = max((i for i, c in enumerate(p) if c), default=0)
     if n == 0:
         return True
     d = math.lcm(*(c.denominator for c in p))
     a = [c.numerator * (d // c.denominator) for c in p[:n + 1]]
-    rows = ({s + i: c for i, c in enumerate(q) if c}
+    rows = ({2 * n - 2 - s - i: c for i, c in enumerate(q) if c}
             for q, shifts in ((a, n - 1), ([i * c for i, c in enumerate(a)][1:], n))
             for s in range(shifts))
     pivots: dict = {}

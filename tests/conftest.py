@@ -28,6 +28,8 @@ MODULE_FILES = {
     "sl2": ["sl2_defining_module.json"],
 }
 
+FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
+
 # fixtures satisfying the trace condition (bad2 is the non-unimodular one)
 UNIMODULAR = ["g2", "g3", "gl11", "osp12", "sl2"]
 
@@ -95,6 +97,11 @@ def dense_of(mat, rows, cols=None):
     cols = rows if cols is None else cols
     return [[mat.get(r, {}).get(c, Fraction(0)) for c in range(cols)]
             for r in range(rows)]
+
+
+def gen(alg, name):
+    """The generator of ``alg`` named ``name`` as an element of U(alg)."""
+    return UEElement.generator(alg, alg.index_of(name))
 
 
 def twist(u, sign):

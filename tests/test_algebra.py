@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from superhaar import (InputError, LieSuperalgebra, ad_prime_trace,
                        change_basis, even_part_structure, lambda_values,
                        linalg, validate_superalgebra)
-from superhaar.algebra import ValidationReport
 
 from conftest import (ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units,
                       identity, rescaled_algebra, rows_of)
 from randgen import random_odd_basis_change, random_scalar
+from reference import dense_validate_superalgebra
 
 F = Fraction
 
@@ -197,55 +197,6 @@ def test_integer_table_is_the_rational_table_times_its_scale(rng):
 
 
 # -- the Jacobi screen against the dense triple loop ------------------------
-
-def dense_validate_superalgebra(alg):
-    """Fraction brackets on every ordered triple: the reference for the
-    integer Jacobi screen of ``validate_superalgebra``."""
-    report = ValidationReport()
-    n = alg.dim
-    p = alg.parity
-
-    for (i, j), vec in alg.nonzero_brackets():
-        want = (p(i) + p(j)) % 2
-        for k, c in vec:
-            if p(k) != want:
-                report.add("parity", (i, j, k),
-                           f"[{alg.basis_name(i)}, {alg.basis_name(j)}] has a "
-                           f"component of wrong parity on {alg.basis_name(k)} "
-                           f"(coefficient {c})")
-
-    for i in range(n):
-        for j in range(i, n):
-            sign = -1 if p(i) and p(j) else 1
-            lhs = dict(alg.bracket(i, j))
-            for k, c in alg.bracket(j, i):
-                lhs[k] = lhs.get(k, Fraction(0)) + sign * c
-            bad = {k: c for k, c in lhs.items() if c}
-            if bad:
-                report.add("antisymmetry", (i, j),
-                           f"[{alg.basis_name(i)}, {alg.basis_name(j)}] + "
-                           f"(-1)^([i][j]) [{alg.basis_name(j)}, {alg.basis_name(i)}] "
-                           f"is nonzero: {bad}")
-
-    for i in range(n):
-        for j in range(n):
-            sign = -1 if p(i) and p(j) else 1
-            for k in range(n):
-                lhs = alg.bracket_vectors({i: Fraction(1)}, dict(alg.bracket(j, k)))
-                rhs = alg.bracket_vectors(dict(alg.bracket(i, j)), {k: Fraction(1)})
-                for t, c in alg.bracket_vectors({j: Fraction(1)},
-                                                dict(alg.bracket(i, k))).items():
-                    rhs[t] = rhs.get(t, Fraction(0)) + sign * c
-                diff = {t: lhs.get(t, Fraction(0)) - rhs.get(t, Fraction(0))
-                        for t in set(lhs) | set(rhs)}
-                diff = {t: c for t, c in diff.items() if c}
-                if diff:
-                    report.add("jacobi", (i, j, k),
-                               f"Jacobi fails on ({alg.basis_name(i)}, "
-                               f"{alg.basis_name(j)}, {alg.basis_name(k)}): "
-                               f"residual {diff}")
-    return report
-
 
 def assert_same_report(alg):
     got = validate_superalgebra(alg).violations

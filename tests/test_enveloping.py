@@ -3,7 +3,6 @@ import random
 import sys
 import threading
 import weakref
-from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -17,18 +16,16 @@ from superhaar import (InputError, LieSuperalgebra, UEElement,
 from superhaar.enveloping import alpha
 from superhaar.frobenius import _left_coefficients
 
-from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra,
+from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra, gen,
                       gl_supermatrix_units, rescaled_algebra, twist,
                       twisted_dual_algebra)
 from randgen import (_weights, homogeneous_parity, pbw, random_element,
                      random_even_element, random_odd_basis_change,
                      random_small_superalgebra)
+from reference import (fraction_act_on_quotient, fraction_heads, fraction_multiply,
+                       fraction_quotient_project)
 
 F = Fraction
-
-
-def gen(alg, name):
-    return UEElement.generator(alg, alg.index_of(name))
 
 
 # -- multiplication ------------------------------------------------------------
@@ -173,102 +170,7 @@ def test_alpha_matches_the_product_of_twisted_letters(rng, monkeypatch):
     assert [alpha(e) for e in inputs] == want
 
 
-# -- the quotient by U(g)*g0 against an odd-first reference --------------------
-#
-# Reference: the full right-coefficient decomposition u = sum_I x^I u_I from
-# its own rewriting loop (odd generators first, nothing dropped); the class
-# of u in U(g)/U(g)*g0 is I -> counit(u_I).  It shares no code with the
-# library's quotient rewriting.
-
-def _odd_first_normal_form(alg, heads):
-    n0 = alg.n_even
-
-    def key(g):
-        return (0, g) if g >= n0 else (1, g)
-
-    out = defaultdict(Fraction)
-    stack = [(tuple(w), c) for w, c in heads]
-    while stack:
-        w, c = stack.pop()
-        red = -1
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if key(a) > key(b) or (a == b and alg.parity(a)):
-                red = p
-                break
-        if red < 0:
-            out[w] += c
-            continue
-        a, b = w[red], w[red + 1]
-        head, tail = w[:red], w[red + 2:]
-        if a == b:
-            for k, ck in alg.bracket(a, a):
-                stack.append((head + (k,) + tail, c * ck / 2))
-        else:
-            sign = -1 if alg.parity(a) and alg.parity(b) else 1
-            stack.append((head + (b, a) + tail, sign * c))
-            for k, ck in alg.bracket(a, b):
-                stack.append((head + (k,) + tail, c * ck))
-    return {w: c for w, c in out.items() if c}
-
-
-def odd_first_form(u):
-    """Right-coefficient decomposition {I: u_I}, zero u_I left out."""
-    alg = u.alg
-    n0 = alg.n_even
-    nf = _odd_first_normal_form(alg, u.terms.items())
-    buckets = defaultdict(dict)
-    for w, c in nf.items():
-        even = [0] * n0
-        mask = 0
-        for g in w:
-            if g < n0:
-                even[g] += 1
-            else:
-                mask |= 1 << (g - n0)
-        word = pbw(alg, even, 0)
-        buckets[mask][word] = buckets[mask].get(word, F(0)) + c
-    form = {mask: UEElement(alg, terms) for mask, terms in buckets.items()}
-    return {mask: v for mask, v in form.items() if v}
-
-
-def reassemble_odd_first(alg, form):
-    out = UEElement.zero(alg)
-    for mask, v in form.items():
-        xi = UEElement(alg, {pbw(alg, (0,) * alg.n_even, mask): F(1)})
-        out = out + multiply(xi, v)
-    return out
-
-
-def reference_class(u):
-    return {mask: counit(v) for mask, v in odd_first_form(u).items() if counit(v)}
-
-
-def lift(alg, cls):
-    return UEElement(alg, {pbw(alg, (0,) * alg.n_even, mask): c
-                           for mask, c in cls.items()})
-
-
-def test_odd_first_form_examples(g2, bad2):
-    X, th = gen(bad2, "X"), gen(bad2, "th")
-    form = odd_first_form(multiply(X, th))
-    assert set(form) == {0b1}
-    assert form[0b1] == X + UEElement.one(bad2)  # X th = th (X + 1)
-
-    x1x2 = multiply(gen(g2, "x1"), gen(g2, "x2"))
-    assert odd_first_form(x1x2) == {0b11: UEElement.one(g2)}
-
-    u = multiply(X, X) + 2 * X
-    assert odd_first_form(u) == {0: u}
-
-
-def test_odd_first_round_trip(rng):
-    for key in ALGEBRA_FILES:
-        alg = fixture_algebra(key)
-        for _ in range(6):
-            u = random_element(alg, rng)
-            assert reassemble_odd_first(alg, odd_first_form(u)) == u
-
+# -- the quotient by U(g)*g0 ---------------------------------------------------
 
 def test_quotient_projection_examples(g2, bad2):
     X, th = gen(bad2, "X"), gen(bad2, "th")
@@ -339,15 +241,14 @@ def test_quotient_matches_odd_first_reference(rng):
     for alg in _quotient_cases(rng):
         for _ in range(4):
             u = random_element(alg, rng, max_degree=3, terms=4)
-            assert quotient_project(u) == reference_class(u), alg.name
+            assert quotient_project(u) == fraction_quotient_project(u), alg.name
         classes = [{mask: F(1)} for mask in range(1 << alg.n_odd)]
         classes.append({mask: F(mask - 2, 3) for mask in range(1 << alg.n_odd)})
         for cls in classes:
             cls = {mask: c for mask, c in cls.items() if c}
             for i in range(alg.dim):
-                want = reference_class(multiply(UEElement.generator(alg, i),
-                                                lift(alg, cls)))
-                assert act_on_quotient(alg, i, cls) == want, (alg.name, i, cls)
+                assert act_on_quotient(alg, i, cls) == \
+                    fraction_act_on_quotient(alg, i, cls), (alg.name, i, cls)
 
 
 def test_elements_ending_in_an_even_letter_have_zero_class(rng):
@@ -359,7 +260,7 @@ def test_elements_ending_in_an_even_letter_have_zero_class(rng):
             x = random_even_element(alg, rng, max_degree=1, terms=2)
             x = x - UEElement.scalar(alg, counit(x))   # x in g0
             v = multiply(w, x)
-            assert quotient_project(v) == {} == reference_class(v), alg.name
+            assert quotient_project(v) == {} == fraction_quotient_project(v), alg.name
 
 
 def test_every_generator_kills_the_top_class_of_gl42():
@@ -457,71 +358,6 @@ def test_threads_sharing_one_memo_get_the_single_thread_classes():
 
 
 # -- the integer kernel against the Fraction rewriting loop -------------------
-#
-# Reference: the rewriting loop in Fraction arithmetic on the rational
-# bracket table (``alg.bracket``), with every odd square halved as it is
-# rewritten; it never reads the algebra's integer table.
-
-def fraction_normal_form(alg, heads, odd_first=False):
-    n0 = alg.n_even
-    if odd_first:
-        rank = tuple(g + alg.n_odd if g < n0 else g - n0 for g in range(alg.dim))
-    else:
-        rank = tuple(range(alg.dim))
-    out = defaultdict(Fraction)
-    stack = [(tuple(w), c) for w, c in heads]
-    while stack:
-        w, c = stack.pop()
-        if odd_first and w and w[-1] < n0:
-            continue
-        red = -1
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if rank[a] > rank[b] or (a == b and alg.parity(a)):
-                red = p
-                break
-        if red < 0:
-            out[w] += c
-            continue
-        a, b = w[red], w[red + 1]
-        head, tail = w[:red], w[red + 2:]
-        if a == b:
-            for k, ck in alg.bracket(a, a):
-                stack.append((head + (k,) + tail, c * ck / 2))
-        else:
-            odd_pair = alg.parity(a) and alg.parity(b)
-            stack.append((head + (b, a) + tail, -c if odd_pair else c))
-            for k, ck in alg.bracket(a, b):
-                stack.append((head + (k,) + tail, c * ck))
-    return {w: c for w, c in out.items() if c}
-
-
-def fraction_heads(a, b):
-    return [(w1 + w2, c1 * c2)
-            for w1, c1 in a.terms.items() for w2, c2 in b.terms.items()]
-
-
-def fraction_multiply(a, b):
-    # the canonical words are PBW words; the public constructor checks them
-    return UEElement(a.alg, fraction_normal_form(a.alg, fraction_heads(a, b)))
-
-
-def fraction_class(alg, heads):
-    n0 = alg.n_even
-    return {sum(1 << (g - n0) for g in w): c
-            for w, c in fraction_normal_form(alg, heads, odd_first=True).items()}
-
-
-def fraction_quotient_project(u):
-    return fraction_class(u.alg, list(u.terms.items()))
-
-
-def fraction_act_on_quotient(alg, i, cls):
-    n0 = alg.n_even
-    words = {mask: tuple(n0 + t for t in range(alg.n_odd) if mask >> t & 1)
-             for mask in cls}
-    return fraction_class(alg, [((i,) + words[mask], c) for mask, c in cls.items()])
-
 
 # odd Heisenberg: the odd squares [t0, t0] = Z and [t1, t1] = 3/5 Z have odd
 # numerators

@@ -15,23 +15,13 @@ from superhaar import (InternalInvariantError, LieSuperalgebra,
 from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
-from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra,
+from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra, gen,
                       gl_supermatrix_units, rescaled_algebra, twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
+from reference import form
 
 F = Fraction
-
-
-def gen(alg, name):
-    return UEElement.generator(alg, alg.index_of(name))
-
-
-def form(x, y):
-    """The pairing <x, y> = pi(x y) from the whole product, on any bracket
-    table: the reference for the pass and for the prefix pairings of
-    ``dual_pair``."""
-    return frobenius_pi(multiply(x, y))
 
 
 def test_odd_subset_order_refines_cardinality():
@@ -371,62 +361,12 @@ def test_gl_invariant_is_top_odd_monomial(p, q):
     assert z in (top, -top)
 
 
-# -- form is the top coefficient of the full product; dual_pair's prefix pass --
+# -- form on any table; dual_pair's prefix pass ------------------------------
 
 def top_terms(u):
     n0, m = u.alg.n_even, u.alg.n_odd
     return UEElement(u.alg, {w: c for w, c in u.terms.items()
                              if sum(g >= n0 for g in w) == m})
-
-
-def assert_form_matches_full_product(alg, x, y):
-    full = multiply(x, y)
-    assert form(x, y) == frobenius_pi(full), alg.name
-
-
-def pairing_cases(alg, rng, count):
-    """Dense mixed-parity elements up to degree 4, alone and wrapped around
-    odd subset monomials so that their products reach the top odd part."""
-    m = alg.n_odd
-    for _ in range(count):
-        x = random_element(alg, rng, max_degree=4, terms=5)
-        y = random_element(alg, rng, max_degree=4, terms=5)
-        yield x, y
-        xi = subset_monomial(alg, rng.randrange(1 << m))
-        yj = subset_monomial(alg, rng.randrange(1 << m))
-        u = random_element(alg, rng, max_degree=2, terms=4)
-        v = random_element(alg, rng, max_degree=2, terms=4)
-        yield multiply(u, xi), multiply(yj, v)
-        xc = subset_monomial(alg, ((1 << m) - 1) ^ rng.randrange(1 << m))
-        yield xi, multiply(xc, v)
-
-
-def test_form_matches_full_product_on_fixtures(rng):
-    for key in ALGEBRA_FILES:
-        alg = fixture_algebra(key)
-        for x, y in pairing_cases(alg, rng, 6):
-            assert_form_matches_full_product(alg, x, y)
-
-
-def test_form_matches_full_product_on_random_algebras(rng):
-    for _ in range(6):
-        alg = random_small_superalgebra(rng, max_dim=5)
-        twisted, _ = random_odd_basis_change(alg, rng)
-        for a in (alg, twisted):
-            for x, y in pairing_cases(a, rng, 3):
-                assert_form_matches_full_product(a, x, y)
-
-
-def test_form_matches_full_product_on_gl21(rng):
-    alg = gl_supermatrix_units(2, 1)
-    for x, y in pairing_cases(alg, rng, 8):
-        assert_form_matches_full_product(alg, x, y)
-    # the dense dual elements the exhaustive duality check pairs against
-    ys = dual_pair(alg)
-    for mask in odd_subset_order(alg.n_odd):
-        xi = subset_monomial(alg, mask)
-        for y in ys[::3]:
-            assert_form_matches_full_product(alg, xi, y)
 
 
 @pytest.mark.parametrize("even,odd,brackets,x,y,want", [

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from superhaar import (NotSemisimpleError, integral_matrix, invariant_projector,
                        invariant_z, linalg, module_action)
 
-from conftest import (MODULE_FILES, UNIMODULAR, dense_of, fixture_algebra,
+from conftest import (FIXTURE_MODULES, UNIMODULAR, dense_of, fixture_algebra,
                       fixture_module, identity, rows_of)
 from randgen import random_element
+from reference import (dense_nullspace, dense_rref, euclid_is_squarefree,
+                       poly_derivative, poly_gcd, stacked_minimal_polynomial)
 
 F = Fraction
 m = rows_of
@@ -72,45 +74,6 @@ def test_minimal_polynomial():
 
 # -- squarefree against the Fraction Euclid ------------------------------------
 
-def poly_normalize(p):
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def poly_derivative(p):
-    return [c * i for i, c in enumerate(p)][1:]
-
-
-def poly_mod(a, b):
-    a, b = poly_normalize(a[:]), poly_normalize(b)
-    while len(a) >= len(b) > 0:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = poly_normalize(a)
-    return a
-
-
-def poly_gcd(a, b):
-    """Monic gcd of two Fraction polynomials (ascending powers), by Euclid."""
-    a, b = poly_normalize(a), poly_normalize(b)
-    while b:
-        a, b = b, poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def euclid_is_squarefree(p):
-    """gcd(p, p') is a constant: the reference for the Sylvester rank test
-    of ``linalg.is_squarefree``."""
-    p = poly_normalize([F(c) for c in p])
-    return len(p) <= 1 or len(poly_gcd(p, poly_derivative(p))) == 1
-
-
 def test_poly_gcd():
     # (t-1)^2 (t+2) against its derivative shares (t-1)
     p = [F(2), F(-3), F(0), F(1)]  # t^3 - 3t + 2 = (t-1)^2 (t+2)
@@ -164,64 +127,6 @@ def test_is_squarefree_matches_euclid(p):
 
 
 # -- sparse elimination against dense references ------------------------------
-
-def dense_rref(mat):
-    """Column-by-column Gauss-Jordan on dense rows: the reference for
-    ``linalg.rref``."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = F(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def dense_nullspace(mat):
-    cols = len(mat[0])
-    red, pivots = dense_rref(mat)
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        v = [F(0)] * cols
-        v[f] = F(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
-def stacked_minimal_polynomial(mat):
-    """First dependence among I, M, ..., M^k, from the kernel of the
-    stacked flattened powers for every k: the reference for
-    ``linalg.minimal_polynomial``."""
-    n = len(mat)
-    if n == 0:
-        return [F(1)]
-    powers = [[[F(int(r == c)) for c in range(n)] for r in range(n)]]
-    for k in range(1, n + 2):
-        powers.append([[sum((x * mat[t][c] for t, x in enumerate(row)), F(0))
-                        for c in range(n)] for row in powers[-1]])
-        stacked = [[powers[j][r][c] for j in range(k + 1)]
-                   for r in range(n) for c in range(n)]
-        for v in dense_nullspace(stacked):
-            if v[k]:
-                return [c / v[k] for c in v]
-    raise AssertionError("no minimal polynomial found")
-
 
 SMALL = st.one_of(st.just(F(0)), st.just(F(0)),
                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -293,43 +198,12 @@ def test_minimal_polynomial_of_repeated_eigenvalues():
     assert linalg.minimal_polynomial({}, 3) == [F(0), F(1)]
 
 
-def fraction_minimal_polynomial(mat, n):
-    """The first dependence among the flattened powers I, M, M^2, ...,
-    each reduced in Fractions against the earlier ones kept with a unit
-    pivot: the reference for the fraction-free ``linalg.minimal_polynomial``."""
-    if n == 0:
-        return [F(1)]
-    reduced = []
-    power = identity(n)
-    for k in range(n + 1):
-        v = {r * n + c: x for r, row in power.items() for c, x in row.items()}
-        combo = [F(0)] * k + [F(1)]
-        for p, w, wc in reduced:
-            f = v.get(p)
-            if f is not None:
-                for c, y in w.items():
-                    x = v.get(c, F(0)) - f * y
-                    if x:
-                        v[c] = x
-                    else:
-                        del v[c]
-                for j, y in enumerate(wc):
-                    combo[j] -= f * y
-        if not v:
-            return combo
-        lead = min(v)
-        inv = 1 / v[lead]
-        reduced.append((lead, {c: x * inv for c, x in v.items()}, [x * inv for x in combo]))
-        power = linalg.mat_mul(power, mat)
-    raise AssertionError("no minimal polynomial found")
-
-
 def check_minimal_polynomial(mat, n):
-    """``linalg.minimal_polynomial`` equals the Fraction reference, and its
+    """``linalg.minimal_polynomial`` equals the stacked reference, and its
     squarefree verdict is that of the reference and of an int multiple of
     the matrix (the form ``check_semisimple_over_even`` passes)."""
     p = linalg.minimal_polynomial(mat, n)
-    ref = fraction_minimal_polynomial(mat, n)
+    ref = stacked_minimal_polynomial(dense_of(mat, n))
     assert p == ref
     assert all(isinstance(x, F) for x in p)
     d, (ints,) = linalg.scaled([mat])
@@ -462,9 +336,6 @@ def test_int_rows_stay_ints_and_match_fractions(data):
 def test_int_products_that_cancel_store_nothing():
     assert linalg.mat_mul({0: {0: 1, 1: 1}}, {0: {0: 1}, 1: {0: -1}}) == {}
     assert linalg.mat_comb([(2, {0: {0: 3}}), (-3, {0: {0: 2}})]) == {}
-
-
-FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
 
 
 @settings(max_examples=40, deadline=None)

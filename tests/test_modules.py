@@ -11,24 +11,23 @@ from hypothesis import strategies as st
 
 from superhaar import (GradedModule, InputError, InternalInvariantError,
                        LieSuperalgebra, NotSemisimpleError, SemisimplicityReport,
-                       UEElement, brute_force_quotient_invariants, check_right_integral,
+                       brute_force_quotient_invariants, check_right_integral,
                        check_semisimple_over_even, counit, integral_matrix,
                        invariant_projector, invariant_z, linalg,
                        module_action, modules, multiply, quotient_module,
                        validate_module)
-from superhaar.algebra import ValidationReport, change_basis, even_part_structure
+from superhaar.algebra import change_basis, even_part_structure
 from superhaar.fileio import builtin_fixture
 
-from conftest import (ALGEBRA_FILES, MODULE_FILES, UNIMODULAR, dense_of,
-                      fixture_algebra, fixture_module, identity, rescaled_algebra,
-                      rows_of)
+from conftest import (ALGEBRA_FILES, FIXTURE_MODULES, MODULE_FILES, UNIMODULAR,
+                      dense_of, fixture_algebra, fixture_module, identity,
+                      rescaled_algebra, rows_of)
 from randgen import random_element
+from reference import (dense_mul, dense_validate_module, fraction_integral,
+                       fraction_module_action, fraction_projector,
+                       fraction_right_integral, fraction_split)
 
 F = Fraction
-
-
-def gen(alg, name):
-    return UEElement.generator(alg, alg.index_of(name))
 
 
 def trivial_module(alg):
@@ -68,49 +67,6 @@ def test_module_bracket_violation_is_witnessed(gl11):
     report = validate_module(gl11, broken)
     assert any(v.kind == "module-bracket" and v.witness[:2] in ((2, 3), (3, 2))
                for v in report.violations)
-
-
-def dense_mul(a, b):
-    return [[sum((x * b[t][c] for t, x in enumerate(row)), F(0))
-             for c in range(len(b[0]))] for row in a]
-
-
-def dense_validate_module(alg, module):
-    """Dense d x d products on every basis pair: the reference for
-    ``validate_module``."""
-    report = ValidationReport()
-    d = module.dim
-    for i in range(alg.dim):
-        m = dense_of(module.rho(i), d)
-        pi = alg.parity(i)
-        for r in range(d):
-            for c in range(d):
-                if m[r][c] and (module.parities[r] - module.parities[c] - pi) % 2:
-                    report.add("module-parity", (i, r, c),
-                               f"rho({alg.basis_name(i)})[{r}][{c}] = {m[r][c]} "
-                               f"violates the parity pattern")
-    for i in range(alg.dim):
-        mi = dense_of(module.rho(i), d)
-        for j in range(alg.dim):
-            mj = dense_of(module.rho(j), d)
-            sign = -1 if alg.parity(i) and alg.parity(j) else 1
-            rhs = dense_mul(mi, mj) if d else []
-            back = dense_mul(mj, mi) if d else []
-            lhs = [[F(0)] * d for _ in range(d)]
-            for k, c in alg.bracket(i, j):
-                mk = dense_of(module.rho(k), d)
-                for r in range(d):
-                    for s in range(d):
-                        lhs[r][s] += c * mk[r][s]
-            if any(lhs[r][s] != rhs[r][s] - sign * back[r][s]
-                   for r in range(d) for s in range(d)):
-                report.add("module-bracket", (i, j),
-                           f"rho([{alg.basis_name(i)}, {alg.basis_name(j)}]) does "
-                           f"not match the supercommutator of the actions")
-    return report
-
-
-FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
 
 
 def test_validate_module_matches_dense_reference_on_fixtures():
@@ -485,57 +441,6 @@ def test_right_invariance_check_catches_a_changed_entry(case):
 
 
 # -- integer scales against Fraction references -----------------------------------
-
-def fraction_module_action(module, u):
-    """rho extended along each PBW word by Fraction products: the reference
-    for ``module_action``."""
-    terms = []
-    for word, c in u.terms.items():
-        acc = identity(module.dim)
-        for g in word:
-            acc = linalg.mat_mul(acc, module.rho(g))
-        terms.append((c, acc))
-    return linalg.mat_comb(terms)
-
-
-def fraction_split(alg, module):
-    """Kernel, image and directness of the even actions by Fraction
-    elimination: the reference for the split of
-    ``check_semisimple_over_even``."""
-    d = module.dim
-    evens = [module.rho(i) for i in range(alg.n_even)]
-    invariants = linalg.nullspace((row for mat in evens for row in mat.values()), d)
-    image = linalg.row_space_basis(col for mat in evens
-                                   for col in linalg.transpose(mat).values())
-    direct = len(invariants) + len(image) == d and linalg.rank(invariants + image) == d
-    return invariants, image, direct
-
-
-def fraction_projector(alg, module, report):
-    """The projector and its identities in Fractions: the reference for
-    ``invariant_projector``."""
-    basis = report.invariants_basis + report.image_basis
-    cols = linalg.transpose(dict(enumerate(basis)))
-    invariant_cols = linalg.transpose(dict(enumerate(report.invariants_basis)))
-    proj = linalg.mat_mul(invariant_cols, linalg.invert(cols, module.dim))
-    assert linalg.mat_mul(proj, proj) == proj
-    for i in range(alg.n_even):
-        assert not linalg.mat_mul(module.rho(i), proj)
-        assert not linalg.mat_mul(proj, module.rho(i))
-    return proj
-
-
-def fraction_integral(alg, module, inv, proj):
-    """Z P and its left invariance in Fractions: the reference for
-    ``integral_matrix``."""
-    m = linalg.mat_mul(fraction_module_action(module, inv.z), proj)
-    assert not any(linalg.mat_mul(module.rho(i), m) for i in range(alg.dim))
-    return m
-
-
-def fraction_right_integral(alg, module, m):
-    return not any(linalg.mat_mul(m, module.rho(i)) for i in range(alg.dim))
-
 
 def rational_change(module, rng):
     """``module`` on a random rational basis that mixes only basis vectors
