@@ -205,10 +205,18 @@ def dumps_canonical(obj) -> str:
 
 def _read_json(path: str):
     """The JSON value in the UTF-8 file at ``path``; any content that does
-    not parse raises ``InputError``."""
+    not parse, or an object that repeats a key, raises ``InputError``."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise InputError(f"duplicate key {key!r} in {path}")
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON in {path}: {exc}") from exc
         except UnicodeDecodeError as exc:

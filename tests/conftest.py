@@ -8,6 +8,7 @@ from superhaar import LieSuperalgebra, UEElement, ad_prime_trace, change_basis
 from superhaar.fileio import builtin_fixture, load_algebra, load_module
 
 from randgen import substitute
+from realizations import gl_supermatrix_units  # the tests import it from here
 
 ALGEBRA_FILES = {
     "g2": "g2_grassmann.json",
@@ -32,31 +33,6 @@ FIXTURE_MODULES = [(k, f) for k, fs in MODULE_FILES.items() for f in fs]
 
 # fixtures satisfying the trace condition (bad2 is the non-unimodular one)
 UNIMODULAR = ["g2", "g3", "gl11", "osp12", "sl2"]
-
-
-def gl_supermatrix_units(p, q):
-    """gl(p|q) on the units E_ij, with [E_ij, E_kl] = delta_jk E_il
-    - (-1)^(|E_ij| |E_kl|) delta_li E_kj and |E_ij| = |i| + |j| mod 2."""
-    size = p + q
-    deg = [0] * p + [1] * q
-    units = [(i, j) for i in range(size) for j in range(size)]
-    even = [u for u in units if deg[u[0]] == deg[u[1]]]
-    odd = [u for u in units if deg[u[0]] != deg[u[1]]]
-    index = {u: t for t, u in enumerate(even + odd)}
-    brackets = {}
-    for (i, j), a in index.items():
-        for (k, l), b in index.items():
-            vec = {}
-            if j == k:
-                vec[index[i, l]] = vec.get(index[i, l], 0) + 1
-            if l == i:
-                sign = (-1) ** ((deg[i] + deg[j]) * (deg[k] + deg[l]))
-                vec[index[k, j]] = vec.get(index[k, j], 0) - sign
-            if any(vec.values()):
-                brackets[a, b] = vec
-    names = [f"E{i + 1}{j + 1}" for i, j in even + odd]
-    return LieSuperalgebra(f"gl({p}|{q})", names[:len(even)], names[len(even):],
-                           brackets)
 
 
 def twisted_dual_algebra():

@@ -1,0 +1,67 @@
+"""Lie superalgebras realized by supermatrices, with their defining modules.
+
+``realization`` derives the structure constants from the matrices, so they
+are consistent by construction.  The tests import this module as
+``realizations`` and ``tools/gen_fixtures.py`` builds its matrix-realized
+fixtures with it, so it reads the library only through public names and
+does not need pytest.
+"""
+
+from __future__ import annotations
+
+from superhaar import (GradedModule, LieSuperalgebra, validate_module,
+                       validate_superalgebra)
+from superhaar.linalg import mat_comb, mat_mul, nullspace
+
+
+def realization(name, even, odd, parities, module_name=""):
+    """The Lie superalgebra ``name`` spanned by the matrices of ``even`` and
+    ``odd``, lists of (basis name, square matrix as rows of nonzeros), and
+    its defining module ``module_name`` on a space with basis ``parities``.
+
+    The coordinates of [A, B] = AB - (-1)^(|A||B|) BA are minus the kernel
+    vector of (flattened basis matrices | flattened [A, B]) with last entry
+    1, that entry dropped.  ``ValueError`` names the basis when the matrices
+    are linearly dependent, the pair when a bracket leaves their span, and
+    the violations when the algebra or the module fails validation."""
+    names = [b for b, _ in even + odd]
+    mats = [m for _, m in even + odd]
+    dim = len(mats)
+    # one row per matrix entry, one column per basis element
+    entries: dict = {}
+    for k, mat in enumerate(mats):
+        for r, row in mat.items():
+            for c, x in row.items():
+                entries.setdefault((r, c), {})[k] = x
+    if nullspace(entries.values(), dim):
+        raise ValueError(f"{name}: the matrices of {names} are linearly dependent")
+    brackets = {}
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            sign = -1 if i >= len(even) and j >= len(even) else 1
+            bracket = mat_comb([(1, mat_mul(a, b)), (-sign, mat_mul(b, a))])
+            if not bracket:
+                continue
+            flat = {(r, c): x for r, row in bracket.items() for c, x in row.items()}
+            rows = [{**entries.get(at, {}), dim: x} for at, x in flat.items()]
+            rows += [row for at, row in entries.items() if at not in flat]
+            kernel = nullspace(rows, dim + 1)
+            if not kernel:
+                raise ValueError(f"{name}: [{names[i]}, {names[j]}] leaves the span")
+            brackets[i, j] = {k: -x for k, x in kernel[0].items() if k != dim}
+    alg = LieSuperalgebra(name, names[:len(even)], names[len(even):], brackets)
+    module = GradedModule(alg, parities, dict(enumerate(mats)), name=module_name)
+    for report in (validate_superalgebra(alg), validate_module(alg, module)):
+        if not report.ok:
+            raise ValueError(f"{name}: {report.violations}")
+    return alg, module
+
+
+def gl_supermatrix_units(p, q):
+    """gl(p|q) on the units E_ij, named E{i+1}{j+1}, |E_ij| = |i| + |j| mod 2:
+    the even units first, then the odd, each part in (i, j) order."""
+    deg = [0] * p + [1] * q
+    units = [(i, j) for i in range(p + q) for j in range(p + q)]
+    part = [[(f"E{i + 1}{j + 1}", {i: {j: 1}}) for i, j in units
+             if (deg[i] + deg[j]) % 2 == odd] for odd in (0, 1)]
+    return realization(f"gl({p}|{q})", *part, deg)[0]

@@ -412,6 +412,26 @@ def test_cli_unparsable_file_exit_1(tmp_path, capsys, content, reason, which):
     assert out.err == f"superhaar: cannot load {which}: {reason.format(path=path)}\n"
 
 
+@pytest.mark.parametrize("which,text,key", [
+    ("algebra", '{"name": "bad2", ' + json.dumps(_bad2_with())[1:], "name"),
+    ("algebra", json.dumps(_bad2_with()).replace('"coeff": "1"', '"coeff": "1", "coeff": "2"'),
+     "coeff"),
+    ("module", json.dumps(_bad2_module()).replace(
+        '"action": {}', '"action": {"X": [["1"]], "X": [["0"]]}'), "X"),
+], ids=["algebra-name", "bracket-coeff", "module-action"])
+def test_cli_duplicate_json_key_exit_1(tmp_path, capsys, which, text, key):
+    # json.load would keep the last value of a repeated key without a word
+    paths = {"algebra": tmp_path / "alg.json", "module": tmp_path / "mod.json"}
+    paths["algebra"].write_text(json.dumps(_bad2_with()))
+    paths["module"].write_text(json.dumps(_bad2_module()))
+    paths[which].write_text(text)
+    code = main(["integrate", str(paths["algebra"]), str(paths["module"])])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == f"superhaar: cannot load {which}: duplicate key {key!r} in {paths[which]}\n"
+
+
 # -- results past the digit limit of int -> str exit 1 -----------------------------
 
 def _big_algebra(name, odd, brackets):

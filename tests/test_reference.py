@@ -1,10 +1,11 @@
-"""The Fraction references read the library only through public names, so
-that no test compares the library with its own private code."""
+"""The Fraction references and the supermatrix realizations read the library
+only through public names, so that no test compares the library with its
+own private code."""
 
 import ast
 from pathlib import Path
 
-REFERENCE = Path(__file__).resolve().parent / "reference.py"
+HERE = Path(__file__).resolve().parent
 
 
 def private_names(source: str) -> list[str]:
@@ -31,7 +32,11 @@ def private_names(source: str) -> list[str]:
 
 
 def test_reference_reads_no_private_library_name():
-    assert private_names(REFERENCE.read_text()) == []
+    assert private_names((HERE / "reference.py").read_text()) == []
+
+
+def test_realizations_read_no_private_library_name():
+    assert private_names((HERE / "realizations.py").read_text()) == []
 
 
 def test_the_scan_finds_private_imports_and_reads():
