@@ -14,6 +14,7 @@ meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -264,8 +265,8 @@ class LieSuperalgebra:
         return {k: c for k, c in out.items() if c}
 
 
-def _relation_failures(alg: LieSuperalgebra, cols, lhs: int,
-                       rhs: int) -> list[tuple[int, int, int]]:
+def _relation_failures(alg: LieSuperalgebra, cols, lhs: int, rhs: int, *,
+                       alternating: bool = False) -> list[tuple[int, int, int]]:
     """The (a, b, k), in lexicographic order, at which column k of
     lhs (P(a)P(b) - (-1)^{p(a)p(b)} P(b)P(a)) - rhs sum_t (S c_ab^t) P(t)
     is nonzero, computed in exact ints.
@@ -276,33 +277,69 @@ def _relation_failures(alg: LieSuperalgebra, cols, lhs: int,
     residue of rho([a,b]) = rho(a)rho(b) - (-1)^{p(a)p(b)} rho(b)rho(a) on
     basis vector k.  Only a column where P(a), P(b) or some P(t) with t in
     [a,b] has an entry can be nonzero, and only those are visited.
+
+    Each unordered pair a <= b is visited once.  Where the table is super
+    antisymmetric at the pair, [b,a] = -(-1)^{p(a)p(b)} [a,b] as int
+    tuples, the relation at (b, a) is -(-1)^{p(a)p(b)} times the relation
+    at (a, b), so it fails at the same columns, which are copied; anywhere
+    else (b, a) is computed on its own.  Nothing is assumed of the table.
+
+    ``alternating`` is for the adjoint action (P(i) = S ad(i), lhs = rhs
+    = 1), on a table already known to be parity-graded and super
+    antisymmetric everywhere.  Column k of the relation at (a, b) is then
+    S^2 times the Jacobiator J(a, b, k), and swapping two of its arguments
+    only changes its sign, so J vanishes at all orderings of a triple or
+    at none: only the sorted triples a <= b <= k are computed, and each
+    failing one is reported with all of its orderings.
     """
     odd = alg._letter_parity
+    int_rows = alg._int_rows
+
+    def failing(a: int, b: int, low: int) -> list[int]:
+        """The columns k >= low at which the relation at (a, b) fails."""
+        pa, pb = cols[a], cols[b]
+        flip = lhs if odd[a] and odd[b] else -lhs
+        ab = [(cols[t], -rhs * c) for t, c in int_rows[a].get(b, ())]
+        keys = pa.keys() | pb.keys()
+        for pt, _ in ab:
+            keys.update(pt)
+        out = []
+        for k in keys:
+            if k < low:
+                continue
+            acc: dict[int, int] = {}
+            for r, x in pb.get(k, ()):
+                x *= lhs
+                for s, y in pa.get(r, ()):
+                    acc[s] = acc.get(s, 0) + x * y
+            for r, x in pa.get(k, ()):
+                x *= flip
+                for s, y in pb.get(r, ()):
+                    acc[s] = acc.get(s, 0) + x * y
+            for pt, f in ab:
+                for s, y in pt.get(k, ()):
+                    acc[s] = acc.get(s, 0) + f * y
+            if any(acc.values()):
+                out.append(k)
+        return out
+
     failures = []
-    for a, pa in enumerate(cols):
-        brackets = {b: [(cols[t], -rhs * c) for t, c in entry]
-                    for b, entry in alg._int_rows[a].items()}
-        for b, pb in enumerate(cols):
-            flip = lhs if odd[a] and odd[b] else -lhs
-            ab = brackets.get(b, ())
-            keys = pa.keys() | pb.keys()
-            for pt, _ in ab:
-                keys.update(pt)
-            for k in sorted(keys):
-                acc: dict[int, int] = {}
-                for r, x in pb.get(k, ()):
-                    x *= lhs
-                    for s, y in pa.get(r, ()):
-                        acc[s] = acc.get(s, 0) + x * y
-                for r, x in pa.get(k, ()):
-                    x *= flip
-                    for s, y in pb.get(r, ()):
-                        acc[s] = acc.get(s, 0) + x * y
-                for pt, f in ab:
-                    for s, y in pt.get(k, ()):
-                        acc[s] = acc.get(s, 0) + f * y
-                if any(acc.values()):
-                    failures.append((a, b, k))
+    for a in range(len(cols)):
+        for b in range(a, len(cols)):
+            if alternating:
+                for k in failing(a, b, b):
+                    failures.extend(set(itertools.permutations((a, b, k))))
+                continue
+            ks = failing(a, b, 0)
+            failures.extend((a, b, k) for k in ks)
+            if b == a:
+                continue
+            mirror = 1 if odd[a] and odd[b] else -1
+            if int_rows[b].get(a, ()) != tuple((t, mirror * c)
+                                               for t, c in int_rows[a].get(b, ())):
+                ks = failing(b, a, 0)
+            failures.extend((b, a, k) for k in ks)
+    failures.sort()
     return failures
 
 
@@ -329,7 +366,12 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
     the bracket relation of ``ad`` by :func:`_relation_failures`, on the
     columns of S ad(i) that ``LieSuperalgebra._int_rows`` already holds (S
     the algebra's integer scale); only a failing triple is recomputed over
-    Q for the report.
+    Q for the report.  When the parity and antisymmetry checks find
+    nothing, the Jacobiator is graded-alternating, so only the sorted
+    triples i <= j <= k are computed and each failing one is reported at
+    all of its orderings; otherwise each unordered pair is visited once,
+    and the relation at (j, i) is copied from (i, j) only where the table
+    is super antisymmetric at the pair (see :func:`_relation_failures`).
     """
     report = ValidationReport()
     n = alg.dim
@@ -357,7 +399,8 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
                            f"(-1)^([i][j]) [{alg.basis_name(j)}, {alg.basis_name(i)}] "
                            f"is nonzero: {bad}")
 
-    for i, j, k in _relation_failures(alg, alg._int_rows, 1, 1):
+    for i, j, k in _relation_failures(alg, alg._int_rows, 1, 1,
+                                      alternating=report.ok):
         diff = _jacobi_residual(alg, i, j, k, -1 if p(i) and p(j) else 1)
         report.add("jacobi", (i, j, k),
                    f"Jacobi fails on ({alg.basis_name(i)}, "

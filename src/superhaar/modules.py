@@ -94,7 +94,14 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
     :func:`~superhaar.algebra._relation_failures`, the check that also
     screens super Jacobi: with S the algebra's integer scale, it runs on the
     columns of the module's integer copy P(i) = D rho(i) with lhs = S and
-    rhs = D.  Failing pairs are reported in lexicographic order."""
+    rhs = D.  Each unordered pair a <= b is computed once; where the table
+    is super antisymmetric at the pair, [b,a] = -(-1)^([a][b]) [a,b], the
+    relation at (b, a) is -(-1)^([a][b]) times the one at (a, b) and fails
+    on the same columns, and anywhere else (b, a) is computed on its own,
+    so a table that is not antisymmetric is checked correctly too.  The
+    sorted triples of super Jacobi do not apply: they need the adjoint
+    action on a table that passed the parity and antisymmetry checks.
+    Failing pairs are reported in lexicographic order."""
     report = ValidationReport()
     _check_algebra(alg, module)
     rho, parities = module.rho, module.parities

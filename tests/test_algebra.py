@@ -245,6 +245,29 @@ def changed_tables(draw):
     return LieSuperalgebra(alg.name + "*", alg.even_names, alg.odd_names, table)
 
 
+@st.composite
+def graded_changes(draw):
+    """A fixture or gl(p|q) table with 1-3 entries [a,b]_t set to a new
+    value (0 removes one), each at a target t of parity p(a) + p(b) and
+    always with the mirrored entry [b,a]_t = -(-1)^{p(a)p(b)} [a,b]_t, so
+    that parity and super antisymmetry hold and only Jacobi can fail: the
+    screen then runs on sorted triples.  A purely odd algebra has no
+    target of even parity, so it is not drawn."""
+    alg = draw(st.sampled_from([alg for alg in BASE_ALGEBRAS if alg.n_even]))
+    table = {key: dict(entry) for key, entry in alg._brackets.items()}
+    index = st.integers(0, alg.dim - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(index), draw(index)
+        want = (alg.parity(a) + alg.parity(b)) % 2
+        t = draw(st.sampled_from([t for t in range(alg.dim) if alg.parity(t) == want]))
+        sign = -1 if alg.parity(a) and alg.parity(b) else 1
+        # [a,a] = -[a,a] for even a
+        c = F(0) if a == b and sign == 1 else draw(COEFFS | st.just(F(0)))
+        table.setdefault((a, b), {})[t] = c
+        table.setdefault((b, a), {})[t] = -sign * c
+    return LieSuperalgebra(alg.name + "*", alg.even_names, alg.odd_names, table)
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_tables())
 def test_jacobi_screen_matches_dense_loop_on_random_tables(alg):
@@ -255,6 +278,21 @@ def test_jacobi_screen_matches_dense_loop_on_random_tables(alg):
 @given(changed_tables())
 def test_jacobi_screen_matches_dense_loop_on_changed_tables(alg):
     assert_same_report(alg)
+
+
+def test_jacobi_screen_matches_dense_loop_on_graded_changes():
+    failing = []
+
+    @settings(max_examples=50, deadline=None)
+    @given(graded_changes())
+    def check(alg):
+        kinds = {v.kind for v in assert_same_report(alg)}
+        assert kinds <= {"jacobi"}
+        failing.append(bool(kinds))
+
+    check()
+    # the sorted-triple path must also be seen to fail
+    assert sum(failing) >= len(failing) // 4, (sum(failing), len(failing))
 
 
 def test_jacobi_screen_matches_dense_loop_on_edge_cases():

@@ -15,7 +15,7 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        check_semisimple_over_even, counit, integral_matrix,
                        invariant_projector, invariant_z, linalg,
                        module_action, modules, multiply, quotient_module,
-                       validate_module)
+                       validate_module, validate_superalgebra)
 from superhaar.algebra import change_basis, even_part_structure
 from superhaar.fileio import builtin_fixture
 
@@ -138,6 +138,28 @@ def test_validate_module_matches_dense_reference_on_a_rational_change(case, data
     changed = GradedModule(alg, module.parities, action)
     assert validate_module(alg, changed).violations == \
         dense_validate_module(alg, changed).violations
+
+
+def test_validate_module_does_not_mirror_a_pair_that_is_not_antisymmetric(gl11):
+    # [f, e] = h1 instead of h1 + h2: antisymmetry fails at (e, f) only,
+    # so the relation at (f, e) is not the mirror of the one at (e, f)
+    h1, h2, e, f = range(4)
+    table = dict(gl11._brackets)
+    table[(f, e)] = {h1: 1}
+    alg = LieSuperalgebra("gl11-f-e", gl11.even_names, gl11.odd_names, table)
+    assert [(v.kind, v.witness) for v in validate_superalgebra(alg).violations
+            if v.kind != "jacobi"] == [("antisymmetry", (e, f))]
+    defining = fixture_module("gl11", "defining_module.json")
+    action = {i: defining.rho(i) for i in range(alg.dim)}
+    # the defining module: rho(e)rho(f) + rho(f)rho(e) = 1 = rho(h1 + h2);
+    # with the one entry rho(h1)[1][1] = 1, (f, e) holds and (e, f) fails
+    changed = {**action, h1: {0: {0: F(1)}, 1: {1: F(1)}}}
+    for rho, bad, good in [(action, (f, e), (e, f)), (changed, (e, f), (f, e))]:
+        module = GradedModule(alg, defining.parities, rho)
+        report = validate_module(alg, module)
+        assert report.violations == dense_validate_module(alg, module).violations
+        witnesses = [v.witness for v in report.violations]
+        assert bad in witnesses and good not in witnesses
 
 
 def test_validate_module_on_the_zero_module_and_an_abelian_algebra():
