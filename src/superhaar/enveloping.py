@@ -282,9 +282,15 @@ def _heads(a: UEElement, b: UEElement):
 
 def multiply(a: UEElement, b: UEElement) -> UEElement:
     """Product in the enveloping algebra, in even-first normal form: the
-    kernel's canonical words are the PBW words of the result."""
+    kernel's canonical words are the PBW words of the result.  A pure
+    scalar factor (its one word is the empty word) scales the other
+    factor's terms, which are PBW words already, with no kernel call."""
     a._check(b)
     alg = a.alg
+    for s, u in ((a, b), (b, a)):
+        if len(s.terms) == 1 and () in s.terms:
+            c = s.terms[()]
+            return UEElement._trusted(alg, {w: c * v for w, v in u.terms.items()})
     return UEElement._trusted(alg, _normal_form(alg, _heads(a, b)))
 
 

@@ -20,6 +20,7 @@ from .enveloping import UEElement
 from .modules import GradedModule
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def parse_rational(text: str) -> Fraction:
@@ -172,6 +173,8 @@ def module_to_json(module: GradedModule) -> dict:
 
 def element_to_json(u: UEElement) -> list[dict]:
     """Expression form: list of {monomial: [generator names], coeff}."""
+    if not u.terms:
+        return []
     alg = u.alg
     out = []
     for word, c in u.sorted_terms():
@@ -200,7 +203,48 @@ def matrix_to_json(mat: linalg.Matrix, dim: int) -> list[list[str]]:
 # -- files -------------------------------------------------------------------
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, written directly, for a value
+    built of dicts with str keys, lists, str, int, bool and None; any other
+    type raises ``TypeError``.  The standard library indents in pure
+    Python, one call per value."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, nl: str) -> str:
+    """``obj`` as indented JSON; ``nl`` is a newline and the indentation of
+    the line ``obj`` starts on."""
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is list:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if type(obj[0]) is str:
+            # a list of strings, such as a matrix row, is one join
+            try:
+                return "[" + inner + sep.join(map(_encode_str, obj)) + nl + "]"
+            except TypeError:
+                pass
+        return "[" + inner + sep.join([_dumps(x, inner) for x in obj]) + nl + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for k, v in obj.items():
+            if type(k) is not str:
+                raise TypeError(f"JSON object key {k!r} is not a str")
+            items.append(_encode_str(k) + ": " + _dumps(v, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return int.__repr__(obj)
+    raise TypeError(f"a {t.__name__} is not written as canonical JSON")
 
 
 def _read_json(path: str):

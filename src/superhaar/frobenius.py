@@ -31,8 +31,9 @@ the inverse and verifies A * b = e_j exactly, summed over the band
 j <= k <= i that triangularity leaves.
 
 The exhaustive duality check of ``dual_pair`` builds the products x^I y
-along prefixes and keeps only the terms that can still reach the full odd
-monomial (``_prefix_pairings``).  The invariance certificate of
+along prefixes, keeps only the terms that can still reach the full odd
+monomial, and compares the top parts in the kernel's integers
+(``_prefix_pairings``).  The invariance certificate of
 ``invariant_z`` reads the classes of z and of x_i z in U(g)/U(g)*g0 from
 the enveloping layer's quotient recursion, which shares only the bracket
 table with the pass.
@@ -245,8 +246,13 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
         diagonal)
 
 
-def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> list[UEElement]:
-    """The pairings pi(x^I y) for every odd subset I, by mask.
+def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> tuple[list[dict], int, int]:
+    """The top parts of x^I y for every odd subset I, in the rewriting
+    kernel's integers: ``(tops, D, deg y)``, where ``tops[mask]`` holds the
+    PBW words of x^I y with all m odd letters, each with its nonzero int
+    value.  Such a word of degree L carries D * S^(deg y + |I| - L) times
+    its coefficient, D the lcm of the denominators of y and S the
+    algebra's integer scale; its even prefix is a word of pi(x^I y).
 
     The products are built along prefixes: x^I y = x_s (x^{I - s} y) with
     s = min I, one multiplication by a generator each.  No rewriting step
@@ -260,13 +266,9 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> list[UEElement]:
     built from it, and is dropped.  That needs a graded bracket table
     (``LieSuperalgebra._parity_graded``), which the caller checks.
 
-    The chain runs in the rewriting kernel's integers (``_rewrite``).  y is
-    scaled once: with D the lcm of its denominators and S the algebra's
-    integer scale, a term c w of y carries c * D * S^(deg y - |w|).  A word
-    of degree L in x^I y then carries c * D * S^(deg y + |I| - L), since
-    prepending x_s raises both the degree and |I| by one and the kernel
-    keeps the scale.  Only the words with all m odd letters become
-    Fractions.
+    The chain runs in ints (``_rewrite``).  y is scaled once: a term c w of
+    y carries c * D * S^(deg y - |w|).  Prepending x_s raises both the
+    degree and |I| by one, and the kernel keeps the scale.
     """
     m, n0, scale = alg.n_odd, alg.n_even, alg._int_scale
     den = math.lcm(*(c.denominator for c in y.terms.values()))
@@ -284,43 +286,45 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> list[UEElement]:
         # the odd letters of a PBW word are its suffix, and floor >= 1
         products.append({w: v for w, v in out.items()
                          if v and len(w) >= floor and w[-floor] >= n0})
-    pairings = []
-    for mask, u in enumerate(products):
-        e = deg + mask.bit_count()
-        top = {w: Fraction(v, den * scale ** (e - len(w)))
-               for w, v in u.items() if len(w) - bisect_left(w, n0) == m}
-        pairings.append(frobenius_pi(UEElement._trusted(alg, top)))
-    return pairings
+    tops = [{w: v for w, v in u.items() if len(w) - bisect_left(w, n0) == m}
+            for u in products]
+    return tops, den, deg
 
 
 def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[UEElement]:
     """Elements y^I with <x^I, y^J> = delta_IJ, in the subset order.
 
     y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]); duality is
-    verified exhaustively before returning, every cell compared exactly.
-    The check prunes the products it forms (``_prefix_pairings``), which
-    needs a graded bracket table: raises ``ValueError`` on any other.
+    verified exhaustively before returning, every cell compared exactly in
+    the kernel's integers (``_prefix_pairings``).  pi(x^I y^J) = delta_IJ
+    says that x^I y^J has no word with all m odd letters unless I = J, and
+    then exactly the bare x^top, with value D * S^(deg y + |I| - m).  The
+    check prunes the products it forms, which needs a graded bracket
+    table: raises ``ValueError`` on any other.
     """
     if not alg._parity_graded:
         raise ValueError(f"the bracket table of {alg.name} does not respect parity")
     if fm is None:
         fm = frobenius_matrix(alg)
-    n = len(fm.order)
-    top = (1 << alg.n_odd) - 1
+    n, m = len(fm.order), alg.n_odd
+    top = (1 << m) - 1
     comp = [_odd_word(alg, top ^ mask) for mask in fm.order]
+    top_word = _odd_word(alg, top)
     ys = []
     for j in range(n):
         # one kernel call on the heads of every x^{complement(K)} * alpha(b_Kj)
         heads = [(comp[k] + w, c) for k in range(n) if fm.inverse[k][j]
                  for w, c in alpha(fm.inverse[k][j]).terms.items()]
         ys.append(UEElement._trusted(alg, _normal_form(alg, heads)))
-    one, zero = UEElement.one(alg), UEElement.zero(alg)
     # every cell is checked; the first failure in row order is reported
     failures = []
     for j, y in enumerate(ys):
-        pairings = _prefix_pairings(alg, y)
+        tops, den, deg = _prefix_pairings(alg, y)
+        # below degree m, x^{I_j} y has no top word: its diagonal cell fails
+        e = deg + fm.order[j].bit_count() - m
+        diagonal = {top_word: den * alg._int_scale ** e} if e >= 0 else None
         for i, mask in enumerate(fm.order):
-            if pairings[mask] != (one if i == j else zero):
+            if tops[mask] != (diagonal if i == j else {}):
                 failures.append((i, j))
     if failures:
         raise InternalInvariantError("dual pair fails at ({}, {})".format(*min(failures)))

@@ -59,6 +59,34 @@ def test_pbw_normal_form_is_idempotent(rng):
             u = random_element(alg, rng)
             assert multiply(one, u) == u
             assert multiply(u, one) == u
+            # multiply takes a scalar factor without the kernel
+            assert enveloping._normal_form(alg, list(u.terms.items())) == u.terms
+
+
+def test_a_scalar_factor_matches_the_fraction_product(rng, monkeypatch):
+    # on fixtures and on the basis b_i/(i+2), whose integer scale is above 1;
+    # multiply scales the other factor's terms, and the fraction reference
+    # rewrites the full product
+    algs = [fixture_algebra("osp12"), gl_supermatrix_units(2, 1)]
+    algs += [rescaled_algebra(alg) for alg in algs]
+    assert [alg._int_scale > 1 for alg in algs] == [False, False, True, True]
+    cases = []
+    for alg in algs:
+        scalars = [UEElement.scalar(alg, c) for c in (F(1), F(-1), F(3, 2), F(-2, 7))]
+        elements = [mixed_element(alg, rng) for _ in range(3)] + [UEElement.zero(alg)]
+        for s in scalars:
+            for u in elements + scalars:
+                cases += [(s, u, fraction_multiply(s, u)), (u, s, fraction_multiply(u, s))]
+    assert any(len(want.terms) > 1 for _, _, want in cases)
+
+    def refuse(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(enveloping, "_normal_form", refuse)
+    for a, b, want in cases:
+        got = multiply(a, b)
+        assert got == want, (a, b)
+        assert_checked(got)
 
 
 def test_associativity_on_random_triples(rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from superhaar import InputError, UEElement, invariant_z
@@ -65,6 +65,31 @@ def test_module_files_round_trip_byte_identical(key, filename):
     text = Path(path).read_text(encoding="utf-8")
     module = module_from_json(json.loads(text), fixture_algebra(key))
     assert dumps_canonical(module_to_json(module)) == text
+
+
+# any code point, lone surrogates included, with quotes, backslashes and
+# control characters drawn often
+JSON_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\udfff')
+                    | st.characters(exclude_categories=()))
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+@example({"": [], "\"\\\ud800\u00e9": {}, "a": [[], {}, [""], {"": None}],
+          "b": [True, False, 0, -10**30, "\x00\udfff"]})
+def test_dumps_canonical_matches_the_standard_encoder(obj):
+    assert dumps_canonical(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, [1.5], {"a": [0.0]},
+                                 ["a", 2.0], ("a",), {"a"}])
+def test_dumps_canonical_refuses_other_types(obj):
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
 
 
 # -- parse errors ------------------------------------------------------------------

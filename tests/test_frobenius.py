@@ -390,11 +390,27 @@ def test_form_on_a_table_that_breaks_parity(even, odd, brackets, x, y, want):
         dual_pair(alg)
 
 
+def prefix_pairings(alg, y):
+    """pi(x^I y) for every mask I, converted from the integer top parts of
+    ``_prefix_pairings``: a word of degree L in x^I y carries
+    D * S^(deg y + |I| - L), and its even prefix is a word of the pairing."""
+    tops, den, deg = frobenius._prefix_pairings(alg, y)
+    m, scale = alg.n_odd, alg._int_scale
+    top_word = tuple(range(alg.n_even, alg.dim))
+    assert len(tops) == 1 << m
+    pairings = []
+    for mask, top in enumerate(tops):
+        assert all(w[len(w) - m:] == top_word and type(v) is int and v
+                   for w, v in top.items()), (alg.name, mask)
+        e = deg + mask.bit_count()
+        pairings.append(UEElement(alg, {w[:len(w) - m]: F(v, den * scale ** (e - len(w)))
+                                        for w, v in top.items()}))
+    return pairings
+
+
 def assert_prefix_pass_matches_form(alg, ys):
     for y in ys:
-        pairings = frobenius._prefix_pairings(alg, y)
-        assert len(pairings) == 1 << alg.n_odd
-        for mask, p in enumerate(pairings):
+        for mask, p in enumerate(prefix_pairings(alg, y)):
             assert p == form(subset_monomial(alg, mask), y), (alg.name, mask)
 
 
@@ -448,7 +464,34 @@ def test_prefix_pass_in_a_scaled_algebra_matches_form(monkeypatch, rng):
     monkeypatch.setattr(enveloping, "multiply", refuse)
     monkeypatch.setattr(frobenius, "multiply", refuse)
     for alg, ys, want in cases:
-        assert [frobenius._prefix_pairings(alg, y) for y in ys] == want, alg.name
+        assert [prefix_pairings(alg, y) for y in ys] == want, alg.name
+
+
+@pytest.mark.parametrize("corrupt", ["double", "add"])
+def test_a_corrupted_dual_element_is_caught_in_a_scaled_algebra(monkeypatch, corrupt):
+    # y^j * 2 keeps every off-diagonal cell of column j and doubles the
+    # diagonal value D * S^(deg y + |I| - m); y^j + y^k pairs with x^{I_k}
+    # to 1, so only the cell (k, j) fails
+    alg = rescaled_algebra(gl_supermatrix_units(2, 1))
+    assert alg._int_scale > 1
+    fm = frobenius_matrix(alg)
+    ys = dual_pair(alg, fm)
+    n, honest = len(ys), frobenius._normal_form
+    for j, k in [(0, 1), (3, 12), (9, 2), (n - 1, 0)]:
+        bad = ys[j] * 2 if corrupt == "double" else ys[j] + ys[k]
+        calls = []
+
+        def build(alg, heads, j=j, bad=bad):
+            # dual_pair builds y^0, ..., y^(n-1) with one call each, in order
+            calls.append(None)
+            return dict(bad.terms) if len(calls) == j + 1 else honest(alg, heads)
+
+        monkeypatch.setattr(frobenius, "_normal_form", build)
+        i = j if corrupt == "double" else k
+        with pytest.raises(InternalInvariantError,
+                           match=rf"dual pair fails at \({i}, {j}\)$"):
+            dual_pair(alg, fm)
+        assert len(calls) == n
 
 
 def test_solve_column_verifies_the_column_it_solves():
