@@ -21,8 +21,9 @@ import sys
 
 from . import fileio, linalg
 from .algebra import InputError, even_part_structure, lambda_values, validate_superalgebra
-from .frobenius import (InternalInvariantError, NoInvariantError, dual_pair,
-                        frobenius_matrix, invariant_z)
+from .frobenius import (InternalInvariantError, NoInvariantError,
+                        _check_trace_condition, dual_pair, frobenius_matrix,
+                        invariant_z)
 from .modules import (brute_force_quotient_invariants, check_right_integral,
                       check_semisimple_over_even, integral_matrix,
                       invariant_projector, validate_module)
@@ -176,8 +177,10 @@ def cmd_integrate(args) -> int:
             "violations": _violations_json(alg, mreport),
         }, message="module violates the representation axioms")
 
+    # trace test, then semisimplicity, then z: exit 3 comes before exit 4,
+    # and neither pays for the pairing pass
     try:
-        inv = invariant_z(alg)
+        _check_trace_condition(alg)
     except NoInvariantError as exc:
         raise _CliExit(EXIT_NO_INVARIANT, payload={
             "algebra": alg.name,
@@ -206,6 +209,7 @@ def cmd_integrate(args) -> int:
                         "of its center and a derived algebra with "
                         "nondegenerate Killing form")
 
+    inv = invariant_z(alg)
     projector = invariant_projector(alg, module, ssreport)
     integral = integral_matrix(alg, module, inv, projector)
     payload = {

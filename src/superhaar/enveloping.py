@@ -210,12 +210,17 @@ def _normal_form(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], Fraction]
     the largest head degree `top`, so that a head of degree d carries
     c * D * S^(top - d).  Every output word of degree d then carries
     D * S^(top - d) times its rational coefficient, and each output
-    coefficient is one Fraction(v, D * S^(top - d)) at the end.
+    coefficient is one Fraction(v, D * S^(top - d)) at the end.  When D
+    and S are both 1 every scale is 1: the numerators go in as they are,
+    and each output is Fraction(v).
     """
     if not heads:
         return {}
     scale = alg._int_scale
     den = math.lcm(*(c.denominator for _, c in heads))
+    if den == scale == 1:
+        out = _rewrite(alg, [(w, c.numerator) for w, c in heads])
+        return {w: Fraction(v) for w, v in out.items() if v}
     top = max(len(w) for w, _ in heads)
     out = _rewrite(alg, [(w, c.numerator * (den // c.denominator) * scale ** (top - len(w)))
                          for w, c in heads])
@@ -275,9 +280,15 @@ def _rewrite(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], int]:
 
 def _heads(a: UEElement, b: UEElement):
     """Generator words of the term pairs of ``a*b``, each scaled by its
-    coefficient product."""
+    coefficient product; a coefficient 1 passes the other one through."""
     right = b.terms.items()
-    return [(w1 + w2, c1 * c2) for w1, c1 in a.terms.items() for w2, c2 in right]
+    heads = []
+    for w1, c1 in a.terms.items():
+        if c1 == 1:
+            heads += [(w1 + w2, c2) for w2, c2 in right]
+        else:
+            heads += [(w1 + w2, c1 if c2 == 1 else c1 * c2) for w2, c2 in right]
+    return heads
 
 
 def multiply(a: UEElement, b: UEElement) -> UEElement:

@@ -13,22 +13,28 @@ integration downstream.
 
 U(g) is free as a left module over the even subalgebra on the x^I (PBW),
 and right multiplication by an odd generator x_t is a map of left
-modules.  ``_pairing`` reads the matrix R_t of each such map off
-``multiply(x^I, x_t)`` and builds the columns of A in one pass over the
+modules.  ``_pairing`` reads the matrix R_t of each such map off the
+products x^I x_t and builds the columns of A in one pass over the
 subsets, c_M = R_{min M} c_{M - min M} from c_empty = e_top.  This is the
 Frobenius-extension structure of U(g) over U(g0) (Bell and Farnsteiner,
-Trans. AMS 335, 1993).  The ring of the entries is the pass's one
-parameter.  ``frobenius_matrix`` keeps the left coefficients, which lie in
-the even subalgebra, builds A and solves every column of its inverse.
-``invariant_z`` without a matrix needs only the counit of column zero.  The
-counit is an algebra map on the even subalgebra, so it keeps only the
-counits of the left coefficients, and the same pass builds the scalar
-matrix counit(A), whose column zero it solves with no even-subalgebra
-arithmetic.  A and counit(A) share one construction, one check and one
-solve: ``_check_unitriangular`` checks that the matrix is lower triangular
-with diagonal +-1, and ``_solve_column`` forward-substitutes a column of
-the inverse and verifies A * b = e_j exactly, summed over the band
-j <= k <= i that triangularity leaves.
+Trans. AMS 335, 1993).  The products are built along prefixes,
+x^I x_t = x_s (x^{I - s} x_t) with s = min I, one ``multiply`` by a
+generator each: the chain of ``_prefix_pairings`` below, without its
+pruning.  That relies on ``multiply`` being associative, which it is on a
+table that passes validation; the CLI validates every algebra first, and
+the invariance certificate still checks z.  The ring of the entries is
+the pass's one parameter.  ``frobenius_matrix`` keeps the left
+coefficients, which lie in the even subalgebra, builds A and solves every
+column of its inverse.  ``invariant_z`` without a matrix needs only the
+counit of column zero.  The counit is an algebra map on the even
+subalgebra, so it keeps only the counits of the left coefficients, and
+the same pass builds the scalar matrix counit(A), whose column zero it
+solves with no even-subalgebra arithmetic.  A and counit(A) share one
+construction, one check and one solve: ``_check_unitriangular`` checks
+that the matrix is lower triangular with diagonal +-1, and
+``_solve_column`` forward-substitutes a column of the inverse and
+verifies A * b = e_j exactly, summed over the band j <= k <= i that
+triangularity leaves.
 
 The exhaustive duality check of ``dual_pair`` builds the products x^I y
 along prefixes, keeps only the terms that can still reach the full odd
@@ -185,23 +191,29 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
     to the nonzero phi(u_J) by mask J, and ``one`` is the unit of phi's
     ring, whose elements are true exactly when nonzero.
 
-    R_t[I][J] is the left coefficient of x^J in x^I * x_t.  Right
-    multiplication by x_t and pi are maps of left modules over the even
-    subalgebra, so for M = {t_1 < ... < t_r} the column
-    c_M[I] = pi(x^I * x^M) is R_{t_1} c_{M - t_1}, with c_empty = e_top,
-    and A[i][k] is entry I_i of c_{complement(I_k)}.  Each product is
-    formed as R_t[I][J] * c[J], in that order, because the even subalgebra
-    is not commutative.
+    R_t[I][J] is the left coefficient of x^J in x^I * x_t.  The products
+    are built along prefixes, x^I * x_t = x_s * (x^{I - s} * x_t) with
+    s = min I, one multiplication by a generator each; that rests on
+    ``multiply`` being associative, which it is on a table that passes
+    validation.  Right multiplication by x_t and pi are maps of left
+    modules over the even subalgebra, so for M = {t_1 < ... < t_r} the
+    column c_M[I] = pi(x^I * x^M) is R_{t_1} c_{M - t_1}, with
+    c_empty = e_top, and A[i][k] is entry I_i of c_{complement(I_k)}.
+    Each product is formed as R_t[I][J] * c[J], in that order, because the
+    even subalgebra is not commutative.
     """
     top = (1 << alg.n_odd) - 1
-    monomials = [subset_monomial(alg, mask) for mask in range(top + 1)]
+    letters = [UEElement.generator(alg, alg.n_even + t) for t in range(alg.n_odd)]
     # the transpose of each R_t: J -> {I: phi(R_t[I][J])}
     right = []
-    for t in range(alg.n_odd):
-        x_t = UEElement.generator(alg, alg.n_even + t)
-        rt: dict = {}
-        for mask, x in enumerate(monomials):
-            for j, r in read(multiply(x, x_t)).items():
+    for x_t in letters:
+        products, rt = [x_t], {}
+        for mask in range(top + 1):
+            if mask:
+                low = mask & -mask
+                products.append(multiply(letters[low.bit_length() - 1],
+                                         products[mask ^ low]))
+            for j, r in read(products[mask]).items():
                 rt.setdefault(j, {})[mask] = r
         right.append(rt)
     cols = [{top: one}]
@@ -342,6 +354,14 @@ class InvariantZ:
     quotient_class: dict[int, Fraction]
 
 
+def _check_trace_condition(alg: LieSuperalgebra) -> None:
+    """``NoInvariantError`` naming the first even basis element whose
+    tr(ad') is nonzero, if there is one."""
+    for i, v in sorted(lambda_values(alg).items()):
+        if v:
+            raise NoInvariantError(alg, i, v)
+
+
 def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> InvariantZ:
     """The canonical invariant: z = sum_J x^{complement(J)} * counit(inverse[J][empty]).
 
@@ -353,10 +373,7 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
     quotient module is zero and ``NoInvariantError`` names the violating
     even basis element and its trace.
     """
-    lam = lambda_values(alg)
-    for i, v in sorted(lam.items()):
-        if v:
-            raise NoInvariantError(alg, i, v)
+    _check_trace_condition(alg)
     if fm is None:
         order = odd_subset_order(alg.n_odd)
         column = _counit_column_zero(alg, order)
@@ -364,11 +381,9 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
         order = fm.order
         column = [counit(row[0]) for row in fm.inverse]
     top = (1 << alg.n_odd) - 1
-    z = UEElement.zero(alg)
-    for k, mask in enumerate(order):
-        c = column[k]
-        if c:
-            z = z + subset_monomial(alg, top ^ mask) * c
+    # the complements are distinct words, so each term is stored once
+    z = UEElement._trusted(alg, {_odd_word(alg, top ^ mask): c
+                                 for mask, c in zip(order, column) if c})
 
     z_class = quotient_project(z)
     certificate = {}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from superhaar import UEElement, frobenius_pi, linalg, multiply
+from superhaar import UEElement, frobenius_pi, linalg, multiply, subset_monomial
 from superhaar.algebra import ValidationReport
 
 from conftest import dense_of, identity
@@ -139,6 +139,37 @@ def fraction_act_on_quotient(alg, i, cls):
     words = {mask: tuple(n0 + t for t in range(alg.n_odd) if mask >> t & 1)
              for mask in cls}
     return fraction_class(alg, [((i,) + words[mask], c) for mask, c in cls.items()])
+
+
+def fraction_pairing(alg, order, read, one):
+    """The rows of nonzeros of the pairing matrix A[i][k] =
+    <x^{I_i}, x^{complement(I_k)}> in ``order``, or of its image under the
+    ring map that ``read`` applies to the left coefficients: R_t[I][J] is
+    read(x^I x_t)[J], with x^I x_t rewritten from its raw word, and the
+    columns c_M = R_{min M} c_{M - min M} start from c_empty = e_top."""
+    top = (1 << alg.n_odd) - 1
+    right = [[read(fraction_multiply(subset_monomial(alg, mask),
+                                     UEElement.generator(alg, alg.n_even + t)))
+              for mask in range(top + 1)] for t in range(alg.n_odd)]
+    zero = one - one
+    cols = [{top: one}]
+    for mask in range(1, top + 1):
+        low = mask & -mask
+        prev, rt = cols[mask ^ low], right[low.bit_length() - 1]
+        col = {}
+        for i in range(top + 1):
+            x = zero
+            for j, r in rt[i].items():
+                if j in prev:
+                    x = x + r * prev[j]
+            if x:
+                col[i] = x
+        cols.append(col)
+    rows = {}
+    for k, mask in enumerate(order):
+        for i, x in cols[top ^ mask].items():
+            rows.setdefault(order.index(i), {})[k] = x
+    return rows
 
 
 def form(x, y):

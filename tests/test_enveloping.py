@@ -1,8 +1,10 @@
 import gc
+import math
 import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -394,9 +396,9 @@ HEIS = LieSuperalgebra("heis", ["Z"], ["t0", "t1"], {
     (1, 2): {0: F(1, 2)}, (2, 1): {0: F(1, 2)}})
 
 
-def mixed_element(alg, rng, terms=4):
-    """Random terms of degree 0 to 3 with denominators 1 to 6, built with
-    the public constructor, not by multiplying."""
+def mixed_element(alg, rng, terms=4, max_den=6):
+    """Random terms of degree 0 to 3 with denominators 1 to ``max_den``,
+    built with the public constructor, not by multiplying."""
     out = {}
     for _ in range(terms):
         even = [0] * alg.n_even
@@ -404,7 +406,7 @@ def mixed_element(alg, rng, terms=4):
             even[rng.randrange(alg.n_even)] += 1
         mask = rng.randrange(1 << alg.n_odd)
         if sum(even) + mask.bit_count() <= 3:
-            out[pbw(alg, even, mask)] = F(rng.randint(-5, 5), rng.randint(1, 6))
+            out[pbw(alg, even, mask)] = F(rng.randint(-5, 5), rng.randint(1, max_den))
     return UEElement(alg, out)
 
 
@@ -430,23 +432,49 @@ def _odd_square_folds(alg):
                for a in range(alg.n_even, alg.dim) for _, c in alg.bracket(a, a))
 
 
+def _kernel_path(alg, a, b):
+    """Which scaling ``_normal_form`` applies to the heads of a*b: none when
+    their common denominator D and the integer scale S are both 1."""
+    den = math.lcm(*(c.denominator for _, c in fraction_heads(a, b)))
+    return "S > 1" if alg._int_scale > 1 else "D > 1" if den > 1 else "D = S = 1"
+
+
 def test_integer_kernel_matches_the_fraction_loop(rng):
     algs = _kernel_cases(rng)
+    paths, cancelled = Counter(), Counter()
     for alg in algs:
         assert validate_superalgebra(alg).ok, alg.name
-        for _ in range(4):
-            a, b = mixed_element(alg, rng), mixed_element(alg, rng)
-            assert multiply(a, b) == fraction_multiply(a, b), alg.name
+        for max_den in (6, 6, 1, 1):
+            a, b = (mixed_element(alg, rng, max_den=max_den) for _ in range(2))
+            got = multiply(a, b)
+            assert got == fraction_multiply(a, b), alg.name
+            assert_checked(got)
+            paths[_kernel_path(alg, a, b)] += 1
             u = a + b
             assert quotient_project(u) == fraction_quotient_project(u), alg.name
+        if alg.n_odd >= 2:
+            # (x + y)^2 = x x + y y + [x, y]: the two heads x y and y x
+            # cancel on the word x y, in the rewriting kernel
+            x, y = alg.n_even, alg.n_even + 1
+            u = UEElement.generator(alg, x) + UEElement.generator(alg, y)
+            got = multiply(u, u)
+            assert got == fraction_multiply(u, u) and (x, y) not in got.terms, alg.name
+            assert_checked(got)
+            cancelled[_kernel_path(alg, u, u)] += 1
+            cancelled["to 0"] += not got
         cls = {mask: F(rng.randint(-3, 3), rng.randint(1, 4))
                for mask in range(1 << alg.n_odd)}
         cls = {mask: c for mask, c in cls.items() if c}
         for i in range(alg.dim):
             assert act_on_quotient(alg, i, cls) == \
                 fraction_act_on_quotient(alg, i, cls), (alg.name, i)
-    # the cases reach an integer scale above 1 and an odd square whose 1/2
-    # is folded into it
+    # the cases reach each scaling of the heads, an integer scale above 1
+    # and an odd square whose 1/2 is folded into it; the heads of (x + y)^2
+    # cancel with D = S = 1 and with S > 1, and on the Grassmann fixtures
+    # the whole product is 0
+    assert min(paths[p] for p in ("D = S = 1", "D > 1", "S > 1")) >= 10, paths
+    assert cancelled["D = S = 1"] >= 4 and cancelled["S > 1"] >= 4, cancelled
+    assert cancelled["to 0"] >= 2, cancelled
     assert sum(alg._int_scale > 1 for alg in algs) >= 10
     assert sum(_odd_square_folds(alg) for alg in algs) >= 4
 

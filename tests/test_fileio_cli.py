@@ -9,7 +9,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from superhaar import InputError, UEElement, invariant_z
+import superhaar.frobenius as frobenius
+from superhaar import (InputError, UEElement, check_semisimple_over_even,
+                       invariant_z)
 from superhaar.cli import main
 from superhaar.fileio import (algebra_from_json, algebra_to_json,
                               builtin_fixture, dumps_canonical,
@@ -293,6 +295,33 @@ def test_cli_integrate_jordan_exit_4(capsys):
     assert code == 4
     assert payload["semisimple"]["ok"] is False
     assert "not semisimple" in err
+
+
+def test_cli_integrate_exit_4_makes_no_pairing_pass(monkeypatch, capsys):
+    # semisimplicity is checked before z is computed
+    def refuse(*args):
+        raise AssertionError("the pairing pass ran")
+
+    monkeypatch.setattr(frobenius, "_pairing", refuse)
+    code, payload, err = run_cli(capsys, "integrate", builtin_fixture("gl11.json"),
+                                 builtin_fixture("jordan_module.json"))
+    assert code == 4
+    assert payload["semisimple"]["ok"] is False
+    assert "not semisimple" in err
+
+
+def test_cli_integrate_exit_3_comes_before_exit_4(tmp_path, capsys):
+    # X acts on this bad2 module by a nonzero nilpotent, so the module is not
+    # semisimple over the even part, and the trace condition fails as well
+    alg = fixture_algebra("bad2")
+    doc = {"algebra": "bad2", "dim": 2, "parities": ["even", "even"],
+           "action": {"X": [["0", "1"], ["0", "0"]]}}
+    assert not check_semisimple_over_even(alg, module_from_json(doc, alg)).ok
+    path = tmp_path / "bad2_jordan.json"
+    path.write_text(dumps_canonical(doc))
+    code, payload, _ = run_cli(capsys, "integrate", builtin_fixture("bad2.json"), str(path))
+    assert code == 3
+    assert payload == {"algebra": "bad2", "violator": "X", "lambda": "1"}
 
 
 def test_cli_integrate_bad2_exit_3(capsys):

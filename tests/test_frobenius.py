@@ -19,7 +19,7 @@ from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra, gen
                       gl_supermatrix_units, rescaled_algebra, twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
-from reference import form
+from reference import form, fraction_pairing
 
 F = Fraction
 
@@ -549,6 +549,29 @@ def test_pairing_matches_form_on_random_algebras(rng):
         twisted, _ = random_odd_basis_change(alg, rng)
         assert_pairing_matches_form(alg)
         assert_pairing_matches_form(twisted)
+
+
+def assert_pairing_matches_raw_products(alg):
+    # the pass builds x^I x_t along prefixes; the reference rewrites each
+    # raw word x^I x_t in Fraction arithmetic
+    order = odd_subset_order(alg.n_odd)
+    for read, one in [(frobenius._left_coefficients, UEElement.one(alg)),
+                      (frobenius._left_counits, F(1))]:
+        assert frobenius._pairing(alg, order, read, one) == \
+            fraction_pairing(alg, order, read, one), (alg.name, read.__name__)
+
+
+def test_pairing_matches_raw_products(rng):
+    algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    algs += [gl_supermatrix_units(2, 1), gl_supermatrix_units(3, 1)]
+    algs.append(rescaled_algebra(gl_supermatrix_units(2, 1)))
+    assert algs[-1]._int_scale > 1
+    for _ in range(5):
+        alg = random_small_superalgebra(rng, max_dim=5)
+        algs += [alg, random_odd_basis_change(alg, rng)[0]]
+    for alg in algs:
+        assert validate_superalgebra(alg).ok, alg.name
+        assert_pairing_matches_raw_products(alg)
 
 
 def algebra_file(tmp_path, alg):
