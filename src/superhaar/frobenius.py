@@ -208,12 +208,11 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
     right = []
     for x_t in letters:
         products, rt = [x_t], {}
-        for mask in range(top + 1):
-            if mask:
-                low = mask & -mask
-                products.append(multiply(letters[low.bit_length() - 1],
-                                         products[mask ^ low]))
-            for j, r in read(products[mask]).items():
+        for mask in range(1, top + 1):
+            low = mask & -mask
+            products.append(multiply(letters[low.bit_length() - 1], products[mask ^ low]))
+        for mask, u in enumerate(products):
+            for j, r in read(u).items():
                 rt.setdefault(j, {})[mask] = r
         right.append(rt)
     cols = [{top: one}]
