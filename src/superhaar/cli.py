@@ -168,7 +168,7 @@ def cmd_integrate(args) -> int:
         raise _CliExit(EXIT_INPUT, message=f"cannot load module: {exc}")
     if not module.name:
         module.name = os.path.splitext(os.path.basename(args.module))[0]
-    mreport = validate_module(alg, module)
+    mreport = validate_module(module)
     if not mreport.ok:
         raise _CliExit(EXIT_INVALID, payload={
             "algebra": alg.name,
@@ -189,7 +189,7 @@ def cmd_integrate(args) -> int:
         }, message=str(exc))
 
     even_report = even_part_structure(alg)
-    ssreport = check_semisimple_over_even(alg, module, even_report)
+    ssreport = check_semisimple_over_even(module, even_report)
     ss_json = {
         "central_squarefree": ssreport.central_squarefree,
         "decomposition_direct": ssreport.decomposition_direct,
@@ -210,8 +210,8 @@ def cmd_integrate(args) -> int:
                         "nondegenerate Killing form")
 
     inv = invariant_z(alg)
-    projector = invariant_projector(alg, module, ssreport)
-    integral = integral_matrix(alg, module, inv, projector)
+    projector = invariant_projector(module, ssreport)
+    integral = integral_matrix(module, inv, projector)
     payload = {
         "algebra": alg.name,
         "module": module.name,
@@ -219,7 +219,7 @@ def cmd_integrate(args) -> int:
         "projector": fileio.matrix_to_json(projector, module.dim),
         "integral_matrix": fileio.matrix_to_json(integral.entries, module.dim),
         "left_invariant": True,  # verified inside integral_matrix
-        "right_invariant": check_right_integral(alg, module, integral),
+        "right_invariant": check_right_integral(module, integral),
         "parity": "odd" if integral.parity else "even",
         "warnings": warnings,
     }

@@ -159,8 +159,8 @@ def module_to_json(module: GradedModule) -> dict:
     alg = module.alg
     action = {}
     for i in range(alg.dim):
-        if module.rho(i):
-            action[alg.basis_name(i)] = matrix_to_json(module.rho(i), module.dim)
+        if rho := module.rho(i):
+            action[alg.basis_name(i)] = matrix_to_json(rho, module.dim)
     return {
         "algebra": alg.name,
         "dim": module.dim,

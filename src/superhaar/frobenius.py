@@ -157,31 +157,27 @@ def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
                   what: str) -> list:
     """Column j of the inverse of the unitriangular matrix ``rows`` by
     forward substitution; the +-1 diagonal makes the division exact and
-    sidesteps noncommutativity (each product is A[i][k] * b[k]).  Entries
-    above row j are zero, b[j] = d_j, and below it b[i] is -d_i times the
-    sum of A[i][k] * b[k] over k < i, stored only when that sum is nonzero.
-    Verifies A * b = e_j exactly: triangularity leaves only the band
-    j <= k <= i of each sum."""
+    sidesteps noncommutativity (each product is A[i][k] * b[k]).  With s
+    the sum of A[i][k] * b[k] over k < i, b[i] = d_i (e_j[i] - s), stored
+    only when s differs from e_j[i]: entries above row j are zero and
+    b[j] = d_j.  Verifies A * b = e_j exactly, row by row from the same
+    sum: a row where s is e_j[i] holds with b[i] = 0, and any other must
+    reach e_j[i] once A[i][i] * b[i] is added.  Triangularity leaves only
+    the band j <= k <= i of each sum."""
     col = {}
-
-    def row_sum(i: int):
+    for i in range(j, len(diagonal)):
+        row = rows.get(i, {})
         acc = zero
-        for k, a in rows.get(i, {}).items():
+        for k, a in row.items():
             if k in col:
                 acc = acc + a * col[k]
-        return acc
-
-    n = len(diagonal)
-    col[j] = one if diagonal[j] > 0 else -one
-    for i in range(j + 1, n):
-        acc = row_sum(i)
-        if acc:
-            col[i] = -acc if diagonal[i] > 0 else acc
-    for i in range(j, n):
-        if row_sum(i) != (one if i == j else zero):
-            raise InternalInvariantError(
-                f"{what} times its inverse is not the identity at ({i}, {j})")
-    return [col.get(i, zero) for i in range(n)]
+        target = one if i == j else zero
+        if acc != target:
+            col[i] = b = target - acc if diagonal[i] > 0 else acc - target
+            if acc + row.get(i, zero) * b != target:
+                raise InternalInvariantError(
+                    f"{what} times its inverse is not the identity at ({i}, {j})")
+    return [col.get(i, zero) for i in range(len(diagonal))]
 
 
 def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:

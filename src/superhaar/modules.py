@@ -1,12 +1,15 @@
 """Graded representations, the invariant projector, and integral matrices.
 
 A module is given by one rational matrix per basis element of the algebra
-(left action on column vectors) plus a parity for each module basis vector.
-Integration evaluates the canonical invariant on matrix elements: the
-integral matrix is the action of the invariant composed with the projector
-onto the even-part invariants, and left invariance of the result is
-verified exactly on every call, which pins the sign conventions
-operationally.
+(left action on column vectors) plus a parity for each module basis vector,
+and carries its algebra: every function below reads the algebra from the
+module.  The actions are kept once, as one integer copy over a common
+denominator, which the module layer computes with; ``GradedModule.rho``
+is a Fraction view built from it on each call.  Integration evaluates the
+canonical invariant on matrix elements: the integral matrix is the action
+of the invariant composed with the projector onto the even-part
+invariants, and left invariance of the result is verified exactly on
+every call, which pins the sign conventions operationally.
 
 The brute-force invariant search at the bottom is deliberately independent
 of the Frobenius machinery: it only uses the quotient action provided by
@@ -41,12 +44,12 @@ class GradedModule:
 
     Each action comes densely or as rows of nonzeros (see
     :func:`~superhaar.algebra.nonzero_rows`, which checks it) and is stored
-    once as a ``linalg.Matrix``, rows and columns in increasing order; an
-    action without nonzeros is not stored at all.  ``rho(i)`` returns the
-    stored rows, which callers must not mutate.  The module layer computes
-    with one integer copy of the actions, built with them: ``_int_rho[i]``
-    is D rho(i) in ints for every basis element i, D the lcm of the
-    denominators of all action entries (``linalg.scaled``).
+    once, as an integer copy: ``_int_rho[i]`` is D rho(i) in ints for every
+    basis element i, rows and columns in increasing order, D =
+    ``_int_scale`` the lcm of the denominators of all action entries
+    (``linalg.scaled``).  The module layer computes with that copy;
+    ``rho(i)`` builds a fresh Fraction matrix from it, which callers may
+    mutate.
     """
 
     def __init__(self, alg: LieSuperalgebra, parities, action: Mapping[int, object],
@@ -62,30 +65,22 @@ class GradedModule:
             if isinstance(p, bool) or not isinstance(p, int) or p not in (0, 1):
                 raise InputError(f"parity must be the int 0 (even) or 1 (odd), got {p!r}")
         self.dim = len(self.parities)
-        rho = {}
+        rho = [{}] * alg.dim
         for i, mat in action.items():
             if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < alg.dim:
                 raise InputError(f"action index {i!r} out of range")
-            rows = nonzero_rows(mat, self.dim)
-            if rows:
-                rho[i] = rows
-        self._rho = rho
-        self._int_scale, self._int_rho = linalg.scaled(self.rho(i) for i in range(alg.dim))
+            rho[i] = nonzero_rows(mat, self.dim)
+        self._int_scale, self._int_rho = linalg.scaled(rho)
 
     def rho(self, i: int) -> linalg.Matrix:
-        """Action matrix of basis element i."""
-        return self._rho.get(i, {})
+        """Action matrix of basis element i, in Fractions."""
+        return _fractions(self._int_rho[i], self._int_scale)
 
     def __repr__(self):
         return f"GradedModule({self.name or '?'}, dim={self.dim}, over {self.alg.name})"
 
 
-def _check_algebra(alg: LieSuperalgebra, module: GradedModule) -> None:
-    if module.alg != alg:
-        raise InputError("module was built over a different algebra")
-
-
-def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationReport:
+def validate_module(module: GradedModule) -> ValidationReport:
     """Check parity compatibility of each action matrix and the bracket
     relation rho([x,y]) = rho(x)rho(y) - (-1)^([x][y]) rho(y)rho(x) on all
     basis pairs.
@@ -102,20 +97,19 @@ def validate_module(alg: LieSuperalgebra, module: GradedModule) -> ValidationRep
     sorted triples of super Jacobi do not apply: they need the adjoint
     action on a table that passed the parity and antisymmetry checks.
     Failing pairs are reported in lexicographic order."""
+    alg, ints, d, parities = module.alg, module._int_rho, module._int_scale, module.parities
     report = ValidationReport()
-    _check_algebra(alg, module)
-    rho, parities = module.rho, module.parities
     for i in range(alg.dim):
         pi = alg.parity(i)
-        for r, row in rho(i).items():
+        for r, row in ints[i].items():
             for c, x in row.items():
                 if (parities[r] - parities[c] - pi) % 2:
                     report.add("module-parity", (i, r, c),
-                               f"rho({alg.basis_name(i)})[{r}][{c}] = {x} "
+                               f"rho({alg.basis_name(i)})[{r}][{c}] = {Fraction(x, d)} "
                                f"violates the parity pattern")
     cols = [{c: list(col.items()) for c, col in linalg.transpose(mat).items()}
-            for mat in module._int_rho]
-    failing = _relation_failures(alg, cols, alg._int_scale, module._int_scale)
+            for mat in ints]
+    failing = _relation_failures(alg, cols, alg._int_scale, d)
     for a, b in dict.fromkeys((a, b) for a, b, _ in failing):
         report.add("module-bracket", (a, b),
                    f"rho([{alg.basis_name(a)}, {alg.basis_name(b)}]) does "
@@ -170,7 +164,7 @@ class SemisimplicityReport:
         return len(self.invariants_basis)
 
 
-def check_semisimple_over_even(alg: LieSuperalgebra, module: GradedModule,
+def check_semisimple_over_even(module: GradedModule,
                                even_report: EvenPartReport | None = None) -> SemisimplicityReport:
     """Semisimplicity of the module over the even part, verified exactly.
 
@@ -180,7 +174,7 @@ def check_semisimple_over_even(alg: LieSuperalgebra, module: GradedModule,
     action.  Semisimplicity of the derived part's action is a theorem in
     characteristic zero and is not re-derived here.
     """
-    _check_algebra(alg, module)
+    alg = module.alg
     if even_report is None:
         even_report = even_part_structure(alg)
     d = module.dim
@@ -222,7 +216,7 @@ def check_semisimple_over_even(alg: LieSuperalgebra, module: GradedModule,
     return SemisimplicityReport(central_ok, invariants, image, direct)
 
 
-def invariant_projector(alg: LieSuperalgebra, module: GradedModule,
+def invariant_projector(module: GradedModule,
                         report: SemisimplicityReport | None = None) -> linalg.Matrix:
     """Projector onto the even-part invariants along the even image.
 
@@ -233,9 +227,8 @@ def invariant_projector(alg: LieSuperalgebra, module: GradedModule,
     the first k rows of the inverse of C, k the number of invariants; only
     those rows are solved for.
     """
-    _check_algebra(alg, module)
     if report is None:
-        report = check_semisimple_over_even(alg, module)
+        report = check_semisimple_over_even(module)
     if not report.ok:
         raise NotSemisimpleError("module is not semisimple over the even part")
     k = report.invariants_dim
@@ -257,8 +250,7 @@ def invariant_projector(alg: LieSuperalgebra, module: GradedModule,
 
     if linalg.mat_mul(proj, proj) != linalg.mat_comb([(e, proj)]):
         raise InternalInvariantError("projector is not idempotent")
-    for i in range(alg.n_even):
-        m = module._int_rho[i]
+    for m in module._int_rho[:module.alg.n_even]:
         if linalg.mat_mul(m, proj):
             raise InternalInvariantError("even action does not kill the projector image")
         if linalg.mat_mul(proj, m):
@@ -275,18 +267,18 @@ class IntegralMatrix:
     parity: int
 
 
-def integral_matrix(alg: LieSuperalgebra, module: GradedModule,
-                    invariant: InvariantZ,
+def integral_matrix(module: GradedModule, invariant: InvariantZ,
                     projector: linalg.Matrix | None = None) -> IntegralMatrix:
     """Action of the invariant composed with the even-invariant projector.
 
     Left invariance (rho(w) M = counit(w) M for every basis element w) is
     verified before returning; a failure indicates a sign-convention fault
-    in the library, not bad input.
+    in the library, not bad input.  An invariant over another algebra
+    raises ``ValueError`` (``module_action``).
     """
-    _check_algebra(alg, module)
+    alg = module.alg
     if projector is None:
-        projector = invariant_projector(alg, module)
+        projector = invariant_projector(module)
     # M = s^-2 (s Z)(s P), s the common denominator of Z and P, checked in ints
     scale, (z, p) = linalg.scaled([module_action(module, invariant.z), projector])
     m = linalg.mat_mul(z, p)
@@ -297,12 +289,10 @@ def integral_matrix(alg: LieSuperalgebra, module: GradedModule,
     return IntegralMatrix(_fractions(m, scale * scale), alg.n_odd % 2)
 
 
-def check_right_integral(alg: LieSuperalgebra, module: GradedModule,
-                         integral: IntegralMatrix) -> bool:
+def check_right_integral(module: GradedModule, integral: IntegralMatrix) -> bool:
     """Row-side invariance: M rho(w) = counit(w) M for every basis element."""
-    _check_algebra(alg, module)
     _, (m,) = linalg.scaled([integral.entries])
-    return not any(linalg.mat_mul(m, module._int_rho[i]) for i in range(alg.dim))
+    return not any(linalg.mat_mul(m, rho) for rho in module._int_rho)
 
 
 def _quotient_action(alg: LieSuperalgebra, i: int, masks) -> linalg.Matrix:

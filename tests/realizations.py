@@ -51,7 +51,7 @@ def realization(name, even, odd, parities, module_name=""):
             brackets[i, j] = {k: -x for k, x in kernel[0].items() if k != dim}
     alg = LieSuperalgebra(name, names[:len(even)], names[len(even):], brackets)
     module = GradedModule(alg, parities, dict(enumerate(mats)), name=module_name)
-    for report in (validate_superalgebra(alg), validate_module(alg, module)):
+    for report in (validate_superalgebra(alg), validate_module(module)):
         if not report.ok:
             raise ValueError(f"{name}: {report.violations}")
     return alg, module

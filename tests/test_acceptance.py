@@ -53,7 +53,7 @@ def test_criterion_1_berezin_recovery():
             top = multiply(top, UEElement.generator(alg, i))
         assert inv.z == top, f"z is not x1...x{m} with coefficient 1"
         ext = quotient_module(alg)
-        integral = integral_matrix(alg, ext, inv)
+        integral = integral_matrix(ext, inv)
         assert integral.entries == module_action(ext, top)
     crit.finish()
 
@@ -104,12 +104,12 @@ def test_criterion_4_integral_invariance():
     for key, filename, check_right in cases:
         alg = fixture_algebra(key)
         module = fixture_module(key, filename)
-        integral = integral_matrix(alg, module, invariant_z(alg))
+        integral = integral_matrix(module, invariant_z(alg))
         for i in range(alg.dim):
             assert not linalg.mat_mul(module.rho(i), integral.entries), \
                 f"left invariance fails for {key}/{filename}"
         if check_right:
-            assert check_right_integral(alg, module, integral), \
+            assert check_right_integral(module, integral), \
                 f"right invariance fails for {key}/{filename}"
     crit.finish()
 
@@ -169,9 +169,9 @@ def test_criterion_8_parity_bookkeeping(rng):
         inv = invariant_z(alg)
         for filename in MODULE_FILES[key]:
             module = fixture_module(key, filename)
-            if not check_semisimple_over_even(alg, module).ok:
+            if not check_semisimple_over_even(module).ok:
                 continue
-            integral = integral_matrix(alg, module, inv)
+            integral = integral_matrix(module, inv)
             for i, row in integral.entries.items():
                 for j in row:
                     assert (module.parities[i] + module.parities[j]) % 2 \

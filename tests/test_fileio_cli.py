@@ -316,7 +316,7 @@ def test_cli_integrate_exit_3_comes_before_exit_4(tmp_path, capsys):
     alg = fixture_algebra("bad2")
     doc = {"algebra": "bad2", "dim": 2, "parities": ["even", "even"],
            "action": {"X": [["0", "1"], ["0", "0"]]}}
-    assert not check_semisimple_over_even(alg, module_from_json(doc, alg)).ok
+    assert not check_semisimple_over_even(module_from_json(doc, alg)).ok
     path = tmp_path / "bad2_jordan.json"
     path.write_text(dumps_canonical(doc))
     code, payload, _ = run_cli(capsys, "integrate", builtin_fixture("bad2.json"), str(path))

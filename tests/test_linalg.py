@@ -346,18 +346,18 @@ def test_module_layer_returns_nonzeros_only_and_keeps_its_arguments(case, seed):
     # no result stores a zero
     key, filename = case
     alg, module = fixture_algebra(key), fixture_module(key, filename)
-    stored = copy.deepcopy((module._rho, module._int_rho))
+    stored = copy.deepcopy((module._int_scale, module._int_rho))
     u = random_element(alg, random.Random(seed), max_degree=2, terms=3)
     assert_nonzero_only(module_action(module, u))
-    for i in range(alg.dim):    # rref copies the stored rows it is passed
+    for i in range(alg.dim):    # rref keeps the rows it is passed
         unchanged(linalg.rref, list(module.rho(i).values()))
     try:
-        proj = invariant_projector(alg, module)
+        proj = invariant_projector(module)
     except NotSemisimpleError:
         proj = None
     if proj is not None:
         assert_nonzero_only(proj)
         if key in UNIMODULAR:
-            integral = unchanged(integral_matrix, alg, module, invariant_z(alg), proj)
+            integral = unchanged(integral_matrix, module, invariant_z(alg), proj)
             assert_nonzero_only(integral.entries)
-    assert (module._rho, module._int_rho) == stored
+    assert (module._int_scale, module._int_rho) == stored

@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library, ships only
-what its entry points reach, and exports only names that something uses."""
+what its entry points reach, imports only names it reads, and exports
+only names that something uses."""
 
 import ast
 import re
@@ -98,4 +99,25 @@ def test_every_public_name_is_used_or_documented():
         rest.append(texts[k][:start - 1] + texts[k][end:])
         if not any(re.search(rf"\b{name}\b", line) for lines in rest for line in lines):
             unused.append(name)
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    # an import that nothing in its module reads is dead code, even while
+    # another module or a tool reaches the name through it
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert unused == []

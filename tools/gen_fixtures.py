@@ -39,15 +39,15 @@ def check_algebra(alg: LieSuperalgebra) -> LieSuperalgebra:
     return alg
 
 
-def check_module(alg, module) -> GradedModule:
-    report = validate_module(alg, module)
+def check_module(module) -> GradedModule:
+    report = validate_module(module)
     assert report.ok, f"{module.name}: {report.violations}"
     return module
 
 
-def tensor_square(alg, module: GradedModule, name: str) -> GradedModule:
+def tensor_square(module: GradedModule, name: str) -> GradedModule:
     """V (x) V with the graded Leibniz action."""
-    d = module.dim
+    alg, d = module.alg, module.dim
     parities = [(module.parities[a] + module.parities[b]) % 2
                 for a in range(d) for b in range(d)]
     action = {}
@@ -68,7 +68,7 @@ def tensor_square(alg, module: GradedModule, name: str) -> GradedModule:
                     add(t * d + r, t * d + c,
                         -x if pi and module.parities[t] else x)
         action[i] = big
-    return check_module(alg, GradedModule(alg, parities, action, name=name))
+    return check_module(GradedModule(alg, parities, action, name=name))
 
 
 def main():
@@ -88,7 +88,7 @@ def main():
                                          {(0, 1): {1: 1}, (1, 0): {1: -1}}))
     write("bad2.json", algebra_to_json(bad2))
     write("trivial_module.json", module_to_json(
-        check_module(bad2, GradedModule(bad2, [0], {}, name="trivial_module"))))
+        check_module(GradedModule(bad2, [0], {}, name="trivial_module"))))
 
     gl11, defining = realization(
         "gl11", [("h1", {0: {0: 1}}), ("h2", {1: {1: 1}})],
@@ -96,7 +96,7 @@ def main():
     write("gl11.json", algebra_to_json(gl11))
     write("defining_module.json", module_to_json(defining))
     # nilpotent nonzero central action: valid module, not semisimple
-    write("jordan_module.json", module_to_json(check_module(gl11, GradedModule(
+    write("jordan_module.json", module_to_json(check_module(GradedModule(
         gl11, [0, 0], {0: {0: {1: 1}}, 1: {0: {1: -1}}}, name="jordan_module"))))
 
     osp, defining = realization(
@@ -108,7 +108,7 @@ def main():
     write("osp12.json", algebra_to_json(osp))
     write("osp12_defining_module.json", module_to_json(defining))
     write("osp12_tensor_module.json", module_to_json(
-        tensor_square(osp, defining, "osp12_tensor_module")))
+        tensor_square(defining, "osp12_tensor_module")))
 
     sl2, defining = realization(
         "sl2", [("H", {0: {0: 1}, 1: {1: -1}}), ("E", {0: {1: 1}}), ("F", {1: {0: 1}})],
