@@ -39,7 +39,9 @@ triangularity leaves.
 The exhaustive duality check of ``dual_pair`` builds the products x^I y
 along prefixes, keeps only the terms that can still reach the full odd
 monomial, and compares the top parts in the kernel's integers
-(``_prefix_pairings``).  The invariance certificate of
+(``_prefix_pairings``).  Each prefix head x_s w is rewritten once per
+call, into a memo that ``dual_pair`` creates and drops, so the 2^m chains
+of the 2^m elements y share their rewrites.  The invariance certificate of
 ``invariant_z`` reads the classes of z and of x_i z in U(g)/U(g)*g0 from
 the enveloping layer's quotient recursion, which shares only the bracket
 table with the pass.
@@ -253,7 +255,8 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
         diagonal)
 
 
-def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> tuple[list[dict], int, int]:
+def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
+                     memo: dict) -> tuple[list[dict], int, int]:
     """The top parts of x^I y for every odd subset I, in the rewriting
     kernel's integers: ``(tops, D, deg y)``, where ``tops[mask]`` holds the
     PBW words of x^I y with all m odd letters, each with its nonzero int
@@ -275,7 +278,12 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> tuple[list[dict], in
 
     The chain runs in ints (``_rewrite``).  y is scaled once: a term c w of
     y carries c * D * S^(deg y - |w|).  Prepending x_s raises both the
-    degree and |I| by one, and the kernel keeps the scale.
+    degree and |I| by one, and the kernel keeps the scale.  ``_rewrite`` is
+    linear in the head weights, so each head x_s w is rewritten once, with
+    weight 1, and pruned at the floor m - s that its first letter fixes;
+    ``memo`` maps the head to the kept (word, int) pairs, and every use of
+    the head with weight v adds v times them.  A memo is valid for any y
+    over the same algebra.
     """
     m, n0, scale = alg.n_odd, alg.n_even, alg._int_scale
     den = math.lcm(*(c.denominator for c in y.terms.values()))
@@ -286,13 +294,18 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement) -> tuple[list[dict], in
         low = mask & -mask
         s = low.bit_length() - 1
         prev, letter, floor = products[mask ^ low], (n0 + s,), m - s
-        if not prev:
-            products.append(prev)
-            continue
-        out = _rewrite(alg, [(letter + w, v) for w, v in prev.items()])
-        # the odd letters of a PBW word are its suffix, and floor >= 1
-        products.append({w: v for w, v in out.items()
-                         if v and len(w) >= floor and w[-floor] >= n0})
+        acc: dict = defaultdict(int)
+        for w, v in prev.items():
+            head = letter + w
+            kept = memo.get(head)
+            if kept is None:
+                # the odd letters of a PBW word are its suffix, and floor >= 1
+                kept = memo[head] = tuple(
+                    (u, x) for u, x in _rewrite(alg, [(head, 1)]).items()
+                    if x and len(u) >= floor and u[-floor] >= n0)
+            for u, x in kept:
+                acc[u] += v * x
+        products.append({u: x for u, x in acc.items() if x})
     tops = [{w: v for w, v in u.items() if len(w) - bisect_left(w, n0) == m}
             for u in products]
     return tops, den, deg
@@ -303,7 +316,8 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
 
     y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]); duality is
     verified exhaustively before returning, every cell compared exactly in
-    the kernel's integers (``_prefix_pairings``).  pi(x^I y^J) = delta_IJ
+    the kernel's integers (``_prefix_pairings``, whose memo of prefix
+    heads lives for this call only).  pi(x^I y^J) = delta_IJ
     says that x^I y^J has no word with all m odd letters unless I = J, and
     then exactly the bare x^top, with value D * S^(deg y + |I| - m).  The
     check prunes the products it forms, which needs a graded bracket
@@ -324,9 +338,9 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
                  for w, c in alpha(fm.inverse[k][j]).terms.items()]
         ys.append(UEElement._trusted(alg, _normal_form(alg, heads)))
     # every cell is checked; the first failure in row order is reported
-    failures = []
+    failures, memo = [], {}
     for j, y in enumerate(ys):
-        tops, den, deg = _prefix_pairings(alg, y)
+        tops, den, deg = _prefix_pairings(alg, y, memo)
         # below degree m, x^{I_j} y has no top word: its diagonal cell fails
         e = deg + fm.order[j].bit_count() - m
         diagonal = {top_word: den * alg._int_scale ** e} if e >= 0 else None

@@ -14,7 +14,9 @@ every call, which pins the sign conventions operationally.
 The brute-force invariant search at the bottom is deliberately independent
 of the Frobenius machinery: it only uses the quotient action provided by
 the enveloping-algebra layer, so agreement between the two is a genuine
-cross-check.
+cross-check.  It eliminates only the odd generators' rows, whose common
+kernel is at most one-dimensional, and tests the one candidate against
+each even generator (the argument is in its docstring).
 """
 
 from __future__ import annotations
@@ -307,16 +309,33 @@ def _quotient_action(alg: LieSuperalgebra, i: int, masks) -> linalg.Matrix:
 
 
 def brute_force_quotient_invariants(alg: LieSuperalgebra) -> list[linalg.Vector]:
-    """Invariant classes of the 2^m-dimensional quotient module, found by
-    exact linear algebra over the quotient action of every basis element.
+    """Invariant classes of the 2^m-dimensional quotient module, in the
+    canonical kernel basis of ``linalg.nullspace``, found by exact linear
+    algebra over the quotient action.
+
+    Only the m odd basis elements' rows are eliminated.  The part of
+    x_t x^I with |I| + 1 odd letters is +-x^(I + t), or 0 when t is in I,
+    so the part of highest degree |I| of a class that every odd x_t kills
+    is a multiple of x^top, and two such classes with the same multiple
+    are equal: the odd kernel is at most one-dimensional
+    (``InternalInvariantError`` if not).  Its vector v is an invariant
+    when every even basis element kills it too.  Then the rows of all
+    basis elements span the functionals that vanish on v, as the odd rows
+    already do, so both row sets have the same canonical kernel basis.
 
     Independent oracle: uses only the enveloping-algebra quotient action,
     none of the Frobenius construction.
     """
     n = 1 << alg.n_odd
-    rows = [row for i in range(alg.dim)
+    rows = [row for i in range(alg.n_even, alg.dim)
             for row in _quotient_action(alg, i, range(n)).values()]
-    return linalg.nullspace(rows, n)
+    kernel = linalg.nullspace(rows, n)
+    if len(kernel) > 1:
+        raise InternalInvariantError(
+            f"the odd generators of {alg.name} kill {len(kernel)} independent classes")
+    if any(act_on_quotient(alg, i, v) for v in kernel for i in range(alg.n_even)):
+        return []
+    return kernel
 
 
 def quotient_module(alg: LieSuperalgebra, name: str = "") -> GradedModule:

@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from superhaar import UEElement, frobenius_pi, linalg, multiply, subset_monomial
+from superhaar import (UEElement, act_on_quotient, frobenius_pi, linalg, multiply,
+                       subset_monomial)
 from superhaar.algebra import ValidationReport
 
 from conftest import dense_of, identity
@@ -139,6 +140,19 @@ def fraction_act_on_quotient(alg, i, cls):
     words = {mask: tuple(n0 + t for t in range(alg.n_odd) if mask >> t & 1)
              for mask in cls}
     return fraction_class(alg, [((i,) + words[mask], c) for mask, c in cls.items()])
+
+
+def full_oracle(alg):
+    """The invariant classes of the quotient as the canonical kernel basis of
+    the quotient action of every basis element, all dim * 2^m rows, each
+    column read off the public ``act_on_quotient``: the reference for the
+    oracle, which eliminates only the odd rows."""
+    n = 1 << alg.n_odd
+    rows = []
+    for i in range(alg.dim):
+        cols = [act_on_quotient(alg, i, {mask: F(1)}) for mask in range(n)]
+        rows += [{c: col[r] for c, col in enumerate(cols) if r in col} for r in range(n)]
+    return linalg.nullspace(rows, n)
 
 
 def fraction_pairing(alg, order, read, one):

@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -390,11 +391,11 @@ def test_form_on_a_table_that_breaks_parity(even, odd, brackets, x, y, want):
         dual_pair(alg)
 
 
-def prefix_pairings(alg, y):
+def prefix_pairings(alg, y, memo):
     """pi(x^I y) for every mask I, converted from the integer top parts of
     ``_prefix_pairings``: a word of degree L in x^I y carries
     D * S^(deg y + |I| - L), and its even prefix is a word of the pairing."""
-    tops, den, deg = frobenius._prefix_pairings(alg, y)
+    tops, den, deg = frobenius._prefix_pairings(alg, y, memo)
     m, scale = alg.n_odd, alg._int_scale
     top_word = tuple(range(alg.n_even, alg.dim))
     assert len(tops) == 1 << m
@@ -409,8 +410,10 @@ def prefix_pairings(alg, y):
 
 
 def assert_prefix_pass_matches_form(alg, ys):
+    # one memo for all the elements, as in dual_pair
+    memo = {}
     for y in ys:
-        for mask, p in enumerate(prefix_pairings(alg, y)):
+        for mask, p in enumerate(prefix_pairings(alg, y, memo)):
             assert p == form(subset_monomial(alg, mask), y), (alg.name, mask)
 
 
@@ -464,7 +467,62 @@ def test_prefix_pass_in_a_scaled_algebra_matches_form(monkeypatch, rng):
     monkeypatch.setattr(enveloping, "multiply", refuse)
     monkeypatch.setattr(frobenius, "multiply", refuse)
     for alg, ys, want in cases:
-        assert [prefix_pairings(alg, y) for y in ys] == want, alg.name
+        memo = {}
+        assert [prefix_pairings(alg, y, memo) for y in ys] == want, alg.name
+
+
+def test_a_shared_memo_gives_the_fresh_memo_result(rng):
+    # the heads are rewritten with weight 1, so a memo filled by other
+    # elements, of other degrees and denominators, gives the same top parts
+    # as a fresh one
+    dense, _ = random_odd_basis_change(gl_supermatrix_units(2, 1), rng)
+    for alg in [fixture_algebra(key) for key in ALGEBRA_FILES] + [dense]:
+        ys = dual_pair(alg)
+        ys += [random_element(alg, rng, max_degree=4, terms=5) * F(2, 3) for _ in range(2)]
+        memo = {}
+        shared = [frobenius._prefix_pairings(alg, y, memo) for y in ys]
+        assert shared == [frobenius._prefix_pairings(alg, y, {}) for y in ys], alg.name
+        assert memo or alg.n_odd == 0
+
+
+def test_a_changed_memo_entry_is_caught(monkeypatch):
+    # change one kept pair that reaches the full odd monomial, in the first
+    # head that a dual element reuses after an earlier one stored it: the
+    # top part moves by the head's nonzero weight, so a cell fails
+    alg = gl_supermatrix_units(2, 1)
+    m, n0 = alg.n_odd, alg.n_even
+    honest, calls, changed = frobenius._prefix_pairings, [], []
+
+    def full(word):
+        return len(word) - sum(g < n0 for g in word) == m
+
+    def tamper(alg, y, memo):
+        calls.append(None)
+        fresh = {}
+        honest(alg, y, fresh)
+        heads = [h for h in fresh if h in memo and any(full(u) for u, _ in memo[h])]
+        if heads and not changed:
+            changed.append(heads[0])
+            kept = list(memo[heads[0]])
+            t = next(t for t, (u, _) in enumerate(kept) if full(u))
+            kept[t] = (kept[t][0], kept[t][1] + 1)
+            memo[heads[0]] = tuple(kept)
+        return honest(alg, y, memo)
+
+    fm = frobenius_matrix(alg)
+    dual_pair(alg, fm)
+    monkeypatch.setattr(frobenius, "_prefix_pairings", tamper)
+    with pytest.raises(InternalInvariantError, match=r"dual pair fails at \(\d+, \d+\)$"):
+        dual_pair(alg, fm)
+    assert changed and len(calls) == 1 << m
+
+
+def test_dual_pair_leaves_the_algebra_as_it_was():
+    # the memo of prefix heads lives for one call and is stored nowhere
+    for alg in (gl_supermatrix_units(2, 1), fixture_algebra("osp12")):
+        before = copy.deepcopy(vars(alg))
+        dual_pair(alg)
+        assert vars(alg) == before, alg.name
 
 
 @pytest.mark.parametrize("corrupt", ["double", "add"])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import random
 import sys
@@ -17,15 +18,16 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        module_action, modules, multiply, quotient_module,
                        validate_module, validate_superalgebra)
 from superhaar.algebra import change_basis, even_part_structure
+from superhaar.cli import main
 from superhaar.fileio import builtin_fixture
 
 from conftest import (ALGEBRA_FILES, FIXTURE_MODULES, MODULE_FILES, UNIMODULAR,
-                      dense_of, fixture_algebra, fixture_module, identity,
-                      rescaled_algebra, rows_of)
-from randgen import random_element
+                      dense_of, fixture_algebra, fixture_module, gl_supermatrix_units,
+                      identity, rescaled_algebra, rows_of)
+from randgen import random_element, random_odd_basis_change, random_small_superalgebra
 from reference import (dense_mul, dense_validate_module, fraction_integral,
                        fraction_module_action, fraction_projector,
-                       fraction_right_integral, fraction_split)
+                       fraction_right_integral, fraction_split, full_oracle)
 
 F = Fraction
 
@@ -587,6 +589,55 @@ def test_oracle_examples(g2, g3, bad2, gl11, osp12, sl2):
 def test_oracle_dimension_bound():
     for key in ALGEBRA_FILES:
         assert len(brute_force_quotient_invariants(fixture_algebra(key))) <= 1
+
+
+def test_oracle_equals_the_nullspace_of_every_row(rng):
+    # the oracle eliminates the m odd rows and tests one candidate against
+    # the even generators; the reference eliminates all dim * 2^m rows
+    algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    for p, q in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]:
+        alg = gl_supermatrix_units(p, q)
+        algs += [alg, random_odd_basis_change(alg, rng)[0]]
+    draws = [random_small_superalgebra(rng) for _ in range(40)]
+    for alg in algs + draws:
+        assert brute_force_quotient_invariants(alg) == full_oracle(alg), alg.name
+    # the draws include algebras that fail the trace condition
+    assert {len(full_oracle(alg)) for alg in draws} == {0, 1}
+
+
+def test_a_zeroed_odd_action_grows_the_odd_kernel_and_exits_70(monkeypatch, capsys):
+    # with x_0 acting as zero the odd rows no longer force the top part, so
+    # the odd kernel of gl(1|1) is two-dimensional
+    alg = fixture_algebra("gl11")
+    honest = modules.act_on_quotient
+
+    def zero_first_odd(alg, i, cls):
+        return {} if i == alg.n_even else honest(alg, i, cls)
+
+    monkeypatch.setattr(modules, "act_on_quotient", zero_first_odd)
+    with pytest.raises(InternalInvariantError, match="kill 2 independent classes"):
+        brute_force_quotient_invariants(alg)
+    assert main(["invariant", builtin_fixture(ALGEBRA_FILES["gl11"]), "--oracle"]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("superhaar: internal invariant violation:")
+
+
+def test_an_even_generator_that_moves_the_candidate_empties_the_oracle(monkeypatch,
+                                                                       capsys):
+    # the odd rows alone keep the top class of gl(1|1); an even generator
+    # that moves it leaves no invariant, and the CLI reports the disagreement
+    alg = fixture_algebra("gl11")
+    honest = modules.act_on_quotient
+
+    def move_by_first_even(alg, i, cls):
+        return {0: F(1)} if i == 0 and cls else honest(alg, i, cls)
+
+    monkeypatch.setattr(modules, "act_on_quotient", move_by_first_even)
+    assert brute_force_quotient_invariants(alg) == []
+    assert main(["invariant", builtin_fixture(ALGEBRA_FILES["gl11"]), "--oracle"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle_dimension"] == 0 and payload["oracle_agrees"] is False
 
 
 # -- the quotient as a module ----------------------------------------------------

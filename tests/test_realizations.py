@@ -8,6 +8,7 @@ from superhaar import (NoInvariantError, brute_force_quotient_invariants,
                        invariant_z, lambda_values, linalg, subset_monomial)
 
 from realizations import realization
+from reference import full_oracle
 
 
 def unit(i, j):
@@ -37,7 +38,7 @@ def test_sl21_is_unimodular_with_the_top_monomial_as_its_unique_invariant():
     inv = invariant_z(sl21)
     assert inv.z == subset_monomial(sl21, top)
     oracle = brute_force_quotient_invariants(sl21)
-    assert len(oracle) == 1
+    assert len(oracle) == 1 and oracle == full_oracle(sl21)
     assert linalg.same_span(oracle, [inv.quotient_class])
 
 
@@ -57,4 +58,4 @@ def test_periplectic_p2_fails_the_trace_condition():
         invariant_z(p2)
     assert p2.basis_name(err.value.violator) == "A11"
     assert err.value.value == 2
-    assert brute_force_quotient_invariants(p2) == []
+    assert brute_force_quotient_invariants(p2) == [] == full_oracle(p2)
