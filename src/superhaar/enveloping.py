@@ -310,9 +310,12 @@ def counit(a: UEElement) -> Fraction:
     return a.terms.get((), Fraction(0))
 
 
-def alpha(u: UEElement) -> UEElement:
+def alpha(u: UEElement, lam=None) -> UEElement:
     """The automorphism of the even enveloping subalgebra sending each even
-    generator X to X + tr(ad'(X)); extended multiplicatively.
+    generator X to X + tr(ad'(X)); extended multiplicatively.  ``lam``,
+    when given, holds tr(ad'(X)) for every even generator X of the words
+    of ``u``, as ``lambda_values`` does, so that a caller twisting many
+    elements computes the traces once.
 
     No rewriting is needed.  A PBW word of ``u`` is a non-decreasing run of
     even letters, so the ordered product of its X_g + tr(ad'(X_g)) is the
@@ -321,7 +324,8 @@ def alpha(u: UEElement) -> UEElement:
     alg = u.alg
     if any(w and w[-1] >= alg.n_even for w in u.terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
-    lam = {g: ad_prime_trace(alg, g) for w in u.terms for g in set(w)}
+    if lam is None:
+        lam = {g: ad_prime_trace(alg, g) for w in u.terms for g in set(w)}
     out: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
     for word, c in u.terms.items():
         parts = {(): c}

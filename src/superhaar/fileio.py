@@ -227,7 +227,9 @@ def _dumps(obj, nl: str) -> str:
                 return "[" + inner + sep.join(map(_encode_str, obj)) + nl + "]"
             except TypeError:
                 pass
-        return "[" + inner + sep.join([_dumps(x, inner) for x in obj]) + nl + "]"
+        # an empty list, such as a zero matrix entry, is written inline
+        return "[" + inner + sep.join(["[]" if x == [] else _dumps(x, inner)
+                                       for x in obj]) + nl + "]"
     if t is dict:
         if not obj:
             return "{}"

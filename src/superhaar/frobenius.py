@@ -165,14 +165,21 @@ def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
     b[j] = d_j.  Verifies A * b = e_j exactly, row by row from the same
     sum: a row where s is e_j[i] holds with b[i] = 0, and any other must
     reach e_j[i] once A[i][i] * b[i] is added.  Triangularity leaves only
-    the band j <= k <= i of each sum."""
+    the band j <= k <= i of each sum; a row i > j with no solved entry in
+    its band has s = 0 = e_j[i], so b[i] = 0 and the row holds, and it
+    is skipped."""
     col = {}
     for i in range(j, len(diagonal)):
         row = rows.get(i, {})
-        acc = zero
+        acc = None
         for k, a in row.items():
             if k in col:
-                acc = acc + a * col[k]
+                p = a * col[k]
+                acc = p if acc is None else acc + p
+        if acc is None:
+            if i > j:
+                continue
+            acc = zero
         target = one if i == j else zero
         if acc != target:
             col[i] = b = target - acc if diagonal[i] > 0 else acc - target
@@ -322,6 +329,11 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     then exactly the bare x^top, with value D * S^(deg y + |I| - m).  The
     check prunes the products it forms, which needs a graded bracket
     table: raises ``ValueError`` on any other.
+
+    The traces tr(ad'(X)) are computed once per call.  When all of them
+    are zero, which is the trace condition, alpha is the identity and the
+    inverse entries are used as they are; otherwise ``alpha`` twists each
+    entry with those traces.
     """
     if not alg._parity_graded:
         raise ValueError(f"the bracket table of {alg.name} does not respect parity")
@@ -331,11 +343,13 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     top = (1 << m) - 1
     comp = [_odd_word(alg, top ^ mask) for mask in fm.order]
     top_word = _odd_word(alg, top)
+    lam = lambda_values(alg)
+    twisted = any(lam.values())
     ys = []
     for j in range(n):
         # one kernel call on the heads of every x^{complement(K)} * alpha(b_Kj)
-        heads = [(comp[k] + w, c) for k in range(n) if fm.inverse[k][j]
-                 for w, c in alpha(fm.inverse[k][j]).terms.items()]
+        heads = [(comp[k] + w, c) for k in range(n) if (b := fm.inverse[k][j])
+                 for w, c in (alpha(b, lam) if twisted else b).terms.items()]
         ys.append(UEElement._trusted(alg, _normal_form(alg, heads)))
     # every cell is checked; the first failure in row order is reported
     failures, memo = [], {}

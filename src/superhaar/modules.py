@@ -15,13 +15,15 @@ The brute-force invariant search at the bottom is deliberately independent
 of the Frobenius machinery: it only uses the quotient action provided by
 the enveloping-algebra layer, so agreement between the two is a genuine
 cross-check.  It eliminates only the odd generators' rows, whose common
-kernel is at most one-dimensional, and tests the one candidate against
-each even generator (the argument is in its docstring).
+kernel is at most one-dimensional, reading them as the layer's memoised
+ints, and tests the one candidate against each even generator through the
+public ``act_on_quotient`` (the argument is in its docstring).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -30,7 +32,7 @@ from . import linalg
 from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
                       ValidationReport, _relation_failures, even_part_structure,
                       nonzero_rows)
-from .enveloping import UEElement, act_on_quotient
+from .enveloping import UEElement, _act, act_on_quotient
 from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order
 from .linalg import ONE
 
@@ -323,12 +325,27 @@ def brute_force_quotient_invariants(alg: LieSuperalgebra) -> list[linalg.Vector]
     basis elements span the functionals that vanish on v, as the odd rows
     already do, so both row sets have the same canonical kernel basis.
 
+    The odd rows are read from the enveloping layer's memoised ints
+    (``_act``): the pair (J, v) of ``_act(alg, t, mask)`` stands for the
+    entry v / S^(|mask| + 1 - |J|) of x_t at (J, mask), S the algebra's
+    integer scale.  Row J times S^(m + 1 - |J|) holds the int
+    v * S^(m - |mask|) at each mask.  Scaling a row keeps the row space,
+    so the kernel and its canonical basis are those of the rational rows.
+
     Independent oracle: uses only the enveloping-algebra quotient action,
     none of the Frobenius construction.
     """
-    n = 1 << alg.n_odd
-    rows = [row for i in range(alg.n_even, alg.dim)
-            for row in _quotient_action(alg, i, range(n)).values()]
+    m, scale = alg.n_odd, alg._int_scale
+    n = 1 << m
+    factor = [scale ** (m - mask.bit_count()) for mask in range(n)]
+    rows = []
+    for t in range(alg.n_even, alg.dim):
+        rows_t: dict = defaultdict(dict)
+        for mask in range(n):
+            f = factor[mask]
+            for j, v in _act(alg, t, mask):
+                rows_t[j][mask] = v * f
+        rows += rows_t.values()
     kernel = linalg.nullspace(rows, n)
     if len(kernel) > 1:
         raise InternalInvariantError(

@@ -8,7 +8,8 @@ from superhaar import LieSuperalgebra, UEElement, ad_prime_trace, change_basis
 from superhaar.fileio import builtin_fixture, load_algebra, load_module
 
 from randgen import substitute
-from realizations import gl_supermatrix_units  # the tests import it from here
+from realizations import (gl_supermatrix_units,  # the tests import them from here
+                          parabolic_supermatrix_units)
 
 ALGEBRA_FILES = {
     "g2": "g2_grassmann.json",

@@ -57,11 +57,21 @@ def realization(name, even, odd, parities, module_name=""):
     return alg, module
 
 
-def gl_supermatrix_units(p, q):
+def gl_supermatrix_units(p, q, name=None, keep=lambda i, j: True):
     """gl(p|q) on the units E_ij, named E{i+1}{j+1}, |E_ij| = |i| + |j| mod 2:
-    the even units first, then the odd, each part in (i, j) order."""
+    the even units first, then the odd, each part in (i, j) order.  With
+    ``keep``, the subalgebra spanned by the units E_ij with keep(i, j)."""
     deg = [0] * p + [1] * q
-    units = [(i, j) for i in range(p + q) for j in range(p + q)]
+    units = [(i, j) for i in range(p + q) for j in range(p + q) if keep(i, j)]
     part = [[(f"E{i + 1}{j + 1}", {i: {j: 1}}) for i, j in units
              if (deg[i] + deg[j]) % 2 == odd] for odd in (0, 1)]
-    return realization(f"gl({p}|{q})", *part, deg)[0]
+    return realization(name or f"gl({p}|{q})", *part, deg)[0]
+
+
+def parabolic_supermatrix_units(p, q):
+    """The subalgebra of gl(p|q) spanned by its even units and the odd units
+    of the upper-right block, E_ij with i < p <= j.  Its odd part is
+    abelian, and E_ii acts on it with trace q for i < p and -p otherwise,
+    so for p, q >= 1 it fails the trace condition."""
+    return gl_supermatrix_units(p, q, f"par({p}|{q})",
+                                lambda i, j: (i < p) == (j < p) or i < p)

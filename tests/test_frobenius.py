@@ -17,7 +17,8 @@ from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
 from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra, gen,
-                      gl_supermatrix_units, rescaled_algebra, twisted_dual_algebra)
+                      gl_supermatrix_units, parabolic_supermatrix_units,
+                      rescaled_algebra, twist, twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
 from reference import form, fraction_pairing
@@ -655,10 +656,33 @@ def test_dual_pair_depends_on_the_twist(monkeypatch, capsys, tmp_path):
     assert payload["violator"] == "X" and len(payload["dual_pair"]) == 8
 
     # the opposite twist breaks duality, and the CLI reports a library fault
-    monkeypatch.setattr(frobenius, "alpha", alpha_inv)
+    monkeypatch.setattr(frobenius, "alpha", lambda u, lam: alpha_inv(u))
     with pytest.raises(InternalInvariantError, match=r"dual pair fails at \(4, 0\)"):
         dual_pair(alg, fm)
     assert main(["invariant", path, "--emit-dual-pair"]) == 70
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("superhaar: internal invariant violation:")
+
+
+def reference_dual_pair(alg, fm):
+    """y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]), with alpha as
+    ordered products of X + tr(ad'(X)) (conftest ``twist``) and every
+    product by ``multiply``."""
+    top = (1 << alg.n_odd) - 1
+    comp = [subset_monomial(alg, top ^ mask) for mask in fm.order]
+    n = len(fm.order)
+    return [sum((multiply(comp[k], twist(fm.inverse[k][j], 1)) for k in range(n)),
+                UEElement.zero(alg)) for j in range(n)]
+
+
+def test_dual_pair_with_a_nonzero_trace_equals_its_reference():
+    # dual_pair twists the inverse entries only when some tr(ad') is nonzero
+    par22 = parabolic_supermatrix_units(2, 2)
+    scaled = rescaled_algebra(par22)
+    assert par22.n_odd == 4 and scaled._int_scale > 1
+    for alg in (twisted_dual_algebra(), fixture_algebra("bad2"), par22, scaled):
+        assert any(lambda_values(alg).values()), alg.name
+        fm = frobenius_matrix(alg)
+        assert any(counit(e) != e for row in fm.inverse for e in row), alg.name
+        assert dual_pair(alg, fm) == reference_dual_pair(alg, fm), alg.name

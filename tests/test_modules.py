@@ -595,11 +595,16 @@ def test_oracle_equals_the_nullspace_of_every_row(rng):
     # the oracle eliminates the m odd rows and tests one candidate against
     # the even generators; the reference eliminates all dim * 2^m rows
     algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    # the Grassmann algebras are abelian, so rescaling leaves their scale 1
+    scaled = [rescaled_algebra(fixture_algebra(key)) for key in ("bad2", "gl11", "osp12", "sl2")]
     for p, q in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]:
         alg = gl_supermatrix_units(p, q)
         algs += [alg, random_odd_basis_change(alg, rng)[0]]
+        scaled.append(rescaled_algebra(alg))
+    # the odd rows are read in ints scaled by S^(m - |mask|); S > 1 pins it
+    assert all(alg._int_scale > 1 for alg in scaled)
     draws = [random_small_superalgebra(rng) for _ in range(40)]
-    for alg in algs + draws:
+    for alg in algs + scaled + draws:
         assert brute_force_quotient_invariants(alg) == full_oracle(alg), alg.name
     # the draws include algebras that fail the trace condition
     assert {len(full_oracle(alg)) for alg in draws} == {0, 1}
@@ -609,12 +614,12 @@ def test_a_zeroed_odd_action_grows_the_odd_kernel_and_exits_70(monkeypatch, caps
     # with x_0 acting as zero the odd rows no longer force the top part, so
     # the odd kernel of gl(1|1) is two-dimensional
     alg = fixture_algebra("gl11")
-    honest = modules.act_on_quotient
+    honest = modules._act
 
-    def zero_first_odd(alg, i, cls):
-        return {} if i == alg.n_even else honest(alg, i, cls)
+    def zero_first_odd(alg, g, mask):
+        return () if g == alg.n_even else honest(alg, g, mask)
 
-    monkeypatch.setattr(modules, "act_on_quotient", zero_first_odd)
+    monkeypatch.setattr(modules, "_act", zero_first_odd)
     with pytest.raises(InternalInvariantError, match="kill 2 independent classes"):
         brute_force_quotient_invariants(alg)
     assert main(["invariant", builtin_fixture(ALGEBRA_FILES["gl11"]), "--oracle"]) == 70
