@@ -211,6 +211,9 @@ class LieSuperalgebra:
         # dies with the algebra
         self._letter_parity = tuple(self.parity(g) for g in range(self.dim))
         self._quotient_memo: dict[tuple[int, int], dict[int, int]] = {}
+        # tr(ad'(X)) of each even generator X, read by ``lambda_values``
+        # and the twist ``enveloping.alpha``
+        self._ad_traces = tuple(ad_prime_trace(self, i) for i in range(self.n_even))
         self._cached_key = (self.name, self.even_names, self.odd_names,
                             tuple(sorted(table.items())))
 
@@ -423,7 +426,7 @@ def ad_prime_trace(alg: LieSuperalgebra, i: int) -> Fraction:
 
 
 def lambda_values(alg: LieSuperalgebra) -> dict[int, Fraction]:
-    return {i: ad_prime_trace(alg, i) for i in range(alg.n_even)}
+    return dict(enumerate(alg._ad_traces))
 
 
 @dataclass

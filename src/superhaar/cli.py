@@ -128,10 +128,9 @@ def cmd_invariant(args) -> int:
         payload["odd_subset_order"] = [
             [alg.odd_names[t] for t in range(alg.n_odd) if mask >> t & 1]
             for mask in fm.order]
-        # most entries are zero, and a zero entry is written as []
-        payload["frobenius_matrix"] = [[fileio.element_to_json(e) if e else [] for e in row]
+        payload["frobenius_matrix"] = [[fileio.element_to_json(e) for e in row]
                                        for row in fm.entries]
-        payload["frobenius_inverse"] = [[fileio.element_to_json(e) if e else [] for e in row]
+        payload["frobenius_inverse"] = [[fileio.element_to_json(e) for e in row]
                                         for row in fm.inverse]
     if args.emit_dual_pair:
         payload["dual_pair"] = [fileio.element_to_json(y)

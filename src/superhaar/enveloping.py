@@ -28,7 +28,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import groupby
 
-from .algebra import LieSuperalgebra, ad_prime_trace, as_scalar
+from .algebra import LieSuperalgebra, as_scalar
 
 
 def _odd_mask(n0: int, word) -> int:
@@ -310,12 +310,12 @@ def counit(a: UEElement) -> Fraction:
     return a.terms.get((), Fraction(0))
 
 
-def alpha(u: UEElement, lam=None) -> UEElement:
+def alpha(u: UEElement) -> UEElement:
     """The automorphism of the even enveloping subalgebra sending each even
-    generator X to X + tr(ad'(X)); extended multiplicatively.  ``lam``,
-    when given, holds tr(ad'(X)) for every even generator X of the words
-    of ``u``, as ``lambda_values`` does, so that a caller twisting many
-    elements computes the traces once.
+    generator X to X + tr(ad'(X)); extended multiplicatively.  The traces
+    are the algebra's own, computed once when it is built.  When every
+    letter of ``u`` has trace zero, as under the trace condition, ``u`` is
+    its own image and is returned as it is.
 
     No rewriting is needed.  A PBW word of ``u`` is a non-decreasing run of
     even letters, so the ordered product of its X_g + tr(ad'(X_g)) is the
@@ -324,8 +324,9 @@ def alpha(u: UEElement, lam=None) -> UEElement:
     alg = u.alg
     if any(w and w[-1] >= alg.n_even for w in u.terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
-    if lam is None:
-        lam = {g: ad_prime_trace(alg, g) for w in u.terms for g in set(w)}
+    lam = alg._ad_traces
+    if not any(lam[g] for w in u.terms for g in w):
+        return u
     out: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
     for word, c in u.terms.items():
         parts = {(): c}
@@ -417,6 +418,22 @@ def _rational_class(alg: LieSuperalgebra, parts) -> dict[int, Fraction]:
             acc[j] += f * v
     return {j: Fraction(v, den * scale ** (top - j.bit_count()))
             for j, v in acc.items() if v}
+
+
+def _int_action_rows(alg: LieSuperalgebra, t: int) -> list[dict[int, int]]:
+    """The nonzero rows of x_t on the 2^m classes x^mask, in ints.  The
+    pair (J, v) of ``_act(alg, t, mask)`` stands for the entry
+    v / S^(|mask| + 1 - |J|) at row J and column mask, so row J times
+    S^(m + 1 - |J|) holds the int v * S^(m - |mask|) at each mask.
+    Scaling a row keeps the row space, and so the kernel."""
+    m = alg.n_odd
+    factor = [alg._int_scale ** (m - k) for k in range(m + 1)]
+    rows: dict[int, dict[int, int]] = defaultdict(dict)
+    for mask in range(1 << m):
+        f = factor[mask.bit_count()]
+        for j, v in _act(alg, t, mask):
+            rows[j][mask] = v * f
+    return list(rows.values())
 
 
 def quotient_project(a: UEElement) -> dict[int, Fraction]:

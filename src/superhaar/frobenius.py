@@ -330,10 +330,8 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     check prunes the products it forms, which needs a graded bracket
     table: raises ``ValueError`` on any other.
 
-    The traces tr(ad'(X)) are computed once per call.  When all of them
-    are zero, which is the trace condition, alpha is the identity and the
-    inverse entries are used as they are; otherwise ``alpha`` twists each
-    entry with those traces.
+    ``alpha`` returns an inverse entry as it is when none of its letters
+    has a nonzero trace, so under the trace condition no entry is twisted.
     """
     if not alg._parity_graded:
         raise ValueError(f"the bracket table of {alg.name} does not respect parity")
@@ -343,13 +341,11 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     top = (1 << m) - 1
     comp = [_odd_word(alg, top ^ mask) for mask in fm.order]
     top_word = _odd_word(alg, top)
-    lam = lambda_values(alg)
-    twisted = any(lam.values())
     ys = []
     for j in range(n):
         # one kernel call on the heads of every x^{complement(K)} * alpha(b_Kj)
         heads = [(comp[k] + w, c) for k in range(n) if (b := fm.inverse[k][j])
-                 for w, c in (alpha(b, lam) if twisted else b).terms.items()]
+                 for w, c in alpha(b).terms.items()]
         ys.append(UEElement._trusted(alg, _normal_form(alg, heads)))
     # every cell is checked; the first failure in row order is reported
     failures, memo = [], {}

@@ -23,7 +23,6 @@ public ``act_on_quotient`` (the argument is in its docstring).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -32,7 +31,7 @@ from . import linalg
 from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
                       ValidationReport, _relation_failures, even_part_structure,
                       nonzero_rows)
-from .enveloping import UEElement, _act, act_on_quotient
+from .enveloping import UEElement, _int_action_rows, act_on_quotient
 from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order
 from .linalg import ONE
 
@@ -325,27 +324,16 @@ def brute_force_quotient_invariants(alg: LieSuperalgebra) -> list[linalg.Vector]
     basis elements span the functionals that vanish on v, as the odd rows
     already do, so both row sets have the same canonical kernel basis.
 
-    The odd rows are read from the enveloping layer's memoised ints
-    (``_act``): the pair (J, v) of ``_act(alg, t, mask)`` stands for the
-    entry v / S^(|mask| + 1 - |J|) of x_t at (J, mask), S the algebra's
-    integer scale.  Row J times S^(m + 1 - |J|) holds the int
-    v * S^(m - |mask|) at each mask.  Scaling a row keeps the row space,
-    so the kernel and its canonical basis are those of the rational rows.
+    The odd rows are the enveloping layer's ints (``_int_action_rows``):
+    each is a rational row times a power of the algebra's integer scale,
+    and scaling a row keeps the row space, so the kernel and its canonical
+    basis are those of the rational rows.
 
     Independent oracle: uses only the enveloping-algebra quotient action,
     none of the Frobenius construction.
     """
-    m, scale = alg.n_odd, alg._int_scale
-    n = 1 << m
-    factor = [scale ** (m - mask.bit_count()) for mask in range(n)]
-    rows = []
-    for t in range(alg.n_even, alg.dim):
-        rows_t: dict = defaultdict(dict)
-        for mask in range(n):
-            f = factor[mask]
-            for j, v in _act(alg, t, mask):
-                rows_t[j][mask] = v * f
-        rows += rows_t.values()
+    n = 1 << alg.n_odd
+    rows = [row for t in range(alg.n_even, alg.dim) for row in _int_action_rows(alg, t)]
     kernel = linalg.nullspace(rows, n)
     if len(kernel) > 1:
         raise InternalInvariantError(

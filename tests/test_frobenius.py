@@ -656,7 +656,7 @@ def test_dual_pair_depends_on_the_twist(monkeypatch, capsys, tmp_path):
     assert payload["violator"] == "X" and len(payload["dual_pair"]) == 8
 
     # the opposite twist breaks duality, and the CLI reports a library fault
-    monkeypatch.setattr(frobenius, "alpha", lambda u, lam: alpha_inv(u))
+    monkeypatch.setattr(frobenius, "alpha", alpha_inv)
     with pytest.raises(InternalInvariantError, match=r"dual pair fails at \(4, 0\)"):
         dual_pair(alg, fm)
     assert main(["invariant", path, "--emit-dual-pair"]) == 70
@@ -677,12 +677,17 @@ def reference_dual_pair(alg, fm):
 
 
 def test_dual_pair_with_a_nonzero_trace_equals_its_reference():
-    # dual_pair twists the inverse entries only when some tr(ad') is nonzero
+    # dual_pair twists the inverse entries when some tr(ad') is nonzero
     par22 = parabolic_supermatrix_units(2, 2)
-    scaled = rescaled_algebra(par22)
-    assert par22.n_odd == 4 and scaled._int_scale > 1
-    for alg in (twisted_dual_algebra(), fixture_algebra("bad2"), par22, scaled):
+    twisted = twisted_dual_algebra()
+    scaled = [rescaled_algebra(par22), rescaled_algebra(twisted)]
+    assert par22.n_odd == 4 and all(alg._int_scale > 1 for alg in scaled)
+    for alg in (twisted, fixture_algebra("bad2"), par22, *scaled):
         assert any(lambda_values(alg).values()), alg.name
         fm = frobenius_matrix(alg)
-        assert any(counit(e) != e for row in fm.inverse for e in row), alg.name
         assert dual_pair(alg, fm) == reference_dual_pair(alg, fm), alg.name
+        # the odd parts of bad2 and par(2|2) are abelian, so their pairing
+        # and its inverse are scalars, which the twist fixes; the twisted
+        # dual algebra has entries that the twist moves
+        moved = any(twist(e, 1) != e for row in fm.inverse for e in row if e)
+        assert moved == alg.name.startswith("twisted_dual"), alg.name

@@ -614,12 +614,12 @@ def test_a_zeroed_odd_action_grows_the_odd_kernel_and_exits_70(monkeypatch, caps
     # with x_0 acting as zero the odd rows no longer force the top part, so
     # the odd kernel of gl(1|1) is two-dimensional
     alg = fixture_algebra("gl11")
-    honest = modules._act
+    honest = modules._int_action_rows
 
-    def zero_first_odd(alg, g, mask):
-        return () if g == alg.n_even else honest(alg, g, mask)
+    def zero_first_odd(alg, t):
+        return [] if t == alg.n_even else honest(alg, t)
 
-    monkeypatch.setattr(modules, "_act", zero_first_odd)
+    monkeypatch.setattr(modules, "_int_action_rows", zero_first_odd)
     with pytest.raises(InternalInvariantError, match="kill 2 independent classes"):
         brute_force_quotient_invariants(alg)
     assert main(["invariant", builtin_fixture(ALGEBRA_FILES["gl11"]), "--oracle"]) == 70
