@@ -37,7 +37,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    """The canonical string of a rational: a Fraction is written as it is,
+    any other rational (an int, say) is converted first."""
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 # -- algebra files -----------------------------------------------------------

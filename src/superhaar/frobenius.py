@@ -34,14 +34,16 @@ construction, one check and one solve: ``_check_unitriangular`` checks
 that the matrix is lower triangular with diagonal +-1, and
 ``_solve_column`` forward-substitutes a column of the inverse and
 verifies A * b = e_j exactly, summed over the band j <= k <= i that
-triangularity leaves.
+triangularity leaves, and visits only the rows that the column's nonzeros
+reach through nonzero entries of the matrix.
 
 The exhaustive duality check of ``dual_pair`` builds the products x^I y
 along prefixes, keeps only the terms that can still reach the full odd
 monomial, and compares the top parts in the kernel's integers
-(``_prefix_pairings``).  Each prefix head x_s w is rewritten once per
-call, into a memo that ``dual_pair`` creates and drops, so the 2^m chains
-of the 2^m elements y share their rewrites.  The invariance certificate of
+(``_prefix_pairings``).  Each prefix head x_s w that can still reach the
+full odd monomial is rewritten once per call, into a memo that
+``dual_pair`` creates and drops, so the 2^m chains of the 2^m elements y
+share their rewrites.  The invariance certificate of
 ``invariant_z`` reads the classes of z and of x_i z in U(g)/U(g)*g0 from
 the enveloping layer's quotient recursion, which shares only the bracket
 table with the pass.
@@ -50,7 +52,7 @@ table with the pass.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,7 +157,19 @@ def _check_unitriangular(rows, n: int, zero, one, what: str) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
+def _rows_below(rows) -> dict:
+    """The rows i > k with A[i][k] nonzero, by column k, for the matrix
+    ``rows`` (rows of nonzeros): the rows that a nonzero entry b[k] of a
+    solved column reaches."""
+    below: dict = defaultdict(list)
+    for i, row in rows.items():
+        for k in row:
+            if k < i:
+                below[k].append(i)
+    return below
+
+
+def _solve_column(rows, below, diagonal: tuple[int, ...], j: int, zero, one,
                   what: str) -> list:
     """Column j of the inverse of the unitriangular matrix ``rows`` by
     forward substitution; the +-1 diagonal makes the division exact and
@@ -164,21 +178,25 @@ def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
     only when s differs from e_j[i]: entries above row j are zero and
     b[j] = d_j.  Verifies A * b = e_j exactly, row by row from the same
     sum: a row where s is e_j[i] holds with b[i] = 0, and any other must
-    reach e_j[i] once A[i][i] * b[i] is added.  Triangularity leaves only
-    the band j <= k <= i of each sum; a row i > j with no solved entry in
-    its band has s = 0 = e_j[i], so b[i] = 0 and the row holds, and it
-    is skipped."""
-    col = {}
-    for i in range(j, len(diagonal)):
+    reach e_j[i] once A[i][i] * b[i] is added.
+
+    ``below`` is ``_rows_below(rows)``.  Triangularity leaves only the
+    band j <= k <= i of each sum, so a row i > j has a nonzero term only
+    where a solved entry b[k] meets a nonzero A[i][k].  The rows visited
+    are j and the rows that the solved entries reach through ``below``,
+    in increasing order (a sorted worklist), so every b[k] of a row's band
+    is solved before the row.  A row left out has no solved entry in its
+    band: s = 0 = e_j[i], so b[i] = 0 and the row holds."""
+    col, pending, queued = {}, [j], {j}
+    while pending:
+        i = pending.pop(0)
         row = rows.get(i, {})
         acc = None
         for k, a in row.items():
             if k in col:
                 p = a * col[k]
                 acc = p if acc is None else acc + p
-        if acc is None:
-            if i > j:
-                continue
+        if acc is None:             # row j: nothing is solved before it
             acc = zero
         target = one if i == j else zero
         if acc != target:
@@ -186,7 +204,14 @@ def _solve_column(rows, diagonal: tuple[int, ...], j: int, zero, one,
             if acc + row.get(i, zero) * b != target:
                 raise InternalInvariantError(
                     f"{what} times its inverse is not the identity at ({i}, {j})")
-    return [col.get(i, zero) for i in range(len(diagonal))]
+            for r in below.get(i, ()):
+                if r not in queued:
+                    queued.add(r)
+                    insort(pending, r)
+    out = [zero] * len(diagonal)
+    for i, b in col.items():
+        out[i] = b
+    return out
 
 
 def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
@@ -243,7 +268,7 @@ def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fr
     zero, one, what = linalg.ZERO, linalg.ONE, "counit of the pairing matrix"
     scalar = _pairing(alg, order, _left_counits, one)
     diagonal = _check_unitriangular(scalar, len(order), zero, one, what)
-    return _solve_column(scalar, diagonal, 0, zero, one, what)
+    return _solve_column(scalar, _rows_below(scalar), diagonal, 0, zero, one, what)
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -254,12 +279,14 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
     rows = _pairing(alg, order, _left_coefficients, one)
     diagonal = _check_unitriangular(rows, n, zero, one, what)
-    columns = [_solve_column(rows, diagonal, j, zero, one, what) for j in range(n)]
-    return FrobeniusMatrix(
-        alg, order,
-        tuple(tuple(rows.get(i, {}).get(k, zero) for k in range(n)) for i in range(n)),
-        tuple(tuple(col[i] for col in columns) for i in range(n)),
-        diagonal)
+    below = _rows_below(rows)
+    columns = [_solve_column(rows, below, diagonal, j, zero, one, what) for j in range(n)]
+    entries = [[zero] * n for _ in range(n)]
+    for i, row in rows.items():
+        for k, a in row.items():
+            entries[i][k] = a
+    return FrobeniusMatrix(alg, order, tuple(map(tuple, entries)), tuple(zip(*columns)),
+                           diagonal)
 
 
 def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
@@ -283,6 +310,12 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
     built from it, and is dropped.  That needs a graded bracket table
     (``LieSuperalgebra._parity_graded``), which the caller checks.
 
+    The same argument skips work before it is done.  A head x_s w whose w
+    has fewer than floor - 1 = m - s - 1 odd letters has fewer than the
+    floor, and so has every word it rewrites to: it is neither rewritten
+    nor memoised.  An empty product x^{I - s} y gives an empty x^I y with
+    no loop, and the top parts are read from the nonempty products only.
+
     The chain runs in ints (``_rewrite``).  y is scaled once: a term c w of
     y carries c * D * S^(deg y - |w|).  Prepending x_s raises both the
     degree and |I| by one, and the kernel keeps the scale.  ``_rewrite`` is
@@ -300,9 +333,17 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
     for mask in range(1, 1 << m):
         low = mask & -mask
         s = low.bit_length() - 1
-        prev, letter, floor = products[mask ^ low], (n0 + s,), m - s
+        prev = products[mask ^ low]
+        if not prev:
+            products.append(prev)
+            continue
+        letter, floor = (n0 + s,), m - s
         acc: dict = defaultdict(int)
         for w, v in prev.items():
+            # the odd letters of a PBW word are its suffix: x_s w keeps
+            # nothing unless w has floor - 1 of them
+            if floor > 1 and (len(w) < floor - 1 or w[1 - floor] < n0):
+                continue
             head = letter + w
             kept = memo.get(head)
             if kept is None:
@@ -313,7 +354,7 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
             for u, x in kept:
                 acc[u] += v * x
         products.append({u: x for u, x in acc.items() if x})
-    tops = [{w: v for w, v in u.items() if len(w) - bisect_left(w, n0) == m}
+    tops = [{w: v for w, v in u.items() if len(w) - bisect_left(w, n0) == m} if u else {}
             for u in products]
     return tops, den, deg
 
@@ -326,9 +367,13 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     the kernel's integers (``_prefix_pairings``, whose memo of prefix
     heads lives for this call only).  pi(x^I y^J) = delta_IJ
     says that x^I y^J has no word with all m odd letters unless I = J, and
-    then exactly the bare x^top, with value D * S^(deg y + |I| - m).  The
-    check prunes the products it forms, which needs a graded bracket
-    table: raises ``ValueError`` on any other.
+    then exactly the bare x^top, with value D * S^(deg y + |I| - m).  So
+    the cells of column J are checked from the nonempty top parts: an
+    off-diagonal cell fails when its top part is nonempty, and the
+    diagonal cell when its top part is not {x^top: D * S^(...)}.  The first
+    failure in row order is reported.  The check prunes the products it
+    forms, which needs a graded bracket table: raises ``ValueError`` on
+    any other.
 
     ``alpha`` returns an inverse entry as it is when none of its letters
     has a nonzero trace, so under the trace condition no entry is twisted.
@@ -352,11 +397,11 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     for j, y in enumerate(ys):
         tops, den, deg = _prefix_pairings(alg, y, memo)
         # below degree m, x^{I_j} y has no top word: its diagonal cell fails
-        e = deg + fm.order[j].bit_count() - m
-        diagonal = {top_word: den * alg._int_scale ** e} if e >= 0 else None
-        for i, mask in enumerate(fm.order):
-            if tops[mask] != (diagonal if i == j else {}):
-                failures.append((i, j))
+        mask_j = fm.order[j]
+        e = deg + mask_j.bit_count() - m
+        if e < 0 or tops[mask_j] != {top_word: den * alg._int_scale ** e}:
+            failures.append((j, j))
+        failures += [(i, j) for i, mask in enumerate(fm.order) if tops[mask] and i != j]
     if failures:
         raise InternalInvariantError("dual pair fails at ({}, {})".format(*min(failures)))
     return ys

@@ -186,6 +186,21 @@ def fraction_pairing(alg, order, read, one):
     return rows
 
 
+def dense_forward_substitution(mat, j, zero, one):
+    """Column j of the inverse of the lower triangular matrix ``mat``
+    (dense rows) with diagonal entries +-1, by forward substitution over
+    every row: b[i] = A[i][i] * (e_j[i] - sum over k < i of A[i][k] * b[k]),
+    since A[i][i] is its own inverse.  The reference for the sparse solve of
+    the pairing matrix, over Q or over the even subalgebra."""
+    b = []
+    for i, row in enumerate(mat):
+        s = zero
+        for k in range(i):
+            s = s + row[k] * b[k]
+        b.append(row[i] * ((one if i == j else zero) - s))
+    return b
+
+
 def form(x, y):
     """The pairing <x, y> = pi(x y) from the whole product, on any bracket
     table: the reference for the pass and for the prefix pairings of

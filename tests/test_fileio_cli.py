@@ -48,6 +48,8 @@ def test_parse_rational_rejects(bad):
 def test_rational_round_trip(num, den):
     q = F(num, den)
     assert parse_rational(format_rational(q)) == q
+    # an int is written as the Fraction it equals
+    assert format_rational(num) == format_rational(F(num)) == str(num)
 
 
 # -- canonical file round trips --------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra, gen
                       rescaled_algebra, twist, twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
-from reference import form, fraction_pairing
+from reference import dense_forward_substitution, form, fraction_pairing
 
 F = Fraction
 
@@ -518,6 +519,84 @@ def test_a_changed_memo_entry_is_caught(monkeypatch):
     assert changed and len(calls) == 1 << m
 
 
+def tamper_tops(monkeypatch, j, change):
+    """Make ``_prefix_pairings`` hand ``change(tops)`` to ``dual_pair`` for
+    the dual element y^j, which it pairs j-th."""
+    honest, calls = frobenius._prefix_pairings, []
+
+    def tamper(alg, y, memo):
+        tops, den, deg = honest(alg, y, memo)
+        calls.append(None)
+        return (change(list(tops)) if len(calls) == j + 1 else tops), den, deg
+
+    monkeypatch.setattr(frobenius, "_prefix_pairings", tamper)
+
+
+def test_a_top_word_at_an_empty_product_is_caught(monkeypatch):
+    # a top word where x^I y^j is zero fails the off-diagonal cell (i, j)
+    for alg in (fixture_algebra("g3"), gl_supermatrix_units(2, 1)):
+        fm = frobenius_matrix(alg)
+        ys = dual_pair(alg, fm)
+        top_word = tuple(range(alg.n_even, alg.dim))
+        empty = [(i, j) for i, mask in enumerate(fm.order) for j, y in enumerate(ys)
+                 if i != j and not multiply(subset_monomial(alg, mask), y)]
+        assert len(empty) > 2, alg.name
+        for i, j in (empty[0], empty[len(empty) // 2], empty[-1]):
+            def add(tops, mask=fm.order[i]):
+                tops[mask] = {top_word: 1}
+                return tops
+
+            with monkeypatch.context() as patch:
+                tamper_tops(patch, j, add)
+                with pytest.raises(InternalInvariantError,
+                                   match=rf"dual pair fails at \({i}, {j}\)$"):
+                    dual_pair(alg, fm)
+
+
+def test_a_dropped_diagonal_top_is_caught(monkeypatch):
+    alg = gl_supermatrix_units(2, 1)
+    fm = frobenius_matrix(alg)
+    for j in (0, 5, len(fm.order) - 1):
+        def drop(tops, mask=fm.order[j]):
+            tops[mask] = {}
+            return tops
+
+        with monkeypatch.context() as patch:
+            tamper_tops(patch, j, drop)
+            with pytest.raises(InternalInvariantError,
+                               match=rf"dual pair fails at \({j}, {j}\)$"):
+                dual_pair(alg, fm)
+
+
+def test_every_rewritten_prefix_head_can_reach_its_floor(monkeypatch):
+    # no rewriting step raises the odd count, so a head x_s w with fewer
+    # than floor = m - s odd letters keeps no word, and is never rewritten
+    honest, heads = frobenius._rewrite, []
+
+    def count(alg, words):
+        heads.extend(w for w, _ in words)
+        return honest(alg, words)
+
+    dense21 = random_odd_basis_change(gl_supermatrix_units(2, 1), random.Random(1))[0]
+    dense31 = random_odd_basis_change(gl_supermatrix_units(3, 1), random.Random(1))[0]
+    ys = dual_pair(dense21)
+    # the dual elements of dense gl(3|1) take minutes; its odd generators,
+    # 1 and a mixed sum start chains of every length
+    xs = [subset_monomial(dense31, 1 << t) for t in range(dense31.n_odd)]
+    mixed = xs[0] * 2 - xs[-1] + UEElement.generator(dense31, 0)
+    monkeypatch.setattr(frobenius, "_rewrite", count)
+    for alg, elements in [(dense21, ys), (dense31, [UEElement.one(dense31), *xs, mixed])]:
+        heads.clear()
+        memo = {}
+        for y in elements:
+            frobenius._prefix_pairings(alg, y, memo)
+        n0, m = alg.n_even, alg.n_odd
+        assert heads, alg.name
+        for head in heads:
+            floor = m - (head[0] - n0)
+            assert sum(g >= n0 for g in head) >= floor, (alg.name, head)
+
+
 def test_dual_pair_leaves_the_algebra_as_it_was():
     # the memo of prefix heads lives for one call and is stored nowhere
     for alg in (gl_supermatrix_units(2, 1), fixture_algebra("osp12")):
@@ -560,8 +639,9 @@ def test_solve_column_verifies_the_column_it_solves():
     zero, one = linalg.ZERO, linalg.ONE
     diagonal = frobenius._check_unitriangular(rows, 3, zero, one, "A")
     assert diagonal == (1, -1, 1)
+    below = frobenius._rows_below(rows)
     for j in range(3):
-        col = frobenius._solve_column(rows, diagonal, j, zero, one, "A")
+        col = frobenius._solve_column(rows, below, diagonal, j, zero, one, "A")
         assert [sum(a * col[k] for k, a in rows[i].items()) for i in range(3)] == \
             [int(i == j) for i in range(3)]
     for flip in range(3):
@@ -569,7 +649,85 @@ def test_solve_column_verifies_the_column_it_solves():
         for j in range(flip + 1):
             with pytest.raises(InternalInvariantError,
                                match=rf"A times its inverse is not the identity at \({flip}, {j}\)"):
-                frobenius._solve_column(rows, bad, j, zero, one, "A")
+                frobenius._solve_column(rows, below, bad, j, zero, one, "A")
+
+
+def sparse_unitriangular(rng, n, density):
+    """Rows of nonzeros of a random n x n lower triangular matrix over Q with
+    diagonal entries +-1 and each entry below it nonzero with ``density``."""
+    return {i: {**{k: F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+                   for k in range(i) if rng.random() < density},
+                i: F(rng.choice((1, -1)))} for i in range(n)}
+
+
+def dense(rows, n, zero):
+    return [[rows.get(i, {}).get(k, zero) for k in range(n)] for i in range(n)]
+
+
+def test_solve_column_matches_dense_forward_substitution_over_q(rng):
+    # the solve visits only the rows that its solved entries reach; the
+    # reference visits every row
+    chain = {i: {i - 1: F(-2), i: F(1)} if i else {0: F(-1)} for i in range(9)}
+    # column 0 solves b[1] = -1, then row 2's sum 1 - 1 cancels: row 3, whose
+    # only entry below the diagonal is in column 2, is never reached
+    cancel = {0: {0: F(1)}, 1: {0: F(1), 1: F(1)}, 2: {0: F(1), 1: F(1), 2: F(1)},
+              3: {2: F(7), 3: F(-1)}, 4: {0: F(1), 4: F(1)}}
+    cases = [chain, cancel, {0: {0: F(1)}}, {i: {i: F(-1)} for i in range(5)}]
+    cases += [sparse_unitriangular(rng, n, density) for n in (2, 6, 12, 20)
+              for density in (0.05, 0.15, 0.4, 0.9) for _ in range(2)]
+    # random rows with an empty band occur; in the chain, row i is reached
+    # from column 0 only through the i - 1 rows between them
+    assert any(len(row) == 1 for rows in cases[4:] for i, row in rows.items() if i)
+    assert all(dense_forward_substitution(dense(chain, 9, F(0)), 0, F(0), F(1)))
+    zero, one = linalg.ZERO, linalg.ONE
+    for rows in cases:
+        n = len(rows)
+        diagonal = frobenius._check_unitriangular(rows, n, zero, one, "A")
+        below = frobenius._rows_below(rows)
+        for j in range(n):
+            col = frobenius._solve_column(rows, below, diagonal, j, zero, one, "A")
+            assert col == dense_forward_substitution(dense(rows, n, zero), j, zero, one)
+
+
+def test_solve_column_matches_dense_forward_substitution_over_the_even_part():
+    algs = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    algs += [gl_supermatrix_units(2, 1), random_odd_basis_change(fixture_algebra("osp12"),
+                                                                 random.Random(2))[0]]
+    for alg in algs:
+        fm = frobenius_matrix(alg)
+        zero, one = UEElement.zero(alg), UEElement.one(alg)
+        for j in range(len(fm.order)):
+            assert [row[j] for row in fm.inverse] == \
+                dense_forward_substitution(fm.entries, j, zero, one), (alg.name, j)
+
+
+@pytest.mark.parametrize("key,cell,reported", [
+    ("osp12", (3, 1), (3, 1)),
+    ("gl21", (1, 0), (1, 0)), ("gl21", (5, 2), (5, 2)), ("gl21", (7, 6), (7, 0)),
+    ("gl21", (12, 11), (12, 1)), ("gl21", (14, 13), (14, 3)), ("gl21", (15, 0), (15, 0)),
+    ("gl21", (15, 14), (15, 3)),
+])
+def test_a_corrupted_entry_below_the_diagonal_fails_the_dual_pair(monkeypatch, key, cell,
+                                                                  reported):
+    # the solve inverts the corrupted matrix exactly, so A * b = e_j holds;
+    # the dual elements built from that inverse fail the duality check, at
+    # the cells that a solve visiting every row of the band reported
+    alg = gl_supermatrix_units(2, 1) if key == "gl21" else fixture_algebra(key)
+    i, k = cell
+    honest = frobenius._pairing
+
+    def corrupt(alg, order, read, one):
+        rows = honest(alg, order, read, one)
+        row = dict(rows[i])
+        row[k] = row[k] + one if k in row else one
+        rows[i] = {c: x for c, x in row.items() if x}
+        return rows
+
+    monkeypatch.setattr(frobenius, "_pairing", corrupt)
+    fm = frobenius_matrix(alg)
+    with pytest.raises(InternalInvariantError,
+                       match=r"dual pair fails at \({}, {}\)$".format(*reported)):
+        dual_pair(alg, fm)
 
 
 def test_flipped_diagonal_sign_anywhere_is_caught(monkeypatch):
