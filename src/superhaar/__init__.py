@@ -9,15 +9,13 @@ brute-force oracle for cross-checking.
 """
 
 from .algebra import (EVEN, ODD, EvenPartReport, InputError, LieSuperalgebra,
-                      ValidationReport, Violation, ad_prime_trace,
-                      change_basis, even_part_structure, lambda_values,
-                      validate_superalgebra)
+                      ValidationReport, Violation, even_part_structure,
+                      lambda_values, validate_superalgebra)
 from .enveloping import (UEElement, act_on_quotient, counit, multiply,
                          quotient_project)
 from .frobenius import (FrobeniusMatrix, InternalInvariantError, InvariantZ,
                         NoInvariantError, dual_pair, frobenius_matrix,
-                        frobenius_pi, invariant_z, odd_subset_order,
-                        subset_monomial)
+                        invariant_z, odd_subset_order)
 from .modules import (GradedModule, IntegralMatrix, NotSemisimpleError,
                       SemisimplicityReport, brute_force_quotient_invariants,
                       check_right_integral, check_semisimple_over_even,
@@ -28,12 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EVEN", "ODD", "EvenPartReport", "InputError", "LieSuperalgebra",
-    "ValidationReport", "Violation", "ad_prime_trace", "change_basis",
-    "even_part_structure", "lambda_values", "validate_superalgebra",
+    "ValidationReport", "Violation", "even_part_structure", "lambda_values",
+    "validate_superalgebra",
     "UEElement", "act_on_quotient", "counit", "multiply", "quotient_project",
     "FrobeniusMatrix", "InternalInvariantError", "InvariantZ",
     "NoInvariantError", "dual_pair", "frobenius_matrix",
-    "frobenius_pi", "invariant_z", "odd_subset_order", "subset_monomial",
+    "invariant_z", "odd_subset_order",
     "GradedModule", "IntegralMatrix", "NotSemisimpleError",
     "SemisimplicityReport", "brute_force_quotient_invariants",
     "check_right_integral", "check_semisimple_over_even", "integral_matrix",

@@ -211,9 +211,12 @@ class LieSuperalgebra:
         # dies with the algebra
         self._letter_parity = tuple(self.parity(g) for g in range(self.dim))
         self._quotient_memo: dict[tuple[int, int], dict[int, int]] = {}
-        # tr(ad'(X)) of each even generator X, read by ``lambda_values``
-        # and the twist ``enveloping.alpha``
-        self._ad_traces = tuple(ad_prime_trace(self, i) for i in range(self.n_even))
+        # tr(ad'(X)) of each even generator X, the sum over odd j of the
+        # coefficient of b_j in [X, b_j], read by ``lambda_values`` and the
+        # twist ``enveloping.alpha``
+        self._ad_traces = tuple(
+            sum((dict(table.get((i, j), ())).get(j, 0) for j in range(self.n_even, self.dim)),
+                Fraction(0)) for i in range(self.n_even))
         self._cached_key = (self.name, self.even_names, self.odd_names,
                             tuple(sorted(table.items())))
 
@@ -412,19 +415,6 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
     return report
 
 
-def ad_prime_trace(alg: LieSuperalgebra, i: int) -> Fraction:
-    """Trace of the adjoint action of the even basis element ``i`` on the
-    odd part: sum over odd j of the coefficient of b_j in [b_i, b_j]."""
-    if alg.parity(i) != EVEN:
-        raise ValueError(f"basis element {alg.basis_name(i)} is odd")
-    total = Fraction(0)
-    for j in range(alg.n_even, alg.dim):
-        for k, c in alg.bracket(i, j):
-            if k == j:
-                total += c
-    return total
-
-
 def lambda_values(alg: LieSuperalgebra) -> dict[int, Fraction]:
     return dict(enumerate(alg._ad_traces))
 
@@ -437,14 +427,6 @@ class EvenPartReport:
     decomposition_direct: bool            # g0 = center (+) derived, exactly
     killing_nondegenerate: bool           # Killing form restricted to derived
     certified_reductive: bool
-
-    @property
-    def center_dim(self) -> int:
-        return len(self.center)
-
-    @property
-    def derived_dim(self) -> int:
-        return len(self.derived)
 
 
 def _even_ad_matrix(alg: LieSuperalgebra, vec: linalg.Vector) -> linalg.Matrix:
@@ -493,27 +475,3 @@ def even_part_structure(alg: LieSuperalgebra) -> EvenPartReport:
     return EvenPartReport(center, derived, direct, killing_nondeg,
                           direct and killing_nondeg)
 
-
-def change_basis(alg: LieSuperalgebra, even_map, odd_map,
-                 name: str | None = None) -> tuple[LieSuperalgebra, linalg.Matrix]:
-    """Transport the structure constants along a parity-preserving change
-    of basis.  ``even_map``/``odd_map`` give the new basis vectors in the
-    old coordinates, column by column, in either form that
-    :func:`nonzero_rows` checks.  Returns the new algebra together with the
-    full block matrix used (new basis -> old coordinates) as rows."""
-    n0 = alg.n_even
-    full = nonzero_rows(even_map, n0)
-    for a, row in nonzero_rows(odd_map, alg.n_odd).items():
-        full[n0 + a] = {n0 + b: x for b, x in row.items()}
-    inv = linalg.invert(full, alg.dim)  # raises ValueError when singular
-
-    cols = linalg.transpose(full)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            new = linalg.mat_vec(inv, alg.bracket_vectors(cols[i], cols[j]))
-            if new:
-                brackets[(i, j)] = new
-    out = LieSuperalgebra(name or alg.name + "'", alg.even_names,
-                          alg.odd_names, brackets)
-    return out, full

@@ -10,6 +10,7 @@ codes are a total function of the outcome class:
     3  no invariant (trace condition fails)
     4  module not semisimple over the even part
     70 internal invariant violation (library bug; please report)
+    71 out of memory (nothing on stdout; stderr names the command and m)
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_INVALID = 2
 EXIT_NO_INVARIANT = 3
 EXIT_NOT_SEMISIMPLE = 4
 EXIT_INTERNAL = 70
+EXIT_MEMORY = 71
 
 
 class _CliExit(Exception):
@@ -62,11 +64,12 @@ def _max_odd() -> int:
     return int(digits or "0")
 
 
-def _load_algebra(path: str):
+def _load_algebra(args):
     try:
-        alg = fileio.load_algebra(path)
+        alg = fileio.load_algebra(args.algebra)
     except (OSError, InputError) as exc:
         raise _CliExit(EXIT_INPUT, message=f"cannot load algebra: {exc}")
+    args.n_odd = alg.n_odd    # for the out-of-memory line of ``main``
     bound = _max_odd()
     if alg.n_odd > bound:
         raise _CliExit(EXIT_INPUT, message=(
@@ -75,8 +78,8 @@ def _load_algebra(path: str):
     return alg
 
 
-def _validated_algebra(path: str):
-    alg = _load_algebra(path)
+def _validated_algebra(args):
+    alg = _load_algebra(args)
     report = validate_superalgebra(alg)
     if not report.ok:
         raise _CliExit(EXIT_INVALID, payload={
@@ -99,7 +102,7 @@ def _violations_json(alg, report):
 
 
 def cmd_validate(args) -> int:
-    alg = _load_algebra(args.algebra)
+    alg = _load_algebra(args)
     report = validate_superalgebra(alg)
     _emit({
         "algebra": alg.name,
@@ -110,7 +113,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    alg = _validated_algebra(args.algebra)
+    alg = _validated_algebra(args)
     lam = lambda_values(alg)
     lam_json = {alg.basis_name(i): fileio.format_rational(v)
                 for i, v in sorted(lam.items())}
@@ -161,7 +164,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    alg = _validated_algebra(args.algebra)
+    alg = _validated_algebra(args)
     try:
         module = fileio.load_module(args.module, alg)
     except (OSError, InputError) as exc:
@@ -270,6 +273,11 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"superhaar: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        # every payload is written whole at the end, so stdout is still empty
+        m = getattr(args, "n_odd", "?")
+        print(f"superhaar: out of memory in {args.command} (m = {m})", file=sys.stderr)
+        return EXIT_MEMORY
     except ValueError as exc:
         # sums and products of admissible inputs can outgrow the digit limit
         # of int -> str; nothing has been written to stdout at that point

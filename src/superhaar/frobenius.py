@@ -22,8 +22,8 @@ x^I x_t = x_s (x^{I - s} x_t) with s = min I, one ``multiply`` by a
 generator each: the chain of ``_prefix_pairings`` below, without its
 pruning.  That relies on ``multiply`` being associative, which it is on a
 table that passes validation; the CLI validates every algebra first, and
-the invariance certificate still checks z.  The ring of the entries is
-the pass's one parameter.  ``frobenius_matrix`` keeps the left
+the invariance certificate still checks z.  The pass's ``read`` and
+``one`` give the ring of the entries.  ``frobenius_matrix`` keeps the left
 coefficients, which lie in the even subalgebra, builds A and solves every
 column of its inverse.  ``invariant_z`` without a matrix needs only the
 counit of column zero.  The counit is an algebra map on the even
@@ -86,12 +86,6 @@ def odd_subset_order(m: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << m), key=lambda k: (k.bit_count(), bits(k))))
 
 
-def subset_monomial(alg: LieSuperalgebra, mask: int) -> UEElement:
-    """The ordered product of the odd generators in ``mask``, an int in
-    range(2^m)."""
-    return UEElement(alg, {_odd_word(alg, mask): Fraction(1)})
-
-
 def _left_coefficients(u: UEElement) -> dict[int, UEElement]:
     """The nonzero left coefficients u_J of u = sum_J u_J x^J, by mask J:
     elements of the even subalgebra.  Each PBW word splits at its first
@@ -102,19 +96,6 @@ def _left_coefficients(u: UEElement) -> dict[int, UEElement]:
         k = bisect_left(w, n0)
         terms[_odd_mask(n0, w[k:])][w[:k]] = c
     return {j: UEElement._trusted(u.alg, t) for j, t in terms.items()}
-
-
-def frobenius_pi(u: UEElement) -> UEElement:
-    """Left coefficient of the top odd monomial (an element of the even
-    enveloping subalgebra): the words with all m odd letters, cut off
-    before them.  For m = 0 this is the identity map."""
-    m, n0 = u.alg.n_odd, u.alg.n_even
-    top = {}
-    for w, c in u.terms.items():
-        k = bisect_left(w, n0)
-        if len(w) - k == m:
-            top[w[:k]] = c
-    return UEElement._trusted(u.alg, top)
 
 
 def _left_counits(u: UEElement) -> dict[int, Fraction]:
@@ -157,19 +138,7 @@ def _check_unitriangular(rows, n: int, zero, one, what: str) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-def _rows_below(rows) -> dict:
-    """The rows i > k with A[i][k] nonzero, by column k, for the matrix
-    ``rows`` (rows of nonzeros): the rows that a nonzero entry b[k] of a
-    solved column reaches."""
-    below: dict = defaultdict(list)
-    for i, row in rows.items():
-        for k in row:
-            if k < i:
-                below[k].append(i)
-    return below
-
-
-def _solve_column(rows, below, diagonal: tuple[int, ...], j: int, zero, one,
+def _solve_column(rows, cols, diagonal: tuple[int, ...], j: int, zero, one,
                   what: str) -> list:
     """Column j of the inverse of the unitriangular matrix ``rows`` by
     forward substitution; the +-1 diagonal makes the division exact and
@@ -180,13 +149,15 @@ def _solve_column(rows, below, diagonal: tuple[int, ...], j: int, zero, one,
     sum: a row where s is e_j[i] holds with b[i] = 0, and any other must
     reach e_j[i] once A[i][i] * b[i] is added.
 
-    ``below`` is ``_rows_below(rows)``.  Triangularity leaves only the
-    band j <= k <= i of each sum, so a row i > j has a nonzero term only
-    where a solved entry b[k] meets a nonzero A[i][k].  The rows visited
-    are j and the rows that the solved entries reach through ``below``,
-    in increasing order (a sorted worklist), so every b[k] of a row's band
-    is solved before the row.  A row left out has no solved entry in its
-    band: s = 0 = e_j[i], so b[i] = 0 and the row holds."""
+    ``cols`` is ``linalg.transpose(rows)``: cols[k] holds the rows i with
+    A[i][k] nonzero, k itself among them, which is already queued when b[k]
+    is solved.  Triangularity leaves only the band j <= k <= i of each sum,
+    so a row i > j has a nonzero term only where a solved entry b[k] meets
+    a nonzero A[i][k].  The rows visited are j and the rows that the solved
+    entries reach through ``cols``, in increasing order (a sorted
+    worklist), so every b[k] of a row's band is solved before the row.  A
+    row left out has no solved entry in its band: s = 0 = e_j[i], so
+    b[i] = 0 and the row holds."""
     col, pending, queued = {}, [j], {j}
     while pending:
         i = pending.pop(0)
@@ -204,7 +175,7 @@ def _solve_column(rows, below, diagonal: tuple[int, ...], j: int, zero, one,
             if acc + row.get(i, zero) * b != target:
                 raise InternalInvariantError(
                     f"{what} times its inverse is not the identity at ({i}, {j})")
-            for r in below.get(i, ()):
+            for r in cols.get(i, ()):
                 if r not in queued:
                     queued.add(r)
                     insort(pending, r)
@@ -268,7 +239,7 @@ def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fr
     zero, one, what = linalg.ZERO, linalg.ONE, "counit of the pairing matrix"
     scalar = _pairing(alg, order, _left_counits, one)
     diagonal = _check_unitriangular(scalar, len(order), zero, one, what)
-    return _solve_column(scalar, _rows_below(scalar), diagonal, 0, zero, one, what)
+    return _solve_column(scalar, linalg.transpose(scalar), diagonal, 0, zero, one, what)
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -279,8 +250,8 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
     rows = _pairing(alg, order, _left_coefficients, one)
     diagonal = _check_unitriangular(rows, n, zero, one, what)
-    below = _rows_below(rows)
-    columns = [_solve_column(rows, below, diagonal, j, zero, one, what) for j in range(n)]
+    cols = linalg.transpose(rows)
+    columns = [_solve_column(rows, cols, diagonal, j, zero, one, what) for j in range(n)]
     entries = [[zero] * n for _ in range(n)]
     for i, row in rows.items():
         for k, a in row.items():

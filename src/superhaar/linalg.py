@@ -55,15 +55,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = {}
-    for r, row in a.items():
-        s = sum((x * v[c] for c, x in row.items() if c in v), ZERO)
-        if s:
-            out[r] = s
-    return out
-
-
 def mat_comb(terms: Iterable[tuple[Fraction, Matrix]]) -> Matrix:
     """The linear combination sum of f * mat over the (f, mat) pairs."""
     acc: dict[int, dict[int, Fraction]] = {}

@@ -4,10 +4,10 @@ from functools import lru_cache
 
 import pytest
 
-from superhaar import LieSuperalgebra, UEElement, ad_prime_trace, change_basis
+from superhaar import LieSuperalgebra, UEElement
 from superhaar.fileio import builtin_fixture, load_algebra, load_module
 
-from randgen import substitute
+from randgen import change_basis, substitute
 from realizations import (gl_supermatrix_units,  # the tests import them from here
                           parabolic_supermatrix_units)
 
@@ -81,6 +81,13 @@ def gen(alg, name):
     return UEElement.generator(alg, alg.index_of(name))
 
 
+def ad_trace(alg, g):
+    """tr(ad'(X)) of the even generator X = b_g from ``alg.bracket``: the sum
+    over odd j of the coefficient of b_j in [b_g, b_j]."""
+    return sum((c for j in range(alg.n_even, alg.dim) for k, c in alg.bracket(g, j)
+                if k == j), Fraction(0))
+
+
 def twist(u, sign):
     """The image of an even ``u`` under X -> X + sign * tr(ad'(X)) on each
     even generator X, as ordered products by ``multiply``: with sign +1 a
@@ -88,7 +95,7 @@ def twist(u, sign):
     alg = u.alg
     letters = {g for w in u.terms for g in w}
     return substitute(u, alg, {
-        g: UEElement.generator(alg, g) + UEElement.scalar(alg, sign * ad_prime_trace(alg, g))
+        g: UEElement.generator(alg, g) + UEElement.scalar(alg, sign * ad_trace(alg, g))
         for g in letters})
 
 

@@ -1,5 +1,5 @@
 """Seeded random generators for the tests: elements, basis changes, small
-valid algebras, and the element helpers they rest on.
+valid algebras, and the element and matrix helpers they rest on.
 
 The algebra families below are valid by construction for every choice of
 the random data (central extensions by a symmetric form, diagonal weight
@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from superhaar import linalg
-from superhaar.algebra import LieSuperalgebra, change_basis, nonzero_rows
+from superhaar.algebra import LieSuperalgebra, nonzero_rows
 from superhaar.enveloping import UEElement, multiply
 
 
@@ -96,6 +96,43 @@ def random_homogeneous_element(alg: LieSuperalgebra, rng: random.Random,
         if filtered:
             return filtered
     raise RuntimeError(f"could not draw a homogeneous element of parity {parity}")
+
+
+def mat_vec(a: linalg.Matrix, v: linalg.Vector) -> linalg.Vector:
+    """The product of the matrix ``a`` and the vector ``v``, both as
+    nonzeros only (``linalg``'s types)."""
+    out = {}
+    for r, row in a.items():
+        s = sum((x * v[c] for c, x in row.items() if c in v), Fraction(0))
+        if s:
+            out[r] = s
+    return out
+
+
+def change_basis(alg: LieSuperalgebra, even_map, odd_map,
+                 name: str | None = None) -> tuple[LieSuperalgebra, linalg.Matrix]:
+    """Transport the structure constants along a parity-preserving change
+    of basis.  ``even_map``/``odd_map`` give the new basis vectors in the
+    old coordinates, column by column, in either form that
+    ``superhaar.algebra.nonzero_rows`` checks.  Returns the new algebra
+    together with the full block matrix used (new basis -> old
+    coordinates) as rows."""
+    n0 = alg.n_even
+    full = nonzero_rows(even_map, n0)
+    for a, row in nonzero_rows(odd_map, alg.n_odd).items():
+        full[n0 + a] = {n0 + b: x for b, x in row.items()}
+    inv = linalg.invert(full, alg.dim)  # raises ValueError when singular
+
+    cols = linalg.transpose(full)
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            new = mat_vec(inv, alg.bracket_vectors(cols[i], cols[j]))
+            if new:
+                brackets[(i, j)] = new
+    out = LieSuperalgebra(name or alg.name + "'", alg.even_names,
+                          alg.odd_names, brackets)
+    return out, full
 
 
 def random_invertible_matrix(rng: random.Random, n: int,

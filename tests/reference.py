@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
-from superhaar import (UEElement, act_on_quotient, frobenius_pi, linalg, multiply,
-                       subset_monomial)
+from superhaar import UEElement, act_on_quotient, linalg, multiply
 from superhaar.algebra import ValidationReport
 
 from conftest import dense_of, identity
@@ -155,6 +154,22 @@ def full_oracle(alg):
     return linalg.nullspace(rows, n)
 
 
+def subset_monomial(alg, mask):
+    """The ordered product x^I of the odd generators in the bitmask ``mask``
+    (bit t for odd generator t), by the public constructor."""
+    return UEElement(alg, {tuple(alg.n_even + t for t in range(alg.n_odd)
+                                 if mask >> t & 1): 1})
+
+
+def pi(u):
+    """The paper's projection pi: the left coefficient in U(g0) of the full
+    odd monomial, that is the words of u with all m odd letters, cut off
+    before them.  For m = 0 this is the identity map."""
+    alg = u.alg
+    return UEElement(alg, {w[:len(w) - alg.n_odd]: c for w, c in u.terms.items()
+                           if sum(g >= alg.n_even for g in w) == alg.n_odd})
+
+
 def fraction_pairing(alg, order, read, one):
     """The rows of nonzeros of the pairing matrix A[i][k] =
     <x^{I_i}, x^{complement(I_k)}> in ``order``, or of its image under the
@@ -205,7 +220,7 @@ def form(x, y):
     """The pairing <x, y> = pi(x y) from the whole product, on any bracket
     table: the reference for the pass and for the prefix pairings of
     ``dual_pair``."""
-    return frobenius_pi(multiply(x, y))
+    return pi(multiply(x, y))
 
 
 # -- polynomials and dense elimination ---------------------------------------

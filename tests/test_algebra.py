@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superhaar import (InputError, LieSuperalgebra, ad_prime_trace,
-                       change_basis, even_part_structure, lambda_values,
-                       linalg, validate_superalgebra)
+from superhaar import (InputError, LieSuperalgebra, even_part_structure,
+                       lambda_values, linalg, validate_superalgebra)
 
 from conftest import (ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units,
                       identity, rescaled_algebra, rows_of)
-from randgen import random_odd_basis_change, random_scalar
+from randgen import change_basis, random_odd_basis_change, random_scalar
 from reference import dense_validate_superalgebra
 
 F = Fraction
@@ -93,13 +92,10 @@ def test_bracket_values_and_basis_names_are_checked():
     assert as_pairs == as_dict
 
 
-def test_ad_prime_trace_values(bad2, gl11, osp12):
-    assert ad_prime_trace(bad2, 0) == 1
-    assert ad_prime_trace(gl11, 0) == 0   # h1: +1 on e, -1 on f
-    assert ad_prime_trace(gl11, 1) == 0
-    assert all(ad_prime_trace(osp12, i) == 0 for i in range(3))
-    with pytest.raises(ValueError):
-        ad_prime_trace(bad2, 1)  # odd index
+def test_lambda_values_examples(bad2, gl11, osp12):
+    assert lambda_values(bad2) == {0: 1}
+    assert lambda_values(gl11) == {0: 0, 1: 0}   # h1: +1 on e, -1 on f
+    assert lambda_values(osp12) == {0: 0, 1: 0, 2: 0}
 
 
 def test_trace_condition(g2, g3, bad2, gl11, osp12, sl2):
@@ -130,15 +126,15 @@ def test_lambda_is_linear_on_random_even_combinations(rng):
 
 def test_even_part_structure_examples(g2, gl11, osp12):
     rep = even_part_structure(g2)
-    assert rep.center_dim == 0 and rep.derived_dim == 0
+    assert len(rep.center) == 0 and len(rep.derived) == 0
     assert rep.certified_reductive
 
     rep = even_part_structure(gl11)
-    assert rep.center_dim == 2 and rep.derived_dim == 0
+    assert len(rep.center) == 2 and len(rep.derived) == 0
     assert rep.certified_reductive
 
     rep = even_part_structure(osp12)
-    assert rep.center_dim == 0 and rep.derived_dim == 3
+    assert len(rep.center) == 0 and len(rep.derived) == 3
     assert rep.killing_nondegenerate
     assert rep.certified_reductive
 

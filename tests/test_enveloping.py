@@ -11,10 +11,9 @@ import pytest
 
 import superhaar.enveloping as enveloping
 from superhaar import (InputError, LieSuperalgebra, UEElement,
-                       act_on_quotient, ad_prime_trace,
-                       brute_force_quotient_invariants, counit,
-                       frobenius_matrix, multiply, quotient_project,
-                       validate_superalgebra)
+                       act_on_quotient, brute_force_quotient_invariants,
+                       counit, frobenius_matrix, lambda_values, multiply,
+                       quotient_project, validate_superalgebra)
 from superhaar.enveloping import alpha
 from superhaar.frobenius import _left_coefficients
 
@@ -180,7 +179,7 @@ def twist_inputs(rng):
     traces = []
     while len(traces) < 8:
         alg = _weights(rng, rng.randint(1, 4), "weights", traceless=False)
-        if t := ad_prime_trace(alg, 0):
+        if t := lambda_values(alg)[0]:
             traces.append(t)
             out += [random_even_element(alg, rng, max_degree=4, terms=4) for _ in range(3)]
     assert any(t.denominator > 1 for t in traces)

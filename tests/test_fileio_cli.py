@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import superhaar.cli as cli
 import superhaar.frobenius as frobenius
 from superhaar import (InputError, UEElement, check_semisimple_over_even,
                        invariant_z)
@@ -521,6 +522,23 @@ def test_cli_rational_past_digit_limit_exit_1(tmp_path, capsys, command, algebra
     assert out.err == ("superhaar: cannot write the result: a rational in it has "
                        "more than 4300 digits, Python's limit for integer string "
                        "conversion\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "osp12.json"],
+    ["integrate", "osp12.json", "osp12_defining_module.json"],
+], ids=["invariant", "integrate"])
+def test_cli_out_of_memory_exit_71(monkeypatch, capsys, argv):
+    # nothing on stdout, and one stderr line naming the command and m
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "invariant_z", exhaust)
+    code = main([argv[0], *map(builtin_fixture, argv[1:])])
+    out = capsys.readouterr()
+    assert code == 71
+    assert out.out == ""
+    assert out.err == f"superhaar: out of memory in {argv[0]} (m = 2)\n"
 
 
 # -- exit 2 payload of validate with fractional constants, pinned ------------------

@@ -28,12 +28,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from superhaar import change_basis
 from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, gl_supermatrix_units, identity,
                       twisted_dual_algebra)
+from randgen import change_basis
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 FLAGS = ("--emit-matrix", "--emit-dual-pair", "--oracle")

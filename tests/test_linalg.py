@@ -12,7 +12,7 @@ from superhaar import (NotSemisimpleError, integral_matrix, invariant_projector,
 
 from conftest import (FIXTURE_MODULES, UNIMODULAR, dense_of, fixture_algebra,
                       fixture_module, identity, rows_of)
-from randgen import random_element
+from randgen import mat_vec, random_element
 from reference import (dense_nullspace, dense_rref, euclid_is_squarefree,
                        poly_derivative, poly_gcd, stacked_minimal_polynomial)
 
@@ -31,7 +31,7 @@ def test_rref_and_rank():
 def test_nullspace_vectors_annihilate():
     mat = m([[1, 2, 3], [0, 1, 1]])
     for v in linalg.nullspace(mat.values(), 3):
-        assert linalg.mat_vec(mat, v) == {}
+        assert mat_vec(mat, v) == {}
     assert len(linalg.nullspace(mat.values(), 3)) == 1
     assert linalg.nullspace([], 2) == [{0: F(1)}, {1: F(1)}]
 
@@ -174,7 +174,7 @@ def test_rref_matches_dense_reference(mat, ints):
     assert [dense_of({0: v}, 1, cols)[0] for v in kernel] == \
         (dense_nullspace(mat) if mat else [])
     for v in kernel:
-        assert linalg.mat_vec(rows, v) == {}
+        assert mat_vec(rows, v) == {}
     assert len(kernel) + len(pivots) == cols
 
 

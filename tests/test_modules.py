@@ -17,14 +17,15 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        invariant_projector, invariant_z, linalg,
                        module_action, modules, multiply, quotient_module,
                        validate_module, validate_superalgebra)
-from superhaar.algebra import change_basis, even_part_structure
+from superhaar.algebra import even_part_structure
 from superhaar.cli import main
 from superhaar.fileio import builtin_fixture
 
 from conftest import (ALGEBRA_FILES, FIXTURE_MODULES, MODULE_FILES, UNIMODULAR,
                       dense_of, fixture_algebra, fixture_module, gl_supermatrix_units,
                       identity, rescaled_algebra, rows_of)
-from randgen import random_element, random_odd_basis_change, random_small_superalgebra
+from randgen import (change_basis, mat_vec, random_element, random_odd_basis_change,
+                     random_small_superalgebra)
 from reference import (dense_mul, dense_validate_module, fraction_integral,
                        fraction_module_action, fraction_projector,
                        fraction_right_integral, fraction_split, full_oracle)
@@ -388,7 +389,7 @@ def test_projector_identities():
                 assert not any(any(row) for row in dense_mul(dense_p0, rho))
             # identity on the invariants
             for v in report.invariants_basis:
-                assert linalg.mat_vec(p0, v) == v
+                assert mat_vec(p0, v) == v
 
 
 # -- the checks catch faults in the code they guard ----------------------------

@@ -5,10 +5,10 @@ oracle's dimension, which is the uniqueness claim."""
 import pytest
 
 from superhaar import (NoInvariantError, brute_force_quotient_invariants,
-                       invariant_z, lambda_values, linalg, subset_monomial)
+                       invariant_z, lambda_values, linalg)
 
 from realizations import realization
-from reference import full_oracle
+from reference import full_oracle, subset_monomial
 
 
 def unit(i, j):
