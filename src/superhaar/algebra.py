@@ -210,7 +210,7 @@ class LieSuperalgebra:
         # quotient classes x_g * x^I (``enveloping._act``), which lives and
         # dies with the algebra
         self._letter_parity = tuple(self.parity(g) for g in range(self.dim))
-        self._quotient_memo: dict[tuple[int, int], dict[int, int]] = {}
+        self._quotient_memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         # tr(ad'(X)) of each even generator X, the sum over odd j of the
         # coefficient of b_j in [X, b_j], read by ``lambda_values`` and the
         # twist ``enveloping.alpha``

@@ -17,8 +17,9 @@ even part do not go through the kernel.  The quotient is the module
 induced from the trivial g0-module, with basis the odd monomials x^I, and
 the action of each generator on x^I follows from the bracket table by a
 short recursion on the first letter of x^I (``_act``; Kac, Adv. Math. 26,
-1977; Bell and Farnsteiner, Trans. AMS 335, 1993), memoised per algebra.  A class is kept as {bitmask of I: coefficient}, bit t standing for
-the odd generator with global index n_even + t.
+1977; Bell and Farnsteiner, Trans. AMS 335, 1993), memoised per algebra.
+A class is kept as {bitmask of I: coefficient}, bit t standing for the
+odd generator with global index n_even + t.
 """
 
 from __future__ import annotations
@@ -420,9 +421,9 @@ def _rational_class(alg: LieSuperalgebra, parts) -> dict[int, Fraction]:
             for j, v in acc.items() if v}
 
 
-def _int_action_rows(alg: LieSuperalgebra, t: int) -> list[dict[int, int]]:
-    """The nonzero rows of x_t on the 2^m classes x^mask, in ints.  The
-    pair (J, v) of ``_act(alg, t, mask)`` stands for the entry
+def _int_action_rows(alg: LieSuperalgebra, g: int) -> dict[int, dict[int, int]]:
+    """The nonzero rows of x_g on the 2^m classes x^mask, in ints, by row
+    J.  The pair (J, v) of ``_act(alg, g, mask)`` stands for the entry
     v / S^(|mask| + 1 - |J|) at row J and column mask, so row J times
     S^(m + 1 - |J|) holds the int v * S^(m - |mask|) at each mask.
     Scaling a row keeps the row space, and so the kernel."""
@@ -431,9 +432,9 @@ def _int_action_rows(alg: LieSuperalgebra, t: int) -> list[dict[int, int]]:
     rows: dict[int, dict[int, int]] = defaultdict(dict)
     for mask in range(1 << m):
         f = factor[mask.bit_count()]
-        for j, v in _act(alg, t, mask):
+        for j, v in _act(alg, g, mask):
             rows[j][mask] = v * f
-    return list(rows.values())
+    return rows
 
 
 def quotient_project(a: UEElement) -> dict[int, Fraction]:

@@ -31,11 +31,10 @@ subalgebra, so it keeps only the counits of the left coefficients, and
 the same pass builds the scalar matrix counit(A), whose column zero it
 solves with no even-subalgebra arithmetic.  A and counit(A) share one
 construction, one check and one solve: ``_check_unitriangular`` checks
-that the matrix is lower triangular with diagonal +-1, and
-``_solve_column`` forward-substitutes a column of the inverse and
-verifies A * b = e_j exactly, summed over the band j <= k <= i that
-triangularity leaves, and visits only the rows that the column's nonzeros
-reach through nonzero entries of the matrix.
+that the matrix is lower triangular with diagonal +-1, and ``_solve``
+forward-substitutes the inverse row by row, each row from the rows before
+it, restricted to the columns asked for (all of them for A, column zero
+for counit(A)), and verifies every entry it stores exactly.
 
 The exhaustive duality check of ``dual_pair`` builds the products x^I y
 along prefixes, keeps only the terms that can still reach the full odd
@@ -52,7 +51,7 @@ table with the pass.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,51 +137,35 @@ def _check_unitriangular(rows, n: int, zero, one, what: str) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-def _solve_column(rows, cols, diagonal: tuple[int, ...], j: int, zero, one,
-                  what: str) -> list:
-    """Column j of the inverse of the unitriangular matrix ``rows`` by
-    forward substitution; the +-1 diagonal makes the division exact and
-    sidesteps noncommutativity (each product is A[i][k] * b[k]).  With s
-    the sum of A[i][k] * b[k] over k < i, b[i] = d_i (e_j[i] - s), stored
-    only when s differs from e_j[i]: entries above row j are zero and
-    b[j] = d_j.  Verifies A * b = e_j exactly, row by row from the same
-    sum: a row where s is e_j[i] holds with b[i] = 0, and any other must
-    reach e_j[i] once A[i][i] * b[i] is added.
-
-    ``cols`` is ``linalg.transpose(rows)``: cols[k] holds the rows i with
-    A[i][k] nonzero, k itself among them, which is already queued when b[k]
-    is solved.  Triangularity leaves only the band j <= k <= i of each sum,
-    so a row i > j has a nonzero term only where a solved entry b[k] meets
-    a nonzero A[i][k].  The rows visited are j and the rows that the solved
-    entries reach through ``cols``, in increasing order (a sorted
-    worklist), so every b[k] of a row's band is solved before the row.  A
-    row left out has no solved entry in its band: s = 0 = e_j[i], so
-    b[i] = 0 and the row holds."""
-    col, pending, queued = {}, [j], {j}
-    while pending:
-        i = pending.pop(0)
+def _solve(rows, diagonal: tuple[int, ...], columns, zero, one, what: str) -> list[dict]:
+    """The columns ``columns`` of the inverse B of the unitriangular matrix
+    ``rows``, as rows of nonzeros, by forward substitution row by row; the
+    +-1 diagonal makes the division exact and sidesteps noncommutativity
+    (each product is A[i][k] * B[k][j]).  With s the sum of A[i][k] * B[k][j]
+    over k < i, B[i][j] = d_i (e_i[j] - s), stored only when s differs from
+    e_i[j], so a column j starts at row j.  Each stored entry is checked:
+    s + A[i][i] * B[i][j] must be e_i[j] exactly, and an entry not stored
+    holds with B[i][j] = 0.  The first failure in row order is reported,
+    within its row the smallest j."""
+    inverse = []
+    for i, d in enumerate(diagonal):
         row = rows.get(i, {})
-        acc = None
+        sums = {i: zero} if i in columns else {}
         for k, a in row.items():
-            if k in col:
-                p = a * col[k]
-                acc = p if acc is None else acc + p
-        if acc is None:             # row j: nothing is solved before it
-            acc = zero
-        target = one if i == j else zero
-        if acc != target:
-            col[i] = b = target - acc if diagonal[i] > 0 else acc - target
-            if acc + row.get(i, zero) * b != target:
-                raise InternalInvariantError(
-                    f"{what} times its inverse is not the identity at ({i}, {j})")
-            for r in cols.get(i, ()):
-                if r not in queued:
-                    queued.add(r)
-                    insort(pending, r)
-    out = [zero] * len(diagonal)
-    for i, b in col.items():
-        out[i] = b
-    return out
+            if k < i:
+                for j, b in inverse[k].items():
+                    p = a * b
+                    sums[j] = sums[j] + p if j in sums else p
+        out = {}
+        for j in sorted(sums):
+            s, target = sums[j], one if i == j else zero
+            if s != target:
+                out[j] = b = target - s if d > 0 else s - target
+                if s + row.get(i, zero) * b != target:
+                    raise InternalInvariantError(
+                        f"{what} times its inverse is not the identity at ({i}, {j})")
+        inverse.append(out)
+    return inverse
 
 
 def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
@@ -239,7 +222,7 @@ def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fr
     zero, one, what = linalg.ZERO, linalg.ONE, "counit of the pairing matrix"
     scalar = _pairing(alg, order, _left_counits, one)
     diagonal = _check_unitriangular(scalar, len(order), zero, one, what)
-    return _solve_column(scalar, linalg.transpose(scalar), diagonal, 0, zero, one, what)
+    return [row.get(0, zero) for row in _solve(scalar, diagonal, (0,), zero, one, what)]
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -250,14 +233,13 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
     rows = _pairing(alg, order, _left_coefficients, one)
     diagonal = _check_unitriangular(rows, n, zero, one, what)
-    cols = linalg.transpose(rows)
-    columns = [_solve_column(rows, cols, diagonal, j, zero, one, what) for j in range(n)]
+    inverse = tuple(tuple(row.get(j, zero) for j in range(n))
+                    for row in _solve(rows, diagonal, range(n), zero, one, what))
     entries = [[zero] * n for _ in range(n)]
     for i, row in rows.items():
         for k, a in row.items():
             entries[i][k] = a
-    return FrobeniusMatrix(alg, order, tuple(map(tuple, entries)), tuple(zip(*columns)),
-                           diagonal)
+    return FrobeniusMatrix(alg, order, tuple(map(tuple, entries)), inverse, diagonal)
 
 
 def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,

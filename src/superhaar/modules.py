@@ -298,17 +298,6 @@ def check_right_integral(module: GradedModule, integral: IntegralMatrix) -> bool
     return not any(linalg.mat_mul(m, rho) for rho in module._int_rho)
 
 
-def _quotient_action(alg: LieSuperalgebra, i: int, masks) -> linalg.Matrix:
-    """Matrix of basis element i on the quotient classes ``masks``, rows
-    and columns numbered by position in ``masks``."""
-    pos = {mask: t for t, mask in enumerate(masks)}
-    columns = {}
-    for col, mask in enumerate(masks):
-        image = act_on_quotient(alg, i, {mask: ONE})
-        columns[col] = {pos[m]: c for m, c in image.items()}
-    return linalg.transpose(columns)
-
-
 def brute_force_quotient_invariants(alg: LieSuperalgebra) -> list[linalg.Vector]:
     """Invariant classes of the 2^m-dimensional quotient module, in the
     canonical kernel basis of ``linalg.nullspace``, found by exact linear
@@ -333,7 +322,8 @@ def brute_force_quotient_invariants(alg: LieSuperalgebra) -> list[linalg.Vector]
     none of the Frobenius construction.
     """
     n = 1 << alg.n_odd
-    rows = [row for t in range(alg.n_even, alg.dim) for row in _int_action_rows(alg, t)]
+    rows = [row for t in range(alg.n_even, alg.dim)
+            for row in _int_action_rows(alg, t).values()]
     kernel = linalg.nullspace(rows, n)
     if len(kernel) > 1:
         raise InternalInvariantError(
@@ -347,8 +337,16 @@ def quotient_module(alg: LieSuperalgebra, name: str = "") -> GradedModule:
     """The quotient by the left ideal generated by the even part, packaged
     as a graded module with basis the odd-subset classes in cardinality
     order.  For a purely odd abelian algebra this is the exterior algebra
-    on the odd generators with generators acting by left multiplication."""
-    order = odd_subset_order(alg.n_odd)
+    on the odd generators with generators acting by left multiplication.
+
+    Row J of ``_int_action_rows`` is S^(m + 1 - |J|) times the rational
+    row, S the algebra's integer scale."""
+    m, scale = alg.n_odd, alg._int_scale
+    order = odd_subset_order(m)
+    pos = {mask: t for t, mask in enumerate(order)}
     parities = [mask.bit_count() & 1 for mask in order]
-    action = {i: _quotient_action(alg, i, order) for i in range(alg.dim)}
+    action = {i: {pos[j]: {pos[mask]: Fraction(v, scale ** (m + 1 - j.bit_count()))
+                           for mask, v in row.items()}
+                  for j, row in _int_action_rows(alg, i).items()}
+              for i in range(alg.dim)}
     return GradedModule(alg, parities, action, name or f"{alg.name}-quotient")

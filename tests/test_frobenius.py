@@ -626,16 +626,22 @@ def test_a_corrupted_dual_element_is_caught_in_a_scaled_algebra(monkeypatch, cor
         assert len(calls) == n
 
 
-def test_solve_column_verifies_the_column_it_solves():
+def column(inverse, j, zero):
+    """Column j of the rows of nonzeros that ``frobenius._solve`` returns."""
+    return [row.get(j, zero) for row in inverse]
+
+
+def test_solve_verifies_the_columns_it_solves():
     # a flipped diagonal sign solves a wrong column; A * b = e_j, recomputed
     # from A, catches it in the row of the flip
     rows = {0: {0: F(1)}, 1: {0: F(2, 3), 1: F(-1)}, 2: {0: F(1, 2), 1: F(5), 2: F(1)}}
     zero, one = linalg.ZERO, linalg.ONE
     diagonal = frobenius._check_unitriangular(rows, 3, zero, one, "A")
     assert diagonal == (1, -1, 1)
-    cols = linalg.transpose(rows)
+    inverse = frobenius._solve(rows, diagonal, range(3), zero, one, "A")
     for j in range(3):
-        col = frobenius._solve_column(rows, cols, diagonal, j, zero, one, "A")
+        col = column(frobenius._solve(rows, diagonal, (j,), zero, one, "A"), j, zero)
+        assert col == column(inverse, j, zero)
         assert [sum(a * col[k] for k, a in rows[i].items()) for i in range(3)] == \
             [int(i == j) for i in range(3)]
     for flip in range(3):
@@ -643,7 +649,12 @@ def test_solve_column_verifies_the_column_it_solves():
         for j in range(flip + 1):
             with pytest.raises(InternalInvariantError,
                                match=rf"A times its inverse is not the identity at \({flip}, {j}\)"):
-                frobenius._solve_column(rows, cols, bad, j, zero, one, "A")
+                frobenius._solve(rows, bad, (j,), zero, one, "A")
+        # every column at once: the row of the flip fails first, at its
+        # smallest column
+        with pytest.raises(InternalInvariantError,
+                           match=rf"A times its inverse is not the identity at \({flip}, 0\)"):
+            frobenius._solve(rows, bad, range(3), zero, one, "A")
 
 
 def sparse_unitriangular(rng, n, density):
@@ -658,29 +669,33 @@ def dense(rows, n, zero):
     return [[rows.get(i, {}).get(k, zero) for k in range(n)] for i in range(n)]
 
 
-def test_solve_column_matches_dense_forward_substitution_over_q(rng):
-    # the solve visits only the rows that its solved entries reach; the
-    # reference visits every row
+def test_solve_matches_dense_forward_substitution_over_q(rng):
+    # the solve stores only the nonzero entries of the columns asked for;
+    # the reference computes every entry of one column
     chain = {i: {i - 1: F(-2), i: F(1)} if i else {0: F(-1)} for i in range(9)}
     # column 0 solves b[1] = -1, then row 2's sum 1 - 1 cancels: row 3, whose
-    # only entry below the diagonal is in column 2, is never reached
+    # only entry below the diagonal is in column 2, gets nothing from column 0
     cancel = {0: {0: F(1)}, 1: {0: F(1), 1: F(1)}, 2: {0: F(1), 1: F(1), 2: F(1)},
               3: {2: F(7), 3: F(-1)}, 4: {0: F(1), 4: F(1)}}
     cases = [chain, cancel, {0: {0: F(1)}}, {i: {i: F(-1)} for i in range(5)}]
     cases += [sparse_unitriangular(rng, n, density) for n in (2, 6, 12, 20)
               for density in (0.05, 0.15, 0.4, 0.9) for _ in range(2)]
-    # random rows with an empty band occur; in the chain, row i is reached
-    # from column 0 only through the i - 1 rows between them
+    # random rows with an empty band occur; in the chain, column 0 reaches
+    # row i only through the i - 1 rows between them
     assert any(len(row) == 1 for rows in cases[4:] for i, row in rows.items() if i)
     assert all(dense_forward_substitution(dense(chain, 9, F(0)), 0, F(0), F(1)))
     zero, one = linalg.ZERO, linalg.ONE
     for rows in cases:
         n = len(rows)
         diagonal = frobenius._check_unitriangular(rows, n, zero, one, "A")
-        cols = linalg.transpose(rows)
+        inverse = frobenius._solve(rows, diagonal, range(n), zero, one, "A")
+        assert all(all(inverse_row.values()) for inverse_row in inverse)
         for j in range(n):
-            col = frobenius._solve_column(rows, cols, diagonal, j, zero, one, "A")
-            assert col == dense_forward_substitution(dense(rows, n, zero), j, zero, one)
+            expected = dense_forward_substitution(dense(rows, n, zero), j, zero, one)
+            assert column(inverse, j, zero) == expected
+            single = frobenius._solve(rows, diagonal, (j,), zero, one, "A")
+            assert all(set(inverse_row) <= {j} for inverse_row in single)
+            assert column(single, j, zero) == expected
 
 
 def test_solve_column_matches_dense_forward_substitution_over_the_even_part():

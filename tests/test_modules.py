@@ -15,7 +15,7 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        brute_force_quotient_invariants, check_right_integral,
                        check_semisimple_over_even, counit, integral_matrix,
                        invariant_projector, invariant_z, linalg,
-                       module_action, modules, multiply, quotient_module,
+                       module_action, modules, multiply, odd_subset_order, quotient_module,
                        validate_module, validate_superalgebra)
 from superhaar.algebra import even_part_structure
 from superhaar.cli import main
@@ -26,8 +26,8 @@ from conftest import (ALGEBRA_FILES, FIXTURE_MODULES, MODULE_FILES, UNIMODULAR,
                       identity, rescaled_algebra, rows_of)
 from randgen import (change_basis, mat_vec, random_element, random_odd_basis_change,
                      random_small_superalgebra)
-from reference import (dense_mul, dense_validate_module, fraction_integral,
-                       fraction_module_action, fraction_projector,
+from reference import (dense_mul, dense_validate_module, fraction_act_on_quotient,
+                       fraction_integral, fraction_module_action, fraction_projector,
                        fraction_right_integral, fraction_split, full_oracle)
 
 F = Fraction
@@ -618,7 +618,7 @@ def test_a_zeroed_odd_action_grows_the_odd_kernel_and_exits_70(monkeypatch, caps
     honest = modules._int_action_rows
 
     def zero_first_odd(alg, t):
-        return [] if t == alg.n_even else honest(alg, t)
+        return {} if t == alg.n_even else honest(alg, t)
 
     monkeypatch.setattr(modules, "_int_action_rows", zero_first_odd)
     with pytest.raises(InternalInvariantError, match="kill 2 independent classes"):
@@ -663,6 +663,22 @@ def test_quotient_module_validates_everywhere():
         module = quotient_module(alg)
         assert validate_module(module).ok
         assert module.dim == 1 << alg.n_odd
+
+
+def test_quotient_module_matches_the_fraction_action_at_scale_above_one():
+    # the quotient rows come from the enveloping layer's ints, row J times
+    # S^(m + 1 - |J|); every fixture has S = 1, so only these pin the division
+    alg = gl_supermatrix_units(2, 1)
+    for alg in (rescaled_algebra(alg), random_odd_basis_change(alg, random.Random(5))[0]):
+        assert alg._int_scale > 1, alg.name
+        order = odd_subset_order(alg.n_odd)
+        module = quotient_module(alg)
+        for i in range(alg.dim):
+            rho = module.rho(i)
+            for col, mask in enumerate(order):
+                image = fraction_act_on_quotient(alg, i, {mask: F(1)})
+                assert {r: row[col] for r, row in rho.items() if col in row} == \
+                    {order.index(j): c for j, c in image.items()}, (alg.name, i, mask)
 
 
 def test_fixture_generator_reproduces_the_shipped_fixtures(tmp_path, monkeypatch):
