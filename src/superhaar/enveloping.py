@@ -311,29 +311,30 @@ def counit(a: UEElement) -> Fraction:
     return a.terms.get((), Fraction(0))
 
 
-def alpha(u: UEElement) -> UEElement:
+def alpha(alg: LieSuperalgebra, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     """The automorphism of the even enveloping subalgebra sending each even
-    generator X to X + tr(ad'(X)); extended multiplicatively.  The traces
-    are the algebra's own, computed once when it is built.  When every
-    letter of ``u`` has trace zero, as under the trace condition, ``u`` is
-    its own image and is returned as it is.
+    generator X to X + tr(ad'(X)), extended multiplicatively, on
+    {PBW word: int} in the kernel's integers (a word w carrying S^(e - |w|)
+    times its coefficient, for some e).  The traces are the algebra's own.
+    When every letter has trace zero, ``terms`` is returned as it is.
 
-    No rewriting is needed.  A PBW word of ``u`` is a non-decreasing run of
-    even letters, so the ordered product of its X_g + tr(ad'(X_g)) is the
-    sum over the word's subsequences, each itself a PBW word, weighted by
-    the product of the traces of the letters left out."""
-    alg = u.alg
-    if any(w and w[-1] >= alg.n_even for w in u.terms):
+    No rewriting is needed.  A PBW word of the element is a non-decreasing
+    run of even letters, so the ordered product of its X_g + tr(ad'(X_g))
+    is the sum over the word's subsequences, each itself a PBW word,
+    weighted by the traces of the letters left out, each tr(ad'(X_g)) * S:
+    an int, since S clears the table's denominators."""
+    if any(w and w[-1] >= alg.n_even for w in terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
     lam = alg._ad_traces
-    if not any(lam[g] for w in u.terms for g in w):
-        return u
-    out: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
-    for word, c in u.terms.items():
+    if not any(lam[g] for w in terms for g in w):
+        return terms
+    lam = [t.numerator * alg._int_scale // t.denominator for t in lam]
+    out: dict[tuple[int, ...], int] = defaultdict(int)
+    for word, c in terms.items():
         parts = {(): c}
         for g in word:
             t = lam[g]
-            grown: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+            grown: dict[tuple[int, ...], int] = defaultdict(int)
             for w, v in parts.items():
                 grown[w + (g,)] += v
                 if t:
@@ -341,7 +342,7 @@ def alpha(u: UEElement) -> UEElement:
             parts = grown
         for w, v in parts.items():
             out[w] += v
-    return UEElement._trusted(alg, {w: v for w, v in out.items() if v})
+    return {w: v for w, v in out.items() if v}
 
 
 # -- the quotient U(g)/U(g)*g0 --------------------------------------------------

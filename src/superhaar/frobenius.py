@@ -19,46 +19,43 @@ subsets, c_M = R_{min M} c_{M - min M} from c_empty = e_top.  This is the
 Frobenius-extension structure of U(g) over U(g0) (Bell and Farnsteiner,
 Trans. AMS 335, 1993).  The products are built along prefixes,
 x^I x_t = x_s (x^{I - s} x_t) with s = min I, one ``multiply`` by a
-generator each: the chain of ``_prefix_pairings`` below, without its
-pruning.  That relies on ``multiply`` being associative, which it is on a
-table that passes validation; the CLI validates every algebra first, and
-the invariance certificate still checks z.  The pass's ``read`` and
-``one`` give the ring of the entries.  ``frobenius_matrix`` keeps the left
-coefficients, which lie in the even subalgebra, builds A and solves every
-column of its inverse.  ``invariant_z`` without a matrix needs only the
-counit of column zero.  The counit is an algebra map on the even
-subalgebra, so it keeps only the counits of the left coefficients, and
-the same pass builds the scalar matrix counit(A), whose column zero it
-solves with no even-subalgebra arithmetic.  A and counit(A) share one
-construction, one check and one solve: ``_check_unitriangular`` checks
-that the matrix is lower triangular with diagonal +-1, and ``_solve``
-forward-substitutes the inverse row by row, each row from the rows before
-it, restricted to the columns asked for (all of them for A, column zero
-for counit(A)), and verifies every entry it stores exactly.
+generator each, which is associative on a table that passes validation
+(the CLI validates every algebra first); the benchmark's tracer counts
+these calls.  All else runs in the rewriting kernel's integers in one
+graded scale, S the algebra's integer scale: an entry at (i, k) of A or
+of its inverse is {even word w: int v} (``_Even``) for
+sum v / S^(|I_i| - |I_k| - |w|) w.  ``_rewrite`` keeps the scale, so an
+(i, k) entry times a (k, j) entry lands at (i, j) unscaled.  A chain
+product x^I x_t is read into ints at its degree |I| + 1, exactly, since
+``multiply`` built it from the kernel's ints.  The counit is an algebra
+map on the even subalgebra, so the same pass on the counits, plain ints,
+gives counit(A), whose column zero is all ``invariant_z`` needs without
+a matrix.  Both share one check that the matrix is lower triangular with
+diagonal +-1 (``_check_unitriangular``) and one forward substitution of
+the columns asked for (``_solve``), which verifies every entry it stores
+exactly.  Fractions and elements are built once, at the output.
 
-The exhaustive duality check of ``dual_pair`` builds the products x^I y
-along prefixes, keeps only the terms that can still reach the full odd
-monomial, and compares the top parts in the kernel's integers
-(``_prefix_pairings``).  Each prefix head x_s w that can still reach the
-full odd monomial is rewritten once per call, into a memo that
-``dual_pair`` creates and drops, so the 2^m chains of the 2^m elements y
-share their rewrites.  The invariance certificate of
-``invariant_z`` reads the classes of z and of x_i z in U(g)/U(g)*g0 from
-the enveloping layer's quotient recursion, which shares only the bracket
-table with the pass.
+``dual_pair`` builds each y^J from the sparse int rows of the inverse.
+Its exhaustive duality check builds the products x^I y along prefixes,
+keeps only the terms that can still reach the full odd monomial, and
+compares the top parts in the kernel's integers (``_prefix_pairings``).
+Each prefix head x_s w that can still reach the full odd monomial is
+rewritten once per call, into a memo that ``dual_pair`` creates and drops,
+so the 2^m chains of the 2^m elements y share their rewrites.  The
+invariance certificate of ``invariant_z`` reads the classes of z and of
+x_i z in U(g)/U(g)*g0 from the enveloping layer's quotient recursion,
+which shares only the bracket table with the pass.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .algebra import LieSuperalgebra, lambda_values
-from .enveloping import (UEElement, _normal_form, _odd_mask, _odd_word, _rewrite,
+from .enveloping import (UEElement, _odd_mask, _odd_word, _rewrite,
                          act_on_quotient, alpha, counit, multiply, quotient_project)
 
 
@@ -85,23 +82,74 @@ def odd_subset_order(m: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << m), key=lambda k: (k.bit_count(), bits(k))))
 
 
-def _left_coefficients(u: UEElement) -> dict[int, UEElement]:
-    """The nonzero left coefficients u_J of u = sum_J u_J x^J, by mask J:
-    elements of the even subalgebra.  Each PBW word splits at its first
-    odd letter into a word of u_J and x^J."""
-    n0 = u.alg.n_even
+class _Even:
+    """An element of the even subalgebra in the kernel's integers,
+    ``terms`` = {PBW word: nonzero int}, in the graded scale of its matrix
+    cell.  A product is one ``_rewrite`` call, or none with a scalar factor."""
+
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg: LieSuperalgebra, terms: dict):
+        self.alg, self.terms = alg, terms
+
+    def __mul__(self, other):
+        a, b = self.terms, other.terms
+        for s, u in ((a, b), (b, a)):
+            if len(s) == 1 and () in s:
+                c = s[()]
+                return _Even(self.alg, {w: c * v for w, v in u.items()})
+        out = _rewrite(self.alg, [(w + w2, v * v2) for w, v in a.items() for w2, v2 in b.items()])
+        return _Even(self.alg, {w: v for w, v in out.items() if v})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, v in other.terms.items():
+            out[w] = out.get(w, 0) + v
+        return _Even(self.alg, {w: v for w, v in out.items() if v})
+
+    def __neg__(self):
+        return _Even(self.alg, {w: -v for w, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return repr(self.terms)
+
+
+def _even_ints(u: UEElement, deg: int) -> dict[int, _Even]:
+    """The nonzero left coefficients u_J of a chain product
+    u = sum_J u_J x^J of degree ``deg``, by mask J, each term c w read as
+    the int c * S^(deg - |w|); each PBW word splits at its first odd letter."""
+    n0, scale = u.alg.n_even, u.alg._int_scale
     terms: dict = defaultdict(dict)
     for w, c in u.terms.items():
         k = bisect_left(w, n0)
-        terms[_odd_mask(n0, w[k:])][w[:k]] = c
-    return {j: UEElement._trusted(u.alg, t) for j, t in terms.items()}
+        terms[_odd_mask(n0, w[k:])][w[:k]] = c.numerator * scale ** (deg - len(w)) // c.denominator
+    return {j: _Even(u.alg, t) for j, t in terms.items()}
 
 
-def _left_counits(u: UEElement) -> dict[int, Fraction]:
-    """The nonzero counits of the left coefficients u_J of
-    u = sum_J u_J x^J, by mask J: the terms of u with no even letter."""
-    n0 = u.alg.n_even
-    return {_odd_mask(n0, w): c for w, c in u.terms.items() if not w or w[0] >= n0}
+def _counit_ints(u: UEElement, deg: int) -> dict[int, int]:
+    """The nonzero counits of the left coefficients of a chain product u,
+    by mask J, read as ``_even_ints`` reads them: the terms with no even letter."""
+    n0, scale = u.alg.n_even, u.alg._int_scale
+    return {_odd_mask(n0, w): c.numerator * scale ** (deg - len(w)) // c.denominator
+            for w, c in u.terms.items() if not w or w[0] >= n0}
+
+
+def _rational(alg: LieSuperalgebra, terms: dict, e: int) -> UEElement:
+    """The element whose word w carries S^(e - |w|) in ``terms``."""
+    scale = alg._int_scale
+    if scale == 1:
+        return UEElement._trusted(alg, {w: Fraction(v) for w, v in terms.items()})
+    return UEElement._trusted(alg, {w: Fraction(v, scale ** (e - len(w)))
+                                    for w, v in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -113,6 +161,7 @@ class FrobeniusMatrix:
     entries: tuple[tuple[UEElement, ...], ...]
     inverse: tuple[tuple[UEElement, ...], ...]
     diagonal: tuple[int, ...]                    # each +1 or -1
+    _inverse_rows: tuple = field(repr=False, compare=False)   # ``_solve``'s, for dual_pair
 
 
 def _check_unitriangular(rows, n: int, zero, one, what: str) -> tuple[int, ...]:
@@ -171,15 +220,13 @@ def _solve(rows, diagonal: tuple[int, ...], columns, zero, one, what: str) -> li
 def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
     """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}>, or its
     image under a ring map phi on the even subalgebra, as rows of nonzeros
-    indexed by position in ``order``.  ``read(u)`` maps u = sum_J u_J x^J
-    to the nonzero phi(u_J) by mask J, and ``one`` is the unit of phi's
-    ring, whose elements are true exactly when nonzero.
+    indexed by position in ``order``, in the graded int scale.
+    ``read(u, deg)`` maps a chain product u = sum_J u_J x^J of degree
+    ``deg`` to the nonzero phi(u_J) by mask J, and ``one`` is the unit of
+    phi's ring, whose elements are true exactly when nonzero.
 
-    R_t[I][J] is the left coefficient of x^J in x^I * x_t.  The products
-    are built along prefixes, x^I * x_t = x_s * (x^{I - s} * x_t) with
-    s = min I, one multiplication by a generator each; that rests on
-    ``multiply`` being associative, which it is on a table that passes
-    validation.  Right multiplication by x_t and pi are maps of left
+    R_t[I][J] is the left coefficient of x^J in x^I * x_t.  Right
+    multiplication by x_t and pi are maps of left
     modules over the even subalgebra, so for M = {t_1 < ... < t_r} the
     column c_M[I] = pi(x^I * x^M) is R_{t_1} c_{M - t_1}, with
     c_empty = e_top, and A[i][k] is entry I_i of c_{complement(I_k)}.
@@ -196,7 +243,7 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
             low = mask & -mask
             products.append(multiply(letters[low.bit_length() - 1], products[mask ^ low]))
         for mask, u in enumerate(products):
-            for j, r in read(u).items():
+            for j, r in read(u, mask.bit_count() + 1).items():
                 rt.setdefault(j, {})[mask] = r
         right.append(rt)
     cols = [{top: one}]
@@ -218,11 +265,12 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
 def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fraction]:
     """The counit of column zero b of the inverse of the pairing matrix A,
     from counit(A) alone: counit(A) * counit(b) = e_0, solved and checked
-    like A itself."""
-    zero, one, what = linalg.ZERO, linalg.ONE, "counit of the pairing matrix"
-    scalar = _pairing(alg, order, _left_counits, one)
-    diagonal = _check_unitriangular(scalar, len(order), zero, one, what)
-    return [row.get(0, zero) for row in _solve(scalar, diagonal, (0,), zero, one, what)]
+    like A itself, in ints; entry i of the solved column carries S^|I_i|."""
+    what = "counit of the pairing matrix"
+    scalar = _pairing(alg, order, _counit_ints, 1)
+    diagonal = _check_unitriangular(scalar, len(order), 0, 1, what)
+    return [Fraction(row.get(0, 0), alg._int_scale ** mask.bit_count())
+            for row, mask in zip(_solve(scalar, diagonal, (0,), 0, 1, what), order)]
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -230,26 +278,27 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     even subalgebra and every column of its inverse, checked."""
     order = odd_subset_order(alg.n_odd)
     n = len(order)
-    zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
-    rows = _pairing(alg, order, _left_coefficients, one)
+    zero, one, what = _Even(alg, {}), _Even(alg, {(): 1}), "pairing matrix"
+    rows = _pairing(alg, order, _even_ints, one)
     diagonal = _check_unitriangular(rows, n, zero, one, what)
-    inverse = tuple(tuple(row.get(j, zero) for j in range(n))
-                    for row in _solve(rows, diagonal, range(n), zero, one, what))
-    entries = [[zero] * n for _ in range(n)]
-    for i, row in rows.items():
-        for k, a in row.items():
-            entries[i][k] = a
-    return FrobeniusMatrix(alg, order, tuple(map(tuple, entries)), inverse, diagonal)
+    solved = _solve(rows, diagonal, range(n), zero, one, what)
+    sizes, empty = [mask.bit_count() for mask in order], UEElement.zero(alg)
+    dense = [[[empty] * n for _ in range(n)] for _ in range(2)]
+    for out, sparse in zip(dense, (rows.items(), enumerate(solved))):
+        for i, row in sparse:
+            for k, x in row.items():
+                out[i][k] = _rational(alg, x.terms, sizes[i] - sizes[k])
+    entries, inverse = (tuple(map(tuple, out)) for out in dense)
+    return FrobeniusMatrix(alg, order, entries, inverse, diagonal, tuple(solved))
 
 
-def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
-                     memo: dict) -> tuple[list[dict], int, int]:
-    """The top parts of x^I y for every odd subset I, in the rewriting
-    kernel's integers: ``(tops, D, deg y)``, where ``tops[mask]`` holds the
-    PBW words of x^I y with all m odd letters, each with its nonzero int
-    value.  Such a word of degree L carries D * S^(deg y + |I| - L) times
-    its coefficient, D the lcm of the denominators of y and S the
-    algebra's integer scale; its even prefix is a word of pi(x^I y).
+def _prefix_pairings(alg: LieSuperalgebra, y: dict, memo: dict) -> list[dict]:
+    """The top parts of x^I y for every odd subset I, y given as
+    {PBW word: int} in the rewriting kernel's integers: ``tops[mask]``
+    holds the PBW words of x^I y with all m odd letters, each with its
+    nonzero int value.  If a word of degree L of y carries K * S^(e - L)
+    times its coefficient, one of x^I y carries K * S^(e + |I| - L); its
+    even prefix is a word of pi(x^I y).
 
     The products are built along prefixes: x^I y = x_s (x^{I - s} y) with
     s = min I, one multiplication by a generator each.  No rewriting step
@@ -269,20 +318,15 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
     nor memoised.  An empty product x^{I - s} y gives an empty x^I y with
     no loop, and the top parts are read from the nonempty products only.
 
-    The chain runs in ints (``_rewrite``).  y is scaled once: a term c w of
-    y carries c * D * S^(deg y - |w|).  Prepending x_s raises both the
-    degree and |I| by one, and the kernel keeps the scale.  ``_rewrite`` is
-    linear in the head weights, so each head x_s w is rewritten once, with
-    weight 1, and pruned at the floor m - s that its first letter fixes;
-    ``memo`` maps the head to the kept (word, int) pairs, and every use of
-    the head with weight v adds v times them.  A memo is valid for any y
-    over the same algebra.
+    The chain runs in ints (``_rewrite``), which keep their scale.
+    ``_rewrite`` is linear in the head weights, so each head x_s w is
+    rewritten once, with weight 1, and pruned at the floor m - s that its
+    first letter fixes; ``memo`` maps the head to the kept (word, int)
+    pairs, and every use of the head with weight v adds v times them.  A
+    memo is valid for any y over the same algebra.
     """
-    m, n0, scale = alg.n_odd, alg.n_even, alg._int_scale
-    den = math.lcm(*(c.denominator for c in y.terms.values()))
-    deg = max(map(len, y.terms), default=0)
-    products = [{w: c.numerator * (den // c.denominator) * scale ** (deg - len(w))
-                 for w, c in y.terms.items()}]
+    m, n0 = alg.n_odd, alg.n_even
+    products = [y]
     for mask in range(1, 1 << m):
         low = mask & -mask
         s = low.bit_length() - 1
@@ -309,21 +353,21 @@ def _prefix_pairings(alg: LieSuperalgebra, y: UEElement,
         products.append({u: x for u, x in acc.items() if x})
     tops = [{w: v for w, v in u.items() if len(w) - bisect_left(w, n0) == m} if u else {}
             for u in products]
-    return tops, den, deg
+    return tops
 
 
 def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[UEElement]:
     """Elements y^I with <x^I, y^J> = delta_IJ, in the subset order.
 
-    y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]); duality is
-    verified exhaustively before returning, every cell compared exactly in
-    the kernel's integers (``_prefix_pairings``, whose memo of prefix
-    heads lives for this call only).  pi(x^I y^J) = delta_IJ
-    says that x^I y^J has no word with all m odd letters unless I = J, and
-    then exactly the bare x^top, with value D * S^(deg y + |I| - m).  So
-    the cells of column J are checked from the nonempty top parts: an
-    off-diagonal cell fails when its top part is nonempty, and the
-    diagonal cell when its top part is not {x^top: D * S^(...)}.  The first
+    y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]), from the sparse
+    int rows of the inverse with no rescaling: every word of degree L of
+    y^I carries S^(m - |I| - L).  Duality is verified exhaustively before
+    returning, every cell compared exactly in the kernel's integers
+    (``_prefix_pairings``, whose memo of prefix heads lives for this call
+    only).  pi(x^I y^J) = delta_IJ says that x^I y^J has no word with all
+    m odd letters unless I = J, and then exactly the bare x^top, with value
+    1.  So an off-diagonal cell fails when its top part is nonempty, and
+    the diagonal cell when its top part is not {x^top: 1}.  The first
     failure in row order is reported.  The check prunes the products it
     forms, which needs a graded bracket table: raises ``ValueError`` on
     any other.
@@ -335,29 +379,24 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
         raise ValueError(f"the bracket table of {alg.name} does not respect parity")
     if fm is None:
         fm = frobenius_matrix(alg)
-    n, m = len(fm.order), alg.n_odd
-    top = (1 << m) - 1
+    n, m, top = len(fm.order), alg.n_odd, (1 << alg.n_odd) - 1
     comp = [_odd_word(alg, top ^ mask) for mask in fm.order]
-    top_word = _odd_word(alg, top)
-    ys = []
-    for j in range(n):
-        # one kernel call on the heads of every x^{complement(K)} * alpha(b_Kj)
-        heads = [(comp[k] + w, c) for k in range(n) if (b := fm.inverse[k][j])
-                 for w, c in alpha(b).terms.items()]
-        ys.append(UEElement._trusted(alg, _normal_form(alg, heads)))
+    heads: list[list] = [[] for _ in range(n)]
+    for k, row in enumerate(fm._inverse_rows):
+        for j, b in row.items():
+            heads[j] += [(comp[k] + w, v) for w, v in alpha(alg, b.terms).items()]
+    # one kernel call per y^J, in column order
+    ys = [{w: v for w, v in _rewrite(alg, h).items() if v} for h in heads]
     # every cell is checked; the first failure in row order is reported
-    failures, memo = [], {}
+    failures, memo, top_word = [], {}, _odd_word(alg, top)
     for j, y in enumerate(ys):
-        tops, den, deg = _prefix_pairings(alg, y, memo)
-        # below degree m, x^{I_j} y has no top word: its diagonal cell fails
-        mask_j = fm.order[j]
-        e = deg + mask_j.bit_count() - m
-        if e < 0 or tops[mask_j] != {top_word: den * alg._int_scale ** e}:
+        tops = _prefix_pairings(alg, y, memo)
+        if tops[fm.order[j]] != {top_word: 1}:
             failures.append((j, j))
         failures += [(i, j) for i, mask in enumerate(fm.order) if tops[mask] and i != j]
     if failures:
         raise InternalInvariantError("dual pair fails at ({}, {})".format(*min(failures)))
-    return ys
+    return [_rational(alg, y, m - mask.bit_count()) for y, mask in zip(ys, fm.order)]
 
 
 @dataclass(frozen=True)

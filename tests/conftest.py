@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -103,6 +104,41 @@ def alpha_inv(u):
     """Inverse of ``superhaar.enveloping.alpha``: each even generator X goes to
     X - tr(ad'(X))."""
     return twist(u, -1)
+
+
+def int_terms(u, e, den=1):
+    """The terms c w of ``u`` in the rewriting kernel's integers, as
+    c * den * S^(e - |w|), S the algebra's integer scale; each must be an
+    int."""
+    scale = u.alg._int_scale
+    out = {w: c * den * scale ** (e - len(w)) for w, c in u.terms.items()}
+    assert all(v.denominator == 1 for v in out.values()), out
+    return {w: v.numerator for w, v in out.items()}
+
+
+def int_scaled(u):
+    """``(int_terms(u, e, den), den, e)`` with den the lcm of the
+    denominators of ``u`` and e its degree."""
+    den = math.lcm(*(c.denominator for c in u.terms.values()))
+    e = max(map(len, u.terms), default=0)
+    return int_terms(u, e, den), den, e
+
+
+def rational(alg, terms, e, den=1):
+    """The element whose word w carries den * S^(e - |w|) in ``terms``: the
+    inverse of ``int_terms``."""
+    scale = alg._int_scale
+    return UEElement(alg, {w: Fraction(v, den * scale ** (e - len(w)))
+                           for w, v in terms.items()})
+
+
+def at_int_scale(f):
+    """A map f of elements that raises no degree, as a map of terms in the
+    kernel's integers, the form ``superhaar.enveloping.alpha`` takes."""
+    def lifted(alg, terms):
+        e = max(map(len, terms), default=0)
+        return int_terms(f(rational(alg, terms, e)), e)
+    return lifted
 
 
 @lru_cache(maxsize=None)

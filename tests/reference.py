@@ -17,7 +17,7 @@ from fractions import Fraction
 from superhaar import UEElement, act_on_quotient, linalg, multiply
 from superhaar.algebra import ValidationReport
 
-from conftest import dense_of, identity
+from conftest import dense_of, identity, twist
 
 F = Fraction
 
@@ -170,6 +170,21 @@ def pi(u):
                            if sum(g >= alg.n_even for g in w) == alg.n_odd})
 
 
+def left_coefficients(u):
+    """The nonzero left coefficients u_J of u = sum_J u_J x^J, by mask J:
+    each PBW word split before its first odd letter."""
+    n0, parts = u.alg.n_even, defaultdict(dict)
+    for w, c in u.terms.items():
+        k = next((p for p, g in enumerate(w) if g >= n0), len(w))
+        parts[sum(1 << (g - n0) for g in w[k:])][w[:k]] = c
+    return {j: UEElement(u.alg, t) for j, t in parts.items()}
+
+
+def left_counits(u):
+    """The nonzero counits of the left coefficients of u, by mask J."""
+    return {j: c for j, x in left_coefficients(u).items() if (c := x.terms.get((), 0))}
+
+
 def fraction_pairing(alg, order, read, one):
     """The rows of nonzeros of the pairing matrix A[i][k] =
     <x^{I_i}, x^{complement(I_k)}> in ``order``, or of its image under the
@@ -214,6 +229,24 @@ def dense_forward_substitution(mat, j, zero, one):
             s = s + row[k] * b[k]
         b.append(row[i] * ((one if i == j else zero) - s))
     return b
+
+
+def fraction_dual_pair(alg, fm):
+    """y^J = sum_K x^{complement(K)} alpha(B[K][J]) from the dense inverse B
+    of ``fm``, in Fraction arithmetic: alpha as the ordered product of
+    X + tr(ad'(X)) over the letters (conftest ``twist``), and the raw heads
+    of each y^J rewritten at once."""
+    top = (1 << alg.n_odd) - 1
+    comp = [subset_monomial(alg, top ^ mask) for mask in fm.order]
+    n = len(fm.order)
+    ys = []
+    for j in range(n):
+        heads = []
+        for k in range(n):
+            if fm.inverse[k][j]:
+                heads += fraction_heads(comp[k], twist(fm.inverse[k][j], 1))
+        ys.append(UEElement(alg, fraction_normal_form(alg, heads)))
+    return ys
 
 
 def form(x, y):

@@ -12,14 +12,12 @@ import pytest
 import superhaar.enveloping as enveloping
 from superhaar import (InputError, LieSuperalgebra, UEElement,
                        act_on_quotient, brute_force_quotient_invariants,
-                       counit, frobenius_matrix, lambda_values, multiply,
+                       counit, dual_pair, frobenius_matrix, lambda_values, multiply,
                        quotient_project, validate_superalgebra)
-from superhaar.enveloping import alpha
-from superhaar.frobenius import _left_coefficients
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra, gen,
-                      gl_supermatrix_units, rescaled_algebra, twist,
-                      twisted_dual_algebra)
+                      gl_supermatrix_units, int_scaled, rational, rescaled_algebra,
+                      twist, twisted_dual_algebra)
 from randgen import (_weights, homogeneous_parity, pbw, random_element,
                      random_even_element, random_odd_basis_change,
                      random_small_superalgebra)
@@ -141,6 +139,13 @@ def test_counit_is_an_algebra_map(rng):
 
 
 # -- twist automorphism ----------------------------------------------------------
+
+def alpha(u):
+    """``enveloping.alpha`` on an even element, through the kernel's int
+    scale: u scaled to ints at its degree, twisted, and scaled back."""
+    terms, den, e = int_scaled(u)
+    return rational(u.alg, enveloping.alpha(u.alg, terms), e, den)
+
 
 def test_alpha_examples(bad2, gl11):
     X = gen(bad2, "X")
@@ -522,9 +527,15 @@ def test_library_results_store_only_checked_terms(rng):
             assert not (x * 0).terms and not (0 * x).terms
             results = [multiply(x, y), x + y, x - y, -x,
                        x * F(-3, 2)]
-            results += _left_coefficients(multiply(x, y)).values()
             for u in results:
                 assert_checked(u)
+        # the pairing matrix, its inverse and the dual pair are built from
+        # ints and converted once
+        fm = frobenius_matrix(alg)
+        results = [e for rows in (fm.entries, fm.inverse) for row in rows for e in row if e]
+        results += dual_pair(alg, fm)
+        for u in results:
+            assert_checked(u)
 
 
 # -- element basics ----------------------------------------------------------------

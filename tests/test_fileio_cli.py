@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -539,6 +542,31 @@ def test_cli_out_of_memory_exit_71(monkeypatch, capsys, argv):
     assert code == 71
     assert out.out == ""
     assert out.err == f"superhaar: out of memory in {argv[0]} (m = 2)\n"
+
+
+def test_cli_out_of_memory_exit_71_in_a_child_with_an_address_space_limit(tmp_path):
+    # the 2^22 odd subsets of a purely odd abelian algebra outgrow a 300 MB
+    # address space; the limit is set in the child only.
+    # RLIMIT_AS is POSIX and not enforced everywhere: skipped without it
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("the resource module has no RLIMIT_AS on this platform")
+    limit = 300 * 2 ** 20
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < limit:
+        pytest.skip("the address-space hard limit is below 300 MB already")
+    path = tmp_path / "odd22.json"
+    path.write_text(json.dumps({"name": "odd22", "even_basis": [],
+                                "odd_basis": [f"t{i}" for i in range(22)], "brackets": []}))
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "SUPERHAAR_MAX_ODD": "22", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "superhaar.cli", "invariant", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    assert proc.returncode == 71, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "superhaar: out of memory in invariant (m = 22)\n"
 
 
 # -- exit 2 payload of validate with fractional constants, pinned ------------------

@@ -17,12 +17,14 @@ from superhaar import (InternalInvariantError, LieSuperalgebra,
 from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
-from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, fixture_algebra, gen,
-                      gl_supermatrix_units, parabolic_supermatrix_units,
-                      rescaled_algebra, twist, twisted_dual_algebra)
+from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, at_int_scale, fixture_algebra,
+                      gen, gl_supermatrix_units, int_scaled, int_terms,
+                      parabolic_supermatrix_units, rational, rescaled_algebra, twist,
+                      twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
-from reference import (dense_forward_substitution, form, fraction_pairing, pi,
+from reference import (dense_forward_substitution, form, fraction_dual_pair,
+                       fraction_pairing, left_coefficients, left_counits, pi,
                        subset_monomial)
 
 F = Fraction
@@ -57,8 +59,13 @@ def test_pi_is_the_top_left_coefficient(rng):
         top = (1 << alg.n_odd) - 1
         for _ in range(6):
             u = random_element(alg, rng, max_degree=4, terms=6)
-            want = frobenius._left_coefficients(u).get(top, UEElement.zero(alg))
-            assert pi(u) == want, alg.name
+            # the reader takes an element whose terms are ints at its
+            # degree, here den * u; its coefficient of x^top carries
+            # S^(deg - m - |w|) at a word w
+            terms, den, deg = int_scaled(u)
+            top_part = frobenius._even_ints(rational(alg, terms, deg), deg).get(top)
+            want = rational(alg, top_part.terms, deg - alg.n_odd) if top_part else 0 * u
+            assert pi(u) * den == want, alg.name
 
 
 def test_form_examples(g2):
@@ -335,7 +342,7 @@ def test_cli_invariant_without_emit_flags_skips_full_matrix(monkeypatch, capsys,
         '  "violator": "X",\n  "lambda": "1"\n}\n')
 
     # z comes from the scalar pairing: no pairing entry in the even subalgebra
-    monkeypatch.setattr(frobenius, "_left_coefficients", refuse("_left_coefficients"))
+    monkeypatch.setattr(frobenius, "_even_ints", refuse("_even_ints"))
     assert main(["invariant", builtin_fixture("g2_grassmann.json")]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["z"] == [{"monomial": ["x1", "x2"], "coeff": "1"}]
@@ -389,9 +396,11 @@ def test_form_on_a_table_that_breaks_parity(even, odd, brackets, x, y, want):
 
 def prefix_pairings(alg, y, memo):
     """pi(x^I y) for every mask I, converted from the integer top parts of
-    ``_prefix_pairings``: a word of degree L in x^I y carries
-    D * S^(deg y + |I| - L), and its even prefix is a word of the pairing."""
-    tops, den, deg = frobenius._prefix_pairings(alg, y, memo)
+    ``_prefix_pairings`` on y scaled to ints with D the lcm of its
+    denominators: a word of degree L in x^I y carries D * S^(deg y + |I| - L),
+    and its even prefix is a word of the pairing."""
+    ints, den, deg = int_scaled(y)
+    tops = frobenius._prefix_pairings(alg, ints, memo)
     m, scale = alg.n_odd, alg._int_scale
     top_word = tuple(range(alg.n_even, alg.dim))
     assert len(tops) == 1 << m
@@ -475,9 +484,9 @@ def test_a_shared_memo_gives_the_fresh_memo_result(rng):
     for alg in [fixture_algebra(key) for key in ALGEBRA_FILES] + [dense]:
         ys = dual_pair(alg)
         ys += [random_element(alg, rng, max_degree=4, terms=5) * F(2, 3) for _ in range(2)]
-        memo = {}
-        shared = [frobenius._prefix_pairings(alg, y, memo) for y in ys]
-        assert shared == [frobenius._prefix_pairings(alg, y, {}) for y in ys], alg.name
+        memo, ints = {}, [int_scaled(y)[0] for y in ys]
+        shared = [frobenius._prefix_pairings(alg, y, memo) for y in ints]
+        assert shared == [frobenius._prefix_pairings(alg, y, {}) for y in ints], alg.name
         assert memo or alg.n_odd == 0
 
 
@@ -519,9 +528,9 @@ def tamper_tops(monkeypatch, j, change):
     honest, calls = frobenius._prefix_pairings, []
 
     def tamper(alg, y, memo):
-        tops, den, deg = honest(alg, y, memo)
+        tops = honest(alg, y, memo)
         calls.append(None)
-        return (change(list(tops)) if len(calls) == j + 1 else tops), den, deg
+        return change(list(tops)) if len(calls) == j + 1 else tops
 
     monkeypatch.setattr(frobenius, "_prefix_pairings", tamper)
 
@@ -583,7 +592,7 @@ def test_every_rewritten_prefix_head_can_reach_its_floor(monkeypatch):
         heads.clear()
         memo = {}
         for y in elements:
-            frobenius._prefix_pairings(alg, y, memo)
+            frobenius._prefix_pairings(alg, int_scaled(y)[0], memo)
         n0, m = alg.n_even, alg.n_odd
         assert heads, alg.name
         for head in heads:
@@ -608,22 +617,29 @@ def test_a_corrupted_dual_element_is_caught_in_a_scaled_algebra(monkeypatch, cor
     assert alg._int_scale > 1
     fm = frobenius_matrix(alg)
     ys = dual_pair(alg, fm)
-    n, honest = len(ys), frobenius._normal_form
+    n, m, scale, honest = len(ys), alg.n_odd, alg._int_scale, frobenius._rewrite
+    # y^j in the kernel's ints: a word w carries S^(m - |I_j| - |w|)
+    exps = [m - mask.bit_count() for mask in fm.order]
     for j, k in [(0, 1), (3, 12), (9, 2), (n - 1, 0)]:
         bad = ys[j] * 2 if corrupt == "double" else ys[j] + ys[k]
-        calls = []
+        # y^k may not be ints in the scale of y^j: those terms stay exact
+        # Fractions, which the check's arithmetic carries as they are
+        bad = {w: c * scale ** (exps[j] - len(w)) for w, c in bad.terms.items()}
+        built = []
 
         def build(alg, heads, j=j, bad=bad):
-            # dual_pair builds y^0, ..., y^(n-1) with one call each, in order
-            calls.append(None)
-            return dict(bad.terms) if len(calls) == j + 1 else honest(alg, heads)
+            # dual_pair builds y^0, ..., y^(n-1) with one call each, in
+            # order, before any other kernel call
+            built.append(honest(alg, heads))
+            return bad if len(built) == j + 1 else built[-1]
 
-        monkeypatch.setattr(frobenius, "_normal_form", build)
+        monkeypatch.setattr(frobenius, "_rewrite", build)
         i = j if corrupt == "double" else k
         with pytest.raises(InternalInvariantError,
                            match=rf"dual pair fails at \({i}, {j}\)$"):
             dual_pair(alg, fm)
-        assert len(calls) == n
+        assert [{w: v for w, v in y.items() if v} for y in built[:n]] == \
+            [int_terms(y, e) for y, e in zip(ys, exps)]
 
 
 def column(inverse, j, zero):
@@ -778,13 +794,19 @@ def test_pairing_matches_form_on_random_algebras(rng):
 
 
 def assert_pairing_matches_raw_products(alg):
-    # the pass builds x^I x_t along prefixes; the reference rewrites each
-    # raw word x^I x_t in Fraction arithmetic
+    # the pass builds x^I x_t along prefixes and reads it in the graded int
+    # scale, cell (i, k) carrying S^(|I_i| - |I_k| - |w|) at a word w; the
+    # reference rewrites each raw word x^I x_t in Fraction arithmetic
     order = odd_subset_order(alg.n_odd)
-    for read, one in [(frobenius._left_coefficients, UEElement.one(alg)),
-                      (frobenius._left_counits, F(1))]:
-        assert frobenius._pairing(alg, order, read, one) == \
-            fraction_pairing(alg, order, read, one), (alg.name, read.__name__)
+    size = {i: mask.bit_count() for i, mask in enumerate(order)}
+    even = frobenius._pairing(alg, order, frobenius._even_ints, frobenius._Even(alg, {(): 1}))
+    assert {i: {k: rational(alg, x.terms, size[i] - size[k]) for k, x in row.items()}
+            for i, row in even.items()} == \
+        fraction_pairing(alg, order, left_coefficients, UEElement.one(alg)), alg.name
+    counits = frobenius._pairing(alg, order, frobenius._counit_ints, 1)
+    assert {i: {k: F(x, alg._int_scale ** (size[i] - size[k])) for k, x in row.items()}
+            for i, row in counits.items()} == \
+        fraction_pairing(alg, order, left_counits, F(1)), alg.name
 
 
 def test_pairing_matches_raw_products(rng):
@@ -823,24 +845,13 @@ def test_dual_pair_depends_on_the_twist(monkeypatch, capsys, tmp_path):
     assert payload["violator"] == "X" and len(payload["dual_pair"]) == 8
 
     # the opposite twist breaks duality, and the CLI reports a library fault
-    monkeypatch.setattr(frobenius, "alpha", alpha_inv)
+    monkeypatch.setattr(frobenius, "alpha", at_int_scale(alpha_inv))
     with pytest.raises(InternalInvariantError, match=r"dual pair fails at \(4, 0\)"):
         dual_pair(alg, fm)
     assert main(["invariant", path, "--emit-dual-pair"]) == 70
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("superhaar: internal invariant violation:")
-
-
-def reference_dual_pair(alg, fm):
-    """y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]), with alpha as
-    ordered products of X + tr(ad'(X)) (conftest ``twist``) and every
-    product by ``multiply``."""
-    top = (1 << alg.n_odd) - 1
-    comp = [subset_monomial(alg, top ^ mask) for mask in fm.order]
-    n = len(fm.order)
-    return [sum((multiply(comp[k], twist(fm.inverse[k][j], 1)) for k in range(n)),
-                UEElement.zero(alg)) for j in range(n)]
 
 
 def test_dual_pair_with_a_nonzero_trace_equals_its_reference():
@@ -852,9 +863,43 @@ def test_dual_pair_with_a_nonzero_trace_equals_its_reference():
     for alg in (twisted, fixture_algebra("bad2"), par22, *scaled):
         assert any(lambda_values(alg).values()), alg.name
         fm = frobenius_matrix(alg)
-        assert dual_pair(alg, fm) == reference_dual_pair(alg, fm), alg.name
+        assert dual_pair(alg, fm) == fraction_dual_pair(alg, fm), alg.name
         # the odd parts of bad2 and par(2|2) are abelian, so their pairing
         # and its inverse are scalars, which the twist fixes; the twisted
         # dual algebra has entries that the twist moves
         moved = any(twist(e, 1) != e for row in fm.inverse for e in row if e)
         assert moved == alg.name.startswith("twisted_dual"), alg.name
+
+
+# -- the graded int scale at S > 1, with and without the twist ----------------
+
+@pytest.mark.parametrize("case", ["gl21-rescaled", "par22-rescaled", "gl21-dense",
+                                  "twisted-rescaled"])
+def test_the_int_scale_gives_the_fraction_results(case):
+    # S > 1 on all four; par(2|2) and the twisted dual algebra fail the
+    # trace condition, so their dual pairs are twisted, and the twist moves
+    # inverse entries of the second (par(2|2) has scalar ones)
+    alg = {"gl21-rescaled": lambda: rescaled_algebra(gl_supermatrix_units(2, 1)),
+           "par22-rescaled": lambda: rescaled_algebra(parabolic_supermatrix_units(2, 2)),
+           "gl21-dense": lambda: random_odd_basis_change(gl_supermatrix_units(2, 1),
+                                                         random.Random(1))[0],
+           "twisted-rescaled": lambda: rescaled_algebra(twisted_dual_algebra())}[case]()
+    assert alg._int_scale > 1
+    assert any(lambda_values(alg).values()) == case.startswith(("par", "twisted"))
+    fm = frobenius_matrix(alg)
+    top = (1 << alg.n_odd) - 1
+    xs = [subset_monomial(alg, mask) for mask in fm.order]
+    comp = [subset_monomial(alg, top ^ mask) for mask in fm.order]
+    assert fm.entries == tuple(tuple(form(x, y) for y in comp) for x in xs)
+    zero, one = UEElement.zero(alg), UEElement.one(alg)
+    for j in range(len(fm.order)):
+        assert [row[j] for row in fm.inverse] == \
+            dense_forward_substitution(fm.entries, j, zero, one), j
+    assert dual_pair(alg, fm) == fraction_dual_pair(alg, fm)
+    if case.startswith(("par", "twisted")):
+        for given in (None, fm):
+            with pytest.raises(NoInvariantError):
+                invariant_z(alg, given)
+        return
+    z = sum((comp[i] * counit(row[0]) for i, row in enumerate(fm.inverse)), zero)
+    assert z and invariant_z(alg).z == invariant_z(alg, fm).z == z
