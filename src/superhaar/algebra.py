@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .linalg import ONE
@@ -392,9 +392,13 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
                            f"component of wrong parity on {alg.basis_name(k)} "
                            f"(coefficient {c})")
 
+    # compared in the int table; only a failing pair is summed over Q
+    rows = alg._int_rows
     for i in range(n):
         for j in range(i, n):
             sign = -1 if p(i) and p(j) else 1
+            if rows[j].get(i, ()) == tuple((k, -sign * c) for k, c in rows[i].get(j, ())):
+                continue
             lhs = dict(alg.bracket(i, j))
             for k, c in alg.bracket(j, i):
                 lhs[k] = lhs.get(k, Fraction(0)) + sign * c

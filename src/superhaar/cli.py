@@ -20,7 +20,7 @@ import os
 import re
 import sys
 
-from . import fileio, linalg
+from . import fileio
 from .algebra import InputError, even_part_structure, lambda_values, validate_superalgebra
 from .frobenius import (InternalInvariantError, NoInvariantError,
                         _check_trace_condition, dual_pair, frobenius_matrix,
@@ -131,13 +131,10 @@ def cmd_invariant(args) -> int:
         payload["odd_subset_order"] = [
             [alg.odd_names[t] for t in range(alg.n_odd) if mask >> t & 1]
             for mask in fm.order]
-        payload["frobenius_matrix"] = [[fileio.element_to_json(e) for e in row]
-                                       for row in fm.entries]
-        payload["frobenius_inverse"] = [[fileio.element_to_json(e) for e in row]
-                                        for row in fm.inverse]
+        payload["frobenius_matrix"] = [fileio._Elements(row) for row in fm.entries]
+        payload["frobenius_inverse"] = [fileio._Elements(row) for row in fm.inverse]
     if args.emit_dual_pair:
-        payload["dual_pair"] = [fileio.element_to_json(y)
-                                for y in dual_pair(alg, fm)]
+        payload["dual_pair"] = fileio._Elements(dual_pair(alg, fm))
 
     try:
         inv = invariant_z(alg, fm)
@@ -158,7 +155,11 @@ def cmd_invariant(args) -> int:
         payload["oracle_dimension"] = len(oracle)
         payload["oracle_basis"] = [fileio.quotient_class_to_json(alg, cls)
                                    for cls in oracle]
-        payload["oracle_agrees"] = linalg.same_span(oracle, [inv.quotient_class])
+        # z's class is 1 at x^top, as A[0][0] = pi(x^top) = 1: it must equal
+        # the oracle's one vector scaled to 1 there
+        top, v = (1 << alg.n_odd) - 1, oracle[0] if len(oracle) == 1 else {}
+        payload["oracle_agrees"] = bool(v.get(top)) and inv.quotient_class == {
+            k: x / v[top] for k, x in v.items()}
     _emit(payload)
     return EXIT_OK
 
@@ -263,13 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _CliExit as exc:
-        if exc.message:
-            print(f"superhaar: {exc.message}", file=sys.stderr)
-        if exc.payload is not None:
-            _emit(exc.payload)
-        return exc.code
+        try:
+            return args.func(args)
+        except _CliExit as exc:
+            # the payload is written here, so the handlers below cover it
+            if exc.message:
+                print(f"superhaar: {exc.message}", file=sys.stderr)
+            if exc.payload is not None:
+                _emit(exc.payload)
+            return exc.code
     except InternalInvariantError as exc:
         print(f"superhaar: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -36,6 +36,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _parse_once(values: dict[str, Fraction], text) -> Fraction:
+    """``parse_rational(text)``, each string parsed once per ``values``."""
+    x = values.get(text) if type(text) is str else None
+    if x is None:
+        x = values[text] = parse_rational(text)
+    return x
+
+
 def format_rational(value: Fraction) -> str:
     """The canonical string of a rational: a Fraction is written as it is,
     any other rational (an int, say) is converted first."""
@@ -62,6 +70,7 @@ def algebra_from_json(obj) -> LieSuperalgebra:
     if len(lookup) != len(even) + len(odd):
         raise InputError("duplicate basis names")
     brackets: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    values: dict[str, Fraction] = {}
     for rec in records:
         try:
             left, right = rec["left"], rec["right"]
@@ -83,7 +92,7 @@ def algebra_from_json(obj) -> LieSuperalgebra:
             basis = item.get("basis")
             if not isinstance(basis, str) or basis not in lookup:
                 raise InputError(f"unknown basis name {basis!r}")
-            vec.append((lookup[basis], parse_rational(item.get("coeff"))))
+            vec.append((lookup[basis], _parse_once(values, item.get("coeff"))))
         brackets[key] = vec   # repeated targets are summed by LieSuperalgebra
     return LieSuperalgebra(name, even, odd, brackets)
 
@@ -133,8 +142,9 @@ def module_from_json(obj, alg: LieSuperalgebra) -> GradedModule:
         raise InputError("action must map basis names to matrices")
     if not isinstance(name, str):
         raise InputError("module name must be a string")
-    # every cell of every action is parsed before any shape is checked, so a
-    # bad cell is reported ahead of a shape error; only nonzeros are kept
+    # all cells are parsed (each distinct string once) before any shape is
+    # checked, so a bad cell is reported first; only nonzeros are kept
+    values: dict[str, Fraction] = {}
     parsed = []
     for basis, rows in action.items():
         idx = alg.index_of(basis)
@@ -145,16 +155,16 @@ def module_from_json(obj, alg: LieSuperalgebra) -> GradedModule:
             entries = {}
             for c, text in enumerate(row):
                 # "0" is most cells of a tensor module: valid, and not kept
-                if text != "0" and (x := parse_rational(text)):
+                if text != "0" and (x := _parse_once(values, text)):
                     entries[c] = x
             if entries:
                 nonzeros[r] = entries
         parsed.append((idx, rows, nonzeros))
-    rho = {}
+    rho = [{}] * alg.dim
     for idx, rows, nonzeros in parsed:
         check_square(rows, dim)
         rho[idx] = nonzeros
-    return GradedModule(alg, pvec, rho, name=name)
+    return GradedModule._checked(alg, tuple(pvec), rho, name)
 
 
 def module_to_json(module: GradedModule) -> dict:
@@ -204,17 +214,21 @@ def matrix_to_json(mat: linalg.Matrix, dim: int) -> list[list[str]]:
 
 # -- files -------------------------------------------------------------------
 
+class _Elements(tuple):
+    """UEElements, written by ``dumps_canonical`` as ``element_to_json``'s."""
+
+
 def dumps_canonical(obj) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, written directly, for a value
-    built of dicts with str keys, lists, str, int, bool and None; any other
-    type raises ``TypeError``.  The standard library indents in pure
-    Python, one call per value."""
-    return _dumps(obj, "\n") + "\n"
+    built of dicts with str keys, lists, str, int, bool and None, and of
+    ``_Elements``; any other type raises ``TypeError``.  The standard
+    library indents in pure Python, one call per value."""
+    return _dumps(obj, "\n", {}) + "\n"
 
 
-def _dumps(obj, nl: str) -> str:
+def _dumps(obj, nl: str, memo: dict) -> str:
     """``obj`` as indented JSON; ``nl`` is a newline and the indentation of
-    the line ``obj`` starts on."""
+    the line ``obj`` starts on; ``memo`` lasts one ``dumps_canonical`` call."""
     t = type(obj)
     if t is str:
         return _encode_str(obj)
@@ -229,19 +243,47 @@ def _dumps(obj, nl: str) -> str:
                 return "[" + inner + sep.join(map(_encode_str, obj)) + nl + "]"
             except TypeError:
                 pass
-        # an empty list, such as a zero matrix entry, is written inline
-        return "[" + inner + sep.join(["[]" if x == [] else _dumps(x, inner)
-                                       for x in obj]) + nl + "]"
+        # one join of all the pieces, so that a long value is copied once
+        pieces = []
+        for x in obj:
+            pieces += (sep, _dumps(x, inner, memo))
+        pieces[0] = "[" + inner
+        pieces.append(nl + "]")
+        return "".join(pieces)
     if t is dict:
         if not obj:
             return "{}"
         inner = nl + "  "
-        items = []
-        for k, v in obj.items():
-            if type(k) is not str:
-                raise TypeError(f"JSON object key {k!r} is not a str")
-            items.append(_encode_str(k) + ": " + _dumps(v, inner))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        sep = "," + inner
+        pieces = []
+        for k, v in obj.items():   # a key that is not a str raises TypeError
+            pieces += (sep, _encode_str(k), ": ", _dumps(v, inner, memo))
+        pieces[0] = "{" + inner
+        pieces.append(nl + "}")
+        return "".join(pieces)
+    if t is _Elements:
+        # from the terms; a PBW word's text up to its coefficient is
+        # formatted once per algebra and indentation
+        inner, term, alg, out = nl + "  ", nl + "    ", None, []
+        field, sep, close = term + "  ", "," + term, term + "}"
+        for u in obj:
+            if not u.terms:
+                out.append("[]")
+                continue
+            if u.alg is not alg:
+                alg = u.alg
+                heads = memo.setdefault((id(alg), nl), {})
+            texts = []
+            for word, c in u.sorted_terms() if len(u.terms) > 1 else u.terms.items():
+                head = heads.get(word)
+                if head is None:
+                    names = ("," + field + "  ").join(_encode_str(alg.basis_name(g)) for g in word)
+                    head = heads[word] = ("{" + field + '"monomial": ' + (
+                        "[" + field + "  " + names + field + "]" if word else "[]")
+                        + "," + field + '"coeff": ')
+                texts.append(head + _encode_str(format_rational(c)) + close)
+            out.append("[" + term + sep.join(texts) + inner + "]")
+        return "[" + inner + ("," + inner).join(out) + nl + "]" if out else "[]"
     if obj is None:
         return "null"
     if t is bool:

@@ -23,9 +23,9 @@ public ``act_on_quotient`` (the argument is in its docstring).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from . import linalg
 from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
@@ -74,6 +74,16 @@ class GradedModule:
                 raise InputError(f"action index {i!r} out of range")
             rho[i] = nonzero_rows(mat, self.dim)
         self._int_scale, self._int_rho = linalg.scaled(rho)
+
+    @classmethod
+    def _checked(cls, alg: LieSuperalgebra, parities: tuple[int, ...], rho: list,
+                 name: str = "") -> GradedModule:
+        """The module of ``parities`` (each 0 or 1) and actions ``rho[i]``
+        for every basis element i as ``nonzero_rows`` returns them, unchecked."""
+        self = cls.__new__(cls)
+        self.alg, self.name, self.parities, self.dim = alg, name, parities, len(parities)
+        self._int_scale, self._int_rho = linalg.scaled(rho)
+        return self
 
     def rho(self, i: int) -> linalg.Matrix:
         """Action matrix of basis element i, in Fractions."""
@@ -344,9 +354,9 @@ def quotient_module(alg: LieSuperalgebra, name: str = "") -> GradedModule:
     m, scale = alg.n_odd, alg._int_scale
     order = odd_subset_order(m)
     pos = {mask: t for t, mask in enumerate(order)}
-    parities = [mask.bit_count() & 1 for mask in order]
-    action = {i: {pos[j]: {pos[mask]: Fraction(v, scale ** (m + 1 - j.bit_count()))
-                           for mask, v in row.items()}
-                  for j, row in _int_action_rows(alg, i).items()}
-              for i in range(alg.dim)}
-    return GradedModule(alg, parities, action, name or f"{alg.name}-quotient")
+    parities = tuple(mask.bit_count() & 1 for mask in order)
+    action = [{pos[j]: {pos[mask]: Fraction(row[mask], scale ** (m + 1 - j.bit_count()))
+                        for mask in sorted(row, key=pos.get)}
+               for j, row in sorted(_int_action_rows(alg, i).items(), key=lambda jr: pos[jr[0]])}
+              for i in range(alg.dim)]
+    return GradedModule._checked(alg, parities, action, name or f"{alg.name}-quotient")

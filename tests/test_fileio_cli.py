@@ -1,7 +1,11 @@
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,8 +18,9 @@ from hypothesis import strategies as st
 
 import superhaar.cli as cli
 import superhaar.frobenius as frobenius
-from superhaar import (InputError, UEElement, check_semisimple_over_even,
-                       invariant_z)
+from superhaar import (InputError, LieSuperalgebra, UEElement,
+                       check_semisimple_over_even, dual_pair, fileio,
+                       frobenius_matrix, invariant_z)
 from superhaar.cli import main
 from superhaar.fileio import (algebra_from_json, algebra_to_json,
                               builtin_fixture, dumps_canonical,
@@ -23,7 +28,9 @@ from superhaar.fileio import (algebra_from_json, algebra_to_json,
                               module_from_json, module_to_json,
                               parse_rational)
 
-from conftest import ALGEBRA_FILES, MODULE_FILES, fixture_algebra
+from conftest import (ALGEBRA_FILES, MODULE_FILES, fixture_algebra,
+                      gl_supermatrix_units, rescaled_algebra, twisted_dual_algebra)
+from randgen import random_odd_basis_change
 
 F = Fraction
 
@@ -138,6 +145,48 @@ def test_module_parse_errors(g2):
         module_from_json(odd, g2)
 
 
+def test_module_zero_cells_in_any_spelling_are_not_kept(osp12):
+    obj = json.loads(Path(builtin_fixture("osp12_tensor_module.json")).read_text())
+    want = module_from_json(obj, osp12)
+    zeros = itertools.cycle(["-0", "+0", "0/7", "00", "0"])
+    for rows in obj["action"].values():
+        for row in rows:
+            row[:] = [next(zeros) if x == "0" else x for x in row]
+    got = module_from_json(obj, osp12)
+    assert (got._int_scale, got._int_rho) == (want._int_scale, want._int_rho)
+
+
+NOT_STRINGS = [0, True, None, []]
+
+
+@pytest.mark.parametrize("bad", NOT_STRINGS, ids=repr)
+@pytest.mark.parametrize("cell", [(0, 0, 0), (1, 1, 1), (-1, 2, 2)],
+                         ids=["first", "middle", "last"])
+def test_module_cell_that_is_not_a_string_is_refused_first(osp12, bad, cell):
+    # past the first cell, strings such as "1" and "-1" are parsed (and
+    # kept) before the bad one; a later bad cell and a short row come after
+    # it, and the message names the first bad cell
+    obj = json.loads(Path(builtin_fixture("osp12_tensor_module.json")).read_text())
+    mats = list(obj["action"].values())
+    basis, r, c = cell
+    mats[basis][r][c] = bad
+    if basis != -1:
+        mats[-1][-1][-1] = "x"
+    mats[0].append(mats[0][0][:-1])
+    with pytest.raises(InputError, match=re.escape(f"not an exact rational: {bad!r}")):
+        module_from_json(obj, osp12)
+
+
+@pytest.mark.parametrize("bad", NOT_STRINGS, ids=repr)
+def test_algebra_coefficient_that_is_not_a_string_is_refused(bad):
+    obj = json.loads(Path(builtin_fixture("osp12.json")).read_text())
+    items = [item for rec in obj["brackets"] for item in rec["result"]]
+    items[-1]["coeff"] = bad
+    assert {"1", "-1"} <= {item["coeff"] for item in items[:-1]}
+    with pytest.raises(InputError, match=re.escape(f"not an exact rational: {bad!r}")):
+        algebra_from_json(obj)
+
+
 def test_element_serialization(g2, gl11):
     z = invariant_z(g2).z
     assert element_to_json(z) == [{"monomial": ["x1", "x2"], "coeff": "1"}]
@@ -153,6 +202,57 @@ def test_element_serialization(g2, gl11):
         {"monomial": ["h2"], "coeff": "1"},
         {"monomial": ["h1"], "coeff": "1"},
     ]
+
+
+# -- element rows written straight to text ------------------------------------------
+
+def _non_ascii_algebra():
+    """gl(1|1) with basis names that ``json.dumps`` escapes."""
+    alg = fixture_algebra("gl11")
+    names = ["hé", "h₂", "é\"\\", "f "]
+    return LieSuperalgebra("gl11-é", names[:alg.n_even], names[alg.n_even:],
+                           alg._brackets)
+
+
+EMIT_ALGEBRAS = {
+    **{key: (lambda key=key: fixture_algebra(key)) for key in ALGEBRA_FILES},
+    "gl21-rescaled": lambda: rescaled_algebra(gl_supermatrix_units(2, 1)),
+    "gl21-dense": lambda: random_odd_basis_change(gl_supermatrix_units(2, 1),
+                                                  random.Random(1))[0],
+    "twisted-rescaled": lambda: rescaled_algebra(twisted_dual_algebra()),
+    "non-ascii": _non_ascii_algebra,
+}
+
+
+@pytest.mark.parametrize("key", list(EMIT_ALGEBRAS))
+def test_element_rows_are_written_as_their_json_values(key):
+    # the matrix rows and the dual pair sit at different depths, so a word's
+    # text formatted for one and reused at the other would show here
+    alg = EMIT_ALGEBRAS[key]()
+    fm = frobenius_matrix(alg)
+    dual = dual_pair(alg, fm)
+    direct = {"frobenius_matrix": [fileio._Elements(row) for row in fm.entries],
+              "frobenius_inverse": [fileio._Elements(row) for row in fm.inverse],
+              "dual_pair": fileio._Elements(dual)}
+    value = {"frobenius_matrix": [[element_to_json(e) for e in row] for row in fm.entries],
+             "frobenius_inverse": [[element_to_json(e) for e in row] for row in fm.inverse],
+             "dual_pair": [element_to_json(y) for y in dual]}
+    text = dumps_canonical(direct)
+    assert text == dumps_canonical(value) == json.dumps(value, indent=2) + "\n"
+    # the same element once more, at a third depth, in the same call
+    again = {"z": [fileio._Elements(dual)], **direct}
+    assert dumps_canonical(again) == json.dumps(
+        {"z": [value["dual_pair"]], **value}, indent=2) + "\n"
+    assert dumps_canonical(fileio._Elements()) == "[]\n"
+    cells = [e for m in (fm.entries, fm.inverse) for row in m for e in row] + dual
+    coeffs = [c for e in cells for c in e.terms.values()]
+    if key == "gl21-rescaled":
+        # the shapes the writer must get right are all there
+        assert alg._int_scale > 1
+        assert any(c.denominator > 1 for c in coeffs) and any(c < 0 for c in coeffs)
+        assert any(len(e.terms) > 1 and () in e.terms for e in cells)
+    if key == "non-ascii":
+        assert "\\u00e9" in text and "\\u2082" in text and '\\"\\\\' in text
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -235,6 +335,27 @@ def test_cli_invariant_oracle_basis(capsys):
         {"monomial": [], "coeff": "1"},
         {"monomial": ["u", "v"], "coeff": "1"},
     ]]
+
+
+def test_cli_oracle_agrees_only_with_the_class_of_z(monkeypatch, capsys):
+    # twice z's class spans the oracle's line, but is not 1 at x^top
+    real = cli.invariant_z
+
+    def doubled(alg, fm=None):
+        inv = real(alg, fm)
+        return dataclasses.replace(
+            inv, quotient_class={k: 2 * c for k, c in inv.quotient_class.items()})
+
+    for argv in (["g2_grassmann.json"], ["osp12.json", "--emit-matrix"]):
+        code, payload, _ = run_cli(capsys, "invariant", builtin_fixture(argv[0]),
+                                   *argv[1:], "--oracle")
+        assert code == 0 and payload["oracle_agrees"] is True
+        monkeypatch.setattr(cli, "invariant_z", doubled)
+        code, payload, _ = run_cli(capsys, "invariant", builtin_fixture(argv[0]),
+                                   *argv[1:], "--oracle")
+        assert code == 0 and payload["oracle_dimension"] == 1
+        assert payload["oracle_agrees"] is False
+        monkeypatch.setattr(cli, "invariant_z", real)
 
 
 def test_cli_integrate_invalid_module_exit_2(tmp_path, capsys):
@@ -527,6 +648,39 @@ def test_cli_rational_past_digit_limit_exit_1(tmp_path, capsys, command, algebra
                        "conversion\n")
 
 
+# [u,v] = [v,u] = N X and [s,t] = [t,s] = N X with N of 3000 digits: only
+# the emitted pairing matrix, its inverse and the dual pair hold N^2.  In the
+# second algebra Y has trace 1 on the odd part, so the emitted rows are
+# written from the exit-3 refusal.
+EMIT_PAST_LIMIT = _big_algebra("big-emit", ["u", "v", "s", "t"], [
+    ("u", "v", "X", N3000), ("v", "u", "X", N3000),
+    ("s", "t", "X", N3000), ("t", "s", "X", N3000)])
+EMIT_PAST_LIMIT_EXIT_3 = {**EMIT_PAST_LIMIT, "name": "big-emit-3", "even_basis": ["X", "Y"],
+                          "odd_basis": ["u", "v", "s", "t", "w"], "brackets": [
+    *EMIT_PAST_LIMIT["brackets"],
+    {"left": "Y", "right": "w", "result": [{"basis": "w", "coeff": "1"}]},
+    {"left": "w", "right": "Y", "result": [{"basis": "w", "coeff": "-1"}]}]}
+
+
+@pytest.mark.parametrize("algebra,plain", [(EMIT_PAST_LIMIT, 0), (EMIT_PAST_LIMIT_EXIT_3, 3)],
+                         ids=["exit-0", "exit-3"])
+@pytest.mark.parametrize("flag", ["--emit-matrix", "--emit-dual-pair"])
+def test_cli_emitted_rational_past_digit_limit_exit_1(tmp_path, capsys, algebra, plain,
+                                                      flag):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(algebra))
+    assert main(["invariant", str(path)]) == plain
+    capsys.readouterr()
+    code = main(["invariant", str(path), flag])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.endswith("superhaar: cannot write the result: a rational in it has "
+                            "more than 4300 digits, Python's limit for integer string "
+                            "conversion\n")
+    assert out.err.count("\n") == 1 + (plain == 3)
+
+
 @pytest.mark.parametrize("argv", [
     ["invariant", "osp12.json"],
     ["integrate", "osp12.json", "osp12_defining_module.json"],
@@ -542,6 +696,19 @@ def test_cli_out_of_memory_exit_71(monkeypatch, capsys, argv):
     assert code == 71
     assert out.out == ""
     assert out.err == f"superhaar: out of memory in {argv[0]} (m = 2)\n"
+
+
+def test_cli_out_of_memory_while_writing_a_refusal_exit_71(monkeypatch, capsys):
+    # the exit-3 payload with its element rows is formatted when written
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.fileio, "dumps_canonical", exhaust)
+    code = main(["invariant", builtin_fixture("bad2.json"), "--emit-matrix"])
+    out = capsys.readouterr()
+    assert code == 71
+    assert out.out == ""
+    assert out.err.endswith("superhaar: out of memory in invariant (m = 1)\n")
 
 
 def test_cli_out_of_memory_exit_71_in_a_child_with_an_address_space_limit(tmp_path):

@@ -681,6 +681,29 @@ def test_quotient_module_matches_the_fraction_action_at_scale_above_one():
                     {order.index(j): c for j, c in image.items()}, (alg.name, i, mask)
 
 
+def assert_is_the_checked_module(module):
+    """``module``, built without the constructor's checks, holds the int
+    copy, rows and columns in increasing order, that the constructor builds
+    from its own Fraction actions."""
+    alg = module.alg
+    built = GradedModule(alg, list(module.parities),
+                         {i: module.rho(i) for i in range(alg.dim)}, module.name)
+    assert type(module.parities) is tuple and module.dim == len(module.parities)
+    assert (module._int_scale, module._int_rho) == (built._int_scale, built._int_rho)
+    for mat in module._int_rho:
+        assert list(mat) == sorted(mat) and all(list(row) == sorted(row)
+                                                for row in mat.values())
+
+
+def test_quotient_and_loaded_modules_hold_the_checked_int_copy():
+    alg = gl_supermatrix_units(2, 1)
+    for alg in [*map(fixture_algebra, ALGEBRA_FILES), rescaled_algebra(alg),
+                random_odd_basis_change(alg, random.Random(5))[0]]:
+        assert_is_the_checked_module(quotient_module(alg))
+    for key, filename in FIXTURE_MODULES:
+        assert_is_the_checked_module(fixture_module(key, filename))
+
+
 def test_fixture_generator_reproduces_the_shipped_fixtures(tmp_path, monkeypatch):
     # the exterior modules are built by quotient_module, so this also pins
     # the quotient rewriting byte for byte
