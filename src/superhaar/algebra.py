@@ -212,11 +212,12 @@ class LieSuperalgebra:
         self._letter_parity = tuple(self.parity(g) for g in range(self.dim))
         self._quotient_memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         # tr(ad'(X)) of each even generator X, the sum over odd j of the
-        # coefficient of b_j in [X, b_j], read by ``lambda_values`` and the
-        # twist ``enveloping.alpha``
+        # coefficient of b_j in [X, b_j], read by ``lambda_values``; times S
+        # it is an int, which the twist ``enveloping.alpha`` reads
         self._ad_traces = tuple(
             sum((dict(table.get((i, j), ())).get(j, 0) for j in range(self.n_even, self.dim)),
                 Fraction(0)) for i in range(self.n_even))
+        self._int_traces = tuple(t.numerator * (scale // t.denominator) for t in self._ad_traces)
         self._cached_key = (self.name, self.even_names, self.odd_names,
                             tuple(sorted(table.items())))
 

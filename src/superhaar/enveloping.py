@@ -1,16 +1,18 @@
 """Arithmetic in the universal enveloping algebra.
 
-An element is a finite Fraction-weighted sum of PBW words.  A PBW word is
+An element is a finite rational-weighted sum of PBW words.  A PBW word is
 a tuple of generator indices (even generators first, then odd, each part
 by index) that is non-decreasing and repeats no odd letter, since an odd
 square rewrites to half its self-bracket.  These are the canonical words
 of the rewriting kernel ``_rewrite``, which has this one term order and
-runs in exact ints; ``_normal_form`` scales Fractions into it and out of
-it, and ``multiply`` stores that result as it is.  Each word is an even
-prefix followed by an odd suffix x^I, so an element is literally the
-left-coefficient decomposition ``u = sum_I u_I x^I`` with ``u_I`` in the
-even enveloping subalgebra, which is what the top-coefficient projection
-of the Frobenius machinery reads off directly.
+runs in exact ints.  An element keeps its value in those ints, with a
+denominator and a degree (``UEElement``), in a scale the kernel keeps, so
+``multiply`` hands it the products of the ints and stores its result as
+it is; Fractions are built only when ``terms`` is read.  Each word
+is an even prefix followed by an odd suffix x^I, so an element is
+literally the left-coefficient decomposition ``u = sum_I u_I x^I`` with
+``u_I`` in the even enveloping subalgebra, which is what the
+top-coefficient projection of the Frobenius machinery reads off directly.
 
 Classes in the quotient U(g)/U(g)*g0 by the left ideal generated by the
 even part do not go through the kernel.  The quotient is the module
@@ -66,18 +68,38 @@ def _term_key(n0: int, word: tuple[int, ...]):
     return (len(word), even, _odd_mask(n0, word))
 
 
-class UEElement:
-    """An enveloping-algebra element: a finite Fraction-weighted sum of
-    PBW words over a fixed algebra, ``terms`` = {PBW word: Fraction}.
-    Values are immutable; all arithmetic allocates fresh results.
+class _Slots:
+    """The storage of a ``UEElement``, writable while ``_trusted`` fills it."""
 
-    The public constructor checks every word and scalar.  Results of the
-    library's own arithmetic are built by ``_trusted``, which stores its
-    terms as given."""
+    __slots__ = ("alg", "_ints", "_den", "_deg", "terms")
 
-    __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: LieSuperalgebra, terms=()):
+_new, _set_terms = object.__new__, _Slots.terms.__set__
+# the Fractions of small ints, shared by the decodes at denominator and S 1
+_SMALL = {v: Fraction(v) for v in range(-64, 65)}
+
+
+class UEElement(_Slots):
+    """An enveloping-algebra element: a finite rational-weighted sum of
+    PBW words over a fixed algebra.  Values are immutable; all arithmetic
+    allocates fresh results.
+
+    The value is kept in the rewriting kernel's integers: ``_ints`` =
+    {PBW word: nonzero int}, a denominator ``_den`` and a degree ``_deg``
+    no smaller than the longest word, where v at word w stands for
+    v / (_den * S^(_deg - |w|)), S the algebra's integer scale.  A product
+    multiplies the denominators, adds the degrees and makes one ``_rewrite``
+    call, which keeps that scale.  ``terms`` = {PBW word: Fraction} is
+    decoded from the ints on first read and then kept.
+
+    The public constructor checks every word and scalar, and encodes at
+    the lcm of the denominators and the longest word's degree.  Results of
+    the library's own arithmetic are built by ``_trusted``, which stores its
+    ints as given."""
+
+    __slots__ = ()
+
+    def __new__(cls, alg: LieSuperalgebra, terms=()):
         n0, dim = alg.n_even, alg.dim
         acc: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -90,26 +112,51 @@ class UEElement:
                     and all(a < b or a == b < n0 for a, b in zip(word, word[1:]))):
                 raise ValueError(f"{word!r} is not a PBW word of algebra {alg.name}")
             acc[word] = acc.get(word, Fraction(0)) + c
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", {w: c for w, c in acc.items() if c})
+        acc = {w: c for w, c in acc.items() if c}
+        scale = alg._int_scale
+        den = math.lcm(*(c.denominator for c in acc.values()))
+        deg = max(map(len, acc), default=0)
+        self = cls._trusted(alg, {w: c.numerator * (den // c.denominator) * scale ** (deg - len(w))
+                                  for w, c in acc.items()}, den, deg)
+        _set_terms(self, acc)
+        return self
 
     @classmethod
-    def _trusted(cls, alg: LieSuperalgebra, terms: dict) -> UEElement:
-        """The element with ``terms`` stored as given, unchecked: the caller
-        guarantees PBW words of ``alg`` and nonzero Fraction values."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", terms)
+    def _trusted(cls, alg: LieSuperalgebra, ints: dict, den: int = 1, deg: int = 0) -> UEElement:
+        """The element with ``ints`` stored as given, unchecked: the caller
+        guarantees PBW words of ``alg`` no longer than ``deg``, nonzero int
+        values and a positive int ``den``."""
+        # a _Slots is filled by plain assignment, then becomes a UEElement,
+        # whose layout is the same: twice as fast as setting each slot
+        # through object.__setattr__
+        self = _new(_Slots)
+        self.alg, self._ints, self._den, self._deg = alg, ints, den, deg
+        self.__class__ = UEElement
         return self
 
     def __setattr__(self, *_):
         raise AttributeError("UEElement is immutable")
 
+    __delattr__ = __setattr__
+
+    def __getattr__(self, name):
+        # an unset ``terms`` slot, or a name that is no attribute, gets here
+        if name != "terms":
+            raise AttributeError(f"'UEElement' object has no attribute {name!r}")
+        den, deg, scale = self._den, self._deg, self.alg._int_scale
+        if den == scale == 1:
+            terms = {w: _SMALL[v] if v in _SMALL else Fraction(v) for w, v in self._ints.items()}
+        else:
+            dens = [den * scale ** e for e in range(deg + 1)]
+            terms = {w: Fraction(v, dens[deg - len(w)]) for w, v in self._ints.items()}
+        _set_terms(self, terms)
+        return terms
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, alg):
-        return cls(alg)
+        return cls._trusted(alg, {})
 
     @classmethod
     def scalar(cls, alg, c):
@@ -117,41 +164,54 @@ class UEElement:
 
     @classmethod
     def one(cls, alg):
-        return cls.scalar(alg, 1)
+        return cls._trusted(alg, {(): 1})
 
     @classmethod
     def generator(cls, alg, i: int):
         if not 0 <= i < alg.dim:
             raise ValueError(f"generator index {i} out of range")
-        return cls(alg, {(i,): Fraction(1)})
+        return cls._trusted(alg, {(i,): 1}, 1, 1)
 
     # -- queries -------------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._ints)
 
     def sorted_terms(self):
         n0 = self.alg.n_even
         return sorted(self.terms.items(), key=lambda t: _term_key(n0, t[0]))
+
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> UEElement:
+        """self + sign * other: the ints merge as they are at one
+        (denominator, degree); otherwise each side is first scaled to the
+        lcm of the denominators and the larger degree."""
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                c += out[m]
-                if not c:
-                    del out[m]
-                    continue
-            out[m] = c
-        return UEElement._trusted(self.alg, out)
+        a, den, deg = self._ints, self._den, self._deg
+        if den != other._den or deg != other._deg:
+            scale, den, deg = self.alg._int_scale, math.lcm(den, other._den), max(deg, other._deg)
+            fa = den // self._den * scale ** (deg - self._deg)
+            a = {w: v * fa for w, v in a.items()}
+            sign *= den // other._den * scale ** (deg - other._deg)
+        out = dict(a)
+        for w, v in other._ints.items():
+            v = out.get(w, 0) + sign * v
+            if v:
+                out[w] = v
+            else:
+                del out[w]
+        return UEElement._trusted(self.alg, out, den, deg)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return UEElement._trusted(self.alg, {m: -c for m, c in self.terms.items()})
+        return UEElement._trusted(self.alg, {w: -v for w, v in self._ints.items()},
+                                  self._den, self._deg)
 
     def __mul__(self, other):
         if isinstance(other, UEElement):
@@ -159,15 +219,25 @@ class UEElement:
         c = as_scalar(other)
         if not c:
             return UEElement.zero(self.alg)
-        return UEElement._trusted(self.alg, {m: c * v for m, v in self.terms.items()})
+        n = c.numerator
+        return UEElement._trusted(self.alg, {w: n * v for w, v in self._ints.items()},
+                                  self._den * c.denominator, self._deg)
 
     def __rmul__(self, other):
         return self * other
 
     def __eq__(self, other):
-        return (isinstance(other, UEElement)
-                and (self.alg is other.alg or self.alg == other.alg)
-                and self.terms == other.terms)
+        if not (isinstance(other, UEElement)
+                and (self.alg is other.alg or self.alg == other.alg)):
+            return False
+        a, b = self._ints, other._ints
+        if self._den == other._den and self._deg == other._deg:
+            return a == b
+        # v / (d * S^(e - |w|)) = v' / (d' * S^(e' - |w|)) exactly when
+        # v * d' * S^e' = v' * d * S^e
+        scale = self.alg._int_scale
+        fa, fb = other._den * scale ** other._deg, self._den * scale ** self._deg
+        return a.keys() == b.keys() and all(v * fa == b[w] * fb for w, v in a.items())
 
     def __hash__(self):
         return hash((self.alg, frozenset(self.terms.items())))
@@ -201,33 +271,6 @@ class UEElement:
 
 
 # -- normal-form rewriting ---------------------------------------------------
-
-def _normal_form(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], Fraction]:
-    """Expand scaled generator words into PBW words.
-
-    `heads` is a collection of (word, Fraction coefficient), each word a
-    tuple of generator indices.  They are rewritten in exact ints by
-    ``_rewrite``: the heads are scaled to one common denominator D and to
-    the largest head degree `top`, so that a head of degree d carries
-    c * D * S^(top - d).  Every output word of degree d then carries
-    D * S^(top - d) times its rational coefficient, and each output
-    coefficient is one Fraction(v, D * S^(top - d)) at the end.  When D
-    and S are both 1 every scale is 1: the numerators go in as they are,
-    and each output is Fraction(v).
-    """
-    if not heads:
-        return {}
-    scale = alg._int_scale
-    den = math.lcm(*(c.denominator for _, c in heads))
-    if den == scale == 1:
-        out = _rewrite(alg, [(w, c.numerator) for w, c in heads])
-        return {w: Fraction(v) for w, v in out.items() if v}
-    top = max(len(w) for w, _ in heads)
-    out = _rewrite(alg, [(w, c.numerator * (den // c.denominator) * scale ** (top - len(w)))
-                         for w, c in heads])
-    dens = [den * scale ** e for e in range(top + 1)]
-    return {w: Fraction(v, dens[top - len(w)]) for w, v in out.items() if v}
-
 
 def _rewrite(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], int]:
     """The PBW words of integer-weighted generator words, as
@@ -279,36 +322,26 @@ def _rewrite(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _heads(a: UEElement, b: UEElement):
-    """Generator words of the term pairs of ``a*b``, each scaled by its
-    coefficient product; a coefficient 1 passes the other one through."""
-    right = b.terms.items()
-    heads = []
-    for w1, c1 in a.terms.items():
-        if c1 == 1:
-            heads += [(w1 + w2, c2) for w2, c2 in right]
-        else:
-            heads += [(w1 + w2, c1 if c2 == 1 else c1 * c2) for w2, c2 in right]
-    return heads
-
-
 def multiply(a: UEElement, b: UEElement) -> UEElement:
     """Product in the enveloping algebra, in even-first normal form: the
-    kernel's canonical words are the PBW words of the result.  A pure
-    scalar factor (its one word is the empty word) scales the other
-    factor's terms, which are PBW words already, with no kernel call."""
+    kernel's canonical words are the PBW words of the result.  The ints of
+    the term pairs multiply, as do the denominators, and the degrees add.
+    A pure scalar factor (its one word is the empty word) scales the other
+    factor's ints, which are on PBW words already, with no kernel call."""
     a._check(b)
-    alg = a.alg
-    for s, u in ((a, b), (b, a)):
-        if len(s.terms) == 1 and () in s.terms:
-            c = s.terms[()]
-            return UEElement._trusted(alg, {w: c * v for w, v in u.terms.items()})
-    return UEElement._trusted(alg, _normal_form(alg, _heads(a, b)))
+    alg, x, y = a.alg, a._ints, b._ints
+    den, deg = a._den * b._den, a._deg + b._deg
+    for s, u in ((x, y), (y, x)):
+        if len(s) == 1 and () in s:
+            c = s[()]
+            return UEElement._trusted(alg, {w: c * v for w, v in u.items()}, den, deg)
+    out = _rewrite(alg, [(w1 + w2, v1 * v2) for w1, v1 in x.items() for w2, v2 in y.items()])
+    return UEElement._trusted(alg, {w: v for w, v in out.items() if v}, den, deg)
 
 
 def counit(a: UEElement) -> Fraction:
     """Coefficient of the empty word."""
-    return a.terms.get((), Fraction(0))
+    return Fraction(a._ints.get((), 0), a._den * a.alg._int_scale ** a._deg)
 
 
 def alpha(alg: LieSuperalgebra, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
@@ -325,10 +358,9 @@ def alpha(alg: LieSuperalgebra, terms: dict[tuple[int, ...], int]) -> dict[tuple
     an int, since S clears the table's denominators."""
     if any(w and w[-1] >= alg.n_even for w in terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
-    lam = alg._ad_traces
+    lam = alg._int_traces
     if not any(lam[g] for w in terms for g in w):
         return terms
-    lam = [t.numerator * alg._int_scale // t.denominator for t in lam]
     out: dict[tuple[int, ...], int] = defaultdict(int)
     for word, c in terms.items():
         parts = {(): c}
@@ -441,15 +473,19 @@ def _int_action_rows(alg: LieSuperalgebra, g: int) -> dict[int, dict[int, int]]:
 def quotient_project(a: UEElement) -> dict[int, Fraction]:
     """Class of ``a`` in the quotient by the left ideal generated by the
     even part, expressed over the exterior basis x^I: I -> coefficient.
-    Each word acts letter by letter, last letter first, on the class of 1."""
+    Each word acts letter by letter, last letter first, on the class of 1.
+    A word w carries 1 / (D * S^(e - |w|)) in the ints of ``a`` and its
+    class 1 / S^(|w| - |J|) at J, so every J carries 1 / (D * S^(e - |J|))."""
     alg = a.alg
-    parts = []
-    for word, c in a.terms.items():
+    acc: dict[int, int] = defaultdict(int)
+    for word, v in a._ints.items():
         cls = ((0, 1),)
         for g in reversed(word):
             cls = _apply(alg, g, cls)
-        parts.append((c, len(word), cls))
-    return _rational_class(alg, parts)
+        for j, x in cls:
+            acc[j] += v * x
+    den, deg, scale = a._den, a._deg, alg._int_scale
+    return {j: Fraction(v, den * scale ** (deg - j.bit_count())) for j, v in acc.items() if v}
 
 
 def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -21,19 +21,21 @@ Trans. AMS 335, 1993).  The products are built along prefixes,
 x^I x_t = x_s (x^{I - s} x_t) with s = min I, one ``multiply`` by a
 generator each, which is associative on a table that passes validation
 (the CLI validates every algebra first); the benchmark's tracer counts
-these calls.  All else runs in the rewriting kernel's integers in one
-graded scale, S the algebra's integer scale: an entry at (i, k) of A or
-of its inverse is {even word w: int v} (``_Even``) for
-sum v / S^(|I_i| - |I_k| - |w|) w.  ``_rewrite`` keeps the scale, so an
-(i, k) entry times a (k, j) entry lands at (i, j) unscaled.  A chain
-product x^I x_t is read into ints at its degree |I| + 1, exactly, since
-``multiply`` built it from the kernel's ints.  The counit is an algebra
-map on the even subalgebra, so the same pass on the counits, plain ints,
-gives counit(A), whose column zero is all ``invariant_z`` needs without
-a matrix.  Both share one check that the matrix is lower triangular with
-diagonal +-1 (``_check_unitriangular``) and one forward substitution of
-the columns asked for (``_solve``), which verifies every entry it stores
-exactly.  Fractions and elements are built once, at the output.
+these calls.  Every element keeps its value in the rewriting kernel's
+integers (``UEElement``), S the algebra's integer scale.  A chain product
+x^I x_t is built at denominator 1 and degree |I| + 1, and splitting its
+words at their first odd letter gives each left coefficient at
+denominator 1 and degree |I| + 1 - |J| with no rescaling.  So an entry at
+(i, k) of A or of its inverse is an element at denominator 1 and degree
+|I_i| - |I_k|, and since ``_rewrite`` keeps the scale, an (i, k) entry
+times a (k, j) entry lands at (i, j), as one ``multiply`` call.  The
+counit is an algebra map on the even subalgebra, so the same pass on the
+counits, plain ints, gives counit(A), whose column zero is all
+``invariant_z`` needs without a matrix.  Both share one check that the
+matrix is lower triangular with diagonal +-1 (``_check_unitriangular``)
+and one forward substitution of the columns asked for (``_solve``), which
+verifies every entry it stores exactly.  Fractions are built only when an
+element's ``terms`` are read, as the output does.
 
 ``dual_pair`` builds each y^J from the sparse int rows of the inverse.
 Its exhaustive duality check builds the products x^I y along prefixes,
@@ -56,7 +58,7 @@ from fractions import Fraction
 
 from .algebra import LieSuperalgebra, lambda_values
 from .enveloping import (UEElement, _odd_mask, _odd_word, _rewrite,
-                         act_on_quotient, alpha, counit, multiply, quotient_project)
+                         act_on_quotient, alpha, multiply, quotient_project)
 
 
 class InternalInvariantError(RuntimeError):
@@ -82,74 +84,26 @@ def odd_subset_order(m: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << m), key=lambda k: (k.bit_count(), bits(k))))
 
 
-class _Even:
-    """An element of the even subalgebra in the kernel's integers,
-    ``terms`` = {PBW word: nonzero int}, in the graded scale of its matrix
-    cell.  A product is one ``_rewrite`` call, or none with a scalar factor."""
-
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: LieSuperalgebra, terms: dict):
-        self.alg, self.terms = alg, terms
-
-    def __mul__(self, other):
-        a, b = self.terms, other.terms
-        for s, u in ((a, b), (b, a)):
-            if len(s) == 1 and () in s:
-                c = s[()]
-                return _Even(self.alg, {w: c * v for w, v in u.items()})
-        out = _rewrite(self.alg, [(w + w2, v * v2) for w, v in a.items() for w2, v2 in b.items()])
-        return _Even(self.alg, {w: v for w, v in out.items() if v})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            out[w] = out.get(w, 0) + v
-        return _Even(self.alg, {w: v for w, v in out.items() if v})
-
-    def __neg__(self):
-        return _Even(self.alg, {w: -v for w, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return repr(self.terms)
-
-
-def _even_ints(u: UEElement, deg: int) -> dict[int, _Even]:
+def _even_ints(u: UEElement) -> dict[int, UEElement]:
     """The nonzero left coefficients u_J of a chain product
-    u = sum_J u_J x^J of degree ``deg``, by mask J, each term c w read as
-    the int c * S^(deg - |w|); each PBW word splits at its first odd letter."""
-    n0, scale = u.alg.n_even, u.alg._int_scale
-    terms: dict = defaultdict(dict)
-    for w, c in u.terms.items():
+    u = sum_J u_J x^J, by mask J: each PBW word of u splits at its first
+    odd letter, and u_J keeps the ints of its prefixes as they are, at the
+    degree of u less |J|."""
+    alg, n0 = u.alg, u.alg.n_even
+    parts: dict = defaultdict(dict)
+    for w, v in u._ints.items():
         k = bisect_left(w, n0)
-        terms[_odd_mask(n0, w[k:])][w[:k]] = c.numerator * scale ** (deg - len(w)) // c.denominator
-    return {j: _Even(u.alg, t) for j, t in terms.items()}
+        parts[_odd_mask(n0, w[k:])][w[:k]] = v
+    den, deg = u._den, u._deg
+    return {j: UEElement._trusted(alg, t, den, deg - j.bit_count()) for j, t in parts.items()}
 
 
-def _counit_ints(u: UEElement, deg: int) -> dict[int, int]:
-    """The nonzero counits of the left coefficients of a chain product u,
-    by mask J, read as ``_even_ints`` reads them: the terms with no even letter."""
-    n0, scale = u.alg.n_even, u.alg._int_scale
-    return {_odd_mask(n0, w): c.numerator * scale ** (deg - len(w)) // c.denominator
-            for w, c in u.terms.items() if not w or w[0] >= n0}
-
-
-def _rational(alg: LieSuperalgebra, terms: dict, e: int) -> UEElement:
-    """The element whose word w carries S^(e - |w|) in ``terms``."""
-    scale = alg._int_scale
-    if scale == 1:
-        return UEElement._trusted(alg, {w: Fraction(v) for w, v in terms.items()})
-    return UEElement._trusted(alg, {w: Fraction(v, scale ** (e - len(w)))
-                                    for w, v in terms.items()})
+def _counit_ints(u: UEElement) -> dict[int, int]:
+    """The nonzero counits of the left coefficients of a chain product u
+    at denominator 1, by mask J, as ints in the scale of ``_even_ints``:
+    the words with no even letter."""
+    n0 = u.alg.n_even
+    return {_odd_mask(n0, w): v for w, v in u._ints.items() if not w or w[0] >= n0}
 
 
 @dataclass(frozen=True)
@@ -221,9 +175,9 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
     """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}>, or its
     image under a ring map phi on the even subalgebra, as rows of nonzeros
     indexed by position in ``order``, in the graded int scale.
-    ``read(u, deg)`` maps a chain product u = sum_J u_J x^J of degree
-    ``deg`` to the nonzero phi(u_J) by mask J, and ``one`` is the unit of
-    phi's ring, whose elements are true exactly when nonzero.
+    ``read(u)`` maps a chain product u = sum_J u_J x^J to the nonzero
+    phi(u_J) by mask J, and ``one`` is the unit of phi's ring, whose
+    elements are true exactly when nonzero.
 
     R_t[I][J] is the left coefficient of x^J in x^I * x_t.  Right
     multiplication by x_t and pi are maps of left
@@ -243,7 +197,7 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
             low = mask & -mask
             products.append(multiply(letters[low.bit_length() - 1], products[mask ^ low]))
         for mask, u in enumerate(products):
-            for j, r in read(u, mask.bit_count() + 1).items():
+            for j, r in read(u).items():
                 rt.setdefault(j, {})[mask] = r
         right.append(rt)
     cols = [{top: one}]
@@ -262,15 +216,15 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
     return rows
 
 
-def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[Fraction]:
+def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[int]:
     """The counit of column zero b of the inverse of the pairing matrix A,
     from counit(A) alone: counit(A) * counit(b) = e_0, solved and checked
-    like A itself, in ints; entry i of the solved column carries S^|I_i|."""
+    like A itself, in ints; entry i of the solved column carries S^|I_i|,
+    the empty-word int of the entry at degree |I_i|."""
     what = "counit of the pairing matrix"
     scalar = _pairing(alg, order, _counit_ints, 1)
     diagonal = _check_unitriangular(scalar, len(order), 0, 1, what)
-    return [Fraction(row.get(0, 0), alg._int_scale ** mask.bit_count())
-            for row, mask in zip(_solve(scalar, diagonal, (0,), 0, 1, what), order)]
+    return [row.get(0, 0) for row in _solve(scalar, diagonal, (0,), 0, 1, what)]
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -278,16 +232,15 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     even subalgebra and every column of its inverse, checked."""
     order = odd_subset_order(alg.n_odd)
     n = len(order)
-    zero, one, what = _Even(alg, {}), _Even(alg, {(): 1}), "pairing matrix"
+    zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
     rows = _pairing(alg, order, _even_ints, one)
     diagonal = _check_unitriangular(rows, n, zero, one, what)
     solved = _solve(rows, diagonal, range(n), zero, one, what)
-    sizes, empty = [mask.bit_count() for mask in order], UEElement.zero(alg)
-    dense = [[[empty] * n for _ in range(n)] for _ in range(2)]
+    dense = [[[zero] * n for _ in range(n)] for _ in range(2)]
     for out, sparse in zip(dense, (rows.items(), enumerate(solved))):
         for i, row in sparse:
             for k, x in row.items():
-                out[i][k] = _rational(alg, x.terms, sizes[i] - sizes[k])
+                out[i][k] = x
     entries, inverse = (tuple(map(tuple, out)) for out in dense)
     return FrobeniusMatrix(alg, order, entries, inverse, diagonal, tuple(solved))
 
@@ -384,7 +337,7 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     heads: list[list] = [[] for _ in range(n)]
     for k, row in enumerate(fm._inverse_rows):
         for j, b in row.items():
-            heads[j] += [(comp[k] + w, v) for w, v in alpha(alg, b.terms).items()]
+            heads[j] += [(comp[k] + w, v) for w, v in alpha(alg, b._ints).items()]
     # one kernel call per y^J, in column order
     ys = [{w: v for w, v in _rewrite(alg, h).items() if v} for h in heads]
     # every cell is checked; the first failure in row order is reported
@@ -396,7 +349,7 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
         failures += [(i, j) for i, mask in enumerate(fm.order) if tops[mask] and i != j]
     if failures:
         raise InternalInvariantError("dual pair fails at ({}, {})".format(*min(failures)))
-    return [_rational(alg, y, m - mask.bit_count()) for y, mask in zip(ys, fm.order)]
+    return [UEElement._trusted(alg, y, 1, m - mask.bit_count()) for y, mask in zip(ys, fm.order)]
 
 
 @dataclass(frozen=True)
@@ -430,16 +383,18 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
     even basis element and its trace.
     """
     _check_trace_condition(alg)
+    m = alg.n_odd
     if fm is None:
-        order = odd_subset_order(alg.n_odd)
+        order = odd_subset_order(m)
         column = _counit_column_zero(alg, order)
     else:
         order = fm.order
-        column = [counit(row[0]) for row in fm.inverse]
-    top = (1 << alg.n_odd) - 1
-    # the complements are distinct words, so each term is stored once
+        column = [row[0]._ints.get((), 0) for row in fm.inverse]
+    top = (1 << m) - 1
+    # entry i of the column carries S^|I_i| = S^(m - |x^{complement(I_i)}|),
+    # and the complements are distinct words, so each term is stored once
     z = UEElement._trusted(alg, {_odd_word(alg, top ^ mask): c
-                                 for mask, c in zip(order, column) if c})
+                                 for mask, c in zip(order, column) if c}, 1, m)
 
     z_class = quotient_project(z)
     certificate = {}

@@ -32,8 +32,8 @@ Everything is computed exactly (no tolerances).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 Vector = dict[int, Fraction]
 Matrix = dict[int, Vector]

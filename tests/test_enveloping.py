@@ -14,6 +14,7 @@ from superhaar import (InputError, LieSuperalgebra, UEElement,
                        act_on_quotient, brute_force_quotient_invariants,
                        counit, dual_pair, frobenius_matrix, lambda_values, multiply,
                        quotient_project, validate_superalgebra)
+from superhaar.enveloping import _Slots
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra, gen,
                       gl_supermatrix_units, int_scaled, rational, rescaled_algebra,
@@ -58,8 +59,9 @@ def test_pbw_normal_form_is_idempotent(rng):
             u = random_element(alg, rng)
             assert multiply(one, u) == u
             assert multiply(u, one) == u
-            # multiply takes a scalar factor without the kernel
-            assert enveloping._normal_form(alg, list(u.terms.items())) == u.terms
+            # multiply takes a scalar factor without the kernel, whose
+            # canonical words it would keep as they are
+            assert enveloping._rewrite(alg, list(u._ints.items())) == u._ints
 
 
 def test_a_scalar_factor_matches_the_fraction_product(rng, monkeypatch):
@@ -81,7 +83,7 @@ def test_a_scalar_factor_matches_the_fraction_product(rng, monkeypatch):
     def refuse(*args):
         raise AssertionError("the kernel was called")
 
-    monkeypatch.setattr(enveloping, "_normal_form", refuse)
+    monkeypatch.setattr(enveloping, "_rewrite", refuse)
     for a, b, want in cases:
         got = multiply(a, b)
         assert got == want, (a, b)
@@ -200,7 +202,7 @@ def test_alpha_matches_the_product_of_twisted_letters(rng, monkeypatch):
         raise AssertionError("alpha rewrote a product")
 
     monkeypatch.setattr(enveloping, "multiply", forbidden)
-    monkeypatch.setattr(enveloping, "_normal_form", forbidden)
+    monkeypatch.setattr(enveloping, "_rewrite", forbidden)
     assert [alpha(e) for e in inputs] == want
 
 
@@ -439,8 +441,8 @@ def _odd_square_folds(alg):
 
 
 def _kernel_path(alg, a, b):
-    """Which scaling ``_normal_form`` applies to the heads of a*b: none when
-    their common denominator D and the integer scale S are both 1."""
+    """Which scale the ints of the heads of a*b carry: none when their
+    common denominator D and the integer scale S are both 1."""
     den = math.lcm(*(c.denominator for _, c in fraction_heads(a, b)))
     return "S > 1" if alg._int_scale > 1 else "D > 1" if den > 1 else "D = S = 1"
 
@@ -536,6 +538,95 @@ def test_library_results_store_only_checked_terms(rng):
         results += dual_pair(alg, fm)
         for u in results:
             assert_checked(u)
+
+
+# -- the integer form: ints, a denominator and a degree -----------------------
+
+def at_scale(u, k, e):
+    """``u`` stored at k times its denominator and e above its degree: the
+    same value in other ints."""
+    scale = u.alg._int_scale
+    return UEElement._trusted(u.alg, {w: v * k * scale ** e for w, v in u._ints.items()},
+                              u._den * k, u._deg + e)
+
+
+def _scaled_algebras():
+    algs = [rescaled_algebra(fixture_algebra("osp12")),
+            rescaled_algebra(gl_supermatrix_units(2, 1)), rescaled_algebra(HEIS)]
+    assert all(alg._int_scale > 1 for alg in algs)
+    return algs
+
+
+def test_arithmetic_across_scales_matches_the_fraction_reference(rng):
+    # the operands are the same values at several (denominator, degree);
+    # every result equals the Fraction reference, term by term
+    for alg in _scaled_algebras():
+        for _ in range(4):
+            a = b = UEElement.zero(alg)
+            while not (a and b and a._den > 1 and b._den > 1):
+                a, b = mixed_element(alg, rng), mixed_element(alg, rng)
+            c = F(rng.choice((-3, -1, 2, 5)), rng.randint(2, 7))
+            neg_b = [(w, -v) for w, v in b.terms.items()]
+            want = {"+": UEElement(alg, [*a.terms.items(), *b.terms.items()]),
+                    "-": UEElement(alg, [*a.terms.items(), *neg_b]),
+                    "neg": UEElement(alg, neg_b),
+                    "c*": UEElement(alg, {w: c * v for w, v in a.terms.items()}),
+                    "mul": fraction_multiply(a, b)}
+            for x, y in [(a, b), (at_scale(a, 3, 1), b), (a, at_scale(b, 2, 2)),
+                         (at_scale(a, 5, 0), at_scale(b, 1, 3))]:
+                got = {"+": x + y, "-": x - y, "neg": -y, "c*": x * c, "mul": multiply(x, y)}
+                assert c * x == got["c*"]
+                for op, u in got.items():
+                    assert u == want[op] and u.terms == want[op].terms, (alg.name, op)
+                    assert_checked(u)
+
+
+def test_equal_values_at_different_scales_are_equal(rng):
+    for alg in _scaled_algebras():
+        for u in [mixed_element(alg, rng) for _ in range(3)] + [UEElement.zero(alg)]:
+            for k, e in [(1, 1), (4, 0), (3, 2)]:
+                v = at_scale(u, k, e)
+                assert (v._den, v._deg) != (u._den, u._deg)
+                assert v == u and u == v and hash(v) == hash(u) and v.terms == u.terms
+                assert not v != u
+            if u:
+                # the same words with other values, and other words
+                assert at_scale(u * 2, 1, 1) != u and u != at_scale(u * 2, 3, 0)
+                assert at_scale(u, 2, 1) != u + UEElement.generator(alg, 0)
+
+
+def test_a_kernel_result_decodes_its_terms_once(monkeypatch):
+    alg = rescaled_algebra(gl_supermatrix_units(2, 1))
+    # b_i b_j with i > j rewrites to b_j b_i plus the bracket's terms
+    i, j = next((i, j) for i in range(alg.dim) for j in range(i) if alg.bracket(i, j))
+    u = multiply(UEElement.generator(alg, i), UEElement.generator(alg, j)) * F(2, 3)
+    assert len(u._ints) > 1
+    with pytest.raises(AttributeError):
+        _Slots.terms.__get__(u)     # the slot is unset until the first read
+    built, real = [], enveloping.Fraction
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enveloping, "Fraction", counting)
+    first = u.terms
+    assert len(built) == len(first) == len(u._ints)
+    assert u.terms is first and u.sorted_terms() and len(built) == len(first)
+    assert _Slots.terms.__get__(u) is first
+
+
+def test_setting_or_deleting_any_attribute_raises(g2):
+    x1, x2 = gen(g2, "x1"), gen(g2, "x2")
+    read = multiply(x1, x2)
+    read.terms
+    for u in (UEElement.one(g2), x1, multiply(x1, x2), read, UEElement(g2, {(): F(1, 2)})):
+        for name in ("alg", "terms", "_ints", "_den", "_deg", "__class__", "other"):
+            with pytest.raises(AttributeError):
+                setattr(u, name, None)
+            with pytest.raises(AttributeError):
+                delattr(u, name)
+        assert type(u) is UEElement and u == UEElement(g2, u.terms)
 
 
 # -- element basics ----------------------------------------------------------------

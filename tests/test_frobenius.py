@@ -19,7 +19,7 @@ from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
 from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, at_int_scale, fixture_algebra,
                       gen, gl_supermatrix_units, int_scaled, int_terms,
-                      parabolic_supermatrix_units, rational, rescaled_algebra, twist,
+                      parabolic_supermatrix_units, rescaled_algebra, twist,
                       twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
@@ -59,13 +59,12 @@ def test_pi_is_the_top_left_coefficient(rng):
         top = (1 << alg.n_odd) - 1
         for _ in range(6):
             u = random_element(alg, rng, max_degree=4, terms=6)
-            # the reader takes an element whose terms are ints at its
-            # degree, here den * u; its coefficient of x^top carries
-            # S^(deg - m - |w|) at a word w
-            terms, den, deg = int_scaled(u)
-            top_part = frobenius._even_ints(rational(alg, terms, deg), deg).get(top)
-            want = rational(alg, top_part.terms, deg - alg.n_odd) if top_part else 0 * u
-            assert pi(u) * den == want, alg.name
+            # the reader splits the ints of u as they are; its coefficient
+            # of x^top keeps u's denominator at u's degree less m
+            top_part = frobenius._even_ints(u).get(top, UEElement.zero(alg))
+            assert pi(u) == top_part, alg.name
+            assert not top_part or (top_part._den, top_part._deg) == \
+                (u._den, u._deg - alg.n_odd), alg.name
 
 
 def test_form_examples(g2):
@@ -236,8 +235,9 @@ def test_full_pipeline_on_random_small_algebras(rng):
 
 def assert_column_zero_matches_full(alg):
     fm = frobenius_matrix(alg)
+    # entry i carries S^|I_i|, as the empty word of an entry at degree |I_i|
     scalar = frobenius._counit_column_zero(alg, fm.order)
-    assert scalar == [counit(row[0]) for row in fm.inverse], alg.name
+    assert scalar == [row[0]._ints.get((), 0) for row in fm.inverse], alg.name
     try:
         inv = invariant_z(alg)
     except NoInvariantError:
@@ -799,10 +799,10 @@ def assert_pairing_matches_raw_products(alg):
     # reference rewrites each raw word x^I x_t in Fraction arithmetic
     order = odd_subset_order(alg.n_odd)
     size = {i: mask.bit_count() for i, mask in enumerate(order)}
-    even = frobenius._pairing(alg, order, frobenius._even_ints, frobenius._Even(alg, {(): 1}))
-    assert {i: {k: rational(alg, x.terms, size[i] - size[k]) for k, x in row.items()}
-            for i, row in even.items()} == \
-        fraction_pairing(alg, order, left_coefficients, UEElement.one(alg)), alg.name
+    even = frobenius._pairing(alg, order, frobenius._even_ints, UEElement.one(alg))
+    assert all((x._den, x._deg) == (1, size[i] - size[k])
+               for i, row in even.items() for k, x in row.items()), alg.name
+    assert even == fraction_pairing(alg, order, left_coefficients, UEElement.one(alg)), alg.name
     counits = frobenius._pairing(alg, order, frobenius._counit_ints, 1)
     assert {i: {k: F(x, alg._int_scale ** (size[i] - size[k])) for k, x in row.items()}
             for i, row in counits.items()} == \

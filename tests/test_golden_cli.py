@@ -7,9 +7,11 @@ each algebra fixture, ``invariant`` with each of the 8 flag sets, and
 Then come gl(2|1), gl(3|1) and gl(3|1) after a +-1 unitriangular odd
 basis change, written to a temporary directory, under ``invariant
 --oracle`` and ``invariant --emit-matrix --emit-dual-pair --oracle``.
-Last comes ``twisted_dual_algebra``, whose dual pair the twist alpha
+Then comes ``twisted_dual_algebra``, whose dual pair the twist alpha
 changes, under ``invariant --emit-matrix --emit-dual-pair`` with and
-without ``--oracle``.
+without ``--oracle``.  Last come ``rescaled_algebra`` of gl(2|1) and of
+the twisted algebra, whose integer scales S are 15120 and 10 (every
+other call runs at S = 1), under the same flag sets as their originals.
 A change that alters any output fails here; if the change is meant, rerun
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -32,7 +34,7 @@ from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
 from conftest import (ALGEBRA_FILES, MODULE_FILES, gl_supermatrix_units, identity,
-                      twisted_dual_algebra)
+                      rescaled_algebra, twisted_dual_algebra)
 from randgen import change_basis
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
@@ -53,7 +55,9 @@ def extra_algebras() -> dict:
               else Fraction(0) for j in range(m)] for i in range(m)]
     dense, _ = change_basis(gl31, identity(gl31.n_even), signs, name="gl(3|1)-pm1")
     return {"gl21.json": gl_supermatrix_units(2, 1), "gl31.json": gl31,
-            "gl31_pm1.json": dense, "twisted_dual.json": twisted_dual_algebra()}
+            "gl31_pm1.json": dense, "twisted_dual.json": twisted_dual_algebra(),
+            "gl21_rescaled.json": rescaled_algebra(gl_supermatrix_units(2, 1)),
+            "twisted_dual_rescaled.json": rescaled_algebra(twisted_dual_algebra())}
 
 
 def write_extra_algebras(directory: str) -> dict:
@@ -76,6 +80,8 @@ def calls() -> list[list[str]]:
     out += [["invariant", a] + flags for a in ("gl21.json", "gl31.json", "gl31_pm1.json")
             for flags in EXTRA_FLAGS]
     out += [["invariant", "twisted_dual.json"] + flags for flags in TWISTED_FLAGS]
+    out += [["invariant", "gl21_rescaled.json"] + flags for flags in EXTRA_FLAGS]
+    out += [["invariant", "twisted_dual_rescaled.json"] + flags for flags in TWISTED_FLAGS]
     return out
 
 
