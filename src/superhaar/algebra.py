@@ -43,6 +43,15 @@ def as_scalar(value) -> Fraction:
     raise InputError(f"scalar must be an exact rational, got {value!r}")
 
 
+def _merged(pairs) -> tuple[tuple[int, Fraction], ...]:
+    """The (target, scalar) pairs of a bracket with repeated targets summed,
+    zeros dropped, sorted by target."""
+    acc: dict[int, Fraction] = {}
+    for k, c in pairs:
+        acc[k] = acc[k] + c if k in acc else c
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
 def _is_int(i) -> bool:
     """Whether ``i`` is an int and not a bool."""
     return isinstance(i, int) and not isinstance(i, bool)
@@ -147,10 +156,8 @@ class LieSuperalgebra:
     def __init__(self, name: str, even_names: Iterable[str],
                  odd_names: Iterable[str],
                  brackets: Mapping[tuple[int, int], Mapping[int, object] | Sequence[tuple[int, object]]]):
-        self.name = name
-        self.even_names = tuple(even_names)
-        self.odd_names = tuple(odd_names)
-        names = self.even_names + self.odd_names
+        even_names, odd_names = tuple(even_names), tuple(odd_names)
+        names = even_names + odd_names
         for label in names:
             if not isinstance(label, str):
                 raise InputError(f"basis name {label!r} is not a string")
@@ -158,68 +165,88 @@ class LieSuperalgebra:
             raise InputError("duplicate basis names")
         if not isinstance(brackets, Mapping):
             raise InputError(f"brackets {brackets!r} is not a mapping from index pairs")
-        self.n_even = len(self.even_names)
-        self.n_odd = len(self.odd_names)
-        self.dim = self.n_even + self.n_odd
+        dim = len(names)
         table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for key, vec in brackets.items():
             if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
                 raise InputError(f"bracket key {key!r} is not a pair of int indices")
             i, j = key
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+            if not (0 <= i < dim and 0 <= j < dim):
                 raise InputError(f"bracket index ({i}, {j}) out of range")
             items = vec.items() if isinstance(vec, Mapping) else _pairs(vec)
             if items is None:
                 raise InputError(f"bracket value {vec!r} at ({i}, {j}) is not a mapping "
                                  "or a sequence of (index, scalar) pairs")
-            acc: dict[int, Fraction] = {}
+            pairs = []
             for k, c in items:
                 if not _is_int(k):
                     raise InputError(f"bracket target index {k!r} is not an int")
-                if not 0 <= k < self.dim:
+                if not 0 <= k < dim:
                     raise InputError(f"bracket target index {k} out of range")
-                c = as_scalar(c)
-                acc[k] = acc[k] + c if k in acc else c
-            entry = tuple(sorted((k, c) for k, c in acc.items() if c))
-            if entry:
+                pairs.append((k, as_scalar(c)))
+            if entry := _merged(pairs):
                 table[(i, j)] = entry
+        self._derive(name, even_names, odd_names, table)
+
+    @classmethod
+    def _checked(cls, name: str, even_names: tuple[str, ...], odd_names: tuple[str, ...],
+                 table: dict) -> LieSuperalgebra:
+        """The algebra of distinct string basis names and a bracket table
+        {(i, j): entry} whose indices are in range and whose every entry is
+        nonempty and as ``_merged`` returns it, unchecked."""
+        self = cls.__new__(cls)
+        self._derive(name, even_names, odd_names, table)
+        return self
+
+    def _derive(self, name: str, even_names: tuple[str, ...], odd_names: tuple[str, ...],
+                table: dict) -> None:
+        """Set every field from the names and the checked, merged table,
+        in one pass over the table after its scale."""
+        self.name = name
+        self.even_names = even_names
+        self.odd_names = odd_names
+        n0 = self.n_even = len(even_names)
+        self.n_odd = len(odd_names)
+        dim = self.dim = n0 + self.n_odd
         self._brackets = table
-        self._parity_graded = all(
-            self.parity(k) == (self.parity(i) + self.parity(j)) % 2
-            for (i, j), entry in table.items() for k, _ in entry)
         # the table in exact ints, for the integer checks and the rewriting
         # kernel: _int_rows[a][b] is [a, b] * S as ((t, int), ...), and
         # _int_halves[a] is [a, a] / 2 * S for odd a, the odd square's
         # rewriting; S is the lcm of the denominators of both (1 when
         # there are none)
-        halves = {a: tuple((t, c / 2) for t, c in table.get((a, a), ()))
-                  for a in range(self.n_even, self.dim)}
-        scale = math.lcm(*(c.denominator for entry in (*table.values(), *halves.values())
-                           for _, c in entry))
+        halves = {a: tuple((t, c / 2) for t, c in table[(a, a)])
+                  for a in range(n0, dim) if (a, a) in table}
+        scale = math.lcm(*{c.denominator for entry in (*table.values(), *halves.values())
+                           for _, c in entry})
 
         def ints(entry):
-            return tuple((t, c.numerator * (scale // c.denominator)) for t, c in entry)
+            return tuple([(t, c.numerator * (scale // c.denominator)) for t, c in entry])
 
-        rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(self.dim)]
+        rows: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in range(dim)]
+        # tr(ad'(X)) * S of each even generator X, the sum over odd j of the
+        # coefficient of b_j in S [X, b_j], which the twist
+        # ``enveloping.alpha`` reads; ``lambda_values`` reads it over Q
+        traces = [0] * n0
+        graded = True
         for (a, b), entry in table.items():
-            rows[a][b] = ints(entry)
+            row = rows[a][b] = ints(entry)
+            odd = (a >= n0) != (b >= n0)
+            graded = graded and all((t >= n0) == odd for t, _ in entry)
+            if a < n0 <= b:
+                traces[a] += sum([v for t, v in row if t == b])
+        # whether every bracket term has parity p(a) + p(b)
+        self._parity_graded = graded
         self._int_scale = scale
         self._int_rows = rows
-        self._int_halves = tuple(ints(halves.get(a, ())) for a in range(self.dim))
+        self._int_halves = tuple(ints(halves.get(a, ())) for a in range(dim))
+        self._int_traces = tuple(traces)
+        self._ad_traces = tuple(Fraction(v, scale) for v in traces)
         # the rewriting kernel's parity by letter, and the memo of the
         # quotient classes x_g * x^I (``enveloping._act``), which lives and
         # dies with the algebra
-        self._letter_parity = tuple(self.parity(g) for g in range(self.dim))
+        self._letter_parity = (EVEN,) * n0 + (ODD,) * self.n_odd
         self._quotient_memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        # tr(ad'(X)) of each even generator X, the sum over odd j of the
-        # coefficient of b_j in [X, b_j], read by ``lambda_values``; times S
-        # it is an int, which the twist ``enveloping.alpha`` reads
-        self._ad_traces = tuple(
-            sum((dict(table.get((i, j), ())).get(j, 0) for j in range(self.n_even, self.dim)),
-                Fraction(0)) for i in range(self.n_even))
-        self._int_traces = tuple(t.numerator * (scale // t.denominator) for t in self._ad_traces)
-        self._cached_key = (self.name, self.even_names, self.odd_names,
-                            tuple(sorted(table.items())))
+        self._cached_key = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -244,6 +271,9 @@ class LieSuperalgebra:
         return sorted(self._brackets.items())
 
     def _key(self):
+        if self._cached_key is None:
+            self._cached_key = (self.name, self.even_names, self.odd_names,
+                                tuple(sorted(self._brackets.items())))
         return self._cached_key
 
     def __eq__(self, other):
@@ -384,14 +414,16 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
     n = alg.dim
     p = alg.parity
 
-    for (i, j), vec in alg.nonzero_brackets():
-        want = (p(i) + p(j)) % 2
-        for k, c in vec:
-            if p(k) != want:
-                report.add("parity", (i, j, k),
-                           f"[{alg.basis_name(i)}, {alg.basis_name(j)}] has a "
-                           f"component of wrong parity on {alg.basis_name(k)} "
-                           f"(coefficient {c})")
+    # the constructor already knows whether any term breaks the parity
+    if not alg._parity_graded:
+        for (i, j), vec in alg.nonzero_brackets():
+            want = (p(i) + p(j)) % 2
+            for k, c in vec:
+                if p(k) != want:
+                    report.add("parity", (i, j, k),
+                               f"[{alg.basis_name(i)}, {alg.basis_name(j)}] has a "
+                               f"component of wrong parity on {alg.basis_name(k)} "
+                               f"(coefficient {c})")
 
     # compared in the int table; only a failing pair is summed over Q
     rows = alg._int_rows

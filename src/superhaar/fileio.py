@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import linalg
-from .algebra import InputError, LieSuperalgebra, check_square
+from .algebra import InputError, LieSuperalgebra, _merged, check_square
 from .enveloping import UEElement
 from .modules import GradedModule
 
@@ -69,7 +69,7 @@ def algebra_from_json(obj) -> LieSuperalgebra:
     lookup = {n: i for i, n in enumerate(even + odd)}
     if len(lookup) != len(even) + len(odd):
         raise InputError("duplicate basis names")
-    brackets: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    brackets: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
     values: dict[str, Fraction] = {}
     for rec in records:
         try:
@@ -93,8 +93,10 @@ def algebra_from_json(obj) -> LieSuperalgebra:
             if not isinstance(basis, str) or basis not in lookup:
                 raise InputError(f"unknown basis name {basis!r}")
             vec.append((lookup[basis], _parse_once(values, item.get("coeff"))))
-        brackets[key] = vec   # repeated targets are summed by LieSuperalgebra
-    return LieSuperalgebra(name, even, odd, brackets)
+        brackets[key] = _merged(vec)
+    # every name, index and scalar is checked above
+    return LieSuperalgebra._checked(name, tuple(even), tuple(odd),
+                                    {key: entry for key, entry in brackets.items() if entry})
 
 
 def algebra_to_json(alg: LieSuperalgebra) -> dict:

@@ -31,11 +31,15 @@ denominator 1 and degree |I| + 1 - |J| with no rescaling.  So an entry at
 times a (k, j) entry lands at (i, j), as one ``multiply`` call.  The
 counit is an algebra map on the even subalgebra, so the same pass on the
 counits, plain ints, gives counit(A), whose column zero is all
-``invariant_z`` needs without a matrix.  Both share one check that the
-matrix is lower triangular with diagonal +-1 (``_check_unitriangular``)
-and one forward substitution of the columns asked for (``_solve``), which
-verifies every entry it stores exactly.  Fractions are built only when an
-element's ``terms`` are read, as the output does.
+``invariant_z`` needs without a matrix.  counit(A) is block diagonal by
+the weights of the even basis elements that act diagonally on the odd
+basis (``_odd_weights``), and column zero lies in the block of the empty
+set, so that pass builds only that block and the products it reads.  Both
+share one check that the matrix is lower triangular with diagonal +-1
+(``_check_unitriangular``) and one forward substitution of the columns
+asked for (``_solve``), which verifies every entry it stores exactly.
+Fractions are built only when an element's ``terms`` are read, as the
+output does.
 
 ``dual_pair`` builds each y^J from the sparse int rows of the inverse.
 Its exhaustive duality check builds the products x^I y along prefixes,
@@ -55,6 +59,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 
 from .algebra import LieSuperalgebra, lambda_values
 from .enveloping import (UEElement, _odd_mask, _odd_word, _rewrite,
@@ -118,12 +123,13 @@ class FrobeniusMatrix:
     _inverse_rows: tuple = field(repr=False, compare=False)   # ``_solve``'s, for dual_pair
 
 
-def _check_unitriangular(rows, n: int, zero, one, what: str) -> tuple[int, ...]:
-    """The diagonal of the n x n matrix ``rows`` (rows of nonzeros over a
-    ring with ``zero`` and ``one``), after checking that the matrix is lower
-    triangular with diagonal entries +-1."""
+def _check_unitriangular(rows, positions, zero, one, what: str) -> tuple[int, ...]:
+    """The diagonal, in the order of ``positions``, of the square matrix on
+    the rows and columns ``positions`` (ascending) of ``rows``, rows of
+    nonzeros over a ring with ``zero`` and ``one``, after checking that
+    those rows have no entry above the diagonal and diagonal entries +-1."""
     diagonal = []
-    for i in range(n):
+    for i in positions:
         row = rows.get(i, {})
         above = [k for k in row if k > i]
         if above:
@@ -140,26 +146,31 @@ def _check_unitriangular(rows, n: int, zero, one, what: str) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
-def _solve(rows, diagonal: tuple[int, ...], columns, zero, one, what: str) -> list[dict]:
+def _solve(rows, positions, diagonal: tuple[int, ...], columns, zero, one,
+           what: str) -> list[dict]:
     """The columns ``columns`` of the inverse B of the unitriangular matrix
-    ``rows``, as rows of nonzeros, by forward substitution row by row; the
-    +-1 diagonal makes the division exact and sidesteps noncommutativity
-    (each product is A[i][k] * B[k][j]).  With s the sum of A[i][k] * B[k][j]
-    over k < i, B[i][j] = d_i (e_i[j] - s), stored only when s differs from
-    e_i[j], so a column j starts at row j.  Each stored entry is checked:
+    on the rows and columns ``positions`` (ascending) of ``rows``, as rows of
+    nonzeros in the order of ``positions``, by forward substitution row by
+    row; the +-1 diagonal makes the division exact and sidesteps
+    noncommutativity (each product is A[i][k] * B[k][j]).  B is zero in the
+    rows outside ``positions``, so the entries of ``rows`` in those columns
+    are not read.  With s the sum of A[i][k] * B[k][j] over k < i,
+    B[i][j] = d_i (e_i[j] - s), stored only when s differs from e_i[j], so a
+    column j starts at row j.  Each stored entry is checked:
     s + A[i][i] * B[i][j] must be e_i[j] exactly, and an entry not stored
     holds with B[i][j] = 0.  The first failure in row order is reported,
     within its row the smallest j."""
-    inverse = []
-    for i, d in enumerate(diagonal):
+    inverse: dict[int, dict] = {}
+    for i, d in zip(positions, diagonal):
         row = rows.get(i, {})
         sums = {i: zero} if i in columns else {}
         for k, a in row.items():
-            if k < i:
+            # the rows of B solved so far are those above row i
+            if k in inverse:
                 for j, b in inverse[k].items():
                     p = a * b
                     sums[j] = sums[j] + p if j in sums else p
-        out = {}
+        out = inverse[i] = {}
         for j in sorted(sums):
             s, target = sums[j], one if i == j else zero
             if s != target:
@@ -167,11 +178,68 @@ def _solve(rows, diagonal: tuple[int, ...], columns, zero, one, what: str) -> li
                 if s + row.get(i, zero) * b != target:
                     raise InternalInvariantError(
                         f"{what} times its inverse is not the identity at ({i}, {j})")
-        inverse.append(out)
-    return inverse
+    return list(inverse.values())
 
 
-def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
+def _odd_weights(alg: LieSuperalgebra) -> list[tuple[int, ...]]:
+    """wt[mask] for every odd subset I: the eigenvalues, times S, of x^I
+    under ad h for the even basis elements h whose adjoint action is
+    diagonal on the odd basis, [h, x_t] = w_t(h) x_t for every t, and has a
+    nonzero eigenvalue.  Read exactly off ``alg._int_rows``; wt(I) is the
+    sum of w_t over t in I, and () when there is no such h."""
+    n0, rows = alg.n_even, alg._int_rows
+    torus = []
+    for h in range(n0):
+        w = []
+        for t in range(n0, alg.dim):
+            entry = rows[h].get(t, ())
+            if entry and (len(entry) > 1 or entry[0][0] != t):
+                break
+            w.append(entry[0][1] if entry else 0)
+        else:
+            if any(w):
+                torus.append(w)
+    letters = list(zip(*torus)) or [()] * alg.n_odd
+    wt = [(0,) * len(torus)]
+    for mask in range(1, 1 << alg.n_odd):
+        low = mask & -mask
+        wt.append(tuple(map(add, wt[mask ^ low], letters[low.bit_length() - 1])))
+    return wt
+
+
+def _with_prefixes(masks) -> set[int]:
+    """The masks ``masks``, and every mask that dropping lowest letters from
+    one of them reaches, the empty set included."""
+    out = {0}
+    for mask in masks:
+        while mask not in out:
+            out.add(mask)
+            mask &= mask - 1
+    return out
+
+
+def _block_cells(wt: list) -> tuple:
+    """What ``_pairing`` builds of the block of the empty set of counit(A),
+    for the odd-subset weights ``wt``: the block's masks K, the nonempty
+    columns M it reads, each M less its lowest letter with them, ascending,
+    and for each letter t the masks I of the chain products x^I x_t to
+    build, ascending: the rows I with wt(I) + wt(M) = wt(top) of the
+    columns M with t = min M, each I less its lowest letter with them."""
+    top = len(wt) - 1
+    block = {k for k, w in enumerate(wt) if w == wt[0]}
+    columns = sorted(_with_prefixes(top ^ k for k in block))[1:]
+    by_weight: dict = defaultdict(list)
+    for mask, w in enumerate(wt):
+        by_weight[w].append(mask)
+    wants: list[set] = [set() for _ in range(top.bit_length())]
+    for mask in columns:
+        wants[(mask & -mask).bit_length() - 1].add(tuple(map(sub, wt[top], wt[mask])))
+    chains = [sorted(_with_prefixes(i for w in ws for i in by_weight[w])) for ws in wants]
+    return block, columns, chains
+
+
+def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one,
+             weights=None) -> dict:
     """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}>, or its
     image under a ring map phi on the even subalgebra, as rows of nonzeros
     indexed by position in ``order``, in the graded int scale.
@@ -186,33 +254,50 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one) -> dict:
     c_empty = e_top, and A[i][k] is entry I_i of c_{complement(I_k)}.
     Each product is formed as R_t[I][J] * c[J], in that order, because the
     even subalgebra is not commutative.
+
+    With ``weights`` (``_odd_weights``) and phi the counit, only the block
+    of the empty set is built: the cells whose row and column have the
+    weight of the empty set.  ad h is a derivation, so x^I x^M has
+    eigenvalue wt(I) + wt(M) and, by the uniqueness of left coefficients,
+    c_M[I] has wt(I) + wt(M) - wt(top), and R_t[I][J] has
+    wt(I) + w_t - wt(J); the counit kills ad h(u) = h u - u h, so it kills
+    every even element of nonzero eigenvalue.  So the block's columns read
+    c_M only at the rows I with wt(I) + wt(M) = wt(top), and R_t only at
+    those rows, and every other counit there is zero: ``_block_cells``
+    names the columns and chain products built.  Without ``weights`` every
+    cell is built.
     """
     top = (1 << alg.n_odd) - 1
+    if weights is None:
+        block, columns, chains = range(top + 1), range(1, top + 1), [range(top + 1)] * alg.n_odd
+    else:
+        block, columns, chains = _block_cells(weights)
     letters = [UEElement.generator(alg, alg.n_even + t) for t in range(alg.n_odd)]
     # the transpose of each R_t: J -> {I: phi(R_t[I][J])}
     right = []
-    for x_t in letters:
-        products, rt = [x_t], {}
-        for mask in range(1, top + 1):
-            low = mask & -mask
-            products.append(multiply(letters[low.bit_length() - 1], products[mask ^ low]))
-        for mask, u in enumerate(products):
-            for j, r in read(u).items():
+    for x_t, chain in zip(letters, chains):
+        products, rt = {0: x_t}, {}
+        for mask in chain:
+            if mask:
+                low = mask & -mask
+                products[mask] = multiply(letters[low.bit_length() - 1], products[mask ^ low])
+            for j, r in read(products[mask]).items():
                 rt.setdefault(j, {})[mask] = r
         right.append(rt)
-    cols = [{top: one}]
-    for mask in range(1, top + 1):
+    cols = {0: {top: one}}
+    for mask in columns:
         low = mask & -mask
         rt, acc = right[low.bit_length() - 1], {}
         for j, c in cols[mask ^ low].items():
             for i, r in rt.get(j, {}).items():
                 acc[i] = acc[i] + r * c if i in acc else r * c
-        cols.append({i: x for i, x in acc.items() if x})
+        cols[mask] = {i: x for i, x in acc.items() if x}
     position = {mask: i for i, mask in enumerate(order)}
     rows: dict = {}
     for k, mask in enumerate(order):
-        for i_mask, x in cols[top ^ mask].items():
-            rows.setdefault(position[i_mask], {})[k] = x
+        if mask in block:
+            for i_mask, x in cols[top ^ mask].items():
+                rows.setdefault(position[i_mask], {})[k] = x
     return rows
 
 
@@ -220,11 +305,22 @@ def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[in
     """The counit of column zero b of the inverse of the pairing matrix A,
     from counit(A) alone: counit(A) * counit(b) = e_0, solved and checked
     like A itself, in ints; entry i of the solved column carries S^|I_i|,
-    the empty-word int of the entry at degree |I_i|."""
+    the empty-word int of the entry at degree |I_i|.
+
+    counit(A)[I][K] is zero unless wt(I) = wt(K) (``_pairing``), so
+    counit(A) is block diagonal by weight, and so is its inverse: column
+    zero is zero outside the block of the empty set.  Only that block is
+    built, checked unitriangular and solved; a failure is reported at its
+    position in ``order``."""
     what = "counit of the pairing matrix"
-    scalar = _pairing(alg, order, _counit_ints, 1)
-    diagonal = _check_unitriangular(scalar, len(order), 0, 1, what)
-    return [row.get(0, 0) for row in _solve(scalar, diagonal, (0,), 0, 1, what)]
+    wt = _odd_weights(alg)
+    block = [i for i, mask in enumerate(order) if wt[mask] == wt[0]]
+    scalar = _pairing(alg, order, _counit_ints, 1, wt)
+    diagonal = _check_unitriangular(scalar, block, 0, 1, what)
+    column = [0] * len(order)
+    for i, row in zip(block, _solve(scalar, block, diagonal, (0,), 0, 1, what)):
+        column[i] = row.get(0, 0)
+    return column
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -234,8 +330,8 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     n = len(order)
     zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
     rows = _pairing(alg, order, _even_ints, one)
-    diagonal = _check_unitriangular(rows, n, zero, one, what)
-    solved = _solve(rows, diagonal, range(n), zero, one, what)
+    diagonal = _check_unitriangular(rows, range(n), zero, one, what)
+    solved = _solve(rows, range(n), diagonal, range(n), zero, one, what)
     dense = [[[zero] * n for _ in range(n)] for _ in range(2)]
     for out, sparse in zip(dense, (rows.items(), enumerate(solved))):
         for i, row in sparse:

@@ -1,14 +1,20 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from superhaar import LieSuperalgebra, UEElement
-from superhaar.fileio import builtin_fixture, load_algebra, load_module
+from superhaar.fileio import algebra_from_json, builtin_fixture, load_algebra, load_module
 
 from randgen import change_basis, substitute
+
+# the benchmark's seeded input generator, which imports nothing of the package
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen as bench_gen  # noqa: E402
 from realizations import (gl_supermatrix_units,  # the tests import them from here
                           parabolic_supermatrix_units)
 
@@ -75,6 +81,12 @@ def dense_of(mat, rows, cols=None):
     cols = rows if cols is None else cols
     return [[mat.get(r, {}).get(c, Fraction(0)) for c in range(cols)]
             for r in range(rows)]
+
+
+def bench_algebra(alg):
+    """An algebra of ``perfbench/gen.py``, loaded from the file format the
+    benchmark writes it in."""
+    return algebra_from_json(bench_gen.algebra_json(alg))
 
 
 def gen(alg, name):

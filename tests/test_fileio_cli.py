@@ -28,7 +28,7 @@ from superhaar.fileio import (algebra_from_json, algebra_to_json,
                               module_from_json, module_to_json,
                               parse_rational)
 
-from conftest import (ALGEBRA_FILES, MODULE_FILES, fixture_algebra,
+from conftest import (ALGEBRA_FILES, MODULE_FILES, bench_gen, fixture_algebra,
                       gl_supermatrix_units, rescaled_algebra, twisted_dual_algebra)
 from randgen import random_odd_basis_change
 
@@ -105,6 +105,45 @@ def test_dumps_canonical_matches_the_standard_encoder(obj):
 def test_dumps_canonical_refuses_other_types(obj):
     with pytest.raises(TypeError):
         dumps_canonical(obj)
+
+
+def constructed(obj):
+    """The algebra of an algebra file's object, built and checked by
+    ``LieSuperalgebra`` itself from (index, scalar) lists as they are read."""
+    index = {n: i for i, n in enumerate(obj["even_basis"] + obj["odd_basis"])}
+    brackets = {(index[r["left"]], index[r["right"]]):
+                [(index[t["basis"]], parse_rational(t["coeff"])) for t in r["result"]]
+                for r in obj["brackets"]}
+    return LieSuperalgebra(obj["name"], obj["even_basis"], obj["odd_basis"], brackets)
+
+
+def test_loaded_algebras_equal_constructed_ones():
+    # the loader checks and merges the table itself and skips the
+    # constructor's checks; every derived table must come out the same
+    objs = [json.loads(Path(builtin_fixture(f)).read_text()) for f in ALGEBRA_FILES.values()]
+    rng = random.Random(38)
+    objs += [bench_gen.algebra_json(alg) for alg in (
+        bench_gen.gl(2, 1, rng), bench_gen.gl(3, 1, rng), bench_gen.parabolic(2, 2, rng),
+        bench_gen.odd_heisenberg(4, rng),
+        bench_gen.change_odd_basis(bench_gen.gl(2, 1, None), bench_gen.unitriangular(4, rng)))]
+    # repeated targets summed, a sum of zero dropped, targets out of order,
+    # halves and traces with denominators, and a term of the wrong parity
+    objs.append({"name": "merged", "even_basis": ["X"], "odd_basis": ["u", "v"], "brackets": [
+        {"left": "X", "right": "u", "result": [{"basis": "u", "coeff": "1/2"},
+                                               {"basis": "u", "coeff": "1/3"}]},
+        {"left": "u", "right": "X", "result": [{"basis": "v", "coeff": "1"},
+                                               {"basis": "u", "coeff": "-5/6"},
+                                               {"basis": "v", "coeff": "-1"}]},
+        {"left": "u", "right": "u", "result": [{"basis": "X", "coeff": "3/7"}]},
+        {"left": "v", "right": "v", "result": [{"basis": "X", "coeff": "2"},
+                                               {"basis": "X", "coeff": "-2"}]},
+        {"left": "X", "right": "X", "result": [{"basis": "v", "coeff": "1"}]}]})
+    for obj in objs:
+        loaded, built = algebra_from_json(obj), constructed(obj)
+        assert loaded == built and hash(loaded) == hash(built), obj["name"]
+        assert vars(loaded) == vars(built), obj["name"]
+    assert not loaded._parity_graded and loaded._int_scale == 42
+    assert loaded._ad_traces == (F(5, 6),) and loaded._int_traces == (35,)
 
 
 # -- parse errors ------------------------------------------------------------------

@@ -17,8 +17,8 @@ from superhaar import (InternalInvariantError, LieSuperalgebra,
 from superhaar.cli import main
 from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
 
-from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, at_int_scale, fixture_algebra,
-                      gen, gl_supermatrix_units, int_scaled, int_terms,
+from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, at_int_scale, bench_algebra,
+                      bench_gen, fixture_algebra, gen, gl_supermatrix_units, int_scaled, int_terms,
                       parabolic_supermatrix_units, rescaled_algebra, twist,
                       twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
@@ -274,33 +274,112 @@ def test_column_zero_of_osp12_has_a_scalar_term(osp12):
     assert invariant_z(osp12).z == invariant_z(osp12, frobenius_matrix(osp12)).z == z
 
 
-@pytest.mark.parametrize("key,cell,caught_by", [
-    ("g2", (0, 1), "not lower triangular"), ("g2", (1, 1), r"expected \+-1"),
-    ("g2", (3, 0), "not invariant"),
-    ("osp12", (1, 3), "not lower triangular"), ("osp12", (2, 2), r"expected \+-1"),
-    ("osp12", (3, 0), "not invariant"),
-], ids=["g2-above", "g2-on", "g2-below",
-        "osp12-above", "osp12-on", "osp12-below"])
-def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell,
-                                                         caught_by):
-    # one +1 injected into the shared construction reaches A over the even
-    # subalgebra and its counit alike
-    alg = fixture_algebra(key)
+def test_column_zero_matches_full_inverse_on_shuffled_gl():
+    rng = random.Random(38)
+    for p, q in ((3, 1), (2, 2)):
+        assert_column_zero_matches_full(bench_algebra(bench_gen.gl(p, q, rng)))
+
+
+# -- the weight blocks of counit(A) -------------------------------------------
+
+def test_odd_weights_of_fixtures(gl11, osp12):
+    # E11 and E22 act on E12 by 1 and -1, on E21 by -1 and 1; h acts on u, v
+    # by 1 and -1; the Grassmann algebras have no even part
+    assert frobenius._odd_weights(gl11) == [(0, 0), (1, -1), (-1, 1), (0, 0)]
+    assert frobenius._odd_weights(osp12) == [(0,), (1,), (-1,), (0,)]
+    for key in ("g2", "g3"):
+        assert set(frobenius._odd_weights(fixture_algebra(key))) == {()}
+
+
+def test_without_a_diagonal_even_element_the_block_is_everything():
+    # a unitriangular change of the odd basis mixes every odd weight space
+    alg = bench_algebra(bench_gen.change_odd_basis(
+        bench_gen.gl(2, 1, None), bench_gen.unitriangular(4, random.Random(5))))
+    assert frobenius._odd_weights(alg) == [()] * 16
+    order = odd_subset_order(alg.n_odd)
+    assert frobenius._pairing(alg, order, frobenius._counit_ints, 1, [()] * 16) == \
+        frobenius._pairing(alg, order, frobenius._counit_ints, 1)
+    assert_column_zero_matches_full(alg)
+
+
+def test_full_counit_pairing_has_no_entry_across_weights(rng):
+    # counit(A)[I][K] = 0 unless wt(I) = wt(K), on every algebra, and the
+    # block of the empty set is the full matrix's block, cell for cell
+    algs = [bench_algebra(bench_gen.gl(p, q, rng)) for p, q in ((2, 1), (3, 1), (2, 2), (4, 1))]
+    algs.append(fixture_algebra("osp12"))
+    algs += [random_small_superalgebra(rng, max_dim=5) for _ in range(15)]
+    graded = 0
+    for alg in algs:
+        order = odd_subset_order(alg.n_odd)
+        wt = frobenius._odd_weights(alg)
+        full = frobenius._pairing(alg, order, frobenius._counit_ints, 1)
+        assert all(wt[order[i]] == wt[order[k]] for i, row in full.items() for k in row), \
+            alg.name
+        block = {i: row for i, row in full.items() if wt[order[i]] == wt[0]}
+        assert frobenius._pairing(alg, order, frobenius._counit_ints, 1, wt) == block, alg.name
+        graded += len(set(wt)) > 1
+    assert graded >= 6
+
+
+def test_the_counit_chain_multiplies_only_what_the_block_reads(monkeypatch):
+    alg = gl_supermatrix_units(3, 1)
+    order = odd_subset_order(alg.n_odd)
+    honest, calls = frobenius.multiply, []
+
+    def count(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(frobenius, "multiply", count)
+    column = frobenius._counit_column_zero(alg, order)
+    assert len(calls) <= 122
+    del calls[:]
+    frobenius._pairing(alg, order, frobenius._counit_ints, 1)
+    assert len(calls) == 6 * 63
+    assert [c for c in column if c] == [1]
+
+
+def corrupt_pairing(monkeypatch, cell):
+    """Make ``frobenius._pairing`` add one to the cell (i, k) it returns."""
     i, k = cell
     honest = frobenius._pairing
 
-    def corrupt(alg, order, read, one):
-        rows = honest(alg, order, read, one)
+    def corrupt(alg, order, read, one, weights=None):
+        rows = honest(alg, order, read, one, weights)
         row = dict(rows.get(i, {}))
         row[k] = row[k] + one if k in row else one
         rows[i] = {c: x for c, x in row.items() if x}
         return rows
 
     monkeypatch.setattr(frobenius, "_pairing", corrupt)
+
+
+@pytest.mark.parametrize("key,cell,caught_by", [
+    ("g2", (0, 1), "not lower triangular"), ("g2", (1, 1), r"expected \+-1"),
+    ("g2", (3, 0), "not invariant"),
+    ("osp12", (0, 3), "not lower triangular"), ("osp12", (3, 3), r"expected \+-1"),
+    ("osp12", (3, 0), "not invariant"),
+], ids=["g2-above", "g2-on", "g2-below",
+        "osp12-above", "osp12-on", "osp12-below"])
+def test_corrupted_pairing_entry_is_caught_on_both_paths(monkeypatch, key, cell,
+                                                         caught_by):
+    # one +1 injected into the shared construction reaches A over the even
+    # subalgebra and its counit alike; osp(1|2)'s counit path builds only
+    # the block of positions 0 and 3, so its cells are taken there
+    alg = fixture_algebra(key)
+    corrupt_pairing(monkeypatch, cell)
     with pytest.raises(InternalInvariantError, match=caught_by):
         invariant_z(alg)
     with pytest.raises(InternalInvariantError, match=caught_by):
         invariant_z(alg, frobenius_matrix(alg))
+
+
+@pytest.mark.parametrize("cell", [(1, 3), (2, 2), (3, 1), (1, 0)])
+def test_a_corrupted_entry_outside_the_block_leaves_z_unchanged(monkeypatch, osp12, cell):
+    # the counit path reads only the cells of the block of the empty set
+    z = invariant_z(osp12).z
+    corrupt_pairing(monkeypatch, cell)
+    assert invariant_z(osp12).z == z
 
 
 @pytest.mark.parametrize("key", ["g2", "gl11", "osp12"])
@@ -652,11 +731,11 @@ def test_solve_verifies_the_columns_it_solves():
     # from A, catches it in the row of the flip
     rows = {0: {0: F(1)}, 1: {0: F(2, 3), 1: F(-1)}, 2: {0: F(1, 2), 1: F(5), 2: F(1)}}
     zero, one = linalg.ZERO, linalg.ONE
-    diagonal = frobenius._check_unitriangular(rows, 3, zero, one, "A")
+    diagonal = frobenius._check_unitriangular(rows, range(3), zero, one, "A")
     assert diagonal == (1, -1, 1)
-    inverse = frobenius._solve(rows, diagonal, range(3), zero, one, "A")
+    inverse = frobenius._solve(rows, range(3), diagonal, range(3), zero, one, "A")
     for j in range(3):
-        col = column(frobenius._solve(rows, diagonal, (j,), zero, one, "A"), j, zero)
+        col = column(frobenius._solve(rows, range(3), diagonal, (j,), zero, one, "A"), j, zero)
         assert col == column(inverse, j, zero)
         assert [sum(a * col[k] for k, a in rows[i].items()) for i in range(3)] == \
             [int(i == j) for i in range(3)]
@@ -665,12 +744,12 @@ def test_solve_verifies_the_columns_it_solves():
         for j in range(flip + 1):
             with pytest.raises(InternalInvariantError,
                                match=rf"A times its inverse is not the identity at \({flip}, {j}\)"):
-                frobenius._solve(rows, bad, (j,), zero, one, "A")
+                frobenius._solve(rows, range(3), bad, (j,), zero, one, "A")
         # every column at once: the row of the flip fails first, at its
         # smallest column
         with pytest.raises(InternalInvariantError,
                            match=rf"A times its inverse is not the identity at \({flip}, 0\)"):
-            frobenius._solve(rows, bad, range(3), zero, one, "A")
+            frobenius._solve(rows, range(3), bad, range(3), zero, one, "A")
 
 
 def sparse_unitriangular(rng, n, density):
@@ -703,15 +782,24 @@ def test_solve_matches_dense_forward_substitution_over_q(rng):
     zero, one = linalg.ZERO, linalg.ONE
     for rows in cases:
         n = len(rows)
-        diagonal = frobenius._check_unitriangular(rows, n, zero, one, "A")
-        inverse = frobenius._solve(rows, diagonal, range(n), zero, one, "A")
+        diagonal = frobenius._check_unitriangular(rows, range(n), zero, one, "A")
+        inverse = frobenius._solve(rows, range(n), diagonal, range(n), zero, one, "A")
         assert all(all(inverse_row.values()) for inverse_row in inverse)
         for j in range(n):
             expected = dense_forward_substitution(dense(rows, n, zero), j, zero, one)
             assert column(inverse, j, zero) == expected
-            single = frobenius._solve(rows, diagonal, (j,), zero, one, "A")
+            single = frobenius._solve(rows, range(n), diagonal, (j,), zero, one, "A")
             assert all(set(inverse_row) <= {j} for inverse_row in single)
             assert column(single, j, zero) == expected
+        # on the rows and columns of every other position, the entries of
+        # rows in the other columns are not read
+        positions = range(0, n, 2)
+        sub = {a: {b: rows[i][k] for b, k in enumerate(positions) if k in rows[i]}
+               for a, i in enumerate(positions)}
+        diagonal = frobenius._check_unitriangular(rows, positions, zero, one, "A")
+        assert column(frobenius._solve(rows, positions, diagonal, (0,), zero, one, "A"),
+                      0, zero) == \
+            dense_forward_substitution(dense(sub, len(positions), zero), 0, zero, one)
 
 
 def test_solve_column_matches_dense_forward_substitution_over_the_even_part():
@@ -738,17 +826,7 @@ def test_a_corrupted_entry_below_the_diagonal_fails_the_dual_pair(monkeypatch, k
     # the dual elements built from that inverse fail the duality check, at
     # the cells that a solve visiting every row of the band reported
     alg = gl_supermatrix_units(2, 1) if key == "gl21" else fixture_algebra(key)
-    i, k = cell
-    honest = frobenius._pairing
-
-    def corrupt(alg, order, read, one):
-        rows = honest(alg, order, read, one)
-        row = dict(rows[i])
-        row[k] = row[k] + one if k in row else one
-        rows[i] = {c: x for c, x in row.items() if x}
-        return rows
-
-    monkeypatch.setattr(frobenius, "_pairing", corrupt)
+    corrupt_pairing(monkeypatch, cell)
     fm = frobenius_matrix(alg)
     with pytest.raises(InternalInvariantError,
                        match=r"dual pair fails at \({}, {}\)$".format(*reported)):
