@@ -83,10 +83,16 @@ class NoInvariantError(Exception):
 
 def odd_subset_order(m: int) -> tuple[int, ...]:
     """The 2^m odd-subset bitmasks, ordered by cardinality then by the
-    ascending index tuple.  First element is the empty set, last the full set."""
-    def bits(mask: int) -> tuple[int, ...]:
-        return tuple(t for t in range(m) if mask >> t & 1)
-    return tuple(sorted(range(1 << m), key=lambda k: (k.bit_count(), bits(k))))
+    ascending index tuple.  First element is the empty set, last the full set.
+
+    Of two sets of one size, the smaller tuple holds the least element of
+    their symmetric difference, which is the highest bit where their m-bit
+    reversals differ; so the sort key is the cardinality, then the
+    reversal descending, as one int."""
+    rev = [0] * (1 << m)
+    for k in range(1, 1 << m):
+        rev[k] = rev[k >> 1] >> 1 | (k & 1) << (m - 1)
+    return tuple(sorted(range(1 << m), key=lambda k: (k.bit_count() << m) - rev[k]))
 
 
 def _even_ints(u: UEElement) -> dict[int, UEElement]:

@@ -6,7 +6,7 @@ left out, so an absent key always means zero.  Nothing here stores a zero,
 which makes ``==`` on two vectors or two matrices exact equality and a
 matrix's truth value the test for the zero matrix.  Shapes are not stored:
 callers pass a dimension wherever one is needed (``nullspace``, ``invert``,
-``minimal_polynomial``).  No function mutates its arguments.
+``is_semisimple``, ``minimal_polynomial``).  No function mutates its arguments.
 
 Entries may be any numbers closed under ``+`` and ``*`` whose zero is
 falsy, such as ints or Fractions.  ``mat_mul``, ``mat_comb`` and
@@ -15,11 +15,11 @@ layer multiplies its matrices in exact integers, scaled to a common
 denominator by ``scaled``.  All elimination is one fraction-free
 Gauss-Jordan step on int rows, ``_eliminate``: ``rref`` (and so ``rank``,
 ``nullspace``, ``row_space_basis``, ``invert`` and ``same_span``) scales
-each int or Fraction row to ints, ``minimal_polynomial`` and
-``is_squarefree`` build int rows, and the module layer's semisimplicity
-split calls the step on its integer copy directly.  Results that need
-division (the reduced rows, kernels, inverses, polynomial coefficients)
-come back in Fractions.
+each int or Fraction row to ints, ``minimal_polynomial``,
+``is_semisimple`` and ``is_squarefree`` build int rows, and the module
+layer's semisimplicity split calls the step on its integer copy
+directly.  Results that need division (the reduced rows, kernels,
+inverses, polynomial coefficients) come back in Fractions.
 
 The functions that depend only on the row space (``rref``, ``rank``,
 ``nullspace``, ``row_space_basis``, ``same_span``) take any iterable of
@@ -232,6 +232,50 @@ def is_squarefree(p: list[Fraction]) -> bool:
             for s in range(shifts))
     pivots: dict = {}
     return all(_eliminate(row, {}, pivots) for row in rows)
+
+
+def is_semisimple(mat: Matrix, n: int) -> bool:
+    """Has the n x n rational matrix ``mat`` a squarefree minimal
+    polynomial, that is, is it diagonalizable over the algebraic closure?
+
+    A p with e_i p(A) = 0 for every unit row e_i has p(A) = 0, so the
+    minimal polynomial of A (that of its transpose) is the lcm of the local
+    ones, each the least p with e_i p(A) = 0 (Wiedemann, IEEE Trans. Inf.
+    Theory 32, 1986), and an lcm is squarefree exactly when all its
+    arguments are.  The local polynomial of e_i is the first linear
+    dependence among e_i, e_i A, e_i A^2, ... for the int matrix A = d mat
+    (d from ``scaled``; scaling x by d keeps squarefreeness), found by
+    ``_eliminate`` as in ``minimal_polynomial``.  Only one of degree at
+    least 2 needs ``is_squarefree``, and each such polynomial, made
+    primitive with a positive leading coefficient, is tested once.  A row
+    with e_i A = c e_i has degree at most 1 and is passed over before any
+    elimination, so a diagonal matrix costs one look at each row.
+    """
+    _, (a,) = scaled([mat])
+    tested: set[tuple[int, ...]] = set()
+    for i in range(n):
+        row = a.get(i, {})
+        if not row or len(row) == 1 and i in row:
+            continue            # e_i A = c e_i
+        v: dict[int, int] = {i: 1}      # e_i A^k
+        k, pivots = 0, {}
+        # at the first v that reduces to zero, combo is the dependence
+        # sum_j combo[j] e_i A^j = 0, of degree k
+        while _eliminate(dict(v), combo := {k: 1}, pivots):
+            k += 1
+            w: dict[int, int] = {}
+            for r, x in v.items():
+                for c, y in a.get(r, {}).items():
+                    w[c] = w[c] + x * y if c in w else x * y
+            v = {c: x for c, x in w.items() if x}
+        if k >= 2:
+            g = math.gcd(*combo.values()) * (1 if combo[k] > 0 else -1)
+            poly = tuple(combo.get(j, 0) // g for j in range(k + 1))
+            if poly not in tested:
+                if not is_squarefree(poly):
+                    return False
+                tested.add(poly)
+    return True
 
 
 def minimal_polynomial(mat: Matrix, n: int) -> list[Fraction]:

@@ -182,10 +182,12 @@ def check_semisimple_over_even(module: GradedModule,
     """Semisimplicity of the module over the even part, verified exactly.
 
     Central elements must act with squarefree minimal polynomial (they
-    commute, so this certifies joint diagonalizability over the closure);
-    the module must split exactly into joint-kernel plus image of the even
-    action.  Semisimplicity of the derived part's action is a theorem in
-    characteristic zero and is not re-derived here.
+    commute, so this certifies joint diagonalizability over the closure):
+    ``linalg.is_semisimple`` decides it from the local minimal polynomials
+    of the unit rows, whose lcm is the minimal polynomial, without forming
+    a power of the action.  The module must split exactly into joint-kernel
+    plus image of the even action.  Semisimplicity of the derived part's
+    action is a theorem in characteristic zero and is not re-derived here.
     """
     alg = module.alg
     if even_report is None:
@@ -201,7 +203,7 @@ def check_semisimple_over_even(module: GradedModule,
         e = math.lcm(*(ci.denominator for ci in center_vec.values()))
         mat = linalg.mat_comb((ci.numerator * (e // ci.denominator), module._int_rho[i])
                               for i, ci in center_vec.items())
-        central_ok.append(linalg.is_squarefree(linalg.minimal_polynomial(mat, d)))
+        central_ok.append(linalg.is_semisimple(mat, d))
 
     # the joint kernel and the image of the even actions, by fraction-free
     # elimination on the integer copy.  Column c of their stacked rows is

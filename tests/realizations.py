@@ -1,4 +1,5 @@
-"""Lie superalgebras realized by supermatrices, with their defining modules.
+"""Lie superalgebras realized by supermatrices, with their defining modules,
+and the graded tensor product of modules.
 
 ``realization`` derives the structure constants from the matrices, so they
 are consistent by construction.  The tests import this module as
@@ -75,3 +76,29 @@ def parabolic_supermatrix_units(p, q):
     so for p, q >= 1 it fails the trace condition."""
     return gl_supermatrix_units(p, q, f"par({p}|{q})",
                                 lambda i, j: (i < p) == (j < p) or i < p)
+
+
+def tensor_module(v, w, name=""):
+    """V (x) W with the graded Leibniz action, x(a (x) b) = xa (x) b +
+    (-1)^(|x||a|) a (x) xb, on the basis a (x) b at index a dim(W) + b."""
+    alg, dv, dw = v.alg, v.dim, w.dim
+    parities = [(p + q) % 2 for p in v.parities for q in w.parities]
+    action = {}
+    for i in range(alg.dim):
+        odd = alg.parity(i)
+        big = {}
+
+        def add(row, col, x):
+            big.setdefault(row, {})
+            big[row][col] = big[row].get(col, 0) + x
+
+        for r, row in v.rho(i).items():
+            for c, x in row.items():
+                for t in range(dw):
+                    add(r * dw + t, c * dw + t, x)
+        for r, row in w.rho(i).items():
+            for c, x in row.items():
+                for t in range(dv):
+                    add(t * dw + r, t * dw + c, -x if odd and v.parities[t] else x)
+        action[i] = big
+    return GradedModule(alg, parities, action, name=name)

@@ -154,6 +154,14 @@ def full_oracle(alg):
     return linalg.nullspace(rows, n)
 
 
+def tuple_subset_order(m):
+    """The 2^m bitmasks sorted by cardinality, then by the ascending tuple
+    of their set bits: the reference for ``frobenius.odd_subset_order``."""
+    def bits(mask):
+        return tuple(t for t in range(m) if mask >> t & 1)
+    return tuple(sorted(range(1 << m), key=lambda k: (k.bit_count(), bits(k))))
+
+
 def subset_monomial(alg, mask):
     """The ordered product x^I of the odd generators in the bitmask ``mask``
     (bit t for odd generator t), by the public constructor."""

@@ -25,7 +25,7 @@ from randgen import (from_word, map_element, random_element, random_even_element
                      random_odd_basis_change, random_small_superalgebra)
 from reference import (dense_forward_substitution, form, fraction_dual_pair,
                        fraction_pairing, left_coefficients, left_counits, pi,
-                       subset_monomial)
+                       subset_monomial, tuple_subset_order)
 
 F = Fraction
 
@@ -38,6 +38,11 @@ def test_odd_subset_order_refines_cardinality():
         assert order[-1] == (1 << m) - 1
         sizes = [mask.bit_count() for mask in order]
         assert sizes == sorted(sizes)
+
+
+def test_odd_subset_order_is_the_tuple_order():
+    for m in range(11):
+        assert odd_subset_order(m) == tuple_subset_order(m), m
 
 
 def test_pi_examples(g2, bad2):

@@ -245,6 +245,69 @@ def test_minimal_polynomial_matches_fraction_reference_on_named_cases():
     assert linalg.is_squarefree(cases[2][2])
 
 
+def reference_semisimple(mat, n):
+    return linalg.is_squarefree(linalg.minimal_polynomial(mat, n))
+
+
+def conjugate(mat, n, rng):
+    """U^-1 mat U for a random unitriangular U with entries in -2..2 above
+    the diagonal: the same minimal polynomial on a denser basis."""
+    u = {r: {r: F(1), **{c: F(x) for c in range(r + 1, n) if (x := rng.randint(-2, 2))}}
+         for r in range(n)}
+    return linalg.mat_mul(linalg.mat_mul(linalg.invert(u, n), mat), u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_semisimple_matches_the_minimal_polynomial(data):
+    n = data.draw(st.integers(0, 7))
+    entries = data.draw(st.sampled_from([FIFTHS, st.integers(-2, 2)]))
+    dense = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    expected = reference_semisimple(m(dense), n)
+    assert linalg.is_semisimple(int_rows(dense), n) is expected
+    rng = data.draw(st.randoms(use_true_random=False))
+    assert linalg.is_semisimple(conjugate(m(dense), n, rng), n) is expected
+
+
+def jordan(blocks):
+    """The direct sum of Jordan blocks J_k(c) for the (c, k) in ``blocks``,
+    each with its 1s above the diagonal."""
+    mat, r = {}, 0
+    for c, k in blocks:
+        for t in range(r, r + k):
+            mat[t] = {t: F(c)} if c else {}
+            if t + 1 < r + k:
+                mat[t][t + 1] = F(1)
+        r += k
+    return {t: row for t, row in mat.items() if row}, r
+
+
+def test_is_semisimple_on_named_cases():
+    rng = random.Random(3)
+    cases = [
+        ({}, 0, True),
+        ({}, 5, True),                                              # zero matrix
+        (m([[F(2, 3) if r == c else 0 for c in range(3)] for r in range(3)]), 3, True),
+        ({r: {r: -4} for r in range(4)}, 4, True),                  # int scalar matrix
+        (*jordan([(0, 2)]), False),
+        (*jordan([(0, 4)]), False),
+        (*jordan([(1, 1), (2, 1), (F(1, 2), 2)]), False),
+        (*jordan([(1, 1), (2, 1), (3, 1), (F(1, 2), 1)]), True),
+        (*jordan([(1, 2), (1, 1), (-1, 3)]), False),
+        # the rows e_0, e_1 have the squarefree local polynomial t^2 - 1 and
+        # e_2 the root t = 3; only the last row has (t - 3)^2
+        (m([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 3, 0], [0, 0, 1, 3]]), 4, False),
+        # and at the first row only
+        (m([[3, 1, 0, 0], [0, 3, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), 4, False),
+        (m([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), 4, True),
+    ]
+    for mat, n, expected in cases:
+        assert reference_semisimple(mat, n) is expected, (mat, n)
+        assert linalg.is_semisimple(mat, n) is expected, (mat, n)
+        # Jordan blocks hidden by a change of basis
+        assert linalg.is_semisimple(conjugate(mat, n, rng), n) is expected, (mat, n)
+
+
 def test_scaled_is_the_common_denominator():
     assert linalg.scaled([]) == (1, [])
     assert linalg.scaled([{}, {0: {1: F(3)}}]) == (1, [{}, {0: {1: 3}}])
@@ -303,6 +366,7 @@ def test_linalg_returns_nonzeros_only_and_keeps_its_arguments(mat, square):
         assert_nonzero_only(inv)
         assert linalg.mat_mul(m(square), inv) == identity(n)
     unchanged(linalg.minimal_polynomial, m(square), n)
+    unchanged(linalg.is_semisimple, m(square), n)
 
 
 def int_rows(dense):

@@ -19,7 +19,7 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        validate_module, validate_superalgebra)
 from superhaar.algebra import even_part_structure
 from superhaar.cli import main
-from superhaar.fileio import builtin_fixture
+from superhaar.fileio import builtin_fixture, dumps_canonical, module_to_json
 
 from conftest import (ALGEBRA_FILES, FIXTURE_MODULES, MODULE_FILES, UNIMODULAR,
                       dense_of, fixture_algebra, fixture_module, gl_supermatrix_units,
@@ -29,6 +29,7 @@ from randgen import (change_basis, mat_vec, random_element, random_odd_basis_cha
 from reference import (dense_mul, dense_validate_module, fraction_act_on_quotient,
                        fraction_integral, fraction_module_action, fraction_projector,
                        fraction_right_integral, fraction_split, full_oracle)
+from realizations import tensor_module
 
 F = Fraction
 
@@ -283,6 +284,72 @@ def test_semisimplicity_examples(gl11):
     assert not jordan.decomposition_direct
 
 
+def gl_defining_module(p, q):
+    """``gl_supermatrix_units(p, q)`` on its defining module, E_ij acting
+    by the unit matrix."""
+    alg = gl_supermatrix_units(p, q)
+    names = alg.even_names + alg.odd_names
+    return GradedModule(alg, [0] * p + [1] * q,
+                        {k: {int(b[1]) - 1: {int(b[2]) - 1: 1}} for k, b in enumerate(names)})
+
+
+def dense_change(module, rng):
+    """``module`` on a basis that mixes every two basis vectors of equal
+    parity: rho'(i) = T^-1 rho(i) T for T = L U, with L and U
+    unitriangular and entries +-1 between basis vectors of equal parity."""
+    d, parities = module.dim, module.parities
+
+    def unitriangular(upper):
+        return {r: {r: F(1), **{c: F(x) for c in range(d)
+                                if (c > r if upper else c < r) and parities[c] == parities[r]
+                                and (x := rng.choice([-1, 1, 1]))}}
+                for r in range(d)}
+
+    t = linalg.mat_mul(unitriangular(False), unitriangular(True))
+    t_inv = linalg.invert(t, d)
+    action = {i: linalg.mat_mul(linalg.mat_mul(t_inv, module.rho(i)), t)
+              for i in range(module.alg.dim)}
+    return GradedModule(module.alg, parities, action)
+
+
+def central_actions(module):
+    """The action of each central element of the even part."""
+    return [linalg.mat_comb((ci, module.rho(i)) for i, ci in vec.items())
+            for vec in even_part_structure(module.alg).center]
+
+
+def central_reference(module):
+    """The squarefree verdict of ``linalg.minimal_polynomial`` on each
+    central action: the reference for ``central_squarefree``."""
+    return [linalg.is_squarefree(linalg.minimal_polynomial(mat, module.dim))
+            for mat in central_actions(module)]
+
+
+def test_central_squarefree_on_dense_bases(tmp_path, capsys):
+    rng = random.Random(11)
+    v = gl_defining_module(2, 1)
+    vv = tensor_module(v, v)
+    for module in (vv, tensor_module(vv, v)):
+        dense = dense_change(module, rng)
+        assert validate_module(dense).ok
+        # neither is diagonal, so their rows' Krylov spaces are built
+        center = central_actions(dense)
+        assert len(center) == 2 and all(any(row.keys() - {r} for r, row in mat.items())
+                                        for mat in center)
+        report = check_semisimple_over_even(dense)
+        assert report.central_squarefree == central_reference(dense) == [True, True]
+        assert report.ok
+    # the Jordan module on a dense basis: t^2 at every central element, exit 4
+    jordan = dense_change(fixture_module("gl11", "jordan_module.json"), rng)
+    assert all(len(jordan.rho(i).get(r, {})) == 2 for i in range(2) for r in range(2))
+    report = check_semisimple_over_even(jordan)
+    assert report.central_squarefree == central_reference(jordan) == [False, False]
+    path = tmp_path / "dense_jordan.json"
+    path.write_text(dumps_canonical(module_to_json(jordan)))
+    assert main(["integrate", builtin_fixture("gl11.json"), str(path)]) == 4
+    assert json.loads(capsys.readouterr().out)["semisimple"]["ok"] is False
+
+
 def test_invariant_projector_examples(gl11):
     assert invariant_projector(trivial_module(gl11)) == {0: {0: F(1)}}
 
@@ -511,10 +578,7 @@ def check_against_fraction_references(key, module, rng):
     assert report.decomposition_direct is direct
     assert all(isinstance(x, F) for v in report.invariants_basis + report.image_basis
                for x in v.values())
-    central = [linalg.mat_comb((ci, module.rho(i)) for i, ci in vec.items())
-               for vec in even_part_structure(alg).center]
-    assert report.central_squarefree == [
-        linalg.is_squarefree(linalg.minimal_polynomial(mat, module.dim)) for mat in central]
+    assert report.central_squarefree == central_reference(module)
     if not report.ok:
         with pytest.raises(NotSemisimpleError):
             invariant_projector(module, report)

@@ -21,7 +21,7 @@ from superhaar import (GradedModule, LieSuperalgebra, quotient_module,
                        validate_module, validate_superalgebra)
 from superhaar.fileio import algebra_to_json, dumps_canonical, module_to_json
 
-from realizations import realization
+from realizations import realization, tensor_module
 
 OUT = os.path.join(HERE, "..", "src", "superhaar", "fixtures")
 
@@ -47,28 +47,7 @@ def check_module(module) -> GradedModule:
 
 def tensor_square(module: GradedModule, name: str) -> GradedModule:
     """V (x) V with the graded Leibniz action."""
-    alg, d = module.alg, module.dim
-    parities = [(module.parities[a] + module.parities[b]) % 2
-                for a in range(d) for b in range(d)]
-    action = {}
-    for i in range(alg.dim):
-        pi = alg.parity(i)
-        big = {}
-
-        def add(row, col, x):
-            big.setdefault(row, {})
-            big[row][col] = big[row].get(col, 0) + x
-
-        for r, row in module.rho(i).items():
-            for c, x in row.items():
-                for t in range(d):
-                    # on the first factor, and on the second past the
-                    # parity of the first
-                    add(r * d + t, c * d + t, x)
-                    add(t * d + r, t * d + c,
-                        -x if pi and module.parities[t] else x)
-        action[i] = big
-    return check_module(GradedModule(alg, parities, action, name=name))
+    return check_module(tensor_module(module, module, name))
 
 
 def main():
