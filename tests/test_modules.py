@@ -26,9 +26,10 @@ from conftest import (ALGEBRA_FILES, FIXTURE_MODULES, MODULE_FILES, UNIMODULAR,
                       identity, rescaled_algebra, rows_of)
 from randgen import (change_basis, mat_vec, random_element, random_odd_basis_change,
                      random_small_superalgebra)
-from reference import (dense_mul, dense_validate_module, fraction_act_on_quotient,
-                       fraction_integral, fraction_module_action, fraction_projector,
-                       fraction_right_integral, fraction_split, full_oracle)
+from reference import (dense_mul, dense_nullspace, dense_rref, dense_validate_module,
+                       fraction_act_on_quotient, fraction_integral, fraction_module_action,
+                       fraction_projector, fraction_right_integral, fraction_split,
+                       full_oracle)
 from realizations import tensor_module
 
 F = Fraction
@@ -625,6 +626,20 @@ def test_quotient_modules_match_fraction_references():
         module = quotient_module(fixture_algebra(key))
         check_against_fraction_references(key, module, rng)
         check_against_fraction_references(key, rational_change(module, rng), rng)
+
+
+def test_the_integral_on_the_quotient_module_is_not_zero():
+    # left invariance holds for M = 0 too, so pin rank M = dim W^g = 1, with
+    # W^g the joint kernel of every rho(w), counted by the dense reference
+    # on the stacked nonzero rows
+    algebras = [gl_supermatrix_units(p, q) for p, q in ((1, 1), (2, 1), (1, 2), (2, 2))]
+    for alg in algebras + [fixture_algebra("osp12")]:
+        module = quotient_module(alg)
+        d = module.dim
+        invariants = dense_nullspace([[row.get(c, F(0)) for c in range(d)]
+                                      for i in range(alg.dim) for row in module.rho(i).values()])
+        m = integral_matrix(module, invariant_z(alg))
+        assert len(dense_rref(dense_of(m.entries, d))[1]) == len(invariants) == 1, alg.name
 
 
 def test_integral_matrix_refuses_an_invariant_over_another_algebra(gl11, osp12):
