@@ -11,6 +11,7 @@ codes are a total function of the outcome class:
     4  module not semisimple over the even part
     70 internal invariant violation (library bug; please report)
     71 out of memory (nothing on stdout; stderr names the command and m)
+    130 interrupted by Ctrl-C (console script and ``python -m`` only)
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_NO_INVARIANT = 3
 EXIT_NOT_SEMISIMPLE = 4
 EXIT_INTERNAL = 70
 EXIT_MEMORY = 71
+EXIT_INTERRUPTED = 130
 
 
 class _CliExit(Exception):
@@ -292,5 +294,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def entry(argv=None) -> int:
+    """``main`` as a process runs it: Ctrl-C exits 130, without a traceback."""
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        print("superhaar: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -71,10 +71,10 @@ def _term_key(n0: int, word: tuple[int, ...]):
 class _Slots:
     """The storage of a ``UEElement``, writable while ``_trusted`` fills it."""
 
-    __slots__ = ("alg", "_ints", "_den", "_deg", "terms")
+    __slots__ = ("alg", "_ints", "_den", "_deg")
 
 
-_new, _set_terms = object.__new__, _Slots.terms.__set__
+_new = object.__new__
 # the Fractions of small ints, shared by the decodes at denominator and S 1
 _SMALL = {v: Fraction(v) for v in range(-64, 65)}
 
@@ -90,7 +90,7 @@ class UEElement(_Slots):
     v / (_den * S^(_deg - |w|)), S the algebra's integer scale.  A product
     multiplies the denominators, adds the degrees and makes one ``_rewrite``
     call, which keeps that scale.  ``terms`` = {PBW word: Fraction} is
-    decoded from the ints on first read and then kept.
+    decoded from the ints afresh on each read and is not stored.
 
     The public constructor checks every word and scalar, and encodes at
     the lcm of the denominators and the longest word's degree.  Results of
@@ -116,10 +116,8 @@ class UEElement(_Slots):
         scale = alg._int_scale
         den = math.lcm(*(c.denominator for c in acc.values()))
         deg = max(map(len, acc), default=0)
-        self = cls._trusted(alg, {w: c.numerator * (den // c.denominator) * scale ** (deg - len(w))
+        return cls._trusted(alg, {w: c.numerator * (den // c.denominator) * scale ** (deg - len(w))
                                   for w, c in acc.items()}, den, deg)
-        _set_terms(self, acc)
-        return self
 
     @classmethod
     def _trusted(cls, alg: LieSuperalgebra, ints: dict, den: int = 1, deg: int = 0) -> UEElement:
@@ -139,18 +137,13 @@ class UEElement(_Slots):
 
     __delattr__ = __setattr__
 
-    def __getattr__(self, name):
-        # an unset ``terms`` slot, or a name that is no attribute, gets here
-        if name != "terms":
-            raise AttributeError(f"'UEElement' object has no attribute {name!r}")
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
         den, deg, scale = self._den, self._deg, self.alg._int_scale
         if den == scale == 1:
-            terms = {w: _SMALL[v] if v in _SMALL else Fraction(v) for w, v in self._ints.items()}
-        else:
-            dens = [den * scale ** e for e in range(deg + 1)]
-            terms = {w: Fraction(v, dens[deg - len(w)]) for w, v in self._ints.items()}
-        _set_terms(self, terms)
-        return terms
+            return {w: _SMALL[v] if v in _SMALL else Fraction(v) for w, v in self._ints.items()}
+        dens = [den * scale ** e for e in range(deg + 1)]
+        return {w: Fraction(v, dens[deg - len(w)]) for w, v in self._ints.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -248,7 +241,7 @@ class UEElement(_Slots):
             raise ValueError("elements live over different algebras")
 
     def __repr__(self):
-        if not self.terms:
+        if not self:
             return "0"
         bits = []
         for word, c in self.sorted_terms():

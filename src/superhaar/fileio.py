@@ -187,7 +187,7 @@ def module_to_json(module: GradedModule) -> dict:
 
 def element_to_json(u: UEElement) -> list[dict]:
     """Expression form: list of {monomial: [generator names], coeff}."""
-    if not u.terms:
+    if not u:
         return []
     alg = u.alg
     out = []
@@ -269,14 +269,14 @@ def _dumps(obj, nl: str, memo: dict) -> str:
         inner, term, alg, out = nl + "  ", nl + "    ", None, []
         field, sep, close = term + "  ", "," + term, term + "}"
         for u in obj:
-            if not u.terms:
+            if not u:
                 out.append("[]")
                 continue
             if u.alg is not alg:
                 alg = u.alg
                 heads = memo.setdefault((id(alg), nl), {})
             texts = []
-            for word, c in u.sorted_terms() if len(u.terms) > 1 else u.terms.items():
+            for word, c in u.sorted_terms() if len(u._ints) > 1 else u.terms.items():
                 head = heads.get(word)
                 if head is None:
                     names = ("," + field + "  ").join(_encode_str(alg.basis_name(g)) for g in word)

@@ -144,10 +144,10 @@ def module_action(module: GradedModule, u: UEElement) -> linalg.Matrix:
     denominator Q and divided once."""
     if u.alg != module.alg:
         raise ValueError("element and module live over different algebras")
-    ints, d = module._int_rho, module._int_scale
-    q = math.lcm(*(c.denominator * d ** len(word) for word, c in u.terms.items()))
+    ints, d, coeffs = module._int_rho, module._int_scale, u.terms
+    q = math.lcm(*(c.denominator * d ** len(word) for word, c in coeffs.items()))
     terms = []
-    for word, c in u.terms.items():
+    for word, c in coeffs.items():
         acc = {i: {i: 1} for i in range(module.dim)}
         for g in word:
             acc = linalg.mat_mul(acc, ints[g])

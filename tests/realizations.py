@@ -1,5 +1,5 @@
 """Lie superalgebras realized by supermatrices, with their defining modules,
-and the graded tensor product of modules.
+and the graded dual and tensor product of modules.
 
 ``realization`` derives the structure constants from the matrices, so they
 are consistent by construction.  The tests import this module as
@@ -58,15 +58,21 @@ def realization(name, even, odd, parities, module_name=""):
     return alg, module
 
 
-def gl_supermatrix_units(p, q, name=None, keep=lambda i, j: True):
+def gl_realization(p, q, name=None, keep=lambda i, j: True):
     """gl(p|q) on the units E_ij, named E{i+1}{j+1}, |E_ij| = |i| + |j| mod 2:
-    the even units first, then the odd, each part in (i, j) order.  With
-    ``keep``, the subalgebra spanned by the units E_ij with keep(i, j)."""
+    the even units first, then the odd, each part in (i, j) order, and its
+    defining module on p even and q odd basis vectors.  With ``keep``, the
+    subalgebra spanned by the units E_ij with keep(i, j)."""
     deg = [0] * p + [1] * q
     units = [(i, j) for i in range(p + q) for j in range(p + q) if keep(i, j)]
     part = [[(f"E{i + 1}{j + 1}", {i: {j: 1}}) for i, j in units
              if (deg[i] + deg[j]) % 2 == odd] for odd in (0, 1)]
-    return realization(name or f"gl({p}|{q})", *part, deg)[0]
+    return realization(name or f"gl({p}|{q})", *part, deg)
+
+
+def gl_supermatrix_units(p, q, name=None, keep=lambda i, j: True):
+    """The algebra of ``gl_realization``."""
+    return gl_realization(p, q, name, keep)[0]
 
 
 def parabolic_supermatrix_units(p, q):
@@ -76,6 +82,21 @@ def parabolic_supermatrix_units(p, q):
     so for p, q >= 1 it fails the trace condition."""
     return gl_supermatrix_units(p, q, f"par({p}|{q})",
                                 lambda i, j: (i < p) == (j < p) or i < p)
+
+
+def dual_module(v, name=""):
+    """V* with the graded dual action, (xf)(a) = -(-1)^(|x||f|) f(xa), so
+    rho*(x)[c][r] = -(-1)^(|x||c|) rho(x)[r][c], on the dual basis."""
+    alg = v.alg
+    action = {}
+    for i in range(alg.dim):
+        odd = alg.parity(i)
+        dual = {}
+        for r, row in v.rho(i).items():
+            for c, x in row.items():
+                dual.setdefault(c, {})[r] = x if odd and v.parities[c] else -x
+        action[i] = dual
+    return GradedModule(alg, list(v.parities), action, name=name)
 
 
 def tensor_module(v, w, name=""):

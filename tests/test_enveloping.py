@@ -15,6 +15,7 @@ from superhaar import (InputError, LieSuperalgebra, UEElement,
                        counit, dual_pair, frobenius_matrix, lambda_values, multiply,
                        quotient_project, validate_superalgebra)
 from superhaar.enveloping import _Slots
+from superhaar.fileio import _Elements, dumps_canonical, element_to_json
 
 from conftest import (ALGEBRA_FILES, alpha_inv, fixture_algebra, gen,
                       gl_supermatrix_units, int_scaled, rational, rescaled_algebra,
@@ -595,14 +596,22 @@ def test_equal_values_at_different_scales_are_equal(rng):
                 assert at_scale(u, 2, 1) != u + UEElement.generator(alg, 0)
 
 
-def test_a_kernel_result_decodes_its_terms_once(monkeypatch):
+def _product_of_two_terms():
+    """A kernel result at S > 1 with more than one PBW word."""
     alg = rescaled_algebra(gl_supermatrix_units(2, 1))
     # b_i b_j with i > j rewrites to b_j b_i plus the bracket's terms
     i, j = next((i, j) for i in range(alg.dim) for j in range(i) if alg.bracket(i, j))
     u = multiply(UEElement.generator(alg, i), UEElement.generator(alg, j)) * F(2, 3)
-    assert len(u._ints) > 1
-    with pytest.raises(AttributeError):
-        _Slots.terms.__get__(u)     # the slot is unset until the first read
+    assert alg._int_scale > 1 and len(u._ints) > 1
+    return u
+
+
+def test_a_kernel_result_decodes_its_terms_once(monkeypatch):
+    # once per read: each read of ``terms`` decodes the ints into a new dict
+    u = _product_of_two_terms()
+    # the ints are the only value an element stores
+    assert _Slots.__slots__ == ("alg", "_ints", "_den", "_deg")
+    assert isinstance(UEElement.terms, property)
     built, real = [], enveloping.Fraction
 
     def counting(*args):
@@ -612,8 +621,24 @@ def test_a_kernel_result_decodes_its_terms_once(monkeypatch):
     monkeypatch.setattr(enveloping, "Fraction", counting)
     first = u.terms
     assert len(built) == len(first) == len(u._ints)
-    assert u.terms is first and u.sorted_terms() and len(built) == len(first)
-    assert _Slots.terms.__get__(u) is first
+    second = u.terms
+    assert second == first and second is not first and len(built) == 2 * len(u._ints)
+    assert u.sorted_terms() and len(built) == 3 * len(u._ints)
+
+
+def test_mutating_a_read_of_terms_changes_nothing():
+    gl11 = gl_supermatrix_units(1, 1)
+    e, f = (UEElement.generator(gl11, gl11.index_of(n)) for n in ("E12", "E21"))
+    assert gl11._int_scale == 1
+    for u in (multiply(e, f), _product_of_two_terms()):
+        terms, h = dict(u.terms), hash(u)
+        text, row = element_to_json(u), dumps_canonical([_Elements([u])])
+        read = u.terms
+        for w in list(read):
+            read[w] = F(99)
+        read[()] = F(7)
+        assert u.terms == terms and hash(u) == h == hash(u * 1)
+        assert element_to_json(u) == text and dumps_canonical([_Elements([u])]) == row
 
 
 def test_setting_or_deleting_any_attribute_raises(g2):

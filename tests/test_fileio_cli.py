@@ -17,6 +17,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import superhaar.cli as cli
+import superhaar.enveloping as enveloping
 import superhaar.frobenius as frobenius
 from superhaar import (InputError, LieSuperalgebra, UEElement,
                        check_semisimple_over_even, dual_pair, fileio,
@@ -292,6 +293,26 @@ def test_element_rows_are_written_as_their_json_values(key):
         assert any(len(e.terms) > 1 and () in e.terms for e in cells)
     if key == "non-ascii":
         assert "\\u00e9" in text and "\\u2082" in text and '\\"\\\\' in text
+
+
+def test_the_writer_decodes_each_element_once(monkeypatch):
+    # one Fraction per term written: a writer that read ``terms`` more than
+    # once per element would decode every element again
+    alg = rescaled_algebra(gl_supermatrix_units(2, 1))
+    entries, z = frobenius_matrix(alg).entries, invariant_z(alg).z
+    assert alg._int_scale > 1 and sum(len(e._ints) > 1 for row in entries for e in row) > 1
+    built, real = [], enveloping.Fraction
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enveloping, "Fraction", counting)
+    dumps_canonical([fileio._Elements(row) for row in entries])
+    assert len(built) == sum(len(e._ints) for row in entries for e in row)
+    built.clear()
+    element_to_json(z)
+    assert len(built) == len(z._ints) > 0
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -735,6 +756,25 @@ def test_cli_out_of_memory_exit_71(monkeypatch, capsys, argv):
     assert code == 71
     assert out.out == ""
     assert out.err == f"superhaar: out of memory in {argv[0]} (m = 2)\n"
+
+
+def test_ctrl_c_exits_130_at_the_entry_point_only(monkeypatch, capsys):
+    # the console script's wrapper exits 130 with one stderr line and
+    # nothing on stdout; ``main`` itself lets the interrupt through, so a
+    # caller that runs it in process is stopped by Ctrl-C
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "invariant_z", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["invariant", builtin_fixture("osp12.json")])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "main", interrupt)
+    assert cli.entry(["invariant", builtin_fixture("osp12.json")]) == cli.EXIT_INTERRUPTED == 130
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "superhaar: interrupted\n"
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^superhaar = "superhaar\.cli:entry"$', pyproject, re.MULTILINE)
 
 
 def test_cli_out_of_memory_while_writing_a_refusal_exit_71(monkeypatch, capsys):

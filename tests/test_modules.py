@@ -30,7 +30,7 @@ from reference import (dense_mul, dense_nullspace, dense_rref, dense_validate_mo
                        fraction_act_on_quotient, fraction_integral, fraction_module_action,
                        fraction_projector, fraction_right_integral, fraction_split,
                        full_oracle)
-from realizations import tensor_module
+from realizations import dual_module, gl_realization, tensor_module
 
 F = Fraction
 
@@ -640,6 +640,33 @@ def test_the_integral_on_the_quotient_module_is_not_zero():
                                       for i in range(alg.dim) for row in module.rho(i).values()])
         m = integral_matrix(module, invariant_z(alg))
         assert len(dense_rref(dense_of(m.entries, d))[1]) == len(invariants) == 1, alg.name
+
+
+def test_the_integral_reaches_every_invariant_of_a_projective_module():
+    # P (x) W is projective for the quotient module P, so the integral's
+    # image is all of W^g: rank M = dim W^g, W^g counted as the joint kernel
+    # of every rho(w) by the dense reference.  V (x) V* on gl(2|1) is not
+    # projective, and there M = 0 on a nonzero W^g
+    for (p, q), where, want in (((1, 1), "P V V*", (16, 2, 2)), ((1, 1), "V V* P", (16, 2, 2)),
+                                ((2, 1), "P V V*", (144, 2, 2)), ((2, 1), "V V*", (9, 0, 1))):
+        alg, v = gl_realization(p, q)
+        vv, proj = tensor_module(v, dual_module(v)), quotient_module(alg)
+        w = {"P V V*": tensor_module(proj, vv), "V V* P": tensor_module(vv, proj),
+             "V V*": vv}[where]
+        d, inv = w.dim, invariant_z(alg)
+        m = integral_matrix(w, inv)
+        invariants = dense_nullspace([[row.get(c, F(0)) for c in range(d)]
+                                      for i in range(alg.dim) for row in w.rho(i).values()])
+        assert (d, len(dense_rref(dense_of(m.entries, d))[1]), len(invariants)) == want, where
+        if want[1]:
+            # the antipode: M_{W*} = M_W^T, for the even z here
+            assert m.parity == 0
+            assert integral_matrix(dual_module(w), inv).entries == linalg.transpose(m.entries)
+    w = fixture_module("osp12", "osp12_tensor_module.json")
+    inv = invariant_z(w.alg)
+    m = integral_matrix(w, inv)
+    assert m.entries and m.parity == 0
+    assert integral_matrix(dual_module(w), inv).entries == linalg.transpose(m.entries)
 
 
 def test_integral_matrix_refuses_an_invariant_over_another_algebra(gl11, osp12):

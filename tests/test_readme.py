@@ -66,7 +66,7 @@ def test_exit_codes_agree():
     tabled = sorted(int(c) for c in re.findall(r"^\|\s*(\d+)\s*\|", table, re.MULTILINE))
     constants = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
     documented = sorted(int(c) for c in re.findall(r"^\s+(\d+)\s", cli.__doc__, re.MULTILINE))
-    assert tabled == documented == constants == [0, 1, 2, 3, 4, 70, 71]
+    assert tabled == documented == constants == [0, 1, 2, 3, 4, 70, 71, 130]
 
 
 def test_library_section_documents_every_exported_name():
