@@ -12,14 +12,14 @@ Entries may be any numbers closed under ``+`` and ``*`` whose zero is
 falsy, such as ints or Fractions.  ``mat_mul``, ``mat_comb`` and
 ``transpose`` keep the entry type, so int rows give int rows: the module
 layer multiplies its matrices in exact integers, scaled to a common
-denominator by ``scaled``.  All elimination is one fraction-free
-Gauss-Jordan step on int rows, ``_eliminate``: ``rref`` (and so ``rank``,
-``nullspace``, ``row_space_basis``, ``invert`` and ``same_span``) scales
-each int or Fraction row to ints, ``minimal_polynomial``,
-``is_semisimple`` and ``is_squarefree`` build int rows, and the module
-layer's semisimplicity split calls the step on its integer copy
-directly.  Results that need division (the reduced rows, kernels,
-inverses, polynomial coefficients) come back in Fractions.
+denominator by ``scaled``, and eliminates them through the public
+functions below.  All elimination is one fraction-free Gauss-Jordan step
+on int rows, ``_eliminate``: ``rref`` (and so ``rank``, ``nullspace``,
+``row_space_basis``, ``invert`` and ``same_span``) scales each int or
+Fraction row to ints, and ``minimal_polynomial``, ``is_semisimple`` and
+``is_squarefree`` build int rows.  Results that need division (the
+reduced rows, kernels, inverses, polynomial coefficients) come back in
+Fractions.
 
 The functions that depend only on the row space (``rref``, ``rank``,
 ``nullspace``, ``row_space_basis``, ``same_span``) take any iterable of

@@ -8,8 +8,10 @@ denominator, which the module layer computes with; ``GradedModule.rho``
 is a Fraction view built from it on each call.  Integration evaluates the
 canonical invariant on matrix elements: the integral matrix is the action
 of the invariant composed with the projector onto the even-part
-invariants, and left invariance of the result is verified exactly on
-every call, which pins the sign conventions operationally.
+invariants K along the image of the even actions, P = K (C K)^-1 C with C
+the coinvariants, and left invariance of the result is verified exactly
+on every call, which pins the sign conventions operationally.  The split
+is decided with ``linalg``'s public functions only.
 
 The brute-force invariant search at the bottom is deliberately independent
 of the Frobenius machinery: it only uses the quotient action provided by
@@ -33,7 +35,6 @@ from .algebra import (EvenPartReport, InputError, LieSuperalgebra,
                       nonzero_rows)
 from .enveloping import UEElement, _int_action_rows, act_on_quotient
 from .frobenius import InternalInvariantError, InvariantZ, odd_subset_order
-from .linalg import ONE
 
 
 class NotSemisimpleError(Exception):
@@ -160,12 +161,12 @@ class SemisimplicityReport:
     """Certificate that a module is semisimple over the even part:
     squarefree minimal polynomials for the central generators, and an exact
     direct-sum decomposition into even-invariants plus the even image.  The
-    invariants have the canonical kernel basis of ``linalg.nullspace``;
-    the image has a basis of primitive integer vectors in reduced echelon
-    form."""
+    invariants (column vectors v with rho(X) v = 0 for every even X) and
+    the coinvariants (row vectors phi with phi rho(X) = 0, the annihilator
+    of the image) have the canonical kernel bases of ``linalg.nullspace``."""
     central_squarefree: list[bool]
     invariants_basis: list[linalg.Vector]
-    image_basis: list[linalg.Vector]
+    coinvariants_basis: list[linalg.Vector]
     decomposition_direct: bool
 
     @property
@@ -205,30 +206,18 @@ def check_semisimple_over_even(module: GradedModule,
                               for i, ci in center_vec.items())
         central_ok.append(linalg.is_semisimple(mat, d))
 
-    # the joint kernel and the image of the even actions, by fraction-free
-    # elimination on the integer copy.  Column c of their stacked rows is
-    # either independent of the columns before it or has a dependence on
-    # them, which scaled to 1 at c is the kernel vector that
-    # ``linalg.nullspace`` gives for the free column c.
-    columns = [linalg.transpose(mat) for mat in module._int_rho[:alg.n_even]]
-    pivots: dict = {}
-    kernel = []
-    for c in range(d):
-        combo = {c: 1}
-        if not linalg._eliminate({i * d + r: x for i, cols in enumerate(columns)
-                                  for r, x in cols.get(c, {}).items()}, combo, pivots):
-            kernel.append((c, combo))
-    invariants = [{j: Fraction(x, v[c]) for j, x in sorted(v.items())} for c, v in kernel]
-    # the image has the reduced echelon rows of the actions' columns as its
-    # basis, and the split is direct when the kernel stays independent of them
-    pivots = {}
-    for cols in columns:
-        for col in cols.values():
-            linalg._eliminate(dict(col), {}, pivots)
-    image = [{r: Fraction(x) for r, x in sorted(pivots[p][0].items())} for p in sorted(pivots)]
-    direct = (len(kernel) + len(image) == d
-              and all(linalg._eliminate(dict(v), {}, pivots) for _, v in kernel))
-    return SemisimplicityReport(central_ok, invariants, image, direct)
+    # the invariants K and the coinvariants C, which span the annihilator of
+    # the image: the split is direct when |C| = |K| (dim K + dim image = d)
+    # and the pairing C K has rank |K| (no invariant lies in the image)
+    evens = module._int_rho[:alg.n_even]
+    invariants = linalg.nullspace((row for mat in evens for row in mat.values()), d)
+    coinvariants = linalg.nullspace((col for mat in evens
+                                     for col in linalg.transpose(mat).values()), d)
+    pairing = linalg.mat_mul(dict(enumerate(coinvariants)),
+                             linalg.transpose(dict(enumerate(invariants))))
+    direct = (len(coinvariants) == len(invariants)
+              and linalg.rank(pairing.values()) == len(invariants))
+    return SemisimplicityReport(central_ok, invariants, coinvariants, direct)
 
 
 def invariant_projector(module: GradedModule,
@@ -237,40 +226,39 @@ def invariant_projector(module: GradedModule,
 
     Its (k, j) entry is the value of the normalized even integral on the
     matrix element t_kj: the trivial isotypic component survives, the rest
-    is annihilated.  With C the matrix whose columns are the invariants
-    and then the image basis, it is C cut to the invariant columns, times
-    the first k rows of the inverse of C, k the number of invariants; only
-    those rows are solved for.
+    is annihilated.  With K the matrix whose columns are the invariants and
+    C the one whose rows are the coinvariants, it is P = K (C K)^-1 C: it
+    fixes K, and C, so P, kills the image.  ``ValueError`` when the
+    report's coinvariants do not pair with its invariants (``linalg.invert``
+    refuses a singular pairing).
     """
     if report is None:
         report = check_semisimple_over_even(module)
     if not report.ok:
         raise NotSemisimpleError("module is not semisimple over the even part")
     k = report.invariants_dim
-    # row j of C^T is basis vector j, augmented for j < k with the unit
-    # column d + j; its reduced echelon form is [I | R^T], R the first k
-    # rows of C^-1, when C is invertible
-    d = module.dim
-    basis = report.invariants_basis + report.image_basis
-    red, pivots = linalg.rref({**v, d + j: ONE} if j < k else v for j, v in enumerate(basis))
-    if pivots[:d] != list(range(d)):
-        raise ValueError("invariants and image do not span the module")
-    # P = s^-2 (s I)(s R), I the invariant columns and s the common
-    # denominator of I and R; checked in ints
-    s, (invariant_cols, inverse_rows) = linalg.scaled([
-        linalg.transpose(dict(enumerate(basis[:k]))),
-        linalg.transpose({i: {c - d: x for c, x in row.items() if c >= d}
-                          for i, row in enumerate(red)})])
-    e, proj = s * s, linalg.mat_mul(invariant_cols, inverse_rows)
+    if len(report.coinvariants_basis) != k:
+        raise ValueError("the coinvariants do not pair with the invariants")
+    # scaling K and C keeps P, so with K and C in ints,
+    # P = t^-1 K (t (C K)^-1) C, t the common denominator of (C K)^-1;
+    # checked in ints
+    _, (invariant_cols, coinvariant_rows) = linalg.scaled([
+        linalg.transpose(dict(enumerate(report.invariants_basis))),
+        dict(enumerate(report.coinvariants_basis))])
+    t, (inverse,) = linalg.scaled([linalg.invert(
+        linalg.mat_mul(coinvariant_rows, invariant_cols), k)])
+    proj = linalg.mat_mul(linalg.mat_mul(invariant_cols, inverse), coinvariant_rows)
 
-    if linalg.mat_mul(proj, proj) != linalg.mat_comb([(e, proj)]):
+    if linalg.mat_mul(proj, proj) != linalg.mat_comb([(t, proj)]):
         raise InternalInvariantError("projector is not idempotent")
+    if linalg.mat_mul(proj, invariant_cols) != linalg.mat_comb([(t, invariant_cols)]):
+        raise InternalInvariantError("projector does not fix the invariants")
     for m in module._int_rho[:module.alg.n_even]:
         if linalg.mat_mul(m, proj):
             raise InternalInvariantError("even action does not kill the projector image")
         if linalg.mat_mul(proj, m):
             raise InternalInvariantError("projector does not kill the even image")
-    return _fractions(proj, e)
+    return _fractions(proj, t)
 
 
 @dataclass(frozen=True)

@@ -431,12 +431,13 @@ def fraction_split(alg, module):
     return invariants, image, direct
 
 
-def fraction_projector(alg, module, report):
-    """The projector and its identities in Fractions: the reference for
+def fraction_projector(alg, module):
+    """The projector onto the invariants along the image of
+    ``fraction_split``, and its identities, in Fractions: the reference for
     ``invariant_projector``."""
-    basis = report.invariants_basis + report.image_basis
-    cols = linalg.transpose(dict(enumerate(basis)))
-    invariant_cols = linalg.transpose(dict(enumerate(report.invariants_basis)))
+    invariants, image, _ = fraction_split(alg, module)
+    cols = linalg.transpose(dict(enumerate(invariants + image)))
+    invariant_cols = linalg.transpose(dict(enumerate(invariants)))
     proj = linalg.mat_mul(invariant_cols, linalg.invert(cols, module.dim))
     assert linalg.mat_mul(proj, proj) == proj
     for i in range(alg.n_even):

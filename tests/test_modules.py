@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -357,14 +358,23 @@ def test_invariant_projector_examples(gl11):
     ext = fixture_module("g2", "exterior_module.json")
     assert invariant_projector(ext) == identity(4)
 
+    # g0 V = V: no invariants, no coinvariants
     defining = fixture_module("gl11", "defining_module.json")
+    assert check_semisimple_over_even(defining) == SemisimplicityReport(
+        [True, True], [], [], True)
     assert invariant_projector(defining) == {}
-    with pytest.raises(ValueError):     # a report whose bases do not span
-        invariant_projector(defining, SemisimplicityReport([], [], [], True))
 
     osp_def = fixture_module("osp12", "osp12_defining_module.json")
+    report = check_semisimple_over_even(osp_def)
+    assert (report.invariants_basis, report.coinvariants_basis) == ([{0: F(1)}], [{0: F(1)}])
     p0 = invariant_projector(osp_def)
     assert p0 == {0: {0: F(1)}}
+    # reports whose coinvariants do not pair with the invariants: one that
+    # vanishes on them, none, and one too many
+    for coinvariants in ([{1: F(1)}], [], [{0: F(1)}, {1: F(1)}]):
+        with pytest.raises(ValueError):
+            invariant_projector(osp_def, SemisimplicityReport(
+                [True], report.invariants_basis, coinvariants, True))
 
     with pytest.raises(NotSemisimpleError):
         invariant_projector(fixture_module("gl11", "jordan_module.json"))
@@ -473,34 +483,54 @@ def plus_one_at(fn, r, c):
     return changed
 
 
-def plus_one_in_row(rref, i, c):
-    """``rref`` with entry c of its reduced row i changed by one."""
-    def changed(rows):
-        red, pivots = rref(rows)
-        x = red[i].get(c, 0) + 1
-        red[i] = {**red[i], c: x} if x else {t: y for t, y in red[i].items() if t != c}
-        return red, pivots
-    return changed
-
-
 @pytest.mark.parametrize("case", SEMISIMPLE_UNIMODULAR)
 def test_projector_checks_catch_a_changed_inverse(case, monkeypatch):
-    # P is C cut to its invariant columns times R, the first k rows of C^-1,
-    # read as R^T off the unit columns d + r of the reduced rows [I | R^T];
-    # a change there moves P off a projector that the even actions kill,
-    # and the identity part is not read
+    # P = K (C K)^-1 C: a change to one entry of (C K)^-1 moves P K off K,
+    # and a change to one entry of a coinvariant phi, read from the report,
+    # is caught by P rho(X) = 0 unless that entry's row of every even action
+    # is zero.  Then phi stays a coinvariant, and P is unchanged while the
+    # changed pairing stays invertible, as it does on these modules
     module = fixture_module(*case)
+    alg, d = module.alg, module.dim
     report = check_semisimple_over_even(module)
     proj = invariant_projector(module, report)
-    d, rref = module.dim, linalg.rref
-    for i in range(d):
-        for c in range(d + report.invariants_dim):
-            monkeypatch.setattr(linalg, "rref", plus_one_in_row(rref, i, c))
-            if c >= d:
-                with pytest.raises(InternalInvariantError):
-                    invariant_projector(module, report)
+    k, invert = report.invariants_dim, linalg.invert
+    for r in range(k):
+        for c in range(k):
+            monkeypatch.setattr(linalg, "invert", plus_one_at(invert, r, c))
+            with pytest.raises(InternalInvariantError):
+                invariant_projector(module, report)
+    monkeypatch.setattr(linalg, "invert", invert)
+    moved = {c for i in range(alg.n_even) for c in module.rho(i)}
+    for r in range(k):
+        for c in range(d):
+            coinvariants = list(report.coinvariants_basis)
+            coinvariants[r] = linalg.mat_comb([(F(1), {0: coinvariants[r]}),
+                                               (F(1), {0: {c: F(1)}})]).get(0, {})
+            changed = dataclasses.replace(report, coinvariants_basis=coinvariants)
+            if c in moved:
+                with pytest.raises(InternalInvariantError,
+                                   match="projector does not kill the even image"):
+                    invariant_projector(module, changed)
             else:
-                assert invariant_projector(module, report) == proj
+                assert invariant_projector(module, changed) == proj
+
+
+def test_projector_check_catches_a_dropped_invariant(monkeypatch):
+    # without the last row of (C K)^-1, P = K (C K)^-1 C keeps P^2 = P and
+    # the two even-action identities but has rank k - 1: only P K = K
+    # sees it
+    module = fixture_module("osp12", "osp12_tensor_module.json")
+    report = check_semisimple_over_even(module)
+    k, invert = report.invariants_dim, linalg.invert
+    assert k == 2
+
+    def dropped(mat, n):
+        return {r: row for r, row in invert(mat, n).items() if r != n - 1}
+
+    monkeypatch.setattr(linalg, "invert", dropped)
+    with pytest.raises(InternalInvariantError, match="projector does not fix the invariants"):
+        invariant_projector(module, report)
 
 
 @pytest.mark.parametrize("case", SEMISIMPLE_UNIMODULAR)
@@ -574,10 +604,9 @@ def check_against_fraction_references(key, module, rng):
     report = check_semisimple_over_even(module)
     invariants, image, direct = fraction_split(alg, module)
     assert report.invariants_basis == invariants
-    assert len(report.image_basis) == len(image)
-    assert linalg.same_span(report.image_basis, image)
+    assert report.coinvariants_basis == linalg.nullspace(image, module.dim)
     assert report.decomposition_direct is direct
-    assert all(isinstance(x, F) for v in report.invariants_basis + report.image_basis
+    assert all(isinstance(x, F) for v in report.invariants_basis + report.coinvariants_basis
                for x in v.values())
     assert report.central_squarefree == central_reference(module)
     if not report.ok:
@@ -585,7 +614,7 @@ def check_against_fraction_references(key, module, rng):
             invariant_projector(module, report)
         return None
     proj = invariant_projector(module, report)
-    assert proj == fraction_projector(alg, module, report)
+    assert proj == fraction_projector(alg, module)
     if key in UNIMODULAR:
         inv = invariant_z(alg)
         integral = integral_matrix(module, inv, proj)
@@ -667,6 +696,66 @@ def test_the_integral_reaches_every_invariant_of_a_projective_module():
     m = integral_matrix(w, inv)
     assert m.entries and m.parity == 0
     assert integral_matrix(dual_module(w), inv).entries == linalg.transpose(m.entries)
+
+
+def joint_kernel_dim(w):
+    """dim W^g, the joint kernel of every rho(w), by the dense reference on
+    the stacked nonzero rows."""
+    d = w.dim
+    rows = [[row.get(c, F(0)) for c in range(d)]
+            for i in range(w.alg.dim) for row in w.rho(i).values()]
+    return len(dense_nullspace(rows)) if rows else d
+
+
+@pytest.mark.parametrize("case, want", [
+    (("osp12", "osp12_defining_module.json"), (12, 1, 1)),
+    (("osp12", "osp12_tensor_module.json"), (36, 2, 2)),
+    (("g2", "exterior_module.json"), (16, 4, 4)),
+    (("g3", "exterior3_module.json"), (64, 8, 8)),
+    (("gl11", "defining_module.json"), (8, 0, 0)),
+    (("sl2", "sl2_defining_module.json"), (2, 0, 0))])
+def test_the_integral_reaches_every_invariant_of_a_projective_fixture_module(case, want):
+    # P (x) F and F (x) P are projective for the quotient module P and any
+    # fixture module F, so rank M = dim W^g on both
+    f = fixture_module(*case)
+    proj, inv = quotient_module(f.alg), invariant_z(f.alg)
+    for w in (tensor_module(proj, f), tensor_module(f, proj)):
+        m = integral_matrix(w, inv)
+        rank = len(dense_rref(dense_of(m.entries, w.dim))[1])
+        assert (w.dim, rank, joint_kernel_dim(w)) == want
+
+
+def reaches_identity(w):
+    """Does the integral on End(W) = W (x) W* reach iota(id_W), the vector
+    sum_a (-1)^|a| e_a (x) e_a* at index a d + a?"""
+    d = w.dim
+    end = tensor_module(w, dual_module(w))
+    m = integral_matrix(end, invariant_z(w.alg))
+    cols = [[col.get(r, F(0)) for r in range(d * d)]
+            for col in linalg.transpose(m.entries).values()]
+    iota = [F(0)] * (d * d)
+    for a, parity in enumerate(w.parities):
+        iota[a * d + a] = F(-1 if parity else 1)
+    return len(dense_rref(cols + [iota])[1]) == len(dense_rref(cols)[1])
+
+
+def test_the_integral_on_end_w_reaches_the_identity_exactly_when_w_is_projective(osp12, gl11):
+    # W is projective relative to g0 exactly when id_W is a relative trace,
+    # that is when the integral on End(W) reaches iota(id_W)
+    gl21, gl21_v = gl_realization(2, 1)
+    gl12, gl12_v = gl_realization(1, 2)
+    projective = [fixture_module("osp12", "osp12_defining_module.json"),
+                  fixture_module("osp12", "osp12_tensor_module.json"),
+                  trivial_module(osp12), quotient_module(osp12),
+                  fixture_module("gl11", "defining_module.json"), quotient_module(gl11),
+                  fixture_module("g2", "exterior_module.json"),
+                  fixture_module("sl2", "sl2_defining_module.json"),
+                  quotient_module(gl21), quotient_module(gl12)]
+    assert [w.dim ** 2 for w in projective[-2:]] == [256, 256]
+    for w in projective:
+        assert reaches_identity(w), w
+    for w in (trivial_module(gl11), gl21_v, gl12_v):
+        assert not reaches_identity(w), w
 
 
 def test_integral_matrix_refuses_an_invariant_over_another_algebra(gl11, osp12):

@@ -121,3 +121,21 @@ def test_every_imported_name_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_only_linalg_reads_its_private_names():
+    # the other modules eliminate through linalg's public functions
+    found = []
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "linalg" else []
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} linalg.{name}"
+                      for name in names if name.startswith("_")]
+    assert found == []
