@@ -154,9 +154,12 @@ def module_from_json(obj, alg: LieSuperalgebra) -> GradedModule:
             raise InputError(f"action of {basis!r} must be a list of rows")
         nonzeros = {}
         for r, row in enumerate(rows):
+            # "0" is most cells of a tensor module, and most of its rows
+            # hold nothing else: valid, and not kept
+            if row.count("0") == len(row):
+                continue
             entries = {}
             for c, text in enumerate(row):
-                # "0" is most cells of a tensor module: valid, and not kept
                 if text != "0" and (x := _parse_once(values, text)):
                     entries[c] = x
             if entries:

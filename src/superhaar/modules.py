@@ -11,7 +11,8 @@ of the invariant composed with the projector onto the even-part
 invariants K along the image of the even actions, P = K (C K)^-1 C with C
 the coinvariants, and left invariance of the result is verified exactly
 on every call, which pins the sign conventions operationally.  The split
-is decided with ``linalg``'s public functions only.
+is decided with ``linalg``'s public functions only, on the coordinates
+that the diagonal even actions kill.
 
 The brute-force invariant search at the bottom is deliberately independent
 of the Frobenius machinery: it only uses the quotient action provided by
@@ -138,22 +139,30 @@ def _fractions(mat: linalg.Matrix, d: int) -> linalg.Matrix:
 
 def module_action(module: GradedModule, u: UEElement) -> linalg.Matrix:
     """The action matrix of an enveloping-algebra element (rho extended
-    multiplicatively along each PBW word).
+    multiplicatively along each PBW word)."""
+    q, mat = _act_on(module, u, {i: {i: 1} for i in range(module.dim)})
+    return _fractions(mat, q)
 
-    A word of degree k acts as D^-k times the product of the integer copy
-    D rho(g) along it; the terms are summed in ints over their common
-    denominator Q and divided once."""
+
+def _act_on(module: GradedModule, u: UEElement, mat: linalg.Matrix) -> tuple[int, linalg.Matrix]:
+    """q rho(u) mat in ints and the int q, for an int matrix ``mat``,
+    without forming rho(u).
+
+    A word g_1 ... g_k acts as D^-k (D rho(g_1)) (... ((D rho(g_k)) mat)),
+    applied right to left with the integer copy; the words are summed in
+    ints over their common denominator q.  ``ValueError`` when u and the
+    module live over different algebras."""
     if u.alg != module.alg:
         raise ValueError("element and module live over different algebras")
     ints, d, coeffs = module._int_rho, module._int_scale, u.terms
     q = math.lcm(*(c.denominator * d ** len(word) for word, c in coeffs.items()))
     terms = []
     for word, c in coeffs.items():
-        acc = {i: {i: 1} for i in range(module.dim)}
-        for g in word:
-            acc = linalg.mat_mul(acc, ints[g])
+        acc = mat
+        for g in reversed(word):
+            acc = linalg.mat_mul(ints[g], acc)
         terms.append((c.numerator * (q // (c.denominator * d ** len(word))), acc))
-    return _fractions(linalg.mat_comb(terms), q)
+    return q, linalg.mat_comb(terms)
 
 
 @dataclass
@@ -189,6 +198,14 @@ def check_semisimple_over_even(module: GradedModule,
     a power of the action.  The module must split exactly into joint-kernel
     plus image of the even action.  Semisimplicity of the derived part's
     action is a theorem in characteristic zero and is not re-derived here.
+
+    Both kernels are eliminated on Z, the coordinates where every even
+    action with only diagonal entries is zero (on a weight basis, the
+    weight-zero ones), from the other even actions restricted to Z: the
+    rows and columns of a diagonal action are unit pivots that the full
+    elimination would cancel from the rest, so the bases are the canonical
+    ones of the full elimination.  Where no action is diagonal, Z is every
+    coordinate.
     """
     alg = module.alg
     if even_report is None:
@@ -208,11 +225,24 @@ def check_semisimple_over_even(module: GradedModule,
 
     # the invariants K and the coinvariants C, which span the annihilator of
     # the image: the split is direct when |C| = |K| (dim K + dim image = d)
-    # and the pairing C K has rank |K| (no invariant lies in the image)
-    evens = module._int_rho[:alg.n_even]
-    invariants = linalg.nullspace((row for mat in evens for row in mat.values()), d)
-    coinvariants = linalg.nullspace((col for mat in evens
-                                     for col in linalg.transpose(mat).values()), d)
+    # and the pairing C K has rank |K| (no invariant lies in the image).
+    # Both are taken on Z: a diagonal action (the zero matrix included) has
+    # rows and columns x e_r, x != 0, for r outside Z only
+    moved, others = set(), []
+    for mat in module._int_rho[:alg.n_even]:
+        if all(len(row) == 1 and r in row for r, row in mat.items()):
+            moved.update(mat)
+        else:
+            others.append(mat)
+    z = [r for r in range(d) if r not in moved]
+    on_z = {r: t for t, r in enumerate(z)}
+
+    def kernel(vectors):
+        restricted = ({on_z[c]: x for c, x in v.items() if c in on_z} for v in vectors)
+        return [{z[t]: x for t, x in v.items()} for v in linalg.nullspace(restricted, len(z))]
+
+    invariants = kernel(row for mat in others for row in mat.values())
+    coinvariants = kernel(col for mat in others for col in linalg.transpose(mat).values())
     pairing = linalg.mat_mul(dict(enumerate(coinvariants)),
                              linalg.transpose(dict(enumerate(invariants))))
     direct = (len(coinvariants) == len(invariants)
@@ -274,22 +304,25 @@ def integral_matrix(module: GradedModule, invariant: InvariantZ,
                     projector: linalg.Matrix | None = None) -> IntegralMatrix:
     """Action of the invariant composed with the even-invariant projector.
 
-    Left invariance (rho(w) M = counit(w) M for every basis element w) is
-    verified before returning; a failure indicates a sign-convention fault
-    in the library, not bad input.  An invariant over another algebra
-    raises ``ValueError`` (``module_action``).
+    M = rho(z) P is formed without rho(z): each PBW word of z is applied,
+    right to left, to the int rows of P, whose few nonzero columns are the
+    coinvariants' support (``_act_on``).  Left invariance (rho(w) M =
+    counit(w) M for every basis element w) is verified before returning; a
+    failure indicates a sign-convention fault in the library, not bad
+    input.  An invariant over another algebra raises ``ValueError``.
     """
     alg = module.alg
     if projector is None:
         projector = invariant_projector(module)
-    # M = s^-2 (s Z)(s P), s the common denominator of Z and P, checked in ints
-    scale, (z, p) = linalg.scaled([module_action(module, invariant.z), projector])
-    m = linalg.mat_mul(z, p)
+    # M = (q t)^-1 (q rho(z)) (t P), t the common denominator of P, formed
+    # right to left on the rows of t P and checked in ints
+    t, (p,) = linalg.scaled([projector])
+    q, m = _act_on(module, invariant.z, p)
     for i in range(alg.dim):
         if linalg.mat_mul(module._int_rho[i], m):
             raise InternalInvariantError(
                 f"integral matrix is not left invariant under {alg.basis_name(i)}")
-    return IntegralMatrix(_fractions(m, scale * scale), alg.n_odd % 2)
+    return IntegralMatrix(_fractions(m, q * t), alg.n_odd % 2)
 
 
 def check_right_integral(module: GradedModule, integral: IntegralMatrix) -> bool:

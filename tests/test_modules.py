@@ -15,7 +15,7 @@ from superhaar import (GradedModule, InputError, InternalInvariantError,
                        LieSuperalgebra, NotSemisimpleError, SemisimplicityReport,
                        brute_force_quotient_invariants, check_right_integral,
                        check_semisimple_over_even, counit, integral_matrix,
-                       invariant_projector, invariant_z, linalg,
+                       invariant_projector, invariant_z, lambda_values, linalg,
                        module_action, modules, multiply, odd_subset_order, quotient_module,
                        validate_module, validate_superalgebra)
 from superhaar.algebra import even_part_structure
@@ -31,7 +31,7 @@ from reference import (dense_mul, dense_nullspace, dense_rref, dense_validate_mo
                        fraction_act_on_quotient, fraction_integral, fraction_module_action,
                        fraction_projector, fraction_right_integral, fraction_split,
                        full_oracle)
-from realizations import dual_module, gl_realization, tensor_module
+from realizations import dual_module, gl_realization, realization, tensor_module
 
 F = Fraction
 
@@ -535,17 +535,27 @@ def test_projector_check_catches_a_dropped_invariant(monkeypatch):
 
 @pytest.mark.parametrize("case", SEMISIMPLE_UNIMODULAR)
 def test_left_invariance_check_catches_a_changed_action(case, monkeypatch):
-    # the change adds row c of P to row r of the integral matrix: that breaks
-    # left invariance unless the row is zero or e_r is killed by every action
+    # the change adds row c of P to row r of the integral matrix, as a
+    # change of rho(z) by one at (r, c) would: that breaks left invariance
+    # unless the row is zero or e_r is killed by every action.  The product
+    # rho(z) P is formed by modules._act_on on the int rows of t P, as
+    # q rho(z) t P, so the change adds q times row c there
     key, filename = case
     alg, module = fixture_algebra(key), fixture_module(key, filename)
     inv = invariant_z(alg)
     proj = invariant_projector(module)
     moved = {r for i in range(alg.dim) for row in module.rho(i).values() for r in row}
-    action = module_action
+    act_on = modules._act_on
+
+    def plus_row(r, c):
+        def changed(module, u, mat):
+            q, m = act_on(module, u, mat)
+            return q, linalg.mat_comb([(1, m), (q, {r: mat.get(c, {})})])
+        return changed
+
     for r in range(module.dim):
         for c in range(module.dim):
-            monkeypatch.setattr(modules, "module_action", plus_one_at(action, r, c))
+            monkeypatch.setattr(modules, "_act_on", plus_row(r, c))
             if c in proj and r in moved:
                 with pytest.raises(InternalInvariantError):
                     integral_matrix(module, inv, proj)
@@ -593,11 +603,11 @@ def rational_change(module, rng):
     return GradedModule(module.alg, parities, action)
 
 
-def check_against_fraction_references(key, module, rng):
-    """The module layer on ``module``, a module over fixture algebra
-    ``key``, equals the Fraction references; the projector, or None when
-    the module is not semisimple."""
-    alg = fixture_algebra(key)
+def check_against_fraction_references(module, rng):
+    """The module layer on ``module`` equals the Fraction references, the
+    integral included when the algebra passes the trace condition; the
+    projector, or None when the module is not semisimple."""
+    alg = module.alg
     assert validate_module(module).ok
     u = random_element(alg, rng, max_degree=3, terms=3)
     assert module_action(module, u) == fraction_module_action(module, u)
@@ -615,7 +625,7 @@ def check_against_fraction_references(key, module, rng):
         return None
     proj = invariant_projector(module, report)
     assert proj == fraction_projector(alg, module)
-    if key in UNIMODULAR:
+    if not any(lambda_values(alg).values()):
         inv = invariant_z(alg)
         integral = integral_matrix(module, inv, proj)
         assert integral.entries == fraction_integral(alg, module, inv, proj)
@@ -629,8 +639,7 @@ def check_against_fraction_references(key, module, rng):
 def test_module_layer_matches_fraction_references_on_a_rational_change(case, seed):
     key, filename = case
     rng = random.Random(seed)
-    check_against_fraction_references(key, rational_change(fixture_module(key, filename), rng),
-                                      rng)
+    check_against_fraction_references(rational_change(fixture_module(key, filename), rng), rng)
 
 
 def test_rational_changes_reach_scales_above_one():
@@ -643,7 +652,7 @@ def test_rational_changes_reach_scales_above_one():
             rng = random.Random(seed)
             module = rational_change(fixture_module(key, filename), rng)
             big_d += module._int_scale > 1
-            proj = check_against_fraction_references(key, module, rng)
+            proj = check_against_fraction_references(module, rng)
             big_e += proj is not None and any(x.denominator > 1 for row in proj.values()
                                               for x in row.values())
     assert big_d >= 10 and big_e >= 3, (big_d, big_e)
@@ -653,8 +662,71 @@ def test_quotient_modules_match_fraction_references():
     for key in ALGEBRA_FILES:
         rng = random.Random(key)
         module = quotient_module(fixture_algebra(key))
-        check_against_fraction_references(key, module, rng)
-        check_against_fraction_references(key, rational_change(module, rng), rng)
+        check_against_fraction_references(module, rng)
+        check_against_fraction_references(rational_change(module, rng), rng)
+
+
+def permuted(module, rng):
+    """``module`` on its basis relabelled by a seeded permutation."""
+    perm = list(range(module.dim))
+    rng.shuffle(perm)           # old index t becomes perm[t]
+    parities = [0] * module.dim
+    for t, p in enumerate(module.parities):
+        parities[perm[t]] = p
+    action = {i: {perm[r]: {perm[c]: x for c, x in row.items()}
+                  for r, row in module.rho(i).items()} for i in range(module.alg.dim)}
+    return GradedModule(module.alg, parities, action)
+
+
+def gl21_with_identity():
+    """gl(2|1) with E33 replaced by the identity I on its defining module V:
+    on V (x) V*, I acts as the zero matrix, E11 and E22 diagonally, and E12
+    and E21 not."""
+    deg = [0, 0, 1]
+    units = {f"E{i + 1}{j + 1}": {i: {j: 1}} for i in range(3) for j in range(3)}
+    even = [(b, units[b]) for b in ("E11", "E22")] + [("I", identity(3))] + \
+        [(b, units[b]) for b in ("E12", "E21")]
+    odd = [(b, units[b]) for b in ("E13", "E23", "E31", "E32")]
+    _, v = realization("gl(2|1)-I", even, odd, deg)
+    return tensor_module(v, dual_module(v))
+
+
+def test_the_split_is_taken_on_the_weight_zero_coordinates(monkeypatch):
+    # both kernels are taken on Z, the coordinates where every diagonal
+    # even action is zero, from the other even actions alone: one
+    # linalg.nullspace call each, on |Z| columns.  On every module, the
+    # report, projector and integral equal the Fraction references, which
+    # eliminate all d coordinates
+    rng = random.Random(5)
+    v = gl_defining_module(2, 1)
+    vv = tensor_module(v, dual_module(v))
+    vvv = tensor_module(vv, v)
+    with_identity = gl21_with_identity()
+    assert not with_identity.rho(2) and with_identity.rho(3)
+    cases = [
+        (vvv, 0),                           # the Cartan moves every coordinate
+        (dense_change(vv, rng), 9),         # no even action is diagonal
+        (dense_change(vvv, rng), 27),
+        (with_identity, 3),                 # a zero action, Z = {e_a (x) f_a}
+        (GradedModule(v.alg, [], {}), 0),   # d = 0
+        (permuted(tensor_module(vv, vv), rng), 15),
+        # one-entry rows off the diagonal: not diagonal, so Z is every
+        # coordinate, and the split is not direct
+        (fixture_module("gl11", "jordan_module.json"), 2),
+    ]
+    nullspace = linalg.nullspace
+    for module, size in cases:
+        even_report, cols = even_part_structure(module.alg), []
+
+        def counted(rows, n):
+            cols.append(n)
+            return nullspace(rows, n)
+
+        monkeypatch.setattr(linalg, "nullspace", counted)
+        check_semisimple_over_even(module, even_report)
+        monkeypatch.setattr(linalg, "nullspace", nullspace)
+        assert cols == [size, size]
+        check_against_fraction_references(module, rng)
 
 
 def test_the_integral_on_the_quotient_module_is_not_zero():
