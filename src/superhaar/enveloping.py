@@ -5,14 +5,24 @@ a tuple of generator indices (even generators first, then odd, each part
 by index) that is non-decreasing and repeats no odd letter, since an odd
 square rewrites to half its self-bracket.  These are the canonical words
 of the rewriting kernel ``_rewrite``, which has this one term order and
-runs in exact ints.  An element keeps its value in those ints, with a
-denominator and a degree (``UEElement``), in a scale the kernel keeps, so
-``multiply`` hands it the products of the ints and stores its result as
-it is; Fractions are built only when ``terms`` is read.  Each word
-is an even prefix followed by an odd suffix x^I, so an element is
-literally the left-coefficient decomposition ``u = sum_I u_I x^I`` with
-``u_I`` in the even enveloping subalgebra, which is what the
-top-coefficient projection of the Frobenius machinery reads off directly.
+runs in exact ints.  Each word is an even prefix followed by an odd
+suffix x^I, so an element is literally the left-coefficient decomposition
+``u = sum_I u_I x^I`` with ``u_I`` in the even enveloping subalgebra,
+which is what the top-coefficient projection of the Frobenius machinery
+reads off directly.
+
+Every int of this package that stands for an element or a quotient class
+follows one rule: it is a coefficient in the integral basis x'_g = S x_g,
+over one denominator, S the algebra's integer scale (the lcm of the
+denominators of its structure constants).  In that basis the structure
+constants are S times the rational ones, exactly the ints of the
+algebra's table (``LieSuperalgebra._int_rows`` and ``_int_halves``), so
+rewriting a product of words x'_w by them gives ints again.  A PBW word w
+has x'_w = S^|w| x_w, so v at w over the denominator D stands for
+v S^|w| / D times x_w.  ``UEElement`` keeps its value so, ``multiply``
+hands the kernel the products of the ints and stores its result as it is
+over the product of the denominators, and Fractions are built only when
+``terms`` is read.
 
 Classes in the quotient U(g)/U(g)*g0 by the left ideal generated by the
 even part do not go through the kernel.  The quotient is the module
@@ -21,7 +31,8 @@ the action of each generator on x^I follows from the bracket table by a
 short recursion on the first letter of x^I (``_act``; Kac, Adv. Math. 26,
 1977; Bell and Farnsteiner, Trans. AMS 335, 1993), memoised per algebra.
 A class is kept as {bitmask of I: coefficient}, bit t standing for the
-odd generator with global index n_even + t.
+odd generator with global index n_even + t, and in ints by the same rule,
+on x'^J = S^|J| x^J.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ def _term_key(n0: int, word: tuple[int, ...]):
 class _Slots:
     """The storage of a ``UEElement``, writable while ``_trusted`` fills it."""
 
-    __slots__ = ("alg", "_ints", "_den", "_deg")
+    __slots__ = ("alg", "_ints", "_den")
 
 
 _new = object.__new__
@@ -84,17 +95,13 @@ class UEElement(_Slots):
     PBW words over a fixed algebra.  Values are immutable; all arithmetic
     allocates fresh results.
 
-    The value is kept in the rewriting kernel's integers: ``_ints`` =
-    {PBW word: nonzero int}, a denominator ``_den`` and a degree ``_deg``
-    no smaller than the longest word, where v at word w stands for
-    v / (_den * S^(_deg - |w|)), S the algebra's integer scale.  A product
-    multiplies the denominators, adds the degrees and makes one ``_rewrite``
-    call, which keeps that scale.  ``terms`` = {PBW word: Fraction} is
-    decoded from the ints afresh on each read and is not stored.
+    The value is ``_ints`` = {PBW word: nonzero int} over the positive
+    denominator ``_den``, by the rule of the module docstring.  ``terms``
+    = {PBW word: Fraction} is decoded from the ints afresh on each read
+    and is not stored.
 
-    The public constructor checks every word and scalar, and encodes at
-    the lcm of the denominators and the longest word's degree.  Results of
-    the library's own arithmetic are built by ``_trusted``, which stores its
+    The public constructor checks every word and scalar.  Results of the
+    library's own arithmetic are built by ``_trusted``, which stores its
     ints as given."""
 
     __slots__ = ()
@@ -117,18 +124,18 @@ class UEElement(_Slots):
         den = math.lcm(*(c.denominator for c in acc.values()))
         deg = max(map(len, acc), default=0)
         return cls._trusted(alg, {w: c.numerator * (den // c.denominator) * scale ** (deg - len(w))
-                                  for w, c in acc.items()}, den, deg)
+                                  for w, c in acc.items()}, den * scale ** deg)
 
     @classmethod
-    def _trusted(cls, alg: LieSuperalgebra, ints: dict, den: int = 1, deg: int = 0) -> UEElement:
+    def _trusted(cls, alg: LieSuperalgebra, ints: dict, den: int = 1) -> UEElement:
         """The element with ``ints`` stored as given, unchecked: the caller
-        guarantees PBW words of ``alg`` no longer than ``deg``, nonzero int
-        values and a positive int ``den``."""
+        guarantees PBW words of ``alg``, nonzero int values and a positive
+        int ``den``."""
         # a _Slots is filled by plain assignment, then becomes a UEElement,
         # whose layout is the same: twice as fast as setting each slot
         # through object.__setattr__
         self = _new(_Slots)
-        self.alg, self._ints, self._den, self._deg = alg, ints, den, deg
+        self.alg, self._ints, self._den = alg, ints, den
         self.__class__ = UEElement
         return self
 
@@ -139,11 +146,10 @@ class UEElement(_Slots):
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        den, deg, scale = self._den, self._deg, self.alg._int_scale
+        den, scale = self._den, self.alg._int_scale
         if den == scale == 1:
             return {w: _SMALL[v] if v in _SMALL else Fraction(v) for w, v in self._ints.items()}
-        dens = [den * scale ** e for e in range(deg + 1)]
-        return {w: Fraction(v, dens[deg - len(w)]) for w, v in self._ints.items()}
+        return {w: Fraction(v * scale ** len(w), den) for w, v in self._ints.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -163,7 +169,7 @@ class UEElement(_Slots):
     def generator(cls, alg, i: int):
         if not 0 <= i < alg.dim:
             raise ValueError(f"generator index {i} out of range")
-        return cls._trusted(alg, {(i,): 1}, 1, 1)
+        return cls._trusted(alg, {(i,): 1}, alg._int_scale)
 
     # -- queries -------------------------------------------------------------
 
@@ -178,15 +184,14 @@ class UEElement(_Slots):
 
     def _combine(self, other, sign: int) -> UEElement:
         """self + sign * other: the ints merge as they are at one
-        (denominator, degree); otherwise each side is first scaled to the
-        lcm of the denominators and the larger degree."""
+        denominator; otherwise each side is first scaled to the lcm."""
         self._check(other)
-        a, den, deg = self._ints, self._den, self._deg
-        if den != other._den or deg != other._deg:
-            scale, den, deg = self.alg._int_scale, math.lcm(den, other._den), max(deg, other._deg)
-            fa = den // self._den * scale ** (deg - self._deg)
+        a, den = self._ints, self._den
+        if den != other._den:
+            den = math.lcm(den, other._den)
+            fa = den // self._den
             a = {w: v * fa for w, v in a.items()}
-            sign *= den // other._den * scale ** (deg - other._deg)
+            sign *= den // other._den
         out = dict(a)
         for w, v in other._ints.items():
             v = out.get(w, 0) + sign * v
@@ -194,7 +199,7 @@ class UEElement(_Slots):
                 out[w] = v
             else:
                 del out[w]
-        return UEElement._trusted(self.alg, out, den, deg)
+        return UEElement._trusted(self.alg, out, den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -203,8 +208,7 @@ class UEElement(_Slots):
         return self._combine(other, -1)
 
     def __neg__(self):
-        return UEElement._trusted(self.alg, {w: -v for w, v in self._ints.items()},
-                                  self._den, self._deg)
+        return UEElement._trusted(self.alg, {w: -v for w, v in self._ints.items()}, self._den)
 
     def __mul__(self, other):
         if isinstance(other, UEElement):
@@ -214,7 +218,7 @@ class UEElement(_Slots):
             return UEElement.zero(self.alg)
         n = c.numerator
         return UEElement._trusted(self.alg, {w: n * v for w, v in self._ints.items()},
-                                  self._den * c.denominator, self._deg)
+                                  self._den * c.denominator)
 
     def __rmul__(self, other):
         return self * other
@@ -224,13 +228,11 @@ class UEElement(_Slots):
                 and (self.alg is other.alg or self.alg == other.alg)):
             return False
         a, b = self._ints, other._ints
-        if self._den == other._den and self._deg == other._deg:
+        da, db = self._den, other._den
+        if da == db:
             return a == b
-        # v / (d * S^(e - |w|)) = v' / (d' * S^(e' - |w|)) exactly when
-        # v * d' * S^e' = v' * d * S^e
-        scale = self.alg._int_scale
-        fa, fb = other._den * scale ** other._deg, self._den * scale ** self._deg
-        return a.keys() == b.keys() and all(v * fa == b[w] * fb for w, v in a.items())
+        # v / d = v' / d' exactly when v * d' = v' * d
+        return a.keys() == b.keys() and all(v * db == b[w] * da for w, v in a.items())
 
     def __hash__(self):
         return hash((self.alg, frozenset(self.terms.items())))
@@ -278,15 +280,10 @@ def _rewrite(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], int]:
     order in every word a step makes, so the scan for the next one starts
     one letter before it.
 
-    The algebra's integer table holds [a, b] * S and, for odd a,
-    [a, a] / 2 * S, with S the lcm of their denominators
-    (``LieSuperalgebra._int_rows``).  A transposition keeps the degree and
-    the weight's scale; a bracket or square step lowers the degree by
-    exactly 1 and multiplies by an entry of the table, which is the
-    rational constant times S.  So if every head of degree d carries
-    K * S^(e - d) times a rational coefficient, for some K and e, every
-    output word of degree d carries the same K * S^(e - d) times its
-    rational coefficient.
+    A bracket or square step multiplies by an int of the algebra's table,
+    [a, b] or [a, a] / 2 in the integral basis of the module docstring, so
+    the output ints are the coefficients of the heads in that basis, over
+    the heads' denominator.
     """
     rows, halves, parity = alg._int_rows, alg._int_halves, alg._letter_parity
     stack = [(w, v, 0) for w, v in heads]
@@ -318,37 +315,37 @@ def _rewrite(alg: LieSuperalgebra, heads) -> dict[tuple[int, ...], int]:
 def multiply(a: UEElement, b: UEElement) -> UEElement:
     """Product in the enveloping algebra, in even-first normal form: the
     kernel's canonical words are the PBW words of the result.  The ints of
-    the term pairs multiply, as do the denominators, and the degrees add.
+    the term pairs multiply, as do the denominators.
     A pure scalar factor (its one word is the empty word) scales the other
     factor's ints, which are on PBW words already, with no kernel call."""
     a._check(b)
     alg, x, y = a.alg, a._ints, b._ints
-    den, deg = a._den * b._den, a._deg + b._deg
+    den = a._den * b._den
     for s, u in ((x, y), (y, x)):
         if len(s) == 1 and () in s:
             c = s[()]
-            return UEElement._trusted(alg, {w: c * v for w, v in u.items()}, den, deg)
+            return UEElement._trusted(alg, {w: c * v for w, v in u.items()}, den)
     out = _rewrite(alg, [(w1 + w2, v1 * v2) for w1, v1 in x.items() for w2, v2 in y.items()])
-    return UEElement._trusted(alg, {w: v for w, v in out.items() if v}, den, deg)
+    return UEElement._trusted(alg, {w: v for w, v in out.items() if v}, den)
 
 
 def counit(a: UEElement) -> Fraction:
     """Coefficient of the empty word."""
-    return Fraction(a._ints.get((), 0), a._den * a.alg._int_scale ** a._deg)
+    return Fraction(a._ints.get((), 0), a._den)
 
 
 def alpha(alg: LieSuperalgebra, terms: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
     """The automorphism of the even enveloping subalgebra sending each even
     generator X to X + tr(ad'(X)), extended multiplicatively, on
-    {PBW word: int} in the kernel's integers (a word w carrying S^(e - |w|)
-    times its coefficient, for some e).  The traces are the algebra's own.
+    {PBW word: int} in the integral basis of the module docstring, where it
+    sends x'_X to x'_X + S tr(ad'(X)).  The traces are the algebra's own.
     When every letter has trace zero, ``terms`` is returned as it is.
 
     No rewriting is needed.  A PBW word of the element is a non-decreasing
     run of even letters, so the ordered product of its X_g + tr(ad'(X_g))
     is the sum over the word's subsequences, each itself a PBW word,
     weighted by the traces of the letters left out, each tr(ad'(X_g)) * S:
-    an int, since S clears the table's denominators."""
+    an int of the table."""
     if any(w and w[-1] >= alg.n_even for w in terms):
         raise ValueError("twist automorphism is defined on the even subalgebra only")
     lam = alg._int_traces
@@ -373,8 +370,8 @@ def alpha(alg: LieSuperalgebra, terms: dict[tuple[int, ...], int]) -> dict[tuple
 # -- the quotient U(g)/U(g)*g0 --------------------------------------------------
 
 def _act(alg: LieSuperalgebra, g: int, mask: int) -> tuple[tuple[int, int], ...]:
-    """The class of x_g * x^mask in U(g)/U(g)*g0, as pairs (J, v): v stands
-    for v / S^(|mask| + 1 - |J|) times x^J, S the algebra's integer scale.
+    """The class of x'_g * x'^mask in U(g)/U(g)*g0, as pairs (J, v) of
+    exact ints: v times x'^J, in the integral basis of the module docstring.
 
     With s = min mask, x^mask = x_s * x^rest, and:
     - an odd x_t with t < s, or any odd x_t on mask 0, gives x^(mask + t);
@@ -382,15 +379,20 @@ def _act(alg: LieSuperalgebra, g: int, mask: int) -> tuple[tuple[int, int], ...]
     - any other x_g moves past x_s:
       x_g * x_s * x^rest = (-1)^|g| x_s * (x_g * x^rest) + [x_g, x_s] * x^rest;
     - an even x_g on mask 0 gives 0, since x_g lies in U(g)*g0.
-    A bracket or square step lowers the degree by 1 and multiplies by a
-    table entry, the rational constant times S, so the scale stays exact.
+    The brackets and squares are the ints of the table.
 
     Termination: no step adds a letter, so no mask in the class of
     x_g * x^rest is longer than ``mask``.  Each call here recurses to a
     shorter mask, or to a mask of the same length under x_s, which is odd
     and precedes g when the odd letters come by index and every even
-    letter after them.  So a chain of nested calls has at most m + 1 calls
-    per mask length, (m + 1)^2 in all.
+    letter after them.  So on any table a chain of nested calls has at
+    most m + 1 calls per mask length, (m + 1)^2 in all.  On a table that
+    respects parity no bracket adds an odd letter, so the only mask of
+    length |mask| in the class of x_g * x^rest is rest + g, for an odd g
+    not in rest, and x_s on it, with s below all its letters, is a leaf:
+    every call that recurses is on a shorter mask than its caller, and a
+    chain has at most |mask| + 1 <= m + 1 calls.  That is the depth
+    measured on gl(4|2), m = 16, with an empty memo.
 
     Results are memoised in ``alg._quotient_memo`` for the lifetime of the
     algebra."""
@@ -422,7 +424,7 @@ def _act(alg: LieSuperalgebra, g: int, mask: int) -> tuple[tuple[int, int], ...]
 
 
 def _apply(alg: LieSuperalgebra, g: int, cls) -> tuple[tuple[int, int], ...]:
-    """x_g times an integer class: one degree more in the scale of ``_act``."""
+    """x'_g times an integer class, in the basis of ``_act``."""
     acc: dict[int, int] = defaultdict(int)
     for mask, v in cls:
         for j, w in _act(alg, g, mask):
@@ -430,29 +432,19 @@ def _apply(alg: LieSuperalgebra, g: int, cls) -> tuple[tuple[int, int], ...]:
     return tuple((j, v) for j, v in acc.items() if v)
 
 
-def _rational_class(alg: LieSuperalgebra, parts) -> dict[int, Fraction]:
-    """The sum of c * cls over ``parts`` (c, d, cls), each cls an integer
-    class of degree d: v at J stands for v / S^(d - |J|)."""
-    if not parts:
-        return {}
+def _class(alg: LieSuperalgebra, ints, den: int) -> dict[int, Fraction]:
+    """The class of the nonzero pairs (J, v) of ``ints`` over ``den``, on
+    the basis x^J."""
     scale = alg._int_scale
-    den = math.lcm(*(c.denominator for c, _, _ in parts))
-    top = max(d for _, d, _ in parts)
-    acc: dict[int, int] = defaultdict(int)
-    for c, d, cls in parts:
-        f = c.numerator * (den // c.denominator) * scale ** (top - d)
-        for j, v in cls:
-            acc[j] += f * v
-    return {j: Fraction(v, den * scale ** (top - j.bit_count()))
-            for j, v in acc.items() if v}
+    return {j: Fraction(v * scale ** j.bit_count(), den) for j, v in ints if v}
 
 
 def _int_action_rows(alg: LieSuperalgebra, g: int) -> dict[int, dict[int, int]]:
     """The nonzero rows of x_g on the 2^m classes x^mask, in ints, by row
-    J.  The pair (J, v) of ``_act(alg, g, mask)`` stands for the entry
-    v / S^(|mask| + 1 - |J|) at row J and column mask, so row J times
-    S^(m + 1 - |J|) holds the int v * S^(m - |mask|) at each mask.
-    Scaling a row keeps the row space, and so the kernel."""
+    J: v * S^(m - |mask|) at each mask for the pair (J, v) of
+    ``_act(alg, g, mask)``, which by the rule of the module docstring is
+    S^(m + 1 - |J|) times the rational entry.  Scaling a row keeps the row
+    space, and so the kernel."""
     m = alg.n_odd
     factor = [alg._int_scale ** (m - k) for k in range(m + 1)]
     rows: dict[int, dict[int, int]] = defaultdict(dict)
@@ -466,9 +458,8 @@ def _int_action_rows(alg: LieSuperalgebra, g: int) -> dict[int, dict[int, int]]:
 def quotient_project(a: UEElement) -> dict[int, Fraction]:
     """Class of ``a`` in the quotient by the left ideal generated by the
     even part, expressed over the exterior basis x^I: I -> coefficient.
-    Each word acts letter by letter, last letter first, on the class of 1.
-    A word w carries 1 / (D * S^(e - |w|)) in the ints of ``a`` and its
-    class 1 / S^(|w| - |J|) at J, so every J carries 1 / (D * S^(e - |J|))."""
+    Each word acts letter by letter, last letter first, on the class of 1,
+    in the ints of ``a`` over its denominator."""
     alg = a.alg
     acc: dict[int, int] = defaultdict(int)
     for word, v in a._ints.items():
@@ -477,8 +468,7 @@ def quotient_project(a: UEElement) -> dict[int, Fraction]:
             cls = _apply(alg, g, cls)
         for j, x in cls:
             acc[j] += v * x
-    den, deg, scale = a._den, a._deg, alg._int_scale
-    return {j: Fraction(v, den * scale ** (deg - j.bit_count())) for j, v in acc.items() if v}
+    return _class(alg, acc.items(), a._den)
 
 
 def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -488,5 +478,10 @@ def act_on_quotient(alg: LieSuperalgebra, i: int, cls: dict[int, Fraction]) -> d
     if type(i) is not int or not 0 <= i < alg.dim:
         raise ValueError(f"generator index {i} out of range")
     checked = [(_check_mask(alg, mask), as_scalar(c)) for mask, c in cls.items()]
-    return _rational_class(alg, [(c, mask.bit_count() + 1, _act(alg, i, mask))
-                                 for mask, c in checked])
+    # c x^mask is c / S^|mask| times x'^mask, over one denominator
+    scale = alg._int_scale
+    dens = [c.denominator * scale ** mask.bit_count() for mask, c in checked]
+    den = math.lcm(*dens)
+    ints = [(mask, c.numerator * (den // d)) for (mask, c), d in zip(checked, dens)]
+    # x_i = x'_i / S
+    return _class(alg, _apply(alg, i, ints), den * scale)

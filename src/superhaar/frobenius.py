@@ -21,17 +21,16 @@ Trans. AMS 335, 1993).  The products are built along prefixes,
 x^I x_t = x_s (x^{I - s} x_t) with s = min I, one ``multiply`` by a
 generator each, which is associative on a table that passes validation
 (the CLI validates every algebra first); the benchmark's tracer counts
-these calls.  Every element keeps its value in the rewriting kernel's
-integers (``UEElement``), S the algebra's integer scale.  A chain product
-x^I x_t is built at denominator 1 and degree |I| + 1, and splitting its
-words at their first odd letter gives each left coefficient at
-denominator 1 and degree |I| + 1 - |J| with no rescaling.  So an entry at
-(i, k) of A or of its inverse is an element at denominator 1 and degree
-|I_i| - |I_k|, and since ``_rewrite`` keeps the scale, an (i, k) entry
-times a (k, j) entry lands at (i, j), as one ``multiply`` call.  The
-counit is an algebra map on the even subalgebra, so the same pass on the
-counits, plain ints, gives counit(A), whose column zero is all
-``invariant_z`` needs without a matrix.  counit(A) is block diagonal by
+these calls.  Every element keeps its ints by the enveloping layer's rule
+(``UEElement``).  A chain product x^I x_t is over S^(|I| + 1), S the
+algebra's integer scale, and splitting its words at their first odd
+letter gives each left coefficient with the same ints over
+S^(|I| + 1 - |J|).  So an entry at (i, k) of A or of its inverse is over
+S^(|I_i| - |I_k|), and an (i, k) entry times a (k, j) entry is one
+``multiply`` call over the denominator of (i, j).  The counit is an
+algebra map on the even subalgebra, so the same pass on the counits,
+plain ints, gives counit(A), whose column zero is all ``invariant_z``
+needs without a matrix.  counit(A) is block diagonal by
 the weights of the even basis elements that act diagonally on the odd
 basis (``_odd_weights``), and column zero lies in the block of the empty
 set, so that pass builds only that block and the products it reads.  Both
@@ -98,21 +97,22 @@ def odd_subset_order(m: int) -> tuple[int, ...]:
 def _even_ints(u: UEElement) -> dict[int, UEElement]:
     """The nonzero left coefficients u_J of a chain product
     u = sum_J u_J x^J, by mask J: each PBW word of u splits at its first
-    odd letter, and u_J keeps the ints of its prefixes as they are, at the
-    degree of u less |J|."""
+    odd letter, and u_J keeps the ints of its prefixes as they are, over
+    the denominator of u divided by S^|J|, exact since u is a product of
+    generators, each over S."""
     alg, n0 = u.alg, u.alg.n_even
     parts: dict = defaultdict(dict)
     for w, v in u._ints.items():
         k = bisect_left(w, n0)
         parts[_odd_mask(n0, w[k:])][w[:k]] = v
-    den, deg = u._den, u._deg
-    return {j: UEElement._trusted(alg, t, den, deg - j.bit_count()) for j, t in parts.items()}
+    den, scale = u._den, alg._int_scale
+    return {j: UEElement._trusted(alg, t, den // scale ** j.bit_count()) for j, t in parts.items()}
 
 
 def _counit_ints(u: UEElement) -> dict[int, int]:
-    """The nonzero counits of the left coefficients of a chain product u
-    at denominator 1, by mask J, as ints in the scale of ``_even_ints``:
-    the words with no even letter."""
+    """The nonzero counits of the left coefficients of a chain product u,
+    by mask J, as the ints of ``_even_ints``, over its denominators: the
+    words with no even letter."""
     n0 = u.alg.n_even
     return {_odd_mask(n0, w): v for w, v in u._ints.items() if not w or w[0] >= n0}
 
@@ -248,7 +248,7 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one,
              weights=None) -> dict:
     """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}>, or its
     image under a ring map phi on the even subalgebra, as rows of nonzeros
-    indexed by position in ``order``, in the graded int scale.
+    indexed by position in ``order``.
     ``read(u)`` maps a chain product u = sum_J u_J x^J to the nonzero
     phi(u_J) by mask J, and ``one`` is the unit of phi's ring, whose
     elements are true exactly when nonzero.
@@ -310,8 +310,8 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one,
 def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[int]:
     """The counit of column zero b of the inverse of the pairing matrix A,
     from counit(A) alone: counit(A) * counit(b) = e_0, solved and checked
-    like A itself, in ints; entry i of the solved column carries S^|I_i|,
-    the empty-word int of the entry at degree |I_i|.
+    like A itself, in ints; entry i is the empty-word int of the inverse
+    entry, over S^|I_i|.
 
     counit(A)[I][K] is zero unless wt(I) = wt(K) (``_pairing``), so
     counit(A) is block diagonal by weight, and so is its inverse: column
@@ -348,12 +348,11 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
 
 
 def _prefix_pairings(alg: LieSuperalgebra, y: dict, memo: dict) -> list[dict]:
-    """The top parts of x^I y for every odd subset I, y given as
-    {PBW word: int} in the rewriting kernel's integers: ``tops[mask]``
-    holds the PBW words of x^I y with all m odd letters, each with its
-    nonzero int value.  If a word of degree L of y carries K * S^(e - L)
-    times its coefficient, one of x^I y carries K * S^(e + |I| - L); its
-    even prefix is a word of pi(x^I y).
+    """The top parts of x'^I y for every odd subset I, y given as
+    {PBW word: int} in the enveloping layer's integral basis:
+    ``tops[mask]`` holds the PBW words of x'^I y with all m odd letters,
+    each with its nonzero int value; its even prefix is a word of
+    pi(x^I y).
 
     The products are built along prefixes: x^I y = x_s (x^{I - s} y) with
     s = min I, one multiplication by a generator each.  No rewriting step
@@ -373,7 +372,6 @@ def _prefix_pairings(alg: LieSuperalgebra, y: dict, memo: dict) -> list[dict]:
     nor memoised.  An empty product x^{I - s} y gives an empty x^I y with
     no loop, and the top parts are read from the nonempty products only.
 
-    The chain runs in ints (``_rewrite``), which keep their scale.
     ``_rewrite`` is linear in the head weights, so each head x_s w is
     rewritten once, with weight 1, and pruned at the floor m - s that its
     first letter fixes; ``memo`` maps the head to the kept (word, int)
@@ -415,17 +413,16 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     """Elements y^I with <x^I, y^J> = delta_IJ, in the subset order.
 
     y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]), from the sparse
-    int rows of the inverse with no rescaling: every word of degree L of
-    y^I carries S^(m - |I| - L).  Duality is verified exhaustively before
-    returning, every cell compared exactly in the kernel's integers
-    (``_prefix_pairings``, whose memo of prefix heads lives for this call
-    only).  pi(x^I y^J) = delta_IJ says that x^I y^J has no word with all
-    m odd letters unless I = J, and then exactly the bare x^top, with value
-    1.  So an off-diagonal cell fails when its top part is nonempty, and
-    the diagonal cell when its top part is not {x^top: 1}.  The first
-    failure in row order is reported.  The check prunes the products it
-    forms, which needs a graded bracket table: raises ``ValueError`` on
-    any other.
+    int rows of the inverse as they are, over S^(m - |I|).  Duality is
+    verified exhaustively before returning, every cell compared exactly in
+    ints (``_prefix_pairings``, whose memo of prefix heads lives for this
+    call only).  pi(x^I y^J) = delta_IJ says that x^I y^J has no word with
+    all m odd letters unless I = J, and then exactly the bare x^top, whose
+    int is 1 in x'^I y^I.  So an off-diagonal cell fails when its top part
+    is nonempty, and the diagonal cell when its top part is not
+    {x^top: 1}.  The first failure in row order is reported.  The check
+    prunes the products it forms, which needs a graded bracket table:
+    raises ``ValueError`` on any other.
 
     ``alpha`` returns an inverse entry as it is when none of its letters
     has a nonzero trace, so under the trace condition no entry is twisted.
@@ -451,7 +448,9 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
         failures += [(i, j) for i, mask in enumerate(fm.order) if tops[mask] and i != j]
     if failures:
         raise InternalInvariantError("dual pair fails at ({}, {})".format(*min(failures)))
-    return [UEElement._trusted(alg, y, 1, m - mask.bit_count()) for y, mask in zip(ys, fm.order)]
+    scale = alg._int_scale
+    return [UEElement._trusted(alg, y, scale ** (m - mask.bit_count()))
+            for y, mask in zip(ys, fm.order)]
 
 
 @dataclass(frozen=True)
@@ -493,10 +492,11 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
         order = fm.order
         column = [row[0]._ints.get((), 0) for row in fm.inverse]
     top = (1 << m) - 1
-    # entry i of the column carries S^|I_i| = S^(m - |x^{complement(I_i)}|),
-    # and the complements are distinct words, so each term is stored once
+    # entry c of the column is over S^|I_i|, and on the complement's word,
+    # of m - |I_i| letters, the same c over S^m has that value; the
+    # complements are distinct words, so each term is stored once
     z = UEElement._trusted(alg, {_odd_word(alg, top ^ mask): c
-                                 for mask, c in zip(order, column) if c}, 1, m)
+                                 for mask, c in zip(order, column) if c}, alg._int_scale ** m)
 
     z_class = quotient_project(z)
     certificate = {}

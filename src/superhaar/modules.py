@@ -371,9 +371,8 @@ def quotient_module(alg: LieSuperalgebra, name: str = "") -> GradedModule:
     as a graded module with basis the odd-subset classes in cardinality
     order.  For a purely odd abelian algebra this is the exterior algebra
     on the odd generators with generators acting by left multiplication.
-
-    Row J of ``_int_action_rows`` is S^(m + 1 - |J|) times the rational
-    row, S the algebra's integer scale."""
+    Its rows are those of ``_int_action_rows``, divided by the power of S
+    that its docstring gives."""
     m, scale = alg.n_odd, alg._int_scale
     order = odd_subset_order(m)
     pos = {mask: t for t, mask in enumerate(order)}

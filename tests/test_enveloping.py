@@ -274,13 +274,46 @@ def _quotient_cases(rng):
     return algs + UNGRADED
 
 
+def _scale_classes(alg, rng):
+    """Classes on every odd mask, so of every length, and PBW elements on
+    every odd mask after a random even prefix, with coefficients whose
+    denominators are S, its least prime factor, a prime coprime to S and
+    1, each of the four on a quarter of the masks, at random."""
+    scale, m = alg._int_scale, alg.n_odd
+    divisor = min(d for d in range(2, scale + 1) if scale % d == 0)
+    coprime = next(p for p in (7, 11, 13, 17, 19, 23) if math.gcd(p, scale) == 1)
+    dens = (scale, divisor, coprime, 1)
+    classes, elements = [], []
+    for _ in range(4):
+        picks = [dens[mask % 4] for mask in range(1 << m)]
+        rng.shuffle(picks)
+        classes.append({mask: F(rng.choice((-3, -1, 1, 2, 5)), d)
+                        for mask, d in enumerate(picks)})
+        terms = {}
+        for mask, d in enumerate(picks):
+            even = [0] * alg.n_even
+            for _ in range(rng.randint(0, 2) if alg.n_even else 0):
+                even[rng.randrange(alg.n_even)] += 1
+            terms[pbw(alg, even, mask)] = F(rng.choice((-3, -1, 1, 2, 5)), d)
+        elements.append(UEElement(alg, terms))
+    return classes, elements
+
+
 def test_quotient_matches_odd_first_reference(rng):
-    for alg in _quotient_cases(rng):
+    for alg in _quotient_cases(rng) + _scaled_algebras():
         for _ in range(4):
             u = random_element(alg, rng, max_degree=3, terms=4)
             assert quotient_project(u) == fraction_quotient_project(u), alg.name
         classes = [{mask: F(1)} for mask in range(1 << alg.n_odd)]
         classes.append({mask: F(mask - 2, 3) for mask in range(1 << alg.n_odd)})
+        elements = []
+        if alg._int_scale > 1:
+            # the integral basis S x_g, S > 1: a class of every length
+            # encodes over one denominator
+            more, elements = _scale_classes(alg, rng)
+            classes += more
+        for u in elements:
+            assert quotient_project(u) == fraction_quotient_project(u), alg.name
         for cls in classes:
             cls = {mask: c for mask, c in cls.items() if c}
             for i in range(alg.dim):
@@ -300,9 +333,49 @@ def test_elements_ending_in_an_even_letter_have_zero_class(rng):
             assert quotient_project(v) == {} == fraction_quotient_project(v), alg.name
 
 
+class _NoMemo(dict):
+    """A memo that keeps nothing, so that every call recurses in full."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_act_nests_one_call_per_mask_length_on_graded_tables(rng, monkeypatch):
+    # the bound of _act's docstring: on a table that respects parity a
+    # chain of nested calls from (g, mask) has at most |mask| + 1 calls,
+    # checked on every call without the memo
+    algs = [gl_supermatrix_units(2, 1), rescaled_algebra(gl_supermatrix_units(2, 1))]
+    while len(algs) < 8:
+        alg = random_small_superalgebra(rng, max_dim=6)
+        if alg.n_odd >= 3:
+            algs += [alg, random_odd_basis_change(alg, rng)[0]]
+    real, depth = enveloping._act, [0, 0]
+
+    def counting(alg, g, mask):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return real(alg, g, mask)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(enveloping, "_act", counting)
+    deepest = 0
+    for alg in algs:
+        assert alg._parity_graded, alg.name
+        monkeypatch.setattr(alg, "_quotient_memo", _NoMemo())
+        for g in range(alg.dim):
+            for mask in range(1 << alg.n_odd):
+                depth[1] = 0
+                enveloping._act(alg, g, mask)
+                assert depth[1] <= mask.bit_count() + 1, (alg.name, g, mask)
+                deepest = max(deepest, depth[1] - mask.bit_count())
+    assert deepest == 1
+
+
 def test_every_generator_kills_the_top_class_of_gl42():
     # m = 16, on the default recursion limit: a chain of nested calls of
-    # the recursion is at most (m + 1)^2 = 289 calls long
+    # the recursion is at most m + 1 = 17 calls long on this graded table
     assert sys.getrecursionlimit() <= 1000
     alg = gl_supermatrix_units(4, 2)
     top = (1 << alg.n_odd) - 1
@@ -541,14 +614,13 @@ def test_library_results_store_only_checked_terms(rng):
             assert_checked(u)
 
 
-# -- the integer form: ints, a denominator and a degree -----------------------
+# -- the integer form: ints over one denominator -------------------------------
 
 def at_scale(u, k, e):
-    """``u`` stored at k times its denominator and e above its degree: the
-    same value in other ints."""
-    scale = u.alg._int_scale
-    return UEElement._trusted(u.alg, {w: v * k * scale ** e for w, v in u._ints.items()},
-                              u._den * k, u._deg + e)
+    """``u`` stored at k * S^e times its denominator: the same value in
+    other ints."""
+    f = k * u.alg._int_scale ** e
+    return UEElement._trusted(u.alg, {w: v * f for w, v in u._ints.items()}, u._den * f)
 
 
 def _scaled_algebras():
@@ -559,7 +631,7 @@ def _scaled_algebras():
 
 
 def test_arithmetic_across_scales_matches_the_fraction_reference(rng):
-    # the operands are the same values at several (denominator, degree);
+    # the operands are the same values over several denominators;
     # every result equals the Fraction reference, term by term
     for alg in _scaled_algebras():
         for _ in range(4):
@@ -587,7 +659,7 @@ def test_equal_values_at_different_scales_are_equal(rng):
         for u in [mixed_element(alg, rng) for _ in range(3)] + [UEElement.zero(alg)]:
             for k, e in [(1, 1), (4, 0), (3, 2)]:
                 v = at_scale(u, k, e)
-                assert (v._den, v._deg) != (u._den, u._deg)
+                assert v._den != u._den
                 assert v == u and u == v and hash(v) == hash(u) and v.terms == u.terms
                 assert not v != u
             if u:
@@ -610,7 +682,7 @@ def test_a_kernel_result_decodes_its_terms_once(monkeypatch):
     # once per read: each read of ``terms`` decodes the ints into a new dict
     u = _product_of_two_terms()
     # the ints are the only value an element stores
-    assert _Slots.__slots__ == ("alg", "_ints", "_den", "_deg")
+    assert _Slots.__slots__ == ("alg", "_ints", "_den")
     assert isinstance(UEElement.terms, property)
     built, real = [], enveloping.Fraction
 

@@ -65,11 +65,11 @@ def test_pi_is_the_top_left_coefficient(rng):
         for _ in range(6):
             u = random_element(alg, rng, max_degree=4, terms=6)
             # the reader splits the ints of u as they are; its coefficient
-            # of x^top keeps u's denominator at u's degree less m
+            # of x^top is over u's denominator divided by S^m
             top_part = frobenius._even_ints(u).get(top, UEElement.zero(alg))
             assert pi(u) == top_part, alg.name
-            assert not top_part or (top_part._den, top_part._deg) == \
-                (u._den, u._deg - alg.n_odd), alg.name
+            assert not top_part or \
+                top_part._den == u._den // alg._int_scale ** alg.n_odd, alg.name
 
 
 def test_form_examples(g2):
@@ -877,13 +877,13 @@ def test_pairing_matches_form_on_random_algebras(rng):
 
 
 def assert_pairing_matches_raw_products(alg):
-    # the pass builds x^I x_t along prefixes and reads it in the graded int
-    # scale, cell (i, k) carrying S^(|I_i| - |I_k| - |w|) at a word w; the
-    # reference rewrites each raw word x^I x_t in Fraction arithmetic
+    # the pass builds x^I x_t along prefixes and keeps its ints, cell (i, k)
+    # over S^(|I_i| - |I_k|); the reference rewrites each raw word x^I x_t
+    # in Fraction arithmetic
     order = odd_subset_order(alg.n_odd)
     size = {i: mask.bit_count() for i, mask in enumerate(order)}
     even = frobenius._pairing(alg, order, frobenius._even_ints, UEElement.one(alg))
-    assert all((x._den, x._deg) == (1, size[i] - size[k])
+    assert all(x._den == alg._int_scale ** (size[i] - size[k])
                for i, row in even.items() for k, x in row.items()), alg.name
     assert even == fraction_pairing(alg, order, left_coefficients, UEElement.one(alg)), alg.name
     counits = frobenius._pairing(alg, order, frobenius._counit_ints, 1)
