@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .linalg import ONE
+from .linalg import ONE, ZERO
 
 EVEN = 0
 ODD = 1
@@ -315,6 +315,14 @@ def _relation_failures(alg: LieSuperalgebra, cols, lhs: int, rhs: int, *,
     basis vector k.  Only a column where P(a), P(b) or some P(t) with t in
     [a,b] has an entry can be nonzero, and only those are visited.
 
+    Where P(a) has only diagonal entries delta and [a,b] is c b or 0 (c
+    the table's int), entry (s, k) of the relation is P(b)[s][k] (lhs
+    (delta_s - (-1)^{p(a)p(b)} delta_k) - rhs c), so one pass over P(b)'s
+    nonzeros decides the pair; likewise P(a)'s where P(b) is diagonal and
+    [a,b] = c a.  On a weight basis these are the pairs of a Cartan element
+    with a basis vector.  A pair that fails this reading is computed column
+    by column like every other, so the failing columns are the same.
+
     Each unordered pair a <= b is visited once.  Where the table is super
     antisymmetric at the pair, [b,a] = -(-1)^{p(a)p(b)} [a,b] as int
     tuples, the relation at (b, a) is -(-1)^{p(a)p(b)} times the relation
@@ -331,9 +339,44 @@ def _relation_failures(alg: LieSuperalgebra, cols, lhs: int, rhs: int, *,
     """
     odd = alg._letter_parity
     int_rows = alg._int_rows
+    # {s: P(i)[s][s]} for each P(i) with only diagonal entries, else None
+    diagonals = []
+    for col in cols:
+        delta = {}
+        for k, pairs in col.items():
+            if len(pairs) > 1 or pairs[0][0] != k:
+                delta = None
+                break
+            delta[k] = pairs[0][1]
+        diagonals.append(delta)
+
+    def holds(a: int, b: int, low: int) -> bool:
+        """Whether the relation at (a, b) holds on every column k >= low, as
+        read off one factor's nonzeros (see above); False when it fails or
+        when no factor is diagonal with [a,b] a multiple of the other."""
+        ab = int_rows[a].get(b, ())
+        if len(ab) > 1:
+            return False
+        sign = -1 if odd[a] and odd[b] else 1
+        if (not ab or ab[0][0] == b) and (delta := diagonals[a]) is not None:
+            other, f = cols[b], lhs
+        elif (not ab or ab[0][0] == a) and (delta := diagonals[b]) is not None:
+            other, f = cols[a], -sign * lhs
+        else:
+            return False
+        want = rhs * ab[0][1] if ab else 0
+        for k, pairs in other.items():
+            if k >= low:
+                dk = sign * delta.get(k, 0)
+                for s, _ in pairs:
+                    if f * (delta.get(s, 0) - dk) != want:
+                        return False
+        return True
 
     def failing(a: int, b: int, low: int) -> list[int]:
         """The columns k >= low at which the relation at (a, b) fails."""
+        if holds(a, b, low):
+            return []
         pa, pb = cols[a], cols[b]
         flip = lhs if odd[a] and odd[b] else -lhs
         ab = [(cols[t], -rhs * c) for t, c in int_rows[a].get(b, ())]
@@ -408,7 +451,9 @@ def validate_superalgebra(alg: LieSuperalgebra) -> ValidationReport:
     triples i <= j <= k are computed and each failing one is reported at
     all of its orderings; otherwise each unordered pair is visited once,
     and the relation at (j, i) is copied from (i, j) only where the table
-    is super antisymmetric at the pair (see :func:`_relation_failures`).
+    is super antisymmetric at the pair.  In either mode a pair (h, x) with
+    ad(h) diagonal and [h, x] a multiple of x is read off ad(x)'s nonzeros
+    (see :func:`_relation_failures`).
     """
     report = ValidationReport()
     n = alg.dim
@@ -482,6 +527,8 @@ def even_part_structure(alg: LieSuperalgebra) -> EvenPartReport:
     the derived part: the derived part is an ideal, so by Cartan's
     criterion it is then semisimple, and a reductive algebra has both
     properties.  ``certified_reductive`` is that decision, exact either way.
+    Each Killing form entry tr(ad a ad b) is summed from the traces alone,
+    as the sum of a[r][c] b[c][r], without forming the product.
     """
     n0 = alg.n_even
     if n0 == 0:
@@ -506,7 +553,8 @@ def even_part_structure(alg: LieSuperalgebra) -> EvenPartReport:
 
     ads = [_even_ad_matrix(alg, v) for v in derived]
     gram = [{s: t for s, b in enumerate(ads)
-             if (t := linalg.trace(linalg.mat_mul(a, b)))} for a in ads]
+             if (t := sum((x * b[c][r] for r, row in a.items() for c, x in row.items()
+                           if r in b.get(c, ())), ZERO))} for a in ads]
     killing_nondeg = linalg.rank(gram) == len(derived)
 
     return EvenPartReport(center, derived, direct, killing_nondeg,

@@ -110,8 +110,11 @@ def validate_module(module: GradedModule) -> ValidationReport:
     on the same columns, and anywhere else (b, a) is computed on its own,
     so a table that is not antisymmetric is checked correctly too.  The
     sorted triples of super Jacobi do not apply: they need the adjoint
-    action on a table that passed the parity and antisymmetry checks.
-    Failing pairs are reported in lexicographic order."""
+    action on a table that passed the parity and antisymmetry checks.  On
+    a weight basis, where the Cartan elements act diagonally, a pair of a
+    Cartan element h with x, [h, x] a multiple of x, is read off the
+    nonzeros of rho(x) once; a pair that fails that reading is computed
+    in full.  Failing pairs are reported in lexicographic order."""
     alg, ints, d, parities = module.alg, module._int_rho, module._int_scale, module.parities
     report = ValidationReport()
     for i in range(alg.dim):
@@ -130,6 +133,25 @@ def validate_module(module: GradedModule) -> ValidationReport:
                    f"rho([{alg.basis_name(a)}, {alg.basis_name(b)}]) does "
                    f"not match the supercommutator of the actions")
     return report
+
+
+def _diagonal(mat: linalg.Matrix) -> bool:
+    """Whether the matrix has only diagonal entries (the zero matrix has)."""
+    return all(len(row) == 1 and r in row for r, row in mat.items())
+
+
+def _zero_product(a: linalg.Matrix, b: linalg.Matrix) -> bool:
+    """Whether a b is the zero matrix.
+
+    Where a has only diagonal entries, row r of a b is a_rr times row r of
+    b, so a b is zero exactly when no nonzero row of b is a nonzero row of
+    a; where b has, the same holds of the columns of a and the rows of b.
+    Only when neither factor is diagonal is the product formed."""
+    if _diagonal(a):
+        return a.keys().isdisjoint(b)
+    if _diagonal(b):
+        return all(b.keys().isdisjoint(row) for row in a.values())
+    return not linalg.mat_mul(a, b)
 
 
 def _fractions(mat: linalg.Matrix, d: int) -> linalg.Matrix:
@@ -230,7 +252,7 @@ def check_semisimple_over_even(module: GradedModule,
     # rows and columns x e_r, x != 0, for r outside Z only
     moved, others = set(), []
     for mat in module._int_rho[:alg.n_even]:
-        if all(len(row) == 1 and r in row for r, row in mat.items()):
+        if _diagonal(mat):
             moved.update(mat)
         else:
             others.append(mat)
@@ -260,7 +282,9 @@ def invariant_projector(module: GradedModule,
     C the one whose rows are the coinvariants, it is P = K (C K)^-1 C: it
     fixes K, and C, so P, kills the image.  ``ValueError`` when the
     report's coinvariants do not pair with its invariants (``linalg.invert``
-    refuses a singular pairing).
+    refuses a singular pairing).  The identities are checked in ints;
+    rho(X) P = 0 and P rho(X) = 0 are read off the supports where rho(X)
+    has only diagonal entries (``_zero_product``).
     """
     if report is None:
         report = check_semisimple_over_even(module)
@@ -284,9 +308,9 @@ def invariant_projector(module: GradedModule,
     if linalg.mat_mul(proj, invariant_cols) != linalg.mat_comb([(t, invariant_cols)]):
         raise InternalInvariantError("projector does not fix the invariants")
     for m in module._int_rho[:module.alg.n_even]:
-        if linalg.mat_mul(m, proj):
+        if not _zero_product(m, proj):
             raise InternalInvariantError("even action does not kill the projector image")
-        if linalg.mat_mul(proj, m):
+        if not _zero_product(proj, m):
             raise InternalInvariantError("projector does not kill the even image")
     return _fractions(proj, t)
 
@@ -307,9 +331,11 @@ def integral_matrix(module: GradedModule, invariant: InvariantZ,
     M = rho(z) P is formed without rho(z): each PBW word of z is applied,
     right to left, to the int rows of P, whose few nonzero columns are the
     coinvariants' support (``_act_on``).  Left invariance (rho(w) M =
-    counit(w) M for every basis element w) is verified before returning; a
-    failure indicates a sign-convention fault in the library, not bad
-    input.  An invariant over another algebra raises ``ValueError``.
+    counit(w) M for every basis element w, that is rho(w) M = 0) is
+    verified before returning, read off the supports where rho(w) has only
+    diagonal entries (``_zero_product``); a failure indicates a
+    sign-convention fault in the library, not bad input.  An invariant
+    over another algebra raises ``ValueError``.
     """
     alg = module.alg
     if projector is None:
@@ -319,16 +345,18 @@ def integral_matrix(module: GradedModule, invariant: InvariantZ,
     t, (p,) = linalg.scaled([projector])
     q, m = _act_on(module, invariant.z, p)
     for i in range(alg.dim):
-        if linalg.mat_mul(module._int_rho[i], m):
+        if not _zero_product(module._int_rho[i], m):
             raise InternalInvariantError(
                 f"integral matrix is not left invariant under {alg.basis_name(i)}")
     return IntegralMatrix(_fractions(m, q * t), alg.n_odd % 2)
 
 
 def check_right_integral(module: GradedModule, integral: IntegralMatrix) -> bool:
-    """Row-side invariance: M rho(w) = counit(w) M for every basis element."""
+    """Row-side invariance: M rho(w) = counit(w) M, that is M rho(w) = 0,
+    for every basis element w, read off the supports where rho(w) has only
+    diagonal entries (``_zero_product``)."""
     _, (m,) = linalg.scaled([integral.entries])
-    return not any(linalg.mat_mul(m, rho) for rho in module._int_rho)
+    return all(_zero_product(m, rho) for rho in module._int_rho)
 
 
 def brute_force_quotient_invariants(alg: LieSuperalgebra) -> list[linalg.Vector]:

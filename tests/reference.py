@@ -15,7 +15,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from superhaar import UEElement, act_on_quotient, linalg, multiply
-from superhaar.algebra import ValidationReport
+from superhaar.algebra import EvenPartReport, ValidationReport
 
 from conftest import dense_of, identity, twist
 
@@ -71,6 +71,34 @@ def dense_validate_superalgebra(alg):
                                f"{alg.basis_name(j)}, {alg.basis_name(k)}): "
                                f"residual {diff}")
     return report
+
+
+def product_trace_even_part_structure(alg):
+    """The even part's center, derived algebra and reductivity with the
+    Killing form tr(ad a ad b) taken as ``linalg.trace`` of the product of
+    the two ad matrices: the reference for ``even_part_structure``."""
+    n0 = alg.n_even
+    if n0 == 0:
+        return EvenPartReport([], [], True, True, True)
+    rows, derived_span = {}, []
+    for i in range(n0):
+        for j in range(n0):
+            vec = {k: c for k, c in alg.bracket(i, j) if k < n0}
+            for k, c in vec.items():
+                rows.setdefault((j, k), {})[i] = c
+            if vec:
+                derived_span.append(vec)
+    center = linalg.nullspace(rows.values(), n0)
+    derived = linalg.row_space_basis(derived_span)
+    direct = (len(center) + len(derived) == n0
+              and linalg.rank(center + derived) == n0)
+    ads = [linalg.mat_comb((ci * c, {k: {j: F(1)}}) for i, ci in v.items()
+                           for j in range(n0) for k, c in alg.bracket(i, j) if k < n0)
+           for v in derived]
+    gram = [{s: t for s, b in enumerate(ads)
+             if (t := linalg.trace(linalg.mat_mul(a, b)))} for a in ads]
+    nondegenerate = linalg.rank(gram) == len(derived)
+    return EvenPartReport(center, derived, direct, nondegenerate, direct and nondegenerate)
 
 
 # -- products and quotient classes in U(g) ----------------------------------

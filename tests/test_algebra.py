@@ -11,7 +11,8 @@ from superhaar import (InputError, LieSuperalgebra, even_part_structure,
 from conftest import (ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units,
                       identity, rescaled_algebra, rows_of)
 from randgen import change_basis, random_odd_basis_change, random_scalar
-from reference import dense_validate_superalgebra
+from realizations import parabolic_supermatrix_units
+from reference import dense_validate_superalgebra, product_trace_even_part_structure
 
 F = Fraction
 
@@ -146,6 +147,18 @@ def test_even_part_not_reductive():
     assert validate_superalgebra(alg).ok
     rep = even_part_structure(alg)
     assert not rep.certified_reductive
+
+
+def test_killing_form_from_traces_matches_the_product_reference():
+    aff1 = LieSuperalgebra("aff1", ["A", "B"], [], {(0, 1): {1: 1}, (1, 0): {1: -1}})
+    fixtures = [fixture_algebra(key) for key in ALGEBRA_FILES]
+    algebras = (fixtures + [rescaled_algebra(alg) for alg in fixtures] + [aff1]
+                + [gl_supermatrix_units(p, q) for p, q in ((1, 1), (2, 1), (3, 1), (2, 2))]
+                + [parabolic_supermatrix_units(p, q) for p, q in ((2, 1), (2, 2), (3, 2))])
+    reports = [even_part_structure(alg) for alg in algebras]
+    assert reports == [product_trace_even_part_structure(alg) for alg in algebras]
+    # both verdicts are seen on a nonzero derived algebra
+    assert {rep.killing_nondegenerate for rep in reports if rep.derived} == {False, True}
 
 
 def test_change_basis_preserves_validity(rng, osp12):
@@ -289,6 +302,31 @@ def test_jacobi_screen_matches_dense_loop_on_graded_changes():
     check()
     # the sorted-triple path must also be seen to fail
     assert sum(failing) >= len(failing) // 4, (sum(failing), len(failing))
+
+
+def test_jacobi_screen_matches_dense_loop_at_diagonal_pairs():
+    # ad(h) of a Cartan element h is diagonal, so the relation at (h, x)
+    # with [h, x] = c x is read off ad(x)'s nonzeros.  A bracket [y, k] that
+    # leaves its weight, and a changed value of [h, y], fail Jacobi there;
+    # with the mirrored entry kept the screen runs on sorted triples,
+    # without it antisymmetry fails too and every pair is computed
+    gl21 = gl_supermatrix_units(2, 1)
+    osp12 = fixture_algebra("osp12")
+    for alg, (y, k, to), (h, x) in [
+            (gl21, ("E13", "E32", "E21"), ("E11", "E13")),
+            (osp12, ("u", "v", "E"), ("H", "u"))]:
+        y, k, to, h, x = map(alg.index_of, (y, k, to, h, x))
+        for key, value in [((y, k), {to: F(1)}), ((h, x), {x: F(3)})]:
+            a, b = key
+            sign = -1 if alg.parity(a) and alg.parity(b) else 1
+            for mirror in (True, False):
+                table = {pair: dict(entry) for pair, entry in alg._brackets.items()}
+                table[key] = value
+                if mirror:
+                    table[(b, a)] = {t: -sign * c for t, c in value.items()}
+                changed = LieSuperalgebra(alg.name + "*", alg.even_names, alg.odd_names, table)
+                kinds = {v.kind for v in assert_same_report(changed)}
+                assert kinds == ({"jacobi"} if mirror else {"antisymmetry", "jacobi"})
 
 
 def test_jacobi_screen_matches_dense_loop_on_edge_cases():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superhaar import (GradedModule, InputError, InternalInvariantError,
@@ -186,6 +186,105 @@ def test_validate_module_on_the_zero_module_and_an_abelian_algebra():
         report = validate_module(module)
         assert report.violations == dense_validate_module(ab, module).violations
         assert [v.witness for v in report.violations] == failing
+
+
+def test_diagonal_reading_of_the_relations_matches_the_dense_reference():
+    # gl(2|1) on V and V (x) V*, where the Cartan units act diagonally, so a
+    # relation at (h, x) with [h, x] = c x is read off rho(x)'s nonzeros,
+    # and one at (x, h) with [x, h] = c x too (E12 comes before E22): a
+    # changed diagonal entry, an odd unit with a diagonal entry and E12
+    # acting as E21 fail that reading; [h, y] with a second target takes
+    # the general path
+    alg, v = gl_realization(2, 1)
+    h, y, y2, e, f = (alg.index_of(b) for b in ("E11", "E13", "E23", "E12", "E21"))
+    table = {key: dict(entry) for key, entry in alg._brackets.items()}
+    table[(h, y)] = {y: F(1), y2: F(1)}
+    two_targets = LieSuperalgebra("gl(2|1)*", alg.even_names, alg.odd_names, table)
+    for module in (v, tensor_module(v, dual_module(v))):
+        action = {i: module.rho(i) for i in range(alg.dim)}
+        r = next(iter(action[h]))
+        cartan = {**action, h: {**action[h], r: {r: action[h][r][r] + 1}}}
+        odd = {**action, y: {**action[y], r: {**action[y].get(r, {}), r: F(1)}}}
+        for a, act, kinds in [(alg, cartan, {"module-bracket"}),
+                              (alg, odd, {"module-parity", "module-bracket"}),
+                              (alg, {**action, e: action[f]}, {"module-bracket"}),
+                              (two_targets, action, {"module-bracket"}),
+                              (alg, {}, set()), (two_targets, {}, set())]:
+            changed = GradedModule(a, module.parities, act)
+            report = validate_module(changed)
+            assert report.violations == dense_validate_module(a, changed).violations
+            assert {v.kind for v in report.violations} == kinds
+        witnesses = [v.witness for v in validate_module(
+            GradedModule(two_targets, module.parities, action)).violations]
+        assert (h, y) in witnesses and (y, h) not in witnesses
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIXTURE_MODULES), st.data())
+def test_validate_module_matches_dense_reference_on_a_changed_diagonal_action(case, data):
+    # the changed action keeps only diagonal entries, so every relation
+    # read off its diagonal sees the change
+    key, filename = case
+    alg = fixture_algebra(key)
+    module = fixture_module(key, filename)
+    d = module.dim
+    diagonal = [i for i in range(alg.dim)
+                if all(r == c for r, row in module.rho(i).items() for c in row)]
+    assume(diagonal)
+    action = {i: dense_of(module.rho(i), d) for i in range(alg.dim)}
+    i = data.draw(st.sampled_from(diagonal))
+    r = data.draw(st.integers(0, d - 1))
+    action[i][r][r] += data.draw(st.sampled_from([F(1), F(-1), F(1, 2), F(3)]))
+    changed = GradedModule(alg, module.parities, action)
+    assert validate_module(changed).violations == \
+        dense_validate_module(alg, changed).violations
+
+
+def test_validate_module_matches_dense_reference_on_dense_bases():
+    # in the basis of ``dense_change``, a module with two basis vectors of
+    # one parity has no nonzero action with only diagonal entries, so its
+    # relations take the general path
+    rng = random.Random(5)
+    for key, filename in FIXTURE_MODULES:
+        alg = fixture_algebra(key)
+        module = dense_change(fixture_module(key, filename), rng)
+        if len(set(module.parities)) < module.dim:
+            assert not any(rho and modules._diagonal(rho) for rho in module._int_rho)
+        assert validate_module(module).violations == \
+            dense_validate_module(alg, module).violations == []
+        d = module.dim
+        for _ in range(4):
+            action = {i: dense_of(module.rho(i), d) for i in range(alg.dim)}
+            i, r, c = rng.randrange(alg.dim), rng.randrange(d), rng.randrange(d)
+            action[i][r][c] += rng.choice([F(1), F(-1), F(1, 2)])
+            changed = GradedModule(alg, module.parities, action)
+            assert validate_module(changed).violations == \
+                dense_validate_module(alg, changed).violations
+
+
+def int_matrices(n):
+    """n x n int matrices: zero, with only diagonal entries, or any."""
+    entry = st.integers(-2, 2).filter(bool)
+    index = st.integers(0, n - 1)
+
+    def rows(cells):
+        out = {}
+        for (r, c), x in cells.items():
+            out.setdefault(r, {})[c] = x
+        return out
+
+    return st.one_of(st.just({}),
+                     st.dictionaries(index, entry).map(
+                         lambda diag: {r: {r: x} for r, x in diag.items()}),
+                     st.dictionaries(st.tuples(index, index), entry).map(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(int_matrices(n), int_matrices(n))))
+def test_zero_product_matches_the_product(pair):
+    a, b = pair
+    assert modules._zero_product(a, b) == (not linalg.mat_mul(a, b))
+    assert modules._zero_product(b, a) == (not linalg.mat_mul(b, a))
 
 
 def test_rho_returns_the_nonzero_rows_it_was_given(osp12):
