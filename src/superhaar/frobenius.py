@@ -34,9 +34,9 @@ needs without a matrix.  counit(A) is block diagonal by
 the weights of the even basis elements that act diagonally on the odd
 basis (``_odd_weights``), and column zero lies in the block of the empty
 set, so that pass builds only that block and the products it reads.  Both
-share one check that the matrix is lower triangular with diagonal +-1
-(``_check_unitriangular``) and one forward substitution of the columns
-asked for (``_solve``), which verifies every entry it stores exactly.
+share one forward substitution of the columns asked for (``_solve``),
+which checks each row as it reaches it, lower triangular with diagonal
++-1, and verifies every entry it stores exactly.
 Fractions are built only when an element's ``terms`` are read, as the
 output does.
 
@@ -129,46 +129,38 @@ class FrobeniusMatrix:
     _inverse_rows: tuple = field(repr=False, compare=False)   # ``_solve``'s, for dual_pair
 
 
-def _check_unitriangular(rows, positions, zero, one, what: str) -> tuple[int, ...]:
-    """The diagonal, in the order of ``positions``, of the square matrix on
-    the rows and columns ``positions`` (ascending) of ``rows``, rows of
-    nonzeros over a ring with ``zero`` and ``one``, after checking that
-    those rows have no entry above the diagonal and diagonal entries +-1."""
-    diagonal = []
-    for i in positions:
-        row = rows.get(i, {})
-        above = [k for k in row if k > i]
-        if above:
-            raise InternalInvariantError(
-                f"{what} not lower triangular at ({i}, {min(above)})")
-        d = row.get(i, zero)
-        if d == one:
-            diagonal.append(1)
-        elif d == -one:
-            diagonal.append(-1)
-        else:
-            raise InternalInvariantError(
-                f"{what}: diagonal entry at {i} is {d}, expected +-1")
-    return tuple(diagonal)
-
-
-def _solve(rows, positions, diagonal: tuple[int, ...], columns, zero, one,
-           what: str) -> list[dict]:
-    """The columns ``columns`` of the inverse B of the unitriangular matrix
-    on the rows and columns ``positions`` (ascending) of ``rows``, as rows of
-    nonzeros in the order of ``positions``, by forward substitution row by
-    row; the +-1 diagonal makes the division exact and sidesteps
+def _solve(rows, positions, columns, zero, one, what: str) -> tuple[tuple[int, ...], list[dict]]:
+    """The diagonal, in the order of ``positions``, and the columns
+    ``columns`` of the inverse B of the square matrix A on the rows and
+    columns ``positions`` (ascending) of ``rows``, rows of nonzeros over a
+    ring with ``zero`` and ``one``; B as rows of nonzeros in the order of
+    ``positions``, by forward substitution row by row.  Each row of A is
+    checked when it is reached: no entry above the diagonal, and a diagonal
+    entry d_i of +-1, which makes the division exact and sidesteps
     noncommutativity (each product is A[i][k] * B[k][j]).  B is zero in the
     rows outside ``positions``, so the entries of ``rows`` in those columns
     are not read.  With s the sum of A[i][k] * B[k][j] over k < i,
     B[i][j] = d_i (e_i[j] - s), stored only when s differs from e_i[j], so a
     column j starts at row j.  Each stored entry is checked:
     s + A[i][i] * B[i][j] must be e_i[j] exactly, and an entry not stored
-    holds with B[i][j] = 0.  The first failure in row order is reported,
-    within its row the smallest j."""
-    inverse: dict[int, dict] = {}
-    for i, d in zip(positions, diagonal):
+    holds with B[i][j] = 0.  The first failure in row order is reported;
+    within its row, triangularity, then the diagonal, then the smallest j."""
+    diagonal, inverse = [], {}
+    for i in positions:
         row = rows.get(i, {})
+        above = [k for k in row if k > i]
+        if above:
+            raise InternalInvariantError(
+                f"{what} not lower triangular at ({i}, {min(above)})")
+        a_ii = row.get(i, zero)
+        if a_ii == one:
+            d = 1
+        elif a_ii == -one:
+            d = -1
+        else:
+            raise InternalInvariantError(
+                f"{what}: diagonal entry at {i} is {a_ii}, expected +-1")
+        diagonal.append(d)
         sums = {i: zero} if i in columns else {}
         for k, a in row.items():
             # the rows of B solved so far are those above row i
@@ -181,10 +173,10 @@ def _solve(rows, positions, diagonal: tuple[int, ...], columns, zero, one,
             s, target = sums[j], one if i == j else zero
             if s != target:
                 out[j] = b = target - s if d > 0 else s - target
-                if s + row.get(i, zero) * b != target:
+                if s + a_ii * b != target:
                     raise InternalInvariantError(
                         f"{what} times its inverse is not the identity at ({i}, {j})")
-    return list(inverse.values())
+    return tuple(diagonal), list(inverse.values())
 
 
 def _odd_weights(alg: LieSuperalgebra) -> list[tuple[int, ...]]:
@@ -316,15 +308,14 @@ def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[in
     counit(A)[I][K] is zero unless wt(I) = wt(K) (``_pairing``), so
     counit(A) is block diagonal by weight, and so is its inverse: column
     zero is zero outside the block of the empty set.  Only that block is
-    built, checked unitriangular and solved; a failure is reported at its
-    position in ``order``."""
-    what = "counit of the pairing matrix"
+    built, checked and solved in one pass (``_solve``); a failure is
+    reported at its position in ``order``."""
     wt = _odd_weights(alg)
     block = [i for i, mask in enumerate(order) if wt[mask] == wt[0]]
     scalar = _pairing(alg, order, _counit_ints, 1, wt)
-    diagonal = _check_unitriangular(scalar, block, 0, 1, what)
+    _, solved = _solve(scalar, block, (0,), 0, 1, "counit of the pairing matrix")
     column = [0] * len(order)
-    for i, row in zip(block, _solve(scalar, block, diagonal, (0,), 0, 1, what)):
+    for i, row in zip(block, solved):
         column[i] = row.get(0, 0)
     return column
 
@@ -334,10 +325,9 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     even subalgebra and every column of its inverse, checked."""
     order = odd_subset_order(alg.n_odd)
     n = len(order)
-    zero, one, what = UEElement.zero(alg), UEElement.one(alg), "pairing matrix"
+    zero, one = UEElement.zero(alg), UEElement.one(alg)
     rows = _pairing(alg, order, _even_ints, one)
-    diagonal = _check_unitriangular(rows, range(n), zero, one, what)
-    solved = _solve(rows, range(n), diagonal, range(n), zero, one, what)
+    diagonal, solved = _solve(rows, range(n), range(n), zero, one, "pairing matrix")
     dense = [[[zero] * n for _ in range(n)] for _ in range(2)]
     for out, sparse in zip(dense, (rows.items(), enumerate(solved))):
         for i, row in sparse:
@@ -477,7 +467,10 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
 
     Column zero of the inverse is read from ``fm`` when given.  Otherwise
     only its counit is computed, from the scalar matrix counit(A), with no
-    arithmetic in the even subalgebra.
+    arithmetic in the even subalgebra.  Both checks are exact: the class of
+    w z - counit(w) z in the quotient is zero for every basis element w (the
+    certificate), and the class of z is 1 at x^top, which makes z the
+    canonical invariant and not only a nonzero one.
 
     Requires the trace condition; otherwise the invariant space of the
     quotient module is zero and ``NoInvariantError`` names the violating
@@ -507,7 +500,9 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
         if residue:
             raise InternalInvariantError(
                 f"z is not invariant under {alg.basis_name(i)}: residue {residue}")
-    if not z_class:
-        raise InternalInvariantError("z lies in the ideal it should represent "
-                                     "a nonzero class against")
+    # the x^top coefficient is counit(B[empty][empty]) = 1 / A[empty][empty],
+    # and A[empty][empty] = pi(x^top) = 1
+    if z_class.get(top) != 1:
+        raise InternalInvariantError(
+            f"the class of z is {z_class.get(top, 0)} at x^top, expected 1")
     return InvariantZ(z, certificate, z_class)

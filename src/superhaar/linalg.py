@@ -207,10 +207,6 @@ def same_span(a: list[Vector], b: list[Vector]) -> bool:
     return ra == rb == rank(a + b)
 
 
-def trace(mat: Matrix) -> Fraction:
-    return sum((row[r] for r, row in mat.items() if r in row), ZERO)
-
-
 def is_squarefree(p: list[Fraction]) -> bool:
     """Has the polynomial p (coefficients in ascending powers) no repeated
     root?  True for degree at most 0, the zero polynomial included.

@@ -73,10 +73,15 @@ def dense_validate_superalgebra(alg):
     return report
 
 
+def trace(mat):
+    """The trace of a square matrix given as rows of nonzeros."""
+    return sum((row[r] for r, row in mat.items() if r in row), linalg.ZERO)
+
+
 def product_trace_even_part_structure(alg):
     """The even part's center, derived algebra and reductivity with the
-    Killing form tr(ad a ad b) taken as ``linalg.trace`` of the product of
-    the two ad matrices: the reference for ``even_part_structure``."""
+    Killing form tr(ad a ad b) taken as ``trace`` of the product of the two
+    ad matrices: the reference for ``even_part_structure``."""
     n0 = alg.n_even
     if n0 == 0:
         return EvenPartReport([], [], True, True, True)
@@ -96,7 +101,7 @@ def product_trace_even_part_structure(alg):
                            for j in range(n0) for k, c in alg.bracket(i, j) if k < n0)
            for v in derived]
     gram = [{s: t for s, b in enumerate(ads)
-             if (t := linalg.trace(linalg.mat_mul(a, b)))} for a in ads]
+             if (t := trace(linalg.mat_mul(a, b)))} for a in ads]
     nondegenerate = linalg.rank(gram) == len(derived)
     return EvenPartReport(center, derived, direct, nondegenerate, direct and nondegenerate)
 

@@ -12,7 +12,7 @@ from conftest import (ALGEBRA_FILES, fixture_algebra, gl_supermatrix_units,
                       identity, rescaled_algebra, rows_of)
 from randgen import change_basis, random_odd_basis_change, random_scalar
 from realizations import parabolic_supermatrix_units
-from reference import dense_validate_superalgebra, product_trace_even_part_structure
+from reference import dense_validate_superalgebra, product_trace_even_part_structure, trace
 
 F = Fraction
 
@@ -121,7 +121,7 @@ def test_lambda_is_linear_on_random_even_combinations(rng):
                 for j in range(n0, alg.dim):
                     for k, c in alg.bracket(i, j):
                         mat[k - n0][j - n0] += ci * c
-            assert linalg.trace(rows_of(mat)) == sum(
+            assert trace(rows_of(mat)) == sum(
                 (ci * lam[i] for i, ci in enumerate(coeffs)), F(0))
 
 

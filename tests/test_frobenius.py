@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -387,25 +388,40 @@ def test_a_corrupted_entry_outside_the_block_leaves_z_unchanged(monkeypatch, osp
     assert invariant_z(osp12).z == z
 
 
-@pytest.mark.parametrize("key", ["g2", "gl11", "osp12"])
-def test_flipped_diagonal_sign_exits_70(monkeypatch, capsys, key):
-    # a fault in the shared unitriangular check reaches A * b = e_j on both
-    # paths, and the CLI reports it as an internal invariant violation
-    honest = frobenius._check_unitriangular
+def negate_pairing(monkeypatch, cell):
+    """Make ``frobenius._pairing`` negate the cell (i, k) it returns."""
+    i, k = cell
+    honest = frobenius._pairing
 
-    def flip_first(*args):
-        diagonal = honest(*args)
-        return (-diagonal[0],) + diagonal[1:]
+    def negate(alg, order, read, one, weights=None):
+        rows = honest(alg, order, read, one, weights)
+        rows[i] = {**rows[i], k: -rows[i][k]}
+        return rows
 
-    monkeypatch.setattr(frobenius, "_check_unitriangular", flip_first)
+    monkeypatch.setattr(frobenius, "_pairing", negate)
+
+
+@pytest.mark.parametrize("key,module", [
+    ("g2", None), ("gl11", None), ("osp12", "osp12_tensor_module.json"),
+], ids=["g2", "gl11", "osp12"])
+def test_flipped_diagonal_sign_exits_70(monkeypatch, capsys, key, module):
+    # -A[empty][empty] is still unitriangular and its inverse is solved
+    # exactly, so z comes out as -z on both paths; only the class of z at
+    # x^top, 1 / A[empty][empty], tells, and the CLI reports it as an
+    # internal invariant violation
+    negate_pairing(monkeypatch, (0, 0))
     alg = fixture_algebra(key)
-    identity = r"is not the identity at \(0, 0\)"
-    with pytest.raises(InternalInvariantError, match=identity):
-        frobenius_matrix(alg)
-    with pytest.raises(InternalInvariantError, match=identity):
+    top = r"the class of z is -1 at x\^top, expected 1$"
+    with pytest.raises(InternalInvariantError, match=top):
         invariant_z(alg)
-    for flags in ([], ["--emit-matrix"]):
-        assert main(["invariant", builtin_fixture(ALGEBRA_FILES[key])] + flags) == 70
+    with pytest.raises(InternalInvariantError, match=top):
+        invariant_z(alg, frobenius_matrix(alg))
+    runs = [["invariant", builtin_fixture(ALGEBRA_FILES[key])] + flags
+            for flags in ([], ["--emit-matrix"])]
+    if module:
+        runs.append(["integrate", builtin_fixture(ALGEBRA_FILES[key]), builtin_fixture(module)])
+    for argv in runs:
+        assert main(argv) == 70, argv
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("superhaar: internal invariant violation:")
@@ -727,34 +743,67 @@ def test_a_corrupted_dual_element_is_caught_in_a_scaled_algebra(monkeypatch, cor
 
 
 def column(inverse, j, zero):
-    """Column j of the rows of nonzeros that ``frobenius._solve`` returns."""
+    """Column j of the rows of nonzeros of the inverse that ``frobenius._solve``
+    returns."""
     return [row.get(j, zero) for row in inverse]
 
 
+class Skewed(Fraction):
+    """A rational whose products are one too large.  As A[i][i] it spoils
+    only the check of row i: the solve multiplies by A[i][i] nowhere else."""
+
+    def __mul__(self, other):
+        return Fraction(self) * other + 1
+
+
 def test_solve_verifies_the_columns_it_solves():
-    # a flipped diagonal sign solves a wrong column; A * b = e_j, recomputed
-    # from A, catches it in the row of the flip
+    # each row is checked when the solve reaches it: no entry above the
+    # diagonal, a diagonal entry +-1, then A * b = e_j on every stored entry
     rows = {0: {0: F(1)}, 1: {0: F(2, 3), 1: F(-1)}, 2: {0: F(1, 2), 1: F(5), 2: F(1)}}
     zero, one = linalg.ZERO, linalg.ONE
-    diagonal = frobenius._check_unitriangular(rows, range(3), zero, one, "A")
+    diagonal, inverse = frobenius._solve(rows, range(3), range(3), zero, one, "A")
     assert diagonal == (1, -1, 1)
-    inverse = frobenius._solve(rows, range(3), diagonal, range(3), zero, one, "A")
     for j in range(3):
-        col = column(frobenius._solve(rows, range(3), diagonal, (j,), zero, one, "A"), j, zero)
+        single_diagonal, single = frobenius._solve(rows, range(3), (j,), zero, one, "A")
+        assert single_diagonal == diagonal
+        col = column(single, j, zero)
         assert col == column(inverse, j, zero)
         assert [sum(a * col[k] for k, a in rows[i].items()) for i in range(3)] == \
             [int(i == j) for i in range(3)]
-    for flip in range(3):
-        bad = tuple(-d if i == flip else d for i, d in enumerate(diagonal))
-        for j in range(flip + 1):
-            with pytest.raises(InternalInvariantError,
-                               match=rf"A times its inverse is not the identity at \({flip}, {j}\)"):
-                frobenius._solve(rows, range(3), bad, (j,), zero, one, "A")
-        # every column at once: the row of the flip fails first, at its
-        # smallest column
-        with pytest.raises(InternalInvariantError,
-                           match=rf"A times its inverse is not the identity at \({flip}, 0\)"):
-            frobenius._solve(rows, range(3), bad, range(3), zero, one, "A")
+
+    def above(bad, r):
+        bad[r][r + 1] = F(1)
+        return rf"A not lower triangular at \({r}, {r + 1}\)$"
+
+    def on(bad, r):
+        bad[r][r] = F(2)
+        return rf"A: diagonal entry at {r} is 2, expected \+-1$"
+
+    def product(bad, r):
+        bad[r][r] = Skewed(bad[r][r])
+        return rf"A times its inverse is not the identity at \({r}, 0\)$"
+
+    for fault in (above, on, product):
+        for r in range(3):
+            bad = copy.deepcopy(rows)
+            with pytest.raises(InternalInvariantError, match=fault(bad, r)):
+                frobenius._solve(bad, range(3), range(3), zero, one, "A")
+        # one column at a time, a wrong product fails at its own cell
+        for r in range(3):
+            for j in range(r + 1):
+                bad = copy.deepcopy(rows)
+                product(bad, r)
+                cell = rf"A times its inverse is not the identity at \({r}, {j}\)$"
+                with pytest.raises(InternalInvariantError, match=cell):
+                    frobenius._solve(bad, range(3), (j,), zero, one, "A")
+    # of two faults, the one in the earlier row is reported, whatever the kinds
+    for first in (above, on, product):
+        for second in (above, on, product):
+            for r, later in ((0, 1), (0, 2), (1, 2)):
+                bad = copy.deepcopy(rows)
+                second(bad, later)
+                with pytest.raises(InternalInvariantError, match=first(bad, r)):
+                    frobenius._solve(bad, range(3), range(3), zero, one, "A")
 
 
 def sparse_unitriangular(rng, n, density):
@@ -787,13 +836,12 @@ def test_solve_matches_dense_forward_substitution_over_q(rng):
     zero, one = linalg.ZERO, linalg.ONE
     for rows in cases:
         n = len(rows)
-        diagonal = frobenius._check_unitriangular(rows, range(n), zero, one, "A")
-        inverse = frobenius._solve(rows, range(n), diagonal, range(n), zero, one, "A")
+        _, inverse = frobenius._solve(rows, range(n), range(n), zero, one, "A")
         assert all(all(inverse_row.values()) for inverse_row in inverse)
         for j in range(n):
             expected = dense_forward_substitution(dense(rows, n, zero), j, zero, one)
             assert column(inverse, j, zero) == expected
-            single = frobenius._solve(rows, range(n), diagonal, (j,), zero, one, "A")
+            _, single = frobenius._solve(rows, range(n), (j,), zero, one, "A")
             assert all(set(inverse_row) <= {j} for inverse_row in single)
             assert column(single, j, zero) == expected
         # on the rows and columns of every other position, the entries of
@@ -801,9 +849,7 @@ def test_solve_matches_dense_forward_substitution_over_q(rng):
         positions = range(0, n, 2)
         sub = {a: {b: rows[i][k] for b, k in enumerate(positions) if k in rows[i]}
                for a, i in enumerate(positions)}
-        diagonal = frobenius._check_unitriangular(rows, positions, zero, one, "A")
-        assert column(frobenius._solve(rows, positions, diagonal, (0,), zero, one, "A"),
-                      0, zero) == \
+        assert column(frobenius._solve(rows, positions, (0,), zero, one, "A")[1], 0, zero) == \
             dense_forward_substitution(dense(sub, len(positions), zero), 0, zero, one)
 
 
@@ -839,17 +885,20 @@ def test_a_corrupted_entry_below_the_diagonal_fails_the_dual_pair(monkeypatch, k
 
 
 def test_flipped_diagonal_sign_anywhere_is_caught(monkeypatch):
+    # A with one diagonal sign flipped is still unitriangular, and the solve
+    # inverts it exactly; the dual elements built from that inverse fail the
+    # duality check in the row of the flip, at or before the diagonal
     alg = gl_supermatrix_units(2, 1)
-    honest = frobenius._check_unitriangular
+    diagonal = frobenius_matrix(alg).diagonal
     for flip in range(1 << alg.n_odd):
-        def flip_one(*args, flip=flip):
-            diagonal = honest(*args)
-            return tuple(-d if i == flip else d for i, d in enumerate(diagonal))
-
-        monkeypatch.setattr(frobenius, "_check_unitriangular", flip_one)
+        monkeypatch.undo()
+        negate_pairing(monkeypatch, (flip, flip))
+        fm = frobenius_matrix(alg)
+        assert fm.diagonal == tuple(-d if i == flip else d for i, d in enumerate(diagonal))
         with pytest.raises(InternalInvariantError,
-                           match=rf"is not the identity at \({flip}, \d+\)"):
-            frobenius_matrix(alg)
+                           match=rf"dual pair fails at \({flip}, \d+\)$") as err:
+            dual_pair(alg, fm)
+        assert int(re.search(r"(\d+)\)$", str(err.value)).group(1)) <= flip
 
 
 # -- A from the right-action pass equals the pairing computed by form ---------

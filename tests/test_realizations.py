@@ -59,3 +59,33 @@ def test_periplectic_p2_fails_the_trace_condition():
     assert p2.basis_name(err.value.violator) == "A11"
     assert err.value.value == 2
     assert brute_force_quotient_invariants(p2) == [] == full_oracle(p2)
+
+
+def strange_q(n):
+    """q(n) on an (n|n) space: the even basis diag(E_ij, E_ij), named Aij,
+    and the odd basis offdiag(E_ij, E_ij), named Bij, for 1 <= i, j <= n."""
+    units = [(i, j) for i in range(n) for j in range(n)]
+    even = [(f"A{i + 1}{j + 1}", {i: {j: 1}, n + i: {n + j: 1}}) for i, j in units]
+    odd = [(f"B{i + 1}{j + 1}", {i: {n + j: 1}, n + i: {j: 1}}) for i, j in units]
+    return realization(f"q({n})", even, odd, [0] * n + [1] * n)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_strange_q_is_unimodular_with_a_canonical_unique_invariant(n):
+    # g1 is the adjoint module of g0 = gl(n), so every lambda is 0; the odd
+    # elements do not anticommute ([B11, B11] = 2 A11), so z has terms
+    # below x^top
+    q = strange_q(n)
+    assert q.n_odd == n * n
+    assert not any(lambda_values(q).values())
+    top = (1 << q.n_odd) - 1
+    inv = invariant_z(q)
+    assert not any(inv.certificate.values())
+    assert inv.quotient_class[top] == 1 and len(inv.quotient_class) > 1
+    oracle = brute_force_quotient_invariants(q)
+    assert oracle == [inv.quotient_class]
+    if n == 2:
+        # B11 B12 B21 B22 - B11 B22
+        assert inv.quotient_class == {top: 1, 0b1001: -1}
+        assert inv.z == subset_monomial(q, top) - subset_monomial(q, 0b1001)
+        assert oracle == full_oracle(q)
