@@ -4,12 +4,14 @@ Machine-readable JSON goes to stdout, human diagnostics to stderr.  Exit
 codes are a total function of the outcome class:
 
     0  success
-    1  I/O or parse error (also: odd dimension above SUPERHAAR_MAX_ODD, or a
-       result rational with more digits than Python converts to a string)
+    1  I/O or parse error (also: a command line that does not parse, odd
+       dimension above SUPERHAAR_MAX_ODD, or a result rational with more
+       digits than Python converts to a string)
     2  invalid algebra or module (mathematical violations, with witnesses)
     3  no invariant (trace condition fails)
     4  module not semisimple over the even part
-    70 internal invariant violation (library bug; please report)
+    70 internal invariant violation (library bug; please report; also: an
+       ``--oracle`` other than the class of z, or nonempty on exit 3)
     71 out of memory (nothing on stdout; stderr names the command and m)
     130 interrupted by Ctrl-C (console script and ``python -m`` only)
 """
@@ -80,38 +82,38 @@ def _load_algebra(args):
     return alg
 
 
-def _validated_algebra(args):
-    alg = _load_algebra(args)
-    report = validate_superalgebra(alg)
-    if not report.ok:
-        raise _CliExit(EXIT_INVALID, payload={
-            "algebra": alg.name,
-            "valid": False,
-            "violations": _violations_json(alg, report),
-        }, message=f"algebra {alg.name} violates the superalgebra axioms")
-    return alg
+def _refuse(code: int, alg, message: str, **fields):
+    """Exit ``code``: ``{"algebra": name, **fields}`` out, ``message`` to stderr."""
+    raise _CliExit(code, {"algebra": alg.name, **fields}, message)
 
 
-def _violations_json(alg, report):
-    out = []
+def _require_valid(alg, report, message: str = "", **fields):
+    """The validation gate: exit 2 unless ``report`` is ok, with
+    ``valid: false`` and each violation's witness named by basis."""
+    if report.ok:
+        return
+    violations = []
     for v in report.violations:
         if v.kind == "module-parity":  # witness is (basis, row, col)
             names = [alg.basis_name(v.witness[0])] + [str(w) for w in v.witness[1:]]
         else:
             names = [alg.basis_name(i) for i in v.witness]
-        out.append({"kind": v.kind, "witness": names, "detail": v.detail})
-    return out
+        violations.append({"kind": v.kind, "witness": names, "detail": v.detail})
+    _refuse(EXIT_INVALID, alg, message, **fields, valid=False, violations=violations)
+
+
+def _validated_algebra(args):
+    alg = _load_algebra(args)
+    _require_valid(alg, validate_superalgebra(alg),
+                   f"algebra {alg.name} violates the superalgebra axioms")
+    return alg
 
 
 def cmd_validate(args) -> int:
     alg = _load_algebra(args)
-    report = validate_superalgebra(alg)
-    _emit({
-        "algebra": alg.name,
-        "valid": report.ok,
-        "violations": _violations_json(alg, report),
-    })
-    return EXIT_OK if report.ok else EXIT_INVALID
+    _require_valid(alg, validate_superalgebra(alg))
+    _emit({"algebra": alg.name, "valid": True, "violations": []})
+    return EXIT_OK
 
 
 def cmd_invariant(args) -> int:
@@ -144,7 +146,10 @@ def cmd_invariant(args) -> int:
         payload["violator"] = alg.basis_name(exc.violator)
         payload["lambda"] = fileio.format_rational(exc.value)
         if args.oracle:
-            payload["oracle_dimension"] = len(brute_force_quotient_invariants(alg))
+            if brute_force_quotient_invariants(alg):
+                raise InternalInvariantError(
+                    "the oracle finds an invariant, yet the trace condition fails")
+            payload["oracle_dimension"] = 0
         raise _CliExit(EXIT_NO_INVARIANT, payload=payload, message=str(exc))
 
     payload["parity"] = "odd" if alg.n_odd % 2 else "even"
@@ -153,15 +158,17 @@ def cmd_invariant(args) -> int:
         alg.basis_name(i): fileio.quotient_class_to_json(alg, residue)
         for i, residue in sorted(inv.certificate.items())}
     if args.oracle:
+        # both are 1 at x^top: the class of z by invariant_z's check, the
+        # oracle's vector as nullspace sets its free column x^top to 1
         oracle = brute_force_quotient_invariants(alg)
-        payload["oracle_dimension"] = len(oracle)
+        if oracle != [inv.quotient_class]:
+            raise InternalInvariantError(
+                f"the oracle disagrees: its basis of {len(oracle)} invariants "
+                f"is not the class of z")
+        payload["oracle_dimension"] = 1
         payload["oracle_basis"] = [fileio.quotient_class_to_json(alg, cls)
                                    for cls in oracle]
-        # z's class is 1 at x^top, as A[0][0] = pi(x^top) = 1: it must equal
-        # the oracle's one vector scaled to 1 there
-        top, v = (1 << alg.n_odd) - 1, oracle[0] if len(oracle) == 1 else {}
-        payload["oracle_agrees"] = bool(v.get(top)) and inv.quotient_class == {
-            k: x / v[top] for k, x in v.items()}
+        payload["oracle_agrees"] = True
     _emit(payload)
     return EXIT_OK
 
@@ -174,25 +181,16 @@ def cmd_integrate(args) -> int:
         raise _CliExit(EXIT_INPUT, message=f"cannot load module: {exc}")
     if not module.name:
         module.name = os.path.splitext(os.path.basename(args.module))[0]
-    mreport = validate_module(module)
-    if not mreport.ok:
-        raise _CliExit(EXIT_INVALID, payload={
-            "algebra": alg.name,
-            "module": module.name,
-            "valid": False,
-            "violations": _violations_json(alg, mreport),
-        }, message="module violates the representation axioms")
+    _require_valid(alg, validate_module(module),
+                   "module violates the representation axioms", module=module.name)
 
     # trace test, then semisimplicity, then z: exit 3 comes before exit 4,
     # and neither pays for the pairing pass
     try:
         _check_trace_condition(alg)
     except NoInvariantError as exc:
-        raise _CliExit(EXIT_NO_INVARIANT, payload={
-            "algebra": alg.name,
-            "violator": alg.basis_name(exc.violator),
-            "lambda": fileio.format_rational(exc.value),
-        }, message=str(exc))
+        _refuse(EXIT_NO_INVARIANT, alg, str(exc), violator=alg.basis_name(exc.violator),
+                **{"lambda": fileio.format_rational(exc.value)})
 
     even_report = even_part_structure(alg)
     ssreport = check_semisimple_over_even(module, even_report)
@@ -203,11 +201,8 @@ def cmd_integrate(args) -> int:
         "ok": ssreport.ok,
     }
     if not ssreport.ok:
-        raise _CliExit(EXIT_NOT_SEMISIMPLE, payload={
-            "algebra": alg.name,
-            "module": module.name,
-            "semisimple": ss_json,
-        }, message="module is not semisimple over the even part")
+        _refuse(EXIT_NOT_SEMISIMPLE, alg, "module is not semisimple over the even part",
+                module=module.name, semisimple=ss_json)
 
     warnings = []
     if not even_report.certified_reductive:
@@ -264,7 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or the usage and the error
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         try:
             return args.func(args)

@@ -84,6 +84,47 @@ def parabolic_supermatrix_units(p, q):
                                 lambda i, j: (i < p) == (j < p) or i < p)
 
 
+def orthosymplectic(M, n):
+    """osp(M|2n) on the space (M|2n) with the form B = diag(I_M | J),
+    J = [[0, I_n], [-I_n, 0]], and its defining module.  The even and the
+    odd basis are the canonical ``nullspace`` bases, over the matrix units
+    of that parity, of B(Xu, v) + (-1)^(|X||u|) B(u, Xv) = 0 on basis
+    vectors u, v; they are named X1, X2, ... and Y1, Y2, ...."""
+    size = M + 2 * n
+    deg = [0] * M + [1] * (2 * n)
+    form = {i: {i: 1} for i in range(M)}
+    for k in range(M, M + n):
+        form[k], form[k + n] = {k + n: 1}, {k: -1}
+    parts = []
+    for parity, prefix in ((0, "X"), (1, "Y")):
+        units = [(i, j) for i in range(size) for j in range(size)
+                 if (deg[i] + deg[j]) % 2 == parity]
+        # the (a, b) condition: sum_c X_ca B_cb + (-1)^(|X||a|) B_ac X_cb = 0
+        rows = []
+        for a in range(size):
+            sign = -1 if parity and deg[a] else 1
+            for b in range(size):
+                row = {}
+                for u, (i, j) in enumerate(units):
+                    x = (form[i].get(b, 0) if j == a else 0) + \
+                        (sign * form[a].get(i, 0) if j == b else 0)
+                    if x:
+                        row[u] = x
+                rows.append(row)
+        parts.append([(f"{prefix}{k + 1}", _unit_matrix(units, v))
+                      for k, v in enumerate(nullspace(rows, len(units)))])
+    return realization(f"osp({M}|{2 * n})", *parts, deg)
+
+
+def _unit_matrix(units, coeffs):
+    """The matrix sum of coeffs[u] E_units[u], as rows of nonzeros."""
+    mat: dict = {}
+    for u, x in coeffs.items():
+        i, j = units[u]
+        mat.setdefault(i, {})[j] = x
+    return mat
+
+
 def dual_module(v, name=""):
     """V* with the graded dual action, (xf)(a) = -(-1)^(|x||f|) f(xa), so
     rho*(x)[c][r] = -(-1)^(|x||c|) rho(x)[r][c], on the dual basis."""

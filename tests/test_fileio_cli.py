@@ -398,7 +398,8 @@ def test_cli_invariant_oracle_basis(capsys):
 
 
 def test_cli_oracle_agrees_only_with_the_class_of_z(monkeypatch, capsys):
-    # twice z's class spans the oracle's line, but is not 1 at x^top
+    # twice z's class spans the oracle's line, but is not 1 at x^top: the
+    # disagreement is a library bug, exit 70 with nothing on stdout
     real = cli.invariant_z
 
     def doubled(alg, fm=None):
@@ -411,11 +412,44 @@ def test_cli_oracle_agrees_only_with_the_class_of_z(monkeypatch, capsys):
                                    *argv[1:], "--oracle")
         assert code == 0 and payload["oracle_agrees"] is True
         monkeypatch.setattr(cli, "invariant_z", doubled)
-        code, payload, _ = run_cli(capsys, "invariant", builtin_fixture(argv[0]),
-                                   *argv[1:], "--oracle")
-        assert code == 0 and payload["oracle_dimension"] == 1
-        assert payload["oracle_agrees"] is False
+        code, payload, err = run_cli(capsys, "invariant", builtin_fixture(argv[0]),
+                                     *argv[1:], "--oracle")
+        assert code == 70 and payload is None
+        assert err == ("superhaar: internal invariant violation: the oracle "
+                       "disagrees: its basis of 1 invariants is not the class of z\n")
         monkeypatch.setattr(cli, "invariant_z", real)
+
+
+def test_cli_oracle_invariant_on_exit_3_is_a_library_bug(monkeypatch, capsys):
+    # bad2 fails the trace condition, so an oracle vector contradicts it
+    argv = ("invariant", builtin_fixture("bad2.json"), "--oracle")
+    code, payload, _ = run_cli(capsys, *argv)
+    assert code == 3 and payload["oracle_dimension"] == 0
+    monkeypatch.setattr(cli, "brute_force_quotient_invariants",
+                        lambda alg: [{(1 << alg.n_odd) - 1: Fraction(1)}])
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 70 and payload is None
+    assert err == ("superhaar: internal invariant violation: the oracle finds "
+                   "an invariant, yet the trace condition fails\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant"], [], ["bogus"], ["invariant", "a.json", "--nope"]],
+    ids=["no-algebra", "no-command", "unknown-command", "unknown-flag"])
+def test_cli_usage_error_exits_1_with_empty_stdout(capsys, argv):
+    # argparse's usage and error lines go to stderr; exit 2 is reserved for
+    # an invalid algebra or module, whose payload is on stdout
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: superhaar") and "error:" in out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["invariant", "--help"]])
+def test_cli_help_exits_0_on_stdout(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: superhaar") and out.err == ""
 
 
 def test_cli_integrate_invalid_module_exit_2(tmp_path, capsys):

@@ -998,18 +998,25 @@ def test_a_zeroed_odd_action_grows_the_odd_kernel_and_exits_70(monkeypatch, caps
 def test_an_even_generator_that_moves_the_candidate_empties_the_oracle(monkeypatch,
                                                                        capsys):
     # the odd rows alone keep the top class of gl(1|1); an even generator
-    # that moves it leaves no invariant, and the CLI reports the disagreement
+    # that moves it leaves no invariant, and the CLI refuses the disagreement
+    # as a library bug
     alg = fixture_algebra("gl11")
     honest = modules.act_on_quotient
+    argv = ["invariant", builtin_fixture(ALGEBRA_FILES["gl11"]), "--oracle"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle_dimension"] == 1 and payload["oracle_agrees"] is True
 
     def move_by_first_even(alg, i, cls):
         return {0: F(1)} if i == 0 and cls else honest(alg, i, cls)
 
     monkeypatch.setattr(modules, "act_on_quotient", move_by_first_even)
     assert brute_force_quotient_invariants(alg) == []
-    assert main(["invariant", builtin_fixture(ALGEBRA_FILES["gl11"]), "--oracle"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["oracle_dimension"] == 0 and payload["oracle_agrees"] is False
+    assert main(argv) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("superhaar: internal invariant violation: the oracle disagrees: "
+                   "its basis of 0 invariants is not the class of z\n")
 
 
 # -- the quotient as a module ----------------------------------------------------

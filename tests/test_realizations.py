@@ -4,10 +4,11 @@ oracle's dimension, which is the uniqueness claim."""
 
 import pytest
 
-from superhaar import (NoInvariantError, brute_force_quotient_invariants,
-                       invariant_z, lambda_values, linalg)
+from superhaar import (NoInvariantError, brute_force_quotient_invariants, dual_pair,
+                       frobenius, integral_matrix, invariant_z, lambda_values, linalg,
+                       quotient_module)
 
-from realizations import realization
+from realizations import orthosymplectic, realization
 from reference import full_oracle, subset_monomial
 
 
@@ -89,3 +90,30 @@ def test_strange_q_is_unimodular_with_a_canonical_unique_invariant(n):
         assert inv.quotient_class == {top: 1, 0b1001: -1}
         assert inv.z == subset_monomial(q, top) - subset_monomial(q, 0b1001)
         assert oracle == full_oracle(q)
+
+
+@pytest.mark.parametrize("M, n, dims, block", [
+    (1, 1, (3, 2), 2), (2, 1, (4, 4), 6), (1, 2, (10, 4), 4),
+    (3, 1, (6, 6), 20), (4, 1, (9, 8), 70), (2, 2, (11, 8), 36)],
+    ids=["osp(1|2)", "osp(2|2)", "osp(1|4)", "osp(3|2)", "osp(4|2)", "osp(2|4)"])
+def test_orthosymplectic_is_unimodular_with_a_canonical_unique_invariant(M, n, dims, block):
+    # g1 is the tensor product of the defining modules of so(M) and sp(2n),
+    # whose elements are traceless, so every lambda is 0.  sp(2n)'s Cartan
+    # acts diagonally in this basis; so(M) has no rational diagonal element
+    # here, so the weight block of the empty set is only partly cut down
+    alg, _ = orthosymplectic(M, n)
+    assert (alg.n_even, alg.n_odd) == dims
+    wt = frobenius._odd_weights(alg)
+    assert sum(w == wt[0] for w in wt) == block and len(wt) == 1 << alg.n_odd
+    assert not any(lambda_values(alg).values())
+    top = (1 << alg.n_odd) - 1
+    inv = invariant_z(alg)
+    assert not any(inv.certificate.values())
+    assert inv.quotient_class[top] == 1 and len(inv.quotient_class) > 1
+    assert brute_force_quotient_invariants(alg) == [inv.quotient_class]
+    if alg.n_odd <= 4:
+        assert full_oracle(alg) == [inv.quotient_class]
+    if alg.n_odd <= 6:
+        # the integral on the quotient itself is nonzero
+        dual_pair(alg)
+        assert any(integral_matrix(quotient_module(alg), inv).entries.values())
