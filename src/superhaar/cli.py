@@ -122,7 +122,6 @@ def cmd_invariant(args) -> int:
     lam_json = {alg.basis_name(i): fileio.format_rational(v)
                 for i, v in sorted(lam.items())}
     payload = {
-        "algebra": alg.name,
         "trace_condition": all(not v for v in lam.values()),
         "lambda_values": lam_json,
     }
@@ -150,7 +149,7 @@ def cmd_invariant(args) -> int:
                 raise InternalInvariantError(
                     "the oracle finds an invariant, yet the trace condition fails")
             payload["oracle_dimension"] = 0
-        raise _CliExit(EXIT_NO_INVARIANT, payload=payload, message=str(exc))
+        _refuse(EXIT_NO_INVARIANT, alg, str(exc), **payload)
 
     payload["parity"] = "odd" if alg.n_odd % 2 else "even"
     payload["z"] = fileio.element_to_json(inv.z)
@@ -169,7 +168,7 @@ def cmd_invariant(args) -> int:
         payload["oracle_basis"] = [fileio.quotient_class_to_json(alg, cls)
                                    for cls in oracle]
         payload["oracle_agrees"] = True
-    _emit(payload)
+    _emit({"algebra": alg.name, **payload})
     return EXIT_OK
 
 

@@ -27,16 +27,13 @@ algebra's integer scale, and splitting its words at their first odd
 letter gives each left coefficient with the same ints over
 S^(|I| + 1 - |J|).  So an entry at (i, k) of A or of its inverse is over
 S^(|I_i| - |I_k|), and an (i, k) entry times a (k, j) entry is one
-``multiply`` call over the denominator of (i, j).  The counit is an
-algebra map on the even subalgebra, so the same pass on the counits,
-plain ints, gives counit(A), whose column zero is all ``invariant_z``
-needs without a matrix.  counit(A) is block diagonal by
-the weights of the even basis elements that act diagonally on the odd
-basis (``_odd_weights``), and column zero lies in the block of the empty
-set, so that pass builds only that block and the products it reads.  Both
-share one forward substitution of the columns asked for (``_solve``),
-which checks each row as it reaches it, lower triangular with diagonal
-+-1, and verifies every entry it stores exactly.
+``multiply`` call over the denominator of (i, j).  ``_solve`` inverts A
+by forward substitution, checking each row as it reaches it, lower
+triangular with diagonal +-1, and verifies every entry it stores exactly.
+The counit is an algebra map on the even subalgebra, so the same
+recursion on the counits, plain ints, gives counit(A), whose column zero
+is all ``invariant_z`` needs without a matrix: ``_counit_column_zero``
+solves it lazily, forming only the cells its forward substitution reads.
 Fractions are built only when an element's ``terms`` are read, as the
 output does.
 
@@ -58,7 +55,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
+from functools import cache
+from operator import add
 
 from .algebra import LieSuperalgebra, lambda_values
 from .enveloping import (UEElement, _odd_mask, _odd_word, _rewrite,
@@ -129,24 +127,21 @@ class FrobeniusMatrix:
     _inverse_rows: tuple = field(repr=False, compare=False)   # ``_solve``'s, for dual_pair
 
 
-def _solve(rows, positions, columns, zero, one, what: str) -> tuple[tuple[int, ...], list[dict]]:
-    """The diagonal, in the order of ``positions``, and the columns
-    ``columns`` of the inverse B of the square matrix A on the rows and
-    columns ``positions`` (ascending) of ``rows``, rows of nonzeros over a
-    ring with ``zero`` and ``one``; B as rows of nonzeros in the order of
-    ``positions``, by forward substitution row by row.  Each row of A is
+def _solve(rows, n, zero, one, what: str) -> tuple[tuple[int, ...], list[dict]]:
+    """The diagonal and the inverse B of the n x n matrix A given as
+    ``rows`` of nonzeros over a ring with ``zero`` and ``one``; B as rows of
+    nonzeros, by forward substitution row by row.  Each row of A is
     checked when it is reached: no entry above the diagonal, and a diagonal
     entry d_i of +-1, which makes the division exact and sidesteps
-    noncommutativity (each product is A[i][k] * B[k][j]).  B is zero in the
-    rows outside ``positions``, so the entries of ``rows`` in those columns
-    are not read.  With s the sum of A[i][k] * B[k][j] over k < i,
-    B[i][j] = d_i (e_i[j] - s), stored only when s differs from e_i[j], so a
-    column j starts at row j.  Each stored entry is checked:
-    s + A[i][i] * B[i][j] must be e_i[j] exactly, and an entry not stored
-    holds with B[i][j] = 0.  The first failure in row order is reported;
-    within its row, triangularity, then the diagonal, then the smallest j."""
-    diagonal, inverse = [], {}
-    for i in positions:
+    noncommutativity (each product is A[i][k] * B[k][j]).  With s the sum
+    of A[i][k] * B[k][j] over k < i, B[i][j] = d_i (e_i[j] - s), stored
+    only when s differs from e_i[j], so a column j starts at row j.  Each
+    stored entry is checked: s + A[i][i] * B[i][j] must be e_i[j] exactly,
+    and an entry not stored holds with B[i][j] = 0.  The first failure in
+    row order is reported; within its row, triangularity, then the
+    diagonal, then the smallest j."""
+    diagonal, inverse = [], []
+    for i in range(n):
         row = rows.get(i, {})
         above = [k for k in row if k > i]
         if above:
@@ -161,14 +156,14 @@ def _solve(rows, positions, columns, zero, one, what: str) -> tuple[tuple[int, .
             raise InternalInvariantError(
                 f"{what}: diagonal entry at {i} is {a_ii}, expected +-1")
         diagonal.append(d)
-        sums = {i: zero} if i in columns else {}
+        sums = {i: zero}
         for k, a in row.items():
             # the rows of B solved so far are those above row i
-            if k in inverse:
+            if k < i:
                 for j, b in inverse[k].items():
                     p = a * b
                     sums[j] = sums[j] + p if j in sums else p
-        out = inverse[i] = {}
+        out = {}
         for j in sorted(sums):
             s, target = sums[j], one if i == j else zero
             if s != target:
@@ -176,7 +171,8 @@ def _solve(rows, positions, columns, zero, one, what: str) -> tuple[tuple[int, .
                 if s + a_ii * b != target:
                     raise InternalInvariantError(
                         f"{what} times its inverse is not the identity at ({i}, {j})")
-    return tuple(diagonal), list(inverse.values())
+        inverse.append(out)
+    return tuple(diagonal), inverse
 
 
 def _odd_weights(alg: LieSuperalgebra) -> list[tuple[int, ...]]:
@@ -205,45 +201,9 @@ def _odd_weights(alg: LieSuperalgebra) -> list[tuple[int, ...]]:
     return wt
 
 
-def _with_prefixes(masks) -> set[int]:
-    """The masks ``masks``, and every mask that dropping lowest letters from
-    one of them reaches, the empty set included."""
-    out = {0}
-    for mask in masks:
-        while mask not in out:
-            out.add(mask)
-            mask &= mask - 1
-    return out
-
-
-def _block_cells(wt: list) -> tuple:
-    """What ``_pairing`` builds of the block of the empty set of counit(A),
-    for the odd-subset weights ``wt``: the block's masks K, the nonempty
-    columns M it reads, each M less its lowest letter with them, ascending,
-    and for each letter t the masks I of the chain products x^I x_t to
-    build, ascending: the rows I with wt(I) + wt(M) = wt(top) of the
-    columns M with t = min M, each I less its lowest letter with them."""
-    top = len(wt) - 1
-    block = {k for k, w in enumerate(wt) if w == wt[0]}
-    columns = sorted(_with_prefixes(top ^ k for k in block))[1:]
-    by_weight: dict = defaultdict(list)
-    for mask, w in enumerate(wt):
-        by_weight[w].append(mask)
-    wants: list[set] = [set() for _ in range(top.bit_length())]
-    for mask in columns:
-        wants[(mask & -mask).bit_length() - 1].add(tuple(map(sub, wt[top], wt[mask])))
-    chains = [sorted(_with_prefixes(i for w in ws for i in by_weight[w])) for ws in wants]
-    return block, columns, chains
-
-
-def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one,
-             weights=None) -> dict:
-    """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}>, or its
-    image under a ring map phi on the even subalgebra, as rows of nonzeros
-    indexed by position in ``order``.
-    ``read(u)`` maps a chain product u = sum_J u_J x^J to the nonzero
-    phi(u_J) by mask J, and ``one`` is the unit of phi's ring, whose
-    elements are true exactly when nonzero.
+def _pairing(alg: LieSuperalgebra, order: tuple[int, ...]) -> dict:
+    """The pairing matrix A[i][k] = <x^{I_i}, x^{complement(I_k)}> over the
+    even subalgebra, as rows of nonzeros indexed by position in ``order``.
 
     R_t[I][J] is the left coefficient of x^J in x^I * x_t.  Right
     multiplication by x_t and pi are maps of left
@@ -252,71 +212,98 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...], read, one,
     c_empty = e_top, and A[i][k] is entry I_i of c_{complement(I_k)}.
     Each product is formed as R_t[I][J] * c[J], in that order, because the
     even subalgebra is not commutative.
-
-    With ``weights`` (``_odd_weights``) and phi the counit, only the block
-    of the empty set is built: the cells whose row and column have the
-    weight of the empty set.  ad h is a derivation, so x^I x^M has
-    eigenvalue wt(I) + wt(M) and, by the uniqueness of left coefficients,
-    c_M[I] has wt(I) + wt(M) - wt(top), and R_t[I][J] has
-    wt(I) + w_t - wt(J); the counit kills ad h(u) = h u - u h, so it kills
-    every even element of nonzero eigenvalue.  So the block's columns read
-    c_M only at the rows I with wt(I) + wt(M) = wt(top), and R_t only at
-    those rows, and every other counit there is zero: ``_block_cells``
-    names the columns and chain products built.  Without ``weights`` every
-    cell is built.
     """
     top = (1 << alg.n_odd) - 1
-    if weights is None:
-        block, columns, chains = range(top + 1), range(1, top + 1), [range(top + 1)] * alg.n_odd
-    else:
-        block, columns, chains = _block_cells(weights)
     letters = [UEElement.generator(alg, alg.n_even + t) for t in range(alg.n_odd)]
-    # the transpose of each R_t: J -> {I: phi(R_t[I][J])}
+    # the transpose of each R_t: J -> {I: R_t[I][J]}
     right = []
-    for x_t, chain in zip(letters, chains):
-        products, rt = {0: x_t}, {}
-        for mask in chain:
+    for x_t in letters:
+        products, rt = [x_t], {}
+        for mask in range(top + 1):
             if mask:
                 low = mask & -mask
-                products[mask] = multiply(letters[low.bit_length() - 1], products[mask ^ low])
-            for j, r in read(products[mask]).items():
+                products.append(multiply(letters[low.bit_length() - 1], products[mask ^ low]))
+            for j, r in _even_ints(products[mask]).items():
                 rt.setdefault(j, {})[mask] = r
         right.append(rt)
-    cols = {0: {top: one}}
-    for mask in columns:
+    cols = [{top: UEElement.one(alg)}]
+    for mask in range(1, top + 1):
         low = mask & -mask
         rt, acc = right[low.bit_length() - 1], {}
         for j, c in cols[mask ^ low].items():
             for i, r in rt.get(j, {}).items():
                 acc[i] = acc[i] + r * c if i in acc else r * c
-        cols[mask] = {i: x for i, x in acc.items() if x}
+        cols.append({i: x for i, x in acc.items() if x})
     position = {mask: i for i, mask in enumerate(order)}
     rows: dict = {}
     for k, mask in enumerate(order):
-        if mask in block:
-            for i_mask, x in cols[top ^ mask].items():
-                rows.setdefault(position[i_mask], {})[k] = x
+        for i_mask, x in cols[top ^ mask].items():
+            rows.setdefault(position[i_mask], {})[k] = x
     return rows
 
 
 def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[int]:
-    """The counit of column zero b of the inverse of the pairing matrix A,
-    from counit(A) alone: counit(A) * counit(b) = e_0, solved and checked
-    like A itself, in ints; entry i is the empty-word int of the inverse
-    entry, over S^|I_i|.
+    """The counit b of column zero of the inverse of the pairing matrix A,
+    in ``order``: counit(A) * b = e_0 solved by forward substitution in
+    ints, forming only the cells of counit(A) that the solve reads; entry i
+    is the empty-word int of the inverse entry, over S^|I_i|.
 
-    counit(A)[I][K] is zero unless wt(I) = wt(K) (``_pairing``), so
-    counit(A) is block diagonal by weight, and so is its inverse: column
-    zero is zero outside the block of the empty set.  Only that block is
-    built, checked and solved in one pass (``_solve``); a failure is
-    reported at its position in ``order``."""
-    wt = _odd_weights(alg)
-    block = [i for i, mask in enumerate(order) if wt[mask] == wt[0]]
-    scalar = _pairing(alg, order, _counit_ints, 1, wt)
-    _, solved = _solve(scalar, block, (0,), 0, 1, "counit of the pairing matrix")
-    column = [0] * len(order)
-    for i, row in zip(block, solved):
-        column[i] = row.get(0, 0)
+    The cell counit(A)[I][K] is cell(M, I) with M = complement(K), and
+    cell(M, I) = sum over J of counit(R_t[I][J]) * cell(M - t, J) with
+    t = min M and cell(empty, I) = [I = top] (``_pairing``, through the
+    counit, an algebra map on the even subalgebra).  The chain products
+    x^I x_t are built along prefixes, as ``_pairing`` builds them, and
+    read by ``_counit_ints``; products and cells are cached for this call.
+
+    counit(A)[I][K] is zero unless wt(I) = wt(K) (``_odd_weights``): ad h
+    is a derivation, so c_M[I] has eigenvalue wt(I) + wt(M) - wt(top), and
+    the counit kills ad h(u) = h u - u h, so it kills every even element of
+    nonzero eigenvalue.  So counit(A) is block diagonal by weight, b is zero
+    off the block of the empty set, and the solve walks that block's rows.
+    Row I reads its diagonal, which must be +-1, and the columns where b is
+    already nonzero.  The cells above the diagonal are not formed.  On a
+    table that respects parity they are zero, since no rewriting step adds
+    an odd letter: x^I x^{complement K} has |I| + m - |K| < m odd letters
+    when |I| < |K|, and when |I| = |K| and I != K it repeats a letter, which
+    only a bracket of two odd letters, an even letter, removes.  On any
+    table the certificate and the class of z at x^top in ``invariant_z``
+    decide whether z is right.  A failure is reported at its position in
+    ``order``."""
+    wt, top = _odd_weights(alg), (1 << alg.n_odd) - 1
+    letters = [UEElement.generator(alg, alg.n_even + t) for t in range(alg.n_odd)]
+
+    @cache
+    def chain(t, mask):
+        """x^I x_t = x_s (x^{I - s} x_t), s = min I."""
+        if not mask:
+            return letters[t]
+        low = mask & -mask
+        return multiply(letters[low.bit_length() - 1], chain(t, mask ^ low))
+
+    @cache
+    def counits(t, mask):
+        return _counit_ints(chain(t, mask))
+
+    @cache
+    def cell(col, row):
+        if not col:
+            return int(row == top)
+        low = col & -col
+        t = low.bit_length() - 1
+        return sum(r * cell(col ^ low, j) for j, r in counits(t, row).items())
+
+    column, support = [0] * len(order), []
+    for i, mask in enumerate(order):
+        if wt[mask] != wt[0]:
+            continue
+        d = cell(top ^ mask, mask)
+        if d not in (1, -1):
+            raise InternalInvariantError(
+                f"counit of the pairing matrix: diagonal entry at {i} is {d}, expected +-1")
+        s = sum(cell(top ^ k, mask) * column[j] for j, k in support)
+        column[i] = d * (int(i == 0) - s)
+        if column[i]:
+            support.append((i, mask))
     return column
 
 
@@ -326,8 +313,8 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     order = odd_subset_order(alg.n_odd)
     n = len(order)
     zero, one = UEElement.zero(alg), UEElement.one(alg)
-    rows = _pairing(alg, order, _even_ints, one)
-    diagonal, solved = _solve(rows, range(n), range(n), zero, one, "pairing matrix")
+    rows = _pairing(alg, order)
+    diagonal, solved = _solve(rows, n, zero, one, "pairing matrix")
     dense = [[[zero] * n for _ in range(n)] for _ in range(2)]
     for out, sparse in zip(dense, (rows.items(), enumerate(solved))):
         for i, row in sparse:
@@ -466,11 +453,14 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
     """The canonical invariant: z = sum_J x^{complement(J)} * counit(inverse[J][empty]).
 
     Column zero of the inverse is read from ``fm`` when given.  Otherwise
-    only its counit is computed, from the scalar matrix counit(A), with no
+    only its counit is computed, by a forward solve in ints that forms only
+    the cells of counit(A) it reads (``_counit_column_zero``), with no
     arithmetic in the even subalgebra.  Both checks are exact: the class of
     w z - counit(w) z in the quotient is zero for every basis element w (the
     certificate), and the class of z is 1 at x^top, which makes z the
-    canonical invariant and not only a nonzero one.
+    canonical invariant and not only a nonzero one.  They decide whether z
+    is right on either path, also where the plain path's solve has not
+    checked counit(A) above the diagonal.
 
     Requires the trace condition; otherwise the invariant space of the
     quotient module is zero and ``NoInvariantError`` names the violating

@@ -523,7 +523,8 @@ def test_cli_integrate_exit_4_makes_no_pairing_pass(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the pairing pass ran")
 
-    monkeypatch.setattr(frobenius, "_pairing", refuse)
+    monkeypatch.setattr(frobenius, "_counit_column_zero", refuse)
+    monkeypatch.setattr(frobenius, "multiply", refuse)
     code, payload, err = run_cli(capsys, "integrate", builtin_fixture("gl11.json"),
                                  builtin_fixture("jordan_module.json"))
     assert code == 4
