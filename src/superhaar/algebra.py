@@ -531,9 +531,6 @@ def even_part_structure(alg: LieSuperalgebra) -> EvenPartReport:
     as the sum of a[r][c] b[c][r], without forming the product.
     """
     n0 = alg.n_even
-    if n0 == 0:
-        return EvenPartReport([], [], True, True, True)
-
     # center: v with [v, b_j] = 0 for all even j, one equation per (j, k)
     # holding the coefficients of b_k in [b_i, b_j]
     rows: dict[tuple[int, int], linalg.Vector] = {}

@@ -137,7 +137,7 @@ def cmd_invariant(args) -> int:
         payload["frobenius_matrix"] = [fileio._Elements(row) for row in fm.entries]
         payload["frobenius_inverse"] = [fileio._Elements(row) for row in fm.inverse]
     if args.emit_dual_pair:
-        payload["dual_pair"] = fileio._Elements(dual_pair(alg, fm))
+        payload["dual_pair"] = fileio._Elements(dual_pair(fm))
 
     try:
         inv = invariant_z(alg, fm)

@@ -190,8 +190,6 @@ def module_to_json(module: GradedModule) -> dict:
 
 def element_to_json(u: UEElement) -> list[dict]:
     """Expression form: list of {monomial: [generator names], coeff}."""
-    if not u:
-        return []
     alg = u.alg
     out = []
     for word, c in u.sorted_terms():

@@ -123,24 +123,22 @@ class FrobeniusMatrix:
     order: tuple[int, ...]                       # subset masks, cardinality order
     entries: tuple[tuple[UEElement, ...], ...]
     inverse: tuple[tuple[UEElement, ...], ...]
-    diagonal: tuple[int, ...]                    # each +1 or -1
     _inverse_rows: tuple = field(repr=False, compare=False)   # ``_solve``'s, for dual_pair
 
 
-def _solve(rows, n, zero, one, what: str) -> tuple[tuple[int, ...], list[dict]]:
-    """The diagonal and the inverse B of the n x n matrix A given as
-    ``rows`` of nonzeros over a ring with ``zero`` and ``one``; B as rows of
-    nonzeros, by forward substitution row by row.  Each row of A is
-    checked when it is reached: no entry above the diagonal, and a diagonal
-    entry d_i of +-1, which makes the division exact and sidesteps
-    noncommutativity (each product is A[i][k] * B[k][j]).  With s the sum
-    of A[i][k] * B[k][j] over k < i, B[i][j] = d_i (e_i[j] - s), stored
-    only when s differs from e_i[j], so a column j starts at row j.  Each
-    stored entry is checked: s + A[i][i] * B[i][j] must be e_i[j] exactly,
-    and an entry not stored holds with B[i][j] = 0.  The first failure in
-    row order is reported; within its row, triangularity, then the
-    diagonal, then the smallest j."""
-    diagonal, inverse = [], []
+def _solve(rows, n, zero, one, what: str) -> list[dict]:
+    """The inverse B of the n x n matrix A given as ``rows`` of nonzeros
+    over a ring with ``zero`` and ``one``, as rows of nonzeros, by forward
+    substitution row by row.  Each row of A is checked when it is reached:
+    no entry above the diagonal, and a diagonal entry d_i of +-1, which
+    makes the division exact and sidesteps noncommutativity (each product
+    is A[i][k] * B[k][j]).  With s the sum of A[i][k] * B[k][j] over
+    k < i, B[i][j] = d_i (e_i[j] - s), stored only when s differs from
+    e_i[j], so a column j starts at row j.  Each stored entry is checked:
+    s + A[i][i] * B[i][j] must be e_i[j] exactly, and an entry not stored
+    holds with B[i][j] = 0.  The first failure in row order is reported;
+    within its row, triangularity, then the diagonal, then the smallest j."""
+    inverse = []
     for i in range(n):
         row = rows.get(i, {})
         above = [k for k in row if k > i]
@@ -155,7 +153,6 @@ def _solve(rows, n, zero, one, what: str) -> tuple[tuple[int, ...], list[dict]]:
         else:
             raise InternalInvariantError(
                 f"{what}: diagonal entry at {i} is {a_ii}, expected +-1")
-        diagonal.append(d)
         sums = {i: zero}
         for k, a in row.items():
             # the rows of B solved so far are those above row i
@@ -172,7 +169,7 @@ def _solve(rows, n, zero, one, what: str) -> tuple[tuple[int, ...], list[dict]]:
                     raise InternalInvariantError(
                         f"{what} times its inverse is not the identity at ({i}, {j})")
         inverse.append(out)
-    return tuple(diagonal), inverse
+    return inverse
 
 
 def _odd_weights(alg: LieSuperalgebra) -> list[tuple[int, ...]]:
@@ -314,14 +311,14 @@ def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
     n = len(order)
     zero, one = UEElement.zero(alg), UEElement.one(alg)
     rows = _pairing(alg, order)
-    diagonal, solved = _solve(rows, n, zero, one, "pairing matrix")
+    solved = _solve(rows, n, zero, one, "pairing matrix")
     dense = [[[zero] * n for _ in range(n)] for _ in range(2)]
     for out, sparse in zip(dense, (rows.items(), enumerate(solved))):
         for i, row in sparse:
             for k, x in row.items():
                 out[i][k] = x
     entries, inverse = (tuple(map(tuple, out)) for out in dense)
-    return FrobeniusMatrix(alg, order, entries, inverse, diagonal, tuple(solved))
+    return FrobeniusMatrix(alg, order, entries, inverse, tuple(solved))
 
 
 def _prefix_pairings(alg: LieSuperalgebra, y: dict, memo: dict) -> list[dict]:
@@ -386,8 +383,9 @@ def _prefix_pairings(alg: LieSuperalgebra, y: dict, memo: dict) -> list[dict]:
     return tops
 
 
-def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[UEElement]:
-    """Elements y^I with <x^I, y^J> = delta_IJ, in the subset order.
+def dual_pair(fm: FrobeniusMatrix) -> list[UEElement]:
+    """Elements y^I with <x^I, y^J> = delta_IJ, in the subset order of
+    ``fm``, the pairing matrix of their algebra.
 
     y^I = sum_J x^{complement(J)} * alpha(inverse[J][I]), from the sparse
     int rows of the inverse as they are, over S^(m - |I|).  Duality is
@@ -404,10 +402,9 @@ def dual_pair(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> list[U
     ``alpha`` returns an inverse entry as it is when none of its letters
     has a nonzero trace, so under the trace condition no entry is twisted.
     """
+    alg = fm.alg
     if not alg._parity_graded:
         raise ValueError(f"the bracket table of {alg.name} does not respect parity")
-    if fm is None:
-        fm = frobenius_matrix(alg)
     n, m, top = len(fm.order), alg.n_odd, (1 << alg.n_odd) - 1
     comp = [_odd_word(alg, top ^ mask) for mask in fm.order]
     heads: list[list] = [[] for _ in range(n)]
@@ -464,8 +461,11 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
 
     Requires the trace condition; otherwise the invariant space of the
     quotient module is zero and ``NoInvariantError`` names the violating
-    even basis element and its trace.
+    even basis element and its trace.  ``ValueError``, naming both
+    algebras, when ``fm`` is the pairing matrix of another algebra.
     """
+    if fm is not None and fm.alg != alg:
+        raise ValueError(f"the pairing matrix is of {fm.alg.name}, not of {alg.name}")
     _check_trace_condition(alg)
     m = alg.n_odd
     if fm is None:

@@ -209,7 +209,8 @@ def same_span(a: list[Vector], b: list[Vector]) -> bool:
 
 def is_squarefree(p: list[Fraction]) -> bool:
     """Has the polynomial p (coefficients in ascending powers) no repeated
-    root?  True for degree at most 0, the zero polynomial included.
+    root?  True for degree at most 0, the zero polynomial included: its
+    Sylvester matrix below has no rows.
 
     p of degree n >= 1 is squarefree exactly when p and p' are coprime,
     that is when their Sylvester matrix, the 2n - 1 int rows x^i d p for
@@ -219,8 +220,6 @@ def is_squarefree(p: list[Fraction]) -> bool:
     does not depend on the column order.
     """
     n = max((i for i, c in enumerate(p) if c), default=0)
-    if n == 0:
-        return True
     d = math.lcm(*(c.denominator for c in p))
     a = [c.numerator * (d // c.denominator) for c in p[:n + 1]]
     rows = ({2 * n - 2 - s - i: c for i, c in enumerate(q) if c}

@@ -81,12 +81,12 @@ def test_criterion_3_frobenius_structure(rng):
     algebras = [fixture_algebra(k) for k in ALGEBRA_FILES] + [extra]
     for alg in algebras:
         fm = frobenius_matrix(alg)   # triangularity, +-1 diagonal, A A^-1 = 1
-        n = len(fm.order)
+        n, one = len(fm.order), UEElement.one(alg)
         for i in range(n):
-            assert fm.diagonal[i] in (1, -1)
+            assert fm.entries[i][i] in (one, -one)
             for j in range(i + 1, n):
                 assert not fm.entries[i][j]
-        dual_pair(alg, fm)           # exhaustive <x^I, y^J> = delta (m <= 4)
+        dual_pair(fm)                # exhaustive <x^I, y^J> = delta (m <= 4)
         for _ in range(100):
             s = random_even_element(alg, rng, max_degree=2, terms=2)
             u = random_element(alg, rng, max_degree=2, terms=2)

@@ -609,7 +609,7 @@ def test_library_results_store_only_checked_terms(rng):
         # ints and converted once
         fm = frobenius_matrix(alg)
         results = [e for rows in (fm.entries, fm.inverse) for row in rows for e in row if e]
-        results += dual_pair(alg, fm)
+        results += dual_pair(fm)
         for u in results:
             assert_checked(u)
 

@@ -270,7 +270,7 @@ def test_element_rows_are_written_as_their_json_values(key):
     # text formatted for one and reused at the other would show here
     alg = EMIT_ALGEBRAS[key]()
     fm = frobenius_matrix(alg)
-    dual = dual_pair(alg, fm)
+    dual = dual_pair(fm)
     direct = {"frobenius_matrix": [fileio._Elements(row) for row in fm.entries],
               "frobenius_inverse": [fileio._Elements(row) for row in fm.inverse],
               "dual_pair": fileio._Elements(dual)}

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -16,7 +17,7 @@ from superhaar import (InternalInvariantError, LieSuperalgebra,
                        odd_subset_order, quotient_project,
                        validate_superalgebra)
 from superhaar.cli import main
-from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical
+from superhaar.fileio import algebra_to_json, builtin_fixture, dumps_canonical, load_algebra
 
 from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, at_int_scale, bench_algebra,
                       bench_gen, fixture_algebra, gen, gl_supermatrix_units, int_scaled, int_terms,
@@ -24,6 +25,7 @@ from conftest import (ALGEBRA_FILES, UNIMODULAR, alpha_inv, at_int_scale, bench_
                       twisted_dual_algebra)
 from randgen import (from_word, map_element, random_element, random_even_element,
                      random_odd_basis_change, random_small_superalgebra)
+from realizations import orthosymplectic
 from reference import (dense_forward_substitution, form, fraction_dual_pair,
                        fraction_pairing, left_coefficients, left_counits, pi,
                        subset_monomial, tuple_subset_order)
@@ -81,18 +83,24 @@ def test_form_examples(g2):
     assert not form(one, one)
 
 
+def diagonal(fm):
+    """A's diagonal entries, in ``fm.order``."""
+    return [row[i] for i, row in enumerate(fm.entries)]
+
+
 def test_frobenius_matrix_diagonal_examples(g2, bad2, sl2):
     fm = frobenius_matrix(g2)
     assert fm.order == (0b00, 0b01, 0b10, 0b11)
-    assert fm.diagonal == (1, 1, -1, 1)
+    signs = (1, 1, -1, 1)
+    assert diagonal(fm) == [UEElement.scalar(g2, d) for d in signs]
     for i in range(4):
         for j in range(4):
-            want = UEElement.scalar(g2, fm.diagonal[i]) if i == j \
+            want = UEElement.scalar(g2, signs[i]) if i == j \
                 else UEElement.zero(g2)
             assert fm.entries[i][j] == want
             assert fm.inverse[i][j] == want
 
-    assert frobenius_matrix(bad2).diagonal == (1, 1)
+    assert diagonal(frobenius_matrix(bad2)) == [UEElement.one(bad2)] * 2
 
     fm0 = frobenius_matrix(sl2)  # no odd part: 1 x 1 identity
     assert fm0.entries == ((UEElement.one(sl2),),)
@@ -106,7 +114,7 @@ def test_frobenius_matrix_structure_all_fixtures():
         n = len(fm.order)
         one, zero = UEElement.one(alg), UEElement.zero(alg)
         for i in range(n):
-            assert fm.diagonal[i] in (1, -1)
+            assert fm.entries[i][i] in (one, -one)
             for j in range(n):
                 # entries (and inverse entries) lie in the even subalgebra
                 for e in (fm.entries[i][j], fm.inverse[i][j]):
@@ -131,20 +139,20 @@ def test_osp12_pairing_has_noncommutative_entry(osp12):
 
 
 def test_dual_pair_examples(g2, sl2):
-    ys = dual_pair(g2)
+    ys = dual_pair(frobenius_matrix(g2))
     x1, x2 = gen(g2, "x1"), gen(g2, "x2")
     assert ys[0] == multiply(x1, x2)   # dual of the empty subset
     assert ys[1] == x2
     assert ys[2] == -x1
     assert ys[3] == UEElement.one(g2)
-    assert dual_pair(sl2) == [UEElement.one(sl2)]
+    assert dual_pair(frobenius_matrix(sl2)) == [UEElement.one(sl2)]
 
 
 def test_dual_pair_exhaustive_delta():
     for key in ALGEBRA_FILES:
         alg = fixture_algebra(key)
         fm = frobenius_matrix(alg)
-        ys = dual_pair(alg, fm)  # verifies <x^I, y^J> = delta internally
+        ys = dual_pair(fm)  # verifies <x^I, y^J> = delta internally
         assert len(ys) == 1 << alg.n_odd
 
 
@@ -227,7 +235,7 @@ def test_full_pipeline_on_random_small_algebras(rng):
         alg = random_small_superalgebra(rng, max_dim=5)
         assert validate_superalgebra(alg).ok
         fm = frobenius_matrix(alg)
-        dual_pair(alg, fm)
+        dual_pair(fm)
         oracle = brute_force_quotient_invariants(alg)
         if not any(lambda_values(alg).values()):
             inv = invariant_z(alg, fm)
@@ -284,6 +292,69 @@ def test_column_zero_matches_full_inverse_on_shuffled_gl():
     rng = random.Random(38)
     for p, q in ((3, 1), (2, 2)):
         assert_column_zero_matches_full(bench_algebra(bench_gen.gl(p, q, rng)))
+
+
+# -- the cells of counit(A) as classes in U(g)/U(g)*g0 -----------------------
+
+@cache
+def trace_condition_algebras():
+    """Algebras that satisfy the trace condition: unit, orthosymplectic,
+    rescaled (S = 15120) and dense rational (S = 19152 and 196812) bases."""
+    algs = [fixture_algebra(key) for key in UNIMODULAR]
+    algs += [gl_supermatrix_units(p, q) for p, q in ((2, 1), (3, 1), (2, 2))]
+    algs += [orthosymplectic(M, n)[0] for M, n in ((2, 1), (1, 2))]
+    algs.append(rescaled_algebra(gl_supermatrix_units(2, 1)))
+    algs += [random_odd_basis_change(gl_supermatrix_units(n, 1), random.Random(1))[0]
+             for n in (2, 3)]
+    assert not any(v for alg in algs for v in lambda_values(alg).values())
+    assert [alg._int_scale for alg in algs[-3:]] == [15120, 19152, 196812]
+    return tuple(algs)
+
+
+def test_counit_pairing_is_the_top_of_quotient_classes():
+    # under the trace condition the x^top coefficient of the class in
+    # U(g)/U(g)*g0 kills g0*U(g), so it equals counit o pi: cell (i, k) of
+    # counit(A) is the int at x'^top of the class of x'^{I_i} x'^{comp I_k},
+    # the letters of I_i applied to x'^{comp I_k} through ``_act``, highest
+    # first
+    for alg in trace_condition_algebras():
+        n0, m = alg.n_even, alg.n_odd
+        order, top = odd_subset_order(m), (1 << m) - 1
+        full = counit_pairing(alg, order)
+        nonzero = 0
+        for i, row_mask in enumerate(order):
+            letters = [n0 + t for t in reversed(range(m)) if row_mask >> t & 1]
+            for k, col_mask in enumerate(order):
+                cls = ((top ^ col_mask, 1),)
+                for g in letters:
+                    cls = enveloping._apply(alg, g, cls)
+                value = dict(cls).get(top, 0)
+                assert value == full.get(i, {}).get(k, 0), (alg.name, i, k)
+                nonzero += bool(value)
+        # the +-1 diagonal at least
+        assert nonzero >= len(order), alg.name
+
+
+def test_the_class_of_z_is_its_column_by_mask():
+    # z is a sum of ordered odd monomials x^{comp J}, and the class of each
+    # is its basis vector, so the class of z reads its terms by mask
+    for alg in trace_condition_algebras():
+        inv = invariant_z(alg)
+        assert inv.quotient_class == \
+            {enveloping._odd_mask(alg.n_even, w): c for w, c in inv.z.terms.items()}, alg.name
+
+
+def test_invariant_z_refuses_a_foreign_pairing_matrix(gl11, osp12, g2, bad2):
+    # refused before the trace condition is tested, so bad2 is refused too
+    for alg, other in ((osp12, gl11), (gl11, g2), (bad2, g2)):
+        fm = frobenius_matrix(other)
+        with pytest.raises(ValueError, match=rf"^the pairing matrix is of {other.name}, "
+                                             rf"not of {alg.name}$"):
+            invariant_z(alg, fm)
+    # an equal algebra, loaded separately, is the same algebra
+    again = load_algebra(builtin_fixture(ALGEBRA_FILES["osp12"]))
+    assert again is not osp12 and again == osp12
+    assert invariant_z(again, frobenius_matrix(osp12)).z == invariant_z(osp12).z
 
 
 # -- the weight blocks of counit(A) -------------------------------------------
@@ -538,7 +609,7 @@ def test_form_on_a_table_that_breaks_parity(even, odd, brackets, x, y, want):
     assert top_terms(multiply(x, y)) == top * want
     assert form(x, y) == UEElement.scalar(alg, want)
     with pytest.raises(ValueError, match="does not respect parity"):
-        dual_pair(alg)
+        dual_pair(frobenius_matrix(alg))
 
 
 def prefix_pairings(alg, y, memo):
@@ -573,9 +644,9 @@ def test_prefix_pass_matches_form_on_fixtures(rng):
     for key in ALGEBRA_FILES:
         alg = fixture_algebra(key)
         ys = [random_element(alg, rng, max_degree=4, terms=5) for _ in range(3)]
-        assert_prefix_pass_matches_form(alg, ys + dual_pair(alg))
+        assert_prefix_pass_matches_form(alg, ys + dual_pair(frobenius_matrix(alg)))
     alg = gl_supermatrix_units(2, 1)
-    assert_prefix_pass_matches_form(alg, dual_pair(alg))
+    assert_prefix_pass_matches_form(alg, dual_pair(frobenius_matrix(alg)))
 
 
 def test_prefix_pass_matches_form_on_random_algebras(rng):
@@ -588,9 +659,9 @@ def test_prefix_pass_matches_form_on_random_algebras(rng):
         for a in (alg, twisted):
             assert a._parity_graded
             ys = [random_element(a, rng, max_degree=4, terms=5) for _ in range(2)]
-            assert_prefix_pass_matches_form(a, ys + dual_pair(a))
+            assert_prefix_pass_matches_form(a, ys + dual_pair(frobenius_matrix(a)))
     dense, _ = random_odd_basis_change(gl_supermatrix_units(2, 1), rng)
-    assert_prefix_pass_matches_form(dense, dual_pair(dense)[::3])
+    assert_prefix_pass_matches_form(dense, dual_pair(frobenius_matrix(dense))[::3])
 
 
 def test_prefix_pass_in_a_scaled_algebra_matches_form(monkeypatch, rng):
@@ -606,7 +677,7 @@ def test_prefix_pass_in_a_scaled_algebra_matches_form(monkeypatch, rng):
               + from_word(alg, (), F(1, 3)) + from_word(alg, (odd, 0, odd - 1), F(-5, 2))
               for _ in range(3)]
         assert all(len({len(w) for w in y.terms}) > 1 for y in ys)
-        ys += [y * F(3, 7) for y in dual_pair(alg)]
+        ys += [y * F(3, 7) for y in dual_pair(frobenius_matrix(alg))]
         assert all(any(c.denominator > 1 for c in y.terms.values()) for y in ys)
         want = [[form(subset_monomial(alg, mask), y) for mask in range(1 << alg.n_odd)]
                 for y in ys]
@@ -629,7 +700,7 @@ def test_a_shared_memo_gives_the_fresh_memo_result(rng):
     # as a fresh one
     dense, _ = random_odd_basis_change(gl_supermatrix_units(2, 1), rng)
     for alg in [fixture_algebra(key) for key in ALGEBRA_FILES] + [dense]:
-        ys = dual_pair(alg)
+        ys = dual_pair(frobenius_matrix(alg))
         ys += [random_element(alg, rng, max_degree=4, terms=5) * F(2, 3) for _ in range(2)]
         memo, ints = {}, [int_scaled(y)[0] for y in ys]
         shared = [frobenius._prefix_pairings(alg, y, memo) for y in ints]
@@ -662,10 +733,10 @@ def test_a_changed_memo_entry_is_caught(monkeypatch):
         return honest(alg, y, memo)
 
     fm = frobenius_matrix(alg)
-    dual_pair(alg, fm)
+    dual_pair(fm)
     monkeypatch.setattr(frobenius, "_prefix_pairings", tamper)
     with pytest.raises(InternalInvariantError, match=r"dual pair fails at \(\d+, \d+\)$"):
-        dual_pair(alg, fm)
+        dual_pair(fm)
     assert changed and len(calls) == 1 << m
 
 
@@ -686,7 +757,7 @@ def test_a_top_word_at_an_empty_product_is_caught(monkeypatch):
     # a top word where x^I y^j is zero fails the off-diagonal cell (i, j)
     for alg in (fixture_algebra("g3"), gl_supermatrix_units(2, 1)):
         fm = frobenius_matrix(alg)
-        ys = dual_pair(alg, fm)
+        ys = dual_pair(fm)
         top_word = tuple(range(alg.n_even, alg.dim))
         empty = [(i, j) for i, mask in enumerate(fm.order) for j, y in enumerate(ys)
                  if i != j and not multiply(subset_monomial(alg, mask), y)]
@@ -700,7 +771,7 @@ def test_a_top_word_at_an_empty_product_is_caught(monkeypatch):
                 tamper_tops(patch, j, add)
                 with pytest.raises(InternalInvariantError,
                                    match=rf"dual pair fails at \({i}, {j}\)$"):
-                    dual_pair(alg, fm)
+                    dual_pair(fm)
 
 
 def test_a_dropped_diagonal_top_is_caught(monkeypatch):
@@ -715,7 +786,7 @@ def test_a_dropped_diagonal_top_is_caught(monkeypatch):
             tamper_tops(patch, j, drop)
             with pytest.raises(InternalInvariantError,
                                match=rf"dual pair fails at \({j}, {j}\)$"):
-                dual_pair(alg, fm)
+                dual_pair(fm)
 
 
 def test_every_rewritten_prefix_head_can_reach_its_floor(monkeypatch):
@@ -729,7 +800,7 @@ def test_every_rewritten_prefix_head_can_reach_its_floor(monkeypatch):
 
     dense21 = random_odd_basis_change(gl_supermatrix_units(2, 1), random.Random(1))[0]
     dense31 = random_odd_basis_change(gl_supermatrix_units(3, 1), random.Random(1))[0]
-    ys = dual_pair(dense21)
+    ys = dual_pair(frobenius_matrix(dense21))
     # the dual elements of dense gl(3|1) take minutes; its odd generators,
     # 1 and a mixed sum start chains of every length
     xs = [subset_monomial(dense31, 1 << t) for t in range(dense31.n_odd)]
@@ -751,7 +822,7 @@ def test_dual_pair_leaves_the_algebra_as_it_was():
     # the memo of prefix heads lives for one call and is stored nowhere
     for alg in (gl_supermatrix_units(2, 1), fixture_algebra("osp12")):
         before = copy.deepcopy(vars(alg))
-        dual_pair(alg)
+        dual_pair(frobenius_matrix(alg))
         assert vars(alg) == before, alg.name
 
 
@@ -763,7 +834,7 @@ def test_a_corrupted_dual_element_is_caught_in_a_scaled_algebra(monkeypatch, cor
     alg = rescaled_algebra(gl_supermatrix_units(2, 1))
     assert alg._int_scale > 1
     fm = frobenius_matrix(alg)
-    ys = dual_pair(alg, fm)
+    ys = dual_pair(fm)
     n, m, scale, honest = len(ys), alg.n_odd, alg._int_scale, frobenius._rewrite
     # y^j in the kernel's ints: a word w carries S^(m - |I_j| - |w|)
     exps = [m - mask.bit_count() for mask in fm.order]
@@ -784,7 +855,7 @@ def test_a_corrupted_dual_element_is_caught_in_a_scaled_algebra(monkeypatch, cor
         i = j if corrupt == "double" else k
         with pytest.raises(InternalInvariantError,
                            match=rf"dual pair fails at \({i}, {j}\)$"):
-            dual_pair(alg, fm)
+            dual_pair(fm)
         assert [{w: v for w, v in y.items() if v} for y in built[:n]] == \
             [int_terms(y, e) for y, e in zip(ys, exps)]
 
@@ -808,8 +879,9 @@ def test_solve_verifies_the_columns_it_solves():
     # diagonal, a diagonal entry +-1, then A * b = e_j on every stored entry
     rows = {0: {0: F(1)}, 1: {0: F(2, 3), 1: F(-1)}, 2: {0: F(1, 2), 1: F(5), 2: F(1)}}
     zero, one = linalg.ZERO, linalg.ONE
-    diagonal, inverse = frobenius._solve(rows, 3, zero, one, "A")
-    assert diagonal == (1, -1, 1)
+    inverse = frobenius._solve(rows, 3, zero, one, "A")
+    # B's diagonal entry is 1 / A[i][i], the same sign
+    assert [inverse[i][i] for i in range(3)] == [1, -1, 1]
     for j in range(3):
         col = column(inverse, j, zero)
         assert [sum(a * col[k] for k, a in rows[i].items()) for i in range(3)] == \
@@ -872,7 +944,7 @@ def test_solve_matches_dense_forward_substitution_over_q(rng):
     zero, one = linalg.ZERO, linalg.ONE
     for rows in cases:
         n = len(rows)
-        _, inverse = frobenius._solve(rows, n, zero, one, "A")
+        inverse = frobenius._solve(rows, n, zero, one, "A")
         assert all(all(inverse_row.values()) for inverse_row in inverse)
         for j in range(n):
             assert column(inverse, j, zero) == \
@@ -907,7 +979,7 @@ def test_a_corrupted_entry_below_the_diagonal_fails_the_dual_pair(monkeypatch, k
     fm = frobenius_matrix(alg)
     with pytest.raises(InternalInvariantError,
                        match=r"dual pair fails at \({}, {}\)$".format(*reported)):
-        dual_pair(alg, fm)
+        dual_pair(fm)
 
 
 def test_flipped_diagonal_sign_anywhere_is_caught(monkeypatch):
@@ -915,15 +987,15 @@ def test_flipped_diagonal_sign_anywhere_is_caught(monkeypatch):
     # inverts it exactly; the dual elements built from that inverse fail the
     # duality check in the row of the flip, at or before the diagonal
     alg = gl_supermatrix_units(2, 1)
-    diagonal = frobenius_matrix(alg).diagonal
+    signs = diagonal(frobenius_matrix(alg))
     for flip in range(1 << alg.n_odd):
         monkeypatch.undo()
         negate_pairing(monkeypatch, (flip, flip))
         fm = frobenius_matrix(alg)
-        assert fm.diagonal == tuple(-d if i == flip else d for i, d in enumerate(diagonal))
+        assert diagonal(fm) == [-d if i == flip else d for i, d in enumerate(signs)]
         with pytest.raises(InternalInvariantError,
                            match=rf"dual pair fails at \({flip}, \d+\)$") as err:
-            dual_pair(alg, fm)
+            dual_pair(fm)
         assert int(re.search(r"(\d+)\)$", str(err.value)).group(1)) <= flip
 
 
@@ -996,7 +1068,7 @@ def test_dual_pair_depends_on_the_twist(monkeypatch, capsys, tmp_path):
     X, Y = gen(alg, "X"), gen(alg, "Y")
     inverse = {e for row in fm.inverse for e in row}
     assert {X, -X} & inverse and {Y, -Y} & inverse
-    assert len(dual_pair(alg, fm)) == 8
+    assert len(dual_pair(fm)) == 8
     path = algebra_file(tmp_path, alg)
     assert main(["invariant", path, "--emit-dual-pair"]) == 3
     payload = json.loads(capsys.readouterr().out)
@@ -1005,7 +1077,7 @@ def test_dual_pair_depends_on_the_twist(monkeypatch, capsys, tmp_path):
     # the opposite twist breaks duality, and the CLI reports a library fault
     monkeypatch.setattr(frobenius, "alpha", at_int_scale(alpha_inv))
     with pytest.raises(InternalInvariantError, match=r"dual pair fails at \(4, 0\)"):
-        dual_pair(alg, fm)
+        dual_pair(fm)
     assert main(["invariant", path, "--emit-dual-pair"]) == 70
     out, err = capsys.readouterr()
     assert out == ""
@@ -1021,7 +1093,7 @@ def test_dual_pair_with_a_nonzero_trace_equals_its_reference():
     for alg in (twisted, fixture_algebra("bad2"), par22, *scaled):
         assert any(lambda_values(alg).values()), alg.name
         fm = frobenius_matrix(alg)
-        assert dual_pair(alg, fm) == fraction_dual_pair(alg, fm), alg.name
+        assert dual_pair(fm) == fraction_dual_pair(alg, fm), alg.name
         # the odd parts of bad2 and par(2|2) are abelian, so their pairing
         # and its inverse are scalars, which the twist fixes; the twisted
         # dual algebra has entries that the twist moves
@@ -1053,7 +1125,7 @@ def test_the_int_scale_gives_the_fraction_results(case):
     for j in range(len(fm.order)):
         assert [row[j] for row in fm.inverse] == \
             dense_forward_substitution(fm.entries, j, zero, one), j
-    assert dual_pair(alg, fm) == fraction_dual_pair(alg, fm)
+    assert dual_pair(fm) == fraction_dual_pair(alg, fm)
     if case.startswith(("par", "twisted")):
         for given in (None, fm):
             with pytest.raises(NoInvariantError):

@@ -5,8 +5,8 @@ oracle's dimension, which is the uniqueness claim."""
 import pytest
 
 from superhaar import (NoInvariantError, brute_force_quotient_invariants, dual_pair,
-                       frobenius, integral_matrix, invariant_z, lambda_values, linalg,
-                       quotient_module)
+                       frobenius, frobenius_matrix, integral_matrix, invariant_z,
+                       lambda_values, linalg, quotient_module)
 
 from realizations import orthosymplectic, realization
 from reference import full_oracle, subset_monomial
@@ -115,5 +115,5 @@ def test_orthosymplectic_is_unimodular_with_a_canonical_unique_invariant(M, n, d
         assert full_oracle(alg) == [inv.quotient_class]
     if alg.n_odd <= 6:
         # the integral on the quotient itself is nonzero
-        dual_pair(alg)
+        dual_pair(frobenius_matrix(alg))
         assert any(integral_matrix(quotient_module(alg), inv).entries.values())
