@@ -239,18 +239,19 @@ def _pairing(alg: LieSuperalgebra, order: tuple[int, ...]) -> dict:
     return rows
 
 
-def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[int]:
+def _counit_column_zero(alg: LieSuperalgebra) -> dict[int, int]:
     """The counit b of column zero of the inverse of the pairing matrix A,
-    in ``order``: counit(A) * b = e_0 solved by forward substitution in
-    ints, forming only the cells of counit(A) that the solve reads; entry i
-    is the empty-word int of the inverse entry, over S^|I_i|.
+    as {subset mask: nonzero int}: counit(A) * b = e_empty solved by forward
+    substitution in ints, forming only the cells of counit(A) that the solve
+    reads; b[I] is the empty-word int of the inverse entry, over S^|I|.
 
     The cell counit(A)[I][K] is cell(M, I) with M = complement(K), and
     cell(M, I) = sum over J of counit(R_t[I][J]) * cell(M - t, J) with
     t = min M and cell(empty, I) = [I = top] (``_pairing``, through the
     counit, an algebra map on the even subalgebra).  The chain products
     x^I x_t are built along prefixes, as ``_pairing`` builds them, and
-    read by ``_counit_ints``; products and cells are cached for this call.
+    read by ``_counit_ints``; the memos of products and cells are dropped
+    when the call returns or raises.
 
     counit(A)[I][K] is zero unless wt(I) = wt(K) (``_odd_weights``): ad h
     is a derivation, so c_M[I] has eigenvalue wt(I) + wt(M) - wt(top), and
@@ -265,7 +266,7 @@ def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[in
     only a bracket of two odd letters, an even letter, removes.  On any
     table the certificate and the class of z at x^top in ``invariant_z``
     decide whether z is right.  A failure is reported at its position in
-    ``order``."""
+    ``odd_subset_order``."""
     wt, top = _odd_weights(alg), (1 << alg.n_odd) - 1
     letters = [UEElement.generator(alg, alg.n_even + t) for t in range(alg.n_odd)]
 
@@ -289,19 +290,21 @@ def _counit_column_zero(alg: LieSuperalgebra, order: tuple[int, ...]) -> list[in
         t = low.bit_length() - 1
         return sum(r * cell(col ^ low, j) for j, r in counits(t, row).items())
 
-    column, support = [0] * len(order), []
-    for i, mask in enumerate(order):
-        if wt[mask] != wt[0]:
-            continue
-        d = cell(top ^ mask, mask)
-        if d not in (1, -1):
-            raise InternalInvariantError(
-                f"counit of the pairing matrix: diagonal entry at {i} is {d}, expected +-1")
-        s = sum(cell(top ^ k, mask) * column[j] for j, k in support)
-        column[i] = d * (int(i == 0) - s)
-        if column[i]:
-            support.append((i, mask))
-    return column
+    column: dict[int, int] = {}
+    try:
+        for i, mask in enumerate(odd_subset_order(alg.n_odd)):
+            if wt[mask] != wt[0]:
+                continue
+            d = cell(top ^ mask, mask)
+            if d not in (1, -1):
+                raise InternalInvariantError(
+                    f"counit of the pairing matrix: diagonal entry at {i} is {d}, expected +-1")
+            s = sum(cell(top ^ k, mask) * b for k, b in column.items())
+            if c := d * (int(not mask) - s):
+                column[mask] = c
+        return column
+    finally:
+        del chain, counits, cell   # a closure cycle would keep the memos until gc runs
 
 
 def frobenius_matrix(alg: LieSuperalgebra) -> FrobeniusMatrix:
@@ -467,26 +470,22 @@ def invariant_z(alg: LieSuperalgebra, fm: FrobeniusMatrix | None = None) -> Inva
     if fm is not None and fm.alg != alg:
         raise ValueError(f"the pairing matrix is of {fm.alg.name}, not of {alg.name}")
     _check_trace_condition(alg)
-    m = alg.n_odd
+    m, top = alg.n_odd, (1 << alg.n_odd) - 1
     if fm is None:
-        order = odd_subset_order(m)
-        column = _counit_column_zero(alg, order)
+        column = _counit_column_zero(alg)
     else:
-        order = fm.order
-        column = [row[0]._ints.get((), 0) for row in fm.inverse]
-    top = (1 << m) - 1
-    # entry c of the column is over S^|I_i|, and on the complement's word,
-    # of m - |I_i| letters, the same c over S^m has that value; the
-    # complements are distinct words, so each term is stored once
-    z = UEElement._trusted(alg, {_odd_word(alg, top ^ mask): c
-                                 for mask, c in zip(order, column) if c}, alg._int_scale ** m)
+        column = {mask: c for mask, row in zip(fm.order, fm.inverse)
+                  if (c := row[0]._ints.get((), 0))}
+    # b[I] is over S^|I|, and the same int over S^m has that value on the
+    # complement's word, of m - |I| letters; complements are distinct words
+    z = UEElement._trusted(alg, {_odd_word(alg, top ^ mask): c for mask, c in column.items()},
+                           alg._int_scale ** m)
 
     z_class = quotient_project(z)
     certificate = {}
     for i in range(alg.dim):
         # residue of w z - counit(w) z; counit vanishes on generators
-        residue = act_on_quotient(alg, i, z_class)
-        certificate[i] = residue
+        certificate[i] = residue = act_on_quotient(alg, i, z_class)
         if residue:
             raise InternalInvariantError(
                 f"z is not invariant under {alg.basis_name(i)}: residue {residue}")

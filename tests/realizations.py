@@ -2,10 +2,12 @@
 and the graded dual and tensor product of modules.
 
 ``realization`` derives the structure constants from the matrices, so they
-are consistent by construction.  The tests import this module as
-``realizations`` and ``tools/gen_fixtures.py`` builds its matrix-realized
-fixtures with it, so it reads the library only through public names and
-does not need pytest.
+are consistent by construction.  ``equivariant_superalgebra`` builds an
+algebra from its even part and the even part's action on the odd part
+alone, solving for the bracket of two odd elements.  The tests import
+this module as ``realizations`` and ``tools/gen_fixtures.py`` builds its
+matrix-realized fixtures with it, so it reads the library only through
+public names and does not need pytest.
 """
 
 from __future__ import annotations
@@ -56,6 +58,103 @@ def realization(name, even, odd, parities, module_name=""):
         if not report.ok:
             raise ValueError(f"{name}: {report.violations}")
     return alg, module
+
+
+def equivariant_superalgebra(name, even, odd_names, action):
+    """The Lie superalgebra ``name`` whose even part g0 is spanned by the
+    matrices of ``even``, a list of (basis name, square matrix as rows of
+    nonzeros), with its table derived by ``realization``, and whose odd part
+    g1 has the basis ``odd_names``, on which the even basis element a acts
+    by the matrix ``action[a]``: [X_a, u_c] = sum_r action[a][r][c] u_r.
+
+    The bracket of two odd elements is a symmetric g0-valued map (Kac, Adv.
+    Math. 26, 1977).  Its coordinates B[u, v][d], u <= v, are solved by one
+    ``nullspace`` of two sets of linear equations: equivariance,
+    [X, {u, v}] = {[X, u], v} + {u, [X, v]}, and the Jacobi identity on
+    three odd elements, rho({v, w}) u + rho({w, u}) v + rho({u, v}) w = 0.
+    The other Jacobi identities hold when ``action`` is a representation.
+    ``ValueError`` when the solutions do not form a line, and when the
+    algebra fails validation."""
+    size = 1 + max(max(r, *row) for _, mat in even for r, row in mat.items())
+    g0, _ = realization(f"{name} even part", even, [], [0] * size)
+    n0, n1 = g0.dim, len(odd_names)
+
+    def var(u, v, d):
+        u, v = min(u, v), max(u, v)
+        return (v * (v + 1) // 2 + u) * n0 + d
+
+    def column(mat, c):
+        """Column c of a matrix given as rows of nonzeros."""
+        return [(r, row[c]) for r, row in mat.items() if c in row]
+
+    rows = []
+    for a in range(n0):
+        for u in range(n1):
+            for v in range(u, n1):
+                # [X_a, {u, v}] - {[X_a, u], v} - {u, [X_a, v]}, by target d
+                eq: dict = {d: {} for d in range(n0)}
+                for e in range(n0):
+                    for d, x in g0.bracket(a, e):
+                        eq[d][var(u, v, e)] = x
+                for d in range(n0):
+                    for r, x in column(action[a], u):
+                        eq[d][var(r, v, d)] = eq[d].get(var(r, v, d), 0) - x
+                    for r, x in column(action[a], v):
+                        eq[d][var(u, r, d)] = eq[d].get(var(u, r, d), 0) - x
+                rows += ({k: x for k, x in e.items() if x} for e in eq.values())
+    for u in range(n1):
+        for v in range(u, n1):
+            for w in range(v, n1):
+                # rho({v, w}) u + rho({w, u}) v + rho({u, v}) w, by target r
+                eq = {r: {} for r in range(n1)}
+                for d in range(n0):
+                    for a, b, c in ((v, w, u), (w, u, v), (u, v, w)):
+                        for r, x in column(action[d], c):
+                            eq[r][var(a, b, d)] = eq[r].get(var(a, b, d), 0) + x
+                rows += ({k: x for k, x in e.items() if x} for e in eq.values())
+    kernel = nullspace(rows, n0 * n1 * (n1 + 1) // 2)
+    if len(kernel) != 1:
+        raise ValueError(f"{name}: the equivariant brackets on g1 form a space "
+                         f"of dimension {len(kernel)}, not a line")
+    brackets = {(a, e): dict(g0.bracket(a, e)) for a in range(n0) for e in range(n0)}
+    for a in range(n0):
+        for r, row in action[a].items():
+            for c, x in row.items():
+                brackets.setdefault((a, n0 + c), {})[n0 + r] = x
+                brackets.setdefault((n0 + c, a), {})[n0 + r] = -x
+    for u in range(n1):
+        for v in range(n1):
+            brackets[n0 + u, n0 + v] = {d: kernel[0].get(var(u, v, d), 0) for d in range(n0)}
+    alg = LieSuperalgebra(name, [b for b, _ in even], odd_names, brackets)
+    if not (report := validate_superalgebra(alg)).ok:
+        raise ValueError(f"{name}: {report.violations}")
+    return alg
+
+
+def psl(n):
+    """psl(n|n) from its even part sl(n) + sl(n), block diagonal in gl(n|n)
+    and named by the units E_ij and H_k = E_kk - E_{k+1,k+1} of each block,
+    acting on g1 = V (x) W* + V* (x) W, the odd units E_ij of gl(n|n), by
+    [X, E] = XE - EX (``equivariant_superalgebra``)."""
+    even = []
+    for o in (0, n):
+        even += [(f"H{o + k + 1}", {o + k: {o + k: 1}, o + k + 1: {o + k + 1: -1}})
+                 for k in range(n - 1)]
+        even += [(f"E{o + i + 1}{o + j + 1}", {o + i: {o + j: 1}})
+                 for i in range(n) for j in range(n) if i != j]
+    odd = [(i, j) for i in range(2 * n) for j in range(2 * n) if (i < n) != (j < n)]
+    position = {unit: k for k, unit in enumerate(odd)}
+    action = []
+    for _, x in even:
+        rho: dict = {}
+        for c, (i, j) in enumerate(odd):
+            unit = {i: {j: 1}}
+            for r, row in mat_comb([(1, mat_mul(x, unit)), (-1, mat_mul(unit, x))]).items():
+                for s, y in row.items():
+                    rho.setdefault(position[r, s], {})[c] = y
+        action.append(rho)
+    return equivariant_superalgebra(f"psl({n}|{n})", even,
+                                    [f"E{i + 1}{j + 1}" for i, j in odd], action)
 
 
 def gl_realization(p, q, name=None, keep=lambda i, j: True):

@@ -5,10 +5,10 @@ oracle's dimension, which is the uniqueness claim."""
 import pytest
 
 from superhaar import (NoInvariantError, brute_force_quotient_invariants, dual_pair,
-                       frobenius, frobenius_matrix, integral_matrix, invariant_z,
-                       lambda_values, linalg, quotient_module)
+                       even_part_structure, frobenius, frobenius_matrix, integral_matrix,
+                       invariant_z, lambda_values, linalg, quotient_module)
 
-from realizations import orthosymplectic, realization
+from realizations import equivariant_superalgebra, orthosymplectic, psl, realization
 from reference import full_oracle, subset_monomial
 
 
@@ -117,3 +117,32 @@ def test_orthosymplectic_is_unimodular_with_a_canonical_unique_invariant(M, n, d
         # the integral on the quotient itself is nonzero
         dual_pair(frobenius_matrix(alg))
         assert any(integral_matrix(quotient_module(alg), inv).entries.values())
+
+
+def test_psl22_from_its_even_part_is_unimodular_with_the_top_monomial_as_its_unique_invariant():
+    # g0 = sl2 + sl2 on g1 = V (x) W* + V* (x) W, m = 8: the bracket of two
+    # odd elements is the one line of solutions, over 6 * 36 = 216 unknowns,
+    # of equivariance and the odd Jacobi identity
+    alg = psl(2)
+    assert (alg.n_even, alg.n_odd) == (6, 8)
+    assert not any(lambda_values(alg).values())
+    assert even_part_structure(alg).certified_reductive
+    top = (1 << alg.n_odd) - 1
+    inv = invariant_z(alg)
+    assert not any(inv.certificate.values())
+    assert inv.z == subset_monomial(alg, top)
+    assert inv.quotient_class == {top: 1}
+    assert brute_force_quotient_invariants(alg) == [inv.quotient_class]
+
+
+def test_equivariant_superalgebra_refuses_anything_but_a_line_of_brackets():
+    h = [("H", {0: {0: 1}})]
+    # H acting trivially on u: {u, u} = c H for every c, a line
+    alg = equivariant_superalgebra("line", h, ["u"], [{}])
+    assert dict(alg.bracket(1, 1)) == {0: 1}
+    # [H, u] = u: equivariance gives 0 = 2 {u, u}
+    with pytest.raises(ValueError, match="dimension 0, not a line"):
+        equivariant_superalgebra("none", h, ["u"], [{0: {0: 1}}])
+    # two central even elements, both acting trivially
+    with pytest.raises(ValueError, match="dimension 2, not a line"):
+        equivariant_superalgebra("plane", h + [("K", {1: {1: 1}})], ["u"], [{}, {}])
